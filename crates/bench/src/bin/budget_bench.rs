@@ -59,6 +59,7 @@
 //! budgeted quality drops more than 20% below the committed quality — the
 //! budget counterpart of the other benches' regression gates.
 
+use sig_bench::extract_json_number_after;
 use std::sync::Arc;
 
 use sig_core::{
@@ -424,27 +425,6 @@ fn assert_replay_deterministic(scenario: &Scenario, config: &Config) {
         "{}: budgeted replay is not bit-deterministic",
         scenario.name
     );
-}
-
-/// Minimal extractor for `"key": number` in the committed report (the
-/// vendored serde shim has no deserializer).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The nth occurrence variant of [`extract_json_number`], scoped to the text
-/// after `section` first appears.
-fn extract_json_number_after(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    extract_json_number(&json[at..], key)
 }
 
 /// CI regression gate: re-run the deterministic replay and fail if the

@@ -29,6 +29,7 @@
 //! per line, `#` comments) through the smallest fleet under the tight cap —
 //! reported alongside the matrix, not gated.
 
+use sig_bench::extract_json_number;
 use sig_cluster::{ClusterConfig, ClusterPhaseReport, ClusterSim, DispatchPolicy};
 use sig_serving::{ArrivalPattern, QualityTier, RequestClass, RetryPolicy, SplitMix64};
 use std::time::Duration;
@@ -284,20 +285,6 @@ fn matrix_invariant_errors(cells: &[Cell]) -> Vec<String> {
         }
     }
     errors
-}
-
-/// Minimal extractor for `"key": number` (the vendored serde shim has no
-/// deserializer).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// CI regression gate: deterministic replay of the matrix vs the committed

@@ -51,6 +51,7 @@
 //! reduction on either power model, or if `adaptive ≤ min(ladder, race)` is
 //! violated — the energy counterpart of the sched-overhead regression gate.
 
+use sig_bench::extract_json_number_after;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -477,27 +478,6 @@ fn assert_scenario_invariants(name: &str, result: &ScenarioResult, tasks: usize,
         result.race.transitions, 0,
         "{name}: race-to-idle must pay zero DVFS transitions"
     );
-}
-
-/// Minimal extractor for `"key": number` in the committed report (the
-/// vendored serde shim has no deserializer).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The nth occurrence variant of [`extract_json_number`], scoped to the text
-/// after `section` first appears.
-fn extract_json_number_after(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    extract_json_number(&json[at..], key)
 }
 
 /// Regression gate for CI: replay the deterministic strategy comparison and

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use sig_bench::extract_json_number;
 use sig_core::{BatchTask, Policy, Runtime};
 
 /// Faithful reduction of the seed scheduler's hot path (see module docs).
@@ -380,19 +381,6 @@ fn bench_injection_batched(workers: usize, tasks: usize, batch: usize) -> Durati
     let injected = start.elapsed();
     rt.wait_all();
     injected
-}
-
-/// Extract a `"field": 12345` number from a committed JSON report (the
-/// vendored serde shim has no deserialiser; the reports are flat enough for
-/// a string scan).
-fn extract_json_number(json: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Regression gate for CI: the batched pipeline must not fall below the

@@ -35,6 +35,7 @@
 //! exceeds the exact-only baseline's, or if any variant's p99 at 1.5× load
 //! regressed more than 20% over the committed number.
 
+use sig_bench::extract_json_number;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -348,20 +349,6 @@ fn sweep_invariant_errors(name: &str, results: &[LoadResult], ladder: bool) -> V
         }
     }
     errors
-}
-
-/// Minimal extractor for `"key": number` (the vendored serde shim has no
-/// deserializer).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// CI regression gate: deterministic replay of the sweep vs the committed

@@ -1,9 +1,12 @@
 //! The bit-deterministic multi-node discrete-event kernel.
 //!
-//! Same architecture as `sig_serving::sim` — a seeded virtual clock, a
-//! `BinaryHeap` of events ordered `(time, push-order)` — scaled out to a
-//! fleet: every [`Node`] owns a real `ExecutionEnv` + governor + admission
-//! controller, a [`ClusterDispatcher`] routes each arrival, and a
+//! The event queue and the request lifecycle — admit, price an attempt,
+//! finish late-or-completed, retry or give up on a fault — are
+//! `sig_serving::lifecycle`'s, the single statement of those rules that the
+//! serving simulator and the live server also run. This file adds what only
+//! a fleet has — routing, the cap waterfill, crash epochs, the tick-driven
+//! deadline sweep: every [`Node`] owns a real `ExecutionEnv` + governor +
+//! admission controller, a [`ClusterDispatcher`] routes each arrival, and a
 //! [`PowerCapController`] re-targets per-node busy-slot budgets and
 //! frequency caps on a control tick so the fleet's modelled draw never
 //! exceeds the global cap.
@@ -19,19 +22,16 @@
 //! the cached per-node watts whenever a busy set changes. The cap guarantee
 //! is therefore checked against the same ledger the controller budgets.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::Duration;
 
-use sig_core::{DispatchContext, ExecutionMode, Governor, NominalGovernor, Policy};
+use sig_core::{Governor, NominalGovernor};
 use sig_energy::{
-    BudgetConfig, BudgetController, BudgetSetpoint, EnergyReading, PowerModel, SleepState,
-    TransitionCost, UtilizationPowerCurve,
+    BudgetConfig, BudgetController, EnergyReading, PowerModel, SleepState, TransitionCost,
+    UtilizationPowerCurve,
 };
 use sig_serving::{
-    AdmissionConfig, AdmissionDecision, RequestClass, RequestOutcome, ServingStats, SplitMix64,
-    ViolationKind,
+    AdmissionConfig, AdmissionDecision, EventQueue, Lifecycle, Request, RequestClass,
+    RequestOutcome, RetryVerdict, ServingStats, ViolationKind,
 };
 
 use crate::cap::{CapConfig, ClusterAdmission, PowerCapController};
@@ -144,39 +144,10 @@ enum EventKind {
     },
 }
 
-struct Event {
-    at: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // Reversed: earliest event first, ties by push order — deterministic.
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 struct ClusterRequest {
-    class: usize,
-    arrival: u64,
-    deadline: u64,
-    tier: usize,
-    /// Fleet-forced ladder floor; retries never rise above it.
-    min_tier: usize,
-    downgraded: bool,
-    attempts: u32,
+    life: Request,
+    /// Set once the request is ledgered; events still queued for it are
+    /// stale and skipped.
     terminal: bool,
 }
 
@@ -184,8 +155,7 @@ struct ClusterRequest {
 /// lets event handlers touch nodes and phase books independently.
 struct Phase {
     requests: Vec<ClusterRequest>,
-    heap: BinaryHeap<Event>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     /// The cluster's own book: all `offered`, plus ingress sheds.
     cluster_book: ServingStats,
     lost_to_crash: u64,
@@ -196,27 +166,15 @@ struct Phase {
     accurate_scaled: u64,
 }
 
-impl Phase {
-    fn push(&mut self, at: u64, kind: EventKind) {
-        self.heap.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
-        self.seq += 1;
-    }
-}
-
 /// The multi-node discrete-event simulator (see module docs). Successive
 /// [`ClusterSim::run`] calls share node, controller, and energy state: a
 /// pre-storm / storm / post-storm sequence is three calls on one simulator.
 pub struct ClusterSim {
     config: ClusterConfig,
-    classes: Vec<RequestClass>,
+    lifecycle: Lifecycle,
     nodes: Vec<Node>,
     dispatcher: ClusterDispatcher,
     cap: PowerCapController,
-    rng: SplitMix64,
     now: u64,
     route_buf: Vec<RouteCandidate>,
     // Exact piecewise-constant power integration (cumulative).
@@ -253,9 +211,6 @@ impl ClusterSim {
         assert!(config.nodes > 0, "a cluster needs at least one node");
         assert!(config.workers_per_node > 0);
         assert!(config.base_service_nanos > 0);
-        for class in &classes {
-            class.validate();
-        }
         let nodes: Vec<Node> = (0..config.nodes)
             .map(|index| {
                 Node::new(
@@ -276,8 +231,11 @@ impl ClusterSim {
         let mut sim = ClusterSim {
             dispatcher: ClusterDispatcher::new(config.policy),
             cap: PowerCapController::new(config.cap),
-            rng: SplitMix64::new(config.seed ^ 0xc105_7e2d_15b4_7c11),
-            classes,
+            lifecycle: Lifecycle::new(
+                classes,
+                config.base_service_nanos,
+                config.seed ^ 0xc105_7e2d_15b4_7c11,
+            ),
             nodes,
             config,
             now: 0,
@@ -332,26 +290,13 @@ impl ClusterSim {
         }
     }
 
-    /// The budget loop's latest setpoint, if a budget is configured.
-    pub fn budget_setpoint(&self) -> Option<BudgetSetpoint> {
-        self.budget.as_ref().map(|controller| controller.setpoint())
-    }
-
-    /// Cumulative joules the budget controller has accounted, if a budget
-    /// is configured. Always equals the summed per-node reading at the
-    /// controller's last observation — the cross-tier accounting identity.
-    pub fn budget_spent_joules(&self) -> Option<f64> {
-        self.budget.as_ref().map(BudgetController::spent_joules)
-    }
-
-    /// The budget controller's last observation `(elapsed_seconds,
-    /// busy_core_seconds, joules)` — the anchor for the cross-tier
-    /// accounting identity: re-reading [`ClusterSim::fleet_reading`] at that
-    /// instant must reproduce `joules` bit for bit, crashes included.
-    pub fn budget_observation(&self) -> Option<(f64, f64, f64)> {
-        self.budget
-            .as_ref()
-            .and_then(BudgetController::last_observation)
+    /// The fleet-wide budget controller, if a budget is configured. Its
+    /// spend always equals the summed per-node reading at its last
+    /// observation — the cross-tier accounting identity: re-reading
+    /// [`ClusterSim::fleet_reading`] at that instant reproduces the
+    /// observed joules bit for bit, crashes included.
+    pub fn budget(&self) -> Option<&BudgetController> {
+        self.budget.as_ref()
     }
 
     /// Feed the budget loop one observation at virtual time `at` and drive
@@ -369,14 +314,6 @@ impl ClusterSim {
         if cap.is_finite() || self.configured_cap_watts.is_finite() {
             self.cap.set_cap_watts(cap.max(1e-9));
         }
-    }
-
-    /// Service time of one attempt of `class` at `tier`, before frequency
-    /// dilation.
-    fn service_nanos(&self, class: usize, tier: usize) -> u64 {
-        let spec = &self.classes[class];
-        let quality = spec.tiers[spec.clamp_tier(tier)];
-        ((self.config.base_service_nanos as f64 * quality.work_factor) as u64).max(1)
     }
 
     /// Advance the exact power integrals to virtual time `at`.
@@ -413,24 +350,23 @@ impl ClusterSim {
         }
         let mut phase = Phase {
             requests: Vec::with_capacity(schedule.len()),
-            heap: BinaryHeap::with_capacity(schedule.len() * 2 + faults.len() + 16),
-            seq: 0,
+            events: EventQueue::with_capacity(schedule.len() * 2 + faults.len() + 16),
             cluster_book: ServingStats::default(),
             lost_to_crash: 0,
-            lost_by_class: vec![0; self.classes.len()],
+            lost_by_class: vec![0; self.lifecycle.classes().len()],
             outstanding: 0,
             arrivals_remaining: schedule.len(),
             max_shed_significance: -1.0,
             accurate_scaled: 0,
         };
         for &(offset, class) in schedule {
-            phase.push(
+            phase.events.push(
                 phase_start.saturating_add(offset),
                 EventKind::Arrival { class },
             );
         }
         for fault in faults {
-            phase.push(
+            phase.events.push(
                 phase_start.saturating_add(fault.at_offset),
                 EventKind::Fault {
                     node: fault.node,
@@ -439,13 +375,15 @@ impl ClusterSim {
             );
         }
         let tick = self.cap.config().tick_nanos;
-        phase.push(phase_start.saturating_add(tick), EventKind::Tick);
+        phase
+            .events
+            .push(phase_start.saturating_add(tick), EventKind::Tick);
         self.cap.retarget(&mut self.nodes);
 
-        while let Some(event) = phase.heap.pop() {
-            self.advance_power(event.at);
+        while let Some((event_at, kind)) = phase.events.pop() {
+            self.advance_power(event_at);
             let at = self.now;
-            match event.kind {
+            match kind {
                 EventKind::Arrival { class } => {
                     phase.arrivals_remaining -= 1;
                     phase.cluster_book.offered += 1;
@@ -468,23 +406,24 @@ impl ClusterSim {
                     }
                     self.nodes[node].finish_worker(worker);
                     self.refresh_watts(node);
-                    if panicked {
-                        self.resolve_transient(&mut phase, node, request, at);
-                    } else {
-                        let req = &phase.requests[request];
-                        let latency = at.saturating_sub(req.arrival);
-                        let missed = at > req.deadline;
-                        let (tier, retries) = (req.tier, req.attempts.saturating_sub(1));
-                        self.nodes[node].admission.observe(busy_nanos, missed);
-                        let outcome = if missed {
-                            RequestOutcome::Violated(ViolationKind::Late)
-                        } else {
-                            RequestOutcome::Completed {
-                                tier,
-                                latency_nanos: latency,
-                                retries,
+                    let life = &phase.requests[request].life;
+                    let admission = &mut self.nodes[node].admission;
+                    let outcome = if panicked {
+                        match self.lifecycle.resolve_fault(life, at, admission) {
+                            // The retry re-enters *cluster* dispatch at
+                            // resume time: it may be re-routed to a healthier
+                            // node (the request is "at the client" while
+                            // backing off — a node crash does not lose it).
+                            RetryVerdict::Retry { resume } => {
+                                phase.events.push(resume, EventKind::Retry { request });
+                                None
                             }
-                        };
+                            RetryVerdict::Exhausted(kind) => Some(RequestOutcome::Violated(kind)),
+                        }
+                    } else {
+                        Some(life.finish(at, busy_nanos, admission))
+                    };
+                    if let Some(outcome) = outcome {
                         Self::finalize_on_node(&mut self.nodes[node], &mut phase, request, outcome);
                     }
                     self.start_attempts(&mut phase, node);
@@ -493,7 +432,7 @@ impl ClusterSim {
                     if phase.requests[request].terminal {
                         continue;
                     }
-                    let class = phase.requests[request].class;
+                    let class = phase.requests[request].life.class;
                     self.admit_and_route(&mut phase, Some(request), class, at);
                 }
                 EventKind::Tick => {
@@ -510,7 +449,7 @@ impl ClusterSim {
                         }
                     }
                     if phase.outstanding > 0 || phase.arrivals_remaining > 0 {
-                        phase.push(at.saturating_add(tick), EventKind::Tick);
+                        phase.events.push(at.saturating_add(tick), EventKind::Tick);
                     }
                 }
                 EventKind::Fault { node, kind } => match kind {
@@ -523,7 +462,7 @@ impl ClusterSim {
                                 debug_assert!(!req.terminal);
                                 req.terminal = true;
                                 phase.lost_to_crash += 1;
-                                phase.lost_by_class[req.class] += 1;
+                                phase.lost_by_class[req.life.class] += 1;
                                 phase.outstanding -= 1;
                             }
                             self.cap.retarget(&mut self.nodes);
@@ -579,8 +518,9 @@ impl ClusterSim {
         class: usize,
         at: u64,
     ) {
-        let significance = self.classes[class].significance();
-        let ladder = self.classes[class].tiers.len();
+        let spec = &self.lifecycle.classes()[class];
+        let significance = spec.significance();
+        let ladder = spec.tiers.len();
         let min_tier = match self.cap.admit(significance, ladder) {
             ClusterAdmission::Shed => {
                 phase.cluster_book.record(&RequestOutcome::Shed);
@@ -588,7 +528,7 @@ impl ClusterSim {
                 phase.max_shed_significance = phase.max_shed_significance.max(significance);
                 if let Some(request) = existing {
                     let req = &mut phase.requests[request];
-                    if req.downgraded {
+                    if req.life.downgraded {
                         phase.cluster_book.downgraded += 1;
                     }
                     req.terminal = true;
@@ -622,7 +562,6 @@ impl ClusterSim {
             return;
         };
         debug_assert!(self.nodes[n].is_up(), "routed to a down node");
-        let spec = &self.classes[class];
         let depth = self.nodes[n].depth();
         match self.nodes[n].admission.decide(spec, depth) {
             AdmissionDecision::Shed => {
@@ -631,7 +570,7 @@ impl ClusterSim {
                 phase.max_shed_significance = phase.max_shed_significance.max(significance);
                 if let Some(request) = existing {
                     let req = &mut phase.requests[request];
-                    if req.downgraded {
+                    if req.life.downgraded {
                         self.nodes[n].book.downgraded += 1;
                     }
                     req.terminal = true;
@@ -639,25 +578,18 @@ impl ClusterSim {
                 }
             }
             AdmissionDecision::Admit { tier } => {
+                // The fleet-forced ladder floor applies on top of the
+                // node's own verdict.
+                let tier = tier.max(min_tier);
                 let request = match existing {
                     Some(request) => {
-                        let floor = phase.requests[request].tier.max(min_tier);
-                        let req = &mut phase.requests[request];
-                        req.min_tier = req.min_tier.max(min_tier);
-                        req.tier = spec.clamp_tier(tier.max(floor));
-                        req.downgraded |= req.tier > 0;
+                        self.lifecycle
+                            .readmit(&mut phase.requests[request].life, tier);
                         request
                     }
                     None => {
-                        let tier = spec.clamp_tier(tier.max(min_tier));
                         phase.requests.push(ClusterRequest {
-                            class,
-                            arrival: at,
-                            deadline: at.saturating_add(spec.deadline.as_nanos() as u64),
-                            tier,
-                            min_tier,
-                            downgraded: tier > 0,
-                            attempts: 0,
+                            life: self.lifecycle.admit(class, at, tier),
                             terminal: false,
                         });
                         phase.outstanding += 1;
@@ -681,61 +613,35 @@ impl ClusterSim {
         {
             let request = self.nodes[n].ready.pop_front().unwrap();
             let worker = self.nodes[n].free_workers.pop().unwrap();
-            let req = &mut phase.requests[request];
-            req.attempts += 1;
-            let spec = &self.classes[req.class];
-            let tier = spec.clamp_tier(req.tier);
-            let quality = spec.tiers[tier];
-            let service =
-                ((self.config.base_service_nanos as f64 * quality.work_factor) as u64).max(1);
-            let accurate = tier == 0;
-            let ctx = DispatchContext {
+            let life = &mut phase.requests[request].life;
+            let attempt = self.lifecycle.start_attempt(
+                life,
+                self.nodes[n].env(),
                 worker,
-                significance: quality.significance.into(),
-                accurate,
-                policy: Policy::SignificanceAgnostic,
-                group_ratio: 1.0,
-                deadline_pressure: at.saturating_add(service) > req.deadline,
-            };
-            let decision = self.nodes[n].env().dispatch(worker, &ctx);
-            if accurate && !decision.scale().is_nominal() {
+                at,
+                self.config.panic_per_mille,
+            );
+            if life.tier == 0 && !attempt.decision.scale().is_nominal() {
                 phase.accurate_scaled += 1;
             }
-            let panicked = self.config.panic_per_mille > 0
-                && self.rng.next_u64() % 1000 < u64::from(self.config.panic_per_mille);
-            // A faulted attempt burns half its service time before dying.
-            let busy = if panicked {
-                (service / 2).max(1)
-            } else {
-                service
-            };
-            let wall = (busy as f64 * decision.scale().time_dilation()) as u64;
-            let mode = if accurate {
-                ExecutionMode::Accurate
-            } else {
-                ExecutionMode::Approximate
-            };
-            self.nodes[n]
-                .env()
-                .record(worker, mode, Duration::from_nanos(busy), decision);
-            self.nodes[n].recorded_busy_nanos += busy;
+            self.nodes[n].recorded_busy_nanos += attempt.busy_nanos;
             self.nodes[n].start_worker(
                 worker,
                 RunningAttempt {
                     request,
-                    power_factor: decision.scale().power_factor(),
+                    power_factor: attempt.decision.scale().power_factor(),
                 },
             );
             busy_set_changed = true;
-            phase.push(
-                at.saturating_add(wall.max(1)),
+            phase.events.push(
+                at.saturating_add(attempt.wall_nanos),
                 EventKind::Finish {
                     node: n,
                     worker,
                     epoch: self.nodes[n].epoch,
                     request,
-                    busy_nanos: busy,
-                    panicked,
+                    busy_nanos: attempt.busy_nanos,
+                    panicked: attempt.panicked,
                 },
             );
         }
@@ -758,7 +664,7 @@ impl ClusterSim {
                 .ready
                 .iter()
                 .copied()
-                .filter(|&request| phase.requests[request].deadline <= at)
+                .filter(|&request| phase.requests[request].life.deadline <= at)
                 .collect();
             if expired.is_empty() {
                 continue;
@@ -766,7 +672,7 @@ impl ClusterSim {
             let requests = &phase.requests;
             self.nodes[n]
                 .ready
-                .retain(|&request| requests[request].deadline > at);
+                .retain(|&request| requests[request].life.deadline > at);
             for request in expired {
                 Self::finalize_on_node(
                     &mut self.nodes[n],
@@ -778,48 +684,6 @@ impl ClusterSim {
         }
     }
 
-    /// A transient (panicked) attempt on node `n`: back off and retry
-    /// within the deadline budget — possibly on another node — or finalise
-    /// as an accounted violation.
-    fn resolve_transient(&mut self, phase: &mut Phase, n: usize, request: usize, at: u64) {
-        let (class, tier, attempts) = {
-            let req = &phase.requests[request];
-            (req.class, req.tier, req.attempts)
-        };
-        let spec = &self.classes[class];
-        if attempts > spec.retry.max_retries {
-            let service = self.service_nanos(class, tier);
-            self.nodes[n].admission.observe(service, true);
-            Self::finalize_on_node(
-                &mut self.nodes[n],
-                phase,
-                request,
-                RequestOutcome::Violated(ViolationKind::RetriesExhausted),
-            );
-            return;
-        }
-        let backoff = spec.retry.backoff_nanos(attempts, &mut self.rng);
-        let expected = self.nodes[n]
-            .admission
-            .expected_service_nanos()
-            .max(self.service_nanos(class, tier));
-        let resume = at.saturating_add(backoff);
-        if resume.saturating_add(expected) > phase.requests[request].deadline {
-            self.nodes[n].admission.observe(expected, true);
-            Self::finalize_on_node(
-                &mut self.nodes[n],
-                phase,
-                request,
-                RequestOutcome::Violated(ViolationKind::BudgetExhausted),
-            );
-            return;
-        }
-        // The retry re-enters *cluster* dispatch at resume time: it may be
-        // re-routed to a healthier node (the request is "at the client"
-        // while backing off — a node crash does not lose it).
-        phase.push(resume, EventKind::Retry { request });
-    }
-
     /// Record a terminal outcome on `node`'s book and close the request.
     fn finalize_on_node(
         node: &mut Node,
@@ -829,7 +693,7 @@ impl ClusterSim {
     ) {
         node.book.record(&outcome);
         let req = &mut phase.requests[request];
-        if req.downgraded {
+        if req.life.downgraded {
             node.book.downgraded += 1;
         }
         req.terminal = true;
@@ -842,6 +706,7 @@ mod tests {
     use super::*;
     use crate::faults::crash_storm;
     use sig_serving::{QualityTier, RetryPolicy};
+    use std::time::Duration;
 
     fn ladder_class(name: &str, significance: f64) -> RequestClass {
         RequestClass {

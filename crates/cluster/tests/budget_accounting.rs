@@ -44,13 +44,15 @@ fn budgeted_sim() -> ClusterSim {
 /// The cluster-side identity, asserted bit-for-bit: the controller's spend
 /// is exactly the summed per-node reading at its last observation.
 fn assert_ledger_identity(sim: &ClusterSim) {
-    let (elapsed, observed_busy, spent) = sim
-        .budget_observation()
+    let budget = sim.budget().expect("budget configured");
+    let observed = budget
+        .last_observation()
         .expect("the budget loop has observed by now");
+    let spent = observed.joules;
     // Observation times are virtual-tick instants: recover the integer
     // nanosecond the controller sampled at (exact for any sim shorter than
     // 2^53 ns) and re-read the ledgers there.
-    let at = (elapsed * 1e9).round() as u64;
+    let at = (observed.elapsed_seconds * 1e9).round() as u64;
     let reread = sim.fleet_reading(at);
     assert_eq!(
         spent.to_bits(),
@@ -60,16 +62,11 @@ fn assert_ledger_identity(sim: &ClusterSim) {
         reread.joules
     );
     assert_eq!(
-        observed_busy.to_bits(),
+        observed.busy_core_seconds.to_bits(),
         reread.busy_core_seconds.to_bits(),
         "observed busy-core-seconds diverge from the summed ledgers"
     );
-    assert_eq!(
-        sim.budget_spent_joules()
-            .expect("budget configured")
-            .to_bits(),
-        spent.to_bits()
-    );
+    assert_eq!(budget.spent_joules().to_bits(), spent.to_bits());
 }
 
 #[test]
@@ -81,7 +78,7 @@ fn cluster_budget_books_balance_through_a_crash_storm() {
     assert!(pre.balanced(), "pre-storm books must balance");
     assert_eq!(pre.lost_to_crash, 0);
     assert_ledger_identity(&sim);
-    let spent_pre = sim.budget_spent_joules().unwrap();
+    let spent_pre = sim.budget().unwrap().spent_joules();
     assert!(spent_pre > 0.0, "the budget loop observed no energy");
 
     // Storm: 2× capacity while 30% of the fleet crashes at 5 ms and
@@ -103,7 +100,7 @@ fn cluster_budget_books_balance_through_a_crash_storm() {
         "a 2× storm with crashes loses work"
     );
     assert_ledger_identity(&sim);
-    let spent_storm = sim.budget_spent_joules().unwrap();
+    let spent_storm = sim.budget().unwrap().spent_joules();
     assert!(
         spent_storm > spent_pre,
         "cumulative spend must grow through the storm"
@@ -111,7 +108,7 @@ fn cluster_budget_books_balance_through_a_crash_storm() {
 
     // The budget only ever tightens the configured cap, and with a finite
     // envelope the actuated cap must be at (or below) the planned rate.
-    let setpoint = sim.budget_setpoint().expect("budget configured");
+    let setpoint = sim.budget().expect("budget configured").setpoint();
     let cap_now = sim.cap_controller().config().cap_watts;
     assert!(
         cap_now <= setpoint.watt_cap + 1e-9,
@@ -126,7 +123,7 @@ fn cluster_budget_books_balance_through_a_crash_storm() {
     assert!(post.balanced());
     assert_eq!(post.lost_to_crash, 0);
     assert_ledger_identity(&sim);
-    assert!(sim.budget_spent_joules().unwrap() > spent_storm);
+    assert!(sim.budget().unwrap().spent_joules() > spent_storm);
 }
 
 #[test]
@@ -168,7 +165,7 @@ fn serving_budget_books_balance_and_spend_never_leads_the_bill() {
             report.stats.shed
         );
         billed += report.joules;
-        let spent = sim.budget_spent_joules().expect("budget configured");
+        let spent = sim.budget().expect("budget configured").spent_joules();
         assert!(spent > 0.0, "{name}: the budget loop observed no energy");
         assert!(
             spent <= billed + 1e-9,
@@ -176,6 +173,6 @@ fn serving_budget_books_balance_and_spend_never_leads_the_bill() {
              -- the controller's view must lag the bill, never lead it"
         );
     }
-    let setpoint = sim.budget_setpoint().expect("budget configured");
+    let setpoint = sim.budget().expect("budget configured").setpoint();
     assert!((0.0..=1.0).contains(&setpoint.austerity));
 }

@@ -95,7 +95,6 @@ thread_local! {
 pub struct RuntimeBuilder {
     workers: Option<usize>,
     policy: Policy,
-    pin_hint: bool,
     energy_model: Option<PowerModel>,
     governor: Option<Arc<dyn Governor>>,
     sleep_state: Option<SleepState>,
@@ -111,7 +110,6 @@ impl std::fmt::Debug for RuntimeBuilder {
         f.debug_struct("RuntimeBuilder")
             .field("workers", &self.workers)
             .field("policy", &self.policy)
-            .field("pin_hint", &self.pin_hint)
             .field("energy_model", &self.energy_model)
             .field("governor", &self.governor.as_ref().map(|g| g.name()))
             .field("sleep_state", &self.sleep_state)
@@ -136,14 +134,6 @@ impl RuntimeBuilder {
     /// The execution policy (default: [`Policy::SignificanceAgnostic`]).
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Advisory flag mirroring the paper's thread pinning. Thread affinity is
-    /// platform-specific and not required for correctness; the flag is kept
-    /// so experiment configurations can record the intent.
-    pub fn pin_threads(mut self, pin: bool) -> Self {
-        self.pin_hint = pin;
         self
     }
 

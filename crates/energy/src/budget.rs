@@ -267,6 +267,17 @@ impl SplitEstimator {
     }
 }
 
+/// One cumulative observation a [`BudgetController`] was fed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct BudgetObservation {
+    /// Time of the observation, seconds since the controller's epoch.
+    pub elapsed_seconds: f64,
+    /// Cumulative busy core-seconds at that time.
+    pub busy_core_seconds: f64,
+    /// Cumulative joules at that time.
+    pub joules: f64,
+}
+
 /// Feedback controller mapping observed energy readings to setpoints.
 ///
 /// Call [`BudgetController::observe`] with monotone time and the
@@ -278,8 +289,7 @@ impl SplitEstimator {
 pub struct BudgetController {
     config: BudgetConfig,
     estimator: SplitEstimator,
-    /// Last cumulative observation `(elapsed, busy, joules)`.
-    last: Option<(f64, f64, f64)>,
+    last: Option<BudgetObservation>,
     /// EWMA of the observed power rate, watts.
     observed_watts: f64,
     /// Austerity in `[0, 1]`; the single internal control state.
@@ -314,14 +324,13 @@ impl BudgetController {
 
     /// Cumulative joules observed so far.
     pub fn spent_joules(&self) -> f64 {
-        self.last.map_or(0.0, |(_, _, j)| j)
+        self.last.map_or(0.0, |last| last.joules)
     }
 
-    /// The last cumulative observation as `(elapsed_seconds,
-    /// busy_core_seconds, joules)`, or `None` before the first one. This is
-    /// the anchor for cross-tier accounting checks: `joules` must equal the
-    /// meter/ledger sum re-read at `elapsed_seconds`, bit for bit.
-    pub fn last_observation(&self) -> Option<(f64, f64, f64)> {
+    /// The last cumulative observation, or `None` before the first one.
+    /// This is the anchor for cross-tier accounting checks: `joules` must
+    /// equal the meter/ledger sum re-read at `elapsed_seconds`, bit for bit.
+    pub fn last_observation(&self) -> Option<BudgetObservation> {
         self.last
     }
 
@@ -336,23 +345,31 @@ impl BudgetController {
     pub fn observe(&mut self, elapsed_seconds: f64, cumulative: &EnergyReading) -> BudgetSetpoint {
         let joules = cumulative.joules;
         let busy = cumulative.busy_core_seconds;
-        let (prev_t, prev_b, prev_j) = self.last.unwrap_or((0.0, 0.0, 0.0));
-        if elapsed_seconds.is_nan() || elapsed_seconds <= prev_t || !joules.is_finite() {
+        let prev = self.last.unwrap_or_default();
+        if elapsed_seconds.is_nan()
+            || elapsed_seconds <= prev.elapsed_seconds
+            || !joules.is_finite()
+        {
             return self.setpoint;
         }
-        let dt = elapsed_seconds - prev_t;
-        let dj = (joules - prev_j).max(0.0);
-        let db = (busy - prev_b).max(0.0);
-        self.last = Some((elapsed_seconds, busy, joules));
+        let dt = elapsed_seconds - prev.elapsed_seconds;
+        let dj = (joules - prev.joules).max(0.0);
+        let db = (busy - prev.busy_core_seconds).max(0.0);
+        self.last = Some(BudgetObservation {
+            elapsed_seconds,
+            busy_core_seconds: busy,
+            joules,
+        });
         self.estimator.push(dt, db, dj);
 
         let rate = dj / dt;
         let alpha = self.config.power_alpha.clamp(1e-3, 1.0);
-        self.observed_watts = if prev_t == 0.0 && prev_j == 0.0 && self.observed_watts == 0.0 {
-            rate
-        } else {
-            alpha * rate + (1.0 - alpha) * self.observed_watts
-        };
+        self.observed_watts =
+            if prev.elapsed_seconds == 0.0 && prev.joules == 0.0 && self.observed_watts == 0.0 {
+                rate
+            } else {
+                alpha * rate + (1.0 - alpha) * self.observed_watts
+            };
 
         let planned = self.config.target.planned_watts(elapsed_seconds, joules);
         // Normalised headroom: +1 = a full planned-rate of slack, negative =

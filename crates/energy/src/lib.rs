@@ -44,7 +44,9 @@ pub mod power;
 pub mod rapl;
 pub mod work;
 
-pub use budget::{BudgetConfig, BudgetController, BudgetSetpoint, BudgetTarget, SplitEstimator};
+pub use budget::{
+    BudgetConfig, BudgetController, BudgetObservation, BudgetSetpoint, BudgetTarget, SplitEstimator,
+};
 pub use curve::UtilizationPowerCurve;
 pub use dvfs::{FrequencyScale, TransitionCost};
 pub use idle::SleepState;

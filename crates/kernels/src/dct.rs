@@ -281,7 +281,7 @@ impl Dct {
         }
         rt.wait_group(&group);
         let elapsed = start.elapsed();
-        let values = self.reconstruct(&layout, &coeffs.snapshot());
+        let values = self.reconstruct(&layout, &coeffs.into_vec());
         RunOutput::from_runtime(&rt, values, elapsed)
     }
 

@@ -263,7 +263,7 @@ impl Fluidanimate {
             }
             rt.wait_group_with_ratio(&group, if accurate_step { 1.0 } else { 0.0 });
 
-            let rows = next.snapshot();
+            let rows = next.into_vec();
             let mut merged = vec![0.0f64; self.particles * STRIDE];
             for chunk in 0..self.chunks {
                 let range = self.chunk_range(chunk);

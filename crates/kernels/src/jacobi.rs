@@ -215,7 +215,7 @@ impl Jacobi {
             // 0.0 during the initial approximate phase, 1.0 afterwards.
             rt.wait_group_with_ratio(&group, if accurate_sweep { 1.0 } else { 0.0 });
 
-            let rows = x_new.snapshot();
+            let rows = x_new.into_vec();
             let mut merged = vec![0.0f64; self.n];
             for block in 0..self.blocks {
                 let range = self.block_range(block);

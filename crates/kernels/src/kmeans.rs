@@ -306,12 +306,12 @@ impl KMeans {
             rt.wait_group(&group);
 
             // Reduce partial sums into the next centroids.
-            let partials = partials.snapshot();
+            let partials = partials.into_vec();
             let previous = centroids.clone();
             let moved = self.reduce(&partials, &previous, &mut centroids);
 
             // Fold the per-chunk assignment rows back into the flat vector.
-            let rows = new_assignments.snapshot();
+            let rows = new_assignments.into_vec();
             let mut merged = (*assignments).clone();
             for chunk in 0..self.chunks {
                 let range = self.chunk_range(chunk);

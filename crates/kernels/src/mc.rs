@@ -201,7 +201,7 @@ impl MonteCarlo {
         }
         rt.wait_group(&group);
         let elapsed = start.elapsed();
-        let values = estimates.snapshot();
+        let values = estimates.into_vec();
         RunOutput::from_runtime(&rt, values, elapsed)
     }
 

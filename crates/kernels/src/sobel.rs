@@ -162,7 +162,7 @@ impl Sobel {
         rt.batch().group(&group).spawn_tasks(rows);
         rt.wait_group(&group);
         let elapsed = start.elapsed();
-        let values: Vec<f64> = out.snapshot().iter().map(|&p| p as f64).collect();
+        let values: Vec<f64> = out.into_vec().iter().map(|&p| p as f64).collect();
         RunOutput::from_runtime(&rt, values, elapsed)
     }
 

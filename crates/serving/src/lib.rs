@@ -25,12 +25,15 @@
 //! [`Runtime`](sig_core::Runtime) (per-request observation through
 //! [`SpawnHandle`](sig_core::SpawnHandle)s, no barriers), and the
 //! virtual-time [`Simulator`] whose seeded runs reproduce latency
-//! percentiles and modelled joules bit-identically for CI gating.
+//! percentiles and modelled joules bit-identically for CI gating. The rules
+//! themselves — admit, attempt, finish or retry — are written once, in
+//! [`lifecycle`], and `sig-cluster`'s fleet simulator runs the same ones.
 
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod arrival;
+pub mod lifecycle;
 pub mod report;
 pub mod request;
 pub mod rng;
@@ -40,6 +43,7 @@ pub mod sketch;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use arrival::{ArrivalPattern, TraceParseError};
+pub use lifecycle::{Attempt, EventQueue, Lifecycle, Request, RetryVerdict};
 pub use report::ServingStats;
 pub use request::{QualityTier, RequestClass, RequestOutcome, RetryPolicy, ViolationKind};
 pub use rng::SplitMix64;

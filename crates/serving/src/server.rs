@@ -10,7 +10,10 @@
 //! One request may spawn several task **generations**: the initial attempt
 //! plus a retry per transient failure ([`TaskOutcome::is_transient_failure`]),
 //! each with jittered exponential backoff and each budgeted against the
-//! request's remaining deadline. The server maintains a request-id →
+//! request's remaining deadline. Those rules — and the late-or-completed
+//! verdict on a finished attempt — are [`crate::lifecycle`]'s, the same ones
+//! the simulators run; this file only adds what is live (task handles,
+//! cancellation, the poll loop). The server maintains a request-id →
 //! task-id index covering *every* generation, so
 //! [`Server::cancel_request`] cancels a request whose retry clone is already
 //! queued — both generations, not just the first (the PR-6 cancellation API
@@ -22,9 +25,9 @@ use std::time::{Duration, Instant};
 use sig_core::{Runtime, SpawnHandle, TaskId, TaskIdRange, TaskOutcome};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
+use crate::lifecycle::{Lifecycle, Request, RetryVerdict};
 use crate::report::ServingStats;
 use crate::request::{RequestClass, RequestOutcome, ViolationKind};
-use crate::rng::SplitMix64;
 
 /// Identifier of one offered request (dense, in offer order).
 pub type RequestId = u64;
@@ -54,20 +57,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// One in-flight request.
+/// One in-flight request: its lifecycle record plus the live task state.
 struct ActiveRequest {
     id: RequestId,
-    class: usize,
-    /// Offset of the scheduled arrival from run start, nanoseconds.
-    arrival_nanos: u64,
-    /// Absolute deadline offset from run start, nanoseconds.
-    deadline_nanos: u64,
-    /// Tier of the current attempt.
-    tier: usize,
-    /// Whether any attempt was admitted below tier 0.
-    downgraded: bool,
-    /// Attempts spawned so far (retries = attempts - 1).
-    attempts: u32,
+    /// Class, arrival and deadline (nanosecond offsets from run start),
+    /// current tier, attempts so far.
+    life: Request,
     /// Handle of the in-flight attempt (`None` while backing off).
     handle: Option<SpawnHandle<u64>>,
     /// Offset at which the pending retry may spawn.
@@ -78,10 +73,9 @@ struct ActiveRequest {
 /// Open-loop serving front end over a [`Runtime`] (see module docs).
 pub struct Server<'rt> {
     runtime: &'rt Runtime,
-    classes: Vec<RequestClass>,
+    lifecycle: Lifecycle,
     config: ServerConfig,
     admission: AdmissionController,
-    rng: SplitMix64,
     start: Instant,
     next_id: RequestId,
     active: Vec<ActiveRequest>,
@@ -93,15 +87,15 @@ pub struct Server<'rt> {
 impl<'rt> Server<'rt> {
     /// A server submitting into `runtime`, offering requests of `classes`.
     pub fn new(runtime: &'rt Runtime, classes: Vec<RequestClass>, config: ServerConfig) -> Self {
-        for class in &classes {
-            class.validate();
-        }
         assert!(!classes.is_empty(), "a server needs at least one class");
         Server {
             runtime,
-            classes,
+            lifecycle: Lifecycle::new(
+                classes,
+                config.base_work.as_nanos().min(u64::MAX as u128) as u64,
+                config.seed ^ 0x5e21_9e0f_ca11_ab1e,
+            ),
             admission: AdmissionController::new(config.admission),
-            rng: SplitMix64::new(config.seed ^ 0x5e21_9e0f_ca11_ab1e),
             config,
             start: Instant::now(),
             next_id: 0,
@@ -124,64 +118,52 @@ impl<'rt> Server<'rt> {
     }
 
     fn offer_at(&mut self, class: usize, arrival_nanos: u64) -> RequestId {
-        assert!(class < self.classes.len(), "unknown request class {class}");
+        let classes = self.lifecycle.classes();
+        assert!(class < classes.len(), "unknown request class {class}");
         let id = self.next_id;
         self.next_id += 1;
         self.stats.offered += 1;
         self.stats.note_offered_class(class);
 
-        let spec = &self.classes[class];
-        let depth = self.active.len();
-        match self.admission.decide(spec, depth) {
+        match self.admission.decide(&classes[class], self.active.len()) {
             AdmissionDecision::Shed => {
                 self.stats.record(&RequestOutcome::Shed);
                 self.stats.note_shed_class(class);
             }
             AdmissionDecision::Admit { tier } => {
-                let deadline_nanos = arrival_nanos.saturating_add(spec.deadline.as_nanos() as u64);
-                let mut request = ActiveRequest {
+                self.active.push(ActiveRequest {
                     id,
-                    class,
-                    arrival_nanos,
-                    deadline_nanos,
-                    tier,
-                    downgraded: tier > 0,
-                    attempts: 0,
+                    life: self.lifecycle.admit(class, arrival_nanos, tier),
                     handle: None,
                     retry_at: None,
                     cancelled: false,
-                };
-                self.spawn_attempt(&mut request, tier);
-                self.active.push(request);
+                });
+                self.spawn_attempt(self.active.len() - 1);
             }
         }
         id
     }
 
-    /// Spawn one attempt of `request` at `tier`, recording the new task
-    /// generation in the request index.
-    fn spawn_attempt(&mut self, request: &mut ActiveRequest, tier: usize) {
-        let spec = &self.classes[request.class];
-        let tier = spec.clamp_tier(tier);
-        let quality = spec.tiers[tier];
-        let work = self.config.base_work.mul_f64(quality.work_factor.max(1e-9));
-        let remaining = request
-            .deadline_nanos
-            .saturating_sub(self.now_nanos())
-            .max(1);
+    /// Spawn one attempt of the request at `index` at its current tier,
+    /// recording the new task generation in the request index.
+    fn spawn_attempt(&mut self, index: usize) {
+        let now = self.now_nanos();
+        let request = &mut self.active[index];
+        let life = &mut request.life;
+        let significance = self.lifecycle.classes()[life.class].tiers[life.tier].significance;
+        let work = Duration::from_nanos(self.lifecycle.service_nanos(life.class, life.tier));
+        let remaining = life.deadline.saturating_sub(now).max(1);
         let handle = self
             .runtime
             .submit(move || busy_spin(work))
-            .significance(quality.significance)
+            .significance(significance)
             .deadline(Duration::from_nanos(remaining))
             .spawn();
         self.generations
             .entry(request.id)
             .or_default()
             .push(handle.id());
-        request.tier = tier;
-        request.downgraded |= tier > 0;
-        request.attempts += 1;
+        life.attempts += 1;
         request.retry_at = None;
         request.handle = Some(handle);
     }
@@ -224,7 +206,7 @@ impl<'rt> Server<'rt> {
             let finished = self.step_request(index, now);
             if finished {
                 let request = self.active.swap_remove(index);
-                if request.downgraded {
+                if request.life.downgraded {
                     self.stats.downgraded += 1;
                 }
             } else {
@@ -249,112 +231,75 @@ impl<'rt> Server<'rt> {
                 // Re-admit the retry: under pressure it may come back at a
                 // lower tier (downgrade-before-shed applies to retries too),
                 // or be shed outright.
-                let class = self.active[index].class;
-                let depth = self.active.len();
-                let spec = &self.classes[class];
-                match self.admission.decide(spec, depth) {
+                let class = self.active[index].life.class;
+                let spec = &self.lifecycle.classes()[class];
+                match self.admission.decide(spec, self.active.len()) {
                     AdmissionDecision::Shed => {
                         self.stats.record(&RequestOutcome::Shed);
                         self.stats.note_shed_class(class);
                         return true;
                     }
                     AdmissionDecision::Admit { tier } => {
-                        let tier = tier.max(self.active[index].tier);
-                        let mut request =
-                            std::mem::replace(&mut self.active[index], placeholder_request());
-                        self.spawn_attempt(&mut request, tier);
-                        self.active[index] = request;
+                        self.lifecycle.readmit(&mut self.active[index].life, tier);
+                        self.spawn_attempt(index);
                     }
                 }
             }
             return false;
         }
 
-        let outcome = match self.active[index].handle.as_ref() {
-            Some(handle) => match handle.try_outcome() {
-                Some(outcome) => outcome,
-                None => return false,
-            },
-            None => return false,
+        let request = &mut self.active[index];
+        let Some(handle) = request.handle.as_mut() else {
+            return false;
+        };
+        let Some(outcome) = handle.try_outcome() else {
+            return false;
         };
 
         match outcome {
             TaskOutcome::Completed(_) => {
-                let request = &mut self.active[index];
-                let finished = request
-                    .handle
-                    .as_ref()
-                    .and_then(|handle| handle.finished_at())
-                    .map(|at| {
-                        at.saturating_duration_since(self.start)
-                            .as_nanos()
-                            .min(u64::MAX as u128) as u64
-                    })
-                    .unwrap_or(now);
-                let latency = finished.saturating_sub(request.arrival_nanos);
-                let service = request
-                    .handle
-                    .as_mut()
-                    .and_then(|handle| handle.take_value())
-                    .unwrap_or(0);
-                let missed = finished > request.deadline_nanos;
-                let (tier, retries) = (request.tier, request.attempts.saturating_sub(1));
-                self.admission.observe(service, missed);
-                if missed {
-                    self.stats
-                        .record(&RequestOutcome::Violated(ViolationKind::Late));
-                } else {
-                    self.stats.record(&RequestOutcome::Completed {
-                        tier,
-                        latency_nanos: latency,
-                        retries,
-                    });
-                }
+                let finished = handle.finished_at().map_or(now, |at| {
+                    at.saturating_duration_since(self.start)
+                        .as_nanos()
+                        .min(u64::MAX as u128) as u64
+                });
+                let service = handle.take_value().unwrap_or(0);
+                let outcome = request.life.finish(finished, service, &mut self.admission);
+                self.stats.record(&outcome);
                 true
             }
             TaskOutcome::Shed => {
                 // Runtime brownout shed the attempt: a deliberate load-control
                 // decision — never retried, reported as shed.
                 self.stats.record(&RequestOutcome::Shed);
-                let class = self.active[index].class;
-                self.stats.note_shed_class(class);
+                self.stats.note_shed_class(request.life.class);
                 true
             }
             TaskOutcome::Panicked | TaskOutcome::Cancelled => {
-                if self.active[index].cancelled {
+                if request.cancelled {
                     self.stats
                         .record(&RequestOutcome::Violated(ViolationKind::Cancelled));
                     return true;
                 }
-                self.schedule_retry(index, now)
+                // A transient failure: back off and retry if the retry
+                // budget and the remaining deadline allow, else finalise as
+                // an accounted violation.
+                match self
+                    .lifecycle
+                    .resolve_fault(&request.life, now, &mut self.admission)
+                {
+                    RetryVerdict::Retry { resume } => {
+                        request.handle = None;
+                        request.retry_at = Some(resume);
+                        false
+                    }
+                    RetryVerdict::Exhausted(kind) => {
+                        self.stats.record(&RequestOutcome::Violated(kind));
+                        true
+                    }
+                }
             }
         }
-    }
-
-    /// Decide the fate of a transiently failed attempt: back off and retry
-    /// if the retry budget and the remaining deadline allow, else finalise
-    /// as an accounted violation. Returns `true` when terminal.
-    fn schedule_retry(&mut self, index: usize, now: u64) -> bool {
-        let request = &mut self.active[index];
-        let spec = &self.classes[request.class];
-        if request.attempts > spec.retry.max_retries {
-            self.stats
-                .record(&RequestOutcome::Violated(ViolationKind::RetriesExhausted));
-            return true;
-        }
-        let backoff = spec.retry.backoff_nanos(request.attempts, &mut self.rng);
-        let quality = spec.tiers[spec.clamp_tier(request.tier)];
-        let base_estimate = (self.config.base_work.as_nanos() as f64 * quality.work_factor) as u64;
-        let expected = self.admission.expected_service_nanos().max(base_estimate);
-        let resume = now.saturating_add(backoff);
-        if resume.saturating_add(expected) > request.deadline_nanos {
-            self.stats
-                .record(&RequestOutcome::Violated(ViolationKind::BudgetExhausted));
-            return true;
-        }
-        request.handle = None;
-        request.retry_at = Some(resume);
-        false
     }
 
     /// Block until every in-flight request reaches a terminal outcome.
@@ -417,23 +362,6 @@ fn busy_spin(duration: Duration) -> u64 {
         std::hint::spin_loop();
     }
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// Inert placeholder swapped in while a request is re-spawned (never
-/// observed: the slot is overwritten before the borrow ends).
-fn placeholder_request() -> ActiveRequest {
-    ActiveRequest {
-        id: u64::MAX,
-        class: 0,
-        arrival_nanos: 0,
-        deadline_nanos: 0,
-        tier: 0,
-        downgraded: false,
-        attempts: 0,
-        handle: None,
-        retry_at: None,
-        cancelled: false,
-    }
 }
 
 #[cfg(test)]
@@ -520,6 +448,43 @@ mod tests {
         // Nothing is silently lost: the runtime's own books also balance.
         let outcomes = rt.wait_all();
         assert_eq!(outcomes.completed + outcomes.failed(), outcomes.spawned);
+    }
+
+    /// The live server and the simulators share one miss-rate signal: a
+    /// request that exhausts its retries counts as a deadline miss in the
+    /// admission controller, exactly as it does in virtual time.
+    #[test]
+    fn exhausted_retries_feed_the_admission_miss_rate() {
+        let rt = Runtime::builder()
+            .workers(2)
+            .fault_plan(FaultPlan::new(3).panics(1000))
+            .build();
+        let retry = RetryPolicy {
+            max_retries: 1,
+            base_backoff: Duration::from_micros(50),
+            jitter: 0.0,
+        };
+        let class = quick_class(Duration::from_secs(10), retry);
+        let mut server = Server::new(
+            &rt,
+            vec![class],
+            ServerConfig {
+                base_work: Duration::from_micros(20),
+                ..Default::default()
+            },
+        );
+        for _ in 0..20 {
+            server.offer(0);
+        }
+        server.drain();
+        let stats = server.stats();
+        assert!(stats.balanced(), "identity: {stats:?}");
+        assert_eq!(stats.completed, 0, "every attempt panics: {stats:?}");
+        assert_eq!(stats.violations(), stats.offered - stats.shed);
+        assert!(
+            server.admission().miss_rate() > 0.0,
+            "terminal faults must register as misses"
+        );
     }
 
     /// Regression (satellite): cancelling a request whose retry clone is

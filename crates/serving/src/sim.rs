@@ -3,7 +3,8 @@
 //! The live [`Server`](crate::server::Server) measures real wall-clock
 //! latency, which no CI gate can pin down. The simulator replays the *same*
 //! serving semantics — open-loop arrivals, admission control with
-//! downgrade-before-shed, retry budgets, per-attempt faults — as a
+//! downgrade-before-shed, retry budgets, per-attempt faults; the rules are
+//! [`crate::lifecycle`]'s, shared with the server, not restated here — as a
 //! discrete-event model over **virtual nanoseconds**: `W` simulated workers,
 //! a FIFO ready queue, deterministic service times (`base_service ×
 //! work_factor`, dilated by the governor's frequency decision), and seeded
@@ -20,19 +21,14 @@
 //! energy state: a pre-storm / storm / post-storm sequence is three calls on
 //! one simulator, each returning its own [`PhaseReport`].
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, VecDeque};
-use std::time::Duration;
+use std::collections::VecDeque;
 
-use sig_core::{
-    BudgetConfig, BudgetController, BudgetSetpoint, BudgetTarget, DispatchContext, ExecutionEnv,
-    ExecutionMode, Policy,
-};
+use sig_core::{BudgetConfig, BudgetController, BudgetTarget, ExecutionEnv};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
+use crate::lifecycle::{EventQueue, Lifecycle, Request, RetryVerdict};
 use crate::report::ServingStats;
-use crate::request::{RequestClass, RequestOutcome, ViolationKind};
-use crate::rng::SplitMix64;
+use crate::request::{RequestClass, RequestOutcome};
 
 /// Tuning for a [`Simulator`].
 #[derive(Debug, Clone)]
@@ -114,47 +110,33 @@ enum EventKind {
     },
 }
 
-struct Event {
-    at: u64,
-    seq: u64,
-    kind: EventKind,
+/// Per-phase state of one [`Simulator::run`].
+struct Phase {
+    stats: ServingStats,
+    requests: Vec<Request>,
+    events: EventQueue<EventKind>,
+    ready: VecDeque<usize>,
+    free_workers: Vec<usize>,
+    in_flight: usize,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Phase {
+    /// Book the terminal `outcome` of an admitted request.
+    fn close(&mut self, request: usize, outcome: RequestOutcome) {
+        self.stats.record(&outcome);
+        if self.requests[request].downgraded {
+            self.stats.downgraded += 1;
+        }
+        self.in_flight -= 1;
     }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    // Ties break by push order (seq), keeping replay deterministic.
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-struct SimRequest {
-    class: usize,
-    arrival: u64,
-    deadline: u64,
-    tier: usize,
-    downgraded: bool,
-    attempts: u32,
 }
 
 /// Discrete-event serving model (see module docs).
 pub struct Simulator {
     config: SimConfig,
-    classes: Vec<RequestClass>,
+    lifecycle: Lifecycle,
     env: ExecutionEnv,
     admission: AdmissionController,
-    rng: SplitMix64,
     /// Virtual now, carried across phases.
     now: u64,
     /// Joules watermark at the end of the previous phase.
@@ -173,9 +155,6 @@ impl Simulator {
     pub fn new(config: SimConfig, classes: Vec<RequestClass>, env: ExecutionEnv) -> Self {
         assert!(config.workers > 0);
         assert!(config.base_service_nanos > 0);
-        for class in &classes {
-            class.validate();
-        }
         let budget = config.budget.map(BudgetController::new);
         // Budget sampling cadence in virtual time: ~1/200th of a joule
         // budget's horizon, 1 ms for open-ended watt envelopes.
@@ -188,9 +167,12 @@ impl Simulator {
         };
         Simulator {
             admission: AdmissionController::new(config.admission),
-            rng: SplitMix64::new(config.seed ^ 0x51e7_ab1e_0dd5_ca1e),
+            lifecycle: Lifecycle::new(
+                classes,
+                config.base_service_nanos,
+                config.seed ^ 0x51e7_ab1e_0dd5_ca1e,
+            ),
             config,
-            classes,
             env,
             now: 0,
             consumed_joules: 0.0,
@@ -219,64 +201,35 @@ impl Simulator {
             .set_dispatch_cap(setpoint.frequency_cap.clamp(0.05, 1.0));
     }
 
-    /// Service time of one attempt of `class` at `tier`, virtual nanos
-    /// (before frequency dilation).
-    fn service_nanos(&self, class: usize, tier: usize) -> u64 {
-        let quality = self.classes[class].tiers[self.classes[class].clamp_tier(tier)];
-        ((self.config.base_service_nanos as f64 * quality.work_factor) as u64).max(1)
-    }
-
     /// Run one phase: `schedule` pairs `(arrival offset from phase start,
     /// class index)`, ascending. Returns when every offered request of the
     /// phase is terminal. Controller, governor, and energy state carry over
     /// to the next phase.
     pub fn run(&mut self, schedule: &[(u64, usize)]) -> PhaseReport {
         let phase_start = self.now;
-        let mut stats = ServingStats::default();
-        let mut requests: Vec<SimRequest> = Vec::with_capacity(schedule.len());
-        let mut heap: BinaryHeap<Event> = BinaryHeap::with_capacity(schedule.len() * 2);
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut free_workers: Vec<usize> = (0..self.config.workers).rev().collect();
-        let mut in_flight = 0usize;
-        let mut seq = 0u64;
-
+        let mut phase = Phase {
+            stats: ServingStats::default(),
+            requests: Vec::with_capacity(schedule.len()),
+            events: EventQueue::with_capacity(schedule.len() * 2),
+            ready: VecDeque::new(),
+            free_workers: (0..self.config.workers).rev().collect(),
+            in_flight: 0,
+        };
         for &(offset, class) in schedule {
-            heap.push(Event {
-                at: phase_start.saturating_add(offset),
-                seq,
-                kind: EventKind::Arrival { class },
-            });
-            seq += 1;
+            phase.events.push(
+                phase_start.saturating_add(offset),
+                EventKind::Arrival { class },
+            );
         }
 
-        while let Some(event) = heap.pop() {
-            self.now = self.now.max(event.at);
-            let at = event.at;
+        while let Some((at, kind)) = phase.events.pop() {
+            self.now = self.now.max(at);
             self.budget_tick(at);
-            match event.kind {
+            match kind {
                 EventKind::Arrival { class } => {
-                    stats.offered += 1;
-                    stats.note_offered_class(class);
-                    let spec = &self.classes[class];
-                    match self.admission.decide(spec, in_flight) {
-                        AdmissionDecision::Shed => {
-                            stats.record(&RequestOutcome::Shed);
-                            stats.note_shed_class(class);
-                        }
-                        AdmissionDecision::Admit { tier } => {
-                            let tier = spec.clamp_tier(tier);
-                            requests.push(SimRequest {
-                                class,
-                                arrival: at,
-                                deadline: at.saturating_add(spec.deadline.as_nanos() as u64),
-                                tier,
-                                downgraded: tier > 0,
-                                attempts: 0,
-                            });
-                            in_flight += 1;
-                            ready.push_back(requests.len() - 1);
-                        }
-                    }
+                    phase.stats.offered += 1;
+                    phase.stats.note_offered_class(class);
+                    self.admit(&mut phase, None, class, at);
                 }
                 EventKind::Finish {
                     worker,
@@ -284,73 +237,28 @@ impl Simulator {
                     busy_nanos,
                     panicked,
                 } => {
-                    free_workers.push(worker);
-                    let terminal = if panicked {
-                        self.resolve_transient(
-                            request,
-                            at,
-                            &mut requests,
-                            &mut heap,
-                            &mut seq,
-                            &mut ready,
-                            in_flight,
-                            &mut stats,
-                        )
+                    phase.free_workers.push(worker);
+                    let req = &phase.requests[request];
+                    if panicked {
+                        match self.lifecycle.resolve_fault(req, at, &mut self.admission) {
+                            RetryVerdict::Retry { resume } => {
+                                phase.events.push(resume, EventKind::Retry { request });
+                            }
+                            RetryVerdict::Exhausted(kind) => {
+                                phase.close(request, RequestOutcome::Violated(kind));
+                            }
+                        }
                     } else {
-                        let req = &requests[request];
-                        let latency = at.saturating_sub(req.arrival);
-                        let missed = at > req.deadline;
-                        self.admission.observe(busy_nanos, missed);
-                        if missed {
-                            stats.record(&RequestOutcome::Violated(ViolationKind::Late));
-                        } else {
-                            stats.record(&RequestOutcome::Completed {
-                                tier: req.tier,
-                                latency_nanos: latency,
-                                retries: req.attempts.saturating_sub(1),
-                            });
-                        }
-                        true
-                    };
-                    if terminal {
-                        if requests[request].downgraded {
-                            stats.downgraded += 1;
-                        }
-                        in_flight -= 1;
+                        let outcome = req.finish(at, busy_nanos, &mut self.admission);
+                        phase.close(request, outcome);
                     }
                 }
                 EventKind::Retry { request } => {
-                    // Retries re-enter admission: under pressure they come
-                    // back at a lower tier, or are shed outright.
-                    let class = requests[request].class;
-                    let spec = &self.classes[class];
-                    match self.admission.decide(spec, in_flight) {
-                        AdmissionDecision::Shed => {
-                            stats.record(&RequestOutcome::Shed);
-                            stats.note_shed_class(class);
-                            if requests[request].downgraded {
-                                stats.downgraded += 1;
-                            }
-                            in_flight -= 1;
-                        }
-                        AdmissionDecision::Admit { tier } => {
-                            let req = &mut requests[request];
-                            let tier = spec.clamp_tier(tier.max(req.tier));
-                            req.downgraded |= tier > 0;
-                            req.tier = tier;
-                            ready.push_back(request);
-                        }
-                    }
+                    let class = phase.requests[request].class;
+                    self.admit(&mut phase, Some(request), class, at);
                 }
             }
-            self.dispatch(
-                at,
-                &mut requests,
-                &mut heap,
-                &mut seq,
-                &mut ready,
-                &mut free_workers,
-            );
+            self.dispatch(&mut phase, at);
         }
 
         let wall_nanos = self.now - phase_start;
@@ -362,117 +270,67 @@ impl Simulator {
         let joules = total_joules - self.consumed_joules;
         self.consumed_joules = total_joules;
         PhaseReport {
-            stats,
+            stats: phase.stats,
             joules,
             wall_nanos,
         }
     }
 
-    /// Start attempts on every free worker while the ready queue is
-    /// non-empty.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        at: u64,
-        requests: &mut [SimRequest],
-        heap: &mut BinaryHeap<Event>,
-        seq: &mut u64,
-        ready: &mut VecDeque<usize>,
-        free_workers: &mut Vec<usize>,
-    ) {
-        while !free_workers.is_empty() {
-            let Some(request) = ready.pop_front() else {
-                return;
-            };
-            let worker = free_workers.pop().unwrap();
-            let req = &mut requests[request];
-            req.attempts += 1;
-            let spec = &self.classes[req.class];
-            let quality = spec.tiers[spec.clamp_tier(req.tier)];
-            let service =
-                ((self.config.base_service_nanos as f64 * quality.work_factor) as u64).max(1);
-            // Full-quality (tier 0) attempts are the "accurate body"; lower
-            // tiers are the approximate variant the governor may scale.
-            let ctx = DispatchContext {
-                worker,
-                significance: quality.significance.into(),
-                accurate: req.tier == 0,
-                policy: Policy::SignificanceAgnostic,
-                group_ratio: 1.0,
-                deadline_pressure: at.saturating_add(service) > req.deadline,
-            };
-            let decision = self.env.dispatch(worker, &ctx);
-            let panicked = self.config.panic_per_mille > 0
-                && self.rng.next_u64() % 1000 < u64::from(self.config.panic_per_mille);
-            // A faulted attempt burns half its service time before dying.
-            let busy = if panicked {
-                (service / 2).max(1)
-            } else {
-                service
-            };
-            let wall = (busy as f64 * decision.scale().time_dilation()) as u64;
-            let mode = if req.tier == 0 {
-                ExecutionMode::Accurate
-            } else {
-                ExecutionMode::Approximate
-            };
-            self.env
-                .record(worker, mode, Duration::from_nanos(busy), decision);
-            heap.push(Event {
-                at: at.saturating_add(wall.max(1)),
-                seq: *seq,
-                kind: EventKind::Finish {
-                    worker,
-                    request,
-                    busy_nanos: busy,
-                    panicked,
-                },
-            });
-            *seq += 1;
+    /// Put one request through admission — a fresh arrival
+    /// (`existing == None`) or a retry. Retries re-enter admission: under
+    /// pressure they come back at a lower tier, or are shed outright.
+    fn admit(&mut self, phase: &mut Phase, existing: Option<usize>, class: usize, at: u64) {
+        let spec = &self.lifecycle.classes()[class];
+        match self.admission.decide(spec, phase.in_flight) {
+            AdmissionDecision::Shed => {
+                phase.stats.note_shed_class(class);
+                match existing {
+                    Some(request) => phase.close(request, RequestOutcome::Shed),
+                    None => phase.stats.record(&RequestOutcome::Shed),
+                }
+            }
+            AdmissionDecision::Admit { tier } => {
+                let request = match existing {
+                    Some(request) => {
+                        self.lifecycle.readmit(&mut phase.requests[request], tier);
+                        request
+                    }
+                    None => {
+                        phase.requests.push(self.lifecycle.admit(class, at, tier));
+                        phase.in_flight += 1;
+                        phase.requests.len() - 1
+                    }
+                };
+                phase.ready.push_back(request);
+            }
         }
     }
 
-    /// A transient (panicked) attempt: back off and retry within the
-    /// deadline budget, or finalise as an accounted violation. Returns
-    /// `true` when the request is terminal.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_transient(
-        &mut self,
-        request: usize,
-        at: u64,
-        requests: &mut [SimRequest],
-        heap: &mut BinaryHeap<Event>,
-        seq: &mut u64,
-        _ready: &mut VecDeque<usize>,
-        _in_flight: usize,
-        stats: &mut ServingStats,
-    ) -> bool {
-        let req = &requests[request];
-        let spec = &self.classes[req.class];
-        if req.attempts > spec.retry.max_retries {
-            self.admission
-                .observe(self.service_nanos(req.class, req.tier), true);
-            stats.record(&RequestOutcome::Violated(ViolationKind::RetriesExhausted));
-            return true;
+    /// Start attempts on every free worker while the ready queue is
+    /// non-empty.
+    fn dispatch(&mut self, phase: &mut Phase, at: u64) {
+        while !phase.free_workers.is_empty() {
+            let Some(request) = phase.ready.pop_front() else {
+                return;
+            };
+            let worker = phase.free_workers.pop().unwrap();
+            let attempt = self.lifecycle.start_attempt(
+                &mut phase.requests[request],
+                &self.env,
+                worker,
+                at,
+                self.config.panic_per_mille,
+            );
+            phase.events.push(
+                at.saturating_add(attempt.wall_nanos),
+                EventKind::Finish {
+                    worker,
+                    request,
+                    busy_nanos: attempt.busy_nanos,
+                    panicked: attempt.panicked,
+                },
+            );
         }
-        let backoff = spec.retry.backoff_nanos(req.attempts, &mut self.rng);
-        let expected = self
-            .admission
-            .expected_service_nanos()
-            .max(self.service_nanos(req.class, req.tier));
-        let resume = at.saturating_add(backoff);
-        if resume.saturating_add(expected) > req.deadline {
-            self.admission.observe(expected, true);
-            stats.record(&RequestOutcome::Violated(ViolationKind::BudgetExhausted));
-            return true;
-        }
-        heap.push(Event {
-            at: resume,
-            seq: *seq,
-            kind: EventKind::Retry { request },
-        });
-        *seq += 1;
-        false
     }
 
     /// The admission controller's live state.
@@ -485,23 +343,10 @@ impl Simulator {
         self.now
     }
 
-    /// Latest setpoint of the energy-budget controller, if one is
-    /// configured.
-    pub fn budget_setpoint(&self) -> Option<BudgetSetpoint> {
-        self.budget.as_ref().map(|c| c.setpoint())
-    }
-
-    /// Cumulative joules the budget controller has observed (its own
-    /// accounting of spend against the budget), if one is configured.
-    pub fn budget_spent_joules(&self) -> Option<f64> {
-        self.budget.as_ref().map(|c| c.spent_joules())
-    }
-
-    /// The budget controller's last observation `(elapsed_seconds,
-    /// busy_core_seconds, joules)` — the anchor for cross-tier accounting
-    /// checks against the environment's cumulative reading.
-    pub fn budget_observation(&self) -> Option<(f64, f64, f64)> {
-        self.budget.as_ref().and_then(|c| c.last_observation())
+    /// The energy-budget controller (setpoint, spend, last observation), if
+    /// one is configured.
+    pub fn budget(&self) -> Option<&BudgetController> {
+        self.budget.as_ref()
     }
 }
 
@@ -512,6 +357,7 @@ mod tests {
     use crate::request::{QualityTier, RetryPolicy};
     use sig_core::{ExecutionEnv, NominalGovernor, PowerModel, TransitionCost};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn env(workers: usize) -> ExecutionEnv {
         ExecutionEnv::new(

@@ -69,19 +69,32 @@ fn approximate_execution_reduces_modelled_energy() {
     // Use the work-unit interpretation: fewer busy core-seconds at equal
     // wall time means less energy under any affine power model.
     let sobel = Sobel {
-        width: 256,
-        height: 256,
+        width: 1024,
+        height: 1024,
     };
-    let accurate = sobel.run(&ExecutionConfig::significance(
-        workers(),
-        Policy::GtbMaxBuffer,
-        Degree::Mild,
-    ));
-    let aggressive = sobel.run(&ExecutionConfig::significance(
-        workers(),
-        Policy::GtbMaxBuffer,
-        Degree::Aggressive,
-    ));
+    // Busy time is wall-clock per task and the two degrees are only ~10%
+    // apart, so a preemption or a slow spell of the host can invert a single
+    // pair of runs. The noise is one-sided: alternate the degrees and compare
+    // each one's least-busy run.
+    let run = |degree| {
+        sobel.run(&ExecutionConfig::significance(
+            workers(),
+            Policy::GtbMaxBuffer,
+            degree,
+        ))
+    };
+    let mut accurate = run(Degree::Mild);
+    let mut aggressive = run(Degree::Aggressive);
+    for _ in 0..6 {
+        let next = run(Degree::Mild);
+        if next.busy_core_seconds < accurate.busy_core_seconds {
+            accurate = next;
+        }
+        let next = run(Degree::Aggressive);
+        if next.busy_core_seconds < aggressive.busy_core_seconds {
+            aggressive = next;
+        }
+    }
     assert!(
         aggressive.busy_core_seconds < accurate.busy_core_seconds,
         "aggressive approximation should do less work: {} vs {}",
