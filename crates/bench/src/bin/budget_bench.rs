@@ -63,8 +63,8 @@ use sig_bench::extract_json_number_after;
 use std::sync::Arc;
 
 use sig_core::{
-    BudgetConfig, BudgetController, BudgetTarget, DispatchContext, EnergyReading, ExecutionEnv,
-    ExecutionMode, Governor, Policy, RaceToIdleGovernor, Significance, SignificanceLadderGovernor,
+    AdaptiveGovernor, BudgetConfig, BudgetController, BudgetTarget, DispatchContext, EnergyReading,
+    ExecutionEnv, ExecutionMode, Governor, Policy, Significance, SignificanceLadderGovernor,
 };
 use sig_energy::{FrequencyScale, PowerModel, SleepState, TransitionCost};
 use std::time::Duration;
@@ -237,7 +237,7 @@ impl Scenario {
     /// The governor the budgeted run executes under.
     fn budgeted_governor(&self) -> Arc<dyn Governor> {
         if self.budget_races {
-            Arc::new(RaceToIdleGovernor::new(self.ladder()))
+            Arc::new(AdaptiveGovernor::race_to_idle(self.ladder()))
         } else {
             Arc::new(SignificanceLadderGovernor::new(self.ladder()))
         }
@@ -329,7 +329,7 @@ fn run_replay(
         if let Some(controller) = controller.as_mut() {
             let setpoint = controller.observe(wall, &reading);
             ratio_scale = setpoint.ratio_scale;
-            env.set_dispatch_cap(setpoint.frequency_cap.clamp(0.05, 1.0));
+            env.set_dispatch_cap(setpoint.frequency_cap);
         }
         if (interval + 1) % quarter == 0 && spend_trace.len() < 4 {
             spend_trace.push(reading.joules);

@@ -11,8 +11,8 @@
 //! * **exact-only** — the significance-agnostic runtime, every task accurate,
 //!   all dispatches at nominal frequency;
 //! * **significance+DVFS** — GTB (Max-Buffer) at a configurable accurate
-//!   ratio with an [`ApproxGovernor`]: approximate tasks execute under a
-//!   lower modelled frequency, their runtime dilated and their dynamic energy
+//!   ratio with a single-step [`SignificanceLadderGovernor`]: approximate
+//!   tasks execute under a lower modelled frequency, their runtime dilated and their dynamic energy
 //!   priced through the `P ∝ f·V²` model.
 //!
 //! Both report the runtime's own per-worker energy accounting
@@ -22,9 +22,9 @@
 //!
 //! # Strategy-comparison section
 //!
-//! Four governors — exact-only, [`SignificanceLadderGovernor`]
-//! (slow-and-steady), [`RaceToIdleGovernor`] and [`AdaptiveGovernor`] — are
-//! compared on two power models: **dynamic-heavy** (cubic-ish power
+//! Four strategies — exact-only, [`SignificanceLadderGovernor`]
+//! (slow-and-steady), [`AdaptiveGovernor::race_to_idle`] and the
+//! [`AdaptiveGovernor`] proper — are compared on two power models: **dynamic-heavy** (cubic-ish power
 //! exponent, small static share: stretching wins) and **static-heavy**
 //! (near-linear exponent, large static share, deep sleep: racing wins, with
 //! the crossover mid-ladder so the adaptive governor mixes sides). The
@@ -57,9 +57,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sig_core::{
-    AdaptiveGovernor, ApproxGovernor, DispatchContext, EnergyReading, ExecutionEnv, ExecutionMode,
-    Governor, NominalGovernor, Policy, RaceToIdleGovernor, Runtime, Significance,
-    SignificanceLadderGovernor,
+    AdaptiveGovernor, DispatchContext, EnergyReading, ExecutionEnv, ExecutionMode, Governor,
+    NominalGovernor, Policy, Runtime, Significance, SignificanceLadderGovernor,
 };
 use sig_energy::{FrequencyScale, PowerModel, SleepState, TransitionCost};
 
@@ -154,7 +153,7 @@ fn run_variant(config: &Config, significance_dvfs: bool) -> VariantRun {
     let rt = if significance_dvfs {
         builder
             .policy(Policy::GtbMaxBuffer)
-            .governor(ApproxGovernor::new(config.freq))
+            .governor(SignificanceLadderGovernor::single_step(config.freq))
             .build()
     } else {
         builder.policy(Policy::SignificanceAgnostic).build()
@@ -428,7 +427,7 @@ fn run_scenario(scenario: &Scenario, tasks: usize, ratio: f64, workers: usize) -
     );
     let race = run_strategy(
         scenario,
-        Arc::new(RaceToIdleGovernor::new(steps.clone())),
+        Arc::new(AdaptiveGovernor::race_to_idle(steps.clone())),
         &workload,
         workers,
     );

@@ -10,11 +10,10 @@
 //! answer keeps the same significance contract, now enforced by three
 //! cooperating pieces inside a bit-deterministic discrete-event kernel:
 //!
-//! 1. **[`Node`]** — each simulated node owns a *real* `ExecutionEnv`,
-//!    governor (wrapped in a re-targetable
-//!    [`FrequencyCapGovernor`](sig_core::FrequencyCapGovernor)), and
-//!    admission controller, plus a utilization→watts curve pricing its
-//!    modelled draw. Crashes bump an epoch, stop the power meter, and ledger
+//! 1. **[`Node`]** — each simulated node owns a *real* `ExecutionEnv`
+//!    (whose re-targetable dispatch cap is the node's frequency-cap
+//!    actuator), governor, and admission controller, plus a
+//!    utilization→watts curve pricing its modelled draw. Crashes bump an epoch, stop the power meter, and ledger
 //!    in-flight work as lost — never silently.
 //! 2. **[`ClusterDispatcher`]** — routes each request by significance, per-
 //!    node load, and power state: critical work steers away from frequency-

@@ -2,12 +2,13 @@
 //! controller plus the discrete-event bookkeeping the cluster kernel drives.
 //!
 //! Nothing here is a mock. The node's governor makes real
-//! [`DispatchDecision`](sig_core::DispatchDecision)s through a
-//! [`FrequencyCapGovernor`] the cluster's power-cap controller re-targets,
-//! its [`AdmissionController`] degrades-then-sheds with the same hysteresis
-//! as the single-node serving layer, and its [`ExecutionEnv`] prices energy
-//! with the same seqlock shards the live runtime uses — just fed synthetic
-//! virtual-time durations (the governor-conformance-kit trick, fleet-wide).
+//! [`DispatchDecision`](sig_core::DispatchDecision)s under the environment's
+//! dispatch cap ([`ExecutionEnv::set_dispatch_cap`]), which the cluster's
+//! power-cap controller re-targets, its [`AdmissionController`]
+//! degrades-then-sheds with the same hysteresis as the single-node serving
+//! layer, and its [`ExecutionEnv`] prices energy with the same seqlock shards
+//! the live runtime uses — just fed synthetic virtual-time durations (the
+//! governor-conformance-kit trick, fleet-wide).
 //!
 //! Crash semantics: a crash bumps the node's **epoch** (stale `Finish`
 //! events are ignored), loses everything queued or running on the node to
@@ -20,7 +21,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sig_core::{EnergyReport, EnvTotals, ExecutionEnv, FrequencyCapGovernor, Governor};
+use sig_core::{EnergyReport, EnvTotals, ExecutionEnv, Governor};
 use sig_energy::{PowerModel, SleepState, TransitionCost, UtilizationPowerCurve};
 use sig_serving::{AdmissionConfig, AdmissionController, ServingStats};
 
@@ -40,7 +41,6 @@ pub struct Node {
     index: usize,
     workers: usize,
     env: ExecutionEnv,
-    governor: Arc<FrequencyCapGovernor>,
     admission_config: AdmissionConfig,
     pub(crate) admission: AdmissionController,
     /// Node-local outcome book for the current phase. Outcomes are recorded
@@ -56,7 +56,6 @@ pub struct Node {
     busy: usize,
     busy_effective: f64,
     allowed: usize,
-    freq_cap: f64,
     pub(crate) load_ewma: f64,
     up_nanos: u64,
     last_up_at: u64,
@@ -69,8 +68,7 @@ pub struct Node {
 }
 
 impl Node {
-    /// Build a node whose `inner` governor is wrapped in a re-targetable
-    /// [`FrequencyCapGovernor`].
+    /// Build a node dispatching through `governor`, uncapped.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         index: usize,
@@ -78,19 +76,17 @@ impl Node {
         admission: AdmissionConfig,
         curve: UtilizationPowerCurve,
         model: PowerModel,
-        inner: Arc<dyn Governor>,
+        governor: Arc<dyn Governor>,
         sleep: Option<SleepState>,
         transition_cost: TransitionCost,
     ) -> Self {
         assert!(workers > 0, "a node needs at least one worker");
-        let governor = Arc::new(FrequencyCapGovernor::new(inner));
-        let env = ExecutionEnv::new(model, governor.clone(), sleep, transition_cost, workers);
+        let env = ExecutionEnv::new(model, governor, sleep, transition_cost, workers);
         let idle_watts = curve.idle_floor(workers);
         Node {
             index,
             workers,
             env,
-            governor,
             admission_config: admission,
             admission: AdmissionController::new(admission),
             book: ServingStats::default(),
@@ -103,7 +99,6 @@ impl Node {
             busy: 0,
             busy_effective: 0.0,
             allowed: workers,
-            freq_cap: 1.0,
             load_ewma: 0.0,
             up_nanos: 0,
             last_up_at: 0,
@@ -145,7 +140,7 @@ impl Node {
 
     /// Frequency-cap ratio the controller currently imposes (1.0 = none).
     pub fn freq_cap(&self) -> f64 {
-        self.freq_cap
+        self.env.dispatch_cap()
     }
 
     /// The node's utilization→power curve.
@@ -200,8 +195,7 @@ impl Node {
     /// may be busy, and the frequency cap for non-critical dispatches.
     pub(crate) fn set_targets(&mut self, allowed: usize, freq_cap: f64) {
         self.allowed = allowed.min(self.workers);
-        self.freq_cap = freq_cap;
-        self.governor.set_cap(freq_cap);
+        self.env.set_dispatch_cap(freq_cap);
     }
 
     /// Modelled node draw right now: zero while down, the power curve at the
@@ -275,7 +269,7 @@ impl std::fmt::Debug for Node {
             .field("up", &self.up)
             .field("depth", &self.depth())
             .field("allowed", &self.allowed)
-            .field("freq_cap", &self.freq_cap)
+            .field("freq_cap", &self.freq_cap())
             .finish()
     }
 }

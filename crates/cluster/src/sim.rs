@@ -193,14 +193,13 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// A simulator whose nodes all run a [`NominalGovernor`] inside their
-    /// frequency-cap wrapper (all energy differentiation comes from routing
-    /// and the cap controller).
+    /// A simulator whose nodes all run a [`NominalGovernor`] (all energy
+    /// differentiation comes from routing and the cap controller).
     pub fn new(config: ClusterConfig, classes: Vec<RequestClass>) -> Self {
         Self::with_governors(config, classes, |_| Arc::new(NominalGovernor))
     }
 
-    /// A simulator with a per-node inner governor chosen by `factory`
+    /// A simulator with a per-node governor chosen by `factory`
     /// (called with each node index) — how the cluster conformance harness
     /// puts every existing governor inside a node.
     pub fn with_governors(

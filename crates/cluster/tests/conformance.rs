@@ -1,7 +1,7 @@
 //! Cluster extension of the governor conformance kit: every shipped
-//! governor runs **inside a node** — wrapped by the power-cap controller's
-//! re-targetable frequency cap, under fleet overload and a tight global
-//! watt budget — and must preserve its per-node invariants:
+//! governor configuration runs **inside a node** — under the environment
+//! dispatch cap the power-cap controller re-targets, fleet overload and a
+//! tight global watt budget — and must preserve its per-node invariants:
 //!
 //! * critical (accurate) work is never scaled below nominal, cap or no cap;
 //! * dynamic energy never exceeds the nominal baseline at fixed work
@@ -20,24 +20,28 @@ use std::sync::Arc;
 
 use sig_cluster::{default_node_model, ClusterConfig, ClusterSim};
 use sig_core::{
-    AdaptiveGovernor, ApproxGovernor, FrequencyScale, Governor, NominalGovernor,
-    RaceToIdleGovernor, SignificanceLadderGovernor,
+    AdaptiveGovernor, FrequencyScale, Governor, NominalGovernor, SignificanceLadderGovernor,
 };
 use sig_energy::SleepState;
 
 type GovernorCase = (&'static str, fn() -> Arc<dyn Governor>);
 
-/// The five shipped governors (the cluster node wraps each in its own
-/// `FrequencyCapGovernor`, so the wrapper itself is exercised for free).
+/// The three shipped governor types in their five shipped configurations
+/// (the power-cap controller re-targets each node environment's dispatch
+/// cap, so the one clamp rule is exercised under every row for free).
 fn all_governors() -> Vec<GovernorCase> {
     vec![
         ("nominal", || Arc::new(NominalGovernor)),
-        ("approx-step", || Arc::new(ApproxGovernor::new(0.6))),
+        ("single-step", || {
+            Arc::new(SignificanceLadderGovernor::single_step(0.6))
+        }),
         ("significance-ladder", || {
             Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4))
         }),
         ("race-to-idle", || {
-            Arc::new(RaceToIdleGovernor::with_ladder(4, 0.4))
+            Arc::new(AdaptiveGovernor::race_to_idle(FrequencyScale::ladder(
+                4, 0.4,
+            )))
         }),
         ("adaptive", || {
             Arc::new(AdaptiveGovernor::new(

@@ -1,36 +1,33 @@
 //! Execution environment: per-worker DVFS frequency domains, idle-state
 //! (race-to-idle) modelling and energy accounting.
 //!
-//! Section 6 of the paper names "DVFS in conjunction with suitable runtime
-//! policies for executing approximate (and more light-weight) task versions
-//! on the slower but also less power-hungry CPUs" as the natural next step
-//! for significance-aware execution. This module is that step, in modelled
-//! form — and it models **both** classic energy strategies, not just one:
+//! The strategy — which frequency a task executes at, and whether its slack
+//! is raced into sleep — is chosen by the pluggable [`Governor`] (see
+//! [`crate::governor`]). This module is everything around that choice: every
+//! worker owns a **frequency domain** and an energy-accounting shard;
+//! [`ExecutionEnv::dispatch`] asks the governor, applies the overrides no
+//! governor may veto (deadline pressure, the re-targetable frequency cap) and
+//! keeps the domain's transition count; [`ExecutionEnv::record`] prices the
+//! executed task; [`EnergyReport`] folds the shards.
 //!
-//! * **slow-and-steady** — stretch approximate work over a lower frequency
-//!   step; dynamic energy drops by `dynamic_energy_factor`, the makespan
-//!   dilates;
-//! * **race-to-idle** — run at nominal frequency and drop the core into a
-//!   deep [`SleepState`] for the slack the stretched schedule would have
-//!   burned executing slowly; static and idle power drop instead.
+//! # The frequency cap
 //!
-//! Which one wins is a property of the power model's static/dynamic split
-//! and the depth of the available sleep state; the [`AdaptiveGovernor`]
-//! computes the crossover per frequency rung and picks sides, with
-//! hysteresis so frequency domains do not thrash (every switch now carries a
-//! modelled [`TransitionCost`]).
-//!
-//! Every worker owns a **frequency domain** and an energy-accounting shard,
-//! and a pluggable [`Governor`] maps each task's significance/policy
-//! decision to a [`DispatchDecision`] at dispatch time.
+//! [`ExecutionEnv::set_dispatch_cap`] is the one hook an outside controller
+//! (the energy-budget loop, the cluster's power-cap controller) throttles a
+//! worker set through, under **any** governor. Two properties are
+//! load-bearing for the conformance invariants: **accurate dispatches are
+//! never clamped** — the cap only restricts approximate work, so "critical
+//! is never scaled" survives arbitrary cap pressure — and the clamp lands
+//! **before** the domain bookkeeping, so transition counts and domain ratios
+//! stay coherent with what actually executes.
 //!
 //! # Hot-path discipline
 //!
 //! Executing a ready task must stay **mutex-free**, so all accounting here is
 //! per-worker atomics on worker-private cache lines ([`CachePadded`]), folded
 //! only when [`EnergyReport`] is built. The governor itself is an immutable
-//! `Arc<dyn Governor>`; the default [`NominalGovernor`] short-circuits before
-//! the virtual call. Scaled dispatches cache the last
+//! `Arc<dyn Governor>`; the default [`crate::NominalGovernor`] short-circuits
+//! before the virtual call. Scaled dispatches cache the last
 //! `(frequency ratio → active watts)` pair per worker so the `powf` of the
 //! power model is paid once per frequency *change*, not once per task.
 //! Each shard carries a sequence counter (seqlock): [`ExecutionEnv::report`]
@@ -52,7 +49,7 @@
 //! modelled makespan that assumes dilation, residency and transition stalls
 //! are load-balanced across workers.
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,662 +57,9 @@ use sig_energy::{
     EnergyBreakdown, EnergyReading, FrequencyScale, PowerModel, SleepState, TransitionCost,
 };
 
-use crate::policy::Policy;
-use crate::significance::Significance;
+use crate::governor::{DispatchContext, DispatchDecision, Governor};
 use crate::sync::CachePadded;
 use crate::task::ExecutionMode;
-
-/// Everything a [`Governor`] may consult when choosing the frequency step
-/// for a task that is about to execute.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchContext {
-    /// Index of the worker the task is about to execute on. Lets stateful
-    /// governors (hysteresis) keep per-domain state without sharing a cache
-    /// line across workers.
-    pub worker: usize,
-    /// The task's significance.
-    pub significance: Significance,
-    /// The accuracy decision the policy made for this task: `true` means the
-    /// accurate body will run, `false` means the approximate body (or a drop,
-    /// if the task has no `approxfun`).
-    pub accurate: bool,
-    /// The runtime's execution policy.
-    pub policy: Policy,
-    /// The current accurate-task ratio of the task's group.
-    pub group_ratio: f64,
-    /// Whether the task's deadline is endangered (already missed, or the
-    /// runtime is overloaded while the task carries a deadline). The
-    /// environment overrides any scaling decision with a race to nominal —
-    /// "finish fast" beats the governor's energy preference.
-    pub deadline_pressure: bool,
-}
-
-/// A governor's verdict for one dispatch: which frequency the task executes
-/// at, and whether the slack against a reference step is raced into sleep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DispatchDecision {
-    scale: FrequencyScale,
-    race_reference: Option<FrequencyScale>,
-}
-
-impl DispatchDecision {
-    /// Slow-and-steady: execute at `scale`, stretching the work.
-    pub fn stretch(scale: FrequencyScale) -> Self {
-        DispatchDecision {
-            scale,
-            race_reference: None,
-        }
-    }
-
-    /// Execute at nominal frequency with no race: the null decision.
-    pub fn nominal() -> Self {
-        DispatchDecision::stretch(FrequencyScale::nominal())
-    }
-
-    /// Race-to-idle: execute at nominal frequency, then bank the slack
-    /// against `reference` — the step a slow-and-steady schedule would have
-    /// stretched this task over — as sleep residency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is above nominal (there is no slack to race
-    /// for).
-    pub fn race(reference: FrequencyScale) -> Self {
-        assert!(
-            reference.ratio() <= 1.0,
-            "race reference must be at or below nominal, got {}",
-            reference.ratio()
-        );
-        DispatchDecision {
-            scale: FrequencyScale::nominal(),
-            race_reference: Some(reference),
-        }
-    }
-
-    /// The frequency the task actually executes at.
-    pub fn scale(&self) -> FrequencyScale {
-        self.scale
-    }
-
-    /// The reference step a race-to-idle dispatch banks slack against.
-    pub fn race_reference(&self) -> Option<FrequencyScale> {
-        self.race_reference
-    }
-
-    /// Whether this dispatch races to idle.
-    pub fn is_race(&self) -> bool {
-        self.race_reference.is_some()
-    }
-
-    /// Sleep residency earned per second of measured busy time:
-    /// `reference dilation − executed dilation` (zero for stretch
-    /// decisions).
-    pub fn slack_factor(&self) -> f64 {
-        match self.race_reference {
-            Some(reference) => (reference.time_dilation() - self.scale.time_dilation()).max(0.0),
-            None => 0.0,
-        }
-    }
-
-    /// Clamp the decision so it never *executes* above `cap`.
-    ///
-    /// A stretch at or below the cap is unchanged. A stretch above it is
-    /// pulled down to the cap. A race-to-idle decision executes at nominal
-    /// by construction, which a cap below nominal forbids — it falls back to
-    /// slow-and-steady at its reference rung (itself clamped), the schedule
-    /// the race was banking slack against.
-    pub fn clamp_to(&self, cap: FrequencyScale) -> DispatchDecision {
-        if self.scale.ratio() <= cap.ratio() {
-            return *self;
-        }
-        match self.race_reference {
-            Some(reference) if reference.ratio() <= cap.ratio() => {
-                DispatchDecision::stretch(reference)
-            }
-            _ => DispatchDecision::stretch(cap),
-        }
-    }
-}
-
-/// Maps a task's significance/policy decision to an energy strategy at
-/// dispatch time.
-///
-/// Implementations must be cheap and `Sync`: the methods are called on the
-/// worker hot path, once per executed task. A governor that only ever
-/// stretches can implement [`Governor::frequency_for`] alone; strategies
-/// that race to idle override [`Governor::decide`].
-pub trait Governor: Send + Sync {
-    /// The frequency the dispatched task should (modelled-)execute at.
-    fn frequency_for(&self, ctx: &DispatchContext) -> FrequencyScale;
-
-    /// Full decision for the dispatched task. The default wraps
-    /// [`Governor::frequency_for`] in a slow-and-steady stretch.
-    fn decide(&self, ctx: &DispatchContext) -> DispatchDecision {
-        DispatchDecision::stretch(self.frequency_for(ctx))
-    }
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str {
-        "custom"
-    }
-
-    /// Whether this governor always answers nominal frequency. The
-    /// environment uses this to skip dispatch bookkeeping entirely.
-    fn is_passthrough(&self) -> bool {
-        false
-    }
-}
-
-/// The default governor: every task runs at nominal frequency. Equivalent to
-/// the pre-DVFS runtime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NominalGovernor;
-
-impl Governor for NominalGovernor {
-    fn frequency_for(&self, _ctx: &DispatchContext) -> FrequencyScale {
-        FrequencyScale::nominal()
-    }
-
-    fn name(&self) -> &'static str {
-        "nominal"
-    }
-
-    fn is_passthrough(&self) -> bool {
-        true
-    }
-}
-
-/// Two-rail governor: accurate tasks at nominal frequency, approximate (and
-/// dropped) tasks at one fixed lower step — the paper's future-work scenario
-/// in its simplest form.
-#[derive(Debug, Clone, Copy)]
-pub struct ApproxGovernor {
-    approximate: FrequencyScale,
-}
-
-impl ApproxGovernor {
-    /// Run approximate tasks at the given frequency ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via [`FrequencyScale::new`]) if `ratio` is outside `(0, 1.5]`.
-    pub fn new(ratio: f64) -> Self {
-        ApproxGovernor {
-            approximate: FrequencyScale::new(ratio),
-        }
-    }
-
-    /// The frequency applied to approximate tasks.
-    pub fn approximate_scale(&self) -> FrequencyScale {
-        self.approximate
-    }
-}
-
-impl Governor for ApproxGovernor {
-    fn frequency_for(&self, ctx: &DispatchContext) -> FrequencyScale {
-        if ctx.accurate {
-            FrequencyScale::nominal()
-        } else {
-            self.approximate
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "approx-step"
-    }
-}
-
-/// Rung of `steps` (highest frequency first) selected for a significance:
-/// the least significant work lands on the lowest step.
-fn ladder_rung(steps: &[FrequencyScale], significance: Significance) -> usize {
-    let last = steps.len() - 1;
-    let rung = ((1.0 - significance.value()) * last as f64).round() as usize;
-    rung.min(last)
-}
-
-/// Ladder governor: accurate tasks at nominal frequency; approximate tasks
-/// descend a P-state-style frequency ladder with falling significance, so
-/// the least significant work runs at the lowest modelled frequency.
-#[derive(Debug, Clone)]
-pub struct SignificanceLadderGovernor {
-    steps: Vec<FrequencyScale>,
-}
-
-impl SignificanceLadderGovernor {
-    /// Build from an explicit ladder, highest frequency first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty.
-    pub fn new(steps: Vec<FrequencyScale>) -> Self {
-        assert!(
-            !steps.is_empty(),
-            "a ladder governor needs at least one step"
-        );
-        SignificanceLadderGovernor { steps }
-    }
-
-    /// Build from an evenly spaced ladder of `steps` settings down to
-    /// `floor` (see [`FrequencyScale::ladder`]).
-    pub fn with_ladder(steps: usize, floor: f64) -> Self {
-        SignificanceLadderGovernor::new(FrequencyScale::ladder(steps, floor))
-    }
-}
-
-impl Governor for SignificanceLadderGovernor {
-    fn frequency_for(&self, ctx: &DispatchContext) -> FrequencyScale {
-        if ctx.accurate {
-            return FrequencyScale::nominal();
-        }
-        self.steps[ladder_rung(&self.steps, ctx.significance)]
-    }
-
-    fn name(&self) -> &'static str {
-        "significance-ladder"
-    }
-}
-
-/// Race-to-idle governor: every task executes at nominal frequency;
-/// approximate tasks bank the slack a [`SignificanceLadderGovernor`] would
-/// have stretched them over as deep-sleep residency instead. The pure
-/// "finish fast, sleep deep" end of the strategy spectrum — it never changes
-/// the frequency domain, so it pays zero DVFS transition costs by
-/// construction.
-#[derive(Debug, Clone)]
-pub struct RaceToIdleGovernor {
-    steps: Vec<FrequencyScale>,
-}
-
-impl RaceToIdleGovernor {
-    /// Build from an explicit reference ladder, highest frequency first
-    /// (the rungs a slow-and-steady schedule would use; slack is banked
-    /// against them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty or any step is above nominal.
-    pub fn new(steps: Vec<FrequencyScale>) -> Self {
-        assert!(
-            !steps.is_empty(),
-            "a race-to-idle governor needs at least one reference step"
-        );
-        assert!(
-            steps.iter().all(|s| s.ratio() <= 1.0),
-            "race-to-idle reference steps must be at or below nominal"
-        );
-        RaceToIdleGovernor { steps }
-    }
-
-    /// Build from an evenly spaced reference ladder of `steps` settings down
-    /// to `floor` (see [`FrequencyScale::ladder`]).
-    pub fn with_ladder(steps: usize, floor: f64) -> Self {
-        RaceToIdleGovernor::new(FrequencyScale::ladder(steps, floor))
-    }
-}
-
-impl Governor for RaceToIdleGovernor {
-    fn frequency_for(&self, _ctx: &DispatchContext) -> FrequencyScale {
-        FrequencyScale::nominal()
-    }
-
-    fn decide(&self, ctx: &DispatchContext) -> DispatchDecision {
-        if ctx.accurate {
-            return DispatchDecision::nominal();
-        }
-        let reference = self.steps[ladder_rung(&self.steps, ctx.significance)];
-        if reference.is_nominal() {
-            // No slack at the top rung: a race would only charge a wakeup.
-            return DispatchDecision::nominal();
-        }
-        DispatchDecision::race(reference)
-    }
-
-    fn name(&self) -> &'static str {
-        "race-to-idle"
-    }
-}
-
-/// Per-worker hysteresis state of the [`AdaptiveGovernor`]: the frequency
-/// ratio the domain currently holds and how many dispatches it has served
-/// since it last re-targeted. Single-writer (the owning worker).
-struct DomainState {
-    ratio_bits: AtomicU64,
-    exponent_bits: AtomicU64,
-    since_switch: AtomicU32,
-}
-
-impl DomainState {
-    fn new(hysteresis: u32) -> Self {
-        DomainState {
-            ratio_bits: AtomicU64::new(1.0f64.to_bits()),
-            exponent_bits: AtomicU64::new(2.4f64.to_bits()),
-            // A fresh domain may re-target immediately (no cold-start hold).
-            since_switch: AtomicU32::new(hysteresis),
-        }
-    }
-}
-
-/// Number of per-worker hysteresis slots. Workers beyond this share slots
-/// (hysteresis quality degrades gracefully; correctness is unaffected).
-const ADAPTIVE_DOMAIN_SLOTS: usize = 64;
-
-/// Adaptive energy-strategy governor: per frequency rung, compares the
-/// modelled cost of **slow-and-steady** (stretch at the rung) against
-/// **race-to-idle** (run at nominal, deep-sleep the slack) and picks the
-/// cheaper side. The crossover is decided by the power model's
-/// static/dynamic split:
-///
-/// * dynamic-dominated packages (high power exponent, low static share) —
-///   stretching wins: dynamic energy scales superlinearly down with
-///   frequency while sleeping saves only the small idle/static share;
-/// * static-heavy packages (large `static_watts_per_socket`, shallow power
-///   exponent, deep sleep states) — racing wins: the stretched schedule
-///   keeps the package awake, the race gates leakage off.
-///
-/// Frequency changes carry a [`TransitionCost`], so the governor applies
-/// **hysteresis** as a minimum residency: once a worker's domain re-targets,
-/// it holds that step for at least `hysteresis` dispatches before it may
-/// re-target again. Under any input sequence (of non-accurate tasks) the
-/// governor's step changes are bounded by `dispatches / hysteresis + 1` per
-/// domain — oscillating significance cannot thrash the frequency domain —
-/// while a stable demand is followed immediately. (Accurate tasks always
-/// execute at nominal, bypassing the filter without touching it:
-/// correctness outranks thrash avoidance.)
-pub struct AdaptiveGovernor {
-    steps: Vec<FrequencyScale>,
-    /// Per rung: `true` if race-to-idle is modelled cheaper than stretching.
-    race_rung: Vec<bool>,
-    hysteresis: u32,
-    domains: Box<[CachePadded<DomainState>]>,
-}
-
-impl AdaptiveGovernor {
-    /// Build an adaptive governor.
-    ///
-    /// * `model`, `sleep` — the power model and sleep state the runtime
-    ///   accounts with (the governor's cost comparison must price the same
-    ///   physics the report does);
-    /// * `steps` — the frequency ladder (highest first) used both as
-    ///   stretch targets and race references;
-    /// * `hysteresis` — minimum dispatches a worker's frequency domain
-    ///   holds a step before it may re-target (`1` disables hysteresis);
-    /// * `typical_task_seconds` — expected nominal busy time per task, used
-    ///   to amortise the per-wakeup cost into the race side of the
-    ///   comparison.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty or contains a step above nominal,
-    /// `hysteresis` is zero, or `typical_task_seconds` is not positive.
-    pub fn new(
-        model: &PowerModel,
-        sleep: SleepState,
-        steps: Vec<FrequencyScale>,
-        hysteresis: u32,
-        typical_task_seconds: f64,
-    ) -> Self {
-        assert!(!steps.is_empty(), "an adaptive governor needs steps");
-        assert!(
-            steps.iter().all(|s| s.ratio() <= 1.0),
-            "adaptive governor steps must be at or below nominal"
-        );
-        assert!(hysteresis >= 1, "hysteresis must be at least 1");
-        assert!(
-            typical_task_seconds > 0.0,
-            "typical task time must be positive"
-        );
-        let race_rung = steps
-            .iter()
-            .map(|step| {
-                Self::race_watts(step, model, &sleep, typical_task_seconds)
-                    < Self::stretch_watts(step, model)
-            })
-            .collect();
-        AdaptiveGovernor {
-            steps,
-            race_rung,
-            hysteresis,
-            domains: (0..ADAPTIVE_DOMAIN_SLOTS)
-                .map(|_| CachePadded::new(DomainState::new(hysteresis)))
-                .collect(),
-        }
-    }
-
-    /// [`AdaptiveGovernor::new`] over an evenly spaced ladder, with a
-    /// hysteresis of 4 dispatches and 1 ms typical tasks.
-    pub fn with_ladder(model: &PowerModel, sleep: SleepState, steps: usize, floor: f64) -> Self {
-        AdaptiveGovernor::new(model, sleep, FrequencyScale::ladder(steps, floor), 4, 1e-3)
-    }
-
-    /// Modelled watts per second of *nominal* busy time when the work is
-    /// stretched over `step`: `dynamic_energy_factor · active watts` (the
-    /// core is busy for the whole stretched window, so it contributes no
-    /// idle term).
-    fn stretch_watts(step: &FrequencyScale, model: &PowerModel) -> f64 {
-        step.dynamic_energy_factor() * model.active_watts_per_core
-    }
-
-    /// Modelled watts per second of nominal busy time when the work races
-    /// and sleeps the slack against `step`: nominal active watts, plus the
-    /// slack priced at sleep power net of the gated static share, plus the
-    /// wake cost amortised over a typical task.
-    fn race_watts(
-        step: &FrequencyScale,
-        model: &PowerModel,
-        sleep: &SleepState,
-        typical_task_seconds: f64,
-    ) -> f64 {
-        let slack = step.time_dilation() - 1.0;
-        // Net draw per slack second: sleep power minus the static power the
-        // state gates off. Negative when gating outweighs residency draw —
-        // the static-heavy regime where racing deeper rungs saves *more*.
-        // Same terms [`EnergyReport::reading`] prices residency with.
-        let slack_watts =
-            sleep.watts_per_core - sleep.static_fraction_saved * model.static_watts_per_core();
-        model.active_watts_per_core
-            + slack * slack_watts
-            + sleep.wake_joules(model) / typical_task_seconds
-    }
-
-    /// Whether the governor would race (rather than stretch) work landing on
-    /// rung `index` of its ladder. Exposed for conformance tests and
-    /// benchmarks.
-    pub fn prefers_race(&self, index: usize) -> bool {
-        self.race_rung.get(index).copied().unwrap_or(false)
-    }
-
-    /// The governor's frequency ladder.
-    pub fn steps(&self) -> &[FrequencyScale] {
-        &self.steps
-    }
-
-    /// The configured hysteresis depth.
-    pub fn hysteresis(&self) -> u32 {
-        self.hysteresis
-    }
-
-    fn domain(&self, worker: usize) -> &DomainState {
-        &self.domains[worker % ADAPTIVE_DOMAIN_SLOTS]
-    }
-
-    /// Run `desired` through the worker's hysteresis filter: once the
-    /// domain re-targets it must serve at least `hysteresis` dispatches at
-    /// that step before it may re-target again (a minimum residency — the
-    /// rate limit that bounds transitions under oscillating inputs).
-    fn filtered(&self, worker: usize, desired: DispatchDecision) -> DispatchDecision {
-        let domain = self.domain(worker);
-        let current_bits = domain.ratio_bits.load(Ordering::Relaxed);
-        let desired_bits = desired.scale().ratio().to_bits();
-        let since = domain
-            .since_switch
-            .load(Ordering::Relaxed)
-            .saturating_add(1);
-        if desired_bits == current_bits {
-            domain.since_switch.store(since, Ordering::Relaxed);
-            return desired;
-        }
-        if since >= self.hysteresis {
-            domain.ratio_bits.store(desired_bits, Ordering::Relaxed);
-            domain.exponent_bits.store(
-                desired.scale().power_exponent().to_bits(),
-                Ordering::Relaxed,
-            );
-            domain.since_switch.store(0, Ordering::Relaxed);
-            return desired;
-        }
-        domain.since_switch.store(since, Ordering::Relaxed);
-        // Hold the domain at its current step (same ratio *and* exponent, so
-        // held dispatches price dynamic energy exactly like the step they
-        // hold).
-        DispatchDecision::stretch(FrequencyScale::with_exponent(
-            f64::from_bits(current_bits),
-            f64::from_bits(domain.exponent_bits.load(Ordering::Relaxed)),
-        ))
-    }
-}
-
-impl std::fmt::Debug for AdaptiveGovernor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveGovernor")
-            .field("steps", &self.steps.len())
-            .field("race_rung", &self.race_rung)
-            .field("hysteresis", &self.hysteresis)
-            .finish()
-    }
-}
-
-impl Governor for AdaptiveGovernor {
-    /// Stateless preview of the step the governor targets for `ctx`,
-    /// ignoring hysteresis (race rungs preview as nominal — that is where
-    /// they execute). Only [`AdaptiveGovernor::decide`] commits hysteresis
-    /// state; calling this does not advance any domain.
-    fn frequency_for(&self, ctx: &DispatchContext) -> FrequencyScale {
-        if ctx.accurate {
-            return FrequencyScale::nominal();
-        }
-        let rung = ladder_rung(&self.steps, ctx.significance);
-        if self.race_rung[rung] {
-            FrequencyScale::nominal()
-        } else {
-            self.steps[rung]
-        }
-    }
-
-    fn decide(&self, ctx: &DispatchContext) -> DispatchDecision {
-        if ctx.accurate {
-            // Critical/accurate work always executes at nominal, bypassing
-            // hysteresis (a held lower step would scale a critical task).
-            return DispatchDecision::nominal();
-        }
-        let rung = ladder_rung(&self.steps, ctx.significance);
-        let reference = self.steps[rung];
-        if self.race_rung[rung] && !reference.is_nominal() {
-            // Racing executes at nominal: that is a domain change like any
-            // other, so it goes through the same hysteresis filter.
-            let filtered = self.filtered(ctx.worker, DispatchDecision::race(reference));
-            return filtered;
-        }
-        self.filtered(ctx.worker, DispatchDecision::stretch(reference))
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-}
-
-/// A governor wrapper enforcing an externally re-targetable frequency cap —
-/// the per-node dispatch hook a cluster-level power-cap controller drives.
-///
-/// The wrapped governor makes its decision as usual; if the decision would
-/// *execute* above the cap it is clamped (see [`DispatchDecision::clamp_to`]).
-/// Two properties are load-bearing for the conformance invariants:
-///
-/// * **accurate dispatches are never clamped** — critical work runs wherever
-///   the inner governor puts it (nominal, for every governor in this
-///   workspace); the cap only restricts approximate work, so "critical is
-///   never scaled" survives arbitrary cap pressure;
-/// * the clamp happens **inside** the governor, before the environment's
-///   domain bookkeeping — transition counts and domain ratios stay coherent
-///   with what actually executes.
-///
-/// `set_cap` is lock-free (a single atomic store of the ratio bits), so a
-/// controller may re-target caps from outside the dispatch path.
-pub struct FrequencyCapGovernor {
-    inner: Arc<dyn Governor>,
-    cap_bits: AtomicU64,
-}
-
-impl FrequencyCapGovernor {
-    /// Wrap `inner` with no cap engaged (ratio 1.0).
-    pub fn new(inner: Arc<dyn Governor>) -> Self {
-        FrequencyCapGovernor {
-            inner,
-            cap_bits: AtomicU64::new(1.0f64.to_bits()),
-        }
-    }
-
-    /// Wrap `inner` with an initial cap ratio.
-    pub fn with_cap(inner: Arc<dyn Governor>, cap: f64) -> Self {
-        let governor = FrequencyCapGovernor::new(inner);
-        governor.set_cap(cap);
-        governor
-    }
-
-    /// Re-target the cap ratio, in `(0, 1]` (1.0 disengages the cap).
-    pub fn set_cap(&self, cap: f64) {
-        assert!(
-            cap > 0.0 && cap <= 1.0,
-            "frequency cap ratio must be in (0, 1], got {cap}"
-        );
-        self.cap_bits.store(cap.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current cap ratio.
-    pub fn cap(&self) -> f64 {
-        f64::from_bits(self.cap_bits.load(Ordering::Relaxed))
-    }
-
-    /// The wrapped governor.
-    pub fn inner(&self) -> &Arc<dyn Governor> {
-        &self.inner
-    }
-}
-
-impl std::fmt::Debug for FrequencyCapGovernor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrequencyCapGovernor")
-            .field("inner", &self.inner.name())
-            .field("cap", &self.cap())
-            .finish()
-    }
-}
-
-impl Governor for FrequencyCapGovernor {
-    fn frequency_for(&self, ctx: &DispatchContext) -> FrequencyScale {
-        self.decide(ctx).scale()
-    }
-
-    fn decide(&self, ctx: &DispatchContext) -> DispatchDecision {
-        let decision = self.inner.decide(ctx);
-        if ctx.accurate {
-            return decision;
-        }
-        let cap = self.cap();
-        if cap >= 1.0 {
-            return decision;
-        }
-        // Clamp on the same exponent family the inner decision priced with,
-        // so held/clamped dispatches stay on one dynamic-energy curve.
-        decision.clamp_to(FrequencyScale::with_exponent(
-            cap,
-            decision.scale().power_exponent(),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "frequency-cap"
-    }
-}
 
 /// Consistent fold of every shard's counters — the cheap snapshot a polling
 /// controller (the cluster power-cap loop) reads every tick without building
@@ -818,17 +162,14 @@ pub struct ExecutionEnv {
     model: PowerModel,
     governor: Arc<dyn Governor>,
     /// `true` iff the governor always answers nominal — lets dispatch skip
-    /// the virtual call and all domain bookkeeping.
+    /// the virtual call.
     passthrough: bool,
     nominal_watts: f64,
     sleep: Option<SleepState>,
     transition_cost: TransitionCost,
-    /// Re-targetable budget frequency cap (ratio as `f64` bits; 1.0 =
-    /// disengaged). Unlike [`FrequencyCapGovernor`] this lives in the
-    /// environment itself, so an energy-budget controller can throttle
-    /// approximate work under **any** configured governor — including the
-    /// passthrough fast path — without re-wrapping it.
-    budget_cap_bits: AtomicU64,
+    /// Re-targetable frequency cap for approximate dispatches (ratio as
+    /// `f64` bits; 1.0 = disengaged). See the module docs.
+    cap_bits: AtomicU64,
     shards: Box<[CachePadded<EnvShard>]>,
 }
 
@@ -860,7 +201,7 @@ impl ExecutionEnv {
             governor,
             sleep,
             transition_cost,
-            budget_cap_bits: AtomicU64::new(1.0f64.to_bits()),
+            cap_bits: AtomicU64::new(1.0f64.to_bits()),
             shards: (0..shards.max(1))
                 .map(|_| CachePadded::new(EnvShard::new()))
                 .collect(),
@@ -877,34 +218,31 @@ impl ExecutionEnv {
         &self.shards[worker]
     }
 
-    /// Re-target the budget frequency cap for approximate dispatches, in
-    /// `(0, 1]` (1.0 disengages the cap and restores the exact unbudgeted
-    /// dispatch path). Lock-free: a single atomic store, so an energy-budget
+    /// Re-target the frequency cap for approximate dispatches, in `(0, 1]`
+    /// (1.0 disengages the cap and restores the exact uncapped dispatch
+    /// path). Lock-free: a single atomic store, so a budget or power-cap
     /// controller re-targets from outside the dispatch path.
     pub fn set_dispatch_cap(&self, cap: f64) {
         assert!(
             cap > 0.0 && cap <= 1.0,
             "dispatch cap ratio must be in (0, 1], got {cap}"
         );
-        self.budget_cap_bits.store(cap.to_bits(), Ordering::Relaxed);
+        self.cap_bits.store(cap.to_bits(), Ordering::Relaxed);
     }
 
-    /// The current budget frequency cap (1.0 when disengaged).
+    /// The current frequency cap (1.0 when disengaged).
     pub fn dispatch_cap(&self) -> f64 {
-        f64::from_bits(self.budget_cap_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.cap_bits.load(Ordering::Relaxed))
     }
 
     /// Choose the energy strategy for a task about to execute on `worker`
     /// and update the worker's frequency domain. Lock-free; one relaxed
     /// load/store pair when the frequency is unchanged.
     pub fn dispatch(&self, worker: usize, ctx: &DispatchContext) -> DispatchDecision {
-        let cap = self.dispatch_cap();
-        if self.passthrough && cap >= 1.0 {
-            return DispatchDecision::nominal();
-        }
         let decision = if ctx.deadline_pressure {
             // Deadline-endangered tasks race to nominal regardless of the
-            // governor: meeting the deadline dominates the energy policy.
+            // governor and the cap: meeting the deadline dominates the
+            // energy policy.
             DispatchDecision::nominal()
         } else {
             let decision = if self.passthrough {
@@ -912,10 +250,11 @@ impl ExecutionEnv {
             } else {
                 self.governor.decide(ctx)
             };
+            let cap = self.dispatch_cap();
             if cap < 1.0 && !ctx.accurate {
-                // The budget cap mirrors FrequencyCapGovernor's two
-                // load-bearing properties: accurate work is never clamped,
-                // and the clamp lands before domain bookkeeping.
+                // Clamp on the same exponent family the governor priced
+                // with, so clamped dispatches stay on one dynamic-energy
+                // curve.
                 decision.clamp_to(FrequencyScale::with_exponent(
                     cap,
                     decision.scale().power_exponent(),
@@ -924,6 +263,9 @@ impl ExecutionEnv {
                 decision
             }
         };
+        // Domain bookkeeping runs under every governor, the passthrough one
+        // included: a cap that engaged and then disengaged leaves the domain
+        // below nominal, and the dispatch that returns it is a transition.
         let shard = self.shard(worker);
         let bits = decision.scale().ratio().to_bits();
         if shard.domain_bits.load(Ordering::Relaxed) != bits {
@@ -1268,14 +610,13 @@ impl EnergyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::{AdaptiveGovernor, NominalGovernor, SignificanceLadderGovernor};
+    use crate::policy::Policy;
+    use crate::significance::Significance;
 
     fn ctx(significance: f64, accurate: bool) -> DispatchContext {
-        ctx_on(0, significance, accurate)
-    }
-
-    fn ctx_on(worker: usize, significance: f64, accurate: bool) -> DispatchContext {
         DispatchContext {
-            worker,
+            worker: 0,
             significance: Significance::new(significance),
             accurate,
             policy: Policy::GtbMaxBuffer,
@@ -1296,7 +637,7 @@ mod tests {
 
     #[test]
     fn deadline_pressure_overrides_scaling_governor() {
-        let e = env(Arc::new(ApproxGovernor::new(0.5)));
+        let e = env(Arc::new(SignificanceLadderGovernor::single_step(0.5)));
         let mut pressured = ctx(0.2, false);
         pressured.deadline_pressure = true;
         let decision = e.dispatch(0, &pressured);
@@ -1318,55 +659,8 @@ mod tests {
     }
 
     #[test]
-    fn approx_governor_scales_only_approximate_tasks() {
-        let g = ApproxGovernor::new(0.5);
-        assert!(g.frequency_for(&ctx(0.9, true)).is_nominal());
-        assert_eq!(g.frequency_for(&ctx(0.9, false)).ratio(), 0.5);
-        assert_eq!(g.approximate_scale().ratio(), 0.5);
-    }
-
-    #[test]
-    fn ladder_governor_descends_with_significance() {
-        let g = SignificanceLadderGovernor::with_ladder(5, 0.5);
-        assert!(g.frequency_for(&ctx(0.3, true)).is_nominal());
-        let high = g.frequency_for(&ctx(0.9, false)).ratio();
-        let low = g.frequency_for(&ctx(0.1, false)).ratio();
-        assert!(high > low, "high-significance {high} vs low {low}");
-        assert_eq!(g.frequency_for(&ctx(0.0, false)).ratio(), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn empty_ladder_rejected() {
-        SignificanceLadderGovernor::new(Vec::new());
-    }
-
-    #[test]
-    fn race_governor_always_executes_at_nominal() {
-        let g = RaceToIdleGovernor::with_ladder(4, 0.4);
-        let accurate = g.decide(&ctx(0.9, true));
-        assert!(accurate.scale().is_nominal());
-        assert!(!accurate.is_race());
-        let approx = g.decide(&ctx(0.1, false));
-        assert!(approx.scale().is_nominal());
-        assert!(approx.is_race());
-        // Low significance races against a deep reference rung: lots of
-        // slack.
-        assert!(approx.slack_factor() > 1.0);
-        // Top-rung approximate work has no slack: no race, no wake charge.
-        let top = g.decide(&ctx(1.0, false));
-        assert!(!top.is_race());
-    }
-
-    #[test]
-    #[should_panic(expected = "at or below nominal")]
-    fn race_above_nominal_rejected() {
-        let _ = DispatchDecision::race(FrequencyScale::new(1.2));
-    }
-
-    #[test]
     fn record_accumulates_and_dilates() {
-        let e = env(Arc::new(ApproxGovernor::new(0.5)));
+        let e = env(Arc::new(SignificanceLadderGovernor::single_step(0.5)));
         let decision = e.dispatch(0, &ctx(0.2, false));
         e.record(
             0,
@@ -1394,7 +688,9 @@ mod tests {
         let sleep = SleepState::deep();
         let e = ExecutionEnv::new(
             PowerModel::for_host(),
-            Arc::new(RaceToIdleGovernor::new(vec![FrequencyScale::new(0.5)])),
+            Arc::new(AdaptiveGovernor::race_to_idle(vec![FrequencyScale::new(
+                0.5,
+            )])),
             Some(sleep),
             TransitionCost::free(),
             2,
@@ -1433,7 +729,11 @@ mod tests {
             active_watts_per_core: 4.0,
             idle_watts_per_core: 1.5,
         };
-        let governor = || Arc::new(RaceToIdleGovernor::new(vec![FrequencyScale::new(0.5)]));
+        let governor = || {
+            Arc::new(AdaptiveGovernor::race_to_idle(vec![FrequencyScale::new(
+                0.5,
+            )]))
+        };
         let run = |sleep: Option<SleepState>| {
             let e = ExecutionEnv::new(model, governor(), sleep, TransitionCost::free(), 1);
             let d = e.dispatch(0, &ctx(0.2, false));
@@ -1461,7 +761,7 @@ mod tests {
         let cost = TransitionCost::new(0.25, 0.125);
         let e = ExecutionEnv::new(
             PowerModel::for_host(),
-            Arc::new(ApproxGovernor::new(0.5)),
+            Arc::new(SignificanceLadderGovernor::single_step(0.5)),
             None,
             cost,
             1,
@@ -1482,169 +782,70 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_governor_races_on_static_heavy_models() {
-        // Static-heavy: huge socket static share, shallow (near-linear)
-        // power exponent, deep sleep. Stretching saves almost no dynamic
-        // energy; racing gates static power off.
-        let static_heavy = PowerModel {
-            sockets: 1,
-            cores_per_socket: 4,
-            static_watts_per_socket: 40.0,
-            active_watts_per_core: 6.6,
-            idle_watts_per_core: 2.0,
-        };
-        let steps: Vec<FrequencyScale> = FrequencyScale::ladder(4, 0.4)
-            .into_iter()
-            .map(|s| FrequencyScale::with_exponent(s.ratio(), 1.2))
-            .collect();
-        let g = AdaptiveGovernor::new(&static_heavy, SleepState::deep(), steps, 1, 1e-3);
-        // Deep rungs must prefer racing on this model.
-        assert!(g.prefers_race(3), "{g:?}");
-        let d = g.decide(&ctx(0.0, false));
-        assert!(d.is_race());
-        assert!(d.scale().is_nominal());
-    }
-
-    #[test]
-    fn adaptive_governor_stretches_on_dynamic_heavy_models() {
-        // Dynamic-heavy: the default cubic-ish exponent and modest static
-        // share; stretching wins on every rung.
-        let dynamic_heavy = PowerModel {
-            sockets: 1,
-            cores_per_socket: 4,
-            static_watts_per_socket: 4.0,
-            active_watts_per_core: 6.6,
-            idle_watts_per_core: 0.5,
-        };
-        let g = AdaptiveGovernor::with_ladder(&dynamic_heavy, SleepState::shallow(), 4, 0.4);
-        for rung in 0..4 {
-            assert!(!g.prefers_race(rung), "rung {rung} should stretch: {g:?}");
-        }
-        // The default hysteresis (4) holds the domain at nominal for the
-        // first dissenting dispatches; a steady stream settles on the rung.
-        let d = (0..4).fold(DispatchDecision::nominal(), |_, _| {
-            g.decide(&ctx(0.0, false))
-        });
-        assert!(!d.is_race());
-        assert!((d.scale().ratio() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_governor_never_scales_critical_tasks() {
-        let g = AdaptiveGovernor::with_ladder(&PowerModel::for_host(), SleepState::deep(), 4, 0.4);
-        // Prime the worker's domain onto a low step.
-        for _ in 0..8 {
-            let _ = g.decide(&ctx(0.0, false));
-        }
-        let d = g.decide(&ctx(1.0, true));
-        assert!(d.scale().is_nominal());
-        assert!(!d.is_race());
-    }
-
-    #[test]
-    fn adaptive_hysteresis_bounds_transitions_under_oscillation() {
-        let model = PowerModel {
-            sockets: 1,
-            cores_per_socket: 4,
-            static_watts_per_socket: 4.0,
-            active_watts_per_core: 6.6,
-            idle_watts_per_core: 0.5,
-        };
-        let count_changes = |hysteresis: u32| {
-            let g = AdaptiveGovernor::new(
-                &model,
-                SleepState::shallow(),
-                FrequencyScale::ladder(4, 0.4),
-                hysteresis,
-                1e-3,
-            );
-            let mut last = f64::NAN;
-            let mut changes = 0usize;
-            for i in 0..120 {
-                // Oscillating significance: alternate extreme rungs.
-                let sig = if i % 2 == 0 { 0.95 } else { 0.05 };
-                let ratio = g.decide(&ctx_on(0, sig, false)).scale().ratio();
-                if ratio != last {
-                    changes += 1;
-                    last = ratio;
-                }
-            }
-            changes
-        };
-        let thrash = count_changes(1);
-        let damped = count_changes(8);
-        assert!(
-            thrash > 100,
-            "without hysteresis the oscillation thrashes ({thrash} changes)"
-        );
-        assert!(
-            damped <= 120 / 8 + 1,
-            "hysteresis 8 must bound changes to n/8 + 1, got {damped}"
-        );
-    }
-
-    #[test]
-    fn clamp_to_caps_stretch_and_downgrades_race() {
-        let cap = FrequencyScale::new(0.5);
-        // At or below the cap: unchanged.
-        let low = DispatchDecision::stretch(FrequencyScale::new(0.4));
-        assert_eq!(low.clamp_to(cap), low);
-        // Above the cap: pulled down to it.
-        let high = DispatchDecision::stretch(FrequencyScale::new(0.8));
-        assert_eq!(high.clamp_to(cap).scale().ratio(), 0.5);
-        // A race executes at nominal — forbidden under the cap — and falls
-        // back to slow-and-steady at its reference rung.
-        let race = DispatchDecision::race(FrequencyScale::new(0.4));
-        let clamped = race.clamp_to(cap);
-        assert!(!clamped.is_race());
-        assert_eq!(clamped.scale().ratio(), 0.4);
-        // A reference above the cap is clamped too.
-        let race_high = DispatchDecision::race(FrequencyScale::new(0.8));
-        assert_eq!(race_high.clamp_to(cap).scale().ratio(), 0.5);
-    }
-
-    #[test]
-    fn frequency_cap_governor_clamps_only_approximate_work() {
-        let g =
-            FrequencyCapGovernor::new(Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4)));
+    fn dispatch_cap_clamps_only_approximate_work() {
+        let e = env(Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4)));
         // Uncapped: transparent.
-        let free = g.decide(&ctx(0.1, false));
+        let free = e.dispatch(0, &ctx(0.1, false));
         assert!((free.scale().ratio() - 0.4).abs() < 1e-12);
-        g.set_cap(0.25);
-        assert_eq!(g.cap(), 0.25);
+        e.set_dispatch_cap(0.25);
+        assert_eq!(e.dispatch_cap(), 0.25);
         // Approximate work is clamped to the cap...
-        assert!((g.decide(&ctx(0.1, false)).scale().ratio() - 0.25).abs() < 1e-12);
+        assert!((e.dispatch(0, &ctx(0.1, false)).scale().ratio() - 0.25).abs() < 1e-12);
         // ...accurate work is never clamped, no matter the cap.
-        let accurate = g.decide(&ctx(1.0, true));
+        let accurate = e.dispatch(0, &ctx(1.0, true));
         assert!(accurate.scale().is_nominal());
         assert!(!accurate.is_race());
         // Re-targeting back to 1.0 disengages the cap.
-        g.set_cap(1.0);
-        assert!((g.decide(&ctx(0.1, false)).scale().ratio() - 0.4).abs() < 1e-12);
-        assert_eq!(g.name(), "frequency-cap");
-        assert_eq!(g.inner().name(), "significance-ladder");
+        e.set_dispatch_cap(1.0);
+        assert!((e.dispatch(0, &ctx(0.1, false)).scale().ratio() - 0.4).abs() < 1e-12);
+        // The cap is not a governor: reports still name the configured one.
+        assert_eq!(e.report(1.0, 1).governor, "significance-ladder");
     }
 
     #[test]
-    #[should_panic(expected = "frequency cap ratio")]
-    fn frequency_cap_rejects_zero() {
-        FrequencyCapGovernor::new(Arc::new(NominalGovernor)).set_cap(0.0);
+    #[should_panic(expected = "dispatch cap ratio")]
+    fn dispatch_cap_rejects_zero() {
+        env(Arc::new(NominalGovernor)).set_dispatch_cap(0.0);
     }
 
     #[test]
-    fn capped_race_governor_falls_back_to_stretching() {
-        let g = FrequencyCapGovernor::with_cap(
-            Arc::new(RaceToIdleGovernor::new(vec![FrequencyScale::new(0.5)])),
-            0.8,
-        );
-        let d = g.decide(&ctx(0.2, false));
+    fn capped_race_dispatch_falls_back_to_stretching() {
+        let e = env(Arc::new(AdaptiveGovernor::race_to_idle(vec![
+            FrequencyScale::new(0.5),
+        ])));
+        e.set_dispatch_cap(0.8);
+        let d = e.dispatch(0, &ctx(0.2, false));
         assert!(!d.is_race(), "nominal execution is forbidden under the cap");
         assert!((d.scale().ratio() - 0.5).abs() < 1e-12, "{d:?}");
     }
 
+    /// A cap that engages and then disengages must hand the domain back to
+    /// nominal on the next dispatch, and count that switch, under every
+    /// governor — the passthrough one, which never makes the virtual call,
+    /// included.
+    #[test]
+    fn disengaged_cap_returns_the_domain_to_nominal_under_every_governor() {
+        let governors: [Arc<dyn Governor>; 2] = [
+            Arc::new(NominalGovernor),
+            Arc::new(SignificanceLadderGovernor::single_step(1.0)),
+        ];
+        for governor in governors {
+            let name = governor.name();
+            let e = env(governor);
+            e.set_dispatch_cap(0.5);
+            assert_eq!(e.dispatch(0, &ctx(0.2, false)).scale().ratio(), 0.5);
+            e.set_dispatch_cap(1.0);
+            assert!(e.dispatch(0, &ctx(0.2, false)).scale().is_nominal());
+            let report = e.report(1.0, 1);
+            // nominal→0.5 under the cap, 0.5→nominal once it disengages.
+            assert_eq!(report.frequency_transitions(), 2, "{name}");
+            assert_eq!(report.workers[0].frequency_ratio, 1.0, "{name}");
+        }
+    }
+
     #[test]
     fn totals_fold_matches_report() {
-        let e = env(Arc::new(ApproxGovernor::new(0.5)));
+        let e = env(Arc::new(SignificanceLadderGovernor::single_step(0.5)));
         let d = e.dispatch(0, &ctx(0.2, false));
         e.record(0, ExecutionMode::Approximate, Duration::from_millis(4), d);
         let nominal = e.dispatch(1, &ctx(0.9, true));
@@ -1666,7 +867,7 @@ mod tests {
 
     #[test]
     fn scaled_dynamic_energy_is_cheaper_per_work_unit() {
-        let slow = env(Arc::new(ApproxGovernor::new(0.5)));
+        let slow = env(Arc::new(SignificanceLadderGovernor::single_step(0.5)));
         let decision = slow.dispatch(0, &ctx(0.2, false));
         slow.record(
             0,
@@ -1690,7 +891,7 @@ mod tests {
 
     #[test]
     fn domain_transitions_are_counted_per_change() {
-        let e = env(Arc::new(ApproxGovernor::new(0.6)));
+        let e = env(Arc::new(SignificanceLadderGovernor::single_step(0.6)));
         for _ in 0..3 {
             e.dispatch(0, &ctx(0.2, false));
         }

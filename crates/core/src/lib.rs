@@ -56,6 +56,7 @@ pub mod deps;
 mod deque;
 pub mod env;
 pub mod faults;
+pub mod governor;
 pub mod group;
 pub mod handle;
 mod macros;
@@ -68,12 +69,12 @@ mod sync;
 pub mod task;
 
 pub use deps::DepKey;
-pub use env::{
-    AdaptiveGovernor, ApproxGovernor, DispatchContext, DispatchDecision, EnergyReport, EnvTotals,
-    ExecutionEnv, FrequencyCapGovernor, Governor, NominalGovernor, RaceToIdleGovernor,
-    SignificanceLadderGovernor, WorkerEnergy,
-};
+pub use env::{EnergyReport, EnvTotals, ExecutionEnv, WorkerEnergy};
 pub use faults::{FaultAction, FaultPlan};
+pub use governor::{
+    AdaptiveGovernor, DispatchContext, DispatchDecision, Governor, NominalGovernor,
+    SignificanceLadderGovernor,
+};
 pub use group::{GroupId, TaskGroup};
 pub use handle::{SpawnHandle, TaskOutcome};
 pub use policy::Policy;
@@ -95,11 +96,8 @@ pub use sig_energy::{
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::deps::DepKey;
-    pub use crate::env::{
-        AdaptiveGovernor, ApproxGovernor, FrequencyCapGovernor, Governor, RaceToIdleGovernor,
-        SignificanceLadderGovernor,
-    };
     pub use crate::faults::{FaultAction, FaultPlan};
+    pub use crate::governor::{AdaptiveGovernor, Governor, SignificanceLadderGovernor};
     pub use crate::group::TaskGroup;
     pub use crate::handle::{SpawnHandle, TaskOutcome};
     pub use crate::policy::Policy;

@@ -70,8 +70,9 @@ use sig_energy::{
 
 use crate::deps::{DepKey, DependenceTracker};
 use crate::deque::QueueSet;
-use crate::env::{DispatchContext, EnergyReport, ExecutionEnv, Governor, NominalGovernor};
+use crate::env::{EnergyReport, ExecutionEnv};
 use crate::faults::{FaultAction, FaultPlan};
+use crate::governor::{DispatchContext, Governor, NominalGovernor};
 use crate::group::{GroupId, GroupRegistry, GroupState, TaskGroup};
 use crate::handle::{HandleCore, HandleNotify, SpawnHandle, TaskOutcome};
 use crate::policy::{gtb_classify, LqhState, Policy};
@@ -160,9 +161,10 @@ impl RuntimeBuilder {
 
     /// Sleep state race-to-idle residency is priced at (default: none —
     /// residency is priced like ordinary shallow idle, with no static
-    /// gating and free wakeups). Pair a deep state with a
-    /// [`crate::env::RaceToIdleGovernor`] or [`crate::env::AdaptiveGovernor`]
-    /// to model "finish fast, sleep deep" execution.
+    /// gating and free wakeups). Pair a deep state with an
+    /// [`crate::AdaptiveGovernor`] (or its always-race form,
+    /// [`crate::AdaptiveGovernor::race_to_idle`]) to model "finish fast,
+    /// sleep deep" execution.
     pub fn sleep_state(mut self, state: SleepState) -> Self {
         self.sleep_state = Some(state);
         self
@@ -443,8 +445,7 @@ impl RuntimeInner {
     /// approximate-dispatch frequency cap and every group's budget throttle
     /// (groups at ratio 1.0 are exempt inside `effective_ratio`).
     fn apply_budget_setpoint(&self, setpoint: &BudgetSetpoint) {
-        self.env
-            .set_dispatch_cap(setpoint.frequency_cap.clamp(0.05, 1.0));
+        self.env.set_dispatch_cap(setpoint.frequency_cap);
         for group in self.groups.all() {
             group.set_budget_scale(setpoint.ratio_scale);
         }
@@ -829,8 +830,8 @@ impl RuntimeInner {
 
         // Pick the energy strategy for this dispatch: approximate tasks may
         // run under a lower modelled frequency, or race at nominal and bank
-        // the slack as sleep residency (zero atomics for the default nominal
-        // governor, lock-free always).
+        // the slack as sleep residency (two relaxed loads and no virtual call
+        // for the default nominal governor, lock-free always).
         let decision = self.env.dispatch(
             worker,
             &DispatchContext {
@@ -2329,7 +2330,9 @@ mod tests {
         let rt = Runtime::builder()
             .workers(2)
             .policy(Policy::GtbMaxBuffer)
-            .governor(crate::env::ApproxGovernor::new(0.5))
+            .governor(crate::governor::SignificanceLadderGovernor::single_step(
+                0.5,
+            ))
             .build();
         let group = rt.create_group("energy", 0.5);
         for i in 0..64u32 {
@@ -2341,7 +2344,7 @@ mod tests {
         }
         rt.wait_group(&group);
         let report = rt.energy_report();
-        assert_eq!(report.governor, "approx-step");
+        assert_eq!(report.governor, "significance-ladder");
         // 32 approximate tasks were dispatched below nominal frequency.
         assert_eq!(report.scaled_tasks(), 32);
         assert!(report.busy_seconds() > 0.0);
@@ -2761,7 +2764,9 @@ mod tests {
             let rt = Runtime::builder()
                 .workers(1)
                 .policy(Policy::Lqh)
-                .governor(crate::env::ApproxGovernor::new(0.5))
+                .governor(crate::governor::SignificanceLadderGovernor::single_step(
+                    0.5,
+                ))
                 .build();
             let group = rt.create_group("soft", 0.0);
             let mut builder = rt

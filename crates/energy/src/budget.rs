@@ -90,6 +90,7 @@ pub struct BudgetConfig {
     /// scaled at all.
     pub min_ratio_scale: f64,
     /// Floor of the approximate-work frequency cap at maximum austerity.
+    /// [`BudgetController::new`] clamps it like [`BudgetConfig::cap_floor`].
     pub cap_floor: f64,
     /// EWMA smoothing factor for the observed power rate (weight of the
     /// newest delta; `1.0` = no smoothing).
@@ -130,7 +131,9 @@ impl BudgetConfig {
         self
     }
 
-    /// Set the frequency-cap floor reached at maximum austerity.
+    /// Set the frequency-cap floor reached at maximum austerity, clamped to
+    /// `[0.05, 1]` — the one statement of the lowest cap the budget loop
+    /// ever hands to a dispatch-cap actuator.
     pub fn cap_floor(mut self, floor: f64) -> Self {
         self.cap_floor = floor.clamp(0.05, 1.0);
         self
@@ -301,6 +304,9 @@ pub struct BudgetController {
 impl BudgetController {
     /// New controller for `config`, starting unconstrained.
     pub fn new(config: BudgetConfig) -> Self {
+        // The field is public: re-apply the builder's floor, so every
+        // setpoint's `frequency_cap` is a valid dispatch cap as emitted.
+        let config = config.cap_floor(config.cap_floor);
         let initial_cap = config.target.planned_watts(0.0, 0.0);
         BudgetController {
             config,

@@ -197,8 +197,7 @@ impl Simulator {
         let reading = self.env.report(wall, self.config.workers).reading();
         let setpoint = controller.observe(wall, &reading);
         self.admission.set_budget_pressure(setpoint.austerity);
-        self.env
-            .set_dispatch_cap(setpoint.frequency_cap.clamp(0.05, 1.0));
+        self.env.set_dispatch_cap(setpoint.frequency_cap);
     }
 
     /// Run one phase: `schedule` pairs `(arrival offset from phase start,

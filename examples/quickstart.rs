@@ -13,7 +13,7 @@ fn main() {
     // energy report below prices them as slower but cheaper (DVFS).
     let rt = Runtime::builder()
         .policy(Policy::Gtb { buffer_size: 16 })
-        .governor(ApproxGovernor::new(0.6))
+        .governor(SignificanceLadderGovernor::single_step(0.6))
         .build();
 
     // A task group whose barrier will require at least 40% of the tasks to

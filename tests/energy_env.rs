@@ -18,7 +18,7 @@ fn runtime(policy: Policy) -> Runtime {
     Runtime::builder()
         .workers(2)
         .policy(policy)
-        .governor(ApproxGovernor::new(0.5))
+        .governor(SignificanceLadderGovernor::single_step(0.5))
         .build()
 }
 

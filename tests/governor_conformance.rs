@@ -2,13 +2,16 @@
 //!
 //! **This file is the template for every future [`Governor`]**: add a row to
 //! [`all_governors`] and the new governor is automatically run through the
-//! shared invariant set every CI run. The invariants are checked at three
-//! levels:
+//! shared invariant set every CI run — once with the environment's dispatch
+//! cap disengaged and once with it engaged ([`CAPS`]), because a budget or
+//! power-cap controller may clamp approximate work under any governor. The
+//! invariants are checked at three levels:
 //!
 //! 1. **decision level** — a grid of dispatch contexts through
-//!    [`Governor::decide`]: critical/accurate tasks are never scaled and
-//!    never raced, no decision overclocks, and no executed frequency step
-//!    increases dynamic energy at fixed work;
+//!    [`ExecutionEnv::dispatch`] (which is [`Governor::decide`] verbatim
+//!    while the cap is disengaged): critical/accurate tasks are never scaled
+//!    and never raced, no decision overclocks or executes above the cap, and
+//!    no executed frequency step increases dynamic energy at fixed work;
 //! 2. **environment level** — a deterministic dispatch/record script through
 //!    the runtime's real [`ExecutionEnv`] accounting (synthetic durations,
 //!    no scheduler noise): busy-seconds conservation across shards, dilation
@@ -32,8 +35,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use significance_repro::core::{
-    AdaptiveGovernor, ApproxGovernor, DispatchContext, ExecutionEnv, FrequencyCapGovernor,
-    Governor, NominalGovernor, RaceToIdleGovernor, SignificanceLadderGovernor,
+    AdaptiveGovernor, DispatchContext, DispatchDecision, ExecutionEnv, Governor, NominalGovernor,
+    SignificanceLadderGovernor,
 };
 use significance_repro::energy::{
     BudgetConfig, BudgetController, BudgetTarget, EnergyReading, PowerModel, SleepState,
@@ -59,16 +62,22 @@ fn test_model() -> PowerModel {
 /// A named governor factory row of the conformance kit.
 type GovernorCase = (&'static str, Box<dyn Fn() -> Arc<dyn Governor>>);
 
-/// The five shipped governors, by factory (stateful governors — the
-/// adaptive's hysteresis domains — need a fresh instance per test).
+/// Dispatch-cap settings every invariant is checked under: disengaged, and
+/// engaged between the ladder's top two rungs (so it clamps some rungs and
+/// leaves others alone).
+const CAPS: [f64; 2] = [1.0, 0.7];
+
+/// The three shipped governor types in their five shipped configurations,
+/// by factory (stateful governors — the adaptive's hysteresis domains —
+/// need a fresh instance per test).
 ///
 /// **Add new governors here** to run them through the whole kit.
 fn all_governors() -> Vec<GovernorCase> {
     vec![
         ("nominal", Box::new(|| Arc::new(NominalGovernor))),
         (
-            "approx-step",
-            Box::new(|| Arc::new(ApproxGovernor::new(0.6))),
+            "single-step",
+            Box::new(|| Arc::new(SignificanceLadderGovernor::single_step(0.6))),
         ),
         (
             "significance-ladder",
@@ -76,7 +85,11 @@ fn all_governors() -> Vec<GovernorCase> {
         ),
         (
             "race-to-idle",
-            Box::new(|| Arc::new(RaceToIdleGovernor::with_ladder(4, 0.4))),
+            Box::new(|| {
+                Arc::new(AdaptiveGovernor::race_to_idle(FrequencyScale::ladder(
+                    4, 0.4,
+                )))
+            }),
         ),
         (
             "adaptive",
@@ -90,19 +103,30 @@ fn all_governors() -> Vec<GovernorCase> {
                 ))
             }),
         ),
-        // The cluster power-cap wrapper, engaged at 0.7: must preserve every
-        // invariant of its wrapped ladder (accurate work passes through the
-        // cap unclamped).
-        (
-            "frequency-cap",
-            Box::new(|| {
-                Arc::new(FrequencyCapGovernor::with_cap(
-                    Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4)),
-                    0.7,
-                ))
-            }),
-        ),
     ]
+}
+
+/// Every row of [`all_governors`] (a fresh instance each) under every cap of
+/// [`CAPS`], labelled for assertion messages.
+fn all_governors_at_every_cap() -> Vec<(String, f64, Arc<dyn Governor>)> {
+    all_governors()
+        .iter()
+        .flat_map(|(name, make)| CAPS.map(|cap| (format!("{name} (cap {cap})"), cap, make())))
+        .collect()
+}
+
+/// The environment every deterministic script dispatches through, with the
+/// dispatch cap set to `cap` (1.0 = disengaged).
+fn capped_env(governor: Arc<dyn Governor>, cap: f64) -> ExecutionEnv {
+    let env = ExecutionEnv::new(
+        test_model(),
+        governor,
+        Some(SleepState::deep()),
+        TransitionCost::typical(),
+        WORKERS,
+    );
+    env.set_dispatch_cap(cap);
+    env
 }
 
 fn ctx(worker: usize, significance: f64, accurate: bool) -> DispatchContext {
@@ -116,52 +140,104 @@ fn ctx(worker: usize, significance: f64, accurate: bool) -> DispatchContext {
     }
 }
 
-/// Decision-level invariants, shared by every governor:
+/// Decision-level invariants, shared by every governor, cap engaged or not:
 /// * accurate (and in particular critical) tasks execute at nominal and are
 ///   never raced;
-/// * no decision overclocks (ratio ≤ 1);
+/// * no decision overclocks (ratio ≤ 1), and no non-accurate decision
+///   executes above the dispatch cap;
 /// * no executed step increases dynamic energy at fixed work
 ///   (`dynamic_energy_factor ≤ 1`);
 /// * race decisions have non-negative slack against a reference at or below
 ///   nominal.
 #[test]
 fn decisions_respect_shared_invariants_for_all_governors() {
-    for (name, make) in all_governors() {
-        let governor = make();
+    for (name, cap, governor) in all_governors_at_every_cap() {
+        let env = capped_env(governor, cap);
         for step in 0..=20 {
             let significance = step as f64 / 20.0;
             for worker in [0usize, 1] {
                 for accurate in [true, false] {
-                    let decision = governor.decide(&ctx(worker, significance, accurate));
+                    let decision = env.dispatch(worker, &ctx(worker, significance, accurate));
                     let scale = decision.scale();
-                    assert!(
-                        scale.ratio() <= 1.0 + 1e-12,
-                        "{name}: decision overclocks at significance {significance}"
-                    );
+                    let at = format!("{name} at significance {significance}");
+                    assert!(scale.ratio() <= 1.0 + 1e-12, "{at}: overclocked");
                     assert!(
                         scale.dynamic_energy_factor() <= 1.0 + 1e-12,
-                        "{name}: executed step increases dynamic energy per work unit"
+                        "{at}: executed step increases dynamic energy per work unit"
                     );
                     if accurate {
-                        assert!(
-                            scale.is_nominal(),
-                            "{name}: accurate task scaled at significance {significance}"
-                        );
-                        assert!(
-                            !decision.is_race(),
-                            "{name}: accurate task raced at significance {significance}"
-                        );
+                        assert!(scale.is_nominal(), "{at}: accurate task scaled");
+                        assert!(!decision.is_race(), "{at}: accurate task raced");
+                    } else {
+                        assert!(scale.ratio() <= cap, "{at}: executed above the cap");
                     }
                     if let Some(reference) = decision.race_reference() {
                         assert!(
                             reference.ratio() <= 1.0 + 1e-12,
-                            "{name}: race reference above nominal"
+                            "{at}: race reference above nominal"
                         );
-                        assert!(
-                            decision.slack_factor() >= 0.0,
-                            "{name}: negative race slack"
-                        );
+                        assert!(decision.slack_factor() >= 0.0, "{at}: negative race slack");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Every non-accurate context of the decision grid, with the ladder rung a
+/// four-step ladder puts it on written out: `round((1 − s) · 3)`.
+fn approximate_grid() -> impl Iterator<Item = (DispatchContext, usize)> {
+    const RUNG: [usize; 21] = [
+        3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0,
+    ];
+    (0..=20).flat_map(|step| {
+        [0usize, 1].map(|worker| (ctx(worker, step as f64 / 20.0, false), RUNG[step]))
+    })
+}
+
+/// A one-rung ladder is the two-rail "approximate work on one lower step"
+/// scheme: accurate work at nominal, everything else stretched over the
+/// step, whatever the significance.
+#[test]
+fn single_step_ladder_decides_like_the_two_rail_governor() {
+    let governor = SignificanceLadderGovernor::single_step(0.6);
+    for (approximate, _) in approximate_grid() {
+        let accurate = DispatchContext {
+            accurate: true,
+            ..approximate
+        };
+        assert_eq!(governor.decide(&accurate), DispatchDecision::nominal());
+        assert_eq!(
+            governor.decide(&approximate),
+            DispatchDecision::stretch(FrequencyScale::new(0.6))
+        );
+    }
+}
+
+/// An adaptive governor pinned to "always race" is the stateless
+/// race-to-idle strategy: accurate work and top-rung work at nominal with no
+/// race, everything else raced at nominal against its ladder rung — on every
+/// call, the hysteresis filter inert.
+#[test]
+fn all_race_adaptive_decides_like_the_race_to_idle_governor() {
+    const LADDER: [f64; 4] = [1.0, 0.8, 0.6, 0.4];
+    let governor = AdaptiveGovernor::race_to_idle(FrequencyScale::ladder(4, 0.4));
+    // Two sweeps: the second one meets whatever state the first one left.
+    for _ in 0..2 {
+        for (approximate, rung) in approximate_grid() {
+            let accurate = DispatchContext {
+                accurate: true,
+                ..approximate
+            };
+            assert_eq!(governor.decide(&accurate), DispatchDecision::nominal());
+            let decision = governor.decide(&approximate);
+            assert!(decision.scale().is_nominal());
+            match decision.race_reference() {
+                None => assert_eq!(rung, 0, "only the top rung has no slack to race for"),
+                Some(reference) => {
+                    assert_ne!(rung, 0);
+                    assert!((reference.ratio() - LADDER[rung]).abs() < 1e-12);
+                    assert_eq!(reference.power_exponent(), 2.4);
                 }
             }
         }
@@ -179,17 +255,12 @@ fn script() -> Vec<(f64, bool)> {
         .collect()
 }
 
-/// Drive one governor through a scripted [`ExecutionEnv`] run. Returns the
-/// environment plus the frequency-change count replayed independently from
-/// the decisions the governor actually returned.
-fn run_script(governor: Arc<dyn Governor>) -> (ExecutionEnv, u64, f64) {
-    let env = ExecutionEnv::new(
-        test_model(),
-        governor,
-        Some(SleepState::deep()),
-        TransitionCost::typical(),
-        WORKERS,
-    );
+/// Drive one governor through a scripted [`ExecutionEnv`] run under the
+/// dispatch cap `cap`. Returns the environment plus the frequency-change
+/// count replayed independently from the decisions dispatch actually
+/// returned.
+fn run_script(governor: Arc<dyn Governor>, cap: f64) -> (ExecutionEnv, u64, f64) {
+    let env = capped_env(governor, cap);
     let mut last_ratio = [1.0f64; WORKERS];
     let mut replayed_changes = 0u64;
     let mut total_busy = 0.0f64;
@@ -218,13 +289,13 @@ fn run_script(governor: Arc<dyn Governor>) -> (ExecutionEnv, u64, f64) {
 }
 
 /// Environment-level invariants: busy conservation, dilation monotonicity,
-/// transition-count agreement and the dynamic-energy bound, for all five
-/// governors, deterministically.
+/// transition-count agreement and the dynamic-energy bound, for every
+/// governor, capped and uncapped, deterministically.
 #[test]
 fn environment_accounting_conserves_and_bounds_for_all_governors() {
     let nominal_watts = test_model().active_watts_per_core;
-    for (name, make) in all_governors() {
-        let (env, replayed_changes, total_busy) = run_script(make());
+    for (name, cap, governor) in all_governors_at_every_cap() {
+        let (env, replayed_changes, total_busy) = run_script(governor, cap);
         let report = env.report(total_busy / WORKERS as f64, WORKERS);
 
         // Busy-seconds conservation: the shards fold to exactly what was
@@ -270,17 +341,41 @@ fn environment_accounting_conserves_and_bounds_for_all_governors() {
 /// Runtime-level invariants on the live scheduler: the energy shards
 /// conserve the busy seconds the scheduler statistics account, and an
 /// all-critical group executes entirely at nominal frequency with no race.
+///
+/// The runtime's one handle on the dispatch cap is its energy budget, so the
+/// capped rows engage it that way: an already-exhausted budget whose cap
+/// floor is the cap under test and whose ratio floor of 1.0 leaves the
+/// accuracy mix alone, sampled once before the first task.
 #[test]
 fn runtime_conserves_busy_seconds_and_protects_critical_tasks() {
-    for (name, make) in all_governors() {
-        let rt = Runtime::builder()
+    for (name, cap, governor) in all_governors_at_every_cap() {
+        let mut builder = Runtime::builder()
             .workers(WORKERS)
             .policy(Policy::GtbMaxBuffer)
             .energy_model(test_model())
-            .governor_arc(make())
+            .governor_arc(governor)
             .sleep_state(SleepState::deep())
-            .transition_cost(TransitionCost::typical())
-            .build();
+            .transition_cost(TransitionCost::typical());
+        if cap < 1.0 {
+            let exhausted = BudgetTarget::TotalJoules {
+                joules: 1e-9,
+                horizon_seconds: 1e-6,
+            };
+            builder = builder.energy_budget(
+                BudgetConfig::new(exhausted)
+                    .cap_floor(cap)
+                    .min_ratio_scale(1.0),
+            );
+        }
+        let rt = builder.build();
+        if let Some(setpoint) = rt.energy_budget_sample() {
+            assert!(
+                setpoint.exhausted,
+                "{name}: a 1 nJ budget must be exhausted"
+            );
+            assert!((setpoint.frequency_cap - cap).abs() < 1e-12);
+            assert_eq!(setpoint.ratio_scale, 1.0);
+        }
         let mixed = rt.create_group("mixed", 0.4);
         for i in 0..200u32 {
             rt.task(|| std::thread::sleep(std::time::Duration::from_micros(50)))
@@ -321,12 +416,13 @@ fn runtime_conserves_busy_seconds_and_protects_critical_tasks() {
     }
 }
 
-/// The race-to-idle governor's structural guarantee: it never changes the
-/// frequency domain, so a full script costs zero DVFS transitions while
+/// The race-to-idle configuration's structural guarantee: it never changes
+/// the frequency domain, so a full script costs zero DVFS transitions while
 /// banking sleep residency for every raced task.
 #[test]
 fn race_to_idle_pays_zero_transitions_and_banks_residency() {
-    let (env, replayed, total_busy) = run_script(Arc::new(RaceToIdleGovernor::with_ladder(4, 0.4)));
+    let governor = AdaptiveGovernor::race_to_idle(FrequencyScale::ladder(4, 0.4));
+    let (env, replayed, total_busy) = run_script(Arc::new(governor), 1.0);
     let report = env.report(total_busy / WORKERS as f64, WORKERS);
     assert_eq!(replayed, 0);
     assert_eq!(report.frequency_transitions(), 0);
@@ -375,12 +471,9 @@ fn budget_script() -> Vec<f64> {
 /// environment's approximate-dispatch cap. Returns the final cumulative
 /// reading plus the interval-end cumulative-joule trace.
 fn run_budget_script(budget: Option<BudgetConfig>) -> (EnergyReading, Vec<f64>) {
-    let env = ExecutionEnv::new(
-        test_model(),
+    let env = capped_env(
         Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4)),
-        Some(SleepState::deep()),
-        TransitionCost::typical(),
-        WORKERS,
+        1.0,
     );
     let mut controller = budget.map(BudgetController::new);
     let mut ratio_scale = 1.0f64;
