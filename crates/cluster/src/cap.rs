@@ -109,6 +109,10 @@ pub enum ClusterAdmission {
 pub struct PowerCapController {
     config: CapConfig,
     pressure: f64,
+    /// Scratch of [`PowerCapController::retarget`], kept across its calls
+    /// (every control tick): the up nodes, and the slots granted to each.
+    up: Vec<usize>,
+    allowed: Vec<usize>,
 }
 
 impl PowerCapController {
@@ -118,6 +122,8 @@ impl PowerCapController {
         PowerCapController {
             config,
             pressure: 0.0,
+            up: Vec::new(),
+            allowed: Vec::new(),
         }
     }
 
@@ -200,12 +206,15 @@ impl PowerCapController {
     /// infeasible: slots go to zero and the violation integral reports the
     /// (unavoidable) floor overshoot.
     pub fn retarget(&mut self, nodes: &mut [Node]) {
-        let cap = self.config.cap_watts;
-        let up: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].is_up()).collect();
-        let mut allowed: Vec<usize> = vec![0; nodes.len()];
+        self.up.clear();
+        self.up
+            .extend((0..nodes.len()).filter(|&i| nodes[i].is_up()));
+        self.allowed.clear();
+        self.allowed.resize(nodes.len(), 0);
+        let (up, allowed) = (&self.up, &mut self.allowed);
         // The idle floors of up nodes are spent regardless of slots.
-        let mut budget = cap;
-        for &i in &up {
+        let mut budget = self.config.cap_watts;
+        for &i in up {
             budget -= nodes[i].curve().idle_floor(nodes[i].workers());
         }
         let marginal = |node: &Node, slots: usize| {
@@ -213,7 +222,7 @@ impl PowerCapController {
             curve.max_watts(slots + 1, node.workers()) - curve.max_watts(slots, node.workers())
         };
         // Liveness pass: one slot per up node, while affordable.
-        for &i in &up {
+        for &i in up {
             let cost = marginal(&nodes[i], 0);
             if cost <= budget {
                 allowed[i] = 1;
@@ -223,7 +232,7 @@ impl PowerCapController {
         // Surplus: focus fills node-by-node (power-state diversity);
         // otherwise round-robin one slot per pass (homogeneous fleet).
         if self.config.focus {
-            for &i in &up {
+            for &i in up {
                 while allowed[i] < nodes[i].workers() {
                     let cost = marginal(&nodes[i], allowed[i]);
                     if cost > budget {
@@ -237,7 +246,7 @@ impl PowerCapController {
             let mut granted = true;
             while granted {
                 granted = false;
-                for &i in &up {
+                for &i in up {
                     if allowed[i] >= nodes[i].workers() {
                         continue;
                     }
@@ -250,7 +259,7 @@ impl PowerCapController {
                 }
             }
         }
-        for &i in &up {
+        for &i in up {
             let full = allowed[i] >= nodes[i].workers();
             let freq_cap = if full { 1.0 } else { self.config.capped_freq };
             nodes[i].set_targets(allowed[i], freq_cap);

@@ -42,7 +42,7 @@ impl DispatchPolicy {
 }
 
 /// One node's routing-relevant state, as the kernel snapshots it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteCandidate {
     /// Node index.
     pub index: usize,

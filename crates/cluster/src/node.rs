@@ -23,13 +23,15 @@ use std::sync::Arc;
 
 use sig_core::{EnergyReport, EnvTotals, ExecutionEnv, Governor};
 use sig_energy::{PowerModel, SleepState, TransitionCost, UtilizationPowerCurve};
-use sig_serving::{AdmissionConfig, AdmissionController, ServingStats};
+use sig_serving::{AdmissionConfig, AdmissionController, RequestSlot, ServingStats};
+
+use crate::dispatch::RouteCandidate;
 
 /// One attempt currently executing on a node worker.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunningAttempt {
-    /// Index of the request (phase-local) the attempt serves.
-    pub request: usize,
+    /// The request (phase-local) the attempt serves.
+    pub request: RequestSlot,
     /// DVFS power factor of the attempt's dispatch decision — its weight in
     /// the node's effective busy-core count.
     pub power_factor: f64,
@@ -50,7 +52,7 @@ pub struct Node {
     curve: UtilizationPowerCurve,
     pub(crate) up: bool,
     pub(crate) epoch: u64,
-    pub(crate) ready: VecDeque<usize>,
+    pub(crate) ready: VecDeque<RequestSlot>,
     running: Vec<Option<RunningAttempt>>,
     pub(crate) free_workers: Vec<usize>,
     busy: usize,
@@ -141,6 +143,18 @@ impl Node {
     /// Frequency-cap ratio the controller currently imposes (1.0 = none).
     pub fn freq_cap(&self) -> f64 {
         self.env.dispatch_cap()
+    }
+
+    /// The node's row of the kernel's route table, from scratch.
+    pub(crate) fn route_candidate(&self) -> RouteCandidate {
+        RouteCandidate {
+            index: self.index,
+            up: self.up,
+            depth: self.depth(),
+            load_ewma: self.load_ewma,
+            allowed: self.allowed,
+            freq_cap: self.freq_cap(),
+        }
     }
 
     /// The node's utilization→power curve.
@@ -234,12 +248,12 @@ impl Node {
     /// become stale), stop the up-time clock, and return every request that
     /// was queued or running here — the caller ledgers them as
     /// lost-to-crash.
-    pub(crate) fn crash(&mut self, now: u64) -> Vec<usize> {
+    pub(crate) fn crash(&mut self, now: u64) -> Vec<RequestSlot> {
         debug_assert!(self.up);
         self.up = false;
         self.epoch += 1;
         self.up_nanos += now.saturating_sub(self.last_up_at);
-        let mut lost: Vec<usize> = self.ready.drain(..).collect();
+        let mut lost: Vec<RequestSlot> = self.ready.drain(..).collect();
         for slot in self.running.iter_mut() {
             if let Some(attempt) = slot.take() {
                 lost.push(attempt.request);
@@ -247,7 +261,8 @@ impl Node {
         }
         self.busy = 0;
         self.busy_effective = 0.0;
-        self.free_workers = (0..self.workers).rev().collect();
+        self.free_workers.clear();
+        self.free_workers.extend((0..self.workers).rev());
         self.load_ewma = 0.0;
         lost
     }

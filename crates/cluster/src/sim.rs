@@ -16,6 +16,15 @@
 //! draw. Two runs with the same inputs produce byte-identical
 //! [`ClusterPhaseReport::fingerprint`]s — at 4 nodes or 400.
 //!
+//! The dispatcher routes over a **route table** — one [`RouteCandidate`] row
+//! per node — that the kernel keeps current instead of rebuilding per
+//! arrival. Between control ticks and faults only a node's `depth` moves,
+//! and only for the one node an event touches: admission (`admit_and_route`)
+//! and the `Finish` handler rewrite that row's depth. `up`, `allowed`,
+//! `freq_cap` and `load_ewma` move only in a `Tick`, a `Fault` and the
+//! re-waterfill at phase start, each of which ends by rewriting every row.
+//! Debug builds assert table == fresh snapshot before every routing call.
+//!
 //! Power is integrated **exactly**: the fleet's modelled draw is piecewise
 //! constant between events, so the kernel advances
 //! `∫P dt` and `∫max(0, P − cap) dt` at every event boundary and refreshes
@@ -30,8 +39,8 @@ use sig_energy::{
     UtilizationPowerCurve,
 };
 use sig_serving::{
-    AdmissionConfig, AdmissionDecision, EventQueue, Lifecycle, Request, RequestClass,
-    RequestOutcome, RetryVerdict, ServingStats, ViolationKind,
+    AdmissionConfig, AdmissionDecision, EventQueue, Lifecycle, RequestClass, RequestOutcome,
+    RequestSlot, RequestTable, RetryVerdict, ServingStats, ViolationKind,
 };
 
 use crate::cap::{CapConfig, ClusterAdmission, PowerCapController};
@@ -130,12 +139,12 @@ enum EventKind {
         node: usize,
         worker: usize,
         epoch: u64,
-        request: usize,
+        request: RequestSlot,
         busy_nanos: u64,
         panicked: bool,
     },
     Retry {
-        request: usize,
+        request: RequestSlot,
     },
     Tick,
     Fault {
@@ -144,18 +153,14 @@ enum EventKind {
     },
 }
 
-struct ClusterRequest {
-    life: Request,
-    /// Set once the request is ledgered; events still queued for it are
-    /// stale and skipped.
-    terminal: bool,
-}
-
 /// Per-phase mutable state, kept off `ClusterSim` so the borrow checker
 /// lets event handlers touch nodes and phase books independently.
-struct Phase {
-    requests: Vec<ClusterRequest>,
-    events: EventQueue<EventKind>,
+struct Phase<'t> {
+    /// Slots are released where a request is ledgered ([`RequestTable`] has
+    /// why that is safe). A `Retry` never outlives its request: while backing
+    /// off it sits at the client, out of reach of crashes and the sweep.
+    requests: RequestTable,
+    events: EventQueue<'t, EventKind>,
     /// The cluster's own book: all `offered`, plus ingress sheds.
     cluster_book: ServingStats,
     lost_to_crash: u64,
@@ -176,7 +181,11 @@ pub struct ClusterSim {
     dispatcher: ClusterDispatcher,
     cap: PowerCapController,
     now: u64,
+    /// The route table (see module docs): row `n` is node `n`'s
+    /// [`Node::route_candidate`], at every routing decision.
     route_buf: Vec<RouteCandidate>,
+    /// Scratch of the deadline sweep.
+    expired: Vec<RequestSlot>,
     // Exact piecewise-constant power integration (cumulative).
     fleet_watts: f64,
     last_power_at: u64,
@@ -239,6 +248,7 @@ impl ClusterSim {
             config,
             now: 0,
             route_buf: Vec::new(),
+            expired: Vec::new(),
             fleet_watts,
             last_power_at: 0,
             power_integral_joules: 0.0,
@@ -338,18 +348,41 @@ impl ClusterSim {
         self.nodes[n].cached_watts = watts;
     }
 
+    /// Rewrite every row of the route table from the fleet.
+    fn refresh_routes(&mut self) {
+        self.route_buf.clear();
+        self.route_buf
+            .extend(self.nodes.iter().map(Node::route_candidate));
+    }
+
+    /// Re-waterfill the cap over the fleet as it stands, then the route
+    /// table over the new targets.
+    fn retarget(&mut self) {
+        self.cap.retarget(&mut self.nodes);
+        self.refresh_routes();
+    }
+
     /// Run one phase: `schedule` pairs `(arrival offset from phase start,
-    /// class index)` ascending, `faults` node up/down events at phase
-    /// offsets. Returns when every offered request of the phase is terminal.
-    /// Node, controller, and energy state carry over to the next phase.
+    /// class index)`, replayed in ascending offset order straight from the
+    /// slice (the event queue walks it; nothing is copied unless it arrives
+    /// out of order), `faults` node up/down events at phase offsets. Returns
+    /// when every offered request of the phase is terminal. Node,
+    /// controller, and energy state carry over to the next phase.
     pub fn run(&mut self, schedule: &[(u64, usize)], faults: &[NodeFault]) -> ClusterPhaseReport {
         let phase_start = self.now;
         for node in &mut self.nodes {
             node.book = ServingStats::default();
         }
         let mut phase = Phase {
-            requests: Vec::with_capacity(schedule.len()),
-            events: EventQueue::with_capacity(schedule.len() * 2 + faults.len() + 16),
+            requests: RequestTable::default(),
+            // Pushed events: a finish per busy worker, the faults, the tick,
+            // and the retries backing off.
+            events: EventQueue::over(
+                schedule,
+                phase_start,
+                |class| EventKind::Arrival { class },
+                self.nodes.len() * self.config.workers_per_node + faults.len() + 16,
+            ),
             cluster_book: ServingStats::default(),
             lost_to_crash: 0,
             lost_by_class: vec![0; self.lifecycle.classes().len()],
@@ -358,12 +391,6 @@ impl ClusterSim {
             max_shed_significance: -1.0,
             accurate_scaled: 0,
         };
-        for &(offset, class) in schedule {
-            phase.events.push(
-                phase_start.saturating_add(offset),
-                EventKind::Arrival { class },
-            );
-        }
         for fault in faults {
             phase.events.push(
                 phase_start.saturating_add(fault.at_offset),
@@ -377,7 +404,7 @@ impl ClusterSim {
         phase
             .events
             .push(phase_start.saturating_add(tick), EventKind::Tick);
-        self.cap.retarget(&mut self.nodes);
+        self.retarget();
 
         while let Some((event_at, kind)) = phase.events.pop() {
             self.advance_power(event_at);
@@ -397,15 +424,15 @@ impl ClusterSim {
                     busy_nanos,
                     panicked,
                 } => {
-                    if self.nodes[node].epoch != epoch || phase.requests[request].terminal {
+                    if self.nodes[node].epoch != epoch {
                         // Stale: the node crashed under this attempt and the
-                        // crash handler already ledgered the request and
-                        // reset the workers.
+                        // crash handler already ledgered the request, freed
+                        // its slot and reset the workers.
                         continue;
                     }
                     self.nodes[node].finish_worker(worker);
                     self.refresh_watts(node);
-                    let life = &phase.requests[request].life;
+                    let life = &phase.requests[request];
                     let admission = &mut self.nodes[node].admission;
                     let outcome = if panicked {
                         match self.lifecycle.resolve_fault(life, at, admission) {
@@ -426,12 +453,10 @@ impl ClusterSim {
                         Self::finalize_on_node(&mut self.nodes[node], &mut phase, request, outcome);
                     }
                     self.start_attempts(&mut phase, node);
+                    self.route_buf[node].depth = self.nodes[node].depth();
                 }
                 EventKind::Retry { request } => {
-                    if phase.requests[request].terminal {
-                        continue;
-                    }
-                    let class = phase.requests[request].life.class;
+                    let class = phase.requests[request].class;
                     self.admit_and_route(&mut phase, Some(request), class, at);
                 }
                 EventKind::Tick => {
@@ -450,6 +475,7 @@ impl ClusterSim {
                     if phase.outstanding > 0 || phase.arrivals_remaining > 0 {
                         phase.events.push(at.saturating_add(tick), EventKind::Tick);
                     }
+                    self.refresh_routes();
                 }
                 EventKind::Fault { node, kind } => match kind {
                     NodeFaultKind::Down => {
@@ -457,21 +483,19 @@ impl ClusterSim {
                             let lost = self.nodes[node].crash(at);
                             self.refresh_watts(node);
                             for request in lost {
-                                let req = &mut phase.requests[request];
-                                debug_assert!(!req.terminal);
-                                req.terminal = true;
                                 phase.lost_to_crash += 1;
-                                phase.lost_by_class[req.life.class] += 1;
+                                phase.lost_by_class[phase.requests[request].class] += 1;
+                                phase.requests.release(request);
                                 phase.outstanding -= 1;
                             }
-                            self.cap.retarget(&mut self.nodes);
+                            self.retarget();
                         }
                     }
                     NodeFaultKind::Up => {
                         if !self.nodes[node].is_up() {
                             self.nodes[node].restart(at);
                             self.refresh_watts(node);
-                            self.cap.retarget(&mut self.nodes);
+                            self.retarget();
                         }
                     }
                 },
@@ -513,7 +537,7 @@ impl ClusterSim {
     fn admit_and_route(
         &mut self,
         phase: &mut Phase,
-        existing: Option<usize>,
+        existing: Option<RequestSlot>,
         class: usize,
         at: u64,
     ) {
@@ -526,34 +550,28 @@ impl ClusterSim {
                 phase.cluster_book.note_shed_class(class);
                 phase.max_shed_significance = phase.max_shed_significance.max(significance);
                 if let Some(request) = existing {
-                    let req = &mut phase.requests[request];
-                    if req.life.downgraded {
+                    if phase.requests[request].downgraded {
                         phase.cluster_book.downgraded += 1;
                     }
-                    req.terminal = true;
+                    phase.requests.release(request);
                     phase.outstanding -= 1;
                 }
                 return;
             }
             ClusterAdmission::Admit { min_tier } => min_tier,
         };
-        self.route_buf.clear();
-        for node in &self.nodes {
-            self.route_buf.push(RouteCandidate {
-                index: node.index(),
-                up: node.is_up(),
-                depth: node.depth(),
-                load_ewma: node.load_ewma,
-                allowed: node.allowed(),
-                freq_cap: node.freq_cap(),
-            });
-        }
+        debug_assert!(
+            self.nodes
+                .iter()
+                .map(Node::route_candidate)
+                .eq(self.route_buf.iter().copied()),
+            "the maintained route table drifted from the fleet"
+        );
         let Some(n) = self.dispatcher.route(&self.route_buf, significance) else {
             // No node is up: the request is lost to the outage, not shed —
             // shedding is a *decision*, this is an accounted loss.
             if let Some(request) = existing {
-                let req = &mut phase.requests[request];
-                req.terminal = true;
+                phase.requests.release(request);
                 phase.outstanding -= 1;
             }
             phase.lost_to_crash += 1;
@@ -568,11 +586,10 @@ impl ClusterSim {
                 self.nodes[n].book.note_shed_class(class);
                 phase.max_shed_significance = phase.max_shed_significance.max(significance);
                 if let Some(request) = existing {
-                    let req = &mut phase.requests[request];
-                    if req.life.downgraded {
+                    if phase.requests[request].downgraded {
                         self.nodes[n].book.downgraded += 1;
                     }
-                    req.terminal = true;
+                    phase.requests.release(request);
                     phase.outstanding -= 1;
                 }
             }
@@ -582,21 +599,17 @@ impl ClusterSim {
                 let tier = tier.max(min_tier);
                 let request = match existing {
                     Some(request) => {
-                        self.lifecycle
-                            .readmit(&mut phase.requests[request].life, tier);
+                        self.lifecycle.readmit(&mut phase.requests[request], tier);
                         request
                     }
                     None => {
-                        phase.requests.push(ClusterRequest {
-                            life: self.lifecycle.admit(class, at, tier),
-                            terminal: false,
-                        });
                         phase.outstanding += 1;
-                        phase.requests.len() - 1
+                        phase.requests.insert(self.lifecycle.admit(class, at, tier))
                     }
                 };
                 self.nodes[n].ready.push_back(request);
                 self.start_attempts(phase, n);
+                self.route_buf[n].depth = self.nodes[n].depth();
             }
         }
     }
@@ -612,7 +625,7 @@ impl ClusterSim {
         {
             let request = self.nodes[n].ready.pop_front().unwrap();
             let worker = self.nodes[n].free_workers.pop().unwrap();
-            let life = &mut phase.requests[request].life;
+            let life = &mut phase.requests[request];
             let attempt = self.lifecycle.start_attempt(
                 life,
                 self.nodes[n].env(),
@@ -655,30 +668,18 @@ impl ClusterSim {
     /// when an infeasible cap pins a node's busy-slot budget at zero — the
     /// queue drains through the deadline sweep instead of never.
     fn expire_queued(&mut self, phase: &mut Phase, at: u64) {
-        for n in 0..self.nodes.len() {
-            if self.nodes[n].ready.is_empty() {
-                continue;
-            }
-            let expired: Vec<usize> = self.nodes[n]
-                .ready
-                .iter()
-                .copied()
-                .filter(|&request| phase.requests[request].life.deadline <= at)
-                .collect();
-            if expired.is_empty() {
-                continue;
-            }
+        for node in &mut self.nodes {
             let requests = &phase.requests;
-            self.nodes[n]
-                .ready
-                .retain(|&request| requests[request].life.deadline > at);
-            for request in expired {
-                Self::finalize_on_node(
-                    &mut self.nodes[n],
-                    phase,
-                    request,
-                    RequestOutcome::Violated(ViolationKind::Late),
-                );
+            node.ready.retain(|&request| {
+                let live = requests[request].deadline > at;
+                if !live {
+                    self.expired.push(request);
+                }
+                live
+            });
+            for request in self.expired.drain(..) {
+                let late = RequestOutcome::Violated(ViolationKind::Late);
+                Self::finalize_on_node(node, phase, request, late);
             }
         }
     }
@@ -687,15 +688,14 @@ impl ClusterSim {
     fn finalize_on_node(
         node: &mut Node,
         phase: &mut Phase,
-        request: usize,
+        request: RequestSlot,
         outcome: RequestOutcome,
     ) {
         node.book.record(&outcome);
-        let req = &mut phase.requests[request];
-        if req.life.downgraded {
+        if phase.requests[request].downgraded {
             node.book.downgraded += 1;
         }
-        req.terminal = true;
+        phase.requests.release(request);
         phase.outstanding -= 1;
     }
 }

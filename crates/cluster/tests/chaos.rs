@@ -131,3 +131,54 @@ fn fleet_survives_total_blackout_of_one_wave() {
     assert_eq!(shed_of(&report.stats, common::CRITICAL), 0);
     assert!(report.goodput() > 0.5);
 }
+
+/// Crash → restart → retry-reroute under a cap that bites: the three ways a
+/// node's routing row moves other than by its own queue — down, up again
+/// with a fresh waterfill, and a retry landing on a different node from the
+/// one it panicked on. Debug builds compare the kernel's maintained route
+/// table against a from-scratch snapshot of the fleet before every routing
+/// decision, so this run is that oracle's directed case.
+#[test]
+fn crash_restart_and_retry_reroute_under_a_tight_cap() {
+    let mut config = ClusterConfig {
+        nodes: NODES,
+        seed: 77,
+        panic_per_mille: 150,
+        ..ClusterConfig::default()
+    };
+    // Idle floors (3 W a node), one 6.1 W busy slot each, and a second slot
+    // for three of the ten: a full-power tier and a frequency-capped one.
+    config.cap.cap_watts = NODES as f64 * (3.0 + 6.1) + 20.0;
+    let mut sim = ClusterSim::new(config, common::classes());
+    let capped = sim.nodes().iter().filter(|n| n.freq_cap() < 1.0).count();
+    assert!(capped > 0 && capped < NODES, "the cap splits the fleet");
+
+    let pre = sim.run(&common::uniform_schedule(1_000, 100_000), &[]);
+    assert!(pre.balanced());
+    assert_eq!(pre.lost_to_crash, 0);
+
+    // The victims go down at 5 ms and come back at 30 ms of a 100 ms storm,
+    // so both transitions happen under load and retries straddle them.
+    let faults = crash_storm(4, NODES, 0.3, 5_000_000, 30_000_000);
+    let victims: Vec<usize> = faults
+        .iter()
+        .filter(|f| f.kind == NodeFaultKind::Down)
+        .map(|f| f.node)
+        .collect();
+    let storm = sim.run(&common::uniform_schedule(4_000, 25_000), &faults);
+    assert!(storm.balanced());
+    assert!(storm.lost_to_crash > 0 && storm.stats.retries > 0);
+    assert_eq!(shed_of(&storm.stats, common::CRITICAL), 0);
+    assert!(sim.nodes().iter().all(|n| n.is_up()), "victims restarted");
+    for &victim in &victims {
+        assert!(
+            sim.nodes()[victim].book().completed > 0,
+            "restarted node {victim} is routed to again"
+        );
+    }
+
+    let post = sim.run(&common::uniform_schedule(1_000, 100_000), &[]);
+    assert!(post.balanced());
+    assert_eq!(post.lost_to_crash, 0);
+    assert!(post.goodput() > 0.9, "goodput {}", post.goodput());
+}

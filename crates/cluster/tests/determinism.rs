@@ -80,3 +80,98 @@ fn smoke_scale_replays_identically() {
         assert_eq!(a, b, "smoke fleet of {nodes} nodes must replay");
     }
 }
+
+/// A 24-node fleet under a cap that affords one busy slot a node plus a
+/// second on a third of them, offered 1.7× what those slots serve, 50‰
+/// panics, 30% of the nodes down from 4 ms to 14 ms — then a calm phase on
+/// the scarred fleet. Every ledger moves: sheds, downgrades, retries, late
+/// and lost requests.
+fn pinned_storm(policy: DispatchPolicy) -> String {
+    let nodes = 24;
+    let mut config = ClusterConfig {
+        nodes,
+        seed: 23,
+        policy,
+        panic_per_mille: 50,
+        ..ClusterConfig::default()
+    };
+    config.cap.cap_watts = nodes as f64 * (3.0 + 6.1) + 50.0;
+    let mut sim = ClusterSim::new(config, common::classes());
+    let storm = crash_storm(23, nodes, 0.3, 4_000_000, 14_000_000);
+    let phases = [
+        sim.run(&common::uniform_schedule(3_000, 12_500), &storm),
+        sim.run(&common::uniform_schedule(600, 100_000), &[]),
+    ];
+    assert!(phases.iter().all(ClusterPhaseReport::balanced));
+    phases.map(|phase| phase.fingerprint()).join("\n")
+}
+
+/// [`pinned_storm`]'s fingerprints under both dispatch policies, as captured
+/// at the commit before the event queue grew its arrival lane, the route
+/// table became incremental and request slots were recycled: any reordering
+/// of events, draws or float sums shows up here as an ordinary tier-1
+/// failure, not only in CI's `cmp` of the bench reports.
+#[test]
+fn seeded_storm_replays_the_pinned_fingerprints() {
+    assert_eq!(
+        pinned_storm(DispatchPolicy::SignificanceAware),
+        PINNED_SIG_AWARE
+    );
+    assert_eq!(pinned_storm(DispatchPolicy::RoundRobin), PINNED_ROUND_ROBIN);
+}
+
+const PINNED_SIG_AWARE: &str = "\
+offered=3000 completed=1982 shed=475 late=449 retries_exhausted=0 budget_exhausted=17 lost=77 \
+downgraded=1310 retries=24 p50=10223615 p99=19922943 wall=59000000 joules=402a2f88e538cbc5 \
+power=40296a7ae5eaa1ab violation=3f21b68a795dd326 max_shed_sig=3fd3333333333333 \
+accurate_scaled=0\n\
+offered=600 completed=600 shed=0 late=0 retries_exhausted=0 budget_exhausted=0 lost=0 \
+downgraded=288 retries=32 p50=1015807 p99=1638399 wall=61000000 joules=401ba19526c3384e \
+power=401b04248539a3b6 violation=0000000000000000 max_shed_sig=bff0000000000000 \
+accurate_scaled=0";
+const PINNED_ROUND_ROBIN: &str = "\
+offered=3000 completed=1404 shed=556 late=947 retries_exhausted=0 budget_exhausted=31 lost=62 \
+downgraded=1249 retries=29 p50=5636095 p99=19922943 wall=59000000 joules=4028ca59e1eb0e78 \
+power=40286aa2a1f00bc7 violation=0000000000000000 max_shed_sig=3fe6666666666666 \
+accurate_scaled=0\n\
+offered=600 completed=600 shed=0 late=0 retries_exhausted=0 budget_exhausted=0 lost=0 \
+downgraded=261 retries=32 p50=1015807 p99=1638399 wall=61000000 joules=401bb751c4b290d0 \
+power=401b160a190b1a5e violation=0000000000000000 max_shed_sig=bff0000000000000 \
+accurate_scaled=0";
+
+/// `run` documents an ascending schedule but accepts any: an out-of-order
+/// one replays exactly as its stable-sorted form — in the first phase and,
+/// with a non-zero phase start, under a crash storm in the second.
+#[test]
+fn shuffled_schedule_replays_as_its_sorted_form() {
+    let sim = || {
+        let mut config = ClusterConfig {
+            nodes: 8,
+            seed: 5,
+            panic_per_mille: 30,
+            ..ClusterConfig::default()
+        };
+        config.cap.cap_watts = 8.0 * 9.1;
+        ClusterSim::new(config, common::classes())
+    };
+    let (mut sorted_sim, mut shuffled_sim) = (sim(), sim());
+    let storm = crash_storm(5, 8, 0.3, 2_000_000, 12_000_000);
+    let phases = [
+        (common::uniform_schedule(400, 90_000), &[][..]),
+        (common::uniform_schedule(800, 40_000), &storm[..]),
+    ];
+    for (seed, (schedule, faults)) in phases.iter().enumerate() {
+        assert_eq!(shuffled_sim.now() > 0, seed > 0, "phase start");
+        // Seeded Fisher–Yates.
+        let mut mixed = schedule.clone();
+        let mut rng = sig_serving::SplitMix64::new(seed as u64 + 1);
+        for i in (1..mixed.len()).rev() {
+            mixed.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        assert_ne!(&mixed, schedule);
+        let expected = sorted_sim.run(schedule, faults);
+        let got = shuffled_sim.run(&mixed, faults);
+        assert!(got.balanced());
+        assert_eq!(got.fingerprint(), expected.fingerprint());
+    }
+}

@@ -43,7 +43,9 @@ pub mod sketch;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use arrival::{ArrivalPattern, TraceParseError};
-pub use lifecycle::{Attempt, EventQueue, Lifecycle, Request, RetryVerdict};
+pub use lifecycle::{
+    Attempt, EventQueue, Lifecycle, Request, RequestSlot, RequestTable, RetryVerdict,
+};
 pub use report::ServingStats;
 pub use request::{QualityTier, RequestClass, RequestOutcome, RetryPolicy, ViolationKind};
 pub use rng::SplitMix64;

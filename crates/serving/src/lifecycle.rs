@@ -25,9 +25,16 @@
 //! Seeded replays depend on the draw order, which is part of the contract:
 //! the fault draw comes after `env.dispatch` and only when faults are armed;
 //! the backoff jitter is drawn only after the `max_retries` check passed.
+//!
+//! The two simulators also share their containers: the [`EventQueue`] (two
+//! lanes — a sorted arrival timeline walked in place, a heap of what is in
+//! flight — popped in one `(time, push order)`) and the [`RequestTable`]
+//! (in-flight requests in recycled slots).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 use std::time::Duration;
 
 use sig_core::{DispatchContext, DispatchDecision, ExecutionEnv, ExecutionMode, Policy};
@@ -64,16 +71,43 @@ impl<K> Ord for Event<K> {
 /// Virtual-time event queue: pops in `(time, push order)`, so two events at
 /// the same instant come out in the order they went in and a seeded replay
 /// never depends on heap internals.
-pub struct EventQueue<K> {
+///
+/// Two lanes, one order. The phase's arrival schedule is already sorted, so
+/// it never enters the heap: the **timeline** lane walks the borrowed slice
+/// with a cursor, and the **heap** lane holds only what is pushed while the
+/// phase runs (finishes, retries, ticks, faults — a few events per busy
+/// worker, however long the schedule). The timeline counts as pushed first,
+/// so it wins ties: a phase's arrivals precede whatever they cause.
+pub struct EventQueue<'t, K> {
+    timeline: Cow<'t, [(u64, usize)]>,
+    cursor: usize,
+    origin: u64,
+    arrival: fn(usize) -> K,
     heap: BinaryHeap<Event<K>>,
     pushed: u64,
 }
 
-impl<K> EventQueue<K> {
-    /// An empty queue with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
+impl<'t, K> EventQueue<'t, K> {
+    /// A queue whose timeline is `schedule` — `(offset from origin, class)`
+    /// pairs, each popped as `arrival(class)` — with heap room for
+    /// `in_flight` pushed events. An out-of-order schedule is first
+    /// stable-sorted into a copy: the order the heap used to give it.
+    pub fn over(
+        schedule: &'t [(u64, usize)],
+        origin: u64,
+        arrival: fn(usize) -> K,
+        in_flight: usize,
+    ) -> Self {
+        let mut timeline = Cow::Borrowed(schedule);
+        if !schedule.is_sorted_by_key(|&(offset, _)| offset) {
+            timeline.to_mut().sort_by_key(|&(offset, _)| offset);
+        }
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
+            timeline,
+            cursor: 0,
+            origin,
+            arrival,
+            heap: BinaryHeap::with_capacity(in_flight),
             pushed: 0,
         }
     }
@@ -88,9 +122,78 @@ impl<K> EventQueue<K> {
         self.pushed += 1;
     }
 
-    /// The earliest event and its time, or `None` when the queue is empty.
+    /// The earliest event and its time, or `None` when both lanes are empty.
     pub fn pop(&mut self) -> Option<(u64, K)> {
+        if let Some(&(offset, class)) = self.timeline.get(self.cursor) {
+            let at = self.origin.saturating_add(offset);
+            if self.heap.peek().is_none_or(|event| at <= event.at) {
+                self.cursor += 1;
+                return Some((at, (self.arrival)(class)));
+            }
+        }
         self.heap.pop().map(|event| (event.at, event.kind))
+    }
+}
+
+/// Handle to one live entry of a [`RequestTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestSlot {
+    index: u32,
+    generation: u32,
+}
+
+/// The requests in flight, sized by their peak and not by everything a phase
+/// admits: a terminal request's slot goes to the next admission. Safe
+/// because a request is referenced from one place at a time — a ready queue,
+/// a running worker, or one queued `Finish` or `Retry` event — and a driver
+/// releases it only while handling that reference; the one event that can
+/// outlive its request, the `Finish` of an attempt whose node crashed, is
+/// rejected by the node's epoch before the table is read. Debug builds check
+/// the argument: releasing advances the slot's generation, and a handle of
+/// an earlier generation panics instead of reading the next tenant.
+#[derive(Default)]
+pub struct RequestTable {
+    slots: Vec<(u32, Request)>,
+    free: Vec<u32>,
+}
+
+impl RequestTable {
+    /// Store `request` in a free slot, growing the table only if none is.
+    pub fn insert(&mut self, request: Request) -> RequestSlot {
+        let index = self.free.pop().unwrap_or_else(|| {
+            u32::try_from(self.slots.len()).expect("under 2^32 requests in flight")
+        });
+        match self.slots.get_mut(index as usize) {
+            Some(slot) => slot.1 = request,
+            None => self.slots.push((0, request)),
+        }
+        let generation = self.slots[index as usize].0;
+        RequestSlot { index, generation }
+    }
+
+    /// The request is terminal: free its slot for the next admission.
+    pub fn release(&mut self, request: RequestSlot) {
+        let (generation, _) = &mut self.slots[request.index as usize];
+        debug_assert_eq!(*generation, request.generation, "stale request handle");
+        *generation = generation.wrapping_add(1);
+        self.free.push(request.index);
+    }
+}
+
+impl Index<RequestSlot> for RequestTable {
+    type Output = Request;
+    fn index(&self, request: RequestSlot) -> &Request {
+        let (generation, slot) = &self.slots[request.index as usize];
+        debug_assert_eq!(*generation, request.generation, "stale request handle");
+        slot
+    }
+}
+
+impl IndexMut<RequestSlot> for RequestTable {
+    fn index_mut(&mut self, request: RequestSlot) -> &mut Request {
+        let (generation, slot) = &mut self.slots[request.index as usize];
+        debug_assert_eq!(*generation, request.generation, "stale request handle");
+        slot
     }
 }
 
@@ -334,7 +437,7 @@ mod tests {
 
     #[test]
     fn event_queue_pops_by_time_then_push_order() {
-        let mut queue = EventQueue::with_capacity(0);
+        let mut queue = EventQueue::over(&[], 0, |_| unreachable!("no timeline"), 0);
         for (at, kind) in [
             (30, 'a'),
             (10, 'b'),
@@ -361,6 +464,110 @@ mod tests {
                 (30, 'e')
             ]
         );
+    }
+
+    /// Seeded model test of the two lanes: random timelines (sorted or not,
+    /// with repeated offsets) and random pushes — before the timeline head,
+    /// level with it, after its end, and mid-drain at or after the instant
+    /// just popped — always pop in the order of the reference: every event
+    /// keyed `(time, sequence)`, the timeline taking sequences `0..n` in
+    /// offset order and pushes numbered from `n` as they happen.
+    #[test]
+    fn event_queue_lanes_merge_in_reference_order() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Kind {
+            Arrival(usize),
+            Pushed(u64),
+        }
+        let mut rng = SplitMix64::new(0x1a9e5);
+        let (mut timeline_dry_first, mut heap_dry_first, mut ties, mut unsorted) = (0, 0, 0, 0);
+        for case in 0..500u64 {
+            let origin = rng.next_u64() % 1_000;
+            let span = 1 + rng.next_u64() % 60;
+            let mut schedule: Vec<(u64, usize)> = (0..rng.next_u64() % 40)
+                .map(|i| (rng.next_u64() % span, i as usize))
+                .collect();
+            if case % 4 != 0 {
+                schedule.sort_by_key(|&(offset, _)| offset);
+            }
+            unsorted += u32::from(!schedule.is_sorted_by_key(|&(offset, _)| offset));
+            let mut sorted = schedule.clone();
+            sorted.sort_by_key(|&(offset, _)| offset);
+            let mut reference: Vec<(u64, u64, Kind)> = sorted
+                .iter()
+                .enumerate()
+                .map(|(seq, &(offset, class))| (origin + offset, seq as u64, Kind::Arrival(class)))
+                .collect();
+            let mut seq = reference.len() as u64;
+
+            let mut queue = EventQueue::over(&schedule, origin, Kind::Arrival, 4);
+            let mut push = |queue: &mut EventQueue<Kind>, at: u64| {
+                queue.push(at, Kind::Pushed(seq));
+                reference.push((at, seq, Kind::Pushed(seq)));
+                seq += 1;
+            };
+            for _ in 0..rng.next_u64() % 20 {
+                // From before the origin to past the timeline's end.
+                let at = (origin + rng.next_u64() % (2 * span)).saturating_sub(span / 2);
+                push(&mut queue, at);
+            }
+            let mut popped = Vec::new();
+            let mut mid_drain = rng.next_u64() % 10;
+            while let Some((at, kind)) = queue.pop() {
+                popped.push((at, kind));
+                if mid_drain > 0 && rng.next_u64().is_multiple_of(3) {
+                    mid_drain -= 1;
+                    push(&mut queue, at + rng.next_u64() % 4);
+                }
+            }
+
+            reference.sort_by_key(|&(at, seq, _)| (at, seq));
+            let expected: Vec<_> = reference.iter().map(|&(at, _, kind)| (at, kind)).collect();
+            assert_eq!(popped, expected, "case {case}");
+            match popped.last() {
+                Some((_, Kind::Arrival(_))) => heap_dry_first += 1,
+                Some((_, Kind::Pushed(_))) => timeline_dry_first += 1,
+                None => {}
+            }
+            ties += popped
+                .windows(2)
+                .filter(|w| {
+                    w[0].0 == w[1].0
+                        && matches!(w[0].1, Kind::Arrival(_)) != matches!(w[1].1, Kind::Arrival(_))
+                })
+                .count();
+        }
+        assert!(
+            timeline_dry_first > 50 && heap_dry_first > 50 && ties > 500 && unsorted > 50,
+            "every shape exercised: {timeline_dry_first} / {heap_dry_first} / {ties} / {unsorted}"
+        );
+    }
+
+    /// A released slot is reused, and its old handle is dead: in debug
+    /// builds, reading through it panics rather than aliasing the new tenant.
+    #[test]
+    fn request_table_recycles_slots_and_retires_handles() {
+        let lifecycle = Lifecycle::new(
+            vec![class(RetryPolicy::none(), Duration::from_millis(1))],
+            1_000,
+            1,
+        );
+        let mut table = RequestTable::default();
+        let first = table.insert(lifecycle.admit(0, 10, 0));
+        let second = table.insert(lifecycle.admit(0, 20, 0));
+        table.release(first);
+        let third = table.insert(lifecycle.admit(0, 30, 1));
+        assert_eq!(table.slots.len(), 2, "the freed slot was reused");
+        assert_eq!((table[second].arrival, table[third].arrival), (20, 30));
+        table[third].attempts = 2;
+        assert_eq!(table[third].attempts, 2);
+        if cfg!(debug_assertions) {
+            let stale = std::panic::catch_unwind(|| table[first].arrival);
+            assert!(
+                stale.is_err(),
+                "a stale handle must not read the new tenant"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use sig_core::{BudgetConfig, BudgetController, BudgetTarget, ExecutionEnv};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
-use crate::lifecycle::{EventQueue, Lifecycle, Request, RetryVerdict};
+use crate::lifecycle::{EventQueue, Lifecycle, RequestSlot, RequestTable, RetryVerdict};
 use crate::report::ServingStats;
 use crate::request::{RequestClass, RequestOutcome};
 
@@ -101,32 +101,35 @@ enum EventKind {
     },
     Finish {
         worker: usize,
-        request: usize,
+        request: RequestSlot,
         busy_nanos: u64,
         panicked: bool,
     },
     Retry {
-        request: usize,
+        request: RequestSlot,
     },
 }
 
 /// Per-phase state of one [`Simulator::run`].
-struct Phase {
+struct Phase<'t> {
     stats: ServingStats,
-    requests: Vec<Request>,
-    events: EventQueue<EventKind>,
-    ready: VecDeque<usize>,
+    requests: RequestTable,
+    events: EventQueue<'t, EventKind>,
+    ready: VecDeque<RequestSlot>,
     free_workers: Vec<usize>,
     in_flight: usize,
 }
 
-impl Phase {
-    /// Book the terminal `outcome` of an admitted request.
-    fn close(&mut self, request: usize, outcome: RequestOutcome) {
+impl Phase<'_> {
+    /// Book the terminal `outcome` of an admitted request and free its slot.
+    /// Only reached from the `Finish` or `Retry` event that held the last
+    /// reference to `request` (see [`RequestTable`]).
+    fn close(&mut self, request: RequestSlot, outcome: RequestOutcome) {
         self.stats.record(&outcome);
         if self.requests[request].downgraded {
             self.stats.downgraded += 1;
         }
+        self.requests.release(request);
         self.in_flight -= 1;
     }
 }
@@ -201,25 +204,27 @@ impl Simulator {
     }
 
     /// Run one phase: `schedule` pairs `(arrival offset from phase start,
-    /// class index)`, ascending. Returns when every offered request of the
-    /// phase is terminal. Controller, governor, and energy state carry over
-    /// to the next phase.
+    /// class index)`, replayed in ascending offset order straight from the
+    /// slice — the event queue walks it, nothing is copied unless it arrives
+    /// out of order. Returns when every offered request of the phase is
+    /// terminal. Controller, governor, and energy state carry over to the
+    /// next phase.
     pub fn run(&mut self, schedule: &[(u64, usize)]) -> PhaseReport {
         let phase_start = self.now;
         let mut phase = Phase {
             stats: ServingStats::default(),
-            requests: Vec::with_capacity(schedule.len()),
-            events: EventQueue::with_capacity(schedule.len() * 2),
+            requests: RequestTable::default(),
+            // Pushed events are finishes (one a busy worker) and retries.
+            events: EventQueue::over(
+                schedule,
+                phase_start,
+                |class| EventKind::Arrival { class },
+                2 * self.config.workers,
+            ),
             ready: VecDeque::new(),
             free_workers: (0..self.config.workers).rev().collect(),
             in_flight: 0,
         };
-        for &(offset, class) in schedule {
-            phase.events.push(
-                phase_start.saturating_add(offset),
-                EventKind::Arrival { class },
-            );
-        }
 
         while let Some((at, kind)) = phase.events.pop() {
             self.now = self.now.max(at);
@@ -278,7 +283,7 @@ impl Simulator {
     /// Put one request through admission — a fresh arrival
     /// (`existing == None`) or a retry. Retries re-enter admission: under
     /// pressure they come back at a lower tier, or are shed outright.
-    fn admit(&mut self, phase: &mut Phase, existing: Option<usize>, class: usize, at: u64) {
+    fn admit(&mut self, phase: &mut Phase, existing: Option<RequestSlot>, class: usize, at: u64) {
         let spec = &self.lifecycle.classes()[class];
         match self.admission.decide(spec, phase.in_flight) {
             AdmissionDecision::Shed => {
@@ -295,9 +300,8 @@ impl Simulator {
                         request
                     }
                     None => {
-                        phase.requests.push(self.lifecycle.admit(class, at, tier));
                         phase.in_flight += 1;
-                        phase.requests.len() - 1
+                        phase.requests.insert(self.lifecycle.admit(class, at, tier))
                     }
                 };
                 phase.ready.push_back(request);
