@@ -1,4 +1,4 @@
-//! # sig-bench — Criterion benchmark support
+//! # sig-bench — Criterion benchmark support and the golden replays
 //!
 //! Shared helpers for the Criterion benches that regenerate the paper's
 //! figures. Bench-sized problem instances are smaller than the harness
@@ -6,10 +6,13 @@
 //! relative ordering between policies and degrees (what the figures show) is
 //! preserved.
 //!
-//! Also the one reader the bench binaries' `--check` gates use to pull
-//! numbers out of the committed `BENCH_*.json` reports.
+//! Also the four deterministic [`replay`]s whose reports, rendered by the
+//! one [`json`] writer, are pinned byte for byte under `tests/golden/`.
 
 #![warn(missing_docs)]
+
+pub mod json;
+pub mod replay;
 
 use sig_kernels::dct::Dct;
 use sig_kernels::fluidanimate::Fluidanimate;
@@ -102,83 +105,9 @@ pub fn bench_suite() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
-/// The number of the first `"key": <number>` in `json`, or `None` if the
-/// key is absent or its value is not a number. A string scan: the vendored
-/// serde shim has no deserializer and the committed reports are flat enough.
-pub fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let value = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
-}
-
-/// [`extract_json_number`] scoped to the text after `"section"` first
-/// appears — how a per-scenario number is told from its namesakes.
-pub fn extract_json_number_after(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    extract_json_number(&json[at..], key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const REPORT: &str = r#"{
-  "cores": 1,
-  "cores_online": 4,
-  "delta": -0.25,
-  "tiny": 1.5e-3,
-  "big": 2E+6,
-  "name": "not a number",
-  "scenarios": [
-    {"name": "dynamic-heavy", "quality": 0.8898},
-    {"name": "static-heavy", "quality": 0.9373, "only_here": 7}
-  ]
-}"#;
-
-    #[test]
-    fn reads_plain_negative_and_exponent_numbers() {
-        assert_eq!(extract_json_number(REPORT, "cores"), Some(1.0));
-        assert_eq!(extract_json_number(REPORT, "delta"), Some(-0.25));
-        assert_eq!(extract_json_number(REPORT, "tiny"), Some(1.5e-3));
-        assert_eq!(extract_json_number(REPORT, "big"), Some(2e6));
-    }
-
-    #[test]
-    fn missing_key_and_non_number_value_are_none() {
-        assert_eq!(extract_json_number(REPORT, "absent"), None);
-        assert_eq!(extract_json_number(REPORT, "name"), None);
-    }
-
-    #[test]
-    fn a_key_does_not_match_a_longer_key_it_prefixes() {
-        assert_eq!(extract_json_number(REPORT, "cores_online"), Some(4.0));
-        assert_eq!(extract_json_number(REPORT, "cores_on"), None);
-        assert_eq!(extract_json_number("{\"cores_online\": 4}", "cores"), None);
-    }
-
-    #[test]
-    fn after_scopes_to_the_text_following_the_anchor() {
-        assert_eq!(extract_json_number(REPORT, "quality"), Some(0.8898));
-        assert_eq!(
-            extract_json_number_after(REPORT, "static-heavy", "quality"),
-            Some(0.9373)
-        );
-        assert_eq!(
-            extract_json_number_after(REPORT, "dynamic-heavy", "only_here"),
-            Some(7.0),
-            "a key found only after the anchor is still found"
-        );
-        assert_eq!(extract_json_number_after(REPORT, "absent", "quality"), None);
-        assert_eq!(
-            extract_json_number_after(REPORT, "static-heavy", "cores"),
-            None,
-            "keys before the anchor are out of scope"
-        );
-    }
 
     #[test]
     fn suite_contains_all_six() {

@@ -2,6 +2,9 @@
 //! frequency domains, governor behaviour under every policy, and the energy
 //! report built from the per-worker shards.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use significance_repro::energy::{FrequencyScale, PowerModel};
@@ -152,6 +155,78 @@ fn nominal_governor_accounting_matches_plain_integration() {
         "dynamic {} vs expected {}",
         reading.breakdown.dynamic_joules,
         expected_dynamic
+    );
+}
+
+/// On the real runtime, significance-aware execution under DVFS spends fewer
+/// modelled joules than exact-only execution of the same task population,
+/// at a small, reported output error.
+#[test]
+fn significance_with_dvfs_spends_fewer_modelled_joules_than_exact_only() {
+    const TASKS: usize = 400;
+    const TERMS: u64 = 2_000;
+    // Partial sum of Σ 1/(k² + ε): a prefix is a genuine approximation (the
+    // dropped tail is O(1/terms)), so the approximate body — a third of the
+    // terms — is both cheaper and close in value.
+    fn series(seed: usize, terms: u64) -> f64 {
+        let offset = (seed % 97) as f64 * 1e-7;
+        (1..=terms).fold(0.0, |acc, k| {
+            std::hint::black_box(acc + 1.0 / ((k * k) as f64 + offset))
+        })
+    }
+    let run = |significance_dvfs: bool| {
+        let builder = Runtime::builder()
+            .workers(2)
+            .energy_model(PowerModel::for_host());
+        let rt = if significance_dvfs {
+            builder
+                .policy(Policy::GtbMaxBuffer)
+                .governor(SignificanceLadderGovernor::single_step(0.6))
+                .build()
+        } else {
+            builder.policy(Policy::SignificanceAgnostic).build()
+        };
+        let group = rt.create_group("series", 0.5);
+        let outputs: Arc<Vec<AtomicU64>> =
+            Arc::new((0..TASKS).map(|_| AtomicU64::new(0)).collect());
+        for i in 0..TASKS {
+            let (exact, approx) = (outputs.clone(), outputs.clone());
+            rt.task(move || exact[i].store(series(i, TERMS).to_bits(), Ordering::Relaxed))
+                .approx(move || approx[i].store(series(i, TERMS / 3).to_bits(), Ordering::Relaxed))
+                .significance(((i % 9) + 1) as f64 / 10.0)
+                .group(&group)
+                .spawn();
+        }
+        rt.wait_group(&group);
+        let values: Vec<f64> = outputs
+            .iter()
+            .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
+            .collect();
+        (rt.energy_report().reading().joules, values)
+    };
+    // Joules follow measured busy time, and a preemption only ever inflates
+    // it: alternate the variants and compare each one's cheapest run.
+    let (mut exact, mut dvfs) = (run(false), run(true));
+    for _ in 0..6 {
+        let next = run(false);
+        if next.0 < exact.0 {
+            exact = next;
+        }
+        let next = run(true);
+        if next.0 < dvfs.0 {
+            dvfs = next;
+        }
+    }
+    let error = relative_error(&exact.1, &dvfs.1);
+    assert!(
+        dvfs.0 < exact.0,
+        "significance+DVFS modelled {} J, exact-only {} J (relative error {error})",
+        dvfs.0,
+        exact.0
+    );
+    assert!(
+        error > 0.0 && error < 0.01,
+        "half the tasks ran a third of the series: relative error {error}"
     );
 }
 
