@@ -28,6 +28,24 @@
 //! gone, and the queue-empty/wakeup race they papered over is closed by the
 //! SeqCst sleep-flag protocol documented in [`crate::sync`].
 //!
+//! # Where a task record comes from and goes back to
+//!
+//! A spawn does not allocate in steady state. The worker that retires a task
+//! and holds the only reference to its record blanks it in place and keeps
+//! the `Arc<Task>` — a *husk* — in a thread-local stash; every 64 go to a
+//! shared pool under one lock. A spawn pops a husk from the calling thread's
+//! stash (a worker's nested spawns never leave it; a spawner thread takes 64
+//! from the pool when it runs out) and refills it through `Arc::get_mut`;
+//! `Arc::new` is the cold start of the same path, not a second one. A record
+//! is reused only while *uniquely held* — `Arc::get_mut` fails as long as a
+//! queue slot, a successor list, the dependence tracker or a GTB flush still
+//! points at it — so no stale `TaskId`, [`SpawnHandle`], cancel range or
+//! deque slot can ever observe the reuse, and there are no generation tags
+//! to check and no `unsafe` to justify. The pool is bounded by
+//! `HUSK_POOL_CAP` and emptied at quiescence: a barrier that returns with
+//! nothing outstanding frees it, and a worker gives up its stash as soon as
+//! it runs out of work. See `HuskPool`.
+//!
 //! # Example
 //!
 //! ```
@@ -58,9 +76,9 @@
 //! assert!(stats.accurate >= 50);
 //! ```
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,6 +107,12 @@ thread_local! {
     /// `(runtime id, worker index)` of the current thread, if it is a worker.
     /// Id `0` is never issued, so the default means "not a worker".
     static CURRENT_WORKER: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
+
+    /// `(runtime id, blank task records)` this thread holds for that runtime
+    /// (see [`HuskPool`]). A worker fills it from the tasks it retires and
+    /// spawns nested tasks out of it; a spawner thread refills it from the
+    /// shared pool a batch at a time. Neither takes a lock to touch it.
+    static HUSK_STASH: RefCell<(u64, Vec<Arc<Task>>)> = const { RefCell::new((0, Vec::new())) };
 }
 
 /// Builder for [`Runtime`] instances.
@@ -326,6 +350,48 @@ impl BudgetState {
     }
 }
 
+/// Records moved between a thread's stash and the shared pool at a time: one
+/// pool lock per this many spawns or retirements.
+const HUSK_BATCH: usize = 64;
+
+/// Records the shared pool holds before retiring workers free instead: 1024,
+/// about 200 KB. Sized from need, not speed — sigbench `sched_fine`
+/// throughput was flat from 64 to 65 536, because what the pool buys is the
+/// pass-through, not the stock. The stock only has to absorb one swing from
+/// "spawner ahead" to "worker caught up": peak in-flight depth over 14
+/// agnostic/LQH passes of 100k tasks read 180-1411 records in nine and
+/// 2.7k-18k in five, when the worker lost its CPU (median about 1200);
+/// the deep ones, and GTB Max-Buffer's 100k-deep flush, fall back to the
+/// allocator.
+const HUSK_POOL_CAP: usize = 1024;
+
+/// Blank task records ("husks") on their way from the workers that retired
+/// them back to spawners — the shared half of the recycling described in the
+/// module docs ("Where a task record comes from and goes back to"); the other
+/// half is each thread's `HUSK_STASH`. What it buys: the steady-state spawn
+/// path allocates nothing, so spawner and worker stop meeting on the
+/// allocator's arena lock once per task each.
+///
+/// Nothing pooled outlives the burst that needed it: a barrier that returns
+/// with nothing outstanding frees the pool and the caller's stash, a worker
+/// gives up its stash the moment it runs out of work, and a hand-back that
+/// finds the runtime idle frees instead of pooling. (A spawner thread that
+/// is not the one waiting keeps at most one batch until it next spawns,
+/// waits or exits.)
+struct HuskPool {
+    husks: Mutex<Vec<Arc<Task>>>,
+    /// `husks.len()`, so a dry pool costs a spawner a load, not a lock.
+    available: AtomicUsize,
+}
+
+impl HuskPool {
+    /// Never poisoned in a way that matters: every update under the lock
+    /// moves whole `Arc`s between two `Vec`s.
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<Task>>> {
+        self.husks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Shared state between the master, the workers and the public handle.
 struct RuntimeInner {
     id: u64,
@@ -342,6 +408,8 @@ struct RuntimeInner {
     /// Runtime creation time, the start of the energy-accounting window.
     started: Instant,
     next_task_id: AtomicU64,
+    /// Blank task records awaiting reuse.
+    husks: HuskPool,
     /// Tasks spawned and not yet completed, across all groups. A single
     /// counter (not a sum over groups): `wait_all` must observe spawn and
     /// completion atomically even when a task body spawns children into
@@ -375,6 +443,120 @@ impl RuntimeInner {
     fn local_worker(&self) -> Option<usize> {
         let (id, index) = CURRENT_WORKER.get();
         (id == self.id).then_some(index)
+    }
+
+    /// Run `f` on the calling thread's husk stash. Husks left there by
+    /// another runtime are freed first, so everything `f` sees is this
+    /// runtime's. `None` only while the thread's locals are being torn down.
+    fn with_stash<R>(&self, f: impl FnOnce(&mut Vec<Arc<Task>>) -> R) -> Option<R> {
+        HUSK_STASH
+            .try_with(|stash| {
+                let mut stash = stash.borrow_mut();
+                let (runtime, husks) = &mut *stash;
+                if *runtime != self.id {
+                    *runtime = self.id;
+                    // Husks are blank: dropping them runs no user code that
+                    // could re-enter the borrowed stash.
+                    husks.clear();
+                }
+                f(husks)
+            })
+            .ok()
+    }
+
+    /// The group a spawn named (the cached global group skips the registry).
+    fn group_state(&self, id: GroupId) -> Arc<GroupState> {
+        if id == GroupId::GLOBAL {
+            self.global_group.clone()
+        } else {
+            self.groups.get(id)
+        }
+    }
+
+    /// A blank, uniquely held record bound to `group`: a husk from the
+    /// calling thread's stash (refilled from the pool, one lock per batch),
+    /// else a fresh allocation. A husk last used by the same group keeps its
+    /// `Arc<GroupState>` — group ids are unique within a runtime and a stash
+    /// never holds another runtime's husks — so steady-state spawns touch
+    /// neither the group registry nor the group's refcount.
+    fn husk_in(&self, group: GroupId) -> Arc<Task> {
+        let husk = self.with_stash(|stash| {
+            if stash.is_empty() && self.husks.available.load(Ordering::Relaxed) > 0 {
+                let mut pool = self.husks.lock();
+                let rest = pool.len().saturating_sub(HUSK_BATCH);
+                stash.extend(pool.drain(rest..));
+                self.husks.available.store(rest, Ordering::Relaxed);
+            }
+            stash.pop()
+        });
+        match husk.flatten() {
+            Some(mut husk) => {
+                if husk.group_state.id != group {
+                    Arc::get_mut(&mut husk)
+                        .expect("a husk is uniquely held")
+                        .group_state = self.group_state(group);
+                }
+                husk
+            }
+            None => Arc::new(Task::blank(self.group_state(group))),
+        }
+    }
+
+    /// Last step of a task's life, after [`RuntimeInner::complete`]: if this
+    /// worker holds the only reference, blank the record and keep it for the
+    /// next spawn; otherwise whoever drops the last reference frees it.
+    fn recycle(&self, mut task: Arc<Task>) {
+        let Some(record) = Arc::get_mut(&mut task) else {
+            return;
+        };
+        // Outside the stash borrow: dropping a handle or a leftover body may
+        // run user code, which may spawn.
+        record.reset();
+        self.with_stash(|stash| {
+            stash.push(task);
+            if stash.len() >= 2 * HUSK_BATCH {
+                self.hand_back(stash, HUSK_BATCH);
+            }
+        });
+    }
+
+    /// Move all but `keep` of `stash` to the shared pool — or free them, for
+    /// what the pool has no room for and for everything once the runtime has
+    /// gone idle. The idle check sits under the lock that
+    /// [`RuntimeInner::free_husks_if_idle`] takes *after* it saw zero
+    /// outstanding: either that barrier finds these husks, or this finds its
+    /// zero, so a retirement racing the barrier's return cannot strand husks
+    /// in the pool.
+    fn hand_back(&self, stash: &mut Vec<Arc<Task>>, keep: usize) {
+        if stash.len() <= keep {
+            return;
+        }
+        let mut pool = self.husks.lock();
+        if self.outstanding.load(Ordering::SeqCst) != 0 {
+            let room = HUSK_POOL_CAP.saturating_sub(pool.len());
+            let give = (stash.len() - keep).min(room);
+            pool.extend(stash.drain(stash.len() - give..));
+            self.husks.available.store(pool.len(), Ordering::Relaxed);
+        }
+        drop(pool);
+        stash.truncate(keep);
+    }
+
+    /// Quiescence: a barrier returned. If nothing is outstanding, free every
+    /// pooled husk and the calling thread's stash, so neither the records
+    /// nor the `Arc<GroupState>` each carries outlive the burst.
+    fn free_husks_if_idle(&self) {
+        if self.outstanding.load(Ordering::SeqCst) != 0 {
+            return;
+        }
+        let stash = self.with_stash(std::mem::take);
+        let pooled = {
+            let mut pool = self.husks.lock();
+            self.husks.available.store(0, Ordering::Relaxed);
+            std::mem::take(&mut *pool)
+        };
+        // Freed outside the lock.
+        drop((stash, pooled));
     }
 
     /// Amortised overload recomputation, called from the execute path (the
@@ -609,14 +791,11 @@ impl RuntimeInner {
     /// user-facing statistics or energy accounting.
     fn spawn_system(self: &Arc<Self>, body: impl FnOnce() + Send + 'static) {
         let id = TaskId(self.next_task_id.fetch_add(1, Ordering::Relaxed));
-        let mut task = Arc::new(Task::new_system(
-            id,
-            self.global_group.clone(),
-            Box::new(body),
-        ));
-        Arc::get_mut(&mut task)
-            .expect("task not yet shared")
-            .prime_spawn_enqueued(true);
+        let mut task = self.husk_in(GroupId::GLOBAL);
+        let t = Arc::get_mut(&mut task).expect("task not yet shared");
+        t.fill(id, Significance::CRITICAL, Box::new(body), None);
+        t.system = true;
+        t.prime_spawn_enqueued(true);
         // Relaxed: see the invariant note on the `outstanding` bumps in
         // `TaskBuilder::spawn`.
         self.outstanding.fetch_add(1, Ordering::Relaxed);
@@ -655,32 +834,27 @@ impl RuntimeInner {
         let accurate = matches!(self.policy, Policy::SignificanceAgnostic);
         let mut tasks = Vec::with_capacity(n);
         for (offset, item) in items.into_iter().enumerate() {
-            let mut task = Arc::new(Task::new(
+            let mut task = self.husk_in(group_state.id);
+            // Filled and primed through `&mut` before sharing: released +
+            // enqueued (+ decided, for the agnostic policy) cost zero
+            // atomics, and the batch-wide robustness clauses land for free.
+            let t = Arc::get_mut(&mut task).expect("task not yet shared");
+            t.fill(
                 TaskId(first + offset as u64),
-                group_state.clone(),
                 item.significance,
                 item.accurate,
                 item.approximate,
-                Vec::new(),
-                false,
-            ));
+            );
+            if !buffering {
+                t.prime_spawn_enqueued(accurate);
+            }
             // A per-task deadline offset overrides the batch-wide deadline.
-            let task_deadline = if item.deadline_nanos != 0 {
+            t.deadline_nanos = if item.deadline_nanos != 0 {
                 item.deadline_nanos
             } else {
                 deadline_nanos
             };
-            if !buffering || task_deadline != 0 || cancel.is_some() {
-                // Primed through `&mut` before sharing: released + enqueued
-                // (+ decided, for the agnostic policy) cost zero atomics,
-                // and the batch-wide robustness clauses land for free.
-                let t = Arc::get_mut(&mut task).expect("task not yet shared");
-                if !buffering {
-                    t.prime_spawn_enqueued(accurate);
-                }
-                t.deadline_nanos = task_deadline;
-                t.cancel = cancel.clone();
-            }
+            t.cancel = cancel.clone();
             tasks.push(task);
         }
 
@@ -752,10 +926,17 @@ impl RuntimeInner {
         }
     }
 
-    /// Execute a task on worker `worker`: make the accuracy decision if it is
-    /// still open, run the chosen body, record statistics, then resolve
-    /// dependences and barriers. Lock-free on every step.
+    /// Execute a task on worker `worker`, then recycle its record if this
+    /// worker is the last holder.
     fn execute(&self, task: Arc<Task>, worker: usize, lqh: &mut LqhState, tick: &mut usize) {
+        self.run_task(&task, worker, lqh, tick);
+        self.recycle(task);
+    }
+
+    /// Make the accuracy decision if it is still open, run the chosen body,
+    /// record statistics, then resolve dependences and barriers. Lock-free
+    /// on every step.
+    fn run_task(&self, task: &Arc<Task>, worker: usize, lqh: &mut LqhState, tick: &mut usize) {
         if task.system {
             // Internal helper tasks (e.g. parallel GTB flush chunks) skip
             // policy, DVFS, statistics, cancellation and fault injection
@@ -764,13 +945,13 @@ impl RuntimeInner {
             if let Some(body) = unsafe { task.take_accurate() } {
                 self.run_body(body);
             }
-            self.complete(&task);
+            self.complete(task);
             return;
         }
         // Cooperative cancellation: a task cancelled before it starts (via
         // its token, its group or an id-range cancel) is skipped entirely.
         if task.cancel_requested() || self.id_cancelled(task.id) {
-            self.abandon(&task, worker, false);
+            self.abandon(task, worker, false);
             return;
         }
         let accurate = match task.decision() {
@@ -802,7 +983,7 @@ impl RuntimeInner {
             && !task.significance.is_critical()
             && task.significance.value() < shed_threshold
         {
-            self.abandon(&task, worker, true);
+            self.abandon(task, worker, true);
             return;
         }
 
@@ -908,7 +1089,7 @@ impl RuntimeInner {
             task.group_state.stats.record_panicked(worker);
             task.notify_handle(TaskOutcome::Panicked);
         }
-        self.complete(&task);
+        self.complete(task);
     }
 
     /// Run a body (catching panics so one failing task cannot take a worker
@@ -1009,6 +1190,14 @@ impl RuntimeInner {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            if idle_rounds == 0 {
+                // Out of work: give up the stash now, while this thread
+                // still has its CPU — a spawner can use the husks, and if
+                // the burst is over nobody will. Waiting until the park
+                // would leave them live across the yields below, where a
+                // barrier caller may run for long and allocate around them.
+                self.with_stash(|stash| self.hand_back(stash, 0));
+            }
             if idle_rounds < SPIN_ROUNDS {
                 idle_rounds += 1;
                 for _ in 0..1 << (4 + idle_rounds) {
@@ -1091,6 +1280,10 @@ impl Runtime {
             ),
             started: Instant::now(),
             next_task_id: AtomicU64::new(0),
+            husks: HuskPool {
+                husks: Mutex::new(Vec::new()),
+                available: AtomicUsize::new(0),
+            },
             outstanding: AtomicUsize::new(0),
             overload: OverloadState::new(builder.queue_watermark, builder.miss_watermark),
             budget: builder.energy_budget.map(BudgetState::new),
@@ -1353,6 +1546,7 @@ impl Runtime {
             inner.flush_all_groups_if_buffering();
             inner.outstanding.load(Ordering::SeqCst) == 0
         });
+        inner.free_husks_if_idle();
         self.outcomes()
     }
 
@@ -1378,6 +1572,7 @@ impl Runtime {
             }
             state.outstanding.load(Ordering::SeqCst) == 0
         });
+        inner.free_husks_if_idle();
         self.outcomes()
     }
 
@@ -1398,6 +1593,7 @@ impl Runtime {
             }
             state.outstanding.load(Ordering::SeqCst) == 0
         });
+        inner.free_husks_if_idle();
         self.outcomes()
     }
 
@@ -1538,27 +1734,15 @@ impl TaskBuilder<'_> {
     /// Submit the task to the runtime. Returns the task's id (spawn order).
     pub fn spawn(self) -> TaskId {
         let inner = &self.runtime.inner;
-        let group_state = match self.group {
-            // Unlabeled tasks take the cached global group: no registry lock
-            // on the common spawn path.
-            None => inner.global_group.clone(),
-            Some(id) if id == GroupId::GLOBAL => inner.global_group.clone(),
-            Some(id) => inner.groups.get(id),
-        };
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
         let footprint = !(self.in_keys.is_empty() && self.out_keys.is_empty());
-        let mut task = Arc::new(Task::new(
-            id,
-            group_state.clone(),
-            self.significance,
-            self.accurate,
-            self.approximate,
-            self.out_keys,
-            footprint,
-        ));
+        let mut task = inner.husk_in(self.group.unwrap_or(GroupId::GLOBAL));
         {
-            // Not yet shared: robustness clauses land through `&mut`, free.
+            // Not yet shared: every clause lands through `&mut`, free.
             let t = Arc::get_mut(&mut task).expect("task not yet shared");
+            t.fill(id, self.significance, self.accurate, self.approximate);
+            t.out_keys = self.out_keys;
+            t.footprint = footprint;
             t.in_keys = self.in_keys;
             t.deadline_nanos = self.deadline_nanos;
             t.cancel = self.cancel;
@@ -1588,7 +1772,7 @@ impl TaskBuilder<'_> {
             // stays SeqCst: it pairs with the EventCount register/re-check
             // protocol.
             inner.outstanding.fetch_add(1, Ordering::Relaxed);
-            group_state.outstanding.fetch_add(1, Ordering::Relaxed);
+            task.group_state.outstanding.fetch_add(1, Ordering::Relaxed);
             inner.stats.record_spawn();
             let target = inner.queues.push(task, inner.local_worker());
             inner.wake_for_push(target);
@@ -1596,6 +1780,7 @@ impl TaskBuilder<'_> {
         }
 
         // Relaxed: see the invariant note on the fast path above.
+        let group_state = &task.group_state;
         inner.outstanding.fetch_add(1, Ordering::Relaxed);
         group_state.outstanding.fetch_add(1, Ordering::Relaxed);
         inner.stats.record_spawn();
@@ -1635,10 +1820,10 @@ impl TaskBuilder<'_> {
                 if buffer.len() >= capacity {
                     let tasks = std::mem::take(&mut *buffer);
                     drop(buffer);
-                    inner.flush_tasks(&group_state, tasks);
+                    inner.flush_tasks(group_state, tasks);
                 } else {
                     drop(buffer);
-                    inner.notify_buffered(&group_state);
+                    inner.notify_buffered(group_state);
                 }
             }
         }
@@ -1981,13 +2166,7 @@ impl BatchBuilder<'_> {
             }
         }
         let inner = &self.runtime.inner;
-        let group_state = match self.group {
-            // Unlabeled batches take the cached global group: no registry
-            // lock on the injection path.
-            None => inner.global_group.clone(),
-            Some(id) if id == GroupId::GLOBAL => inner.global_group.clone(),
-            Some(id) => inner.groups.get(id),
-        };
+        let group_state = inner.group_state(self.group.unwrap_or(GroupId::GLOBAL));
         inner.spawn_batch_into(&group_state, tasks, self.deadline_nanos, self.cancel)
     }
 }
@@ -2893,5 +3072,221 @@ mod tests {
         let stats = rt.group_stats(&group);
         assert_eq!(stats.total(), 100);
         assert_eq!(stats.accurate, 50);
+    }
+
+    // ---- task-record recycling (`HuskPool`) ----
+
+    /// Queue `f` for `rt`'s worker and return what it computed. Resolved
+    /// through a handle, not a barrier: a barrier would free the stashes
+    /// these tests look into.
+    fn queue_probe<T: Send + 'static>(
+        rt: &Runtime,
+        f: impl FnOnce(&RuntimeInner) -> T + Send + 'static,
+    ) -> SpawnHandle<T> {
+        let inner = rt.inner.clone();
+        rt.submit(move || f(&inner)).spawn()
+    }
+
+    /// Empty the calling thread's stash: `(address, blank?)` of every husk.
+    fn drain_stash(inner: &RuntimeInner) -> Vec<(usize, bool)> {
+        let husks = inner.with_stash(std::mem::take).expect("thread is alive");
+        husks
+            .into_iter()
+            .map(|mut husk| {
+                let address = Arc::as_ptr(&husk) as usize;
+                let blank = Arc::get_mut(&mut husk).is_some_and(|record| record.is_blank());
+                (address, blank)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recycled_records_start_blank_after_every_outcome() {
+        // One worker, held while the queue fills, then run without a gap:
+        // a completed, a panicked, a cancelled and (from the second overload
+        // tick on) shed tasks, every clause a record can carry among them.
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(Policy::Lqh)
+            .queue_watermark(1)
+            .build();
+        let soft = rt.create_group("soft", 0.0);
+        let release = block_single_worker(&rt);
+        let token = CancelToken::new();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let panicked = rt
+            .submit(|| -> u32 { panic!("recycling test: contained panic") })
+            .deadline(Duration::from_secs(3600))
+            .cancel_token(&token)
+            .spawn();
+        let skipped = rt.submit(|| 1u32).cancel_token(&cancelled).spawn();
+        let shed: Vec<_> = (0..90)
+            .map(|_| {
+                rt.submit(|| unreachable!("accurate tier must not run at ratio 0"))
+                    .approx(|| ())
+                    .significance(0.1)
+                    .group(&soft)
+                    .cancel_token(&token)
+                    .spawn()
+            })
+            .collect();
+        let probe = queue_probe(&rt, drain_stash);
+        release.send(()).unwrap();
+
+        assert!(probe.wait().is_success());
+        let husks = probe.take_value().expect("probe ran");
+        assert_eq!(panicked.wait(), TaskOutcome::Panicked);
+        assert_eq!(skipped.wait(), TaskOutcome::Cancelled);
+        let shed = shed
+            .iter()
+            .filter(|handle| handle.wait() == TaskOutcome::Shed)
+            .count();
+        assert!(shed >= 1, "a 90-deep backlog over watermark 1 must shed");
+        // Blocker + 92 tasks ran before the probe; each was uniquely held
+        // when it retired, so each is in the stash — and blank.
+        assert_eq!(husks.len(), 93);
+        assert!(husks.iter().all(|&(_, blank)| blank), "{husks:?}");
+        rt.wait_all();
+    }
+
+    #[test]
+    fn record_held_by_the_dependence_tracker_is_not_recycled() {
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(Policy::SignificanceAgnostic)
+            .build();
+        let key = DepKey::named("recycle/held");
+        let release = block_single_worker(&rt);
+        let writer = rt.task(|| {}).writes([key]).spawn();
+        let probe = queue_probe(&rt, drain_stash);
+        release.send(()).unwrap();
+        rt.wait_on(key);
+        assert!(probe.wait().is_success());
+        let husks = probe.take_value().expect("probe ran");
+
+        // The tracker keeps the key's last writer; reach it the way a later
+        // reader of the key would.
+        let mut reader = Task::blank(rt.inner.global_group.clone());
+        reader.id = TaskId(u64::MAX);
+        let held = rt.inner.tracker.register(&Arc::new(reader), &[key], &[]);
+        assert_eq!(held.len(), 1);
+        assert_eq!(held[0].id, writer);
+        assert!(held[0].is_completed(), "record left as it retired");
+        let writer_address = Arc::as_ptr(&held[0]) as usize;
+
+        // Blocker and writer ran before the probe: only the blocker's record
+        // was uniquely held, and no husk is the writer's allocation.
+        assert_eq!(husks.len(), 1, "{husks:?}");
+        assert_ne!(husks[0].0, writer_address);
+        // ...and a later spawn on the worker gets a distinct allocation too.
+        let next = queue_probe(&rt, |inner| {
+            Arc::as_ptr(&inner.husk_in(GroupId::GLOBAL)) as usize
+        });
+        assert!(next.wait().is_success());
+        assert_ne!(next.take_value(), Some(writer_address));
+        rt.wait_all();
+    }
+
+    #[test]
+    fn recycle_leaves_a_record_someone_else_holds_alone() {
+        let rt = count_runtime(Policy::SignificanceAgnostic);
+        let inner = &rt.inner;
+        let mut task = Task::blank(inner.global_group.clone());
+        task.fill(TaskId(77), Significance::new(0.3), Box::new(|| {}), None);
+        task.deadline_nanos = 5;
+        task.mark_completed();
+        let task = Arc::new(task);
+        // Stands for any other holder: a predecessor's successor list, the
+        // vector of a GTB flush still in progress, a tracker epoch.
+        let holder = task.clone();
+        inner.recycle(task);
+        assert_eq!(inner.with_stash(|stash| stash.len()), Some(0));
+        assert_eq!(holder.id, TaskId(77));
+        assert_eq!(holder.deadline_nanos, 5);
+        assert!(holder.is_completed(), "not blanked under the holder");
+
+        // The last holder recycles it.
+        inner.recycle(holder);
+        let husks = drain_stash(inner);
+        assert_eq!(husks.len(), 1);
+        assert!(husks[0].1, "blank once uniquely held");
+    }
+
+    #[test]
+    fn stale_handle_and_token_never_observe_the_task_reusing_their_record() {
+        let rt = Arc::new(
+            Runtime::builder()
+                .workers(1)
+                .policy(Policy::SignificanceAgnostic)
+                .build(),
+        );
+        let release = block_single_worker(&rt);
+        let token = CancelToken::new();
+        let first = rt.submit(|| 7u32).cancel_token(&token).spawn();
+        // Runs on the worker right after `first` retired: the top husk of
+        // its stash is `first`'s record, and the nested spawn pops it.
+        let driver = {
+            let rt2 = rt.clone();
+            let token = token.clone();
+            rt.submit(move || {
+                let stashed = |rt: &Runtime| rt.inner.with_stash(|stash| stash.len()).unwrap();
+                let before = stashed(&rt2);
+                let reuser = rt2.submit(|| 9u32).spawn();
+                let after = stashed(&rt2);
+                // Cancelling the old task's token must not reach the reuser.
+                token.cancel();
+                (before, after, reuser)
+            })
+            .spawn()
+        };
+        release.send(()).unwrap();
+        assert!(driver.wait().is_success());
+        let (before, after, reuser) = driver.take_value().expect("driver ran");
+        assert_eq!(before, 2, "blocker's and first's records");
+        assert_eq!(after, 1, "the nested spawn reused first's record");
+        assert_eq!(
+            reuser.wait(),
+            TaskOutcome::Completed(ExecutionMode::Accurate)
+        );
+        assert_eq!(reuser.take_value(), Some(9));
+        assert_ne!(reuser.id(), first.id());
+        assert_eq!(
+            first.wait(),
+            TaskOutcome::Completed(ExecutionMode::Accurate)
+        );
+        assert_eq!(first.take_value(), Some(7));
+        let summary = rt.wait_all();
+        assert_eq!(summary.cancelled, 0);
+    }
+
+    #[test]
+    fn nothing_pooled_outlives_the_burst() {
+        let rt = count_runtime(Policy::Lqh);
+        let group = rt.create_group("burst", 0.5);
+        let state = rt.inner.groups.get(group.id);
+        // Registry + `state`; every live record of the group adds one.
+        let idle_count = Arc::strong_count(&state);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..5_000 {
+                        rt.task(|| {}).approx(|| {}).group(&group).spawn();
+                    }
+                });
+            }
+        });
+        rt.wait_all();
+        // The barrier freed the pool and this thread's stash, and a worker
+        // retiring a task after it finds the runtime idle and frees too.
+        assert!(rt.inner.husks.lock().is_empty());
+        assert_eq!(rt.inner.husks.available.load(Ordering::Relaxed), 0);
+        // Workers give up their own stashes as they run out of work.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Arc::strong_count(&state) != idle_count {
+            assert!(Instant::now() < deadline, "husks survived an idle runtime");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(rt.inner.husks.lock().is_empty());
     }
 }

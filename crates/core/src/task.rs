@@ -244,6 +244,103 @@ pub(crate) struct Task {
 }
 
 impl Task {
+    /// A blank record ("husk") bound to `group_state`: no bodies, no keys, no
+    /// clauses, state byte 0. Every spawn starts from one — freshly allocated
+    /// or recycled (see [`Task::reset`]) — and fills it through `&mut`.
+    pub(crate) fn blank(group_state: Arc<GroupState>) -> Self {
+        Task {
+            id: TaskId(0),
+            group_state,
+            significance: Significance::default(),
+            accurate: BodyCell::new(None),
+            approximate: BodyCell::new(None),
+            state: AtomicU8::new(0),
+            pending_deps: AtomicUsize::new(0),
+            successors: SuccessorList::new(),
+            out_keys: Vec::new(),
+            footprint: false,
+            system: false,
+            in_keys: Vec::new(),
+            deadline_nanos: 0,
+            cancel: None,
+            handle: None,
+        }
+    }
+
+    /// Blank a retired record in place for reuse, keeping only its group
+    /// binding (the next spawn into the same group then skips the group
+    /// lookup and refcount). `&mut` is the whole safety argument: the runtime
+    /// gets here through `Arc::get_mut`, so nobody else holds the record.
+    pub(crate) fn reset(&mut self) {
+        // Exhaustive on purpose: a new field must say how it is blanked.
+        let Task {
+            id: _,
+            group_state: _,
+            significance: _,
+            accurate,
+            approximate,
+            state,
+            pending_deps,
+            successors,
+            out_keys,
+            footprint,
+            system,
+            in_keys,
+            deadline_nanos,
+            cancel,
+            handle,
+        } = self;
+        *accurate = BodyCell::new(None);
+        *approximate = BodyCell::new(None);
+        *state.get_mut() = 0;
+        *pending_deps.get_mut() = 0;
+        // A footprint task sealed its list at completion; unseal it.
+        *successors = SuccessorList::new();
+        *out_keys = Vec::new();
+        *footprint = false;
+        *system = false;
+        *in_keys = Vec::new();
+        *deadline_nanos = 0;
+        *cancel = None;
+        *handle = None;
+    }
+
+    /// Whether the record is as [`Task::blank`] leaves it. `&mut` so the body
+    /// cells can be read without `unsafe`.
+    #[cfg(test)]
+    pub(crate) fn is_blank(&mut self) -> bool {
+        self.accurate.0.get_mut().is_none()
+            && self.approximate.0.get_mut().is_none()
+            && *self.state.get_mut() == 0
+            && *self.pending_deps.get_mut() == 0
+            && self.successors.head.get_mut().is_null()
+            && self.out_keys.is_empty()
+            && self.in_keys.is_empty()
+            && !self.footprint
+            && !self.system
+            && self.deadline_nanos == 0
+            && self.cancel.is_none()
+            && self.handle.is_none()
+    }
+
+    /// Give a blank record its identity and bodies. The remaining clauses
+    /// (keys, deadline, cancel token, handle) are plain field stores by the
+    /// spawn path.
+    pub(crate) fn fill(
+        &mut self,
+        id: TaskId,
+        significance: Significance,
+        accurate: TaskBody,
+        approximate: Option<TaskBody>,
+    ) {
+        self.id = id;
+        self.significance = significance;
+        self.accurate = BodyCell::new(Some(accurate));
+        self.approximate = BodyCell::new(approximate);
+    }
+
+    /// A filled record in one call, for unit tests.
+    #[cfg(test)]
     pub(crate) fn new(
         id: TaskId,
         group_state: Arc<GroupState>,
@@ -253,40 +350,11 @@ impl Task {
         out_keys: Vec<DepKey>,
         footprint: bool,
     ) -> Self {
-        Task {
-            id,
-            group_state,
-            significance,
-            accurate: BodyCell::new(Some(accurate)),
-            approximate: BodyCell::new(approximate),
-            state: AtomicU8::new(0),
-            pending_deps: AtomicUsize::new(0),
-            successors: SuccessorList::new(),
-            out_keys,
-            footprint,
-            system: false,
-            in_keys: Vec::new(),
-            deadline_nanos: 0,
-            cancel: None,
-            handle: None,
-        }
-    }
-
-    /// A runtime-internal helper task: footprint-free, critical significance,
-    /// excluded from user-facing statistics.
-    pub(crate) fn new_system(id: TaskId, group_state: Arc<GroupState>, body: TaskBody) -> Self {
-        Task {
-            system: true,
-            ..Task::new(
-                id,
-                group_state,
-                Significance::CRITICAL,
-                body,
-                None,
-                Vec::new(),
-                false,
-            )
-        }
+        let mut task = Task::blank(group_state);
+        task.fill(id, significance, accurate, approximate);
+        task.out_keys = out_keys;
+        task.footprint = footprint;
+        task
     }
 
     /// Spawn fast path: mark the task released and enqueued (and decided
@@ -666,5 +734,46 @@ mod tests {
         token.cancel();
         assert!(token.is_cancelled());
         assert!(t.cancel_requested());
+    }
+
+    #[test]
+    fn reset_blanks_every_field_and_unseals_the_successor_list() {
+        let mut t = Task::new(
+            TaskId(9),
+            test_group(),
+            Significance::new(0.3),
+            Box::new(|| {}),
+            Some(Box::new(|| {})),
+            vec![DepKey::from_raw(1)],
+            true,
+        );
+        assert!(!t.is_blank());
+        t.in_keys = vec![DepKey::from_raw(2)];
+        t.system = true;
+        t.deadline_nanos = 17;
+        t.cancel = Some(CancelToken::new());
+        t.pending_deps.store(3, Ordering::Relaxed);
+        // Retire it the way a footprint task retires: sealed list, every
+        // state bit set, one body left untaken.
+        assert!(t.successors.try_push(Arc::new(dummy_task(0.1))));
+        t.decide(false);
+        t.release();
+        t.claim_enqueue();
+        t.request_cancel();
+        t.mark_panicked();
+        assert_eq!(t.successors.seal().len(), 1);
+        t.mark_completed();
+        assert!(!t.successors.try_push(Arc::new(dummy_task(0.1))));
+
+        t.reset();
+        assert!(t.is_blank());
+        assert_eq!(t.decision(), None);
+        assert!(!t.is_released() && !t.is_completed() && !t.is_panicked());
+        assert!(!t.cancel_requested());
+        assert!(t.claim_enqueue(), "the enqueue claim is free again");
+        assert!(
+            t.successors.try_push(Arc::new(dummy_task(0.1))),
+            "a reused record must accept successors again"
+        );
     }
 }
