@@ -31,8 +31,9 @@
 //! * a **single-key read-only registration** pins the shard (one counter
 //!   increment), resolves its RAW predecessor from the published epoch and
 //!   pushes itself onto the epoch's reader list with one CAS;
-//! * **write completion** (`complete_writes`) and the `taskwait on(...)`
-//!   predicate (`outstanding_writes`) are plain atomic ops on the key cell.
+//! * **write completion** costs the tracker nothing: a finished writer is
+//!   recognised by its sealed successor list, which is also all the
+//!   `taskwait on(...)` predicate (`has_unfinished_writer`) looks at.
 //!
 //! Only **writer registration** — and any registration touching more than
 //! one key — takes the shard locks, in ascending shard order over the whole
@@ -51,6 +52,43 @@
 //! snapshots are retired into a per-shard limbo list and freed once the
 //! shard's read-side **pin count** is observed at zero (publication happens
 //! before the check, so late readers can only ever see live pointers).
+//!
+//! # Finished tasks cost a load
+//!
+//! A task that has released its successors (its successor list is sealed)
+//! can no longer be waited for, so registration does not treat it as a
+//! predecessor at all: every candidate — the epoch's writer, each reader a
+//! writer seals — is checked with one load *before* it is cloned,
+//! listed or wired ([`is_new_pred`]). With the workers keeping up that is
+//! nearly every candidate, and the alternative is a reference-count
+//! increment on a line the candidate's worker wrote last, a list node
+//! allocated, a push that fails, and both undone again.
+//!
+//! # What the tracker retains, and when it lets go
+//!
+//! The tracker holds `Arc<Task>` references, and a task record is recycled
+//! only by whoever lets go of its last one (`runtime.rs`, "Where a task
+//! record comes from and goes back to"). What it holds at any time:
+//!
+//! * per key, the **live epoch**: its writer (until the key's next epoch is
+//!   reclaimed) and the readers registered since it opened. A reader list is
+//!   **bounded**: the reader that brings it to [`READER_ROTATION`] entries
+//!   takes the gate and rotates the key the way a writer would
+//!   ([`TrackerShard::rotate`]), carrying over only the readers — and the
+//!   writer — that have not finished. A key written once and read for ever
+//!   therefore retains at most twice its unfinished readers plus
+//!   `READER_ROTATION` records, not every reader it ever had;
+//! * **retired epochs**, each with its writer reference and an empty
+//!   (sealed, drained) reader list, until a registration on the shard
+//!   observes the pin count at zero — at most `RECLAIM_PRESSURE` of them.
+//!
+//! Every reference it lets go of — finished readers of an epoch being
+//! sealed, the writer of a retired epoch being freed — is handed to the
+//! registering caller in [`Registration::released`] rather than dropped, on
+//! the registering thread, after the gates are released. Unfinished readers
+//! of a sealed epoch are not let go of but *moved* into the predecessor
+//! list. Keys themselves are never forgotten: a `KeyCell` lives as long as
+//! the tracker.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -128,9 +166,9 @@ struct ReaderNode {
 
 /// Lock-free list of the readers registered in one epoch (same Treiber +
 /// seal discipline as the task successor list): readers push with a CAS,
-/// the next writer swaps in a sealed sentinel and drains. A push that
-/// observes the sentinel knows the epoch is closed and must retry against
-/// the key's new epoch.
+/// whoever replaces the epoch swaps in a sealed sentinel and drains. A push
+/// that observes the sentinel knows the epoch is closed and must retry
+/// against the key's new epoch.
 struct ReaderList {
     head: AtomicPtr<ReaderNode>,
 }
@@ -143,17 +181,30 @@ impl ReaderList {
     }
 
     /// Register `reader`; returns `false` if the epoch was already sealed.
-    fn try_push(&self, reader: Arc<Task>) -> bool {
-        let node = Box::into_raw(Box::new(ReaderNode {
-            task: reader,
+    /// Looks at the seal before it allocates or clones.
+    fn try_push(&self, reader: &Arc<Task>) -> bool {
+        // Acquire: a reader that finds the seal goes on to load the key's
+        // next epoch, which the sealer published before it sealed.
+        if self.head.load(Ordering::Acquire) == sealed() {
+            return false;
+        }
+        let node = Box::new(ReaderNode {
+            task: reader.clone(),
             next: std::ptr::null_mut(),
-        }));
+        });
+        self.push_node(node).is_ok()
+    }
+
+    /// Link an already allocated node in; gives it back if the list is
+    /// sealed.
+    fn push_node(&self, node: Box<ReaderNode>) -> Result<(), Box<ReaderNode>> {
+        let node = Box::into_raw(node);
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             if head == sealed() {
-                // SAFETY: the node was just allocated above and never shared.
-                drop(unsafe { Box::from_raw(node) });
-                return false;
+                // SAFETY: the node came from `Box::into_raw` above and was
+                // never shared.
+                return Err(unsafe { Box::from_raw(node) });
             }
             // SAFETY: the node is still exclusively ours until the CAS wins.
             unsafe { (*node).next = head };
@@ -161,38 +212,62 @@ impl ReaderList {
                 .head
                 .compare_exchange_weak(head, node, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => return true,
+                Ok(_) => return Ok(()),
                 Err(observed) => head = observed,
             }
         }
     }
 
-    /// Seal the list (no further pushes succeed) and drain the registered
-    /// readers.
-    fn seal(&self) -> Vec<Arc<Task>> {
-        let mut head = self.head.swap(sealed(), Ordering::AcqRel);
-        let mut readers = Vec::new();
-        while !head.is_null() && head != sealed() {
-            // SAFETY: the swap above made this list unreachable to pushers;
-            // each node came from `Box::into_raw` and is freed exactly once.
-            let node = unsafe { Box::from_raw(head) };
-            readers.push(node.task);
-            head = node.next;
-        }
-        readers
+    /// Seal the list (no further pushes succeed) and hand over the chain of
+    /// registered readers, drained in place: no collection is built.
+    fn seal(&self) -> SealedReaders {
+        let head = self.head.swap(sealed(), Ordering::AcqRel);
+        SealedReaders(if head == sealed() {
+            std::ptr::null_mut()
+        } else {
+            head
+        })
     }
 }
 
 impl Drop for ReaderList {
     fn drop(&mut self) {
         // Frees any nodes never drained (e.g. readers of a final epoch).
-        let _ = self.seal();
+        drop(self.seal());
+    }
+}
+
+/// The readers of a sealed epoch, newest first. Owns the chain: each node is
+/// yielded (and thereby freed or relinked) exactly once, and whatever is not
+/// iterated is freed on drop.
+struct SealedReaders(*mut ReaderNode);
+
+impl Iterator for SealedReaders {
+    type Item = Box<ReaderNode>;
+
+    fn next(&mut self) -> Option<Box<ReaderNode>> {
+        if self.0.is_null() {
+            return None;
+        }
+        // SAFETY: the sealing swap made the chain unreachable to pushers;
+        // every node came from `Box::into_raw` and is taken exactly once.
+        let node = unsafe { Box::from_raw(self.0) };
+        self.0 = node.next;
+        Some(node)
+    }
+}
+
+impl Drop for SealedReaders {
+    fn drop(&mut self) {
+        self.for_each(drop);
     }
 }
 
 /// One writer generation of a key: the last writer when the epoch opened
 /// plus every reader registered since. Immutable except for the lock-free
-/// reader list; replaced wholesale (never mutated) by the next writer.
+/// reader list; replaced wholesale (never mutated) by the next writer — or,
+/// once it has taken [`READER_ROTATION`] readers, by the reader that filled
+/// it (see [`TrackerShard::rotate`]).
 struct ReadEpoch {
     /// Shard generation stamp at publication. Strictly increasing along any
     /// one key's epoch chain — diagnostics and test hook for the RCU path.
@@ -206,13 +281,23 @@ struct ReadEpoch {
 /// reader's cell reference.
 struct KeyCell {
     epoch: AtomicPtr<ReadEpoch>,
-    /// Writers registered for the key and not yet completed; drives the
-    /// `taskwait on(...)` predicate without any lock.
-    outstanding_writes: AtomicUsize,
     /// Sticky poison flag: set when a task writing the key panicked or was
     /// cancelled/shed, so dependents can detect they may have read garbage.
     poisoned: AtomicBool,
+    /// Reader registrations the current epoch still takes before the
+    /// registrant rotates it. Counted down by every reader push, re-armed by
+    /// whoever opens an epoch. Relaxed throughout: it only decides *when*
+    /// the maintenance step runs and publishes nothing; being one variable,
+    /// exactly one push after each re-arm reads 1.
+    reads_until_rotation: AtomicUsize,
 }
+
+/// Readers an epoch takes before the registrant that filled it rotates the
+/// key — so a key written once and read for ever retains a bounded number of
+/// finished readers, not all of them. A constant, not a tuning knob: it only
+/// has to be large enough that the one locked registration it costs
+/// disappears among the lock-free ones.
+pub(crate) const READER_ROTATION: usize = 64;
 
 impl KeyCell {
     fn new(generation: u64) -> KeyCell {
@@ -222,9 +307,14 @@ impl KeyCell {
                 writer: None,
                 readers: ReaderList::new(),
             }))),
-            outstanding_writes: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            reads_until_rotation: AtomicUsize::new(READER_ROTATION),
         }
+    }
+
+    /// Count one reader push; `true` for the push that fills the epoch.
+    fn reader_fills_epoch(&self) -> bool {
+        self.reads_until_rotation.fetch_sub(1, Ordering::Relaxed) == 1
     }
 }
 
@@ -321,26 +411,31 @@ impl TrackerShard {
         gate: &mut ShardGate,
         task: &Arc<Task>,
         key: DepKey,
-        preds: &mut Vec<Arc<Task>>,
+        out: &mut Registration,
     ) {
         let cell = self.cell(gate, key);
         // SAFETY: epochs are only replaced under the gate, which we hold.
         let epoch = unsafe { &*cell.epoch.load(Ordering::Acquire) };
         if let Some(writer) = &epoch.writer {
-            push_pred(task, preds, writer);
+            push_pred(task, &mut out.preds, writer);
         }
-        let pushed = epoch.readers.try_push(task.clone());
+        let pushed = epoch.readers.try_push(task);
         debug_assert!(pushed, "an epoch cannot be sealed while the gate is held");
+        if cell.reader_fills_epoch() {
+            self.rotate(gate, &cell, &mut out.released);
+        }
     }
 
     /// Locked write registration: open a fresh epoch, seal the old one and
-    /// collect its writer (WAW) and readers (WAR) as predecessors.
+    /// collect its writer (WAW) and readers (WAR) as predecessors. A sealed
+    /// reader's reference moves into the predecessor list or, if the reader
+    /// already finished, into `out.released`.
     fn register_write_locked(
         &self,
         gate: &mut ShardGate,
         task: &Arc<Task>,
         key: DepKey,
-        preds: &mut Vec<Arc<Task>>,
+        out: &mut Registration,
     ) {
         let cell = self.cell(gate, key);
         gate.generation += 1;
@@ -352,25 +447,78 @@ impl TrackerShard {
         // SeqCst swap: the publication must precede the pin check in
         // `reclaim` in the SC order (see the module docs).
         let old = cell.epoch.swap(fresh, Ordering::SeqCst);
+        cell.reads_until_rotation
+            .store(READER_ROTATION, Ordering::Relaxed);
         // SAFETY: retired-but-not-freed allocation (freed only by `reclaim`
         // under this gate once the pin count is observed at zero).
         let old_ref = unsafe { &*old };
         debug_assert!(old_ref.generation < gate.generation);
         if let Some(writer) = &old_ref.writer {
-            push_pred(task, preds, writer);
+            push_pred(task, &mut out.preds, writer);
         }
-        for reader in old_ref.readers.seal() {
-            push_pred(task, preds, &reader);
+        for node in old_ref.readers.seal() {
+            let reader = node.task;
+            if is_new_pred(task, &out.preds, &reader) {
+                out.preds.push(reader);
+            } else {
+                out.released.push(reader);
+            }
         }
         gate.retired_epochs.push(old);
-        cell.outstanding_writes.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Reader-side rotation of a key whose epoch has taken its share of
+    /// readers: exactly what a writer does to it, minus the writer. Publish
+    /// a fresh epoch (a concurrent fast-path push that then hits the seal
+    /// reloads and lands in it), seal the old one, and carry over what the
+    /// key's next writer still has to wait for — the readers that have not
+    /// finished, and the old writer if *it* has not. References to finished
+    /// readers go to `released`; the old epoch, with its writer reference,
+    /// is retired like any other. Gate must be held.
+    ///
+    /// Re-armed for at least as many readers as were carried over, so the
+    /// walk is amortised O(1) per registration however long a backlog of
+    /// unfinished readers grows, and a list never holds more than twice the
+    /// key's unfinished readers plus [`READER_ROTATION`].
+    fn rotate(&self, gate: &mut ShardGate, cell: &KeyCell, released: &mut Vec<Arc<Task>>) {
+        // SAFETY: epochs are only replaced under the gate, which we hold.
+        let old = unsafe { &*cell.epoch.load(Ordering::Acquire) };
+        gate.generation += 1;
+        let fresh = Box::into_raw(Box::new(ReadEpoch {
+            generation: gate.generation,
+            writer: old
+                .writer
+                .as_ref()
+                .filter(|writer| !writer.successors.is_sealed())
+                .cloned(),
+            readers: ReaderList::new(),
+        }));
+        // SeqCst swap: as in `register_write_locked`.
+        let old = cell.epoch.swap(fresh, Ordering::SeqCst);
+        // SAFETY: `fresh` is the live epoch and `old` is retired below; both
+        // stay allocated while the gate is held (see `reclaim`).
+        let (fresh, old_ref) = unsafe { (&*fresh, &*old) };
+        let mut carried = 0;
+        for node in old_ref.readers.seal() {
+            if node.task.successors.is_sealed() {
+                released.push(node.task);
+            } else {
+                let linked = fresh.readers.push_node(node);
+                debug_assert!(linked.is_ok(), "only a gate holder seals an epoch");
+                carried += 1;
+            }
+        }
+        cell.reads_until_rotation
+            .store(READER_ROTATION.max(carried), Ordering::Relaxed);
+        gate.retired_epochs.push(old);
     }
 
     /// Retired pointers above which `reclaim` stops deferring and forces a
     /// drain of the read side instead.
     const RECLAIM_PRESSURE: usize = 64;
 
-    /// Free retired epochs/snapshots if no reader is pinned. Must run after
+    /// Free retired epochs/snapshots if no reader is pinned, handing the
+    /// record reference each freed epoch held to `released`. Must run after
     /// every new pointer of the current registration is published.
     ///
     /// A non-zero pin count normally defers reclamation to a later
@@ -383,7 +531,7 @@ impl TrackerShard {
     /// seals on this shard require the gate we are holding — so every
     /// in-flight reader completes in a bounded number of steps and the
     /// limbo cannot grow without bound however saturated the read side is.
-    fn reclaim(&self, gate: &mut ShardGate) {
+    fn reclaim(&self, gate: &mut ShardGate, released: &mut Vec<Arc<Task>>) {
         let retired = gate.retired_epochs.len() + gate.retired_snapshots.len();
         if retired == 0 {
             return;
@@ -409,7 +557,10 @@ impl TrackerShard {
         for epoch in gate.retired_epochs.drain(..) {
             // SAFETY: unpublished before the pin check read zero; no reader
             // can reach these anymore, and the gate serialises freeing.
-            unsafe { drop(Box::from_raw(epoch)) };
+            let epoch = unsafe { Box::from_raw(epoch) };
+            // Its reader list was drained when it was sealed; the writer is
+            // the one record reference a retired epoch still holds.
+            released.extend(epoch.writer);
         }
         for snapshot in gate.retired_snapshots.drain(..) {
             // SAFETY: as above.
@@ -435,22 +586,69 @@ impl Drop for TrackerShard {
     }
 }
 
+/// Whether `task` has to wait for `candidate` and is not waiting for it yet.
+/// The pointer comparisons touch nothing but the arguments; only then is the
+/// candidate's own record read — one load, instead of a reference-count
+/// increment on a line its worker wrote last (ordering: see
+/// [`crate::task::SuccessorList::is_sealed`]).
+fn is_new_pred(task: &Arc<Task>, preds: &[Arc<Task>], candidate: &Arc<Task>) -> bool {
+    !Arc::ptr_eq(candidate, task)
+        && !preds.iter().any(|pred| Arc::ptr_eq(pred, candidate))
+        && !candidate.successors.is_sealed()
+}
+
+/// List `candidate` among `task`'s predecessors if [`is_new_pred`].
 fn push_pred(task: &Arc<Task>, preds: &mut Vec<Arc<Task>>, candidate: &Arc<Task>) {
-    if candidate.id != task.id && !preds.iter().any(|p| p.id == candidate.id) {
+    if is_new_pred(task, preds, candidate) {
         preds.push(candidate.clone());
     }
 }
 
-/// Tracks dependences and the number of outstanding writers per key (the
-/// latter supports `taskwait on(...)`), sharded by key hash and published
-/// read-mostly: single-key reads, write completions and `wait_on` polling
-/// never take a lock.
+/// `(writer, readers)` of a key's live epoch.
+#[cfg(test)]
+pub(crate) type LiveEpoch = (Option<Arc<Task>>, Vec<Arc<Task>>);
+
+/// What one [`DependenceTracker::register`] call hands its caller, in
+/// caller-owned buffers so a registration allocates neither.
+#[derive(Default)]
+pub(crate) struct Registration {
+    /// The tasks the registered task must wait for: unfinished when looked
+    /// at, deduplicated, never the task itself.
+    pub(crate) preds: Vec<Arc<Task>>,
+    /// Record references the tracker let go of while registering: finished
+    /// readers of epochs it sealed, writers of retired epochs it freed. The
+    /// caller decides what becomes of them (the runtime recycles them).
+    pub(crate) released: Vec<Arc<Task>>,
+}
+
+impl Registration {
+    pub(crate) const fn new() -> Self {
+        Registration {
+            preds: Vec::new(),
+            released: Vec::new(),
+        }
+    }
+}
+
+/// Tracks dependences and, per key, the last writer (which also answers
+/// `taskwait on(...)`), sharded by key hash and published read-mostly:
+/// single-key reads and `wait_on` polling never take a lock, and a write
+/// completing does not come here at all.
 pub(crate) struct DependenceTracker {
     shards: Box<[CachePadded<TrackerShard>]>,
     /// Single-key read-only registrations resolved on the lock-free fast
     /// path. Observability counter (tests assert the fast path stays taken
     /// under writer churn); not on any decision path.
     fast_reads: AtomicUsize,
+    /// Whether any key was ever poisoned. Set before the first key's own
+    /// flag, never cleared, and asked first by [`DependenceTracker::is_poisoned`],
+    /// which every worker calls for every input of every writing task: while
+    /// nothing has failed the answer is one load of a line that nobody ever
+    /// writes (hence the padding — next to `fast_reads` it would be
+    /// invalidated by every registration), instead of a pinned lookup whose
+    /// pin dirties a line that registration reads and whose hit shares the
+    /// key cell's line, which registration writes.
+    any_poisoned: CachePadded<AtomicBool>,
 }
 
 impl DependenceTracker {
@@ -460,6 +658,7 @@ impl DependenceTracker {
                 .map(|_| CachePadded::new(TrackerShard::new()))
                 .collect(),
             fast_reads: AtomicUsize::new(0),
+            any_poisoned: CachePadded::new(AtomicBool::new(false)),
         }
     }
 
@@ -469,8 +668,10 @@ impl DependenceTracker {
         self.fast_reads.load(Ordering::Relaxed)
     }
 
-    /// Register a task's footprint and return its predecessors
-    /// (deduplicated).
+    /// Register a task's footprint: its predecessors (unfinished,
+    /// deduplicated) land in `out.preds`, the record references the tracker
+    /// let go of on the way in `out.released`. Both are appended to, so the
+    /// caller can keep one `Registration` and drain it after every call.
     ///
     /// Single-key read-only footprints resolve lock-free against the
     /// published epoch. Everything else locks **all** shards its footprint
@@ -483,12 +684,12 @@ impl DependenceTracker {
         task: &Arc<Task>,
         in_keys: &[DepKey],
         out_keys: &[DepKey],
-    ) -> Vec<Arc<Task>> {
+        out: &mut Registration,
+    ) {
         if out_keys.is_empty() {
             if let [key] = in_keys {
-                if let Some(preds) = self.register_read_fast(task, *key) {
-                    self.fast_reads.fetch_add(1, Ordering::Relaxed);
-                    return preds;
+                if self.register_read_fast(task, *key, out) {
+                    return;
                 }
                 // First touch of the key: fall through to the locked path,
                 // which inserts the cell and registers the read.
@@ -506,39 +707,39 @@ impl DependenceTracker {
             }
         }
 
-        let mut preds: Vec<Arc<Task>> = Vec::new();
         for key in in_keys {
             let shard = shard_of(*key);
             let gate = guards[shard].as_mut().expect("shard locked");
-            self.shards[shard].register_read_locked(gate, task, *key, &mut preds);
+            self.shards[shard].register_read_locked(gate, task, *key, out);
         }
         for key in out_keys {
             let shard = shard_of(*key);
             let gate = guards[shard].as_mut().expect("shard locked");
-            self.shards[shard].register_write_locked(gate, task, *key, &mut preds);
+            self.shards[shard].register_write_locked(gate, task, *key, out);
         }
         // Everything new is published: try to fold the limbo lists.
         for (index, guard) in guards.iter_mut().enumerate() {
             if let Some(gate) = guard.as_mut() {
-                self.shards[index].reclaim(gate);
+                self.shards[index].reclaim(gate, &mut out.released);
             }
         }
-        preds
     }
 
     /// Lock-free registration of a single-key read: pin the shard, resolve
     /// the RAW predecessor from the published epoch, CAS onto its reader
-    /// list. Returns `None` when the key has never been registered (the
-    /// caller then takes the locked insert path).
-    fn register_read_fast(&self, task: &Arc<Task>, key: DepKey) -> Option<Vec<Arc<Task>>> {
+    /// list. Returns `false` when the key has never been registered (the
+    /// caller then takes the locked insert path). The one registration in
+    /// [`READER_ROTATION`] that fills its epoch goes on to take the gate and
+    /// rotate the key; it does not count as a fast-path read.
+    fn register_read_fast(&self, task: &Arc<Task>, key: DepKey, out: &mut Registration) -> bool {
         let shard = &self.shards[shard_of(key)];
         if shard.draining.load(Ordering::SeqCst) {
             // Reclamation is waiting for the pin count to drain: take the
             // locked path instead of keeping the read side pinned.
-            return None;
+            return false;
         }
         shard.pin();
-        let result = (|| {
+        let filled_epoch = (|| {
             // SAFETY: pinned — the snapshot (and any epoch reached from it)
             // cannot be freed until the pin is released.
             let snapshot = unsafe { &*shard.snapshot.load(Ordering::SeqCst) };
@@ -546,43 +747,35 @@ impl DependenceTracker {
             loop {
                 // SAFETY: pinned, as above.
                 let epoch = unsafe { &*cell.epoch.load(Ordering::SeqCst) };
-                if epoch.readers.try_push(task.clone()) {
-                    // Linearised: we are a reader of exactly this epoch. The
-                    // next writer's seal will find us (WAR); our RAW
-                    // predecessor is this epoch's writer.
-                    let mut preds = Vec::new();
+                if epoch.readers.try_push(task) {
+                    // Linearised: we are a reader of exactly this epoch.
+                    // Whoever seals it will find us (WAR); our RAW
+                    // predecessor is this epoch's writer, unless it is done.
                     if let Some(writer) = &epoch.writer {
-                        if writer.id != task.id {
-                            preds.push(writer.clone());
-                        }
+                        push_pred(task, &mut out.preds, writer);
                     }
-                    return Some(preds);
+                    return Some(cell.reader_fills_epoch());
                 }
-                // Sealed: a writer advanced the key; retry against the new
-                // epoch (and depend on that writer instead).
+                // Sealed: the key advanced; retry against the new epoch
+                // (and depend on its writer instead).
             }
         })();
         shard.unpin();
-        result
-    }
-
-    /// Record the completion of a task that had the given output keys.
-    /// Lock-free: one atomic decrement per key on the published cell.
-    pub(crate) fn complete_writes(&self, out_keys: &[DepKey]) {
-        for key in out_keys {
-            self.with_cell(*key, |cell| {
-                if let Some(cell) = cell {
-                    // Saturating: completions are exactly-once by the
-                    // scheduler protocol, but a stray extra completion must
-                    // not wrap.
-                    let _ = cell.outstanding_writes.fetch_update(
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                        |count| count.checked_sub(1),
-                    );
-                }
-            });
+        match filled_epoch {
+            None => return false,
+            Some(false) => {
+                self.fast_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(true) => {
+                // Unpinned first: `reclaim` may wait for the pins to drain
+                // while it holds the gate taken here.
+                let mut gate = shard.gate.lock().unwrap();
+                let cell = shard.cell(&mut gate, key);
+                shard.rotate(&mut gate, &cell, &mut out.released);
+                shard.reclaim(&mut gate, &mut out.released);
+            }
         }
+        true
     }
 
     /// Mark the given output keys poisoned: the task that was to write them
@@ -591,10 +784,16 @@ impl DependenceTracker {
     /// called **before** the failed task's successors are released so a
     /// dependent can never observe its inputs clean.
     ///
-    /// Poisoning does not replace [`DependenceTracker::complete_writes`]:
-    /// the outstanding-write counters still drain normally so `taskwait
-    /// on(...)` waiters cannot deadlock on a failed writer.
+    /// Poisoning does not replace completion: the failed task still
+    /// releases its successors, which is what `taskwait on(...)` waits for
+    /// ([`DependenceTracker::has_unfinished_writer`]), so waiters cannot
+    /// deadlock on a failed writer.
     pub(crate) fn poison_writes(&self, out_keys: &[DepKey]) {
+        if !out_keys.is_empty() {
+            // SeqCst like the key flags; what makes a dependent see it is
+            // the failed task's completion, which releases the dependent.
+            self.any_poisoned.store(true, Ordering::SeqCst);
+        }
         for key in out_keys {
             self.with_cell(*key, |cell| {
                 if let Some(cell) = cell {
@@ -607,18 +806,33 @@ impl DependenceTracker {
     /// Whether the key was written (or should have been written) by a task
     /// that failed. A key never registered is clean.
     pub(crate) fn is_poisoned(&self, key: DepKey) -> bool {
+        if !self.any_poisoned.load(Ordering::SeqCst) {
+            return false;
+        }
         self.with_cell(key, |cell| {
             cell.map(|cell| cell.poisoned.load(Ordering::SeqCst))
                 .unwrap_or(false)
         })
     }
 
-    /// Number of not-yet-completed tasks that write the given key.
-    /// Lock-free: pins the shard and reads the published counter.
-    pub(crate) fn outstanding_writes(&self, key: DepKey) -> usize {
+    /// Whether a task that writes `key` has yet to finish — the `taskwait
+    /// on(...)` predicate. Lock-free: pins the shard and looks at the live
+    /// epoch's writer. That one task answers for all of them: writers of a
+    /// key run in registration order (each waits for the one before it
+    /// unless that had already released its successors), the epoch names
+    /// the last one registered, and a reader-side rotation drops the name
+    /// only once the task has finished.
+    pub(crate) fn has_unfinished_writer(&self, key: DepKey) -> bool {
         self.with_cell(key, |cell| {
-            cell.map(|cell| cell.outstanding_writes.load(Ordering::SeqCst))
-                .unwrap_or(0)
+            cell.is_some_and(|cell| {
+                // SAFETY: the shard is pinned (or its gate held) for the
+                // duration of this closure — see `with_cell`.
+                let epoch = unsafe { &*cell.epoch.load(Ordering::SeqCst) };
+                epoch
+                    .writer
+                    .as_ref()
+                    .is_some_and(|writer| !writer.successors.is_sealed())
+            })
         })
     }
 
@@ -633,6 +847,28 @@ impl DependenceTracker {
                 unsafe { &*cell.epoch.load(Ordering::SeqCst) }.generation
             })
         })
+    }
+
+    /// The writer and the readers the key's live epoch holds right now (test
+    /// hook for what the tracker retains; `None` if the key was never
+    /// registered).
+    #[cfg(test)]
+    pub(crate) fn live_epoch(&self, key: DepKey) -> Option<LiveEpoch> {
+        let shard = &self.shards[shard_of(key)];
+        let _gate = shard.gate.lock().unwrap();
+        // SAFETY: the gate is held, so the snapshot and the epoch are stable
+        // and no reader node is freed (only a gate holder seals a list).
+        let snapshot = unsafe { &*shard.snapshot.load(Ordering::Relaxed) };
+        let epoch = unsafe { &*snapshot.get(&key)?.epoch.load(Ordering::Acquire) };
+        let mut readers = Vec::new();
+        let mut node = epoch.readers.head.load(Ordering::Acquire);
+        while !node.is_null() {
+            // SAFETY: as above; a live epoch's list is never sealed.
+            let reader = unsafe { &*node };
+            readers.push(reader.task.clone());
+            node = reader.next;
+        }
+        Some((epoch.writer.clone(), readers))
     }
 
     /// Run `body` on the published cell of `key` (or `None` if the key was
@@ -676,6 +912,24 @@ mod tests {
         ))
     }
 
+    /// Register and return the predecessors alone.
+    fn preds_of(
+        tracker: &DependenceTracker,
+        task: &Arc<Task>,
+        in_keys: &[DepKey],
+        out_keys: &[DepKey],
+    ) -> Vec<Arc<Task>> {
+        let mut out = Registration::new();
+        tracker.register(task, in_keys, out_keys, &mut out);
+        out.preds
+    }
+
+    /// Retire `task` the way its worker does: release the successors.
+    fn finish(task: &Task) {
+        task.successors.seal();
+        task.mark_completed();
+    }
+
     #[test]
     fn key_constructors_are_stable() {
         assert_eq!(DepKey::named("res"), DepKey::named("res"));
@@ -699,8 +953,8 @@ mod tests {
         let key = DepKey::named("x");
         let writer = task(0, vec![key]);
         let reader = task(1, vec![]);
-        assert!(tracker.register(&writer, &[], &[key]).is_empty());
-        let preds = tracker.register(&reader, &[key], &[]);
+        assert!(preds_of(&tracker, &writer, &[], &[key]).is_empty());
+        let preds = preds_of(&tracker, &reader, &[key], &[]);
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].id, writer.id);
     }
@@ -710,11 +964,11 @@ mod tests {
         let tracker = DependenceTracker::new();
         let key = DepKey::named("x");
         let writer = task(0, vec![key]);
-        tracker.register(&writer, &[], &[key]);
+        preds_of(&tracker, &writer, &[], &[key]);
         let r1 = task(1, vec![]);
         let r2 = task(2, vec![]);
-        assert_eq!(tracker.register(&r1, &[key], &[]).len(), 1);
-        let preds = tracker.register(&r2, &[key], &[]);
+        assert_eq!(preds_of(&tracker, &r1, &[key], &[]).len(), 1);
+        let preds = preds_of(&tracker, &r2, &[key], &[]);
         assert_eq!(preds.len(), 1, "readers depend only on the writer");
         assert_eq!(preds[0].id, writer.id);
     }
@@ -724,13 +978,13 @@ mod tests {
         let tracker = DependenceTracker::new();
         let key = DepKey::named("x");
         let w0 = task(0, vec![key]);
-        tracker.register(&w0, &[], &[key]);
+        preds_of(&tracker, &w0, &[], &[key]);
         let r1 = task(1, vec![]);
         let r2 = task(2, vec![]);
-        tracker.register(&r1, &[key], &[]);
-        tracker.register(&r2, &[key], &[]);
+        preds_of(&tracker, &r1, &[key], &[]);
+        preds_of(&tracker, &r2, &[key], &[]);
         let w1 = task(3, vec![key]);
-        let preds = tracker.register(&w1, &[], &[key]);
+        let preds = preds_of(&tracker, &w1, &[], &[key]);
         let ids: Vec<u64> = preds.iter().map(|p| p.id.index()).collect();
         assert_eq!(preds.len(), 3, "WAW on w0 plus WAR on r1, r2: {ids:?}");
     }
@@ -741,8 +995,8 @@ mod tests {
         let key = DepKey::named("x");
         let w0 = task(0, vec![key]);
         let w1 = task(1, vec![key]);
-        tracker.register(&w0, &[], &[key]);
-        let preds = tracker.register(&w1, &[], &[key]);
+        preds_of(&tracker, &w0, &[], &[key]);
+        let preds = preds_of(&tracker, &w1, &[], &[key]);
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].id, w0.id);
     }
@@ -754,7 +1008,7 @@ mod tests {
         let t = task(0, vec![key]);
         // Task both reads and writes the same key: it must not depend on
         // itself.
-        let preds = tracker.register(&t, &[key], &[key]);
+        let preds = preds_of(&tracker, &t, &[key], &[key]);
         assert!(preds.is_empty());
     }
 
@@ -764,9 +1018,9 @@ mod tests {
         let k1 = DepKey::named("a");
         let k2 = DepKey::named("b");
         let w = task(0, vec![k1, k2]);
-        tracker.register(&w, &[], &[k1, k2]);
+        preds_of(&tracker, &w, &[], &[k1, k2]);
         let r = task(1, vec![]);
-        let preds = tracker.register(&r, &[k1, k2], &[]);
+        let preds = preds_of(&tracker, &r, &[k1, k2], &[]);
         assert_eq!(preds.len(), 1);
     }
 
@@ -775,28 +1029,51 @@ mod tests {
         let tracker = DependenceTracker::new();
         let w0 = task(0, vec![DepKey::named("a")]);
         let w1 = task(1, vec![DepKey::named("b")]);
-        tracker.register(&w0, &[], &[DepKey::named("a")]);
-        let preds = tracker.register(&w1, &[], &[DepKey::named("b")]);
+        preds_of(&tracker, &w0, &[], &[DepKey::named("a")]);
+        let preds = preds_of(&tracker, &w1, &[], &[DepKey::named("b")]);
         assert!(preds.is_empty());
     }
 
     #[test]
-    fn outstanding_write_counting() {
+    fn last_registered_writer_answers_for_the_key() {
         let tracker = DependenceTracker::new();
         let key = DepKey::named("res");
+        assert!(!tracker.has_unfinished_writer(key), "never registered");
         let w0 = task(0, vec![key]);
         let w1 = task(1, vec![key]);
-        tracker.register(&w0, &[], &[key]);
-        tracker.register(&w1, &[], &[key]);
-        assert_eq!(tracker.outstanding_writes(key), 2);
-        tracker.complete_writes(&[key]);
-        assert_eq!(tracker.outstanding_writes(key), 1);
-        tracker.complete_writes(&[key]);
-        assert_eq!(tracker.outstanding_writes(key), 0);
-        // Further completions saturate at zero.
-        tracker.complete_writes(&[key]);
-        assert_eq!(tracker.outstanding_writes(key), 0);
-        assert_eq!(tracker.outstanding_writes(DepKey::named("other")), 0);
+        preds_of(&tracker, &w0, &[], &[key]);
+        assert_eq!(preds_of(&tracker, &w1, &[], &[key]).len(), 1, "WAW");
+        assert!(tracker.has_unfinished_writer(key));
+        // `w1` runs after `w0`, so `w0` finishing is not the answer yet...
+        finish(&w0);
+        assert!(tracker.has_unfinished_writer(key));
+        // ...and readers, finished or not, are not writers.
+        let reader = task(2, vec![]);
+        preds_of(&tracker, &reader, &[key], &[]);
+        finish(&w1);
+        assert!(!tracker.has_unfinished_writer(key));
+        assert!(!tracker.has_unfinished_writer(DepKey::named("other")));
+    }
+
+    #[test]
+    fn rotation_keeps_an_unfinished_writer_answering_and_forgets_a_finished_one() {
+        let tracker = DependenceTracker::new();
+        let key = DepKey::named("res");
+        let writer = task(1_000, vec![key]);
+        preds_of(&tracker, &writer, &[], &[key]);
+        let opened = tracker.epoch_generation(key).unwrap();
+        for i in 0..READER_ROTATION as u64 {
+            preds_of(&tracker, &task(i, vec![]), &[key], &[]);
+        }
+        assert!(tracker.epoch_generation(key).unwrap() > opened);
+        assert!(tracker.has_unfinished_writer(key));
+        finish(&writer);
+        assert!(!tracker.has_unfinished_writer(key));
+        for i in 0..READER_ROTATION as u64 {
+            preds_of(&tracker, &task(i, vec![]), &[key], &[]);
+        }
+        assert!(tracker.live_epoch(key).unwrap().0.is_none());
+        assert!(!tracker.has_unfinished_writer(key));
     }
 
     #[test]
@@ -805,8 +1082,8 @@ mod tests {
         let key = DepKey::named("p");
         let other = DepKey::named("q");
         let w = task(0, vec![key]);
-        tracker.register(&w, &[], &[key]);
-        tracker.register(&task(1, vec![other]), &[], &[other]);
+        preds_of(&tracker, &w, &[], &[key]);
+        preds_of(&tracker, &task(1, vec![other]), &[], &[other]);
         assert!(!tracker.is_poisoned(key));
         tracker.poison_writes(&[key]);
         assert!(tracker.is_poisoned(key));
@@ -814,9 +1091,9 @@ mod tests {
             !tracker.is_poisoned(other),
             "poison must not leak across keys"
         );
-        // Completion still drains the counter so `wait_on` cannot hang.
-        tracker.complete_writes(&[key]);
-        assert_eq!(tracker.outstanding_writes(key), 0);
+        // The failed writer still finishes, so `wait_on` cannot hang.
+        finish(&w);
+        assert!(!tracker.has_unfinished_writer(key));
         assert!(tracker.is_poisoned(key), "poison survives completion");
         // Unregistered keys are clean.
         assert!(!tracker.is_poisoned(DepKey::named("never")));
@@ -845,18 +1122,14 @@ mod tests {
         let tracker = DependenceTracker::new();
         let keys: Vec<DepKey> = (0..64).map(|i| DepKey::from_raw(i * 997)).collect();
         let writer = task(0, keys.clone());
-        assert!(tracker.register(&writer, &[], &keys).is_empty());
+        assert!(preds_of(&tracker, &writer, &[], &keys).is_empty());
         let reader = task(1, vec![]);
-        let preds = tracker.register(&reader, &keys, &[]);
+        let preds = preds_of(&tracker, &reader, &keys, &[]);
         assert_eq!(preds.len(), 1, "one deduplicated predecessor across shards");
         assert_eq!(preds[0].id, writer.id);
-        for key in &keys {
-            assert_eq!(tracker.outstanding_writes(*key), 1);
-        }
-        tracker.complete_writes(&keys);
-        for key in &keys {
-            assert_eq!(tracker.outstanding_writes(*key), 0);
-        }
+        assert!(keys.iter().all(|key| tracker.has_unfinished_writer(*key)));
+        finish(&writer);
+        assert!(!keys.iter().any(|key| tracker.has_unfinished_writer(*key)));
     }
 
     #[test]
@@ -869,7 +1142,7 @@ mod tests {
                     for i in 0..200u64 {
                         let key = DepKey::from_raw(thread * 100_000 + i);
                         let t = task(thread * 1_000_000 + i, vec![key]);
-                        let preds = tracker.register(&t, &[], &[key]);
+                        let preds = preds_of(&tracker, &t, &[], &[key]);
                         assert!(preds.is_empty(), "disjoint keys have no predecessors");
                     }
                 })
@@ -880,10 +1153,7 @@ mod tests {
         }
         for thread in 0..4u64 {
             for i in 0..200u64 {
-                assert_eq!(
-                    tracker.outstanding_writes(DepKey::from_raw(thread * 100_000 + i)),
-                    1
-                );
+                assert!(tracker.has_unfinished_writer(DepKey::from_raw(thread * 100_000 + i)));
             }
         }
     }
@@ -895,7 +1165,7 @@ mod tests {
         let tasks: Vec<_> = (0..5).map(|i| task(i, vec![key])).collect();
         let mut pred_counts = Vec::new();
         for t in &tasks {
-            pred_counts.push(tracker.register(t, &[], &[key]).len());
+            pred_counts.push(preds_of(&tracker, t, &[], &[key]).len());
         }
         assert_eq!(pred_counts, vec![0, 1, 1, 1, 1]);
     }
@@ -905,12 +1175,12 @@ mod tests {
         let tracker = DependenceTracker::new();
         let key = DepKey::named("gen");
         assert_eq!(tracker.epoch_generation(key), None);
-        tracker.register(&task(0, vec![key]), &[], &[key]);
+        preds_of(&tracker, &task(0, vec![key]), &[], &[key]);
         let g1 = tracker.epoch_generation(key).unwrap();
         // Readers do not advance the epoch.
-        tracker.register(&task(1, vec![]), &[key], &[]);
+        preds_of(&tracker, &task(1, vec![]), &[key], &[]);
         assert_eq!(tracker.epoch_generation(key), Some(g1));
-        tracker.register(&task(2, vec![key]), &[], &[key]);
+        preds_of(&tracker, &task(2, vec![key]), &[], &[key]);
         let g2 = tracker.epoch_generation(key).unwrap();
         assert!(g2 > g1, "a writer must publish a fresh epoch");
     }
@@ -920,16 +1190,16 @@ mod tests {
         let tracker = DependenceTracker::new();
         let key = DepKey::named("fast");
         let w0 = task(0, vec![key]);
-        tracker.register(&w0, &[], &[key]);
+        preds_of(&tracker, &w0, &[], &[key]);
         // Single-key read-only: takes the lock-free path.
         let r = task(1, vec![]);
-        let preds = tracker.register(&r, &[key], &[]);
+        let preds = preds_of(&tracker, &r, &[key], &[]);
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].id, w0.id);
         // The next writer must observe the fast-path reader as a WAR
         // predecessor.
         let w1 = task(2, vec![key]);
-        let preds = tracker.register(&w1, &[], &[key]);
+        let preds = preds_of(&tracker, &w1, &[], &[key]);
         let ids: Vec<u64> = preds.iter().map(|p| p.id.index()).collect();
         assert_eq!(preds.len(), 2, "WAW on w0 plus WAR on r: {ids:?}");
         assert!(ids.contains(&0) && ids.contains(&1));
@@ -946,7 +1216,7 @@ mod tests {
             let tracker = Arc::new(DependenceTracker::new());
             let key = DepKey::named("race");
             let w0 = task(1_000_000, vec![key]);
-            tracker.register(&w0, &[], &[key]);
+            preds_of(&tracker, &w0, &[], &[key]);
             let readers = 4usize;
             let per_reader = 200u64;
             let reader_handles: Vec<_> = (0..readers as u64)
@@ -955,7 +1225,7 @@ mod tests {
                     std::thread::spawn(move || {
                         for i in 0..per_reader {
                             let t = task(r * 10_000 + i, vec![]);
-                            let preds = tracker.register(&t, &[key], &[]);
+                            let preds = preds_of(&tracker, &t, &[key], &[]);
                             // Always exactly one RAW predecessor: some writer.
                             assert_eq!(preds.len(), 1);
                             assert!(preds[0].id.index() >= 1_000_000);
@@ -969,7 +1239,7 @@ mod tests {
                     let mut sealed_readers = 0usize;
                     for i in 1..50u64 {
                         let w = task(1_000_000 + i, vec![key]);
-                        let preds = tracker.register(&w, &[], &[key]);
+                        let preds = preds_of(&tracker, &w, &[], &[key]);
                         sealed_readers += preds.iter().filter(|p| p.id.index() < 1_000_000).count();
                     }
                     sealed_readers
@@ -982,7 +1252,7 @@ mod tests {
             // A final writer seals whatever epoch is current, collecting the
             // remaining readers.
             let w_final = task(2_000_000, vec![key]);
-            let final_preds = tracker.register(&w_final, &[], &[key]);
+            let final_preds = preds_of(&tracker, &w_final, &[], &[key]);
             let remaining = final_preds
                 .iter()
                 .filter(|p| p.id.index() < 1_000_000)
@@ -992,6 +1262,175 @@ mod tests {
                 readers * per_reader as usize,
                 "every fast-path reader must be visible to exactly one seal"
             );
+        }
+    }
+
+    #[test]
+    fn finished_candidates_are_neither_cloned_nor_listed() {
+        let tracker = DependenceTracker::new();
+        let (a, b) = (DepKey::named("a"), DepKey::named("b"));
+        let done = task(0, vec![a]);
+        let running = task(1, vec![b]);
+        preds_of(&tracker, &done, &[], &[a]);
+        preds_of(&tracker, &running, &[], &[b]);
+        finish(&done);
+        let holders = Arc::strong_count(&done);
+        // Lock-free read path, locked read path, WAW.
+        assert!(preds_of(&tracker, &task(2, vec![]), &[a], &[]).is_empty());
+        let preds = preds_of(&tracker, &task(3, vec![]), &[a, b], &[]);
+        assert_eq!(preds.len(), 1);
+        assert_eq!(preds[0].id, running.id);
+        let mut out = Registration::new();
+        tracker.register(&task(4, vec![a]), &[], &[a], &mut out);
+        let mut ids: Vec<u64> = out.preds.iter().map(|p| p.id.index()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [2, 3], "WAR on the two readers, no WAW on `done`");
+        assert_eq!(Arc::strong_count(&done), holders);
+        // `done` stayed with the epoch it opened until the new writer
+        // retired that and `reclaim` — nobody is pinned — freed it.
+        assert_eq!(out.released.len(), 1);
+        assert!(Arc::ptr_eq(&out.released[0], &done));
+    }
+
+    #[test]
+    fn sealing_moves_each_reader_reference_to_exactly_one_list() {
+        let tracker = DependenceTracker::new();
+        let key = DepKey::named("x");
+        let readers: Vec<_> = (0..6).map(|i| task(i, vec![])).collect();
+        for reader in &readers {
+            preds_of(&tracker, reader, &[key], &[]);
+        }
+        readers[..4].iter().for_each(|reader| finish(reader));
+        let holders: Vec<usize> = readers.iter().map(Arc::strong_count).collect();
+        let mut out = Registration::new();
+        tracker.register(&task(9, vec![key]), &[], &[key], &mut out);
+        let ids = |tasks: &[Arc<Task>]| {
+            let mut ids: Vec<u64> = tasks.iter().map(|t| t.id.index()).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(ids(&out.preds), [4, 5], "WAR on the unfinished readers");
+        assert_eq!(ids(&out.released), [0, 1, 2, 3]);
+        // Moved out of the sealed list, not cloned.
+        assert_eq!(
+            readers.iter().map(Arc::strong_count).collect::<Vec<_>>(),
+            holders
+        );
+    }
+
+    #[test]
+    fn reader_list_push_after_seal_neither_clones_nor_links() {
+        let list = ReaderList::new();
+        let reader = task(0, vec![]);
+        assert!(list.try_push(&reader));
+        assert_eq!(list.seal().count(), 1);
+        let holders = Arc::strong_count(&reader);
+        assert!(!list.try_push(&reader));
+        assert_eq!(Arc::strong_count(&reader), holders);
+        assert_eq!(list.seal().count(), 0, "second seal drains nothing");
+    }
+
+    #[test]
+    fn full_epoch_is_rotated_by_the_reader_that_filled_it() {
+        let tracker = DependenceTracker::new();
+        let key = DepKey::named("config");
+        let writer = task(1_000, vec![key]);
+        preds_of(&tracker, &writer, &[], &[key]);
+        let opened = tracker.epoch_generation(key).unwrap();
+        let readers: Vec<_> = (0..2 * READER_ROTATION as u64)
+            .map(|i| task(i, vec![]))
+            .collect();
+        let (first, second) = readers.split_at(READER_ROTATION);
+
+        for reader in &first[..READER_ROTATION - 1] {
+            assert_eq!(preds_of(&tracker, reader, &[key], &[]).len(), 1);
+        }
+        assert_eq!(tracker.epoch_generation(key), Some(opened));
+        assert_eq!(tracker.fast_path_reads(), READER_ROTATION - 1);
+        // The reader that fills the epoch rotates it. Nobody has finished:
+        // everything is carried over, and all that is let go of is the
+        // reference of the epoch the writer opened, retired and freed.
+        let mut out = Registration::new();
+        tracker.register(&first[READER_ROTATION - 1], &[key], &[], &mut out);
+        let rotated = tracker.epoch_generation(key).unwrap();
+        assert!(rotated > opened);
+        assert_eq!(
+            tracker.fast_path_reads(),
+            READER_ROTATION - 1,
+            "took the gate"
+        );
+        assert_eq!(out.preds.len(), 1, "RAW on the writer");
+        assert_eq!(out.released.len(), 1);
+        assert!(Arc::ptr_eq(&out.released[0], &writer));
+        drop(out);
+        let (held, listed) = tracker.live_epoch(key).unwrap();
+        assert!(Arc::ptr_eq(&held.unwrap(), &writer));
+        assert_eq!(listed.len(), READER_ROTATION);
+        drop(listed);
+
+        // Everything so far finishes; the next rotation lets go of all of it.
+        finish(&writer);
+        first.iter().for_each(|reader| finish(reader));
+        let mut out = Registration::new();
+        for reader in second {
+            tracker.register(reader, &[key], &[], &mut out);
+        }
+        assert!(tracker.epoch_generation(key).unwrap() > rotated);
+        assert!(out.preds.is_empty(), "no RAW on a finished writer");
+        // The first half's readers, and the writer's reference from the
+        // epoch that had carried it over.
+        assert_eq!(out.released.len(), READER_ROTATION + 1);
+        let (held, listed) = tracker.live_epoch(key).unwrap();
+        assert!(held.is_none(), "a finished writer is not carried over");
+        assert_eq!(listed.len(), READER_ROTATION);
+        drop((out, listed));
+        assert_eq!(Arc::strong_count(&writer), 1);
+        assert!(first.iter().all(|reader| Arc::strong_count(reader) == 1));
+        assert!(second.iter().all(|reader| Arc::strong_count(reader) == 2));
+
+        // The key's next writer still waits for every unfinished reader.
+        let preds = preds_of(&tracker, &task(2_000, vec![key]), &[], &[key]);
+        assert_eq!(preds.len(), READER_ROTATION);
+    }
+
+    #[test]
+    fn rotation_racing_fast_path_pushes_loses_no_reader() {
+        // Four threads register readers of one key as fast as they can, so
+        // rotations (one registration in `READER_ROTATION`, under the gate)
+        // run while the others push lock-free — onto the epoch being sealed,
+        // or onto the fresh one while its carried-over readers are still
+        // being linked in. Nobody finishes, so every reader must end up in
+        // the live epoch, exactly once.
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 2_000;
+        for _ in 0..10 {
+            let tracker = DependenceTracker::new();
+            let key = DepKey::named("race");
+            let writer = task(u64::MAX, vec![key]);
+            preds_of(&tracker, &writer, &[], &[key]);
+            std::thread::scope(|scope| {
+                for thread in 0..THREADS {
+                    let (tracker, writer) = (&tracker, &writer);
+                    scope.spawn(move || {
+                        let mut out = Registration::new();
+                        for i in 0..PER_THREAD {
+                            let reader = task(thread * PER_THREAD + i, vec![]);
+                            tracker.register(&reader, &[key], &[], &mut out);
+                            assert_eq!(out.preds.len(), 1, "RAW on the writer");
+                            assert!(Arc::ptr_eq(&out.preds[0], writer));
+                            out.preds.clear();
+                        }
+                        // Nobody finished: all a rotation lets go of is the
+                        // retired epoch's reference to the writer.
+                        assert!(out.released.iter().all(|t| Arc::ptr_eq(t, writer)));
+                    });
+                }
+            });
+            let (held, listed) = tracker.live_epoch(key).unwrap();
+            assert!(Arc::ptr_eq(&held.unwrap(), &writer));
+            let mut ids: Vec<u64> = listed.iter().map(|t| t.id.index()).collect();
+            ids.sort_unstable();
+            assert!(ids.iter().copied().eq(0..THREADS * PER_THREAD));
         }
     }
 }

@@ -46,6 +46,26 @@
 //! nothing outstanding frees it, and a worker gives up its stash as soon as
 //! it runs out of work. See `HuskPool`.
 //!
+//! Whoever lets go of a record reference hands it to `RuntimeInner::recycle`
+//! instead of dropping it, so the last one to let go — whoever that is —
+//! makes the husk, on its own thread:
+//!
+//! * the **worker** that retired the task, for a footprint-free task
+//!   always the last holder;
+//! * the **spawner registering a later footprint**, for a task that declared
+//!   `in`/`out` keys. The tracker outlives the worker's reference (it names
+//!   the task as its key's last writer, or lists it as a reader), so the
+//!   worker's `recycle` finds the record shared and walks away; the
+//!   reference comes back when a later registration seals the epoch that
+//!   lists the reader, or frees the retired epoch that names the writer
+//!   (`deps.rs`, "What the tracker retains, and when it lets go"), and
+//!   `RuntimeInner::wire_dependences` recycles it — together with the
+//!   predecessors it held while wiring — into the *registering* thread's
+//!   stash, which is the thread about to need one;
+//! * a [`TaskBuilder`] **dropped unspawned**, which took a record when it
+//!   was given keys (they are written straight into the record's own
+//!   buffers, whose capacity `Task::reset` keeps).
+//!
 //! # Example
 //!
 //! ```
@@ -86,7 +106,7 @@ use sig_energy::{
     BudgetConfig, BudgetSetpoint, BudgetTarget, PowerModel, SleepState, TransitionCost,
 };
 
-use crate::deps::{DepKey, DependenceTracker};
+use crate::deps::{DepKey, DependenceTracker, Registration};
 use crate::deque::QueueSet;
 use crate::env::{EnergyReport, ExecutionEnv};
 use crate::faults::{FaultAction, FaultPlan};
@@ -113,6 +133,11 @@ thread_local! {
     /// spawns nested tasks out of it; a spawner thread refills it from the
     /// shared pool a batch at a time. Neither takes a lock to touch it.
     static HUSK_STASH: RefCell<(u64, Vec<Arc<Task>>)> = const { RefCell::new((0, Vec::new())) };
+
+    /// The predecessor and hand-back lists of this thread's footprint spawns
+    /// (see [`Registration`]): empty between spawns, kept for their capacity
+    /// so that registering a footprint allocates neither.
+    static REGISTRATION: RefCell<Registration> = const { RefCell::new(Registration::new()) };
 }
 
 /// Builder for [`Runtime`] instances.
@@ -473,14 +498,11 @@ impl RuntimeInner {
         }
     }
 
-    /// A blank, uniquely held record bound to `group`: a husk from the
-    /// calling thread's stash (refilled from the pool, one lock per batch),
-    /// else a fresh allocation. A husk last used by the same group keeps its
-    /// `Arc<GroupState>` — group ids are unique within a runtime and a stash
-    /// never holds another runtime's husks — so steady-state spawns touch
-    /// neither the group registry nor the group's refcount.
-    fn husk_in(&self, group: GroupId) -> Arc<Task> {
-        let husk = self.with_stash(|stash| {
+    /// A husk from the calling thread's stash (refilled from the pool, one
+    /// lock per batch), bound to whatever group used it last; `None` if both
+    /// are dry.
+    fn pop_husk(&self) -> Option<Arc<Task>> {
+        self.with_stash(|stash| {
             if stash.is_empty() && self.husks.available.load(Ordering::Relaxed) > 0 {
                 let mut pool = self.husks.lock();
                 let rest = pool.len().saturating_sub(HUSK_BATCH);
@@ -488,8 +510,17 @@ impl RuntimeInner {
                 self.husks.available.store(rest, Ordering::Relaxed);
             }
             stash.pop()
-        });
-        match husk.flatten() {
+        })
+        .flatten()
+    }
+
+    /// `husk` bound to `group`, or a fresh allocation if there is none. A
+    /// husk last used by the same group keeps its `Arc<GroupState>` — group
+    /// ids are unique within a runtime and a stash never holds another
+    /// runtime's husks — so steady-state spawns touch neither the group
+    /// registry nor the group's refcount.
+    fn bind_husk(&self, husk: Option<Arc<Task>>, group: GroupId) -> Arc<Task> {
+        match husk {
             Some(mut husk) => {
                 if husk.group_state.id != group {
                     Arc::get_mut(&mut husk)
@@ -502,9 +533,52 @@ impl RuntimeInner {
         }
     }
 
-    /// Last step of a task's life, after [`RuntimeInner::complete`]: if this
-    /// worker holds the only reference, blank the record and keep it for the
-    /// next spawn; otherwise whoever drops the last reference frees it.
+    /// A blank, uniquely held record bound to `group`.
+    fn husk_in(&self, group: GroupId) -> Arc<Task> {
+        self.bind_husk(self.pop_husk(), group)
+    }
+
+    /// Register `task`'s footprint with the dependence tracker and put the
+    /// task on the successor list of every predecessor still running; returns
+    /// how many took it. Every record reference this lets go of — the
+    /// predecessors it held while wiring, and whatever the tracker released
+    /// (readers of epochs it sealed, writers of retired epochs it freed) —
+    /// goes through [`RuntimeInner::recycle`], here on the spawning thread:
+    /// that is how a footprint task's record, which its worker could not
+    /// recycle because the tracker still pointed at it, becomes a husk.
+    fn wire_dependences(&self, task: &Arc<Task>) -> usize {
+        // Taken out rather than borrowed, so nothing below runs under a
+        // thread-local borrow; a thread being torn down starts from empty.
+        let mut scratch = REGISTRATION
+            .try_with(|scratch| std::mem::take(&mut *scratch.borrow_mut()))
+            .unwrap_or_default();
+        self.tracker
+            .register(task, &task.in_keys, &task.out_keys, &mut scratch);
+        let mut wired = 0;
+        for predecessor in scratch.preds.drain(..) {
+            // `try_push` fails iff the predecessor completed since the
+            // tracker looked (its successor list is sealed): no dependence
+            // to count.
+            if predecessor.successors.try_push(task) {
+                wired += 1;
+            }
+            self.recycle(predecessor);
+        }
+        for record in scratch.released.drain(..) {
+            self.recycle(record);
+        }
+        // One huge seal must not pin its buffer to the thread for ever.
+        scratch.preds.shrink_to(HUSK_BATCH);
+        scratch.released.shrink_to(HUSK_BATCH);
+        let _ = REGISTRATION.try_with(|slot| *slot.borrow_mut() = scratch);
+        wired
+    }
+
+    /// Where every record reference goes when its holder is done with it —
+    /// a worker after [`RuntimeInner::complete`], a spawner after wiring
+    /// (see [`RuntimeInner::wire_dependences`]), a builder dropped unspawned:
+    /// if this was the only reference, blank the record and keep it for the
+    /// calling thread's next spawn; otherwise whoever lets go last gets it.
     fn recycle(&self, mut task: Arc<Task>) {
         let Some(record) = Arc::get_mut(&mut task) else {
             return;
@@ -1129,7 +1203,7 @@ impl RuntimeInner {
                 }
             }
             if !task.out_keys.is_empty() {
-                self.tracker.complete_writes(&task.out_keys);
+                // The seal above is what `wait_on` polls.
                 self.writes_barrier.notify();
             }
         } else {
@@ -1459,18 +1533,7 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        TaskBuilder {
-            runtime: self,
-            accurate: Box::new(body),
-            approximate: None,
-            significance: Significance::default(),
-            group: None,
-            in_keys: Vec::new(),
-            out_keys: Vec::new(),
-            deadline_nanos: 0,
-            cancel: None,
-            handle: None,
-        }
+        TaskBuilder::new(self, Box::new(body))
     }
 
     /// Begin describing a task whose body returns a value, observed through
@@ -1606,7 +1669,7 @@ impl Runtime {
         inner.wake_for_wait();
         inner.writes_barrier.wait(|| {
             inner.flush_all_groups_if_buffering();
-            inner.tracker.outstanding_writes(key) == 0
+            !inner.tracker.has_unfinished_writer(key)
         });
     }
 
@@ -1654,23 +1717,69 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+/// The record a [`TaskBuilder`] is filling, taken from the stash the first
+/// time a clause needs somewhere to live (a footprint: `in`/`out` keys go
+/// straight into the record's own buffers, which recycling keeps). Returns
+/// the record through [`RuntimeInner::recycle`] if the builder is dropped
+/// unspawned.
+struct HeldHusk<'rt> {
+    runtime: &'rt Runtime,
+    record: Option<Arc<Task>>,
+}
+
+impl HeldHusk<'_> {
+    /// The held record, taking one first if need be. Bound to whatever group
+    /// used it last; `spawn` rebinds it.
+    fn record(&mut self) -> &mut Task {
+        let inner = &self.runtime.inner;
+        let record = self.record.get_or_insert_with(|| {
+            inner
+                .pop_husk()
+                .unwrap_or_else(|| Arc::new(Task::blank(inner.global_group.clone())))
+        });
+        Arc::get_mut(record).expect("a husk is uniquely held")
+    }
+}
+
+impl Drop for HeldHusk<'_> {
+    fn drop(&mut self) {
+        if let Some(record) = self.record.take() {
+            self.runtime.inner.recycle(record);
+        }
+    }
+}
+
 /// Fluent description of a task before it is spawned — the programming-model
 /// clauses of `#pragma omp task` map to the methods of this builder.
 #[must_use = "a task builder does nothing until .spawn() is called"]
 pub struct TaskBuilder<'rt> {
-    runtime: &'rt Runtime,
+    husk: HeldHusk<'rt>,
     accurate: TaskBody,
     approximate: Option<TaskBody>,
     significance: Significance,
     group: Option<GroupId>,
-    in_keys: Vec<DepKey>,
-    out_keys: Vec<DepKey>,
     deadline_nanos: u64,
     cancel: Option<CancelToken>,
     handle: Option<Arc<dyn HandleNotify>>,
 }
 
-impl TaskBuilder<'_> {
+impl<'rt> TaskBuilder<'rt> {
+    fn new(runtime: &'rt Runtime, accurate: TaskBody) -> Self {
+        TaskBuilder {
+            husk: HeldHusk {
+                runtime,
+                record: None,
+            },
+            accurate,
+            approximate: None,
+            significance: Significance::default(),
+            group: None,
+            deadline_nanos: 0,
+            cancel: None,
+            handle: None,
+        }
+    }
+
     /// `significant(expr)` — the task's significance in `[0.0, 1.0]`.
     pub fn significance(mut self, significance: impl Into<Significance>) -> Self {
         self.significance = significance.into();
@@ -1696,20 +1805,20 @@ impl TaskBuilder<'_> {
     /// `label(...)` by name; the group is created with a default ratio of 1.0
     /// if it does not exist yet.
     pub fn label(mut self, label: &str) -> Self {
-        let state = self.runtime.inner.groups.get_or_create(label, None);
+        let state = self.husk.runtime.inner.groups.get_or_create(label, None);
         self.group = Some(state.id);
         self
     }
 
     /// `in(...)` — dependence keys this task reads.
     pub fn reads(mut self, keys: impl IntoIterator<Item = DepKey>) -> Self {
-        self.in_keys.extend(keys);
+        self.husk.record().in_keys.extend(keys);
         self
     }
 
     /// `out(...)` — dependence keys this task writes.
     pub fn writes(mut self, keys: impl IntoIterator<Item = DepKey>) -> Self {
-        self.out_keys.extend(keys);
+        self.husk.record().out_keys.extend(keys);
         self
     }
 
@@ -1718,7 +1827,7 @@ impl TaskBuilder<'_> {
     /// (or the deadline already passed at dispatch), the task races to
     /// nominal frequency regardless of the governor's scaling decision.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        let absolute = self.runtime.inner.started.elapsed() + deadline;
+        let absolute = self.husk.runtime.inner.started.elapsed() + deadline;
         // 0 means "no deadline": clamp real deadlines away from it.
         self.deadline_nanos = (absolute.as_nanos().min(u64::MAX as u128) as u64).max(1);
         self
@@ -1732,22 +1841,22 @@ impl TaskBuilder<'_> {
     }
 
     /// Submit the task to the runtime. Returns the task's id (spawn order).
-    pub fn spawn(self) -> TaskId {
-        let inner = &self.runtime.inner;
+    pub fn spawn(mut self) -> TaskId {
+        let inner = &self.husk.runtime.inner;
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
-        let footprint = !(self.in_keys.is_empty() && self.out_keys.is_empty());
-        let mut task = inner.husk_in(self.group.unwrap_or(GroupId::GLOBAL));
-        {
+        // The record a footprint clause took, else one from the stash now.
+        let husk = self.husk.record.take().or_else(|| inner.pop_husk());
+        let mut task = inner.bind_husk(husk, self.group.unwrap_or(GroupId::GLOBAL));
+        let footprint = {
             // Not yet shared: every clause lands through `&mut`, free.
             let t = Arc::get_mut(&mut task).expect("task not yet shared");
             t.fill(id, self.significance, self.accurate, self.approximate);
-            t.out_keys = self.out_keys;
-            t.footprint = footprint;
-            t.in_keys = self.in_keys;
+            t.footprint = !(t.in_keys.is_empty() && t.out_keys.is_empty());
             t.deadline_nanos = self.deadline_nanos;
             t.cancel = self.cancel;
             t.handle = self.handle;
-        }
+            t.footprint
+        };
 
         // Fast path: footprint-free task under a non-buffering policy goes
         // straight to a queue. Its released/enqueued (and, for the agnostic
@@ -1789,15 +1898,7 @@ impl TaskBuilder<'_> {
         // cannot be enqueued halfway through registration.
         task.pending_deps.store(1, Ordering::Release);
         if footprint {
-            let predecessors = inner.tracker.register(&task, &task.in_keys, &task.out_keys);
-            let mut wired = 0usize;
-            for predecessor in predecessors {
-                // `try_push` fails iff the predecessor already completed
-                // (its successor list is sealed): no dependence to count.
-                if predecessor.successors.try_push(task.clone()) {
-                    wired += 1;
-                }
-            }
+            let wired = inner.wire_dependences(&task);
             if wired > 0 {
                 task.pending_deps.fetch_add(wired, Ordering::AcqRel);
             }
@@ -1904,16 +2005,13 @@ impl<T: Send + 'static> HandledTaskBuilder<'_, T> {
             Box::new(move || approx_core.put_value(body())) as TaskBody
         });
         let id = TaskBuilder {
-            runtime: self.runtime,
-            accurate,
             approximate,
             significance: self.significance,
             group: self.group,
-            in_keys: Vec::new(),
-            out_keys: Vec::new(),
             deadline_nanos: self.deadline_nanos,
             cancel: self.cancel,
             handle: Some(core.clone() as Arc<dyn HandleNotify>),
+            ..TaskBuilder::new(self.runtime, accurate)
         }
         .spawn();
         SpawnHandle::new(core, id)
@@ -2174,6 +2272,7 @@ impl BatchBuilder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::READER_ROTATION;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
     use std::time::Duration;
@@ -3104,7 +3203,8 @@ mod tests {
     fn recycled_records_start_blank_after_every_outcome() {
         // One worker, held while the queue fills, then run without a gap:
         // a completed, a panicked, a cancelled and (from the second overload
-        // tick on) shed tasks, every clause a record can carry among them.
+        // tick on) shed tasks, every clause a record can carry among them —
+        // and a writer of its own key failing in each of the three ways.
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::Lqh)
@@ -3115,22 +3215,38 @@ mod tests {
         let token = CancelToken::new();
         let cancelled = CancelToken::new();
         cancelled.cancel();
+        let keys = ["panicked", "cancelled", "shed"].map(DepKey::named);
         let panicked = rt
             .submit(|| -> u32 { panic!("recycling test: contained panic") })
             .deadline(Duration::from_secs(3600))
             .cancel_token(&token)
             .spawn();
         let skipped = rt.submit(|| 1u32).cancel_token(&cancelled).spawn();
-        let shed: Vec<_> = (0..90)
-            .map(|_| {
-                rt.submit(|| unreachable!("accurate tier must not run at ratio 0"))
-                    .approx(|| ())
-                    .significance(0.1)
-                    .group(&soft)
-                    .cancel_token(&token)
-                    .spawn()
-            })
-            .collect();
+        rt.task(|| panic!("recycling test: contained panic"))
+            .writes([keys[0]])
+            .spawn();
+        rt.task(|| {})
+            .writes([keys[1]])
+            .cancel_token(&cancelled)
+            .spawn();
+        let shed_candidate = |rt: &Runtime| {
+            rt.submit(|| unreachable!("accurate tier must not run at ratio 0"))
+                .approx(|| ())
+                .significance(0.1)
+                .group(&soft)
+                .cancel_token(&token)
+                .spawn()
+        };
+        let mut shed: Vec<_> = (0..45).map(|_| shed_candidate(&rt)).collect();
+        // Behind the second overload tick (the 33rd execute), in front of
+        // the backlog that keeps the queue over its watermark.
+        rt.task(|| unreachable!("accurate tier must not run at ratio 0"))
+            .approx(|| ())
+            .significance(0.1)
+            .group(&soft)
+            .writes([keys[2]])
+            .spawn();
+        shed.extend((0..45).map(|_| shed_candidate(&rt)));
         let probe = queue_probe(&rt, drain_stash);
         release.send(()).unwrap();
 
@@ -3143,49 +3259,170 @@ mod tests {
             .filter(|handle| handle.wait() == TaskOutcome::Shed)
             .count();
         assert!(shed >= 1, "a 90-deep backlog over watermark 1 must shed");
-        // Blocker + 92 tasks ran before the probe; each was uniquely held
-        // when it retired, so each is in the stash — and blank.
+        // Blocker + 92 footprint-free tasks ran before the probe; each was
+        // uniquely held when it retired, so each is in the stash — and blank.
+        // The three writers are not: the tracker still points at them.
         assert_eq!(husks.len(), 93);
         assert!(husks.iter().all(|&(_, blank)| blank), "{husks:?}");
+        assert_eq!(keys.map(|key| rt.is_poisoned(key)), [true; 3]);
+
+        // Each key's next writer retires the failed writer's epoch and gets
+        // its record back, here on the registering thread: the second spawn
+        // refills the first's record, the third the second's, and the last
+        // one is left in the stash. Blank every time; the poison, which
+        // lives with the key, is still there after the reuse.
+        for key in keys {
+            rt.task(|| {}).writes([key]).spawn();
+        }
+        let husks = drain_stash(&rt.inner);
+        assert_eq!(husks.len(), 1, "{husks:?}");
+        assert!(husks[0].1, "a failed writer's record comes back blank");
         rt.wait_all();
+        assert_eq!(keys.map(|key| rt.is_poisoned(key)), [true; 3]);
+        let outcomes = rt.outcomes();
+        assert_eq!(outcomes.panicked, 2);
+        assert_eq!(outcomes.cancelled, 2);
+        assert_eq!(outcomes.shed, shed + 1);
     }
 
-    #[test]
-    fn record_held_by_the_dependence_tracker_is_not_recycled() {
+    /// The key's live epoch, as the tracker holds it.
+    fn live_epoch(rt: &Runtime, key: DepKey) -> crate::deps::LiveEpoch {
+        rt.inner.tracker.live_epoch(key).expect("key is registered")
+    }
+
+    /// One worker, a finished writer of `key`, and the worker done with it:
+    /// the probe queued behind the writer has run, so `execute` returned.
+    fn runtime_with_finished_writer(key: DepKey) -> (Runtime, TaskId, Vec<(usize, bool)>) {
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::SignificanceAgnostic)
             .build();
-        let key = DepKey::named("recycle/held");
         let release = block_single_worker(&rt);
         let writer = rt.task(|| {}).writes([key]).spawn();
         let probe = queue_probe(&rt, drain_stash);
         release.send(()).unwrap();
-        rt.wait_on(key);
         assert!(probe.wait().is_success());
         let husks = probe.take_value().expect("probe ran");
+        (rt, writer, husks)
+    }
 
-        // The tracker keeps the key's last writer; reach it the way a later
-        // reader of the key would.
-        let mut reader = Task::blank(rt.inner.global_group.clone());
-        reader.id = TaskId(u64::MAX);
-        let held = rt.inner.tracker.register(&Arc::new(reader), &[key], &[]);
-        assert_eq!(held.len(), 1);
-        assert_eq!(held[0].id, writer);
-        assert!(held[0].is_completed(), "record left as it retired");
-        let writer_address = Arc::as_ptr(&held[0]) as usize;
-
+    #[test]
+    fn last_writer_of_a_live_epoch_is_not_a_husk() {
+        let key = DepKey::named("recycle/live");
+        let (rt, writer, husks) = runtime_with_finished_writer(key);
+        let (held, readers) = live_epoch(&rt, key);
+        let held = held.expect("the epoch names its writer");
+        assert_eq!(held.id, writer);
+        assert!(held.is_completed(), "record left as it retired");
+        assert!(readers.is_empty());
         // Blocker and writer ran before the probe: only the blocker's record
         // was uniquely held, and no husk is the writer's allocation.
         assert_eq!(husks.len(), 1, "{husks:?}");
-        assert_ne!(husks[0].0, writer_address);
-        // ...and a later spawn on the worker gets a distinct allocation too.
-        let next = queue_probe(&rt, |inner| {
-            Arc::as_ptr(&inner.husk_in(GroupId::GLOBAL)) as usize
-        });
-        assert!(next.wait().is_success());
-        assert_ne!(next.take_value(), Some(writer_address));
+        assert_ne!(husks[0].0, Arc::as_ptr(&held) as usize);
         rt.wait_all();
+    }
+
+    #[test]
+    fn retired_writer_is_a_husk_once_its_epoch_is_reclaimed() {
+        let key = DepKey::named("recycle/retired");
+        let (rt, _, _) = runtime_with_finished_writer(key);
+        let writer_address = {
+            let (held, _) = live_epoch(&rt, key);
+            Arc::as_ptr(&held.expect("the epoch names its writer")) as usize
+        };
+        // The key's next writer retires that epoch; nobody is pinned, so
+        // `reclaim` frees it within the same registration and the tracker's
+        // reference — the last one — comes back to this thread's stash.
+        let next = rt.task(|| {}).writes([key]).spawn();
+        let mut husk = rt.inner.husk_in(GroupId::GLOBAL);
+        assert_eq!(Arc::as_ptr(&husk) as usize, writer_address);
+        assert!(Arc::get_mut(&mut husk).expect("uniquely held").is_blank());
+        let (held, _) = live_epoch(&rt, key);
+        assert_eq!(held.expect("the epoch names its writer").id, next);
+        rt.wait_all();
+    }
+
+    #[test]
+    fn finished_predecessor_is_neither_cloned_nor_wired() {
+        let key = DepKey::named("recycle/finished");
+        let (rt, _, _) = runtime_with_finished_writer(key);
+        let (writer, _) = live_epoch(&rt, key);
+        let writer = writer.expect("the epoch names its writer");
+        let holders = Arc::strong_count(&writer);
+
+        // Held in the queue, so the reader can be looked at before it runs.
+        let release = block_single_worker(&rt);
+        rt.task(|| {}).reads([key]).spawn();
+        assert_eq!(rt.tracker_fast_path_reads(), 1);
+        assert_eq!(
+            Arc::strong_count(&writer),
+            holders,
+            "registration left the finished writer's reference count alone"
+        );
+        let (_, readers) = live_epoch(&rt, key);
+        let [reader] = readers.as_slice() else {
+            panic!("one reader registered: {readers:?}");
+        };
+        assert!(reader.is_ready(), "no dependence was counted");
+        // The epoch's reader list, the queue and `readers`: no successor
+        // list holds the reader.
+        assert_eq!(Arc::strong_count(reader), 3);
+        release.send(()).unwrap();
+        rt.wait_all();
+    }
+
+    #[test]
+    fn builder_dropped_unspawned_returns_its_husk() {
+        let rt = count_runtime(Policy::SignificanceAgnostic);
+        let key = DepKey::named("recycle/unspawned");
+        drop(rt.task(|| {}).reads([key]).writes([key]));
+        assert_eq!(rt.outstanding_tasks(), 0);
+        assert_eq!(rt.outcomes().spawned, 0);
+        let husks = drain_stash(&rt.inner);
+        assert_eq!(husks.len(), 1, "{husks:?}");
+        assert!(husks[0].1, "the keys it was given are gone");
+        // A builder that never named a key never took a record.
+        drop(rt.task(|| {}).significance(0.5));
+        assert!(drain_stash(&rt.inner).is_empty());
+    }
+
+    #[test]
+    fn key_read_for_ever_retains_a_bounded_number_of_readers() {
+        // Windows shorter than the rotation period, so what a rotation has
+        // to carry over stays below it too.
+        const WINDOW: usize = 50;
+        const READERS: usize = 100_000;
+        let rt = count_runtime(Policy::SignificanceAgnostic);
+        let group = rt.create_group("config-readers", 1.0);
+        let state = rt.inner.groups.get(group.id);
+        // Registry + `state`; every live record of the group adds one.
+        let idle_count = Arc::strong_count(&state);
+        let key = DepKey::named("config");
+        for _ in 0..READERS / WINDOW {
+            for _ in 0..WINDOW {
+                rt.task(|| {}).reads([key]).group(&group).spawn();
+            }
+            rt.wait_group(&group);
+        }
+        // What the tracker still lists: the readers since the last rotation
+        // plus the few that rotation found unfinished — not all of them.
+        let (_, readers) = live_epoch(&rt, key);
+        assert!(
+            readers.len() < WINDOW + READER_ROTATION,
+            "{} reader records outlive {READERS} finished readers",
+            readers.len()
+        );
+        // And nothing else holds a record: workers give up their stashes as
+        // they run out of work, the last barrier freed this thread's.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Arc::strong_count(&state) - idle_count != readers.len() {
+            assert!(Instant::now() < deadline, "husks survived an idle runtime");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // One registration per rotation took the gate; the rest stayed on
+        // the lock-free path (the first creates the key, locked as well).
+        let fast = rt.tracker_fast_path_reads();
+        assert!((READERS - READERS / 32..READERS).contains(&fast), "{fast}");
     }
 
     #[test]

@@ -153,36 +153,61 @@ impl SuccessorList {
         }
     }
 
+    /// Whether the list is sealed, i.e. the owning task finished and released
+    /// its successors. Acquire would do for a registrant — it pairs with the
+    /// release half of the swap in [`SuccessorList::seal`], so whoever skips
+    /// the dependence on a finished task sees everything that task wrote
+    /// before publishing the new task to a worker. SeqCst because this is
+    /// also the `taskwait on(...)` predicate (`has_unfinished_writer` in
+    /// `deps.rs`), which must form a Dekker pair with the seal against
+    /// `EventCount`'s waiter count; as a load it costs no more.
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.head.load(Ordering::SeqCst) == sealed()
+    }
+
     /// Register `successor`; returns `false` if this task already completed
-    /// (the caller must then not count the dependence).
-    pub(crate) fn try_push(&self, successor: Arc<Task>) -> bool {
-        let node = Box::into_raw(Box::new(SuccessorNode {
-            task: successor,
-            next: std::ptr::null_mut(),
-        }));
+    /// (the caller must then not count the dependence). Looks at the seal
+    /// before it allocates or clones: with the workers keeping up, a finished
+    /// predecessor is the common case, and it costs one load.
+    pub(crate) fn try_push(&self, successor: &Arc<Task>) -> bool {
+        // Acquire: pairs with the release half of the sealing swap, as
+        // `is_sealed` explains for a registrant.
         let mut head = self.head.load(Ordering::Acquire);
+        if head == sealed() {
+            return false;
+        }
+        let node = Box::into_raw(Box::new(SuccessorNode {
+            task: successor.clone(),
+            next: head,
+        }));
         loop {
-            if head == sealed() {
-                // SAFETY: the node was just allocated above and never shared.
-                drop(unsafe { Box::from_raw(node) });
-                return false;
-            }
-            // SAFETY: the node is still exclusively ours until the CAS wins.
-            unsafe { (*node).next = head };
             match self
                 .head
                 .compare_exchange_weak(head, node, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => return true,
-                Err(observed) => head = observed,
+                Err(observed) if observed == sealed() => {
+                    // Lost the race against completion.
+                    // SAFETY: the node was allocated above and never shared.
+                    drop(unsafe { Box::from_raw(node) });
+                    return false;
+                }
+                Err(observed) => {
+                    head = observed;
+                    // SAFETY: the node is exclusively ours until the CAS wins.
+                    unsafe { (*node).next = head };
+                }
             }
         }
     }
 
     /// Seal the list (no further pushes succeed) and drain the registered
-    /// successors in registration order.
+    /// successors in registration order. SeqCst: a `taskwait on(...)` waiter
+    /// registers with the `EventCount` and then polls the seal, the worker
+    /// seals and then looks for waiters — one of the two must see the other
+    /// (see [`SuccessorList::is_sealed`]).
     pub(crate) fn seal(&self) -> Vec<Arc<Task>> {
-        let mut head = self.head.swap(sealed(), Ordering::AcqRel);
+        let mut head = self.head.swap(sealed(), Ordering::SeqCst);
         let mut successors = Vec::new();
         while !head.is_null() && head != sealed() {
             // SAFETY: the swap above made this list unreachable to pushers;
@@ -243,6 +268,18 @@ pub(crate) struct Task {
     pub(crate) handle: Option<Arc<dyn HandleNotify>>,
 }
 
+/// Key-buffer capacity a blanked record keeps. A footprint is rarely wider;
+/// one that is gives its buffer back, so no husk pins a large allocation.
+const KEPT_KEY_CAPACITY: usize = 16;
+
+fn blank_keys(keys: &mut Vec<DepKey>) {
+    if keys.capacity() > KEPT_KEY_CAPACITY {
+        *keys = Vec::new();
+    } else {
+        keys.clear();
+    }
+}
+
 impl Task {
     /// A blank record ("husk") bound to `group_state`: no bodies, no keys, no
     /// clauses, state byte 0. Every spawn starts from one — freshly allocated
@@ -269,8 +306,10 @@ impl Task {
 
     /// Blank a retired record in place for reuse, keeping only its group
     /// binding (the next spawn into the same group then skips the group
-    /// lookup and refcount). `&mut` is the whole safety argument: the runtime
-    /// gets here through `Arc::get_mut`, so nobody else holds the record.
+    /// lookup and refcount) and its key buffers (the next footprint fills
+    /// them without allocating). `&mut` is the whole safety argument: the
+    /// runtime gets here through `Arc::get_mut`, so nobody else holds the
+    /// record.
     pub(crate) fn reset(&mut self) {
         // Exhaustive on purpose: a new field must say how it is blanked.
         let Task {
@@ -296,10 +335,10 @@ impl Task {
         *pending_deps.get_mut() = 0;
         // A footprint task sealed its list at completion; unseal it.
         *successors = SuccessorList::new();
-        *out_keys = Vec::new();
+        blank_keys(out_keys);
         *footprint = false;
         *system = false;
-        *in_keys = Vec::new();
+        blank_keys(in_keys);
         *deadline_nanos = 0;
         *cancel = None;
         *handle = None;
@@ -640,14 +679,21 @@ mod tests {
         let t = dummy_task(0.4);
         let a = Arc::new(dummy_task(0.1));
         let b = Arc::new(dummy_task(0.2));
-        assert!(t.successors.try_push(a.clone()));
-        assert!(t.successors.try_push(b.clone()));
+        assert!(t.successors.try_push(&a));
+        assert!(t.successors.try_push(&b));
         let drained = t.successors.seal();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].id, a.id);
+        assert!(t.successors.is_sealed());
+        let holders = Arc::strong_count(&a);
         assert!(
-            !t.successors.try_push(a.clone()),
+            !t.successors.try_push(&a),
             "push after seal must report completion"
+        );
+        assert_eq!(
+            Arc::strong_count(&a),
+            holders,
+            "a push that finds the seal must not clone"
         );
         assert!(t.successors.seal().is_empty(), "second seal drains nothing");
     }
@@ -661,7 +707,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut wired = 0usize;
                     for _ in 0..64 {
-                        if t.successors.try_push(Arc::new(dummy_task(0.1))) {
+                        if t.successors.try_push(&Arc::new(dummy_task(0.1))) {
                             wired += 1;
                         }
                     }
@@ -755,7 +801,7 @@ mod tests {
         t.pending_deps.store(3, Ordering::Relaxed);
         // Retire it the way a footprint task retires: sealed list, every
         // state bit set, one body left untaken.
-        assert!(t.successors.try_push(Arc::new(dummy_task(0.1))));
+        assert!(t.successors.try_push(&Arc::new(dummy_task(0.1))));
         t.decide(false);
         t.release();
         t.claim_enqueue();
@@ -763,17 +809,28 @@ mod tests {
         t.mark_panicked();
         assert_eq!(t.successors.seal().len(), 1);
         t.mark_completed();
-        assert!(!t.successors.try_push(Arc::new(dummy_task(0.1))));
+        assert!(!t.successors.try_push(&Arc::new(dummy_task(0.1))));
 
         t.reset();
         assert!(t.is_blank());
+        assert!(
+            t.out_keys.capacity() >= 1 && t.in_keys.capacity() >= 1,
+            "the key buffers are kept for the next footprint"
+        );
         assert_eq!(t.decision(), None);
         assert!(!t.is_released() && !t.is_completed() && !t.is_panicked());
         assert!(!t.cancel_requested());
         assert!(t.claim_enqueue(), "the enqueue claim is free again");
         assert!(
-            t.successors.try_push(Arc::new(dummy_task(0.1))),
+            t.successors.try_push(&Arc::new(dummy_task(0.1))),
             "a reused record must accept successors again"
         );
+
+        // A footprint wider than the kept capacity gives its buffer back.
+        t.in_keys = (0..4 * KEPT_KEY_CAPACITY as u64)
+            .map(DepKey::from_raw)
+            .collect();
+        t.reset();
+        assert_eq!(t.in_keys.capacity(), 0);
     }
 }
