@@ -86,8 +86,8 @@ mod tests {
         // Quality degrades gracefully for the significance-driven variants;
         // blind perforation is allowed to be much worse (that is the point
         // of the comparison). Timing claims are made on realistic input
-        // sizes by the Criterion benches, not on this 64×64 unit-test input
-        // where thread start-up dominates.
+        // sizes by sigbench's `kernels` workload, not on this 64×64 unit-test
+        // input where thread start-up dominates.
         assert!(
             points
                 .iter()

@@ -109,8 +109,8 @@ mod tests {
         // Smoke-level bound only: the paper reports <= ~7% overhead, but this
         // unit test runs a 128×128 input in milliseconds on a shared machine,
         // so the normalised time is dominated by scheduling noise. The real
-        // Figure 4 numbers come from `sig-experiments fig4` / the Criterion
-        // bench on default-sized inputs.
+        // Figure 4 numbers come from `sig-experiments fig4` on default-sized
+        // inputs and sigbench's `kernels.policy_overhead` row at timing size.
         for (label, value) in [
             ("GTB", row.gtb),
             ("GTB(MB)", row.gtb_max_buffer),

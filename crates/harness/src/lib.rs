@@ -12,10 +12,9 @@
 //! | [`fig4`] | Figure 4 — runtime overhead of the policies at 100% accuracy |
 //! | [`table2`] | Table 2 — policy accuracy (significance inversions, ratio deviation) |
 //!
-//! The `sig-experiments` binary exposes all of them on the command line; the
-//! Criterion benches in `sig-bench` re-use the same entry points.
+//! The `sig-experiments` binary exposes all of them on the command line.
 //!
-//! Energy is modelled (not measured): see `sig-energy` and DESIGN.md for the
+//! Energy is modelled (not measured): see the `sig-energy` crate docs for the
 //! substitution rationale.
 
 #![warn(missing_docs)]

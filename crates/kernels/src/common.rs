@@ -232,8 +232,8 @@ impl RunOutput {
     }
 }
 
-/// Interface every benchmark implements, so the harness and the Criterion
-/// benches can drive all six uniformly.
+/// Interface every benchmark implements, so the harness and sigbench can
+/// drive all six uniformly.
 pub trait Benchmark: Send + Sync {
     /// Static description (Table 1 row).
     fn info(&self) -> BenchmarkInfo;

@@ -11,6 +11,22 @@
 //!
 //! Degrees (Table 1): ratio 80% / 40% / 10%; quality metric PSNR of the
 //! reconstructed (inverse-transformed) image.
+//!
+//! # What is tabulated, and what is not reordered
+//!
+//! Nothing about the transform but the pixels changes between coefficients,
+//! so `Basis` holds, once per run, the 64 cosines `cos((2x + 1)·u·π / 16)`,
+//! the 64 products `alpha(u)·alpha(v)` and the `(u, v)` positions of each
+//! layer — a JPEG codec reads its cosines from a table too. The table is
+//! built from the expression the textbook sum evaluates per term, and every
+//! coefficient and every reconstructed pixel still multiplies the same
+//! factors in the same association and adds its 64 terms in the same order:
+//! floating-point addition does not associate, so that order is part of the
+//! kernel's contract, and `tests/output_fingerprints.rs` and the reference
+//! formulas in this module's tests hold the output to it bit for bit. What
+//! the kernel is free to do, and does, is advance several *independent* sums
+//! side by side (a separable row–column transform would be faster still,
+//! and would round differently).
 
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -58,13 +74,11 @@ fn layer_size(k: usize) -> usize {
 }
 
 /// The `(u, v)` coefficient positions on layer `k`, in ascending `u`.
-fn layer_positions(k: usize) -> Vec<(usize, usize)> {
-    (0..BLOCK)
-        .filter_map(|u| {
-            let v = k.checked_sub(u)?;
-            (v < BLOCK).then_some((u, v))
-        })
-        .collect()
+fn layer_positions(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..BLOCK).filter_map(move |u| {
+        let v = k.checked_sub(u)?;
+        (v < BLOCK).then_some((u, v))
+    })
 }
 
 /// DCT-II basis scale factor.
@@ -76,36 +90,71 @@ fn alpha(u: usize) -> f64 {
     }
 }
 
-/// Compute one coefficient `(u, v)` of the 8×8 block whose top-left pixel is
-/// `(bx * 8, by * 8)`.
-fn block_coefficient(pixels: &[u8], width: usize, bx: usize, by: usize, u: usize, v: usize) -> f64 {
-    let mut sum = 0.0;
-    for y in 0..BLOCK {
-        for x in 0..BLOCK {
-            let p = pixels[(by * BLOCK + y) * width + bx * BLOCK + x] as f64 - 128.0;
-            sum += p
-                * ((2.0 * x as f64 + 1.0) * u as f64 * PI / (2.0 * BLOCK as f64)).cos()
-                * ((2.0 * y as f64 + 1.0) * v as f64 * PI / (2.0 * BLOCK as f64)).cos();
-        }
-    }
-    alpha(u) * alpha(v) * sum
+/// Everything about the 8×8 transform that does not depend on the pixels,
+/// built once per run and shared by every task.
+#[derive(Debug, Clone)]
+struct Basis {
+    /// `cos[x][u] = cos((2x + 1)·u·π / 16)`.
+    cos: [[f64; BLOCK]; BLOCK],
+    /// `scale[u][v] = alpha(u) · alpha(v)`.
+    scale: [[f64; BLOCK]; BLOCK],
+    /// The `(u, v)` positions of all layers back to back, layer `k` at
+    /// `layer_start[k]..layer_start[k + 1]`.
+    positions: [(usize, usize); BLOCK * BLOCK],
+    layer_start: [usize; LAYERS + 1],
 }
 
-/// Inverse-transform one block from a dense 64-coefficient array.
-fn inverse_block(coeffs: &[f64; BLOCK * BLOCK], out: &mut [f64; BLOCK * BLOCK]) {
-    for y in 0..BLOCK {
+impl Basis {
+    fn new() -> Self {
+        let mut basis = Basis {
+            cos: [[0.0; BLOCK]; BLOCK],
+            scale: [[0.0; BLOCK]; BLOCK],
+            positions: [(0, 0); BLOCK * BLOCK],
+            layer_start: [0; LAYERS + 1],
+        };
         for x in 0..BLOCK {
-            let mut sum = 0.0;
+            for u in 0..BLOCK {
+                // Term for term the expression the transform is defined by.
+                basis.cos[x][u] =
+                    ((2.0 * x as f64 + 1.0) * u as f64 * PI / (2.0 * BLOCK as f64)).cos();
+                basis.scale[x][u] = alpha(x) * alpha(u);
+            }
+        }
+        let mut next = 0;
+        for k in 0..LAYERS {
+            basis.layer_start[k] = next;
+            for position in layer_positions(k) {
+                basis.positions[next] = position;
+                next += 1;
+            }
+        }
+        basis.layer_start[LAYERS] = next;
+        basis
+    }
+
+    /// The `(u, v)` positions on layer `k`, in ascending `u`.
+    fn layer(&self, k: usize) -> &[(usize, usize)] {
+        &self.positions[self.layer_start[k]..self.layer_start[k + 1]]
+    }
+
+    /// Inverse-transform one block from a dense 64-coefficient array. The
+    /// eight pixels of a row advance together, one lane each (see
+    /// `compute_stripe_layer`): every pixel still adds its 64 terms in
+    /// `(u, v)` order.
+    fn inverse_block(&self, coeffs: &[f64; BLOCK * BLOCK], out: &mut [f64; BLOCK * BLOCK]) {
+        for (cos_y, out_row) in self.cos.iter().zip(out.chunks_exact_mut(BLOCK)) {
+            let mut sums = [0.0f64; BLOCK];
             for u in 0..BLOCK {
                 for v in 0..BLOCK {
-                    sum += alpha(u)
-                        * alpha(v)
-                        * coeffs[v * BLOCK + u]
-                        * ((2.0 * x as f64 + 1.0) * u as f64 * PI / (2.0 * BLOCK as f64)).cos()
-                        * ((2.0 * y as f64 + 1.0) * v as f64 * PI / (2.0 * BLOCK as f64)).cos();
+                    let scaled = self.scale[u][v] * coeffs[v * BLOCK + u];
+                    for (sum, cos_x) in sums.iter_mut().zip(&self.cos) {
+                        *sum += scaled * cos_x[u] * cos_y[v];
+                    }
                 }
             }
-            out[y * BLOCK + x] = (sum + 128.0).clamp(0.0, 255.0);
+            for (pixel, sum) in out_row.iter_mut().zip(sums) {
+                *pixel = (sum + 128.0).clamp(0.0, 255.0);
+            }
         }
     }
 }
@@ -151,7 +200,7 @@ impl CoeffLayout {
     }
 
     /// Offset of coefficient position `pos_idx` (index into
-    /// `layer_positions(k)`) of block `(bx, by)` on layer `k`.
+    /// `Basis::layer(k)`) of block `(bx, by)` on layer `k`.
     fn coeff_offset(&self, bx: usize, by: usize, k: usize, pos_idx: usize) -> usize {
         let per_block = layer_size(k);
         self.layer_offsets[k] + (by * self.blocks_x + bx) * per_block + pos_idx
@@ -187,19 +236,43 @@ impl Dct {
 
     /// Compute the coefficients of one (stripe, layer) chunk into `out`,
     /// which must be the region returned by `stripe_layer_range`.
+    ///
+    /// The coefficients of a block on one layer advance together over its
+    /// pixels, one lane each: every sum still adds its 64 terms in `(y, x)`
+    /// order, but the sums are independent, so their additions overlap
+    /// instead of each waiting for the one before.
     fn compute_stripe_layer(
         pixels: &[u8],
         width: usize,
-        layout: &CoeffLayout,
+        basis: &Basis,
         by: usize,
         k: usize,
         out: &mut [f64],
     ) {
-        let positions = layer_positions(k);
-        let per_block = positions.len();
-        for bx in 0..layout.blocks_x {
-            for (pos_idx, &(u, v)) in positions.iter().enumerate() {
-                out[bx * per_block + pos_idx] = block_coefficient(pixels, width, bx, by, u, v);
+        let positions = basis.layer(k);
+        // cos_u[x][lane] and cos_v[y][lane] for the lane's (u, v); the lanes
+        // a short layer leaves over multiply by zero and are thrown away.
+        let mut cos_u = [[0.0f64; BLOCK]; BLOCK];
+        let mut cos_v = [[0.0f64; BLOCK]; BLOCK];
+        for (lane, &(u, v)) in positions.iter().enumerate() {
+            for x in 0..BLOCK {
+                cos_u[x][lane] = basis.cos[x][u];
+                cos_v[x][lane] = basis.cos[x][v];
+            }
+        }
+        for (bx, block) in out.chunks_exact_mut(positions.len()).enumerate() {
+            let mut sums = [0.0f64; BLOCK];
+            for (y, cos_y) in cos_v.iter().enumerate() {
+                let row = &pixels[(by * BLOCK + y) * width + bx * BLOCK..][..BLOCK];
+                for (&pixel, cos_x) in row.iter().zip(&cos_u) {
+                    let p = pixel as f64 - 128.0;
+                    for lane in 0..BLOCK {
+                        sums[lane] += p * cos_x[lane] * cos_y[lane];
+                    }
+                }
+            }
+            for ((coeff, sum), &(u, v)) in block.iter_mut().zip(sums).zip(positions) {
+                *coeff = basis.scale[u][v] * sum;
             }
         }
     }
@@ -207,56 +280,38 @@ impl Dct {
     /// Reconstruct the image from a (possibly partial) layer-major
     /// coefficient buffer; missing coefficients are zero, exactly like
     /// aggressively quantised JPEG.
-    fn reconstruct(&self, layout: &CoeffLayout, coeffs: &[f64]) -> Vec<f64> {
+    fn reconstruct(&self, layout: &CoeffLayout, basis: &Basis, coeffs: &[f64]) -> Vec<f64> {
         let mut image = vec![0.0f64; self.width * self.height];
         let mut block_coeffs = [0.0f64; BLOCK * BLOCK];
         let mut block_pixels = [0.0f64; BLOCK * BLOCK];
         for by in 0..layout.blocks_y {
             for bx in 0..layout.blocks_x {
-                block_coeffs.fill(0.0);
                 for k in 0..LAYERS {
-                    for (pos_idx, &(u, v)) in layer_positions(k).iter().enumerate() {
+                    for (pos_idx, &(u, v)) in basis.layer(k).iter().enumerate() {
                         block_coeffs[v * BLOCK + u] =
                             coeffs[layout.coeff_offset(bx, by, k, pos_idx)];
                     }
                 }
-                inverse_block(&block_coeffs, &mut block_pixels);
-                for y in 0..BLOCK {
-                    for x in 0..BLOCK {
-                        image[(by * BLOCK + y) * self.width + bx * BLOCK + x] =
-                            block_pixels[y * BLOCK + x];
-                    }
+                basis.inverse_block(&block_coeffs, &mut block_pixels);
+                for (y, row) in block_pixels.chunks_exact(BLOCK).enumerate() {
+                    let start = (by * BLOCK + y) * self.width + bx * BLOCK;
+                    image[start..start + BLOCK].copy_from_slice(row);
                 }
             }
         }
         image
     }
 
-    /// Serial fully accurate execution (all layers computed).
+    /// Serial fully accurate execution (all layers computed): the perforated
+    /// loop with nothing perforated.
     pub fn run_accurate_serial(&self) -> Vec<f64> {
-        let layout = self.layout();
-        let img = self.input();
-        let pixels = img.pixels();
-        let mut coeffs = vec![0.0f64; layout.total];
-        for by in 0..layout.blocks_y {
-            for k in 0..LAYERS {
-                let (start, end) = layout.stripe_layer_range(by, k);
-                Dct::compute_stripe_layer(
-                    pixels,
-                    self.width,
-                    &layout,
-                    by,
-                    k,
-                    &mut coeffs[start..end],
-                );
-            }
-        }
-        self.reconstruct(&layout, &coeffs)
+        self.run_perforated(1.0).values
     }
 
     /// Significance-annotated task execution: one task per (stripe, layer).
     pub fn run_tasks(&self, workers: usize, policy: Policy, ratio: f64) -> RunOutput {
-        let layout = Arc::new(self.layout());
+        let layout = self.layout();
+        let basis = Arc::new(Basis::new());
         let img = Arc::new(self.input().into_raw());
         let width = self.width;
         let coeffs = SharedGrid::new(1, layout.total, 0.0f64);
@@ -268,9 +323,9 @@ impl Dct {
                 let (seg_start, seg_end) = layout.stripe_layer_range(by, k);
                 let mut region = coeffs.region_writer(seg_start, seg_end);
                 let img = img.clone();
-                let layout = layout.clone();
+                let basis = basis.clone();
                 rt.task(move || {
-                    Dct::compute_stripe_layer(&img, width, &layout, by, k, region.as_mut_slice());
+                    Dct::compute_stripe_layer(&img, width, &basis, by, k, region.as_mut_slice());
                 })
                 // No approxfun: tasks selected for approximation are dropped,
                 // zeroing their frequency layer.
@@ -281,7 +336,7 @@ impl Dct {
         }
         rt.wait_group(&group);
         let elapsed = start.elapsed();
-        let values = self.reconstruct(&layout, &coeffs.into_vec());
+        let values = self.reconstruct(&layout, &basis, &coeffs.into_vec());
         RunOutput::from_runtime(&rt, values, elapsed)
     }
 
@@ -290,6 +345,7 @@ impl Dct {
     /// significance-oblivious, so low-frequency layers get dropped too.
     pub fn run_perforated(&self, ratio: f64) -> RunOutput {
         let layout = self.layout();
+        let basis = Basis::new();
         let img = self.input();
         let pixels = img.pixels();
         let mut coeffs = vec![0.0f64; layout.total];
@@ -303,14 +359,14 @@ impl Dct {
             Dct::compute_stripe_layer(
                 pixels,
                 self.width,
-                &layout,
+                &basis,
                 by,
                 k,
                 &mut coeffs[seg_start..seg_end],
             );
         }
         let elapsed = start.elapsed();
-        RunOutput::serial(self.reconstruct(&layout, &coeffs), elapsed)
+        RunOutput::serial(self.reconstruct(&layout, &basis, &coeffs), elapsed)
     }
 }
 
@@ -328,11 +384,7 @@ impl Benchmark for Dct {
 
     fn run(&self, config: &ExecutionConfig) -> RunOutput {
         match config.approach {
-            Approach::Accurate => {
-                let start = Instant::now();
-                let out = self.run_accurate_serial();
-                RunOutput::serial(out, start.elapsed())
-            }
+            Approach::Accurate => self.run_perforated(1.0),
             Approach::Significance { policy, degree } => {
                 self.run_tasks(config.workers, policy, Dct::ratio_for(degree))
             }
@@ -348,11 +400,96 @@ impl Benchmark for Dct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> Dct {
         Dct {
             width: 64,
             height: 64,
+        }
+    }
+
+    fn cos_term(x: usize, u: usize) -> f64 {
+        ((2.0 * x as f64 + 1.0) * u as f64 * PI / (2.0 * BLOCK as f64)).cos()
+    }
+
+    /// The forward transform as first written: 128 cosines per coefficient.
+    fn block_coefficient_reference(
+        pixels: &[u8],
+        width: usize,
+        bx: usize,
+        by: usize,
+        u: usize,
+        v: usize,
+    ) -> f64 {
+        let mut sum = 0.0;
+        for y in 0..BLOCK {
+            for x in 0..BLOCK {
+                let p = pixels[(by * BLOCK + y) * width + bx * BLOCK + x] as f64 - 128.0;
+                sum += p * cos_term(x, u) * cos_term(y, v);
+            }
+        }
+        alpha(u) * alpha(v) * sum
+    }
+
+    /// The inverse transform as first written.
+    fn inverse_block_reference(coeffs: &[f64; BLOCK * BLOCK], out: &mut [f64; BLOCK * BLOCK]) {
+        for y in 0..BLOCK {
+            for x in 0..BLOCK {
+                let mut sum = 0.0;
+                for u in 0..BLOCK {
+                    for v in 0..BLOCK {
+                        sum += alpha(u)
+                            * alpha(v)
+                            * coeffs[v * BLOCK + u]
+                            * cos_term(x, u)
+                            * cos_term(y, v);
+                    }
+                }
+                out[y * BLOCK + x] = (sum + 128.0).clamp(0.0, 255.0);
+            }
+        }
+    }
+
+    #[test]
+    fn tabulated_transforms_match_the_formulas_bit_for_bit() {
+        let basis = Basis::new();
+        let mut rng = StdRng::seed_from_u64(0xdc7);
+        for _ in 0..200 {
+            let (blocks_x, blocks_y) = (rng.gen_range(1..4usize), rng.gen_range(1..4usize));
+            let width = blocks_x * BLOCK;
+            let pixels: Vec<u8> = (0..width * blocks_y * BLOCK)
+                .map(|_| rng.gen_range(0..256usize) as u8)
+                .collect();
+            let by = rng.gen_range(0..blocks_y);
+            let bx = rng.gen_range(0..blocks_x);
+            let mut coeffs = [0.0f64; BLOCK * BLOCK];
+            for k in 0..LAYERS {
+                let positions = basis.layer(k);
+                let mut stripe = vec![0.0f64; blocks_x * positions.len()];
+                Dct::compute_stripe_layer(&pixels, width, &basis, by, k, &mut stripe);
+                for (block, fast) in stripe.chunks_exact(positions.len()).enumerate() {
+                    for (&fast, &(u, v)) in fast.iter().zip(positions) {
+                        let reference =
+                            block_coefficient_reference(&pixels, width, block, by, u, v);
+                        assert_eq!(
+                            fast.to_bits(),
+                            reference.to_bits(),
+                            "coefficient ({u}, {v})"
+                        );
+                        // Zero some coefficients, as dropped layers do.
+                        if block == bx && rng.gen_range(0..4usize) > 0 {
+                            coeffs[v * BLOCK + u] = fast;
+                        }
+                    }
+                }
+            }
+            let mut fast = [0.0f64; BLOCK * BLOCK];
+            let mut reference = [0.0f64; BLOCK * BLOCK];
+            basis.inverse_block(&coeffs, &mut fast);
+            inverse_block_reference(&coeffs, &mut reference);
+            assert_eq!(fast.map(f64::to_bits), reference.map(f64::to_bits));
         }
     }
 
@@ -367,8 +504,9 @@ mod tests {
 
     #[test]
     fn layer_positions_are_on_the_diagonal() {
+        let basis = Basis::new();
         for k in 0..LAYERS {
-            let positions = layer_positions(k);
+            let positions = basis.layer(k);
             assert_eq!(positions.len(), layer_size(k));
             assert!(positions
                 .iter()
@@ -411,12 +549,7 @@ mod tests {
         let d = small();
         let serial = d.run_accurate_serial();
         let tasks = d.run_tasks(2, Policy::GtbMaxBuffer, 1.0);
-        let max_err = serial
-            .iter()
-            .zip(&tasks.values)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_err < 1e-9);
+        assert_eq!(serial, tasks.values);
         let layout = d.layout();
         assert_eq!(tasks.tasks.total, layout.blocks_y * LAYERS);
     }

@@ -15,8 +15,22 @@
 //! quality metric relative error of the final particle positions.
 //! Loop perforation is **not applicable**: dropping part of the particles in
 //! a step violates the physics (Section 4.2).
+//!
+//! # What is indexed, and what is not reordered
+//!
+//! An accurate step needs, per particle, the particles within the
+//! interaction radius — about one in twenty. Like the PARSEC original, the
+//! step sorts the particles into a uniform cell grid (`Cells`, rebuilt per
+//! accurate time step since every particle moves) and looks only at the
+//! cells the radius reaches. The forces of the neighbours found are then
+//! added in ascending particle index, the order in which a loop over all
+//! particles would meet them: floating-point addition does not associate, so
+//! that order is part of the kernel's contract, pinned bit for bit by
+//! `tests/output_fingerprints.rs` and by the all-pairs reference in this
+//! module's tests. (Evaluating each pair once and applying it to both
+//! particles would halve the work and change the order, so it is not done.)
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -63,18 +77,88 @@ impl Default for Fluidanimate {
     }
 }
 
+/// A uniform grid of `side × side` cells over the unit box that lists, per
+/// cell, the particles inside it in ascending index (a counting sort). Built
+/// once per time step, it narrows a particle's neighbour search from all `n`
+/// particles to the few cells its interaction radius reaches.
+#[derive(Debug)]
+struct Cells {
+    side: usize,
+    /// Cell `c` (row-major, `cy * side + cx`) lists `order[start[c]..start[c + 1]]`.
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl Cells {
+    /// Cells no narrower than `radius`, so a search reaches three of them per
+    /// axis, and no more than about one per particle. Neither bound is needed
+    /// for correctness: `mark_near` scans whatever range the radius covers.
+    fn new(state: &[f64], radius: f64) -> Self {
+        let n = state.len() / STRIDE;
+        let side = ((1.0 / radius) as usize).clamp(1, ((n as f64).sqrt().ceil() as usize).max(1));
+        let mut cells = Cells {
+            side,
+            start: vec![0; side * side + 1],
+            order: vec![0; n],
+        };
+        let cell_of = |p: &[f64]| cells.cell(p[1]) * side + cells.cell(p[0]);
+        let homes: Vec<usize> = state.chunks_exact(STRIDE).map(cell_of).collect();
+        for &home in &homes {
+            cells.start[home + 1] += 1;
+        }
+        for c in 0..side * side {
+            cells.start[c + 1] += cells.start[c];
+        }
+        let mut next = cells.start.clone();
+        for (p, &home) in homes.iter().enumerate() {
+            cells.order[next[home]] = p;
+            next[home] += 1;
+        }
+        cells
+    }
+
+    /// The cell coordinate of a position coordinate: monotone in `coord`,
+    /// with everything left of the box in cell 0 and everything from its far
+    /// wall (`coord == 1.0`, where the wall clamp puts particles) on in the
+    /// last cell.
+    fn cell(&self, coord: f64) -> usize {
+        ((coord * self.side as f64) as usize).min(self.side - 1)
+    }
+
+    /// Set the bit of every particle in a cell that the square of half-width
+    /// `radius` around `(x, y)` touches. A particle `j` that passes the
+    /// distance test has `|x − xj| < radius`, so `x − radius ≤ xj ≤ x + radius`
+    /// survives rounding (rounding is monotone and `xj` is a float), and
+    /// `cell` is monotone: `j`'s cell lies in the scanned range whatever the
+    /// cell width.
+    fn mark_near(&self, x: f64, y: f64, radius: f64, near: &mut [u64]) {
+        let (first, last) = (self.cell(x - radius), self.cell(x + radius));
+        for cy in self.cell(y - radius)..=self.cell(y + radius) {
+            let row = cy * self.side;
+            // The cells of one row are adjacent in `order`.
+            for &j in &self.order[self.start[row + first]..self.start[row + last + 1]] {
+                near[j / 64] |= 1 << (j % 64);
+            }
+        }
+    }
+}
+
 /// Accurate update of one chunk of particles: SPH-style density/pressure
 /// forces from all neighbours within the interaction radius, plus gravity and
 /// box collisions, then symplectic Euler integration.
 fn step_accurate(
     state: &[f64],
+    cells: &Cells,
     range: std::ops::Range<usize>,
     dt: f64,
     radius: f64,
     out: &mut [f64],
 ) {
-    let n = state.len() / STRIDE;
     let r2 = radius * radius;
+    // One bit per particle: the candidates of the particle being updated.
+    // Walking the set bits visits them in ascending index, which is the order
+    // the all-pairs loop `for j in 0..n` adds the force terms in.
+    let mut near = vec![0u64; (state.len() / STRIDE).div_ceil(64)];
     for (local, i) in range.enumerate() {
         let xi = state[i * STRIDE];
         let yi = state[i * STRIDE + 1];
@@ -82,21 +166,28 @@ fn step_accurate(
         let mut vy = state[i * STRIDE + 3];
 
         // Pairwise repulsion within the smoothing radius (a simplified SPH
-        // pressure force) — this is the expensive O(n) part of the step.
+        // pressure force) — this is the expensive part of the step.
         let mut fx = 0.0;
         let mut fy = 0.0;
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let dx = xi - state[j * STRIDE];
-            let dy = yi - state[j * STRIDE + 1];
-            let d2 = dx * dx + dy * dy;
-            if d2 < r2 && d2 > 1e-12 {
-                let d = d2.sqrt();
-                let overlap = (radius - d) / radius;
-                fx += overlap * overlap * dx / d * 40.0;
-                fy += overlap * overlap * dy / d * 40.0;
+        cells.mark_near(xi, yi, radius, &mut near);
+        for (w, word) in near.iter_mut().enumerate() {
+            // Taking the word leaves the set empty for the next particle.
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if j == i {
+                    continue;
+                }
+                let dx = xi - state[j * STRIDE];
+                let dy = yi - state[j * STRIDE + 1];
+                let d2 = dx * dx + dy * dy;
+                if d2 < r2 && d2 > 1e-12 {
+                    let d = d2.sqrt();
+                    let overlap = (radius - d) / radius;
+                    fx += overlap * overlap * dx / d * 40.0;
+                    fy += overlap * overlap * dy / d * 40.0;
+                }
             }
         }
         // Gravity.
@@ -192,25 +283,34 @@ impl Fluidanimate {
 
     fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
         let per_chunk = self.particles.div_ceil(self.chunks);
-        let start = chunk * per_chunk;
         let end = ((chunk + 1) * per_chunk).min(self.particles);
-        start..end
+        // Trailing chunks are empty when the particles run out early.
+        (chunk * per_chunk).min(end)..end
     }
 
     /// Serial fully accurate simulation; returns the final particle
     /// positions (x, y interleaved).
     pub fn run_accurate_serial(&self) -> Vec<f64> {
+        self.run_serial().values
+    }
+
+    /// The serial simulation, timed like `run_tasks`: the clock starts once
+    /// the initial state exists and stops before the positions are extracted.
+    fn run_serial(&self) -> RunOutput {
         let mut state = self.initial_state();
+        let start = Instant::now();
         for _ in 0..self.steps {
+            let cells = Cells::new(&state, self.radius);
             let mut next = vec![0.0f64; state.len()];
             for chunk in 0..self.chunks {
                 let range = self.chunk_range(chunk);
-                let out_range = range.start * STRIDE..range.end * STRIDE;
-                step_accurate(&state, range, self.dt, self.radius, &mut next[out_range]);
+                let out = &mut next[range.start * STRIDE..range.end * STRIDE];
+                step_accurate(&state, &cells, range, self.dt, self.radius, out);
             }
             state = next;
         }
-        positions_of(&state)
+        let elapsed = start.elapsed();
+        RunOutput::serial(positions_of(&state), elapsed)
     }
 
     /// Significance-annotated task execution: each time step's barrier
@@ -230,10 +330,14 @@ impl Fluidanimate {
             // remaining steps are linear extrapolation.
             let accurate_step = step % accurate_period == 0;
             let next = SharedGrid::new(self.chunks, per_chunk * STRIDE, 0.0f64);
+            // Built by the first accurate body of the step to run, if any
+            // does: an extrapolation step never pays for the index.
+            let cells = Arc::new(OnceLock::new());
             for chunk in 0..self.chunks {
                 let range = self.chunk_range(chunk);
                 let writer = Arc::new(std::sync::Mutex::new(next.row_writer(chunk)));
                 let writer_apx = writer.clone();
+                let cells = cells.clone();
                 let state_acc = state.clone();
                 let state_apx = state.clone();
                 let range_apx = range.clone();
@@ -242,6 +346,7 @@ impl Fluidanimate {
                     let mut out = writer.lock().expect("chunk writer");
                     step_accurate(
                         &state_acc,
+                        cells.get_or_init(|| Cells::new(&state_acc, radius)),
                         range.clone(),
                         dt,
                         radius,
@@ -301,11 +406,7 @@ impl Benchmark for Fluidanimate {
 
     fn run(&self, config: &ExecutionConfig) -> RunOutput {
         match config.approach {
-            Approach::Accurate => {
-                let start = Instant::now();
-                let out = self.run_accurate_serial();
-                RunOutput::serial(out, start.elapsed())
-            }
+            Approach::Accurate => self.run_serial(),
             Approach::Significance { policy, degree } => self.run_tasks(
                 config.workers,
                 policy,
@@ -335,6 +436,183 @@ mod tests {
             dt: 0.002,
             radius: 0.08,
             seed: 9,
+        }
+    }
+
+    /// The accurate update as first written: every particle tested against
+    /// every other.
+    fn step_accurate_reference(
+        state: &[f64],
+        range: std::ops::Range<usize>,
+        dt: f64,
+        radius: f64,
+        out: &mut [f64],
+    ) {
+        let n = state.len() / STRIDE;
+        let r2 = radius * radius;
+        for (local, i) in range.enumerate() {
+            let xi = state[i * STRIDE];
+            let yi = state[i * STRIDE + 1];
+            let mut vx = state[i * STRIDE + 2];
+            let mut vy = state[i * STRIDE + 3];
+            let mut fx = 0.0;
+            let mut fy = 0.0;
+            for j in 0..n {
+                if j == i {
+                    continue;
+                }
+                let dx = xi - state[j * STRIDE];
+                let dy = yi - state[j * STRIDE + 1];
+                let d2 = dx * dx + dy * dy;
+                if d2 < r2 && d2 > 1e-12 {
+                    let d = d2.sqrt();
+                    let overlap = (radius - d) / radius;
+                    fx += overlap * overlap * dx / d * 40.0;
+                    fy += overlap * overlap * dy / d * 40.0;
+                }
+            }
+            fy -= 9.8;
+            vx += fx * dt;
+            vy += fy * dt;
+            let mut x = xi + vx * dt;
+            let mut y = yi + vy * dt;
+            if x < 0.0 {
+                x = 0.0;
+                vx = -vx * 0.5;
+            }
+            if x > 1.0 {
+                x = 1.0;
+                vx = -vx * 0.5;
+            }
+            if y < 0.0 {
+                y = 0.0;
+                vy = -vy * 0.5;
+            }
+            if y > 1.0 {
+                y = 1.0;
+                vy = -vy * 0.5;
+            }
+            out[local * STRIDE..(local + 1) * STRIDE].copy_from_slice(&[x, y, vx, vy]);
+        }
+    }
+
+    /// A seeded particle state exercising the index's edge cases: particles
+    /// on the walls (`0.0` and `1.0` exactly) and coincident pairs.
+    fn random_state(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let mut state = Vec::with_capacity(n * STRIDE);
+        for p in 0..n {
+            let coord = |rng: &mut StdRng| match rng.gen_range(0..10usize) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(0.0..1.0),
+            };
+            let (x, y) = (coord(rng), coord(rng));
+            if p > 0 && rng.gen_range(0..8usize) == 0 {
+                // Coincident with an earlier particle: skipped by `d2 > 1e-12`.
+                let twin = rng.gen_range(0..p) * STRIDE;
+                state.extend_from_within(twin..twin + 2);
+            } else {
+                state.extend([x, y]);
+            }
+            state.extend([rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]);
+        }
+        state
+    }
+
+    /// Radii from "wider than the box" (one cell, all pairs) down to far
+    /// below the particle spacing (cell count clamped by `sqrt(n)`).
+    fn random_radius(rng: &mut StdRng, case: usize) -> f64 {
+        match case % 5 {
+            0 => rng.gen_range(1.0..3.0),
+            1 => rng.gen_range(1e-9..1e-3),
+            2 => 0.1, // 1/radius rounds to exactly 10: cells a hair narrower than the radius
+            _ => rng.gen_range(0.01..0.5),
+        }
+    }
+
+    #[test]
+    fn indexed_step_matches_the_all_pairs_step_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xf1u64);
+        for case in 0..200 {
+            // Counts that are multiples of neither 64 nor the chunk count, and
+            // more chunks than particles.
+            let f = Fluidanimate {
+                particles: rng.gen_range(1..200),
+                chunks: rng.gen_range(1..9),
+                radius: random_radius(&mut rng, case),
+                ..small()
+            };
+            let state = random_state(&mut rng, f.particles);
+            let cells = Cells::new(&state, f.radius);
+            for chunk in 0..f.chunks {
+                // Includes empty trailing chunks (e.g. 5 particles in 4 chunks).
+                let range = f.chunk_range(chunk);
+                let mut fast = vec![0.0f64; range.len() * STRIDE];
+                let mut reference = fast.clone();
+                step_accurate(&state, &cells, range.clone(), f.dt, f.radius, &mut fast);
+                step_accurate_reference(&state, range.clone(), f.dt, f.radius, &mut reference);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&fast),
+                    bits(&reference),
+                    "case {case}: n={} radius={} chunk {range:?}",
+                    f.particles,
+                    f.radius
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cells_list_every_particle_once_in_ascending_order() {
+        let mut rng = StdRng::seed_from_u64(0xce11);
+        for case in 0..50 {
+            let n = rng.gen_range(1..300);
+            let state = random_state(&mut rng, n);
+            let cells = Cells::new(&state, random_radius(&mut rng, case));
+            assert_eq!(cells.start.len(), cells.side * cells.side + 1);
+            assert_eq!(
+                (cells.start[0], cells.start[cells.side * cells.side]),
+                (0, n)
+            );
+            let mut seen = vec![false; n];
+            for cell in cells.start.windows(2) {
+                let members = &cells.order[cell[0]..cell[1]];
+                assert!(members.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                for &p in members {
+                    assert!(!std::mem::replace(&mut seen[p], true), "particle {p} twice");
+                }
+            }
+            assert!(seen.into_iter().all(|s| s));
+        }
+    }
+
+    #[test]
+    fn cells_find_every_pair_within_the_radius_from_either_side() {
+        let mut rng = StdRng::seed_from_u64(0x9a125);
+        for case in 0..50 {
+            let n = rng.gen_range(2..150);
+            let state = random_state(&mut rng, n);
+            let radius = random_radius(&mut rng, case);
+            let cells = Cells::new(&state, radius);
+            let near_of = |i: usize| {
+                let mut near = vec![0u64; n.div_ceil(64)];
+                cells.mark_near(state[i * STRIDE], state[i * STRIDE + 1], radius, &mut near);
+                near
+            };
+            let near: Vec<Vec<u64>> = (0..n).map(near_of).collect();
+            for i in 0..n {
+                for j in 0..n {
+                    let dx = state[i * STRIDE] - state[j * STRIDE];
+                    let dy = state[i * STRIDE + 1] - state[j * STRIDE + 1];
+                    if dx * dx + dy * dy < radius * radius {
+                        assert!(
+                            near[i][j / 64] >> (j % 64) & 1 == 1,
+                            "case {case}: {j} within {radius} of {i} but not listed"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -387,12 +665,9 @@ mod tests {
         let f = small();
         let serial = f.run_accurate_serial();
         let tasks = f.run_tasks(2, Policy::GtbMaxBuffer, 1);
-        let max_err = serial
-            .iter()
-            .zip(&tasks.values)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_err < 1e-12, "max error {max_err}");
+        // Each chunk's forces are summed in particle order whichever worker
+        // runs it, so the task version reproduces the serial bits.
+        assert_eq!(serial, tasks.values);
         assert_eq!(tasks.tasks.approximate, 0);
     }
 

@@ -15,6 +15,17 @@
 //!
 //! Quality metric: relative error of the solution vector against the fully
 //! accurate solve.
+//!
+//! # What is tabulated, and what is not reordered
+//!
+//! The synthetic matrix is Toeplitz — `A[i][j]` depends on `|i − j|` only —
+//! so its `n²` entries are `n` distinct values, kept in one coupling table
+//! per solve (`coupling_table`) instead of one division per entry per
+//! sweep. A row's sum still visits its columns in ascending `j` with the
+//! diagonal left out: floating-point addition does not associate, so the
+//! order of the additions is part of the kernel's contract, pinned bit for
+//! bit by `tests/output_fingerprints.rs` and by the entry-by-entry reference
+//! in this module's tests.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,40 +74,42 @@ impl Default for Jacobi {
     }
 }
 
-/// Matrix entry `A[i][j]` of the synthetic diagonally dominant system:
-/// a strong diagonal with slowly decaying off-diagonal coupling.
-fn matrix_entry(n: usize, i: usize, j: usize) -> f64 {
-    if i == j {
-        n as f64
-    } else {
-        1.0 / (1.0 + i.abs_diff(j) as f64)
-    }
+/// The off-diagonal entries of the synthetic diagonally dominant system by
+/// distance from the diagonal: `A[i][j] = coupling[|i − j|]` for `i ≠ j`, a
+/// slowly decaying coupling under the strong diagonal `A[i][i] = n`.
+/// Computed once per solve and shared by every task of every sweep.
+fn coupling_table(n: usize) -> Arc<[f64]> {
+    (0..n).map(|d| 1.0 / (1.0 + d as f64)).collect()
 }
 
 /// Update one block of unknowns: `x_new[i] = (b[i] − Σ_{j≠i} A[i][j]·x[j]) / A[i][i]`.
 ///
 /// `band` limits the columns visited: `None` sums every column (accurate),
-/// `Some(w)` sums only `|i − j| ≤ w` (the approximate, band-only body).
+/// `Some(w)` sums only `|i − j| ≤ w` (the approximate, band-only body). The
+/// columns are summed in ascending `j` — left of the diagonal, then right of
+/// it — because the order of the additions decides the low bits of the sum.
 fn update_block(
-    n: usize,
+    coupling: &[f64],
     b: &[f64],
     x: &[f64],
     rows: std::ops::Range<usize>,
     band: Option<usize>,
     out: &mut [f64],
 ) {
+    let n = x.len();
     for (local, i) in rows.enumerate() {
         let (lo, hi) = match band {
             Some(w) => (i.saturating_sub(w), (i + w + 1).min(n)),
             None => (0, n),
         };
         let mut sum = 0.0;
-        for (j, xj) in x.iter().enumerate().take(hi).skip(lo) {
-            if j != i {
-                sum += matrix_entry(n, i, j) * xj;
-            }
+        for (c, xj) in coupling[1..=i - lo].iter().rev().zip(&x[lo..i]) {
+            sum += c * xj;
         }
-        out[local] = (b[i] - sum) / matrix_entry(n, i, i);
+        for (c, xj) in coupling[1..].iter().zip(&x[i + 1..hi]) {
+            sum += c * xj;
+        }
+        out[local] = (b[i] - sum) / n as f64;
     }
 }
 
@@ -130,31 +143,10 @@ impl Jacobi {
             .fold(0.0, f64::max)
     }
 
-    /// Serial solve with every sweep accurate, iterating to `tolerance`.
+    /// Serial solve with every sweep accurate, iterating to `tolerance`: the
+    /// perforated loop with no block perforated.
     pub fn solve_accurate_serial(&self, tolerance: f64) -> Vec<f64> {
-        let b = self.rhs();
-        let mut x = vec![0.0f64; self.n];
-        for _ in 0..self.max_sweeps {
-            let mut x_new = vec![0.0f64; self.n];
-            for block in 0..self.blocks {
-                let range = self.block_range(block);
-                let local = range.clone();
-                update_block(
-                    self.n,
-                    &b,
-                    &x,
-                    range,
-                    None,
-                    &mut x_new[local.start..local.end],
-                );
-            }
-            let delta = Jacobi::max_delta(&x, &x_new);
-            x = x_new;
-            if delta < tolerance {
-                break;
-            }
-        }
-        x
+        self.run_perforated(tolerance, 1.0).values
     }
 
     /// Significance-annotated task execution: `approx_sweeps` band-only
@@ -162,7 +154,7 @@ impl Jacobi {
     /// tolerance is reached.
     pub fn run_tasks(&self, workers: usize, policy: Policy, tolerance: f64) -> RunOutput {
         let b = Arc::new(self.rhs());
-        let n = self.n;
+        let coupling = coupling_table(self.n);
         let band = self.band;
         let mut x = Arc::new(vec![0.0f64; self.n]);
         let per_block = self.n.div_ceil(self.blocks);
@@ -179,6 +171,8 @@ impl Jacobi {
                 let range = self.block_range(block);
                 let writer = Arc::new(std::sync::Mutex::new(x_new.row_writer(block)));
                 let writer_apx = writer.clone();
+                let coupling_acc = coupling.clone();
+                let coupling_apx = coupling.clone();
                 let b_acc = b.clone();
                 let b_apx = b.clone();
                 let x_acc = x.clone();
@@ -188,7 +182,7 @@ impl Jacobi {
                 rt.task(move || {
                     let mut out = writer.lock().expect("block writer");
                     update_block(
-                        n,
+                        &coupling_acc,
                         &b_acc,
                         &x_acc,
                         range.clone(),
@@ -199,7 +193,7 @@ impl Jacobi {
                 .approx(move || {
                     let mut out = writer_apx.lock().expect("block writer");
                     update_block(
-                        n,
+                        &coupling_apx,
                         &b_apx,
                         &x_apx,
                         range_apx.clone(),
@@ -241,6 +235,7 @@ impl Jacobi {
     /// Iterates to the same relaxed tolerance.
     pub fn run_perforated(&self, tolerance: f64, keep: f64) -> RunOutput {
         let b = self.rhs();
+        let coupling = coupling_table(self.n);
         let mut x = vec![0.0f64; self.n];
         let start = Instant::now();
         let kept = kept_indices(self.blocks, PerforationRate::keep(keep));
@@ -250,7 +245,7 @@ impl Jacobi {
                 let range = self.block_range(block);
                 let local = range.clone();
                 update_block(
-                    self.n,
+                    &coupling,
                     &b,
                     &x,
                     range,
@@ -283,11 +278,7 @@ impl Benchmark for Jacobi {
 
     fn run(&self, config: &ExecutionConfig) -> RunOutput {
         match config.approach {
-            Approach::Accurate => {
-                let start = Instant::now();
-                let out = self.solve_accurate_serial(self.native_tolerance);
-                RunOutput::serial(out, start.elapsed())
-            }
+            Approach::Accurate => self.run_perforated(self.native_tolerance, 1.0),
             Approach::Significance { policy, degree } => {
                 self.run_tasks(config.workers, policy, Jacobi::tolerance_for(degree))
             }
@@ -324,6 +315,72 @@ mod tests {
             max_sweeps: 100,
             native_tolerance: 1e-5,
             seed: 3,
+        }
+    }
+
+    /// Matrix entry `A[i][j]`, straight from its definition.
+    fn matrix_entry(n: usize, i: usize, j: usize) -> f64 {
+        if i == j {
+            n as f64
+        } else {
+            1.0 / (1.0 + i.abs_diff(j) as f64)
+        }
+    }
+
+    /// The update as first written: one `matrix_entry` per column, the
+    /// diagonal skipped inside the loop.
+    fn update_block_reference(
+        n: usize,
+        b: &[f64],
+        x: &[f64],
+        rows: std::ops::Range<usize>,
+        band: Option<usize>,
+        out: &mut [f64],
+    ) {
+        for (local, i) in rows.enumerate() {
+            let (lo, hi) = match band {
+                Some(w) => (i.saturating_sub(w), (i + w + 1).min(n)),
+                None => (0, n),
+            };
+            let mut sum = 0.0;
+            for (j, xj) in x.iter().enumerate().take(hi).skip(lo) {
+                if j != i {
+                    sum += matrix_entry(n, i, j) * xj;
+                }
+            }
+            out[local] = (b[i] - sum) / matrix_entry(n, i, i);
+        }
+    }
+
+    #[test]
+    fn tabulated_update_matches_the_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xa11ce);
+        for case in 0..200 {
+            let n = rng.gen_range(1..97usize);
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+            let start = rng.gen_range(0..n);
+            let rows = start..rng.gen_range(start..n) + 1;
+            // Bands from "diagonal only" to wider than the matrix, so they are
+            // clipped at neither, either and both ends.
+            let band = match case % 4 {
+                0 => None,
+                1 => Some(0),
+                2 => Some(rng.gen_range(1..n + 1)),
+                _ => Some(2 * n),
+            };
+            let coupling = coupling_table(n);
+            let mut fast = vec![0.0f64; rows.len()];
+            let mut reference = vec![0.0f64; rows.len()];
+            update_block(&coupling, &b, &x, rows.clone(), band, &mut fast);
+            update_block_reference(n, &b, &x, rows.clone(), band, &mut reference);
+            for (f, r) in fast.iter().zip(&reference) {
+                assert_eq!(
+                    f.to_bits(),
+                    r.to_bits(),
+                    "n={n} rows={rows:?} band={band:?}"
+                );
+            }
         }
     }
 
@@ -387,8 +444,9 @@ mod tests {
         let x = vec![1.0f64; j.n];
         let mut full = vec![0.0f64; 16];
         let mut banded = vec![0.0f64; 16];
-        update_block(j.n, &b, &x, 0..16, None, &mut full);
-        update_block(j.n, &b, &x, 0..16, Some(j.band), &mut banded);
+        let coupling = coupling_table(j.n);
+        update_block(&coupling, &b, &x, 0..16, None, &mut full);
+        update_block(&coupling, &b, &x, 0..16, Some(j.band), &mut banded);
         assert_ne!(full, banded);
         let err = relative_error(&full, &banded);
         assert!(err < 0.2, "band approximation error {err} too large");

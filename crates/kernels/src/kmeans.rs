@@ -204,38 +204,10 @@ impl KMeans {
         (self.points / 1000).max(1)
     }
 
-    /// Serial fully accurate execution; returns the final centroids.
+    /// Serial fully accurate execution; returns the final centroids. It is
+    /// the perforated loop with no chunk perforated.
     pub fn run_accurate_serial(&self) -> Vec<f64> {
-        let points = self.observations();
-        let mut centroids = self.initial_centroids(&points);
-        let mut assignments = vec![usize::MAX; self.points];
-        let row = partial_row_len(self.clusters, self.dims);
-        for _ in 0..self.max_iterations {
-            let mut partials = vec![0.0f64; self.chunks * row];
-            let mut new_assignments = assignments.clone();
-            for chunk in 0..self.chunks {
-                let range = self.chunk_range(chunk);
-                let local = range.clone();
-                process_chunk(
-                    &points,
-                    self.dims,
-                    self.clusters,
-                    &centroids,
-                    &assignments,
-                    range,
-                    true,
-                    &mut partials[chunk * row..(chunk + 1) * row],
-                    &mut new_assignments[local],
-                );
-            }
-            let previous = centroids.clone();
-            let moved = self.reduce(&partials, &previous, &mut centroids);
-            assignments = new_assignments;
-            if moved < self.moved_threshold() {
-                break;
-            }
-        }
-        centroids
+        self.run_perforated(1.0).values
     }
 
     /// Significance-annotated task execution.
@@ -381,11 +353,7 @@ impl Benchmark for KMeans {
 
     fn run(&self, config: &ExecutionConfig) -> RunOutput {
         match config.approach {
-            Approach::Accurate => {
-                let start = Instant::now();
-                let out = self.run_accurate_serial();
-                RunOutput::serial(out, start.elapsed())
-            }
+            Approach::Accurate => self.run_perforated(1.0),
             Approach::Significance { policy, degree } => {
                 self.run_tasks(config.workers, policy, KMeans::ratio_for(degree))
             }

@@ -21,7 +21,7 @@
 //! | [`fluidanimate`] | Approximate | accurate steps 1/2, 1/4, 1/8 | Rel. error |
 //!
 //! All benchmarks implement the [`Benchmark`] trait so the experiment harness
-//! and the Criterion benches can drive them uniformly.
+//! and sigbench's `kernels` workload can drive them uniformly.
 
 #![warn(missing_docs)]
 

@@ -164,13 +164,10 @@ impl MonteCarlo {
         )
     }
 
-    /// Serial fully accurate execution.
+    /// Serial fully accurate execution: the perforated loop with no point
+    /// perforated.
     pub fn run_accurate_serial(&self) -> Vec<f64> {
-        self.boundary_points()
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| self.accurate_estimate(i, x, y))
-            .collect()
+        self.run_perforated(1.0).values
     }
 
     /// Significance-annotated task execution: one task per boundary point.
@@ -236,11 +233,7 @@ impl Benchmark for MonteCarlo {
 
     fn run(&self, config: &ExecutionConfig) -> RunOutput {
         match config.approach {
-            Approach::Accurate => {
-                let start = Instant::now();
-                let out = self.run_accurate_serial();
-                RunOutput::serial(out, start.elapsed())
-            }
+            Approach::Accurate => self.run_perforated(1.0),
             Approach::Significance { policy, degree } => {
                 self.run_tasks(config.workers, policy, MonteCarlo::ratio_for(degree))
             }
