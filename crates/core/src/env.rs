@@ -27,13 +27,21 @@
 //! per-worker atomics on worker-private cache lines ([`CachePadded`]), folded
 //! only when [`EnergyReport`] is built. The governor itself is an immutable
 //! `Arc<dyn Governor>`; the default [`crate::NominalGovernor`] short-circuits
-//! before the virtual call. Scaled dispatches cache the last
-//! `(frequency ratio → active watts)` pair per worker so the `powf` of the
-//! power model is paid once per frequency *change*, not once per task.
-//! Each shard carries a sequence counter (seqlock): [`ExecutionEnv::report`]
-//! retries a shard whose owner is mid-record, so a report sampled during
-//! execution can never pair this task's dilated busy time with the previous
-//! task's dynamic energy (or vice versa).
+//! before the virtual call. Each shard remembers the active watts of the
+//! last few distinct `(frequency ratio, power exponent)` pairs it priced, so
+//! the `powf` of the power model runs once per distinct scale, not once per
+//! task.
+//!
+//! A shard has exactly **one writer**, its owning worker (`shard()` asserts
+//! the index; see [`ExecutionEnv::new`]), so its counters advance by a
+//! `Relaxed` load and store — no locked read-modify-write, which would be a
+//! full barrier per counter on every task for a race that cannot occur.
+//! Other threads only ever *read* a shard, through its sequence counter
+//! (seqlock): [`ExecutionEnv::report`] retries a shard whose owner is
+//! mid-record, so a report sampled during execution can never pair this
+//! task's dilated busy time with the previous task's dynamic energy (or vice
+//! versa). A second writer on one shard is a bug, not a race to tolerate: it
+//! would lose increments as well as tear snapshots.
 //!
 //! # Accounting model
 //!
@@ -49,7 +57,7 @@
 //! modelled makespan that assumes dilation, residency and transition stalls
 //! are load-balanced across workers.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,10 +122,25 @@ struct EnvShard {
     transitions: AtomicU64,
     /// Current frequency ratio of this worker's domain, as `f64` bits.
     domain_bits: AtomicU64,
-    /// Cache of the last non-nominal `(ratio bits, active watts bits)` so
-    /// the `powf` in the power model runs per frequency change, not per task.
-    cached_ratio_bits: AtomicU64,
-    cached_watts_bits: AtomicU64,
+    /// Active watts of the distinct scales priced so far, as `[ratio,
+    /// power exponent, watts]` bits; a zero ratio marks an empty entry
+    /// (every ratio is positive). Replaced round-robin via `next_watts`.
+    watts: [[AtomicU64; 3]; WATTS_ENTRIES],
+    next_watts: AtomicUsize,
+}
+
+/// Distinct frequency scales a shard keeps priced: a four-rung ladder's
+/// three below nominal, plus a dispatch cap. A shard cycling through more
+/// re-runs the `powf` on a miss and still prices exactly.
+const WATTS_ENTRIES: usize = 4;
+
+/// Add `delta` to a counter of a shard the caller owns: its single writer
+/// needs no read-modify-write (module docs, "Hot-path discipline").
+fn bump(counter: &AtomicU64, delta: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(delta),
+        Ordering::Relaxed,
+    );
 }
 
 impl EnvShard {
@@ -132,8 +155,8 @@ impl EnvShard {
             scaled_tasks: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             domain_bits: AtomicU64::new(1.0f64.to_bits()),
-            cached_ratio_bits: AtomicU64::new(1.0f64.to_bits()),
-            cached_watts_bits: AtomicU64::new(0),
+            watts: Default::default(),
+            next_watts: AtomicUsize::new(0),
         }
     }
 }
@@ -181,7 +204,7 @@ impl ExecutionEnv {
     /// writers share the last shard, and a second writer breaks the
     /// single-writer seqlock (two entries leave the sequence even while
     /// both are mid-record, so a concurrent report could accept a torn
-    /// snapshot).
+    /// snapshot) and the counters, which advance by plain load and store.
     ///
     /// `sleep` is the state race-to-idle residency is priced at (`None`
     /// prices residency like ordinary shallow idle, with no static gating
@@ -270,26 +293,33 @@ impl ExecutionEnv {
         let bits = decision.scale().ratio().to_bits();
         if shard.domain_bits.load(Ordering::Relaxed) != bits {
             shard.domain_bits.store(bits, Ordering::Relaxed);
-            shard.transitions.fetch_add(1, Ordering::Relaxed);
+            bump(&shard.transitions, 1);
         }
         decision
     }
 
-    /// Active watts at `scale`, served from the shard-local cache (single
-    /// writer: the owning worker).
+    /// Active watts at `scale`, computed once per distinct `(ratio, power
+    /// exponent)` and then served from the shard (single writer: the owning
+    /// worker).
     fn scaled_watts(&self, shard: &EnvShard, scale: FrequencyScale) -> f64 {
-        let bits = scale.ratio().to_bits();
-        if shard.cached_ratio_bits.load(Ordering::Relaxed) == bits {
-            let cached = shard.cached_watts_bits.load(Ordering::Relaxed);
-            if cached != 0 {
-                return f64::from_bits(cached);
+        let (ratio_bits, exponent_bits) =
+            (scale.ratio().to_bits(), scale.power_exponent().to_bits());
+        for [ratio, exponent, watts] in &shard.watts {
+            if ratio.load(Ordering::Relaxed) == ratio_bits
+                && exponent.load(Ordering::Relaxed) == exponent_bits
+            {
+                return f64::from_bits(watts.load(Ordering::Relaxed));
             }
         }
         let watts = scale.scaled_active_watts(&self.model);
-        shard.cached_ratio_bits.store(bits, Ordering::Relaxed);
+        let next = shard.next_watts.load(Ordering::Relaxed);
         shard
-            .cached_watts_bits
-            .store(watts.to_bits(), Ordering::Relaxed);
+            .next_watts
+            .store((next + 1) % WATTS_ENTRIES, Ordering::Relaxed);
+        let [ratio, exponent, cached] = &shard.watts[next];
+        ratio.store(ratio_bits, Ordering::Relaxed);
+        exponent.store(exponent_bits, Ordering::Relaxed);
+        cached.store(watts.to_bits(), Ordering::Relaxed);
         watts
     }
 
@@ -322,19 +352,15 @@ impl ExecutionEnv {
         shard.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
 
-        shard
-            .real_busy_nanos
-            .fetch_add(real_nanos, Ordering::Relaxed);
-        shard.modelled_busy_nanos[mode_index(mode)].fetch_add(modelled_nanos, Ordering::Relaxed);
-        shard
-            .dynamic_nanojoules
-            .fetch_add((joules * 1e9) as u64, Ordering::Relaxed);
+        bump(&shard.real_busy_nanos, real_nanos);
+        bump(&shard.modelled_busy_nanos[mode_index(mode)], modelled_nanos);
+        bump(&shard.dynamic_nanojoules, (joules * 1e9) as u64);
         if !scale.is_nominal() {
-            shard.scaled_tasks.fetch_add(1, Ordering::Relaxed);
+            bump(&shard.scaled_tasks, 1);
         }
         if sleep_nanos > 0 {
-            shard.sleep_nanos.fetch_add(sleep_nanos, Ordering::Relaxed);
-            shard.sleep_entries.fetch_add(1, Ordering::Relaxed);
+            bump(&shard.sleep_nanos, sleep_nanos);
+            bump(&shard.sleep_entries, 1);
         }
 
         shard.seq.store(seq.wrapping_add(2), Ordering::Release);
@@ -932,6 +958,183 @@ mod tests {
         assert!((reading.breakdown.dynamic_joules - 4.0).abs() < 1e-6);
         assert!((reading.average_watts - 15.0).abs() < 1e-6);
         assert_eq!(reading.breakdown.transition_joules, 0.0);
+    }
+
+    /// Six scales in rotation — more than a shard keeps priced, two of them
+    /// at one ratio with different exponents: every lookup returns exactly
+    /// the power model's watts for the scale asked about.
+    #[test]
+    fn scaled_watts_prices_every_scale_exactly() {
+        let e = env(Arc::new(NominalGovernor));
+        let scales = [
+            FrequencyScale::new(0.8),
+            FrequencyScale::new(0.6),
+            FrequencyScale::with_exponent(0.6, 1.0),
+            FrequencyScale::new(0.4),
+            FrequencyScale::with_exponent(0.5, 3.0),
+            FrequencyScale::new(1.2),
+        ];
+        for round in 0..4 {
+            // Cycling through all six thrashes the entries; revisiting one
+            // scale at a time, in a varying order, hits them.
+            for (i, scale) in scales.iter().enumerate() {
+                let again = scales[(i * 5 + round) % scales.len()];
+                for scale in [*scale, again, again] {
+                    assert_eq!(
+                        e.scaled_watts(e.shard(1), scale).to_bits(),
+                        scale.scaled_active_watts(e.model()).to_bits(),
+                        "round {round}: {scale:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Writers on their own shards while a reader folds them: every counter
+    /// only grows from one snapshot to the next, and the final totals are
+    /// exactly what the writers recorded — the plain load-and-store of a
+    /// single-writer shard loses nothing.
+    #[test]
+    fn single_writer_shards_stay_exact_under_a_concurrent_reader() {
+        use std::sync::atomic::AtomicBool;
+
+        const WRITERS: usize = 3;
+        const RECORDS: u64 = 30_000;
+        let model = PowerModel::for_host();
+        let e = Arc::new(ExecutionEnv::new(
+            model,
+            Arc::new(SignificanceLadderGovernor::with_ladder(4, 0.4)),
+            Some(SleepState::deep()),
+            TransitionCost::free(),
+            WRITERS,
+        ));
+        let decisions = [
+            DispatchDecision::nominal(),
+            DispatchDecision::stretch(FrequencyScale::new(0.6)),
+            DispatchDecision::race(FrequencyScale::new(0.5)),
+            DispatchDecision::stretch(FrequencyScale::with_exponent(0.6, 1.0)),
+            DispatchDecision::stretch(FrequencyScale::new(0.8)),
+        ];
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (e, done) = (e.clone(), done.clone());
+            std::thread::spawn(move || {
+                let (mut last, mut last_workers, mut reads) = (e.totals(), Vec::new(), 0u64);
+                while !done.load(Ordering::Relaxed) {
+                    let totals = e.totals();
+                    let fields = |t: &EnvTotals| {
+                        [
+                            t.busy_nanos,
+                            t.modelled_busy_nanos,
+                            t.accurate_busy_nanos,
+                            t.dynamic_nanojoules,
+                            t.scaled_tasks,
+                            t.frequency_transitions,
+                        ]
+                    };
+                    for (now, before) in fields(&totals).into_iter().zip(fields(&last)) {
+                        assert!(now >= before, "{totals:?} after {last:?}");
+                    }
+                    last = totals;
+                    let workers: Vec<_> = e
+                        .report(1.0, WRITERS)
+                        .workers
+                        .iter()
+                        .map(|w| {
+                            [
+                                w.sleep_entries,
+                                w.scaled_tasks,
+                                w.frequency_transitions,
+                                (w.busy_seconds * 1e9).round() as u64,
+                                (w.sleep_seconds * 1e9).round() as u64,
+                            ]
+                        })
+                        .collect();
+                    for (now, before) in workers.iter().zip(&last_workers) {
+                        assert!(now.iter().zip(before).all(|(n, b)| n >= b), "{now:?}");
+                    }
+                    last_workers = workers;
+                    reads += 1;
+                }
+                reads
+            })
+        };
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|worker| {
+                let e = e.clone();
+                std::thread::spawn(move || {
+                    // [busy, modelled, accurate, nJ, scaled, sleep, entries, switches]
+                    let mut expected = [0u64; 8];
+                    let mut ratio = 1.0;
+                    for i in 0..RECORDS {
+                        let accurate = i % 3 == 0;
+                        let dispatched =
+                            e.dispatch(worker, &ctx(0.1 + (i % 7) as f64 / 10.0, accurate));
+                        if dispatched.scale().ratio() != ratio {
+                            ratio = dispatched.scale().ratio();
+                            expected[7] += 1;
+                        }
+                        let decision = decisions[(i as usize + worker) % decisions.len()];
+                        let real = 1 + (i * 7_919 + worker as u64) % 5_000;
+                        let scale = decision.scale();
+                        let (modelled, watts) = if scale.is_nominal() {
+                            (real, model.active_watts_per_core)
+                        } else {
+                            let modelled = (real as f64 * scale.time_dilation()) as u64;
+                            (modelled, scale.scaled_active_watts(&model))
+                        };
+                        let sleep = (real as f64 * decision.slack_factor()) as u64;
+                        let mode = if accurate {
+                            expected[2] += modelled;
+                            ExecutionMode::Accurate
+                        } else {
+                            ExecutionMode::Approximate
+                        };
+                        e.record(worker, mode, Duration::from_nanos(real), decision);
+                        expected[0] += real;
+                        expected[1] += modelled;
+                        expected[3] += (modelled as f64 * 1e-9 * watts * 1e9) as u64;
+                        expected[4] += u64::from(!scale.is_nominal());
+                        expected[5] += sleep;
+                        expected[6] += u64::from(sleep > 0);
+                    }
+                    expected
+                })
+            })
+            .collect();
+        let expected = writers
+            .into_iter()
+            .map(|writer| writer.join().unwrap())
+            .fold([0u64; 8], |sum, one| {
+                std::array::from_fn(|i| sum[i] + one[i])
+            });
+        done.store(true, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0, "the reader sampled");
+
+        let totals = e.totals();
+        let report = e.report(1.0, WRITERS);
+        let sleep_nanos: u64 = report
+            .workers
+            .iter()
+            .map(|w| (w.sleep_seconds * 1e9).round() as u64)
+            .sum();
+        assert_eq!(
+            [
+                totals.busy_nanos,
+                totals.modelled_busy_nanos,
+                totals.accurate_busy_nanos,
+                totals.dynamic_nanojoules,
+                totals.scaled_tasks,
+                sleep_nanos,
+                report.sleep_entries(),
+                totals.frequency_transitions,
+            ],
+            expected
+        );
+        assert!(
+            expected.iter().all(|&n| n > 0),
+            "every counter moved: {expected:?}"
+        );
     }
 
     /// Satellite regression: a report sampled while a worker is mid-record

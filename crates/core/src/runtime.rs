@@ -1209,11 +1209,16 @@ impl RuntimeInner {
         } else {
             task.mark_completed();
         }
+        // The runtime-wide count goes first: a group barrier that sees its
+        // group drained then also sees this task gone from `outstanding`, so
+        // its `free_husks_if_idle` cannot find a finished runtime busy and
+        // leave the caller's stash alive.
+        let idle = self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1;
         let group = &task.group_state;
         if group.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
             group.barrier.notify();
         }
-        if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
+        if idle {
             self.idle_barrier.notify();
         }
     }
@@ -3423,6 +3428,54 @@ mod tests {
         // the lock-free path (the first creates the key, locked as well).
         let fast = rt.tracker_fast_path_reads();
         assert!((READERS - READERS / 32..READERS).contains(&fast), "{fast}");
+    }
+
+    /// A group barrier that drains the whole runtime frees its caller's
+    /// stash before it returns. The worker is held, deterministically,
+    /// right after the group's decrement: a second waiter sits inside the
+    /// group barrier's locked predicate check, so the worker's notify blocks
+    /// on that lock. The barrier returns on its first, lock-free look — and
+    /// the runtime-wide count must already be zero by then.
+    #[test]
+    fn group_barrier_frees_the_callers_stash() {
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(Policy::SignificanceAgnostic)
+            .build();
+        let group = rt.create_group("stash-probe", 1.0);
+        let state = rt.inner.groups.get(group.id);
+        let (holding_tx, holding_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let waiter = {
+            let state = state.clone();
+            std::thread::spawn(move || {
+                let looks = std::cell::Cell::new(0);
+                state.barrier.wait(|| {
+                    looks.set(looks.get() + 1);
+                    if looks.get() == 2 {
+                        // Registered and under the barrier's lock.
+                        holding_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    }
+                    looks.get() > 1
+                });
+            })
+        };
+        holding_rx.recv().unwrap();
+        rt.task(|| {}).group(&group).spawn();
+        // A record this thread let go of, the way registration hands back
+        // what the dependence tracker released.
+        rt.inner
+            .recycle(Arc::new(Task::blank(rt.inner.global_group.clone())));
+        while state.outstanding.load(Ordering::SeqCst) != 0 {
+            std::hint::spin_loop();
+        }
+        rt.wait_group(&group);
+        let stashed = rt.inner.with_stash(|stash| stash.len());
+        release_tx.send(()).unwrap();
+        waiter.join().unwrap();
+        assert_eq!(stashed, Some(0), "a husk survived the barrier");
+        rt.wait_all();
     }
 
     #[test]

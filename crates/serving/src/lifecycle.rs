@@ -32,7 +32,7 @@
 //! (in-flight requests in recycled slots).
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Index, IndexMut};
 use std::time::Duration;
@@ -42,31 +42,6 @@ use sig_core::{DispatchContext, DispatchDecision, ExecutionEnv, ExecutionMode, P
 use crate::admission::AdmissionController;
 use crate::request::{RequestClass, RequestOutcome, ViolationKind};
 use crate::rng::SplitMix64;
-
-struct Event<K> {
-    at: u64,
-    seq: u64,
-    kind: K,
-}
-
-impl<K> PartialEq for Event<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<K> Eq for Event<K> {}
-impl<K> PartialOrd for Event<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for Event<K> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    // Ties break by push order (seq), keeping replay deterministic.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
 
 /// Virtual-time event queue: pops in `(time, push order)`, so two events at
 /// the same instant come out in the order they went in and a seeded replay
@@ -78,12 +53,19 @@ impl<K> Ord for Event<K> {
 /// phase runs (finishes, retries, ticks, faults — a few events per busy
 /// worker, however long the schedule). The timeline counts as pushed first,
 /// so it wins ties: a phase's arrivals precede whatever they cause.
+///
+/// The heap orders 24-byte `(time, push sequence, slot)` keys, earliest
+/// first; sequences are unique, so the slot never decides. The events
+/// themselves stay put in `slots`, whose entries are reused once popped, so
+/// sifting moves keys and never an event.
 pub struct EventQueue<'t, K> {
     timeline: Cow<'t, [(u64, usize)]>,
     cursor: usize,
     origin: u64,
     arrival: fn(usize) -> K,
-    heap: BinaryHeap<Event<K>>,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slots: Vec<Option<K>>,
+    free: Vec<u32>,
     pushed: u64,
 }
 
@@ -108,17 +90,25 @@ impl<'t, K> EventQueue<'t, K> {
             origin,
             arrival,
             heap: BinaryHeap::with_capacity(in_flight),
+            slots: Vec::with_capacity(in_flight),
+            free: Vec::with_capacity(in_flight),
             pushed: 0,
         }
     }
 
     /// Schedule `kind` at virtual time `at`.
     pub fn push(&mut self, at: u64, kind: K) {
-        self.heap.push(Event {
-            at,
-            seq: self.pushed,
-            kind,
-        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slots.push(Some(kind));
+                u32::try_from(self.slots.len() - 1).expect("under 2^32 events in flight")
+            }
+        };
+        self.heap.push(Reverse((at, self.pushed, slot)));
         self.pushed += 1;
     }
 
@@ -126,12 +116,19 @@ impl<'t, K> EventQueue<'t, K> {
     pub fn pop(&mut self) -> Option<(u64, K)> {
         if let Some(&(offset, class)) = self.timeline.get(self.cursor) {
             let at = self.origin.saturating_add(offset);
-            if self.heap.peek().is_none_or(|event| at <= event.at) {
+            if self
+                .heap
+                .peek()
+                .is_none_or(|&Reverse((next, ..))| at <= next)
+            {
                 self.cursor += 1;
                 return Some((at, (self.arrival)(class)));
             }
         }
-        self.heap.pop().map(|event| (event.at, event.kind))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let kind = self.slots[slot as usize].take();
+        Some((at, kind.expect("a queued slot holds its event")))
     }
 }
 
@@ -270,7 +267,8 @@ pub enum RetryVerdict {
 /// service time, and the one seeded generator behind fault and jitter draws.
 pub struct Lifecycle {
     classes: Vec<RequestClass>,
-    base_service_nanos: u64,
+    /// [`Lifecycle::service_nanos`] of every tier of every class, by class.
+    service_nanos: Vec<Box<[u64]>>,
     rng: SplitMix64,
 }
 
@@ -281,9 +279,20 @@ impl Lifecycle {
         for class in &classes {
             class.validate();
         }
+        let service_nanos = classes
+            .iter()
+            .map(|class| {
+                let nanos = |work_factor| ((base_service_nanos as f64 * work_factor) as u64).max(1);
+                class
+                    .tiers
+                    .iter()
+                    .map(|tier| nanos(tier.work_factor))
+                    .collect()
+            })
+            .collect();
         Lifecycle {
             classes,
-            base_service_nanos,
+            service_nanos,
             rng: SplitMix64::new(seed),
         }
     }
@@ -296,9 +305,8 @@ impl Lifecycle {
     /// Service time of one attempt of `class` at `tier`, nanoseconds (before
     /// frequency dilation), never 0.
     pub fn service_nanos(&self, class: usize, tier: usize) -> u64 {
-        let spec = &self.classes[class];
-        let work_factor = spec.tiers[spec.clamp_tier(tier)].work_factor;
-        ((self.base_service_nanos as f64 * work_factor) as u64).max(1)
+        let ladder = &self.service_nanos[class];
+        ladder[tier.min(ladder.len() - 1)]
     }
 
     /// A request of `class` arriving at `at`, admitted at `tier`.
@@ -540,6 +548,107 @@ mod tests {
         assert!(
             timeline_dry_first > 50 && heap_dry_first > 50 && ties > 500 && unsorted > 50,
             "every shape exercised: {timeline_dry_first} / {heap_dry_first} / {ties} / {unsorted}"
+        );
+    }
+
+    /// The heap the keyed one replaced: whole events sifted through a
+    /// `BinaryHeap`, earliest `(at, seq)` first.
+    struct Event<K> {
+        at: u64,
+        seq: u64,
+        kind: K,
+    }
+
+    impl<K> PartialEq for Event<K> {
+        fn eq(&self, other: &Self) -> bool {
+            (self.at, self.seq) == (other.at, other.seq)
+        }
+    }
+    impl<K> Eq for Event<K> {}
+    impl<K> PartialOrd for Event<K> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<K> Ord for Event<K> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
+    }
+
+    /// Long seeded push/pop interleavings against the event heap, with the
+    /// whole schedule pushed into it first (in stable offset order, as the
+    /// queue once did): arrivals tying with each other and with pushes, most
+    /// pushes landing on an instant already queued, every fourth schedule
+    /// unsorted, and slots reused thousands of times. Both pop the same
+    /// `(at, kind)` sequence.
+    #[test]
+    fn keyed_heap_pops_what_the_event_heap_popped() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Kind {
+            Arrival(usize),
+            Pushed(u64),
+        }
+        const IN_FLIGHT: usize = 48;
+        let mut rng = SplitMix64::new(0xe7e47);
+        let (mut ties, mut reused) = (0, 0);
+        for case in 0..40u64 {
+            let origin = rng.next_u64() % 100;
+            let mut schedule: Vec<(u64, usize)> =
+                (0..300).map(|i| (rng.next_u64() % 2_000, i)).collect();
+            if case % 4 != 0 {
+                schedule.sort_by_key(|&(offset, _)| offset);
+            }
+            let mut sorted = schedule.clone();
+            sorted.sort_by_key(|&(offset, _)| offset);
+            let mut reference: BinaryHeap<Event<Kind>> = sorted
+                .iter()
+                .zip(0..)
+                .map(|(&(offset, class), seq)| Event {
+                    at: origin + offset,
+                    seq,
+                    kind: Kind::Arrival(class),
+                })
+                .collect();
+            let mut seq = sorted.len() as u64;
+            let mut queue = EventQueue::over(&schedule, origin, Kind::Arrival, 4);
+            let (mut now, mut in_flight) = (origin, 0);
+            for step in 0.. {
+                let draining = step >= 5_000;
+                if !draining && in_flight < IN_FLIGHT && rng.next_u64().is_multiple_of(2) {
+                    let at = now + rng.next_u64() % 3;
+                    queue.push(at, Kind::Pushed(seq));
+                    reference.push(Event {
+                        at,
+                        seq,
+                        kind: Kind::Pushed(seq),
+                    });
+                    seq += 1;
+                    in_flight += 1;
+                    continue;
+                }
+                let popped = queue.pop();
+                assert_eq!(
+                    popped,
+                    reference.pop().map(|event| (event.at, event.kind)),
+                    "case {case} step {step}"
+                );
+                match popped {
+                    Some((at, kind)) => {
+                        ties += usize::from(at == now);
+                        now = at;
+                        in_flight -= usize::from(matches!(kind, Kind::Pushed(_)));
+                    }
+                    None if draining => break,
+                    None => {}
+                }
+            }
+            assert!(queue.slots.len() <= IN_FLIGHT, "slots are reused");
+            reused += seq as usize - sorted.len() - queue.slots.len();
+        }
+        assert!(
+            ties > 10_000 && reused > 50_000,
+            "every shape exercised: {ties} / {reused}"
         );
     }
 

@@ -3,17 +3,16 @@
 //! Serving needs tail percentiles (p50/p99) over millions of samples without
 //! keeping the samples. The sketch uses HDR-style log bucketing: 32 linear
 //! sub-buckets per power of two, giving a guaranteed relative error ≤ 1/32
-//! (~3.1%) over the full `u64` nanosecond range at a fixed 15 KiB footprint.
-//! Sketches are **mergeable** (bucket-wise addition), so per-worker or
-//! per-phase sketches fold into one without precision loss beyond the bucket
-//! width.
+//! (~3.1%) over the full `u64` nanosecond range. The buckets are fixed — 1 920
+//! of them cover all of `u64` — but a sketch stores counts only for the range
+//! between the lowest and the highest bucket it has seen, so its footprint
+//! follows the spread of its samples. Sketches are **mergeable**
+//! (bucket-wise addition), so per-worker or per-phase sketches fold into one
+//! without precision loss beyond the bucket width.
 
 /// Sub-buckets per octave as a power of two: 2^5 = 32.
 const SUB_BITS: u32 = 5;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
-/// Bucket count covering all of `u64`: one 32-wide linear region plus 59
-/// octaves of 32 sub-buckets.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) * SUB_COUNT as usize) + SUB_COUNT as usize;
 
 fn bucket_index(value: u64) -> usize {
     if value < SUB_COUNT {
@@ -41,34 +40,44 @@ fn bucket_upper(index: usize) -> u64 {
 }
 
 /// Mergeable log-bucket latency histogram (values in nanoseconds).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct LatencySketch {
-    counts: Box<[u64]>,
+    /// Counts of buckets `first..first + counts.len()`, the span of the
+    /// buckets recorded so far (empty while nothing is).
+    counts: Vec<u64>,
+    first: usize,
     count: u64,
     sum: u128,
     max: u64,
 }
 
-impl Default for LatencySketch {
-    fn default() -> Self {
-        LatencySketch::new()
-    }
-}
-
 impl LatencySketch {
     /// An empty sketch.
     pub fn new() -> Self {
-        LatencySketch {
-            counts: vec![0; BUCKETS].into_boxed_slice(),
-            count: 0,
-            sum: 0,
-            max: 0,
+        LatencySketch::default()
+    }
+
+    /// Widen the stored span to include bucket `index`.
+    fn cover(&mut self, index: usize) {
+        if self.counts.is_empty() {
+            self.first = index;
+            self.counts.push(0);
+        } else if index < self.first {
+            let missing = self.first - index;
+            self.counts.splice(0..0, std::iter::repeat_n(0, missing));
+            self.first = index;
+        } else if index >= self.first + self.counts.len() {
+            self.counts.resize(index + 1 - self.first, 0);
         }
     }
 
     /// Record one latency sample.
     pub fn record(&mut self, nanos: u64) {
-        self.counts[bucket_index(nanos)] += 1;
+        let index = bucket_index(nanos);
+        if index.wrapping_sub(self.first) >= self.counts.len() {
+            self.cover(index);
+        }
+        self.counts[index - self.first] += 1;
         self.count += 1;
         self.sum += nanos as u128;
         self.max = self.max.max(nanos);
@@ -76,8 +85,13 @@ impl LatencySketch {
 
     /// Fold `other` into `self` (bucket-wise addition).
     pub fn merge(&mut self, other: &LatencySketch) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+        if let Some(last) = other.counts.len().checked_sub(1) {
+            self.cover(other.first);
+            self.cover(other.first + last);
+            let start = other.first - self.first;
+            for (mine, theirs) in self.counts[start..].iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -114,10 +128,10 @@ impl LatencySketch {
         let q = q.clamp(0.0, 1.0);
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (index, &count) in self.counts.iter().enumerate() {
+        for (offset, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= target {
-                return bucket_upper(index).min(self.max);
+                return bucket_upper(self.first + offset).min(self.max);
             }
         }
         self.max
@@ -138,6 +152,158 @@ impl std::fmt::Debug for LatencySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    /// Bucket count covering all of `u64`: one 32-wide linear region plus 59
+    /// octaves of 32 sub-buckets.
+    const BUCKETS: usize = ((64 - SUB_BITS as usize) * SUB_COUNT as usize) + SUB_COUNT as usize;
+
+    /// The sketch as it was before it stored only its occupied span: every
+    /// bucket, boxed. The oracle the span-sized one must agree with.
+    struct Reference {
+        counts: Box<[u64]>,
+        count: u64,
+        sum: u128,
+        max: u64,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                counts: vec![0; BUCKETS].into_boxed_slice(),
+                count: 0,
+                sum: 0,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, nanos: u64) {
+            self.counts[bucket_index(nanos)] += 1;
+            self.count += 1;
+            self.sum += nanos as u128;
+            self.max = self.max.max(nanos);
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *mine += theirs;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            self.max = self.max.max(other.max);
+        }
+
+        fn mean(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            }
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let q = q.clamp(0.0, 1.0);
+            let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0u64;
+            for (index, &count) in self.counts.iter().enumerate() {
+                seen += count;
+                if seen >= target {
+                    return bucket_upper(index).min(self.max);
+                }
+            }
+            self.max
+        }
+    }
+
+    fn assert_agrees(sketch: &LatencySketch, reference: &Reference, what: &str) {
+        assert_eq!(sketch.count(), reference.count, "{what}: count");
+        assert_eq!(sketch.max(), reference.max, "{what}: max");
+        assert_eq!(
+            sketch.mean().to_bits(),
+            reference.mean().to_bits(),
+            "{what}: mean"
+        );
+        for q in [0.0, 1e-9, 0.5, 0.99, 1.0] {
+            assert_eq!(
+                sketch.quantile(q),
+                reference.quantile(q),
+                "{what}: quantile {q}"
+            );
+        }
+    }
+
+    /// Sample sets covering the edges of the bucketing (0, the last linear
+    /// bucket 31, the first logarithmic one 32, `u64::MAX`), empty and
+    /// single-sample sketches, spans that only grow downwards, and seeded
+    /// values over every magnitude.
+    fn sample_sets() -> Vec<Vec<u64>> {
+        let mut rng = SplitMix64::new(0x5ce7c4);
+        let wide = (0..500)
+            .map(|_| rng.next_u64() >> (rng.next_u64() % 64))
+            .collect();
+        let narrow = (0..1_000)
+            .map(|_| 1_000_000 + rng.next_u64() % 100_000)
+            .collect();
+        vec![
+            vec![],
+            vec![0],
+            vec![777],
+            vec![u64::MAX],
+            vec![0, 31, 32, u64::MAX],
+            (0..64).collect(),
+            (0..40).map(|shift| u64::MAX >> shift).collect(),
+            wide,
+            narrow,
+        ]
+    }
+
+    #[test]
+    fn span_sized_sketch_agrees_with_the_full_bucket_reference() {
+        let build = |samples: &[u64]| {
+            let mut sketch = LatencySketch::new();
+            let mut reference = Reference::new();
+            for &value in samples {
+                sketch.record(value);
+                reference.record(value);
+            }
+            (sketch, reference)
+        };
+        let sets = sample_sets();
+        for (i, samples) in sets.iter().enumerate() {
+            let (sketch, reference) = build(samples);
+            assert_agrees(&sketch, &reference, &format!("set {i}"));
+        }
+        // Every ordered pair, a set with itself included: disjoint spans
+        // (below and above), overlapping ones, equal ones, and empty sketches
+        // on either side.
+        for (i, left) in sets.iter().enumerate() {
+            for (j, right) in sets.iter().enumerate() {
+                let (mut sketch, mut reference) = build(left);
+                let (other, other_reference) = build(right);
+                sketch.merge(&other);
+                reference.merge(&other_reference);
+                assert_agrees(&sketch, &reference, &format!("set {i} merged with {j}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_sketch_stores_only_its_occupied_span() {
+        let mut sketch = LatencySketch::new();
+        assert!(sketch.counts.is_empty());
+        for value in 1..=10_000u64 {
+            sketch.record(value * 1_000);
+        }
+        let span = bucket_index(10_000_000) - bucket_index(1_000) + 1;
+        assert_eq!(
+            (sketch.first, sketch.counts.len()),
+            (bucket_index(1_000), span)
+        );
+        assert!(span < BUCKETS / 4, "{span} of {BUCKETS} buckets");
+    }
 
     #[test]
     fn buckets_are_monotone_and_cover_u64() {
