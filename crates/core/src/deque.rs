@@ -859,8 +859,16 @@ impl QueueSet {
     ///
     /// A local worker keeps the entire batch on its own deque (a single
     /// lock-free publish); steal-half spreads it from there.
-    pub(crate) fn push_batch(&self, tasks: Vec<Arc<Task>>, local: Option<usize>) -> BatchPush {
-        if tasks.is_empty() {
+    ///
+    /// `tasks` may be a draining iterator, so a caller that keeps its batch
+    /// vector for the next batch (a GTB flush does) allocates nothing here.
+    pub(crate) fn push_batch<I>(&self, tasks: I, local: Option<usize>) -> BatchPush
+    where
+        I: IntoIterator<Item = Arc<Task>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut tasks = tasks.into_iter();
+        if tasks.len() == 0 {
             return BatchPush {
                 first: 0,
                 touched: 0,
@@ -869,7 +877,7 @@ impl QueueSet {
         }
         if let Some(worker) = local {
             debug_assert!(worker < self.workers.len());
-            self.workers[worker].deque.push_batch(tasks.into_iter());
+            self.workers[worker].deque.push_batch(tasks);
             return BatchPush {
                 first: worker,
                 touched: 1,
@@ -880,7 +888,6 @@ impl QueueSet {
         let chunks = tasks.len().div_ceil(BATCH_CHUNK);
         let first = self.next.fetch_add(chunks, Ordering::Relaxed) % count;
         let mut spilled = Vec::new();
-        let mut tasks = tasks.into_iter();
         for chunk in 0..chunks {
             let target = (first + chunk) % count;
             if self.workers[target].push_external_batch(tasks.by_ref().take(BATCH_CHUNK))
@@ -1319,7 +1326,7 @@ mod tests {
     fn queue_set_push_batch_chunks_round_robin() {
         let set = QueueSet::new(4);
         let n = BATCH_CHUNK * 3 + 5; // four chunks
-        let push = set.push_batch((0..n as u64).map(task).collect(), None);
+        let push = set.push_batch((0..n as u64).map(task).collect::<Vec<_>>(), None);
         assert_eq!(push.first, 0);
         assert_eq!(push.touched, 4);
         assert!(push.spilled.is_empty());
@@ -1339,7 +1346,7 @@ mod tests {
     #[test]
     fn queue_set_push_batch_local_stays_on_own_deque() {
         let set = QueueSet::new(3);
-        let push = set.push_batch((0..10).map(task).collect(), Some(2));
+        let push = set.push_batch((0..10).map(task).collect::<Vec<_>>(), Some(2));
         assert_eq!((push.first, push.touched), (2, 1));
         assert_eq!(set.workers[2].deque.len(), 10);
         let empty = set.push_batch(Vec::new(), None);
@@ -1354,7 +1361,7 @@ mod tests {
             set.workers[1].inbox.push(task(10_000 + i)).unwrap();
         }
         let n = BATCH_CHUNK * 2;
-        let push = set.push_batch((0..n as u64).map(task).collect(), None);
+        let push = set.push_batch((0..n as u64).map(task).collect::<Vec<_>>(), None);
         assert_eq!(push.touched, 2);
         assert_eq!(push.spilled, vec![1], "worker 1 must be flagged for a wake");
         assert_eq!(set.workers[1].spill.len(), BATCH_CHUNK);

@@ -13,6 +13,7 @@
 //! is atomic or sharded; locks remain only on master-side cold paths (group
 //! creation, the GTB spawn buffer).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -75,8 +76,9 @@ pub(crate) struct GroupState {
     /// `outstanding` drops to zero, so per-completion cost is one atomic
     /// load when nobody waits.
     pub(crate) barrier: EventCount,
-    /// GTB: tasks buffered by the master, awaiting a flush. Master-side only.
-    pub(crate) buffer: Mutex<Vec<Arc<Task>>>,
+    /// GTB: tasks buffered by the master, awaiting a flush. Master-side only;
+    /// keeps its capacity across flushes (see [`return_window`]).
+    buffer: Mutex<Vec<Arc<Task>>>,
     /// Execution statistics (Table 2 inputs), sharded per worker.
     pub(crate) stats: GroupStats,
     /// Cooperative group-wide cancellation: once set, every not-yet-executed
@@ -158,6 +160,15 @@ impl GroupState {
         }
     }
 
+    /// Append one record to the GTB buffer. When that fills it to
+    /// `capacity`, the window is taken out and returned for the caller to
+    /// flush.
+    pub(crate) fn buffer_one(&self, task: Arc<Task>, capacity: usize) -> Option<Vec<Arc<Task>>> {
+        let mut buffer = self.buffer.lock().unwrap();
+        buffer.push(task);
+        (buffer.len() >= capacity).then(|| take_window(&mut buffer))
+    }
+
     /// Append a whole batch to the GTB buffer with **one** lock
     /// acquisition. When the append reaches `capacity`, the buffered tasks
     /// are taken out and returned for the caller to flush — a batched spawn
@@ -169,19 +180,48 @@ impl GroupState {
         capacity: usize,
     ) -> Option<Vec<Arc<Task>>> {
         let mut buffer = self.buffer.lock().unwrap();
-        if buffer.is_empty() {
-            if tasks.len() >= capacity {
-                return Some(tasks);
-            }
-            *buffer = tasks;
-        } else {
-            buffer.extend(tasks);
-            if buffer.len() >= capacity {
-                return Some(std::mem::take(&mut *buffer));
-            }
+        if buffer.is_empty() && tasks.len() >= capacity {
+            return Some(tasks);
         }
-        None
+        buffer.extend(tasks);
+        (buffer.len() >= capacity).then(|| take_window(&mut buffer))
     }
+
+    /// Take everything buffered (a barrier's flush); `None` if empty.
+    pub(crate) fn take_buffered(&self) -> Option<Vec<Arc<Task>>> {
+        let mut buffer = self.buffer.lock().unwrap();
+        (!buffer.is_empty()).then(|| take_window(&mut buffer))
+    }
+}
+
+/// Capacity a thread keeps in its spare window after a flush: a bounded
+/// GTB buffer's worth (4 096 records, 32 KB, covers any sensible `B`), not
+/// the whole group a Max-Buffer barrier flushed.
+const KEPT_WINDOW_CAPACITY: usize = 4096;
+
+thread_local! {
+    /// An empty window vector, swapped into a group buffer whenever this
+    /// thread takes the buffer's records out for a flush, and refilled with
+    /// the drained window when the flush is done (see [`return_window`]).
+    /// With it a buffer keeps its capacity across flushes and a steady GTB
+    /// stream allocates no buffer at all: one spawner's two vectors trade
+    /// places at every flush.
+    static SPARE_WINDOW: RefCell<Vec<Arc<Task>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The buffered window, leaving the calling thread's spare in its place.
+fn take_window(buffer: &mut Vec<Arc<Task>>) -> Vec<Arc<Task>> {
+    let spare = SPARE_WINDOW
+        .try_with(|spare| std::mem::take(&mut *spare.borrow_mut()))
+        .unwrap_or_default();
+    std::mem::replace(buffer, spare)
+}
+
+/// Keep a flushed, drained window as the calling thread's spare.
+pub(crate) fn return_window(mut window: Vec<Arc<Task>>) {
+    debug_assert!(window.is_empty(), "a window is returned drained");
+    window.shrink_to(KEPT_WINDOW_CAPACITY);
+    let _ = SPARE_WINDOW.try_with(|spare| *spare.borrow_mut() = window);
 }
 
 /// Registry mapping group labels to group state.

@@ -16,8 +16,6 @@
 //!   per task from a local, per-group histogram over the 101 discrete
 //!   significance levels: run accurately iff `t_g(s) > (1 − R_g) · t_g(1.0)`.
 
-use std::collections::HashMap;
-
 use crate::group::GroupId;
 use crate::significance::{Significance, NUM_LEVELS};
 
@@ -77,85 +75,136 @@ impl Policy {
     }
 }
 
-/// Decide the execution modes for one GTB buffer flush.
+/// The accurate slots of one GTB buffer flush, per significance level.
 ///
-/// `tasks` holds the buffered significances in spawn order; the returned
-/// vector holds `true` (accurate) or `false` (approximate) per input
-/// position. The `R_g · B` most significant tasks are marked accurate
-/// (Listing 4 of the paper), with the paper's special values honoured on
-/// top: significance `1.0` is always accurate and `0.0` never is.
+/// The `R_g · B` most significant tasks of a window run accurately (Listing 4
+/// of the paper), with the paper's special values honoured on top:
+/// significance `1.0` is always accurate and `0.0` never is, and only the
+/// criticals consume accurate slots.
 ///
-/// Selection runs as a **histogram scan over the runtime's 101 discrete
-/// significance levels** — O(n + levels) instead of the former O(n log n)
-/// sort, which matters for Max-Buffer flushes of whole groups. Ties resolve
-/// in spawn order at level granularity (the quantisation the paper's runtime
-/// itself works at, Section 3.4), so the result is deterministic.
-pub(crate) fn gtb_classify(tasks: &[Significance], ratio: f64) -> Vec<bool> {
-    assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0, 1]");
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Pass 1: per-level histogram of the ordinary tasks; special values are
-    // decided unconditionally and only criticals consume accurate slots.
-    let mut hist = [0usize; NUM_LEVELS];
-    let mut criticals = 0usize;
-    for sig in tasks {
-        if sig.is_critical() {
-            criticals += 1;
-        } else if !sig.is_negligible() {
-            hist[sig.level().index()] += 1;
-        }
-    }
-    let accurate_target = (ratio * n as f64).ceil() as usize;
-    // Distribute the remaining accurate slots over the levels, most
-    // significant first. `quota[level]` is how many tasks of that level run
-    // accurately; only the boundary level ends up partially filled.
-    let mut quota = [0usize; NUM_LEVELS];
-    let mut remaining = accurate_target.saturating_sub(criticals);
-    for level in (0..NUM_LEVELS).rev() {
-        if remaining == 0 {
-            break;
-        }
-        let take = hist[level].min(remaining);
-        quota[level] = take;
-        remaining -= take;
-    }
-    // Pass 2: apply the per-level quotas in spawn order.
-    let mut taken = [0usize; NUM_LEVELS];
-    tasks
-        .iter()
-        .map(|sig| {
-            if sig.is_critical() {
-                true
-            } else if sig.is_negligible() {
-                false
-            } else {
-                let level = sig.level().index();
-                if taken[level] < quota[level] {
-                    taken[level] += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        })
-        .collect()
+/// Selection is a **histogram scan over the runtime's 101 discrete
+/// significance levels** — O(n + levels) instead of Listing 4's O(n log n)
+/// sort, which matters for Max-Buffer flushes of whole groups. Built in one
+/// pass over the window ([`GtbQuota::new`]), then [`GtbQuota::admit`] is asked
+/// once per task *in spawn order*: ties resolve in spawn order at level
+/// granularity (the quantisation the paper's runtime itself works at, Section
+/// 3.4), so the result is deterministic and needs no per-flush vector.
+pub(crate) struct GtbQuota {
+    /// Accurate slots left per level; only the boundary level is partial.
+    slots: [usize; NUM_LEVELS],
 }
 
-/// Per-worker LQH state: one cumulative histogram per task group.
+impl GtbQuota {
+    /// The quota of a window holding `significances` (in any order) at
+    /// accurate-task ratio `ratio`.
+    pub(crate) fn new(significances: impl Iterator<Item = Significance>, ratio: f64) -> Self {
+        assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0, 1]");
+        // Per-level histogram of the ordinary tasks, turned into slots below.
+        let mut slots = [0usize; NUM_LEVELS];
+        let (mut n, mut criticals) = (0usize, 0usize);
+        for sig in significances {
+            n += 1;
+            if sig.is_critical() {
+                criticals += 1;
+            } else if !sig.is_negligible() {
+                slots[sig.level().index()] += 1;
+            }
+        }
+        // Distribute the accurate slots the criticals left over the levels,
+        // most significant first.
+        let mut remaining = ((ratio * n as f64).ceil() as usize).saturating_sub(criticals);
+        for level in slots.iter_mut().rev() {
+            let take = (*level).min(remaining);
+            *level = take;
+            remaining -= take;
+        }
+        GtbQuota { slots }
+    }
+
+    /// Whether the next task of the window, in spawn order, runs accurately.
+    pub(crate) fn admit(&mut self, significance: Significance) -> bool {
+        if significance.is_critical() {
+            return true;
+        }
+        if significance.is_negligible() {
+            return false;
+        }
+        let slots = &mut self.slots[significance.level().index()];
+        let accurate = *slots > 0;
+        *slots -= usize::from(accurate);
+        accurate
+    }
+}
+
+/// The decisions of one GTB window as a vector, for tests.
+#[cfg(test)]
+pub(crate) fn gtb_classify(tasks: &[Significance], ratio: f64) -> Vec<bool> {
+    let mut quota = GtbQuota::new(tasks.iter().copied(), ratio);
+    tasks.iter().map(|&sig| quota.admit(sig)).collect()
+}
+
+/// One worker's history of one group: how many tasks it executed at each
+/// significance level, as a Fenwick tree over the 101 levels, plus the total.
+#[derive(Debug)]
+struct LqhHistory {
+    /// `tree[i]` counts the levels `i - (i & -i) .. i`; `tree[0]` is unused.
+    tree: [u64; NUM_LEVELS + 1],
+    total: u64,
+}
+
+impl LqhHistory {
+    /// Tasks observed at or below `level` (`t_g(s)`): at most seven adds.
+    fn at_or_below(&self, level: usize) -> u64 {
+        let (mut i, mut sum) = (level + 1, 0);
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    fn observe(&mut self, level: usize) {
+        let mut i = level + 1;
+        while i <= NUM_LEVELS {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+        self.total += 1;
+    }
+}
+
+/// Per-worker LQH state: one significance history per task group, indexed
+/// by [`GroupId::index`] (group ids are dense per runtime).
 ///
-/// The bookkeeping cost is "accessing an array of size equal to the number of
-/// distinct significance levels (101 in the runtime), which is negligible
-/// compared to the granularity of the task" (Section 3.4).
+/// The paper prices the bookkeeping at "accessing an array of size equal to
+/// the number of distinct significance levels (101 in the runtime), which is
+/// negligible compared to the granularity of the task" (Section 3.4). Here a
+/// decision costs less than that: an indexed load of the group's history, a
+/// Fenwick prefix query of at most seven counters for `t_g(s)`, a running
+/// total for `t_g(1.0)`, and a seven-counter update — no sum over the
+/// levels. Counts are integers, so every decision is exact.
 #[derive(Debug, Default)]
 pub(crate) struct LqhState {
-    histograms: HashMap<GroupId, [u64; NUM_LEVELS]>,
+    histories: Vec<Option<Box<LqhHistory>>>,
 }
 
 impl LqhState {
     pub(crate) fn new() -> Self {
         LqhState::default()
+    }
+
+    /// `group`'s history on this worker, created empty on first use.
+    fn history(&mut self, group: GroupId) -> &mut LqhHistory {
+        let index = group.index();
+        if index >= self.histories.len() {
+            self.histories.resize_with(index + 1, || None);
+        }
+        self.histories[index].get_or_insert_with(|| {
+            Box::new(LqhHistory {
+                tree: [0; NUM_LEVELS + 1],
+                total: 0,
+            })
+        })
     }
 
     /// Decide whether a task with the given significance should run
@@ -173,51 +222,37 @@ impl LqhState {
         significance: Significance,
         ratio: f64,
     ) -> bool {
-        // Special values bypass the history entirely (Section 2).
-        if significance.is_critical() {
-            self.observe(group, significance);
-            return true;
-        }
-        if significance.is_negligible() {
-            self.observe(group, significance);
-            return false;
-        }
-        let decision = if ratio >= 1.0 {
+        let level = significance.level().index();
+        let history = self.history(group);
+        // Special values bypass the history entirely (Section 2), and so do
+        // the extreme ratios; every task is still counted in it.
+        let decision = if significance.is_critical() {
             true
-        } else if ratio <= 0.0 {
+        } else if significance.is_negligible() || ratio <= 0.0 {
             false
         } else {
-            let hist = self.histograms.entry(group).or_insert([0; NUM_LEVELS]);
-            let level = significance.level().index();
-            let tasks_at_or_below: u64 = hist[..=level].iter().sum();
-            let total: u64 = hist.iter().sum();
-            (tasks_at_or_below as f64) > (1.0 - ratio) * total as f64
+            ratio >= 1.0
+                || (history.at_or_below(level) as f64) > (1.0 - ratio) * history.total as f64
         };
-        self.observe(group, significance);
+        history.observe(level);
         decision
-    }
-
-    /// Record one observed task without making a decision (used when a GTB
-    /// decision is replayed through a worker that also keeps LQH state, and
-    /// by `decide`).
-    pub(crate) fn observe(&mut self, group: GroupId, significance: Significance) {
-        let hist = self.histograms.entry(group).or_insert([0; NUM_LEVELS]);
-        hist[significance.level().index()] += 1;
     }
 
     /// Total tasks observed for a group (`t_g(1.0)` in the paper's notation).
     #[cfg(test)]
     pub(crate) fn total_observed(&self, group: GroupId) -> u64 {
-        self.histograms
-            .get(&group)
-            .map(|h| h.iter().sum())
-            .unwrap_or(0)
+        self.histories
+            .get(group.index())
+            .and_then(Option::as_deref)
+            .map_or(0, |history| history.total)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GroupState;
+    use std::sync::Arc;
 
     fn sig(v: f64) -> Significance {
         Significance::new(v)
@@ -403,5 +438,165 @@ mod tests {
     #[should_panic(expected = "ratio must be in")]
     fn gtb_invalid_ratio_panics() {
         gtb_classify(&[sig(0.5)], 1.5);
+    }
+
+    /// splitmix64, for seeded test inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A significance on one of the 101 levels (0.0 and 1.0 included) or,
+        /// one time in four, anywhere in [0, 1] — which puts non-special
+        /// values on levels 0 and 100 too.
+        fn significance(&mut self) -> Significance {
+            if self.below(4) == 0 {
+                sig(self.unit())
+            } else {
+                sig(self.below(NUM_LEVELS) as f64 / 100.0)
+            }
+        }
+    }
+
+    /// Listing 4 of the paper at level granularity: stable-sort the window
+    /// by significance level, most significant first, and run the top
+    /// `ceil(R · n)` accurately. Significance 1.0 always runs accurately (and
+    /// sorts first, so it takes its slot before anything else); 0.0 never
+    /// does and takes no slot.
+    fn listing4_reference(window: &[Significance], ratio: f64) -> Vec<bool> {
+        let mut order: Vec<usize> = (0..window.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse((window[i].is_critical(), window[i].level())));
+        let mut slots = (ratio * window.len() as f64).ceil() as usize;
+        let mut accurate = vec![false; window.len()];
+        for i in order {
+            let sig = window[i];
+            if sig.is_critical() || (!sig.is_negligible() && slots > 0) {
+                accurate[i] = true;
+                slots = slots.saturating_sub(1);
+            }
+        }
+        accurate
+    }
+
+    #[test]
+    fn gtb_quota_matches_the_listing4_sort_on_seeded_windows() {
+        let mut rng = Rng(0x67B_0AC1E);
+        let budgeted = GroupState::new(GroupId(1), Arc::from("budgeted"), 1.0, 1);
+        let mut lengths = vec![0, 1, 2, 3, 7, 31, 32, 33, 100, 101, 1000, 4096, 5000];
+        lengths.extend((0..40).map(|_| rng.below(5001)));
+        for (case, &n) in lengths.iter().enumerate() {
+            let window: Vec<Significance> = match case % 4 {
+                // All equal: every decision is a spawn-order tie.
+                0 => vec![rng.significance(); n],
+                1 => (0..n)
+                    .map(|_| sig(rng.below(NUM_LEVELS) as f64 / 100.0))
+                    .collect(),
+                _ => (0..n).map(|_| rng.significance()).collect(),
+            };
+            // Budget-scaled: the product `GroupState::effective_ratio` hands
+            // a flush when the energy budget throttles the group.
+            budgeted.set_ratio(rng.unit());
+            budgeted.set_budget_scale(rng.unit());
+            for ratio in [0.0, 1.0, 0.5, rng.unit(), budgeted.effective_ratio()] {
+                assert_eq!(
+                    gtb_classify(&window, ratio),
+                    listing4_reference(&window, ratio),
+                    "window {case} ({n} tasks) at ratio {ratio}"
+                );
+            }
+        }
+    }
+
+    /// The LQH state as it was before the Fenwick histories: a SipHash map
+    /// from group to a 101-counter histogram, two slice sums per decision.
+    #[derive(Default)]
+    struct LqhReference {
+        histograms: std::collections::HashMap<GroupId, [u64; NUM_LEVELS]>,
+    }
+
+    impl LqhReference {
+        fn decide(&mut self, group: GroupId, significance: Significance, ratio: f64) -> bool {
+            if significance.is_critical() {
+                self.observe(group, significance);
+                return true;
+            }
+            if significance.is_negligible() {
+                self.observe(group, significance);
+                return false;
+            }
+            let decision = if ratio >= 1.0 {
+                true
+            } else if ratio <= 0.0 {
+                false
+            } else {
+                let hist = self.histograms.entry(group).or_insert([0; NUM_LEVELS]);
+                let level = significance.level().index();
+                let tasks_at_or_below: u64 = hist[..=level].iter().sum();
+                let total: u64 = hist.iter().sum();
+                (tasks_at_or_below as f64) > (1.0 - ratio) * total as f64
+            };
+            self.observe(group, significance);
+            decision
+        }
+
+        fn observe(&mut self, group: GroupId, significance: Significance) {
+            let hist = self.histograms.entry(group).or_insert([0; NUM_LEVELS]);
+            hist[significance.level().index()] += 1;
+        }
+
+        fn total_observed(&self, group: GroupId) -> u64 {
+            self.histograms
+                .get(&group)
+                .map(|h| h.iter().sum())
+                .unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn lqh_histories_decide_exactly_as_the_hashed_histograms() {
+        let groups = [GroupId(0), GroupId(1), GroupId(37)];
+        for seed in 1..=6u64 {
+            let mut rng = Rng(seed);
+            let (mut state, mut reference) = (LqhState::new(), LqhReference::default());
+            // One ratio per group for a stretch, as a group's ratio is held
+            // between barriers; 0 and 1 included.
+            let mut ratios = [0.5; 3];
+            for step in 0..20_000 {
+                if step % 500 == 0 {
+                    for ratio in &mut ratios {
+                        *ratio = match rng.below(4) {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => rng.unit(),
+                        };
+                    }
+                }
+                let which = rng.below(groups.len());
+                let (group, significance) = (groups[which], rng.significance());
+                assert_eq!(
+                    state.decide(group, significance, ratios[which]),
+                    reference.decide(group, significance, ratios[which]),
+                    "seed {seed} step {step}: {group:?} at {significance} ratio {}",
+                    ratios[which]
+                );
+                for group in groups {
+                    assert_eq!(state.total_observed(group), reference.total_observed(group));
+                }
+            }
+        }
     }
 }

@@ -38,7 +38,7 @@
 //! from the pool when it runs out) and refills it through `Arc::get_mut`;
 //! `Arc::new` is the cold start of the same path, not a second one. A record
 //! is reused only while *uniquely held* — `Arc::get_mut` fails as long as a
-//! queue slot, a successor list, the dependence tracker or a GTB flush still
+//! queue slot, a successor list, the dependence tracker or a GTB buffer still
 //! points at it — so no stale `TaskId`, [`SpawnHandle`], cancel range or
 //! deque slot can ever observe the reuse, and there are no generation tags
 //! to check and no `unsafe` to justify. The pool is bounded by
@@ -51,7 +51,11 @@
 //! makes the husk, on its own thread:
 //!
 //! * the **worker** that retired the task, for a footprint-free task
-//!   always the last holder;
+//!   always the last holder — under GTB too: the spawner lets go of a
+//!   buffered record before the flush it triggers, and the flush hands each
+//!   record it holds alone straight to a queue, primed through `&mut`,
+//!   keeping no reference of its own (records something else still holds go
+//!   the atomic way; see `RuntimeInner::flush_tasks`);
 //! * the **spawner registering a later footprint**, for a task that declared
 //!   `in`/`out` keys. The tracker outlives the worker's reference (it names
 //!   the task as its key's last writer, or lists it as a reader), so the
@@ -113,7 +117,7 @@ use crate::faults::{FaultAction, FaultPlan};
 use crate::governor::{DispatchContext, Governor, NominalGovernor};
 use crate::group::{GroupId, GroupRegistry, GroupState, TaskGroup};
 use crate::handle::{HandleCore, HandleNotify, SpawnHandle, TaskOutcome};
-use crate::policy::{gtb_classify, LqhState, Policy};
+use crate::policy::{GtbQuota, LqhState, Policy};
 use crate::significance::Significance;
 use crate::stats::{GroupStatsSnapshot, OutcomeSummary, RuntimeStats};
 use crate::sync::{CachePadded, EventCount, Parker};
@@ -386,8 +390,12 @@ const HUSK_BATCH: usize = 64;
 /// "spawner ahead" to "worker caught up": peak in-flight depth over 14
 /// agnostic/LQH passes of 100k tasks read 180-1411 records in nine and
 /// 2.7k-18k in five, when the worker lost its CPU (median about 1200);
-/// the deep ones, and GTB Max-Buffer's 100k-deep flush, fall back to the
-/// allocator.
+/// the deep ones fall back to the allocator. So does GTB Max-Buffer, by
+/// construction rather than by a swing: it holds a whole group's records
+/// live until the barrier flushes them, so a 100k-task group needs 100k
+/// records at once whatever the pool holds, and the workers free all but
+/// this many as they retire them. Bounded GTB recycles like the agnostic
+/// path: a window of `B` records is back in the pool before long.
 const HUSK_POOL_CAP: usize = 1024;
 
 /// Blank task records ("husks") on their way from the workers that retired
@@ -807,57 +815,77 @@ impl RuntimeInner {
         self.wake_one_sleeper(usize::MAX);
     }
 
-    /// Flushes at or above this size fan the decide/release/enqueue sweep
+    /// Flushes that leave at least this many records to push fan the push
     /// out to the workers instead of running it on the flushing thread.
-    /// Classification itself is a cheap O(n + levels) histogram scan (see
-    /// [`gtb_classify`]); the sweep — two atomic RMWs, a queue push and a
-    /// possible wakeup per task — is what dominates large Max-Buffer
-    /// flushes.
+    /// Deciding is a plain store per record; what a large Max-Buffer flush
+    /// still pays per record is the queue slot and, from a thread that is
+    /// not a worker, an inbox that overflows into per-node spill
+    /// allocations — a worker's own deque just grows.
     const PARALLEL_FLUSH_MIN: usize = 4096;
-    /// Tasks released per worker chunk in a parallel flush.
+    /// Records pushed per worker chunk in a parallel flush.
     const FLUSH_CHUNK: usize = 1024;
 
-    /// GTB flush: classify the buffered tasks of `group`, then release them.
-    fn flush_tasks(self: &Arc<Self>, group: &GroupState, tasks: Vec<Arc<Task>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        self.stats.record_flush();
-        let significances: Vec<Significance> = tasks.iter().map(|t| t.significance).collect();
-        let decisions = gtb_classify(&significances, group.effective_ratio());
-        if tasks.len() < Self::PARALLEL_FLUSH_MIN {
-            Self::release_classified(self, &tasks, &decisions);
-            return;
-        }
-        // Large-group flush: classification decisions are already fixed, so
-        // chunks of the release sweep are independent — spawn them onto the
-        // workers as internal system tasks. The group barrier stays correct
-        // without waiting on the chunks themselves: every buffered task
-        // already counts in the group's `outstanding`, and can only complete
-        // after its chunk releases it.
-        let mut tasks = tasks;
-        let mut decisions = decisions;
-        while tasks.len() > Self::FLUSH_CHUNK {
-            let split = tasks.len() - Self::FLUSH_CHUNK;
-            let chunk_tasks = tasks.split_off(split);
-            let chunk_decisions = decisions.split_off(split);
-            let inner = self.clone();
-            self.spawn_system(move || {
-                RuntimeInner::release_classified(&inner, &chunk_tasks, &chunk_decisions);
+    /// GTB flush of one group's `window` (its buffered records, in spawn
+    /// order): decide every record against the window's [`GtbQuota`], then
+    /// hand them to the workers. The drained window becomes the calling
+    /// thread's spare buffer ([`crate::group::return_window`]).
+    ///
+    /// A record only the window holds, with no pending dependence — every
+    /// footprint-free task, since its spawner lets go before it can trigger
+    /// a flush — is decided, released and marked enqueued through `&mut`
+    /// ([`Task::prime_flush_enqueued`]), and the lot goes out in one
+    /// `push_batch` with one coalesced wake. A shared record — one the
+    /// dependence tracker or a predecessor's successor list also holds —
+    /// takes the atomic `decide` → `release` → `try_enqueue` path, whose
+    /// SeqCst pairing with the last predecessor's completion is documented
+    /// on `Task::release`.
+    fn flush_tasks(self: &Arc<Self>, mut window: Vec<Arc<Task>>) {
+        if let Some(first) = window.first() {
+            self.stats.record_flush();
+            let ratio = first.group_state.effective_ratio();
+            let mut quota = GtbQuota::new(window.iter().map(|task| task.significance), ratio);
+            // Spawn order: that is the order the quota breaks ties in.
+            window.retain_mut(|task| {
+                let accurate = quota.admit(task.significance);
+                if let Some(record) = Arc::get_mut(task) {
+                    if *record.pending_deps.get_mut() == 0 {
+                        record.prime_flush_enqueued(accurate);
+                        return true;
+                    }
+                }
+                task.decide(accurate);
+                task.release();
+                self.try_enqueue(task);
+                false
             });
+            // Large-group flush: push the tail in chunks from the workers, as
+            // internal system tasks. The group barrier stays correct without
+            // waiting on the chunks themselves: every buffered task already
+            // counts in the group's `outstanding`, and can only complete
+            // after its chunk pushes it.
+            if window.len() >= Self::PARALLEL_FLUSH_MIN {
+                while window.len() > Self::FLUSH_CHUNK {
+                    let chunk: Vec<Arc<Task>> =
+                        window.drain(window.len() - Self::FLUSH_CHUNK..).collect();
+                    let inner = self.clone();
+                    self.spawn_system(move || inner.push_flushed(chunk));
+                }
+            }
+            if !window.is_empty() {
+                self.push_flushed(window.drain(..));
+            }
         }
-        Self::release_classified(self, &tasks, &decisions);
+        crate::group::return_window(window);
     }
 
-    /// Apply pre-computed GTB decisions and hand the tasks to the workers.
-    fn release_classified(self: &Arc<Self>, tasks: &[Arc<Task>], decisions: &[bool]) {
-        for (task, accurate) in tasks.iter().zip(decisions) {
-            task.decide(*accurate);
-        }
-        for task in tasks {
-            task.release();
-            self.try_enqueue(task);
-        }
+    /// Queue records a flush primed as enqueued, with one coalesced wake.
+    fn push_flushed<I>(&self, records: I)
+    where
+        I: IntoIterator<Item = Arc<Task>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let push = self.queues.push_batch(records, self.local_worker());
+        self.wake_for_batch(&push);
     }
 
     /// Enqueue a runtime-internal helper task. It participates in the
@@ -937,8 +965,8 @@ impl RuntimeInner {
                 .policy
                 .buffer_capacity()
                 .expect("buffering policy has a capacity");
-            if let Some(flush) = group_state.append_buffered(tasks, capacity) {
-                self.flush_tasks(group_state, flush);
+            if let Some(window) = group_state.append_buffered(tasks, capacity) {
+                self.flush_tasks(window);
             } else {
                 self.notify_buffered(group_state);
             }
@@ -954,8 +982,26 @@ impl RuntimeInner {
 
     /// Flush the pending GTB buffer of one group.
     fn flush_group(self: &Arc<Self>, group: &GroupState) {
-        let tasks = std::mem::take(&mut *group.buffer.lock().unwrap());
-        self.flush_tasks(group, tasks);
+        if let Some(window) = group.take_buffered() {
+            self.flush_tasks(window);
+        }
+    }
+
+    /// Buffer a footprint-free record under GTB, flushing the window if this
+    /// fills it. The record waits on nothing, so it takes no phantom
+    /// dependence and no `try_enqueue`: whichever flush takes it releases
+    /// it. The buffer gets a clone, since `group` is borrowed from the
+    /// record, and the caller's own reference is dropped before the flush,
+    /// which then finds the window the record's only holder.
+    fn buffer_task(self: &Arc<Self>, task: Arc<Task>, capacity: usize) {
+        let group = &task.group_state;
+        match group.buffer_one(task.clone(), capacity) {
+            Some(window) => {
+                drop(task);
+                self.flush_tasks(window);
+            }
+            None => self.notify_buffered(group),
+        }
     }
 
     /// Entering a barrier hands the caller's "awakeness" to the pool: if
@@ -1028,14 +1074,12 @@ impl RuntimeInner {
             self.abandon(task, worker, false);
             return;
         }
+        // Read once: LQH decides against it and the governor is handed it.
+        let group_ratio = task.group_state.effective_ratio();
         let accurate = match task.decision() {
             Some(decision) => decision,
             None => match self.policy {
-                Policy::Lqh => lqh.decide(
-                    task.group_id(),
-                    task.significance,
-                    task.group_state.effective_ratio(),
-                ),
+                Policy::Lqh => lqh.decide(task.group_id(), task.significance, group_ratio),
                 // The significance-agnostic runtime and any GTB task that
                 // somehow reaches a worker undecided run accurately: the
                 // conservative choice never degrades output quality.
@@ -1094,7 +1138,7 @@ impl RuntimeInner {
                 significance: task.significance,
                 accurate,
                 policy: self.policy,
-                group_ratio: task.group_state.effective_ratio(),
+                group_ratio,
                 deadline_pressure,
             },
         );
@@ -1863,50 +1907,50 @@ impl<'rt> TaskBuilder<'rt> {
             t.footprint
         };
 
-        // Fast path: footprint-free task under a non-buffering policy goes
-        // straight to a queue. Its released/enqueued (and, for the agnostic
-        // policy, decided) state is primed through `&mut` before the task is
-        // ever shared — zero atomic ops, no claim race to arbitrate because
-        // `spawn` is the only possible enqueue site.
-        if !footprint && !inner.policy.is_buffering() {
-            let accurate = matches!(inner.policy, Policy::SignificanceAgnostic);
-            Arc::get_mut(&mut task)
-                .expect("task not yet shared")
-                .prime_spawn_enqueued(accurate);
-            // Relaxed is sufficient for both `outstanding` bumps. Invariant:
-            // an increment must be observable (a) by the matching
-            // `fetch_sub` in `complete`, which RMW coherence orders after it
-            // (the sub can only run once the task reached a worker, and the
-            // queue handoff's release/acquire edge orders the add before the
-            // pop), and (b) by any barrier predicate load *on the spawning
-            // thread*, which same-thread coherence guarantees. A barrier on
-            // another thread racing this spawn is unordered by construction
-            // — it may legitimately return before the spawn lands — so no
-            // cross-thread SC fence is load-bearing here. The decrement side
-            // stays SeqCst: it pairs with the EventCount register/re-check
-            // protocol.
-            inner.outstanding.fetch_add(1, Ordering::Relaxed);
-            task.group_state.outstanding.fetch_add(1, Ordering::Relaxed);
-            inner.stats.record_spawn();
-            let target = inner.queues.push(task, inner.local_worker());
-            inner.wake_for_push(target);
+        // Relaxed is sufficient for both `outstanding` bumps. Invariant: an
+        // increment must be observable (a) by the matching `fetch_sub` in
+        // `complete`, which RMW coherence orders after it (the sub can only
+        // run once the task reached a worker, and the queue handoff's
+        // release/acquire edge — behind the GTB buffer's lock, for a
+        // buffered task — orders the add before the pop), and (b) by any
+        // barrier predicate load *on the spawning thread*, which same-thread
+        // coherence guarantees. A barrier on another thread racing this
+        // spawn is unordered by construction — it may legitimately return
+        // before the spawn lands — so no cross-thread SC fence is
+        // load-bearing here. The decrement side stays SeqCst: it pairs with
+        // the EventCount register/re-check protocol.
+        inner.outstanding.fetch_add(1, Ordering::Relaxed);
+        task.group_state.outstanding.fetch_add(1, Ordering::Relaxed);
+        inner.stats.record_spawn();
+
+        // Fast paths for a footprint-free task, which waits on nothing.
+        // Under GTB it goes to the group buffer, whose flush decides it.
+        // Otherwise it goes straight to a queue, its released/enqueued (and,
+        // for the agnostic policy, decided) state primed through `&mut`
+        // before the task is ever shared — zero atomic ops, no claim race to
+        // arbitrate because `spawn` is the only possible enqueue site.
+        if !footprint {
+            match inner.policy.buffer_capacity() {
+                Some(capacity) => inner.buffer_task(task, capacity),
+                None => {
+                    let accurate = matches!(inner.policy, Policy::SignificanceAgnostic);
+                    Arc::get_mut(&mut task)
+                        .expect("task not yet shared")
+                        .prime_spawn_enqueued(accurate);
+                    let target = inner.queues.push(task, inner.local_worker());
+                    inner.wake_for_push(target);
+                }
+            }
             return id;
         }
-
-        // Relaxed: see the invariant note on the fast path above.
         let group_state = &task.group_state;
-        inner.outstanding.fetch_add(1, Ordering::Relaxed);
-        group_state.outstanding.fetch_add(1, Ordering::Relaxed);
-        inner.stats.record_spawn();
 
         // Hold one phantom dependence while wiring real ones, so the task
         // cannot be enqueued halfway through registration.
         task.pending_deps.store(1, Ordering::Release);
-        if footprint {
-            let wired = inner.wire_dependences(&task);
-            if wired > 0 {
-                task.pending_deps.fetch_add(wired, Ordering::AcqRel);
-            }
+        let wired = inner.wire_dependences(&task);
+        if wired > 0 {
+            task.pending_deps.fetch_add(wired, Ordering::AcqRel);
         }
 
         match inner.policy {
@@ -1921,15 +1965,11 @@ impl<'rt> TaskBuilder<'rt> {
                     .policy
                     .buffer_capacity()
                     .expect("buffering policy has a capacity");
-                let mut buffer = group_state.buffer.lock().unwrap();
-                buffer.push(task.clone());
-                if buffer.len() >= capacity {
-                    let tasks = std::mem::take(&mut *buffer);
-                    drop(buffer);
-                    inner.flush_tasks(group_state, tasks);
-                } else {
-                    drop(buffer);
-                    inner.notify_buffered(group_state);
+                // This spawner still holds the record, so whichever flush
+                // takes it — this one or a barrier's — goes the atomic way.
+                match group_state.buffer_one(task.clone(), capacity) {
+                    Some(window) => inner.flush_tasks(window),
+                    None => inner.notify_buffered(group_state),
                 }
             }
         }

@@ -409,6 +409,23 @@ impl Task {
         *self.state.get_mut() |= bits;
     }
 
+    /// GTB flush fast path: decide, release and mark enqueued in one plain
+    /// store, for a buffered record the flush holds the only reference to
+    /// and that waits on no predecessor — nobody else can decide, release,
+    /// enqueue or even observe it, so there is no race for the atomic
+    /// [`Task::decide`] / [`Task::release`] / [`Task::claim_enqueue`] to
+    /// arbitrate.
+    pub(crate) fn prime_flush_enqueued(&mut self, accurate: bool) {
+        let mode = if accurate {
+            MODE_ACCURATE
+        } else {
+            MODE_APPROXIMATE
+        };
+        let state = self.state.get_mut();
+        debug_assert_eq!(*state & (MODE_MASK | RELEASED | ENQUEUED), 0);
+        *state |= mode | RELEASED | ENQUEUED;
+    }
+
     /// Take the accurate body.
     ///
     /// # Safety
