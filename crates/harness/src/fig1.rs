@@ -2,118 +2,45 @@
 //!
 //! The paper composes one image whose quadrants show the accurate output
 //! (upper left), Mild (upper right), Medium (lower left) and Aggressive
-//! (lower right) approximation. This module regenerates that composition,
-//! writes it as a PGM file, and reports the PSNR of each quadrant's source.
-
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
+//! (lower right) approximation. This module regenerates that composition
+//! and the PSNR of each approximated quadrant's source.
 
 use sig_core::Policy;
 use sig_kernels::sobel::Sobel;
 use sig_kernels::{Benchmark, Degree, ExecutionConfig};
 use sig_quality::{psnr, GrayImage};
 
-use crate::experiment::ExperimentDefaults;
-
-/// PSNR of one approximation degree against the accurate Sobel output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuadrantQuality {
-    /// Quadrant label ("accurate", "Mild", "Medium", "Aggr").
-    pub label: String,
-    /// PSNR in dB against the accurate output (infinite for the accurate
-    /// quadrant itself).
-    pub psnr_db: f64,
-}
+use crate::fig2::DEGREES;
+use crate::WORKERS;
 
 /// Result of the Figure 1 generation.
 #[derive(Debug)]
 pub struct Fig1Output {
     /// The composed quadrant image.
     pub image: GrayImage,
-    /// Per-quadrant quality.
-    pub quadrants: Vec<QuadrantQuality>,
+    /// PSNR in dB against the accurate output, Mild to Aggressive.
+    pub psnr_db: [(Degree, f64); 3],
 }
 
 /// Generate the Figure 1 composition for the given Sobel configuration using
 /// the significance runtime (Max-Buffer GTB, which matches the requested
 /// ratios exactly).
-pub fn generate(sobel: &Sobel, defaults: &ExperimentDefaults) -> Fig1Output {
-    let accurate = sobel.run(&ExecutionConfig::accurate(defaults.workers));
-    let run_degree = |degree: Degree| {
-        sobel.run(&ExecutionConfig::significance(
-            defaults.workers,
-            Policy::GtbMaxBuffer,
-            degree,
-        ))
-    };
-    let mild = run_degree(Degree::Mild);
-    let medium = run_degree(Degree::Medium);
-    let aggressive = run_degree(Degree::Aggressive);
-
-    let image = GrayImage::quadrants(
-        &sobel.output_image(&accurate.values),
-        &sobel.output_image(&mild.values),
-        &sobel.output_image(&medium.values),
-        &sobel.output_image(&aggressive.values),
-    );
-    let quadrants = vec![
-        QuadrantQuality {
-            label: "accurate".into(),
-            psnr_db: f64::INFINITY,
-        },
-        QuadrantQuality {
-            label: "Mild".into(),
-            psnr_db: psnr(&accurate.values, &mild.values, 255.0),
-        },
-        QuadrantQuality {
-            label: "Medium".into(),
-            psnr_db: psnr(&accurate.values, &medium.values, 255.0),
-        },
-        QuadrantQuality {
-            label: "Aggr".into(),
-            psnr_db: psnr(&accurate.values, &aggressive.values, 255.0),
-        },
-    ];
-    Fig1Output { image, quadrants }
-}
-
-/// Generate Figure 1 and write the composed image to `<dir>/fig1_sobel.pgm`.
-pub fn generate_and_save(
-    sobel: &Sobel,
-    defaults: &ExperimentDefaults,
-    dir: &Path,
-) -> std::io::Result<Fig1Output> {
-    let output = generate(sobel, defaults);
-    std::fs::create_dir_all(dir)?;
-    output.image.save_pgm(dir.join("fig1_sobel.pgm"))?;
-    Ok(output)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quadrant_quality_is_ordered_by_degree() {
-        let sobel = Sobel {
-            width: 96,
-            height: 96,
-        };
-        let defaults = ExperimentDefaults {
-            workers: 2,
-            ..Default::default()
-        };
-        let out = generate(&sobel, &defaults);
-        assert_eq!(out.image.width(), 96);
-        assert_eq!(out.quadrants.len(), 4);
-        let mild = out.quadrants[1].psnr_db;
-        let aggressive = out.quadrants[3].psnr_db;
-        assert!(
-            mild >= aggressive,
-            "mild PSNR {mild} should be at least aggressive {aggressive}"
-        );
-        // Aggressive still yields a usable image (graceful degradation).
-        assert!(aggressive > 10.0, "aggressive PSNR {aggressive} too low");
+pub fn generate(sobel: &Sobel) -> Fig1Output {
+    let accurate = sobel.run(&ExecutionConfig::accurate(WORKERS));
+    let runs = DEGREES.map(|degree| {
+        let config = ExecutionConfig::significance(WORKERS, Policy::GtbMaxBuffer, degree);
+        (degree, sobel.run(&config))
+    });
+    let [mild, medium, aggressive] = runs
+        .each_ref()
+        .map(|(_, run)| sobel.output_image(&run.values));
+    Fig1Output {
+        image: GrayImage::quadrants(
+            &sobel.output_image(&accurate.values),
+            &mild,
+            &medium,
+            &aggressive,
+        ),
+        psnr_db: runs.map(|(degree, run)| (degree, psnr(&accurate.values, &run.values, 255.0))),
     }
 }

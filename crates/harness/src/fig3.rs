@@ -5,136 +5,33 @@
 //! Figure 1, this shows why significance-driven approximation degrades far
 //! more gracefully than blindly dropping iterations.
 
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
-
 use sig_kernels::sobel::Sobel;
 use sig_quality::{psnr, GrayImage};
 
-use crate::experiment::ExperimentDefaults;
-
-/// PSNR and modelled energy of one perforation level against the accurate
-/// Sobel output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PerforationQuality {
-    /// Fraction of loop iterations dropped.
-    pub dropped_fraction: f64,
-    /// PSNR in dB against the accurate output.
-    pub psnr_db: f64,
-    /// Modelled energy of the perforated run in joules (power model
-    /// integrated over the measured serial window).
-    pub energy_joules: f64,
-    /// Idle component of `energy_joules` (serial runs leave all other cores
-    /// halted for the whole window).
-    pub idle_joules: f64,
-    /// Transition component of `energy_joules` — always zero for these
-    /// serial runs, kept so the row shape matches the runtime-driven tables.
-    pub transition_joules: f64,
-}
+/// `(percent of rows dropped, fraction kept)` of the perforated quadrants:
+/// Sobel's Mild, Medium and Aggressive perforation.
+const LEVELS: [(u32, f64); 3] = [(20, 0.8), (70, 0.3), (100, 0.0)];
 
 /// Result of the Figure 3 generation.
 #[derive(Debug)]
 pub struct Fig3Output {
     /// The composed quadrant image.
     pub image: GrayImage,
-    /// Per-quadrant quality.
-    pub levels: Vec<PerforationQuality>,
+    /// `(percent of rows dropped, PSNR in dB against the accurate output)`
+    /// per perforated quadrant, lightest first.
+    pub levels: [(u32, f64); 3],
 }
 
 /// Generate the Figure 3 composition (perforation of 0%, 20%, 70% and 100%
 /// of the row loop).
-pub fn generate(sobel: &Sobel, defaults: &ExperimentDefaults) -> Fig3Output {
+pub fn generate(sobel: &Sobel) -> Fig3Output {
     let accurate = sobel.run_perforated(1.0);
-    let p20 = sobel.run_perforated(0.8);
-    let p70 = sobel.run_perforated(0.3);
-    let p100 = sobel.run_perforated(0.0);
-
-    let image = GrayImage::quadrants(
-        &sobel.output_image(&accurate.values),
-        &sobel.output_image(&p20.values),
-        &sobel.output_image(&p70.values),
-        &sobel.output_image(&p100.values),
-    );
-    let level = |dropped: f64, psnr_db: f64, run: &sig_kernels::RunOutput| {
-        let breakdown = defaults
-            .power_model
-            .energy_breakdown(run.elapsed.as_secs_f64(), run.busy_core_seconds);
-        PerforationQuality {
-            dropped_fraction: dropped,
-            psnr_db,
-            energy_joules: breakdown.total(),
-            idle_joules: breakdown.idle_joules,
-            transition_joules: breakdown.transition_joules,
-        }
-    };
-    let levels = vec![
-        level(0.0, f64::INFINITY, &accurate),
-        level(0.2, psnr(&accurate.values, &p20.values, 255.0), &p20),
-        level(0.7, psnr(&accurate.values, &p70.values, 255.0), &p70),
-        level(1.0, psnr(&accurate.values, &p100.values, 255.0), &p100),
-    ];
-    Fig3Output { image, levels }
-}
-
-/// Generate Figure 3 and write the composed image to
-/// `<dir>/fig3_sobel_perforation.pgm`.
-pub fn generate_and_save(
-    sobel: &Sobel,
-    defaults: &ExperimentDefaults,
-    dir: &Path,
-) -> std::io::Result<Fig3Output> {
-    let output = generate(sobel, defaults);
-    std::fs::create_dir_all(dir)?;
-    output
-        .image
-        .save_pgm(dir.join("fig3_sobel_perforation.pgm"))?;
-    Ok(output)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fig1;
-
-    #[test]
-    fn heavier_perforation_means_lower_psnr() {
-        let sobel = Sobel {
-            width: 96,
-            height: 96,
-        };
-        let defaults = ExperimentDefaults {
-            workers: 2,
-            ..Default::default()
-        };
-        let out = generate(&sobel, &defaults);
-        assert_eq!(out.levels.len(), 4);
-        assert!(out.levels[1].psnr_db >= out.levels[2].psnr_db);
-        assert!(out.levels[2].psnr_db >= out.levels[3].psnr_db);
-        assert!(out.levels.iter().all(|l| l.energy_joules > 0.0));
-    }
-
-    #[test]
-    fn perforation_is_worse_than_significance_at_comparable_work() {
-        // Figure 1 vs Figure 3, the paper's qualitative claim: at the same
-        // amount of accurate work (30% of rows), the significance version
-        // (Medium degree, approximates the rest) beats perforation (drops
-        // the rest).
-        let sobel = Sobel {
-            width: 96,
-            height: 96,
-        };
-        let defaults = ExperimentDefaults {
-            workers: 2,
-            ..Default::default()
-        };
-        let ours = fig1::generate(&sobel, &defaults);
-        let perforated = generate(&sobel, &defaults);
-        let ours_medium = ours.quadrants[2].psnr_db;
-        let perf_70 = perforated.levels[2].psnr_db;
-        assert!(
-            ours_medium > perf_70,
-            "significance Medium ({ours_medium} dB) should beat 70% perforation ({perf_70} dB)"
-        );
+    let runs = LEVELS.map(|(dropped, kept)| (dropped, sobel.run_perforated(kept)));
+    let [p20, p70, p100] = runs
+        .each_ref()
+        .map(|(_, run)| sobel.output_image(&run.values));
+    Fig3Output {
+        image: GrayImage::quadrants(&sobel.output_image(&accurate.values), &p20, &p70, &p100),
+        levels: runs.map(|(dropped, run)| (dropped, psnr(&accurate.values, &run.values, 255.0))),
     }
 }

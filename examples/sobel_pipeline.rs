@@ -1,61 +1,42 @@
-//! Sobel edge detection under different approximation degrees, with modelled
-//! energy — a condensed version of the paper's running example plus Figure 1.
+//! The paper's Figures 1 and 3 as images: Sobel under significance-driven
+//! approximation (GTB Max-Buffer at Mild / Medium / Aggressive) and under
+//! loop perforation (20 % / 70 % / 100 % of the rows dropped).
 //!
-//! Writes `sobel_quadrants.pgm` (accurate / Mild / Medium / Aggressive
-//! quadrants) into the current directory and prints time, energy and PSNR for
-//! each degree.
+//! Writes `fig1_sobel.pgm` and `fig3_sobel_perforation.pgm` (accurate output
+//! in the upper-left quadrant of each) into the current directory and prints
+//! each quadrant's PSNR. `replay paper` pins both figures at 96x64 pixels.
 //!
 //! Run with `cargo run --release --example sobel_pipeline`.
 
-use significance_repro::energy::PowerModel;
+use significance_repro::harness::{fig1, fig3};
 use significance_repro::kernels::sobel::Sobel;
-use significance_repro::kernels::{Benchmark, Degree, ExecutionConfig};
-use significance_repro::prelude::*;
-use significance_repro::quality::{psnr, GrayImage};
 
 fn main() {
-    let sobel = Sobel {
-        width: 512,
-        height: 512,
-    };
-    let workers = ExecutionConfig::default_workers();
-    let power = PowerModel::for_host();
-
-    let reference = sobel.run(&ExecutionConfig::accurate(workers));
-    println!(
-        "accurate   : {:>8.2} ms",
-        reference.elapsed.as_secs_f64() * 1e3
-    );
-
-    let mut images = Vec::new();
-    for degree in [Degree::Mild, Degree::Medium, Degree::Aggressive] {
-        let run = sobel.run(&ExecutionConfig::significance(
-            workers,
-            Policy::GtbMaxBuffer,
-            degree,
-        ));
-        let energy = power.energy_joules(run.elapsed.as_secs_f64(), run.busy_core_seconds);
-        let quality = psnr(&reference.values, &run.values, 255.0);
-        println!(
-            "{:<11}: {:>8.2} ms  {:>8.2} J (modelled)  PSNR {:>6.2} dB  ({} accurate / {} approx tasks)",
-            format!("{:?}", degree),
-            run.elapsed.as_secs_f64() * 1e3,
-            energy,
-            quality,
-            run.tasks.accurate,
-            run.tasks.approximate,
-        );
-        images.push(sobel.output_image(&run.values));
+    let sobel = Sobel::default();
+    let significance = fig1::generate(&sobel);
+    let perforation = fig3::generate(&sobel);
+    for (image, path) in [
+        (&significance.image, "fig1_sobel.pgm"),
+        (&perforation.image, "fig3_sobel_perforation.pgm"),
+    ] {
+        image
+            .save_pgm(path)
+            .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
+        println!("wrote {path}");
     }
-
-    let quadrants = GrayImage::quadrants(
-        &sobel.output_image(&reference.values),
-        &images[0],
-        &images[1],
-        &images[2],
-    );
-    quadrants
-        .save_pgm("sobel_quadrants.pgm")
-        .expect("failed to write sobel_quadrants.pgm");
-    println!("wrote sobel_quadrants.pgm (accurate / Mild / Medium / Aggressive quadrants)");
+    for (degree, psnr) in significance.psnr_db {
+        println!(
+            "significance {:<10} PSNR {psnr:>6.2} dB",
+            format!("{degree:?}")
+        );
+    }
+    for (dropped, psnr) in perforation.levels {
+        println!(
+            "perforation  {:<10} PSNR {psnr:>6.2} dB",
+            format!("{dropped}%")
+        );
+    }
+    // Figure 1 vs Figure 3 at comparable work: approximating the other 70 %
+    // of the rows beats dropping them.
+    assert!(significance.psnr_db[1].1 > perforation.levels[1].1);
 }
