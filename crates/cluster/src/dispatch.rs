@@ -17,10 +17,35 @@
 //! Both policies **never route to a down node** — the property test in
 //! `tests/cluster_props.rs` drives arbitrary candidate fleets through both
 //! to pin that down.
+//!
+//! [`ClusterDispatcher::route`] is the specification. The simulator's
+//! `RouteTable` caches each row's load as it is written and shares the cost
+//! and the scan below, so it routes bit-identically without dividing.
 
 /// Relative weight of the power-state term against one queue-slot of load in
 /// the significance-aware cost.
 const ROUTE_POWER_WEIGHT: f64 = 4.0;
+
+/// A node's `(load, cheap)`: depth blended with the EWMA per granted busy
+/// slot (a throttled node absorbs load slower, so the same queue weighs
+/// heavier), and how far its frequency is capped (0 when it is not).
+fn route_terms(c: &RouteCandidate) -> (f64, f64) {
+    let load = (c.depth as f64 + c.load_ewma) / c.allowed.max(1) as f64;
+    (load, 1.0 - c.freq_cap)
+}
+
+/// Weight of `cheap`: a cost on capped nodes for high-significance work, an
+/// attraction for low-significance work.
+fn route_coef(significance: f64) -> f64 {
+    ROUTE_POWER_WEIGHT * (2.0 * significance - 1.0)
+}
+
+/// The cheapest of `(route_terms, index)` rows, and its cost. Strict `<`
+/// keeps ties on the earliest (lowest) index: deterministic.
+fn cheapest(coef: f64, rows: impl Iterator<Item = ((f64, f64), usize)>) -> Option<(f64, usize)> {
+    let costs = rows.map(|((load, cheap), index)| (load + coef * cheap, index));
+    costs.reduce(|best, next| if next.0 < best.0 { next } else { best })
+}
 
 /// How one request is routed across the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,42 +135,94 @@ impl ClusterDispatcher {
     }
 
     fn route_significance_aware(candidates: &[RouteCandidate], significance: f64) -> Option<usize> {
-        Self::cheapest(candidates, significance, true)
-            .or_else(|| Self::cheapest(candidates, significance, false))
+        let coef = route_coef(significance);
+        Self::cheapest_up(candidates, coef, true)
+            .or_else(|| Self::cheapest_up(candidates, coef, false))
     }
 
-    fn cheapest(
-        candidates: &[RouteCandidate],
-        significance: f64,
-        require_slots: bool,
-    ) -> Option<usize> {
-        let mut best: Option<(f64, usize)> = None;
-        for candidate in candidates {
-            if !candidate.up || (require_slots && candidate.allowed == 0) {
-                continue;
-            }
-            // Normalised load: instantaneous depth blended with the EWMA,
-            // per granted busy slot (a throttled node absorbs load slower,
-            // so the same queue weighs heavier there).
-            let slots = candidate.allowed.max(1) as f64;
-            let load = (candidate.depth as f64 + candidate.load_ewma) / slots;
-            // Power-state term: positive cost on capped ("cheap") nodes for
-            // high-significance work, negative (an attraction) for
-            // low-significance work.
-            let cheap = 1.0 - candidate.freq_cap;
-            let cost = load + ROUTE_POWER_WEIGHT * (2.0 * significance - 1.0) * cheap;
-            // Strict `<` keeps ties on the lowest index: deterministic.
-            if best.is_none_or(|(best_cost, _)| cost < best_cost) {
-                best = Some((cost, candidate.index));
-            }
+    /// The cheapest up node (with busy-slot budget, if `require_slots`).
+    fn cheapest_up(candidates: &[RouteCandidate], coef: f64, require_slots: bool) -> Option<usize> {
+        let rows = candidates
+            .iter()
+            .filter(|c| c.up && (!require_slots || c.allowed > 0))
+            .map(|c| (route_terms(c), c.index));
+        cheapest(coef, rows).map(|(_, index)| index)
+    }
+}
+
+/// The simulator's route table: row `n` is node `n`'s [`RouteCandidate`],
+/// beside its cached `route_terms`; the load is infinite while the node has
+/// no slot to offer. Only `set_depth` and `refresh` write the table.
+#[derive(Debug)]
+pub(crate) struct RouteTable {
+    dispatcher: ClusterDispatcher,
+    rows: Vec<RouteCandidate>,
+    terms: Vec<(f64, f64)>,
+    /// `(significance, route_coef)` per request class.
+    classes: Vec<(f64, f64)>,
+}
+
+impl RouteTable {
+    pub(crate) fn new(policy: DispatchPolicy, significances: impl Iterator<Item = f64>) -> Self {
+        RouteTable {
+            dispatcher: ClusterDispatcher::new(policy),
+            rows: Vec::new(),
+            terms: Vec::new(),
+            classes: significances.map(|s| (s, route_coef(s))).collect(),
         }
-        best.map(|(_, index)| index)
+    }
+
+    pub(crate) fn rows(&self) -> &[RouteCandidate] {
+        &self.rows
+    }
+
+    fn terms(row: &RouteCandidate) -> (f64, f64) {
+        let (load, cheap) = route_terms(row);
+        let slot = row.up && row.allowed > 0;
+        (if slot { load } else { f64::INFINITY }, cheap)
+    }
+
+    /// Rewrite every row and its terms.
+    pub(crate) fn refresh(&mut self, rows: impl Iterator<Item = RouteCandidate>) {
+        self.rows.clear();
+        self.rows.extend(rows);
+        self.terms.clear();
+        self.terms.extend(self.rows.iter().map(Self::terms));
+    }
+
+    /// Set node `n`'s depth, and its load: one division.
+    pub(crate) fn set_depth(&mut self, n: usize, depth: usize) {
+        self.rows[n].depth = depth;
+        self.terms[n] = Self::terms(&self.rows[n]);
+    }
+
+    /// [`ClusterDispatcher::route`] over the rows for a request of `class`.
+    pub(crate) fn route(&mut self, class: usize) -> Option<usize> {
+        let (significance, coef) = self.classes[class];
+        if self.dispatcher.policy == DispatchPolicy::RoundRobin {
+            return self.dispatcher.route(&self.rows, significance);
+        }
+        let rows = self.terms.iter().enumerate();
+        // An infinite load never beats a finite one; if every load is
+        // infinite, no up node has a slot and the public second pass decides.
+        let routed = match cheapest(coef, rows.map(|(n, &terms)| (terms, n))) {
+            Some((cost, n)) if cost < f64::INFINITY => Some(n),
+            _ => ClusterDispatcher::cheapest_up(&self.rows, coef, false),
+        };
+        let bits = |(load, cheap): (f64, f64)| (load.to_bits(), cheap.to_bits());
+        debug_assert!(
+            (self.rows.iter().zip(&self.terms)).all(|(row, &t)| bits(Self::terms(row)) == bits(t))
+                && routed == ClusterDispatcher::route_significance_aware(&self.rows, significance),
+            "the route table's cached terms or its route drifted from the public scan's"
+        );
+        routed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sig_serving::SplitMix64;
 
     fn candidate(index: usize, up: bool, depth: usize, freq_cap: f64) -> RouteCandidate {
         RouteCandidate {
@@ -202,5 +279,109 @@ mod tests {
         // Ties break to the lowest index, deterministically.
         let tied = vec![candidate(0, true, 3, 1.0), candidate(1, true, 3, 1.0)];
         assert_eq!(dispatcher.route(&tied, 0.7), Some(0));
+    }
+
+    const SIGNIFICANCES: [f64; 6] = [0.0, 0.2, 0.5, 0.7, 0.93, 1.0];
+
+    /// A table whose classes are [`SIGNIFICANCES`], holding `rows`.
+    fn table_of(rows: &[RouteCandidate]) -> RouteTable {
+        let mut table =
+            RouteTable::new(DispatchPolicy::SignificanceAware, SIGNIFICANCES.into_iter());
+        table.refresh(rows.iter().copied());
+        table
+    }
+
+    /// Route every class through the table and through the public scan over
+    /// its rows; they must agree. Returns the table's routes.
+    fn routes(table: &mut RouteTable) -> Vec<Option<usize>> {
+        let mut spec = ClusterDispatcher::new(DispatchPolicy::SignificanceAware);
+        (0..SIGNIFICANCES.len())
+            .map(|class| {
+                let routed = table.route(class);
+                let expected = spec.route(table.rows(), SIGNIFICANCES[class]);
+                assert_eq!(routed, expected, "class {class} over {:?}", table.rows());
+                routed
+            })
+            .collect()
+    }
+
+    /// A seeded row; loads, EWMAs and caps come from small sets, so ties
+    /// between rows are common.
+    fn random_row(rng: &mut SplitMix64, index: usize) -> RouteCandidate {
+        let mut draw = |n: u64| (rng.next_u64() % n) as usize;
+        RouteCandidate {
+            index,
+            up: draw(8) != 0,
+            depth: draw(6),
+            load_ewma: draw(5) as f64 * 0.75,
+            allowed: draw(3),
+            freq_cap: [1.0, 0.8, 0.6][draw(3)],
+        }
+    }
+
+    #[test]
+    fn route_table_routes_as_the_public_scan_under_random_writes() {
+        for (seed, nodes) in [1, 2, 5, 6, 24, 96, 97].into_iter().enumerate() {
+            let mut rng = SplitMix64::new(seed as u64 + 1);
+            let fleet: Vec<_> = (0..nodes).map(|n| random_row(&mut rng, n)).collect();
+            let mut table = table_of(&fleet);
+            for _ in 0..400 {
+                if rng.next_u64().is_multiple_of(16) {
+                    table.refresh((0..nodes).map(|n| random_row(&mut rng, n)));
+                } else {
+                    let n = (rng.next_u64() % nodes as u64) as usize;
+                    table.set_depth(n, (rng.next_u64() % 6) as usize);
+                }
+                routes(&mut table);
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_breaks_ties_to_the_lowest_index() {
+        let row = |index, depth| RouteCandidate {
+            index,
+            up: true,
+            depth,
+            load_ewma: 1.5,
+            allowed: 2,
+            freq_cap: 0.8,
+        };
+        for nodes in [1, 2, 5, 6, 24, 96, 97] {
+            let tied: Vec<_> = (0..nodes).map(|n| row(n, 3)).collect();
+            let mut table = table_of(&tied);
+            assert!(routes(&mut table).iter().all(|&r| r == Some(0)));
+            // Lower every row from the middle on to one shared depth: the
+            // first of them wins.
+            let first = nodes / 2;
+            for n in first..nodes {
+                table.set_depth(n, 1);
+            }
+            assert!(routes(&mut table).iter().all(|&r| r == Some(first)));
+        }
+    }
+
+    #[test]
+    fn route_table_at_zero_cost_and_without_slots() {
+        for nodes in [1, 2, 5, 6, 24, 96, 97] {
+            // Significance 0.5 zeroes the power term; empty queues zero the
+            // load, so every cost is 0 and the first node with a slot wins.
+            let mut idle: Vec<_> = (0..nodes).map(|n| candidate(n, true, 0, 0.6)).collect();
+            idle[0].allowed = 0;
+            let mut table = table_of(&idle);
+            assert_eq!(table.route(2), Some(usize::from(nodes > 1)));
+            routes(&mut table);
+
+            let down: Vec<_> = (0..nodes).map(|n| candidate(n, false, 1, 1.0)).collect();
+            assert!(routes(&mut table_of(&down)).iter().all(Option::is_none));
+
+            // Up but no slot anywhere: the second pass routes to an up node.
+            let mut full: Vec<_> = (0..nodes)
+                .map(|n| candidate(n, n % 3 != 1, n % 4, 1.0))
+                .collect();
+            full.iter_mut().for_each(|row| row.allowed = 0);
+            let routed = routes(&mut table_of(&full));
+            assert!(routed.iter().all(|r| r.is_some_and(|n| full[n].up)));
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! serving simulator and the live server also run. This file adds what only
 //! a fleet has — routing, the cap waterfill, crash epochs, the tick-driven
 //! deadline sweep: every [`Node`] owns a real `ExecutionEnv` + governor +
-//! admission controller, a [`ClusterDispatcher`] routes each arrival, and a
+//! admission controller, a route table routes each arrival, and a
 //! [`PowerCapController`] re-targets per-node busy-slot budgets and
 //! frequency caps on a control tick so the fleet's modelled draw never
 //! exceeds the global cap.
@@ -16,14 +16,15 @@
 //! draw. Two runs with the same inputs produce byte-identical
 //! [`ClusterPhaseReport::fingerprint`]s — at 4 nodes or 400.
 //!
-//! The dispatcher routes over a **route table** — one [`RouteCandidate`] row
-//! per node — that the kernel keeps current instead of rebuilding per
-//! arrival. Between control ticks and faults only a node's `depth` moves,
-//! and only for the one node an event touches: admission (`admit_and_route`)
-//! and the `Finish` handler rewrite that row's depth. `up`, `allowed`,
-//! `freq_cap` and `load_ewma` move only in a `Tick`, a `Fault` and the
-//! re-waterfill at phase start, each of which ends by rewriting every row.
-//! Debug builds assert table == fresh snapshot before every routing call.
+//! Arrivals are routed over a **route table**, one `RouteCandidate` row per
+//! node, kept current instead of rebuilt per arrival: between ticks and
+//! faults only the `depth` of the node an event touches moves (admission and
+//! the `Finish` handler set it); `up`, `allowed`, `freq_cap` and `load_ewma`
+//! move only in a `Tick`, a `Fault` and the phase-start re-waterfill, which
+//! rewrite every row. Each write caches the row's load, the cost's one
+//! division, so a route divides nothing. `ClusterDispatcher::route` over the
+//! rows is the specification: debug builds check the table against a fresh
+//! snapshot, and its route against that scan's, before every route.
 //!
 //! Power is integrated **exactly**: the fleet's modelled draw is piecewise
 //! constant between events, so the kernel advances
@@ -44,7 +45,7 @@ use sig_serving::{
 };
 
 use crate::cap::{CapConfig, ClusterAdmission, PowerCapController};
-use crate::dispatch::{ClusterDispatcher, DispatchPolicy, RouteCandidate};
+use crate::dispatch::{DispatchPolicy, RouteTable};
 use crate::faults::{NodeFault, NodeFaultKind};
 use crate::node::{Node, RunningAttempt};
 use crate::report::ClusterPhaseReport;
@@ -178,12 +179,11 @@ pub struct ClusterSim {
     config: ClusterConfig,
     lifecycle: Lifecycle,
     nodes: Vec<Node>,
-    dispatcher: ClusterDispatcher,
     cap: PowerCapController,
     now: u64,
     /// The route table (see module docs): row `n` is node `n`'s
     /// [`Node::route_candidate`], at every routing decision.
-    route_buf: Vec<RouteCandidate>,
+    routes: RouteTable,
     /// Scratch of the deadline sweep.
     expired: Vec<RequestSlot>,
     // Exact piecewise-constant power integration (cumulative).
@@ -236,8 +236,12 @@ impl ClusterSim {
         let fleet_watts = nodes.iter().map(|n| n.watts()).sum();
         let budget = config.budget.map(BudgetController::new);
         let configured_cap_watts = config.cap.cap_watts;
+        let routes = RouteTable::new(
+            config.policy,
+            classes.iter().map(RequestClass::significance),
+        );
         let mut sim = ClusterSim {
-            dispatcher: ClusterDispatcher::new(config.policy),
+            routes,
             cap: PowerCapController::new(config.cap),
             lifecycle: Lifecycle::new(
                 classes,
@@ -247,7 +251,6 @@ impl ClusterSim {
             nodes,
             config,
             now: 0,
-            route_buf: Vec::new(),
             expired: Vec::new(),
             fleet_watts,
             last_power_at: 0,
@@ -350,9 +353,8 @@ impl ClusterSim {
 
     /// Rewrite every row of the route table from the fleet.
     fn refresh_routes(&mut self) {
-        self.route_buf.clear();
-        self.route_buf
-            .extend(self.nodes.iter().map(Node::route_candidate));
+        self.routes
+            .refresh(self.nodes.iter().map(Node::route_candidate));
     }
 
     /// Re-waterfill the cap over the fleet as it stands, then the route
@@ -453,7 +455,7 @@ impl ClusterSim {
                         Self::finalize_on_node(&mut self.nodes[node], &mut phase, request, outcome);
                     }
                     self.start_attempts(&mut phase, node);
-                    self.route_buf[node].depth = self.nodes[node].depth();
+                    self.routes.set_depth(node, self.nodes[node].depth());
                 }
                 EventKind::Retry { request } => {
                     let class = phase.requests[request].class;
@@ -564,10 +566,10 @@ impl ClusterSim {
             self.nodes
                 .iter()
                 .map(Node::route_candidate)
-                .eq(self.route_buf.iter().copied()),
+                .eq(self.routes.rows().iter().copied()),
             "the maintained route table drifted from the fleet"
         );
-        let Some(n) = self.dispatcher.route(&self.route_buf, significance) else {
+        let Some(n) = self.routes.route(class) else {
             // No node is up: the request is lost to the outage, not shed —
             // shedding is a *decision*, this is an accounted loss.
             if let Some(request) = existing {
@@ -609,7 +611,7 @@ impl ClusterSim {
                 };
                 self.nodes[n].ready.push_back(request);
                 self.start_attempts(phase, n);
-                self.route_buf[n].depth = self.nodes[n].depth();
+                self.routes.set_depth(n, self.nodes[n].depth());
             }
         }
     }

@@ -101,10 +101,18 @@ impl RequestClass {
         tier.min(self.tiers.len().saturating_sub(1))
     }
 
-    /// Panic unless the ladder is well-formed (non-empty, significance
-    /// non-increasing, work factors in `(0, 1]` after tier 0).
+    /// Panic unless the ladder is well-formed (non-empty, significances in
+    /// `[0, 1]` and non-increasing, work factors in `(0, 1]` after tier 0).
     pub fn validate(&self) {
         assert!(!self.tiers.is_empty(), "class {} has no tiers", self.name);
+        for tier in &self.tiers {
+            assert!(
+                (0.0..=1.0).contains(&tier.significance),
+                "class {}: tier significance {} is outside [0, 1]",
+                self.name,
+                tier.significance
+            );
+        }
         for pair in self.tiers.windows(2) {
             assert!(
                 pair[1].significance <= pair[0].significance,
@@ -229,5 +237,33 @@ mod tests {
             retry: RetryPolicy::none(),
         }
         .validate();
+    }
+
+    fn exact_at(significance: f64) {
+        RequestClass::exact(
+            "x",
+            significance,
+            Duration::from_secs(1),
+            RetryPolicy::none(),
+        )
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validate_rejects_nan_significance() {
+        exact_at(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validate_rejects_negative_significance() {
+        exact_at(-0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn validate_rejects_significance_above_one() {
+        exact_at(1.5);
     }
 }
