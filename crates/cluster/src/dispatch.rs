@@ -19,8 +19,9 @@
 //! to pin that down.
 //!
 //! [`ClusterDispatcher::route`] is the specification. The simulator's
-//! `RouteTable` caches each row's load as it is written and shares the cost
-//! and the scan below, so it routes bit-identically without dividing.
+//! `RouteTable` caches each row's load as it is written and scans the cached
+//! rows in four independent min-chains, so it routes without dividing and
+//! its compares overlap, bit-identically: same cost, same tie rule.
 
 /// Relative weight of the power-state term against one queue-slot of load in
 /// the significance-aware cost.
@@ -41,10 +42,45 @@ fn route_coef(significance: f64) -> f64 {
 }
 
 /// The cheapest of `(route_terms, index)` rows, and its cost. Strict `<`
-/// keeps ties on the earliest (lowest) index: deterministic.
+/// keeps ties on the earliest (lowest) index: deterministic. The one-chain
+/// specification of [`cheapest_chained`].
 fn cheapest(coef: f64, rows: impl Iterator<Item = ((f64, f64), usize)>) -> Option<(f64, usize)> {
     let costs = rows.map(|((load, cheap), index)| (load + coef * cheap, index));
     costs.reduce(|best, next| if next.0 < best.0 { next } else { best })
+}
+
+/// Independent min-chains in [`cheapest_chained`].
+const CHAINS: usize = 4;
+
+/// [`cheapest`] over `terms` indexed by position, in [`CHAINS`] chains whose
+/// compares overlap: row `n` is in chain `n % CHAINS`, each chain keeps its
+/// first row of least cost under the same strict `<`, and the chains merge on
+/// least cost, then lowest index. Costs are the same f64 expression, so the
+/// result is the single chain's bit for bit unless a cost is NaN (heading a
+/// chain, it would stall it). None is: loads are finite or `+∞`, the rest
+/// finite.
+fn cheapest_chained(coef: f64, terms: &[(f64, f64)]) -> Option<(f64, usize)> {
+    let cost = |(load, cheap): (f64, f64)| load + coef * cheap;
+    debug_assert!(terms.iter().all(|&row| !cost(row).is_nan()));
+    let (quads, rest) = terms.as_chunks::<CHAINS>();
+    let Some((head, quads)) = quads.split_first() else {
+        return cheapest(coef, terms.iter().copied().zip(0..));
+    };
+    let mut best: [(f64, usize); CHAINS] = std::array::from_fn(|k| (cost(head[k]), k));
+    let mut chain = |base: usize, rows: &[(f64, f64)]| {
+        for (k, &row) in rows.iter().enumerate() {
+            let row_cost = cost(row);
+            if row_cost < best[k].0 {
+                best[k] = (row_cost, base + k);
+            }
+        }
+    };
+    for (quad, base) in quads.iter().zip((CHAINS..).step_by(CHAINS)) {
+        chain(base, quad);
+    }
+    chain(terms.len() - rest.len(), rest);
+    best.into_iter()
+        .reduce(|best, next| if next < best { next } else { best })
 }
 
 /// How one request is routed across the fleet.
@@ -202,10 +238,9 @@ impl RouteTable {
         if self.dispatcher.policy == DispatchPolicy::RoundRobin {
             return self.dispatcher.route(&self.rows, significance);
         }
-        let rows = self.terms.iter().enumerate();
         // An infinite load never beats a finite one; if every load is
         // infinite, no up node has a slot and the public second pass decides.
-        let routed = match cheapest(coef, rows.map(|(n, &terms)| (terms, n))) {
+        let routed = match cheapest_chained(coef, &self.terms) {
             Some((cost, n)) if cost < f64::INFINITY => Some(n),
             _ => ClusterDispatcher::cheapest_up(&self.rows, coef, false),
         };
@@ -317,6 +352,58 @@ mod tests {
             allowed: draw(3),
             freq_cap: [1.0, 0.8, 0.6][draw(3)],
         }
+    }
+
+    /// The chained scan against the single chain over every remainder of
+    /// [`CHAINS`]: loads, `cheap` terms and coefficients come from small
+    /// sets, so rows of equal cost in different chains are common, and so
+    /// are `-0.0` beside `+0.0` costs, `+∞` rows and slices of nothing else.
+    #[test]
+    fn chained_scan_picks_what_the_single_chain_picks() {
+        const LOADS: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.5, f64::INFINITY];
+        const CHEAP: [f64; 3] = [0.0, 0.2, 0.4];
+        const COEFS: [f64; 6] = [-4.0, -1.6, -0.0, 0.0, 0.8, 4.0];
+        let mut rng = SplitMix64::new(0xc4a1);
+        let (mut cross_chain_ties, mut signed_zeros, mut unroutable) = (0, 0, 0);
+        for len in (0..=9).chain(15..=17).chain(95..=97) {
+            for case in 0..300 {
+                let coef = COEFS[case % COEFS.len()];
+                let mut draw = |n: usize| (rng.next_u64() % n as u64) as usize;
+                let terms: Vec<(f64, f64)> = (0..len)
+                    .map(|_| {
+                        let load = match case % 10 {
+                            0 => f64::INFINITY,
+                            _ => LOADS[draw(LOADS.len())],
+                        };
+                        (load, CHEAP[draw(CHEAP.len())])
+                    })
+                    .collect();
+                let verdict = |routed: Option<(f64, usize)>| {
+                    routed.map(|(cost, n)| (n, cost < f64::INFINITY))
+                };
+                let single = cheapest(coef, terms.iter().copied().zip(0..));
+                assert_eq!(
+                    verdict(cheapest_chained(coef, &terms)),
+                    verdict(single),
+                    "coef {coef} over {terms:?}"
+                );
+                let Some((least, first)) = single else {
+                    continue;
+                };
+                let cost = |&(load, cheap): &(f64, f64)| load + coef * cheap;
+                let mut ties = (first + 1..len).filter(|&n| cost(&terms[n]) == least);
+                cross_chain_ties += usize::from(ties.any(|n| n % CHAINS != first % CHAINS));
+                let zero_signs = terms.iter().map(cost).filter(|&c| c == 0.0);
+                let mut negative = zero_signs.map(f64::is_sign_negative);
+                let both_signs = negative.clone().any(|n| n) && negative.any(|n| !n);
+                signed_zeros += usize::from(least == 0.0 && both_signs);
+                unroutable += usize::from(least == f64::INFINITY);
+            }
+        }
+        assert!(
+            cross_chain_ties > 2_000 && signed_zeros > 300 && unroutable > 400,
+            "every shape exercised: {cross_chain_ties} / {signed_zeros} / {unroutable}"
+        );
     }
 
     #[test]

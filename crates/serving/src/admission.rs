@@ -50,7 +50,8 @@ pub struct AdmissionConfig {
     /// `enter_overload` — the hysteresis band).
     pub exit_overload: f64,
     /// Deadline-miss EWMA that forces the overload flag regardless of queue
-    /// depth (a saturated-but-short queue still misses deadlines).
+    /// depth (a saturated-but-short queue still misses deadlines), in
+    /// `[0, 1]`.
     pub miss_watermark: f64,
     /// EWMA smoothing factor for pressure and miss rate, in `(0, 1]`.
     pub pressure_alpha: f64,
@@ -79,6 +80,8 @@ impl AdmissionConfig {
         assert!(self.shed_start < self.shed_full);
         assert!((0.0..1.0).contains(&self.max_shed_significance));
         assert!(self.exit_overload < self.enter_overload);
+        // With a NaN watermark the overload flag, once up, never clears.
+        assert!((0.0..=1.0).contains(&self.miss_watermark));
         assert!(self.pressure_alpha > 0.0 && self.pressure_alpha <= 1.0);
     }
 }
@@ -370,5 +373,30 @@ mod tests {
             "sustained deadline misses force the overload flag"
         );
         assert!(controller.expected_service_nanos() > 0);
+    }
+
+    fn with_miss_watermark(miss_watermark: f64) -> AdmissionController {
+        AdmissionController::new(AdmissionConfig {
+            miss_watermark,
+            ..AdmissionConfig::default()
+        })
+    }
+
+    #[test]
+    #[should_panic]
+    fn nan_miss_watermark_rejected() {
+        with_miss_watermark(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic]
+    fn negative_miss_watermark_rejected() {
+        with_miss_watermark(-0.1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn miss_watermark_above_one_rejected() {
+        with_miss_watermark(1.5);
     }
 }

@@ -54,19 +54,39 @@ use crate::rng::SplitMix64;
 /// worker, however long the schedule). The timeline counts as pushed first,
 /// so it wins ties: a phase's arrivals precede whatever they cause.
 ///
-/// The heap orders 24-byte `(time, push sequence, slot)` keys, earliest
-/// first; sequences are unique, so the slot never decides. The events
-/// themselves stay put in `slots`, whose entries are reused once popped, so
-/// sifting moves keys and never an event.
+/// The heap orders 16-byte [`event_key`]s, earliest first: time, push
+/// sequence and slot in one `u128`. Sequences are unique, so the slot never
+/// decides and the order is exactly `(time, push sequence)`. The events stay
+/// put in `slots`, whose entries are reused once popped, so sifting moves
+/// keys and never an event.
 pub struct EventQueue<'t, K> {
     timeline: Cow<'t, [(u64, usize)]>,
     cursor: usize,
     origin: u64,
     arrival: fn(usize) -> K,
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     slots: Vec<Option<K>>,
     free: Vec<u32>,
     pushed: u64,
+}
+
+/// Bits of an [`event_key`] below the time: push sequence, then slot.
+const SEQUENCE_BITS: u32 = 40;
+const SLOT_BITS: u32 = 24;
+
+/// The key of the event in `slot`, pushed `sequence`-th, for time `at`: time
+/// in the high 64 bits, sequence in the next 40, slot in the low 24, so keys
+/// compare as `(at, sequence, slot)` do. Release builds check the widths too.
+fn event_key(at: u64, sequence: u64, slot: u32) -> u128 {
+    assert!(sequence < 1 << SEQUENCE_BITS, "under 2^40 pushes per phase");
+    assert!(slot < 1 << SLOT_BITS, "under 2^24 events in flight");
+    u128::from(at) << 64 | u128::from(sequence << SLOT_BITS | u64::from(slot))
+}
+
+/// `(at, sequence, slot)` back out of an [`event_key`].
+fn event_key_parts(key: u128) -> (u64, u64, u32) {
+    let (at, low) = ((key >> 64) as u64, key as u64);
+    (at, low >> SLOT_BITS, low as u32 & ((1 << SLOT_BITS) - 1))
 }
 
 impl<'t, K> EventQueue<'t, K> {
@@ -108,7 +128,7 @@ impl<'t, K> EventQueue<'t, K> {
                 u32::try_from(self.slots.len() - 1).expect("under 2^32 events in flight")
             }
         };
-        self.heap.push(Reverse((at, self.pushed, slot)));
+        self.heap.push(Reverse(event_key(at, self.pushed, slot)));
         self.pushed += 1;
     }
 
@@ -119,13 +139,13 @@ impl<'t, K> EventQueue<'t, K> {
             if self
                 .heap
                 .peek()
-                .is_none_or(|&Reverse((next, ..))| at <= next)
+                .is_none_or(|&Reverse(next)| at <= event_key_parts(next).0)
             {
                 self.cursor += 1;
                 return Some((at, (self.arrival)(class)));
             }
         }
-        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let (at, _, slot) = event_key_parts(self.heap.pop()?.0);
         self.free.push(slot);
         let kind = self.slots[slot as usize].take();
         Some((at, kind.expect("a queued slot holds its event")))
@@ -448,9 +468,11 @@ mod tests {
         let mut queue = EventQueue::over(&[], 0, |_| unreachable!("no timeline"), 0);
         for (at, kind) in [
             (30, 'a'),
+            (u64::MAX, 'h'),
             (10, 'b'),
             (20, 'c'),
             (10, 'd'),
+            (u64::MAX, 'i'),
             (30, 'e'),
             (10, 'f'),
         ] {
@@ -458,8 +480,10 @@ mod tests {
         }
         assert_eq!(queue.pop(), Some((10, 'b')));
         // An event pushed mid-drain at an already-populated instant queues
-        // behind the ones pushed before it.
+        // behind the ones pushed before it, at the last instant too (finish
+        // times saturate there).
         queue.push(10, 'g');
+        queue.push(u64::MAX, 'j');
         let rest: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
         assert_eq!(
             rest,
@@ -469,9 +493,58 @@ mod tests {
                 (10, 'g'),
                 (20, 'c'),
                 (30, 'a'),
-                (30, 'e')
+                (30, 'e'),
+                (u64::MAX, 'h'),
+                (u64::MAX, 'i'),
+                (u64::MAX, 'j')
             ]
         );
+    }
+
+    /// Keys round-trip, and compare as `(time, sequence)` whenever the
+    /// sequences differ (as a queue's always do), over random triples that
+    /// reach both ends of every field.
+    #[test]
+    fn event_keys_round_trip_and_order_as_time_then_sequence() {
+        let mut rng = SplitMix64::new(0x4e75);
+        let (seq_max, slot_max) = ((1 << SEQUENCE_BITS) - 1, (1 << SLOT_BITS) - 1);
+        let mut triple = || {
+            let mut pick = |edges: [u64; 4], bound: u64| match rng.next_u64() % 6 {
+                draw @ 0..4 => edges[draw as usize],
+                _ => rng.next_u64() % bound,
+            };
+            let at = pick([0, 1, u64::MAX - 1, u64::MAX], u64::MAX);
+            let sequence = pick([0, 1, seq_max - 1, seq_max], seq_max);
+            (
+                at,
+                sequence,
+                pick([0, 1, slot_max - 1, slot_max], slot_max) as u32,
+            )
+        };
+        let mut decided_by_sequence = 0;
+        for _ in 0..20_000 {
+            let (a, b) = (triple(), triple());
+            let (key_a, key_b) = (event_key(a.0, a.1, a.2), event_key(b.0, b.1, b.2));
+            assert_eq!((event_key_parts(key_a), event_key_parts(key_b)), (a, b));
+            assert_eq!(key_a.cmp(&key_b), a.cmp(&b), "{a:?} vs {b:?}");
+            if a.1 != b.1 {
+                assert_eq!(key_a.cmp(&key_b), (a.0, a.1).cmp(&(b.0, b.1)));
+                decided_by_sequence += usize::from(a.0 == b.0);
+            }
+        }
+        assert!(decided_by_sequence > 1_000, "{decided_by_sequence}");
+    }
+
+    #[test]
+    #[should_panic(expected = "pushes per phase")]
+    fn event_key_rejects_a_sequence_past_40_bits() {
+        event_key(0, 1 << SEQUENCE_BITS, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "events in flight")]
+    fn event_key_rejects_a_slot_past_24_bits() {
+        event_key(0, 0, 1 << SLOT_BITS);
     }
 
     /// Seeded model test of the two lanes: random timelines (sorted or not,
