@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 use sig_core::{Governor, NominalGovernor};
 use sig_energy::{
-    BudgetConfig, BudgetController, EnergyReading, PowerModel, SleepState, TransitionCost,
-    UtilizationPowerCurve,
+    BudgetConfig, BudgetController, EnergyBreakdown, EnergyReading, PowerModel, SleepState,
+    TransitionCost, UtilizationPowerCurve,
 };
 use sig_serving::{
     AdmissionConfig, AdmissionDecision, EventQueue, Lifecycle, RequestClass, RequestOutcome,
@@ -284,21 +284,29 @@ impl ClusterSim {
     /// The summed per-node cumulative energy reading at virtual time `at`.
     /// This is the exact ledger the budget loop observes — crash/restart
     /// safe, because each node's `ExecutionEnv` ledger survives restarts.
+    /// `joules` is the sum of the node joules, which the budget loop
+    /// observes bit for bit, and the breakdown the component-wise sum of the
+    /// node breakdowns, so the two agree up to rounding.
     pub fn fleet_reading(&self, at: u64) -> EnergyReading {
         let wall = at as f64 * 1e-9;
         let mut joules = 0.0;
         let mut busy = 0.0;
+        let mut breakdown = EnergyBreakdown::default();
         for node in &self.nodes {
             let reading = node.energy_report(at).reading();
             joules += reading.joules;
             busy += reading.busy_core_seconds;
+            breakdown.static_joules += reading.breakdown.static_joules;
+            breakdown.dynamic_joules += reading.breakdown.dynamic_joules;
+            breakdown.idle_joules += reading.breakdown.idle_joules;
+            breakdown.transition_joules += reading.breakdown.transition_joules;
         }
         EnergyReading {
             wall_seconds: wall,
             busy_core_seconds: busy,
             joules,
             average_watts: if wall > 0.0 { joules / wall } else { 0.0 },
-            breakdown: Default::default(),
+            breakdown,
         }
     }
 

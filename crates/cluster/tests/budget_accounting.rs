@@ -8,7 +8,8 @@
 //!   lost_to_crash`), and the budget controller's accounted spend must equal
 //!   the summed per-node energy ledgers re-read at its last observation
 //!   instant **bit for bit** — crashes included, because each node's ledger
-//!   survives restarts;
+//!   survives restarts — and the fleet reading's breakdown must sum to its
+//!   joules;
 //! * **serving** — a budgeted single-node simulator under the same style of
 //!   overload with transient panics: books balance every phase, and the
 //!   controller's spend never exceeds the environment's cumulative bill
@@ -67,6 +68,13 @@ fn assert_ledger_identity(sim: &ClusterSim) {
         "observed busy-core-seconds diverge from the summed ledgers"
     );
     assert_eq!(budget.spent_joules().to_bits(), spent.to_bits());
+    let total = reread.breakdown.total();
+    assert!(
+        (total - reread.joules).abs() <= 1e-9 * reread.joules.abs(),
+        "fleet breakdown sums to {total} J, its joules read {} J",
+        reread.joules
+    );
+    assert!(reread.breakdown.dynamic_joules > 0.0);
 }
 
 #[test]

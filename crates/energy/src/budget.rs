@@ -10,8 +10,9 @@
 //! actuators. The controller never trusts the configured power model: an
 //! embedded [`SplitEstimator`] recovers the observed static/dynamic split
 //! online by exponentially-weighted least squares over reading deltas, so the
-//! same loop works whether readings come from the modelled path or a real
-//! RAPL backend (`rapl` feature).
+//! loop reads only each reading's `joules` and busy time, never its
+//! breakdown: a package counter that reports no split would steer it the same
+//! way the modelled ledger does.
 //!
 //! Everything here is **pure and deterministic**: the caller supplies time
 //! and readings; the controller holds no clocks, no randomness and no

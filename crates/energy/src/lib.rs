@@ -19,11 +19,11 @@
 //! therefore preserved, even though absolute joules differ from the paper's
 //! testbed.
 //!
-//! Two measurement modes are provided:
-//!
-//! * [`EnergyMeter`] — wall-clock based, used by the experiment harness.
-//! * [`WorkUnitMeter`] — a deterministic model that charges abstract work
-//!   units, used by tests that must be reproducible across machines.
+//! There is one ledger: the runtime's `ExecutionEnv` (in `sig-core`) charges
+//! every task's busy time to these models and reports an [`EnergyReading`];
+//! the serving simulator keeps one, the cluster simulator one per node. This
+//! crate holds the models that ledger prices with and the
+//! [`BudgetController`] that closes the loop over its readings.
 //!
 //! A DVFS hook ([`FrequencyScale`]) models the paper's future-work scenario
 //! of running approximate tasks on slower, less power-hungry cores. Two
@@ -40,9 +40,6 @@ pub mod dvfs;
 pub mod idle;
 pub mod meter;
 pub mod power;
-#[cfg(feature = "rapl")]
-pub mod rapl;
-pub mod work;
 
 pub use budget::{
     BudgetConfig, BudgetController, BudgetObservation, BudgetSetpoint, BudgetTarget, SplitEstimator,
@@ -50,6 +47,5 @@ pub use budget::{
 pub use curve::UtilizationPowerCurve;
 pub use dvfs::{FrequencyScale, TransitionCost};
 pub use idle::SleepState;
-pub use meter::{BusyGuard, EnergyMeter, EnergyReading};
+pub use meter::EnergyReading;
 pub use power::{EnergyBreakdown, PowerModel};
-pub use work::{WorkClass, WorkUnitMeter, WorkUnitModel};

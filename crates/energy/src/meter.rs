@@ -1,29 +1,21 @@
-//! RAPL-like energy meter built on the affine [`PowerModel`].
+//! The one energy reading type of the workspace.
 //!
-//! Worker threads report the time they spend executing task bodies via
-//! [`EnergyMeter::record_busy`] or the RAII [`BusyGuard`]. Reading the meter
-//! integrates the power model over the elapsed wall-clock window, exactly as
-//! the paper reads RAPL package counters around each benchmark run.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+//! Every joule reported anywhere in the workspace — the runtime's
+//! `energy_report()`, the serving and cluster simulators, the budget
+//! controller's observations — is priced by the runtime's `ExecutionEnv`
+//! ledger (or, for a fleet, by one per node) and handed around as an
+//! [`EnergyReading`]. It plays the role of the RAPL package counter the paper
+//! reads around each benchmark run.
 
 use serde::{Deserialize, Serialize};
 
-use crate::power::{EnergyBreakdown, PowerModel};
+use crate::power::EnergyBreakdown;
 
-/// A single energy measurement window.
-///
-/// This is the **one reading type** every accounting source in the workspace
-/// produces: the wall-clock [`EnergyMeter`], the deterministic
-/// [`crate::WorkUnitMeter`], and the runtime's per-worker DVFS-aware
-/// execution environment all report their results as an `EnergyReading`, so
-/// harness code can aggregate and compare them without caring where the
-/// joules came from.
+/// A single energy measurement window: what the paper reads from the RAPL
+/// package counters around a run, here produced by the modelled ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyReading {
-    /// Wall-clock duration of the window in seconds (`0.0` for purely
-    /// work-driven readings, which have no wall-clock notion).
+    /// Wall-clock (or virtual-time) duration of the window in seconds.
     pub wall_seconds: f64,
     /// Total busy core-seconds reported during the window.
     pub busy_core_seconds: f64,
@@ -31,7 +23,7 @@ pub struct EnergyReading {
     pub joules: f64,
     /// Average package power over the window in watts.
     pub average_watts: f64,
-    /// Static / dynamic / idle decomposition of `joules`.
+    /// Static / dynamic / idle / transition decomposition of `joules`.
     pub breakdown: EnergyBreakdown,
 }
 
@@ -56,224 +48,25 @@ impl EnergyReading {
             breakdown,
         }
     }
-
-    /// A reading for work-driven accounting: all energy is dynamic, and no
-    /// wall-clock window exists.
-    pub fn from_work_joules(joules: f64) -> Self {
-        EnergyReading::from_breakdown(
-            0.0,
-            0.0,
-            EnergyBreakdown {
-                dynamic_joules: joules,
-                ..Default::default()
-            },
-        )
-    }
-}
-
-/// Accumulates per-core busy time and converts it to energy on demand.
-///
-/// The meter is cheap and thread-safe: busy time is accumulated in a single
-/// atomic counter of nanoseconds, so workers can report after every task with
-/// negligible overhead (mirroring the "negligible compared to the granularity
-/// of the task" bookkeeping argument of Section 3.4).
-#[derive(Debug)]
-pub struct EnergyMeter {
-    model: PowerModel,
-    start: Instant,
-    busy_nanos: AtomicU64,
-}
-
-impl EnergyMeter {
-    /// Start a new measurement window under the given power model.
-    pub fn new(model: PowerModel) -> Self {
-        EnergyMeter {
-            model,
-            start: Instant::now(),
-            busy_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Start a new measurement window with the paper-testbed power model.
-    pub fn with_default_model() -> Self {
-        EnergyMeter::new(PowerModel::default())
-    }
-
-    /// The power model this meter integrates.
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
-    /// Record `duration` of busy (task-executing) time on some core.
-    pub fn record_busy(&self, duration: Duration) {
-        let nanos = duration.as_nanos().min(u64::MAX as u128) as u64;
-        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record busy time expressed in seconds.
-    pub fn record_busy_secs(&self, seconds: f64) {
-        assert!(seconds >= 0.0, "busy time must be non-negative");
-        self.record_busy(Duration::from_secs_f64(seconds));
-    }
-
-    /// Begin a busy interval; the returned guard reports the elapsed time to
-    /// the meter when dropped.
-    pub fn busy_guard(&self) -> BusyGuard<'_> {
-        BusyGuard {
-            meter: self,
-            start: Instant::now(),
-        }
-    }
-
-    /// Total busy core-seconds reported so far.
-    pub fn busy_core_seconds(&self) -> f64 {
-        self.busy_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    /// Elapsed wall-clock time since the meter was created.
-    pub fn wall_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Produce an [`EnergyReading`] for the window `[creation, now]`.
-    pub fn read(&self) -> EnergyReading {
-        let wall = self.wall_seconds();
-        self.read_at(wall)
-    }
-
-    /// Produce a reading for an explicit wall-clock duration (useful when the
-    /// caller measured the makespan independently, e.g. around a barrier).
-    pub fn read_at(&self, wall_seconds: f64) -> EnergyReading {
-        let busy = self.busy_core_seconds();
-        EnergyReading::from_breakdown(
-            wall_seconds,
-            busy,
-            self.model.energy_breakdown(wall_seconds, busy),
-        )
-    }
-}
-
-/// RAII guard that reports a busy interval to its [`EnergyMeter`] on drop.
-#[derive(Debug)]
-pub struct BusyGuard<'a> {
-    meter: &'a EnergyMeter,
-    start: Instant,
-}
-
-impl Drop for BusyGuard<'_> {
-    fn drop(&mut self) {
-        self.meter.record_busy(self.start.elapsed());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model() -> PowerModel {
-        PowerModel {
-            sockets: 1,
-            cores_per_socket: 4,
-            static_watts_per_socket: 10.0,
-            active_watts_per_core: 5.0,
-            idle_watts_per_core: 1.0,
-        }
-    }
-
     #[test]
-    fn busy_time_accumulates() {
-        let meter = EnergyMeter::new(model());
-        meter.record_busy_secs(1.5);
-        meter.record_busy_secs(0.5);
-        assert!((meter.busy_core_seconds() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn read_at_integrates_power_model() {
-        let meter = EnergyMeter::new(model());
-        meter.record_busy_secs(2.0);
-        let reading = meter.read_at(1.0);
-        // static 10 + busy 2*5 + idle 2*1 = 22 J over 1 s.
-        assert!((reading.joules - 22.0).abs() < 1e-9, "{:?}", reading);
-        assert!((reading.average_watts - 22.0).abs() < 1e-9);
-        assert!((reading.busy_core_seconds - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn more_busy_time_means_more_energy() {
-        let light = EnergyMeter::new(model());
-        light.record_busy_secs(0.5);
-        let heavy = EnergyMeter::new(model());
-        heavy.record_busy_secs(3.5);
-        assert!(heavy.read_at(1.0).joules > light.read_at(1.0).joules);
-    }
-
-    #[test]
-    fn busy_guard_reports_nonzero_time() {
-        let meter = EnergyMeter::new(model());
-        {
-            let _guard = meter.busy_guard();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(meter.busy_core_seconds() > 0.0);
-    }
-
-    #[test]
-    fn wall_clock_advances() {
-        let meter = EnergyMeter::new(model());
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(meter.wall_seconds() > 0.0);
-        let r = meter.read();
-        assert!(r.wall_seconds > 0.0);
-        assert!(r.joules > 0.0);
-    }
-
-    #[test]
-    fn zero_wall_reading_has_zero_average_power() {
-        let meter = EnergyMeter::new(model());
-        let r = meter.read_at(0.0);
-        assert_eq!(r.average_watts, 0.0);
-        assert_eq!(r.joules, 0.0);
-    }
-
-    #[test]
-    fn reading_breakdown_sums_to_joules() {
-        let meter = EnergyMeter::new(model());
-        meter.record_busy_secs(2.0);
-        let r = meter.read_at(1.0);
-        assert!((r.breakdown.total() - r.joules).abs() < 1e-12);
-        assert!((r.breakdown.static_joules - 10.0).abs() < 1e-9);
-        assert!((r.breakdown.dynamic_joules - 10.0).abs() < 1e-9);
-        assert!((r.breakdown.idle_joules - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn work_reading_is_all_dynamic() {
-        let r = EnergyReading::from_work_joules(7.5);
-        assert_eq!(r.joules, 7.5);
-        assert_eq!(r.breakdown.dynamic_joules, 7.5);
-        assert_eq!(r.breakdown.static_joules, 0.0);
-        assert_eq!(r.wall_seconds, 0.0);
-        assert_eq!(r.average_watts, 0.0);
-    }
-
-    #[test]
-    fn concurrent_recording_is_summed() {
-        let meter = std::sync::Arc::new(EnergyMeter::new(model()));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = meter.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        m.record_busy(Duration::from_micros(10));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let expected = 4.0 * 100.0 * 10e-6;
-        assert!((meter.busy_core_seconds() - expected).abs() < 1e-9);
+    fn joules_and_average_power_derive_from_the_breakdown() {
+        let breakdown = EnergyBreakdown {
+            static_joules: 10.0,
+            dynamic_joules: 10.0,
+            idle_joules: 2.0,
+            transition_joules: 0.5,
+        };
+        let r = EnergyReading::from_breakdown(2.0, 2.0, breakdown);
+        assert_eq!(r.joules, 22.5);
+        assert_eq!(r.average_watts, 11.25);
+        assert_eq!(r.breakdown, breakdown);
+        let empty = EnergyReading::from_breakdown(0.0, 0.0, EnergyBreakdown::default());
+        assert_eq!((empty.joules, empty.average_watts), (0.0, 0.0));
     }
 }

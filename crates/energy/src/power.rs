@@ -122,9 +122,8 @@ impl PowerModel {
 }
 
 /// Additive decomposition of a modelled energy window into the terms of the
-/// affine model (plus transition costs). Shared by wall-clock metering
-/// ([`crate::EnergyMeter`]), the runtime's per-worker DVFS accounting, and
-/// reports built from either.
+/// affine model (plus transition costs): the runtime's per-worker DVFS
+/// accounting fills it, and every [`crate::EnergyReading`] carries one.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EnergyBreakdown {
     /// Leakage + uncore energy drawn for the whole window.

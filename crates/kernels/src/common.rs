@@ -130,7 +130,7 @@ impl ExecutionConfig {
         }
     }
 
-    /// Perforated run.
+    /// Loop-perforation run.
     pub fn perforation(workers: usize, degree: Degree) -> Self {
         ExecutionConfig {
             workers,

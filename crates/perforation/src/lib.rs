@@ -7,9 +7,9 @@
 //! (Section 4.1), so the perforation *rate* is always derived from the same
 //! ratio knob the significance runtime uses.
 //!
-//! This crate provides the iteration-selection machinery as reusable
-//! combinators; the per-benchmark perforated drivers live next to each kernel
-//! in `sig-kernels`.
+//! This crate picks which iterations a perforated loop keeps; the
+//! per-benchmark perforated drivers live next to each kernel in
+//! `sig-kernels`.
 
 #![warn(missing_docs)]
 
@@ -35,25 +35,6 @@ impl PerforationRate {
             "keep fraction must be in [0.0, 1.0], got {keep}"
         );
         PerforationRate { keep }
-    }
-
-    /// Drop the given fraction of iterations.
-    pub fn drop_fraction(drop: f64) -> Self {
-        assert!(
-            drop.is_finite() && (0.0..=1.0).contains(&drop),
-            "drop fraction must be in [0.0, 1.0], got {drop}"
-        );
-        PerforationRate { keep: 1.0 - drop }
-    }
-
-    /// The kept fraction.
-    pub fn kept_fraction(self) -> f64 {
-        self.keep
-    }
-
-    /// The dropped fraction.
-    pub fn dropped_fraction(self) -> f64 {
-        1.0 - self.keep
     }
 
     /// How many of `n` iterations are kept (rounded to nearest, clamped so
@@ -113,79 +94,9 @@ pub fn kept_indices_random(n: usize, rate: PerforationRate, seed: u64) -> Vec<us
     selected
 }
 
-/// Run `body` for the kept subset of `0..n`, skipping perforated iterations.
-/// Returns the number of iterations actually executed.
-pub fn perforated_for(n: usize, rate: PerforationRate, mut body: impl FnMut(usize)) -> usize {
-    let kept = kept_indices(n, rate);
-    for &i in &kept {
-        body(i);
-    }
-    kept.len()
-}
-
-/// Extension trait adding `.perforate(rate)` to iterators: keeps an evenly
-/// spread subset of the items.
-pub trait Perforate: Iterator + Sized {
-    /// Keep roughly `rate.kept_fraction()` of the items, evenly spread.
-    fn perforate(self, rate: PerforationRate) -> PerforatedIter<Self> {
-        PerforatedIter {
-            inner: self,
-            rate,
-            index: 0,
-            emitted: 0,
-        }
-    }
-}
-
-impl<I: Iterator> Perforate for I {}
-
-/// Iterator adaptor produced by [`Perforate::perforate`].
-#[derive(Debug)]
-pub struct PerforatedIter<I> {
-    inner: I,
-    rate: PerforationRate,
-    index: usize,
-    emitted: usize,
-}
-
-impl<I: Iterator> Iterator for PerforatedIter<I> {
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let item = self.inner.next()?;
-            let index = self.index;
-            self.index += 1;
-            // Emit the item when doing so keeps the running kept-fraction at
-            // or below the target — this reproduces the evenly-spread
-            // selection without knowing the loop length in advance.
-            let target = self.rate.kept_fraction();
-            if target >= 1.0 {
-                self.emitted += 1;
-                return Some(item);
-            }
-            if target <= 0.0 {
-                continue;
-            }
-            let would_be = (self.emitted + 1) as f64;
-            if would_be <= target * (index + 1) as f64 + f64::EPSILON {
-                self.emitted += 1;
-                return Some(item);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rate_constructors() {
-        assert_eq!(PerforationRate::keep(0.3).kept_fraction(), 0.3);
-        assert!((PerforationRate::drop_fraction(0.3).kept_fraction() - 0.7).abs() < 1e-12);
-        assert!((PerforationRate::keep(0.25).dropped_fraction() - 0.75).abs() < 1e-12);
-    }
 
     #[test]
     #[should_panic(expected = "keep fraction")]
@@ -234,29 +145,6 @@ mod tests {
         let mut deduped = a.clone();
         deduped.dedup();
         assert_eq!(deduped.len(), a.len(), "indices must be distinct");
-    }
-
-    #[test]
-    fn perforated_for_executes_kept_subset() {
-        let mut executed = Vec::new();
-        let count = perforated_for(10, PerforationRate::keep(0.5), |i| executed.push(i));
-        assert_eq!(count, 5);
-        assert_eq!(executed.len(), 5);
-        assert!(executed.iter().all(|&i| i < 10));
-    }
-
-    #[test]
-    fn iterator_adaptor_keeps_expected_fraction() {
-        let kept: Vec<i32> = (0..100).perforate(PerforationRate::keep(0.3)).collect();
-        assert!(
-            (28..=32).contains(&kept.len()),
-            "kept {} items, expected ~30",
-            kept.len()
-        );
-        let all: Vec<i32> = (0..10).perforate(PerforationRate::keep(1.0)).collect();
-        assert_eq!(all.len(), 10);
-        let none: Vec<i32> = (0..10).perforate(PerforationRate::keep(0.0)).collect();
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -1,53 +1,17 @@
-//! Open-loop load generation: seeded arrival schedules.
+//! Open-loop load generation: a seeded Poisson arrival schedule.
 //!
 //! Open-loop means arrivals do **not** wait for completions — the schedule
-//! is fixed up front (as in trace-driven FaaS harnesses), so overload is
-//! expressible: at 2× capacity the generator keeps submitting at 2× capacity
-//! no matter how far behind the server falls. Every pattern is a pure
-//! function of its parameters and a seed, so live runs and the deterministic
-//! simulator replay the identical schedule.
-
-use std::fmt;
-use std::path::Path;
+//! is fixed up front, so overload is expressible: at 2× capacity the
+//! generator keeps submitting at 2× capacity no matter how far behind the
+//! server falls. The schedule is a pure function of the rate and a seed, so
+//! live runs and the deterministic simulator replay the identical schedule.
 
 use crate::rng::SplitMix64;
 
 const NANOS_PER_SEC: f64 = 1e9;
 
-/// Why a recorded trace failed to parse (see
-/// [`ArrivalPattern::from_trace_text`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceParseError {
-    /// A non-comment line was not a `u64` nanosecond offset.
-    BadOffset {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// The offending token.
-        token: String,
-    },
-    /// The trace contained no offsets at all.
-    Empty,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceParseError::BadOffset { line, token } => {
-                write!(
-                    f,
-                    "trace line {line}: {token:?} is not a nanosecond offset (expected \
-                     a non-negative integer)"
-                )
-            }
-            TraceParseError::Empty => write!(f, "trace contains no arrival offsets"),
-        }
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// A seeded arrival process. All variants produce *offsets in nanoseconds
-/// from the start of the run*, sorted ascending.
+/// A seeded arrival process producing *offsets in nanoseconds from the start
+/// of the run*, sorted ascending.
 #[derive(Debug, Clone)]
 pub enum ArrivalPattern {
     /// Memoryless Poisson arrivals at `rate_per_sec`.
@@ -55,149 +19,30 @@ pub enum ArrivalPattern {
         /// Mean arrival rate in requests per second.
         rate_per_sec: f64,
     },
-    /// On/off modulated Poisson: `burst_len_nanos` of `burst_rate_per_sec`
-    /// arrivals at the start of every `period_nanos`, `base_rate_per_sec`
-    /// for the remainder — the diurnal-spike shape open-loop serving
-    /// papers stress.
-    Bursty {
-        /// Arrival rate outside bursts, in requests per second.
-        base_rate_per_sec: f64,
-        /// Arrival rate inside bursts, in requests per second.
-        burst_rate_per_sec: f64,
-        /// Length of the bursty prefix of each period, nanoseconds.
-        burst_len_nanos: u64,
-        /// Modulation period, nanoseconds.
-        period_nanos: u64,
-    },
-    /// Verbatim replay of a recorded trace of arrival offsets (nanoseconds,
-    /// need not be sorted; the schedule sorts them).
-    Trace(Vec<u64>),
 }
 
 impl ArrivalPattern {
-    /// Parse a recorded trace from its text form: one nanosecond offset per
-    /// line (offsets from the start of the run, need not be sorted). Blank
-    /// lines and `#` comments are ignored; `_` separators inside numbers are
-    /// allowed (`1_000_000`). Returns [`ArrivalPattern::Trace`].
-    pub fn from_trace_text(text: &str) -> Result<Self, TraceParseError> {
-        let mut offsets = Vec::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let token: String = line.chars().filter(|&c| c != '_').collect();
-            match token.parse::<u64>() {
-                Ok(offset) => offsets.push(offset),
-                Err(_) => {
-                    return Err(TraceParseError::BadOffset {
-                        line: index + 1,
-                        token: line.to_string(),
-                    })
-                }
-            }
-        }
-        if offsets.is_empty() {
-            return Err(TraceParseError::Empty);
-        }
-        Ok(ArrivalPattern::Trace(offsets))
-    }
-
-    /// Read and parse a trace file (see
-    /// [`ArrivalPattern::from_trace_text`] for the format). I/O errors are
-    /// boxed alongside parse errors so callers report either uniformly.
-    pub fn from_trace_file(path: impl AsRef<Path>) -> Result<Self, Box<dyn std::error::Error>> {
-        let text = std::fs::read_to_string(path.as_ref())?;
-        Ok(Self::from_trace_text(&text)?)
-    }
-
     /// The first `count` arrival offsets of the seeded schedule, in
-    /// nanoseconds, ascending. A `Trace` returns at most its own length.
+    /// nanoseconds, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rate is finite and positive: an infinite rate would
+    /// put every arrival at offset 0.
     pub fn schedule(&self, seed: u64, count: usize) -> Vec<u64> {
+        let ArrivalPattern::Poisson { rate_per_sec } = self;
+        assert!(
+            rate_per_sec.is_finite() && *rate_per_sec > 0.0,
+            "Poisson rate must be finite and positive, got {rate_per_sec}"
+        );
         let mut rng = SplitMix64::new(seed ^ 0xa55a_5aa5_0f0f_f0f0);
-        match self {
-            ArrivalPattern::Poisson { rate_per_sec } => {
-                assert!(*rate_per_sec > 0.0, "Poisson rate must be positive");
-                let mut at = 0.0f64;
-                (0..count)
-                    .map(|_| {
-                        at += rng.next_exp(rate_per_sec / NANOS_PER_SEC);
-                        at as u64
-                    })
-                    .collect()
-            }
-            ArrivalPattern::Bursty {
-                base_rate_per_sec,
-                burst_rate_per_sec,
-                burst_len_nanos,
-                period_nanos,
-            } => {
-                assert!(*base_rate_per_sec > 0.0 && *burst_rate_per_sec > 0.0);
-                assert!(*period_nanos > 0 && burst_len_nanos <= period_nanos);
-                // Piecewise-Poisson via thinning-free segment walking: draw
-                // the next gap at the rate of the current segment; if it
-                // crosses the segment boundary, rescale the remainder at the
-                // next segment's rate (memorylessness makes this exact).
-                let mut schedule = Vec::with_capacity(count);
-                let mut at = 0.0f64;
-                while schedule.len() < count {
-                    let mut gap_units = rng.next_exp(1.0); // unit-rate exponential
-                    loop {
-                        let in_period = at % *period_nanos as f64;
-                        let in_burst = in_period < *burst_len_nanos as f64;
-                        let rate = if in_burst {
-                            burst_rate_per_sec / NANOS_PER_SEC
-                        } else {
-                            base_rate_per_sec / NANOS_PER_SEC
-                        };
-                        let boundary = if in_burst {
-                            *burst_len_nanos as f64 - in_period
-                        } else {
-                            *period_nanos as f64 - in_period
-                        };
-                        let gap = gap_units / rate;
-                        if gap <= boundary {
-                            at += gap;
-                            break;
-                        }
-                        at += boundary;
-                        gap_units -= boundary * rate;
-                    }
-                    schedule.push(at as u64);
-                }
-                schedule
-            }
-            ArrivalPattern::Trace(offsets) => {
-                let mut schedule: Vec<u64> = offsets.iter().copied().take(count).collect();
-                schedule.sort_unstable();
-                schedule
-            }
-        }
-    }
-
-    /// The pattern's long-run mean rate in requests per second (the trace
-    /// variant derives it from its own span).
-    pub fn mean_rate_per_sec(&self) -> f64 {
-        match self {
-            ArrivalPattern::Poisson { rate_per_sec } => *rate_per_sec,
-            ArrivalPattern::Bursty {
-                base_rate_per_sec,
-                burst_rate_per_sec,
-                burst_len_nanos,
-                period_nanos,
-            } => {
-                let burst_fraction = *burst_len_nanos as f64 / *period_nanos as f64;
-                burst_rate_per_sec * burst_fraction + base_rate_per_sec * (1.0 - burst_fraction)
-            }
-            ArrivalPattern::Trace(offsets) => {
-                let span = offsets.iter().max().copied().unwrap_or(0);
-                if span == 0 {
-                    0.0
-                } else {
-                    offsets.len() as f64 / (span as f64 / NANOS_PER_SEC)
-                }
-            }
-        }
+        let mut at = 0.0f64;
+        (0..count)
+            .map(|_| {
+                at += rng.next_exp(rate_per_sec / NANOS_PER_SEC);
+                at as u64
+            })
+            .collect()
     }
 }
 
@@ -224,74 +69,11 @@ mod tests {
     }
 
     #[test]
-    fn bursty_schedule_concentrates_arrivals_in_bursts() {
-        let pattern = ArrivalPattern::Bursty {
-            base_rate_per_sec: 1_000.0,
-            burst_rate_per_sec: 20_000.0,
-            burst_len_nanos: 2_000_000, // 2 ms burst...
-            period_nanos: 10_000_000,   // ...per 10 ms period
-        };
-        let schedule = pattern.schedule(3, 10_000);
-        assert!(schedule.windows(2).all(|w| w[0] <= w[1]));
-        let in_burst = schedule
-            .iter()
-            .filter(|&&at| at % 10_000_000 < 2_000_000)
-            .count();
-        // Expected burst share: (20k·2ms)/(20k·2ms + 1k·8ms) ≈ 83%.
-        let share = in_burst as f64 / schedule.len() as f64;
-        assert!(share > 0.7, "burst share {share} should dominate");
-        let mean = pattern.mean_rate_per_sec();
-        assert!((mean - (20_000.0 * 0.2 + 1_000.0 * 0.8)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn trace_schedule_sorts_and_truncates() {
-        let pattern = ArrivalPattern::Trace(vec![30, 10, 20, 40]);
-        assert_eq!(pattern.schedule(0, 3), vec![10, 20, 30]);
-        assert_eq!(pattern.schedule(9, 10).len(), 4, "seed-independent");
-    }
-
-    #[test]
-    fn trace_text_parses_comments_blanks_and_separators() {
-        let text = "# recorded 2026-08-08\n1_000\n\n250 # early spike\n500\n";
-        let pattern = ArrivalPattern::from_trace_text(text).unwrap();
-        match &pattern {
-            ArrivalPattern::Trace(offsets) => assert_eq!(offsets, &vec![1_000, 250, 500]),
-            other => panic!("expected a trace, got {other:?}"),
+    #[should_panic(expected = "finite and positive")]
+    fn infinite_rate_panics() {
+        ArrivalPattern::Poisson {
+            rate_per_sec: f64::INFINITY,
         }
-        assert_eq!(pattern.schedule(0, 10), vec![250, 500, 1_000]);
-    }
-
-    #[test]
-    fn malformed_trace_reports_line_and_token() {
-        let err = ArrivalPattern::from_trace_text("100\nnot-a-number\n200\n").unwrap_err();
-        assert_eq!(
-            err,
-            TraceParseError::BadOffset {
-                line: 2,
-                token: "not-a-number".into()
-            }
-        );
-        assert!(err.to_string().contains("line 2"), "{err}");
-        let negative = ArrivalPattern::from_trace_text("-5\n").unwrap_err();
-        assert!(matches!(
-            negative,
-            TraceParseError::BadOffset { line: 1, .. }
-        ));
-        assert_eq!(
-            ArrivalPattern::from_trace_text("# only comments\n").unwrap_err(),
-            TraceParseError::Empty
-        );
-    }
-
-    #[test]
-    fn trace_file_round_trips_and_missing_file_errors() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("sig_serving_arrival_trace_test.txt");
-        std::fs::write(&path, "10\n30\n20\n").unwrap();
-        let pattern = ArrivalPattern::from_trace_file(&path).unwrap();
-        assert_eq!(pattern.schedule(0, 10), vec![10, 20, 30]);
-        std::fs::remove_file(&path).unwrap();
-        assert!(ArrivalPattern::from_trace_file(&path).is_err());
+        .schedule(1, 4);
     }
 }

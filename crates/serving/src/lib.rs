@@ -42,7 +42,7 @@ pub mod sim;
 pub mod sketch;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
-pub use arrival::{ArrivalPattern, TraceParseError};
+pub use arrival::ArrivalPattern;
 pub use lifecycle::{
     Attempt, EventQueue, Lifecycle, Request, RequestSlot, RequestTable, RetryVerdict,
 };

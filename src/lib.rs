@@ -14,6 +14,6 @@ pub use sig_quality as quality;
 /// Convenience re-exports for examples and integration tests.
 pub mod prelude {
     pub use sig_core::prelude::*;
-    pub use sig_energy::{EnergyMeter, PowerModel};
+    pub use sig_energy::PowerModel;
     pub use sig_quality::{psnr, relative_error};
 }
