@@ -137,19 +137,45 @@ impl Basis {
         &self.positions[self.layer_start[k]..self.layer_start[k + 1]]
     }
 
-    /// Inverse-transform one block from a dense 64-coefficient array. The
-    /// eight pixels of a row advance together, one lane each (see
-    /// `compute_stripe_layer`): every pixel still adds its 64 terms in
-    /// `(u, v)` order.
+    /// Inverse-transform one block from a dense 64-coefficient array. Each
+    /// pixel adds the terms `scale[u][v]·c·cos_x[u]·cos_y[v]` in `(u, v)`
+    /// order, and the eight pixels of a row advance together, one lane each
+    /// (see `compute_stripe_layer`). The first three factors do not depend
+    /// on the row, so they are multiplied once per block, in the same
+    /// association, not once per row.
+    ///
+    /// Coefficients that are exactly `±0.0` (every coefficient of a layer
+    /// the runtime dropped) are skipped. Their term is a zero, and adding a
+    /// zero leaves a nonzero sum unchanged; it can only change the sign of
+    /// a zero sum. So each sum with the term skipped equals the sum with it
+    /// added, bit for bit unless both are zeros; every later term leaves
+    /// that so, and `+ 128.0` turns either zero into the same `128.0`. No
+    /// output bit moves.
     fn inverse_block(&self, coeffs: &[f64; BLOCK * BLOCK], out: &mut [f64; BLOCK * BLOCK]) {
+        // terms[..n]: for each nonzero coefficient in `(u, v)` order, its
+        // `v` and `scale[u][v]·c·cos_x[u]` for every `x`.
+        let mut terms = [(0usize, [0.0f64; BLOCK]); BLOCK * BLOCK];
+        let mut n = 0;
+        for u in 0..BLOCK {
+            for v in 0..BLOCK {
+                let c = coeffs[v * BLOCK + u];
+                if c == 0.0 {
+                    continue;
+                }
+                let scaled = self.scale[u][v] * c;
+                terms[n].0 = v;
+                for (term, cos_x) in terms[n].1.iter_mut().zip(&self.cos) {
+                    *term = scaled * cos_x[u];
+                }
+                n += 1;
+            }
+        }
         for (cos_y, out_row) in self.cos.iter().zip(out.chunks_exact_mut(BLOCK)) {
             let mut sums = [0.0f64; BLOCK];
-            for u in 0..BLOCK {
-                for v in 0..BLOCK {
-                    let scaled = self.scale[u][v] * coeffs[v * BLOCK + u];
-                    for (sum, cos_x) in sums.iter_mut().zip(&self.cos) {
-                        *sum += scaled * cos_x[u] * cos_y[v];
-                    }
+            for (v, row_terms) in &terms[..n] {
+                let cos_yv = cos_y[*v];
+                for (sum, term) in sums.iter_mut().zip(row_terms) {
+                    *sum += term * cos_yv;
                 }
             }
             for (pixel, sum) in out_row.iter_mut().zip(sums) {
@@ -230,7 +256,17 @@ impl Dct {
         GrayImage::synthetic(self.width, self.height)
     }
 
+    /// # Panics
+    ///
+    /// Panics unless both sides are multiples of 8: a partial block would
+    /// be left out of the transform, and its pixels at `0.0`.
     fn layout(&self) -> CoeffLayout {
+        assert!(
+            self.width.is_multiple_of(BLOCK) && self.height.is_multiple_of(BLOCK),
+            "DCT image sides must be multiples of {BLOCK}, got {}x{}",
+            self.width,
+            self.height
+        );
         CoeffLayout::new(self.width, self.height)
     }
 
@@ -465,7 +501,11 @@ mod tests {
             let by = rng.gen_range(0..blocks_y);
             let bx = rng.gen_range(0..blocks_x);
             let mut coeffs = [0.0f64; BLOCK * BLOCK];
+            // Drop whole layers as GTB does: every layer from a cutoff up
+            // (the least significant), and now and then one below it.
+            let cutoff = rng.gen_range(0..LAYERS + 1);
             for k in 0..LAYERS {
+                let dropped = k >= cutoff || rng.gen_range(0..8usize) == 0;
                 let positions = basis.layer(k);
                 let mut stripe = vec![0.0f64; blocks_x * positions.len()];
                 Dct::compute_stripe_layer(&pixels, width, &basis, by, k, &mut stripe);
@@ -478,9 +518,13 @@ mod tests {
                             reference.to_bits(),
                             "coefficient ({u}, {v})"
                         );
-                        // Zero some coefficients, as dropped layers do.
-                        if block == bx && rng.gen_range(0..4usize) > 0 {
-                            coeffs[v * BLOCK + u] = fast;
+                        // Scatter +0.0 and -0.0 among the kept coefficients.
+                        if block == bx && !dropped {
+                            coeffs[v * BLOCK + u] = match rng.gen_range(0..8usize) {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => fast,
+                            };
                         }
                     }
                 }
@@ -491,6 +535,18 @@ mod tests {
             inverse_block_reference(&coeffs, &mut reference);
             assert_eq!(fast.map(f64::to_bits), reference.map(f64::to_bits));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "multiples of 8")]
+    fn sides_that_are_not_multiples_of_8_are_refused() {
+        // A 100x50 transform would leave a 4-pixel right border and a
+        // 2-pixel bottom border at 0.0.
+        Dct {
+            width: 100,
+            height: 50,
+        }
+        .run_accurate_serial();
     }
 
     #[test]

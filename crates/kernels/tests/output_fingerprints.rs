@@ -24,13 +24,14 @@ use sig_kernels::{Benchmark, Degree, ExecutionConfig};
 
 const WORKERS: usize = 2;
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn fingerprint(values: &[f64]) -> u64 {
-    values
-        .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
-        })
+    fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// The fingerprints of one kernel in a fixed order: serial, full accuracy
@@ -232,4 +233,23 @@ fn fluidanimate_output_is_pinned() {
             0x250c0fadedfdfb97, // Aggressive GTB-Max
         ],
     );
+}
+
+#[test]
+fn synthetic_inputs_at_benchmark_size_are_pinned() {
+    // FNV-1a of the pixel bytes of the Sobel and DCT inputs at the
+    // benchmark's timing sizes, recorded before `GrayImage::synthetic` shared
+    // ring terms between mirrored rows and columns. At these power-of-two
+    // sizes every mirror pair shares; the kernel pins above run far smaller
+    // images.
+    let sobel = Sobel {
+        width: 2048,
+        height: 1024,
+    };
+    let dct = Dct {
+        width: 1024,
+        height: 512,
+    };
+    assert_eq!(fnv1a(sobel.input().into_raw()), 0x773befce11990702);
+    assert_eq!(fnv1a(dct.input().into_raw()), 0x5735c60059b1c0ef);
 }

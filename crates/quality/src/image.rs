@@ -53,32 +53,66 @@ impl GrayImage {
     }
 
     /// Deterministic synthetic test image combining smooth gradients, hard
-    /// edges (a grid of rectangles), and a high-frequency texture region.
+    /// edges (a grid of rectangles), concentric rings and a high-frequency
+    /// texture region.
     ///
     /// The same `(width, height)` always produces the same image, making
-    /// experiments repeatable without shipping binary assets.
+    /// experiments repeatable without shipping binary assets. Every pixel is,
+    /// bit for bit, what the per-pixel formula (this module's
+    /// `synthetic_reference` test) gives: the same expressions, evaluated in
+    /// the same order; only where they are evaluated changes. The terms of one
+    /// coordinate are tabulated once per column and once per row, and the
+    /// ring term `48·|sin(40·r)|`, the one costly term, is evaluated once per
+    /// row for each column class: column `x` reuses column `width − x`'s
+    /// value only when their `(x / width − 0.5)²` are the same bits, and row
+    /// `height − y` reuses row `y`'s whole ring row only when their
+    /// `(y / height − 0.5)²` are. With power-of-two sides `x / width` is
+    /// exact, every pair matches and `sin` runs for a quarter of the pixels;
+    /// at other sides the pairs that do not match compute their own.
     pub fn synthetic(width: usize, height: usize) -> Self {
         let mut img = GrayImage::new(width, height);
-        for y in 0..height {
-            for x in 0..width {
-                let fx = x as f64 / width as f64;
-                let fy = y as f64 / height as f64;
+        let cols = Axis::new(width, 7);
+        let rows = Axis::new(height, 13);
+        let texture: [f64; 17] = std::array::from_fn(|k| 24.0 * (k as f64 / 17.0));
+        let fill = |row: &mut [u8], y: usize, ring: &[f64]| {
+            let (fy, odd_y, phase_y) = (rows.f[y], rows.odd[y], rows.phase[y]);
+            for (x, pixel) in row.iter_mut().enumerate() {
+                let fx = cols.f[x];
                 // Smooth diagonal gradient.
                 let mut v = 96.0 * (fx + fy) / 2.0;
                 // Rectangular grid: hard edges every 1/8 of the image.
-                if (x / (width / 8).max(1)) % 2 == (y / (height / 8).max(1)) % 2 {
+                if cols.odd[x] == odd_y {
                     v += 64.0;
                 }
                 // Concentric rings for curved edges.
-                let cx = fx - 0.5;
-                let cy = fy - 0.5;
-                let r = (cx * cx + cy * cy).sqrt();
-                v += 48.0 * (r * 40.0).sin().abs();
-                // High-frequency texture in the lower-right quadrant.
+                v += ring[x];
+                // High-frequency texture in the lower-right quadrant:
+                // `(7x + 13y) % 17` from the two residues, each below 17.
                 if fx > 0.5 && fy > 0.5 {
-                    v += 24.0 * (((x * 7 + y * 13) % 17) as f64 / 17.0);
+                    let phase = cols.phase[x] + phase_y;
+                    v += texture[if phase < 17 { phase } else { phase - 17 }];
                 }
-                img.data[y * width + x] = v.clamp(0.0, 255.0) as u8;
+                *pixel = v.clamp(0.0, 255.0) as u8;
+            }
+        };
+        let mut ring = vec![0.0f64; width];
+        for y in 0..height {
+            if rows.mirror[y] != y {
+                continue; // written with the row it mirrors
+            }
+            for x in 0..width {
+                let m = cols.mirror[x];
+                ring[x] = if m == x {
+                    let r = (cols.sq[x] + rows.sq[y]).sqrt();
+                    48.0 * (r * 40.0).sin().abs()
+                } else {
+                    ring[m]
+                };
+            }
+            fill(&mut img.data[y * width..][..width], y, &ring);
+            let twin = height - y;
+            if twin < height && twin != y && rows.mirror[twin] == y {
+                fill(&mut img.data[twin * width..][..width], twin, &ring);
             }
         }
         img
@@ -181,6 +215,53 @@ impl GrayImage {
     }
 }
 
+/// The terms of `GrayImage::synthetic` that depend on one coordinate `i` of
+/// an axis of length `n`.
+struct Axis {
+    /// `i / n`.
+    f: Vec<f64>,
+    /// `(i / n − 0.5)²`.
+    sq: Vec<f64>,
+    /// Whether `i` falls in an odd cell of the 8×8 checker grid.
+    odd: Vec<bool>,
+    /// `(step · i) % 17`, the axis's share of the texture phase.
+    phase: Vec<usize>,
+    /// The coordinate whose ring terms `i` reuses: `n − i` when it comes
+    /// first and its `sq` is the same bits, else `i` itself.
+    mirror: Vec<usize>,
+}
+
+impl Axis {
+    fn new(n: usize, step: usize) -> Self {
+        let cell = (n / 8).max(1);
+        let f: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+        let sq: Vec<f64> = f
+            .iter()
+            .map(|&f| {
+                let c = f - 0.5;
+                c * c
+            })
+            .collect();
+        let mirror = (0..n)
+            .map(|i| {
+                let m = n - i;
+                if m < i && sq[m].to_bits() == sq[i].to_bits() {
+                    m
+                } else {
+                    i
+                }
+            })
+            .collect();
+        Axis {
+            odd: (0..n).map(|i| (i / cell) % 2 == 1).collect(),
+            phase: (0..n).map(|i| (i * step) % 17).collect(),
+            f,
+            sq,
+            mirror,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +300,80 @@ mod tests {
         img.set(3, 5, 200);
         assert_eq!(img.get(3, 5), 200);
         assert_eq!(img.pixels()[5 * 8 + 3], 200);
+    }
+
+    /// `synthetic` as first written: every term evaluated per pixel.
+    fn synthetic_reference(width: usize, height: usize) -> GrayImage {
+        let mut img = GrayImage::new(width, height);
+        for y in 0..height {
+            for x in 0..width {
+                let fx = x as f64 / width as f64;
+                let fy = y as f64 / height as f64;
+                let mut v = 96.0 * (fx + fy) / 2.0;
+                if (x / (width / 8).max(1)) % 2 == (y / (height / 8).max(1)) % 2 {
+                    v += 64.0;
+                }
+                let cx = fx - 0.5;
+                let cy = fy - 0.5;
+                let r = (cx * cx + cy * cy).sqrt();
+                v += 48.0 * (r * 40.0).sin().abs();
+                if fx > 0.5 && fy > 0.5 {
+                    v += 24.0 * (((x * 7 + y * 13) % 17) as f64 / 17.0);
+                }
+                img.data[y * width + x] = v.clamp(0.0, 255.0) as u8;
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn synthetic_matches_the_per_pixel_formula_bit_for_bit() {
+        // Single rows and columns, sides below the checker's 8 (cell 1),
+        // powers of two, where every mirror pair shares its ring term, and
+        // other sides, where only some pairs have equal squares and the rest
+        // compute their own (2047×1023: 639 of 1023 column pairs, 299 of 511
+        // row pairs).
+        for (width, height) in [
+            (1, 1),
+            (1, 9),
+            (9, 1),
+            (7, 7),
+            (8, 8),
+            (96, 64),
+            (100, 37),
+            (333, 777),
+            (2047, 1023),
+        ] {
+            assert!(
+                GrayImage::synthetic(width, height) == synthetic_reference(width, height),
+                "{width}x{height}"
+            );
+        }
+    }
+
+    #[test]
+    fn mirrored_coordinates_share_only_equal_squares() {
+        // A ring term off by an ulp almost never moves a u8 pixel, so the
+        // image comparison above cannot see a mirror whose square differs:
+        // check the tables themselves.
+        for n in [
+            1, 7, 8, 9, 37, 64, 96, 100, 333, 777, 1023, 1024, 2047, 2048,
+        ] {
+            let axis = Axis::new(n, 7);
+            let mut shared = 0;
+            for i in 0..n {
+                let c = i as f64 / n as f64 - 0.5;
+                assert_eq!(axis.sq[i].to_bits(), (c * c).to_bits());
+                let m = axis.mirror[i];
+                assert!(m == i || (m == n - i && m < i), "n {n}, i {i}");
+                assert_eq!(axis.sq[m].to_bits(), axis.sq[i].to_bits(), "n {n}, i {i}");
+                shared += usize::from(m != i);
+            }
+            if n.is_power_of_two() {
+                // Every coordinate past the middle shares with its mirror.
+                assert_eq!(shared, (n - 1) / 2, "n {n}");
+            }
+        }
     }
 
     #[test]
