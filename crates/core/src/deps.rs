@@ -89,6 +89,27 @@
 //! of a sealed epoch are not let go of but *moved* into the predecessor
 //! list. Keys themselves are never forgotten: a `KeyCell` lives as long as
 //! the tracker.
+//!
+//! # Why memory comes back three ways
+//!
+//! The core reclaims memory by shard **pin counts** here, by **`Arc`
+//! uniqueness** for task records, and by the **`HuskPool` hand-back**
+//! (`runtime.rs`); the worker queues add no fourth scheme, since a mailbox
+//! links records that already carry a counted reference. They answer
+//! different questions and cannot merge. A pin makes a pointer *loaded
+//! from an `AtomicPtr`* safe to dereference: a reference count cannot,
+//! because the count could drop to zero between the load and the increment,
+//! and the read fast path would pay a contended increment per registration.
+//! Task records need counts instead of pins: successor lists, epochs,
+//! queues and `SpawnHandle`s hold them for as long as a task lives, and a
+//! pin held that long would stall every shard's reclamation; recycling also
+//! needs to *know* the record is unshared, which `Arc::get_mut` proves and
+//! a grace period does not. The hand-back is not a safety argument at all:
+//! once a record is provably unshared it decides whether the record is kept
+//! for the next spawn or freed, and frees every husk when a barrier finds
+//! the runtime idle, so retention stays bounded. Folding it into either of
+//! the other two would free records late (at a shard's next registration)
+//! or never recycle them.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

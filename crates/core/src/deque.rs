@@ -10,7 +10,7 @@
 //! The seed implementation used a `Mutex<VecDeque>` per worker; the paper's
 //! whole pitch, however, is *low per-task overhead* (Figure 4 measures it
 //! against OpenMP), and fine-grained tasks hammer these queues. Each worker
-//! therefore now owns three lock-free structures:
+//! therefore owns two lock-free structures:
 //!
 //! * a [`StealQueue`] — a Chase–Lev-style growable ring buffer. Only the
 //!   owning worker pushes (single producer, plain store + release publish,
@@ -21,43 +21,42 @@
 //!   half the victim's run, the thief keeps the oldest task and appends the
 //!   rest to its **own** deque — a flood injected on one worker spreads in
 //!   O(log n) steal operations instead of one steal per task.
-//! * an [`Inbox`] — a bounded Vyukov-style MPMC ring used by threads that do
-//!   not own the queue: the master distributing spawned tasks round-robin,
-//!   and workers releasing dependence successors to siblings. Thieves may
-//!   also pop a victim's inbox (again in steal-half batches) so
-//!   distributed-but-unstarted work is always stealable.
-//! * a [`SpillQueue`] — an **unbounded lock-free MPSC list** (Vyukov's
-//!   intrusive queue) behind the inbox. The seed grew a `Mutex<VecDeque>`
-//!   here, which made inbox overflow the one remaining lock on the external
-//!   enqueue path; the MPSC list keeps even worst-case floods mutex-free.
-//!   A non-blocking consumer token picks its (single) consumer: normally
-//!   the owning worker, refilling its stealable deque in chunks — but a
-//!   thief may claim the token too, so spilled work is never stranded
-//!   behind a blocked owner.
+//! * a [`Mailbox`] — an intrusive lock-free list in the style of Linux's
+//!   `llist`, through which every thread that does not own the queue
+//!   delivers work: the master distributing spawned tasks round-robin, and
+//!   workers releasing dependence successors to siblings. The task record
+//!   carries the link (`Task::mail_next`), so a delivery is one CAS and
+//!   never allocates, however far a spawner outruns its worker. A taker —
+//!   the owner, or a thief rescuing a busy or blocked worker's mail — swaps
+//!   the whole list out at once and reverses it, oldest first. Since no
+//!   consumer ever unlinks a single record, the pushers' CAS has no ABA
+//!   hazard: a record that was taken, run, recycled and delivered again is
+//!   simply the list's new head once more. The taker moves a bounded run
+//!   onto its stealable deque and parks the rest on its own `ready` chain,
+//!   which any thief may swap out whole.
 //!
 //! Memory reclamation needs no epoch machinery: steal-queue buffers retired
-//! by growth are kept until the queue drops (growth doubles, so retired
-//! buffers total less than the live one), inbox slots hand ownership over
-//! with a per-slot sequence number, and spill nodes are freed by their
-//! single consumer.
+//! by growth are kept until the queue drops (growth at least doubles, so
+//! retired buffers total less than the live one), and a mailbox owns
+//! nothing but the references it links — the records themselves.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::task::Task;
 
 const INITIAL_DEQUE_CAPACITY: usize = 64;
-const INBOX_CAPACITY: usize = 1024;
 /// Consecutive tasks a batched external push places on one worker before
 /// moving to the next (sticky round-robin: locality within the chunk,
 /// spread across the batch).
 const BATCH_CHUNK: usize = 32;
 /// Upper bound on tasks claimed by one steal-half operation.
 const STEAL_BATCH_MAX: usize = 32;
-/// Spilled tasks the owner moves into its stealable deque per refill.
-const SPILL_REFILL: usize = 64;
+/// Records a mailbox take moves onto the taker's stealable deque besides
+/// the one it returns; the rest wait on the taker's `ready` chain, so a
+/// long backlog does not grow the deque's ring.
+const MAIL_REFILL: usize = 64;
 
 /// Growable power-of-two ring of task pointers.
 struct Buffer {
@@ -127,7 +126,7 @@ impl StealQueue {
         // SAFETY: `buffer` is a live allocation: only the owner (this thread)
         // replaces it, and replaced buffers stay allocated until drop.
         if bottom - top >= unsafe { (*buffer).capacity() } {
-            buffer = self.grow(top, bottom);
+            buffer = self.grow(top, bottom, 1);
         }
         let raw = Arc::into_raw(task) as *mut Task;
         unsafe { (*buffer).at(bottom).store(raw, Ordering::Relaxed) };
@@ -142,9 +141,9 @@ impl StealQueue {
     /// at once, so a flood becomes stealable in steal-half chunks instead
     /// of rippling out one publish at a time.
     ///
-    /// The iterator's `len()` may be an upper bound (the pop-adapters below
-    /// shrink under racing consumers): capacity is sized for the bound, but
-    /// only the slots actually written are published.
+    /// The iterator's `len()` may be an upper bound (a mailbox chain does
+    /// not know its length): capacity is sized for the bound, but only the
+    /// slots actually written are published.
     pub(crate) fn push_batch(&self, tasks: impl ExactSizeIterator<Item = Arc<Task>>) {
         let n = tasks.len() as u64;
         if n == 0 {
@@ -154,8 +153,8 @@ impl StealQueue {
         let top = self.top.load(Ordering::Acquire);
         let mut buffer = self.buffer.load(Ordering::Relaxed);
         // SAFETY: live allocation, owner thread (see `push`).
-        while bottom - top + n > unsafe { (*buffer).capacity() } {
-            buffer = self.grow(top, bottom);
+        if bottom - top + n > unsafe { (*buffer).capacity() } {
+            buffer = self.grow(top, bottom, n);
         }
         let mut written = 0u64;
         for task in tasks {
@@ -255,11 +254,31 @@ impl StealQueue {
         bottom.saturating_sub(top) as usize
     }
 
-    /// Owner-only: replace the ring with one of twice the capacity.
-    fn grow(&self, top: u64, bottom: u64) -> *mut Buffer {
+    /// Ring capacity and the number of retired buffers.
+    #[cfg(test)]
+    fn capacity_and_retired(&self) -> (u64, usize) {
+        // SAFETY: test thread as owner; the buffer is live.
+        unsafe {
+            (
+                (*self.buffer.load(Ordering::Relaxed)).capacity(),
+                (*self.retired.get()).len(),
+            )
+        }
+    }
+
+    /// Owner-only: replace the ring with one that holds the `bottom - top`
+    /// queued tasks plus `extra` more — at least twice the old capacity, so
+    /// the retired buffers stay smaller than the live one, and never more
+    /// than one replacement per push, so a large batch retires one buffer,
+    /// not one per doubling.
+    fn grow(&self, top: u64, bottom: u64, extra: u64) -> *mut Buffer {
         let old = self.buffer.load(Ordering::Relaxed);
         // SAFETY: live allocation, owner thread.
-        let new = Box::new(Buffer::new((unsafe { (*old).capacity() } * 2) as usize));
+        let old_capacity = unsafe { (*old).capacity() };
+        let capacity = (bottom - top + extra)
+            .next_power_of_two()
+            .max(old_capacity * 2);
+        let new = Box::new(Buffer::new(capacity as usize));
         for index in top..bottom {
             let value = unsafe { (*old).at(index).load(Ordering::Relaxed) };
             new.at(index).store(value, Ordering::Relaxed);
@@ -287,506 +306,291 @@ impl Drop for StealQueue {
     }
 }
 
-/// One slot of the [`Inbox`]: a sequence number plus the task pointer.
-struct InboxSlot {
-    sequence: AtomicU64,
-    value: UnsafeCell<MaybeUninit<*const Task>>,
+/// A privately held chain of records linked oldest first through
+/// `Task::mail_next`, one reference per record. Iterating hands over at
+/// most `left` references; `head` is then the untouched rest.
+struct Chain {
+    head: *mut Task,
+    left: usize,
 }
 
-/// Bounded MPMC ring (Vyukov's algorithm): lock-free pushes from any thread,
-/// lock-free pops from any thread, per-slot sequence numbers carrying
-/// ownership. A full inbox rejects the push — the caller falls back (owner
-/// deque or the spill list), so producers never block the hot path.
-pub(crate) struct Inbox {
-    slots: Box<[InboxSlot]>,
-    mask: u64,
-    /// Next position to claim for a push.
-    enqueue: AtomicU64,
-    /// Next position to claim for a pop.
-    dequeue: AtomicU64,
-}
-
-// SAFETY: slot values are only accessed by the thread that claimed the slot
-// via the corresponding CAS, with the sequence number store/load pair
-// ordering the handover.
-unsafe impl Send for Inbox {}
-unsafe impl Sync for Inbox {}
-
-impl Inbox {
-    pub(crate) fn new() -> Inbox {
-        Inbox::with_capacity(INBOX_CAPACITY)
-    }
-
-    fn with_capacity(capacity: usize) -> Inbox {
-        debug_assert!(capacity.is_power_of_two());
-        Inbox {
-            slots: (0..capacity)
-                .map(|index| InboxSlot {
-                    sequence: AtomicU64::new(index as u64),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-            mask: capacity as u64 - 1,
-            enqueue: AtomicU64::new(0),
-            dequeue: AtomicU64::new(0),
-        }
-    }
-
-    /// Push from any thread. Returns the task back if the inbox is full.
-    pub(crate) fn push(&self, task: Arc<Task>) -> Result<(), Arc<Task>> {
-        loop {
-            let position = self.enqueue.load(Ordering::Relaxed);
-            let slot = &self.slots[(position & self.mask) as usize];
-            let sequence = slot.sequence.load(Ordering::Acquire);
-            if sequence == position {
-                // SeqCst success ordering: `is_empty` (the pre-park
-                // work re-check) reads this cursor, so the advance must be
-                // in the SC order with the sleep-flag protocol.
-                if self
-                    .enqueue
-                    .compare_exchange_weak(
-                        position,
-                        position + 1,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    // SAFETY: the CAS gave this thread exclusive write access
-                    // to the slot until the sequence store below.
-                    unsafe { (*slot.value.get()).write(Arc::into_raw(task)) };
-                    slot.sequence.store(position + 1, Ordering::SeqCst);
-                    return Ok(());
-                }
-            } else if sequence < position {
-                return Err(task); // full: a lap behind
-            }
-            // Another producer claimed this slot first; retry at the new tail.
-        }
-    }
-
-    /// Pop from any thread (the owning worker or a thief).
-    pub(crate) fn pop(&self) -> Option<Arc<Task>> {
-        loop {
-            let position = self.dequeue.load(Ordering::Relaxed);
-            let slot = &self.slots[(position & self.mask) as usize];
-            let sequence = slot.sequence.load(Ordering::Acquire);
-            if sequence == position + 1 {
-                if self
-                    .dequeue
-                    .compare_exchange_weak(
-                        position,
-                        position + 1,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    // SAFETY: the CAS gave this thread exclusive read access;
-                    // the producer's sequence store published the write.
-                    let raw = unsafe { (*slot.value.get()).assume_init() };
-                    slot.sequence
-                        .store(position + self.mask + 1, Ordering::Release);
-                    // SAFETY: ownership of the reference moves to the caller.
-                    return Some(unsafe { Arc::from_raw(raw) });
-                }
-            } else if sequence <= position {
-                return None; // empty (or a producer is mid-publish)
-            }
-            // Another consumer claimed this slot first; retry at the new head.
-        }
-    }
-
-    /// Steal-half over the inbox: pop the oldest task for the thief and move
-    /// up to half of the remaining entries (capped at `max - 1`) into the
-    /// thief's own deque. Each transfer is one MPMC pop — the batch here
-    /// amortises the *victim scan*, not the pop CAS.
-    pub(crate) fn steal_half_into(&self, dest: &StealQueue, max: usize) -> Option<Arc<Task>> {
-        let first = self.pop()?;
-        let extra = (self.len() / 2).min(max.saturating_sub(1));
-        dest.push_batch(ExtraPops {
-            inbox: self,
-            remaining: extra,
-        });
-        Some(first)
-    }
-
-    /// Racy emptiness check for the sleep path. May briefly report non-empty
-    /// for a push still being published — the worker then simply re-loops.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.dequeue.load(Ordering::SeqCst) >= self.enqueue.load(Ordering::SeqCst)
-    }
-
-    /// Number of queued tasks (racy; for stats and tests).
-    pub(crate) fn len(&self) -> usize {
-        let enqueue = self.enqueue.load(Ordering::SeqCst);
-        let dequeue = self.dequeue.load(Ordering::SeqCst);
-        enqueue.saturating_sub(dequeue) as usize
-    }
-}
-
-/// Adapter streaming up to `remaining` pops of an inbox into
-/// [`StealQueue::push_batch`] without an intermediate allocation.
-struct ExtraPops<'a> {
-    inbox: &'a Inbox,
-    remaining: usize,
-}
-
-impl Iterator for ExtraPops<'_> {
-    type Item = Arc<Task>;
-
-    fn next(&mut self) -> Option<Arc<Task>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        match self.inbox.pop() {
-            Some(task) => Some(task),
-            None => {
-                self.remaining = 0;
-                None
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for ExtraPops<'_> {
-    fn len(&self) -> usize {
-        // An upper bound: `push_batch` only uses it for capacity sizing and
-        // publishes exactly the yielded count.
-        self.remaining
-    }
-}
-
-impl Drop for Inbox {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-/// One node of the [`SpillQueue`] (intrusive singly-linked list).
-struct SpillNode {
-    /// `None` only in the stub node.
-    task: Option<Arc<Task>>,
-    next: AtomicPtr<SpillNode>,
-}
-
-/// Unbounded lock-free MPSC overflow list (Vyukov's intrusive queue):
-/// producers exchange the head pointer and link; a **single consumer at a
-/// time** follows `next` links from the tail stub. Replaces the seed's
-/// `Mutex<VecDeque>` spill — the last mutex on the external enqueue path —
-/// so even a flood that laps the bounded inbox keeps producers lock-free.
-///
-/// The consumer side is guarded by a non-blocking **consumer token** (one
-/// CAS): normally the owning worker holds it, but a *thief* may claim it
-/// too when the owner is busy — without this, tasks spilled to a worker
-/// that then blocks (e.g. in a nested `taskwait` inside a task body) would
-/// be unreachable by the rest of the pool, stalling or deadlocking the
-/// runtime. A contended claim simply fails and the caller moves on; nobody
-/// ever blocks on the token.
-///
-/// A push is visible in two steps (head exchange, then the link store); a
-/// pop that runs between them observes an empty `next` and returns `None`
-/// even though `len` is already positive. Callers treat that as "try again
-/// shortly" — the producer is wait-free between the two steps, so the gap
-/// closes without blocking anyone.
-pub(crate) struct SpillQueue {
-    /// Most recently pushed node; producers XCHG here.
-    head: AtomicPtr<SpillNode>,
-    /// Oldest node (a consumed stub); advanced only by the token holder.
-    tail: UnsafeCell<*mut SpillNode>,
-    /// Racy occupancy count, maintained SeqCst for the sleep-flag Dekker
-    /// pairing (incremented *before* the node is linked, so a worker that
-    /// announced sleep either sees the count or the producer sees the flag).
-    len: AtomicUsize,
-    /// Consumer token: `true` while some thread is popping.
-    consuming: AtomicBool,
-}
-
-// SAFETY: `tail` is touched only while holding the consumer token (or in
-// `Drop`, with exclusive access); `head`/`len` are atomic, and node handover
-// follows the XCHG/link protocol documented on the type.
-unsafe impl Send for SpillQueue {}
-unsafe impl Sync for SpillQueue {}
-
-impl SpillQueue {
-    fn new() -> SpillQueue {
-        let stub = Box::into_raw(Box::new(SpillNode {
-            task: None,
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        SpillQueue {
-            head: AtomicPtr::new(stub),
-            tail: UnsafeCell::new(stub),
-            len: AtomicUsize::new(0),
-            consuming: AtomicBool::new(false),
-        }
-    }
-
-    /// Push from any thread. Lock-free (one XCHG + one store), never fails.
-    pub(crate) fn push(&self, task: Arc<Task>) {
-        let node = Box::into_raw(Box::new(SpillNode {
-            task: Some(task),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        self.splice(node, node, 1);
-    }
-
-    /// Push a whole batch with **one** XCHG on the contended head pointer:
-    /// the nodes are chained privately first, then the chain is spliced in.
-    /// This is the overflow half of amortised batch injection — a spilled
-    /// chunk costs one contended atomic instead of one per task.
-    pub(crate) fn push_batch(&self, tasks: impl Iterator<Item = Arc<Task>>) {
-        let mut first: *mut SpillNode = std::ptr::null_mut();
-        let mut last: *mut SpillNode = std::ptr::null_mut();
-        let mut count = 0usize;
-        for task in tasks {
-            let node = Box::into_raw(Box::new(SpillNode {
-                task: Some(task),
-                next: AtomicPtr::new(std::ptr::null_mut()),
-            }));
-            if first.is_null() {
-                first = node;
-            } else {
-                // SAFETY: `last` is part of the still-private chain.
-                // Relaxed: the chain is published as a whole by the release
-                // link store in `splice`.
-                unsafe { (*last).next.store(node, Ordering::Relaxed) };
-            }
-            last = node;
-            count += 1;
-        }
-        if count > 0 {
-            self.splice(first, last, count);
-        }
-    }
-
-    /// Link a privately built FIFO chain `first..=last` of `count` nodes
-    /// into the queue.
-    fn splice(&self, first: *mut SpillNode, last: *mut SpillNode, count: usize) {
-        // Count first: the sleep-path re-check must not miss a task whose
-        // producer already committed to pushing (see the `len` docs).
-        self.len.fetch_add(count, Ordering::SeqCst);
-        let prev = self.head.swap(last, Ordering::AcqRel);
-        // SAFETY: `prev` is either the stub or a pushed node; nodes are only
-        // freed by the consumer *after* following this `next` link.
-        unsafe { (*prev).next.store(first, Ordering::Release) };
-    }
-
-    /// Claim the consumer token and pop the oldest task. `None` means the
-    /// queue is empty, a producer is between its XCHG and its link store,
-    /// *or* another thread currently holds the token (see the type docs).
-    /// The scheduler drains spills via [`SpillQueue::steal_half_into`];
-    /// kept (and tested) as the single-pop form of the same protocol.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pop(&self) -> Option<Arc<Task>> {
-        if self.consuming.swap(true, Ordering::Acquire) {
-            return None;
-        }
-        // SAFETY: the token was claimed above.
-        let task = unsafe { self.pop_as_consumer() };
-        self.consuming.store(false, Ordering::Release);
-        task
-    }
-
-    /// Claim the consumer token once and drain up to `max` tasks into
-    /// `dest` (the caller's own deque), returning the oldest. Used by the
-    /// owner's refill and by thieves rescuing a stalled worker's spill.
-    pub(crate) fn steal_half_into(&self, dest: &StealQueue, max: usize) -> Option<Arc<Task>> {
-        if self.len() == 0 || self.consuming.swap(true, Ordering::Acquire) {
-            return None;
-        }
-        // SAFETY (both calls): the token was claimed above and is held for
-        // the whole drain.
-        let first = unsafe { self.pop_as_consumer() };
-        if first.is_some() {
-            let extra = (self.len() / 2).min(max.saturating_sub(1));
-            dest.push_batch(ExtraConsumerPops {
-                spill: self,
-                remaining: extra,
-            });
-        }
-        self.consuming.store(false, Ordering::Release);
-        first
-    }
-
-    /// Pop the oldest task.
+impl Chain {
+    /// A chain from `head` on, yielding at most `left` records.
     ///
     /// # Safety
     ///
-    /// The caller must hold the consumer token (or otherwise have exclusive
-    /// consumer access, as in `Drop`).
-    unsafe fn pop_as_consumer(&self) -> Option<Arc<Task>> {
-        let tail = *self.tail.get();
-        let next = (*tail).next.load(Ordering::Acquire);
-        if next.is_null() {
-            return None;
-        }
-        let task = (*next).task.take();
-        *self.tail.get() = next;
-        drop(Box::from_raw(tail));
-        self.len.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(task.is_some(), "non-stub spill node carries a task");
-        task
-    }
-
-    /// Racy occupancy count (SeqCst, for the sleep protocol and stats).
-    pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+    /// `head` is null or starts a `mail_next` chain that ends in null, and
+    /// the caller hands the chain one reference to each of its records,
+    /// whose links nobody else touches while the chain holds them.
+    unsafe fn new(head: *mut Task, left: usize) -> Chain {
+        Chain { head, left }
     }
 }
 
-/// Adapter streaming up to `remaining` spill pops into
-/// [`StealQueue::push_batch`]. Constructed only while the spill's consumer
-/// token is held, for the adapter's whole lifetime.
-struct ExtraConsumerPops<'a> {
-    spill: &'a SpillQueue,
-    remaining: usize,
-}
-
-impl Iterator for ExtraConsumerPops<'_> {
+impl Iterator for Chain {
     type Item = Arc<Task>;
 
     fn next(&mut self) -> Option<Arc<Task>> {
-        if self.remaining == 0 {
+        if self.left == 0 || self.head.is_null() {
             return None;
         }
-        self.remaining -= 1;
-        // SAFETY: the constructor's caller holds the consumer token.
-        match unsafe { self.spill.pop_as_consumer() } {
-            Some(task) => Some(task),
-            None => {
-                self.remaining = 0;
-                None
-            }
+        let raw = self.head;
+        self.left -= 1;
+        // SAFETY: the chain holds a reference to every record on it (see
+        // `Chain::new`), so `raw` is live. Its link is read before that
+        // reference is handed over, after which the record may run and be
+        // delivered again.
+        unsafe {
+            self.head = (*raw).mail_next.load(Ordering::Relaxed);
+            Some(Arc::from_raw(raw))
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
+        (0, Some(self.left))
     }
 }
 
-impl ExactSizeIterator for ExtraConsumerPops<'_> {
+impl ExactSizeIterator for Chain {
     fn len(&self) -> usize {
-        self.remaining
+        // An upper bound: `push_batch` only uses it for capacity sizing and
+        // publishes exactly the yielded count.
+        self.left
     }
 }
 
-impl Drop for SpillQueue {
+/// Reverse a list swapped out of a mailbox (newest first) in place and
+/// return its oldest record.
+///
+/// # Safety
+///
+/// `node` is null or heads a list the caller swapped out of a mailbox with
+/// an acquiring swap, so it holds one reference to every record on it and
+/// sees every pusher's link.
+unsafe fn reverse(mut node: *mut Task) -> *mut Task {
+    let mut reversed = std::ptr::null_mut();
+    while !node.is_null() {
+        // SAFETY: `node` is on the caller's list (see `# Safety`), so the
+        // record is live and its link ours to rewrite.
+        let link = unsafe { &(*node).mail_next };
+        let next = link.load(Ordering::Relaxed);
+        link.store(reversed, Ordering::Relaxed);
+        reversed = node;
+        node = next;
+    }
+    reversed
+}
+
+/// A worker's mail: an intrusive lock-free list in the style of Linux's
+/// `llist` that any thread pushes onto, plus the `ready` chain on which the
+/// worker parks the remainder of a long take.
+///
+/// **Push.** A pusher links its record — or a batch it chained privately —
+/// to the head it read, and CASes the head to its newest record. Nothing is
+/// allocated: the record carries the link.
+///
+/// **Take.** A taker swaps the whole list out and reverses it in place,
+/// oldest first. No thread ever unlinks a single record, so the push CAS
+/// has no ABA hazard: if the head a pusher read was taken, run, recycled
+/// and pushed again in the meantime, it is the head again, and linking to
+/// it is still right.
+///
+/// **Ready.** A take keeps the oldest record, moves up to [`MAIL_REFILL`]
+/// more onto the taker's stealable deque and parks the rest on the taker's
+/// own `ready` slot, which a later take empties first, so one worker runs
+/// its mail in delivery order. Only the owning worker stores a non-null
+/// chain there, and only into an empty slot: it takes mail (its own or a
+/// victim's) only after finding its deque and `ready` empty. Any thread may
+/// swap the whole chain out, so work parked by a worker that then blocks
+/// (in a nested barrier inside a task body) is never stranded.
+struct Mailbox {
+    /// Newest delivered record; each record links to the one delivered
+    /// before it.
+    incoming: AtomicPtr<Task>,
+    /// Records delivered here minus records this worker took off a
+    /// mailbox, its own or a victim's. Only the sum over a [`QueueSet`]
+    /// counts anything: a thief uncounts what it takes in its own mailbox,
+    /// so one mailbox's figure may run negative. Counted before the push
+    /// CAS, uncounted after the take.
+    queued: AtomicIsize,
+    /// Oldest-first remainder of a take (see the type docs).
+    ready: AtomicPtr<Task>,
+}
+
+impl Mailbox {
+    fn new() -> Mailbox {
+        Mailbox {
+            incoming: AtomicPtr::new(std::ptr::null_mut()),
+            queued: AtomicIsize::new(0),
+            ready: AtomicPtr::new(std::ptr::null_mut()),
+        }
+    }
+
+    /// Deliver one record: one CAS, no allocation.
+    fn push(&self, task: Arc<Task>) {
+        let raw = Arc::into_raw(task) as *mut Task;
+        // SAFETY: a one-record chain carrying the reference just given up.
+        unsafe { self.publish(raw, raw, 1) };
+    }
+
+    /// Deliver a batch in order with **one** CAS: the records are chained
+    /// privately first, then spliced in as a whole.
+    fn push_batch(&self, tasks: impl Iterator<Item = Arc<Task>>) {
+        let mut oldest: *mut Task = std::ptr::null_mut();
+        let mut newest: *mut Task = std::ptr::null_mut();
+        let mut count = 0;
+        for task in tasks {
+            if newest.is_null() {
+                oldest = Arc::as_ptr(&task) as *mut Task;
+            } else {
+                // Relaxed: the chain is published as a whole by the release
+                // CAS in `publish`.
+                task.mail_next.store(newest, Ordering::Relaxed);
+            }
+            newest = Arc::into_raw(task) as *mut Task;
+            count += 1;
+        }
+        if count > 0 {
+            // SAFETY: the loop above chained `newest` back to `oldest`, each
+            // record carrying the reference given up by `into_raw`.
+            unsafe { self.publish(newest, oldest, count) };
+        }
+    }
+
+    /// Link the private chain `newest ..= oldest` of `count` records on top
+    /// of the list.
+    ///
+    /// # Safety
+    ///
+    /// `newest` links through `mail_next` to `oldest` over `count` records,
+    /// each carrying one reference that the list takes over, and no other
+    /// thread can reach any of them.
+    unsafe fn publish(&self, newest: *mut Task, oldest: *mut Task, count: usize) {
+        self.queued.fetch_add(count as isize, Ordering::Relaxed);
+        // SAFETY: the chain holds a reference to `oldest`, and nobody else
+        // sees it before the CAS below succeeds.
+        let link = unsafe { &(*oldest).mail_next };
+        let mut head = self.incoming.load(Ordering::Relaxed);
+        loop {
+            link.store(head, Ordering::Relaxed);
+            // SeqCst: the pre-park re-check (`has_mail`) reads `incoming`,
+            // so the push must be in the SC order with the sleep-flag
+            // protocol; its release half publishes the chain's links.
+            match self.incoming.compare_exchange_weak(
+                head,
+                newest,
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(current) => head = current,
+            }
+        }
+    }
+
+    /// Take the oldest mail on behalf of the worker owning `deque` and
+    /// `home`: this mailbox's `ready` chain if it holds one, else all that
+    /// was delivered. Returns the oldest record, moves up to
+    /// [`MAIL_REFILL`] more onto `deque` and parks the rest on `home`'s
+    /// `ready` slot, which must be empty (see the type docs). The owner
+    /// passes its own mailbox as `self` and `home`; a thief passes a
+    /// victim's as `self`.
+    fn take_into(&self, deque: &StealQueue, home: &Mailbox) -> Option<Arc<Task>> {
+        // Each slot is loaded before it is swapped, so an idle worker
+        // polling empty slots does not pull the line away from a pusher.
+        let mut oldest = std::ptr::null_mut();
+        if !self.ready.load(Ordering::Relaxed).is_null() {
+            oldest = self.ready.swap(std::ptr::null_mut(), Ordering::SeqCst);
+        }
+        if oldest.is_null() {
+            if self.incoming.load(Ordering::Relaxed).is_null() {
+                return None;
+            }
+            let newest = self.incoming.swap(std::ptr::null_mut(), Ordering::SeqCst);
+            // SAFETY: the swap took the whole list, and its acquire pairs
+            // with the pushers' release CAS.
+            oldest = unsafe { reverse(newest) };
+        }
+        // SAFETY: `oldest` heads a chain this thread swapped out whole, of
+        // `ready` or of the reversed delivered list.
+        let mut chain = unsafe { Chain::new(oldest, 1 + MAIL_REFILL) };
+        let first = chain.next()?;
+        deque.push_batch(&mut chain);
+        home.queued
+            .fetch_sub((1 + MAIL_REFILL - chain.left) as isize, Ordering::Relaxed);
+        if !chain.head.is_null() {
+            debug_assert!(
+                home.ready.load(Ordering::Relaxed).is_null(),
+                "a take parks its remainder only in an empty ready slot"
+            );
+            // SeqCst: the pre-park re-check reads `ready` too; the release
+            // half publishes the reversed links to whoever swaps it out.
+            home.ready.store(chain.head, Ordering::SeqCst);
+        }
+        Some(first)
+    }
+
+    /// Whether anything waits here, delivered or parked (racy; for the
+    /// sleep path under the Dekker pairing with the pusher's wakeup).
+    fn has_mail(&self) -> bool {
+        !self.incoming.load(Ordering::SeqCst).is_null() || self.has_ready()
+    }
+
+    fn has_ready(&self) -> bool {
+        !self.ready.load(Ordering::SeqCst).is_null()
+    }
+}
+
+impl Drop for Mailbox {
     fn drop(&mut self) {
-        // Exclusive access: pop everything (no producer can be mid-link and
-        // no consumer can hold the token once the queue is being dropped),
-        // then free the final stub.
-        // SAFETY: exclusive access in drop.
-        while unsafe { self.pop_as_consumer() }.is_some() {}
-        // SAFETY: `tail` now points at the last remaining node (the current
-        // stub), freed exactly once.
-        unsafe { drop(Box::from_raw(*self.tail.get())) };
+        // SAFETY: exclusive access, so both lists and the references they
+        // carry are ours; the order they are released in does not matter.
+        unsafe {
+            Chain::new(*self.incoming.get_mut(), usize::MAX).for_each(drop);
+            Chain::new(*self.ready.get_mut(), usize::MAX).for_each(drop);
+        }
     }
 }
 
 /// One worker's queues.
 pub(crate) struct WorkerQueue {
-    /// Owner-pushed work (dependence successors released by this worker,
-    /// spilled work refilled by the owner, halves deposited by steals).
+    /// Owner-pushed work: dependence successors released by this worker,
+    /// halves deposited by its steals, and runs moved here from mail.
     pub(crate) deque: StealQueue,
     /// Work delivered by other threads (master round-robin distribution,
     /// successors released by sibling workers).
-    pub(crate) inbox: Inbox,
-    /// Unbounded lock-free overflow behind the inbox. Only filled when a
-    /// producer outruns the consumers by a full inbox (e.g. a master
-    /// spawning a burst far faster than workers drain). FIFO order is
-    /// preserved: once anything spills, later external pushes spill too
-    /// until the spill drains, so inbox entries are always older than spill
-    /// entries. Normally consumed by the owner, which refills its stealable
-    /// deque from it in chunks; thieves may claim the consumer token when
-    /// the owner is busy or blocked.
-    spill: SpillQueue,
+    mailbox: Mailbox,
 }
 
 impl WorkerQueue {
     fn new() -> WorkerQueue {
         WorkerQueue {
             deque: StealQueue::new(),
-            inbox: Inbox::new(),
-            spill: SpillQueue::new(),
+            mailbox: Mailbox::new(),
         }
     }
 
-    /// External (non-owner) push: lock-free inbox first, lock-free spill on
-    /// overflow. No path through here takes a mutex.
-    fn push_external(&self, task: Arc<Task>) {
-        let task = if self.spill.len() == 0 {
-            match self.inbox.push(task) {
-                Ok(()) => return,
-                Err(rejected) => rejected,
-            }
-        } else {
-            task
-        };
-        self.spill.push(task);
-    }
-
-    /// External batched push of one chunk. Tasks enter the inbox while it
-    /// has room; the moment it overflows, the rest of the chunk is chained
-    /// privately and spliced into the spill with a single XCHG. Returns
-    /// whether anything spilled — the caller then wakes *this* worker
-    /// directly: thieves can rescue a spill through its consumer token, but
-    /// the owner drains it with the best locality and without waiting for
-    /// an idle thief to scan past it.
-    fn push_external_batch(&self, chunk: impl Iterator<Item = Arc<Task>>) -> bool {
-        let mut chunk = chunk;
-        if self.spill.len() == 0 {
-            loop {
-                match chunk.next() {
-                    None => return false,
-                    Some(task) => {
-                        if let Err(rejected) = self.inbox.push(task) {
-                            self.spill
-                                .push_batch(std::iter::once(rejected).chain(chunk));
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        self.spill.push_batch(chunk);
-        true
-    }
-
-    /// Owner refill: move a chunk of spilled tasks into the stealable deque
-    /// (so thieves can see them) and return the oldest. Called only when
-    /// the deque and inbox are empty, which keeps FIFO order intact.
-    fn refill_from_spill(&self) -> Option<Arc<Task>> {
-        self.spill.steal_half_into(&self.deque, SPILL_REFILL)
-    }
-
-    /// Owner pop: oldest own-deque task first, then the inbox, then a
-    /// spill refill. Returns the task plus whether new stealable work was
-    /// published (so the caller can wake a stealer).
+    /// Owner pop: oldest own-deque task first, then the `ready` chain, then
+    /// the delivered mail. Returns the task plus whether the pop left new
+    /// stealable work behind (so the caller can wake a stealer).
     fn pop(&self) -> (Option<Arc<Task>>, bool) {
         if let Some(task) = self.deque.take() {
             return (Some(task), false);
         }
-        if let Some(task) = self.inbox.pop() {
-            return (Some(task), false);
-        }
-        match self.refill_from_spill() {
-            Some(task) => {
-                let stealable = !self.deque.is_empty();
-                (Some(task), stealable)
-            }
+        match self.mailbox.take_into(&self.deque, &self.mailbox) {
+            Some(task) => (Some(task), self.has_backlog()),
             None => (None, false),
         }
     }
 
+    /// Work besides the mail that the owner's thieves can take: the deque
+    /// and the `ready` chain.
+    fn has_backlog(&self) -> bool {
+        !self.deque.is_empty() || self.mailbox.has_ready()
+    }
+
     fn has_work(&self) -> bool {
-        !self.deque.is_empty() || !self.inbox.is_empty() || self.spill.len() > 0
+        !self.deque.is_empty() || self.mailbox.has_mail()
     }
 }
 
@@ -798,19 +602,17 @@ pub(crate) struct QueueSet {
 }
 
 /// Result of a local pop: the task (if any) plus whether the pop published
-/// new stealable work (a spill refill) that may warrant waking a stealer.
+/// new stealable work (a take from mail) that may warrant waking a stealer.
 pub(crate) struct LocalPop {
     pub(crate) task: Option<Arc<Task>>,
     pub(crate) refilled: bool,
 }
 
 /// Result of a batched enqueue: the consecutive worker range that received
-/// chunks, plus the workers whose chunks overflowed into their spill (each
-/// of those gets a directed wake — the owner is the preferred consumer).
+/// chunks.
 pub(crate) struct BatchPush {
     pub(crate) first: usize,
     pub(crate) touched: usize,
-    pub(crate) spilled: Vec<usize>,
 }
 
 impl QueueSet {
@@ -834,9 +636,8 @@ impl QueueSet {
     /// runtime's workers: that worker pushes straight onto its own stealable
     /// deque — the zero-contention single-producer fast path. Every other
     /// thread (the master above all) distributes round-robin across worker
-    /// inboxes, the paper's distribution scheme, overflowing into the
-    /// target's unbounded lock-free spill when the inbox is full so
-    /// producers never stall.
+    /// mailboxes, the paper's distribution scheme; a mailbox is unbounded,
+    /// so producers never stall.
     pub(crate) fn push(&self, task: Arc<Task>, local: Option<usize>) -> usize {
         if let Some(worker) = local {
             debug_assert!(worker < self.workers.len());
@@ -844,18 +645,15 @@ impl QueueSet {
             return worker;
         }
         let target = self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-        self.workers[target].push_external(task);
+        self.workers[target].mailbox.push(task);
         target
     }
 
     /// Batched enqueue: place `tasks` in sticky round-robin chunks of
     /// [`BATCH_CHUNK`] consecutive tasks per worker (cache locality inside
-    /// the chunk, spread across the batch). The returned [`BatchPush`]
-    /// tells the caller which consecutive workers received chunks — for one
-    /// coalesced wake instead of one per task — and which workers took
-    /// overflow into their spill (each gets a directed wake: its owner is
-    /// the cheapest, lowest-latency consumer, though thieves can rescue a
-    /// spill too).
+    /// the chunk, spread across the batch), one mailbox CAS per chunk. The
+    /// returned [`BatchPush`] tells the caller which consecutive workers
+    /// received chunks, for one coalesced wake instead of one per task.
     ///
     /// A local worker keeps the entire batch on its own deque (a single
     /// lock-free publish); steal-half spreads it from there.
@@ -872,7 +670,6 @@ impl QueueSet {
             return BatchPush {
                 first: 0,
                 touched: 0,
-                spilled: Vec::new(),
             };
         }
         if let Some(worker) = local {
@@ -881,71 +678,70 @@ impl QueueSet {
             return BatchPush {
                 first: worker,
                 touched: 1,
-                spilled: Vec::new(),
             };
         }
         let count = self.workers.len();
         let chunks = tasks.len().div_ceil(BATCH_CHUNK);
         let first = self.next.fetch_add(chunks, Ordering::Relaxed) % count;
-        let mut spilled = Vec::new();
         for chunk in 0..chunks {
             let target = (first + chunk) % count;
-            if self.workers[target].push_external_batch(tasks.by_ref().take(BATCH_CHUNK))
-                && spilled.last() != Some(&target)
-            {
-                spilled.push(target);
-            }
+            self.workers[target]
+                .mailbox
+                .push_batch(tasks.by_ref().take(BATCH_CHUNK));
         }
         BatchPush {
             first,
             touched: chunks.min(count),
-            spilled,
         }
     }
 
-    /// Worker-local pop: oldest own-deque task first, then the inbox, then
-    /// the spill (refilled into the deque in stealable chunks).
+    /// Worker-local pop: oldest own-deque task first, then the worker's
+    /// mail (a run of which moves onto the deque, stealable).
     pub(crate) fn pop_local(&self, worker: usize) -> LocalPop {
         let (task, refilled) = self.workers[worker].pop();
         LocalPop { task, refilled }
     }
 
-    /// Attempt a steal-half on behalf of `thief`: scan the other workers'
-    /// deques, inboxes and spills, claim up to half of the first non-empty
-    /// victim's run, keep the oldest task and deposit the rest on the
-    /// thief's own deque (making it stealable in turn). Spills are fair
-    /// game — the consumer token serialises the thief against the owner —
-    /// so work spilled to a worker that then blocked (e.g. in a nested
-    /// barrier inside a task body) is rescued by the rest of the pool.
+    /// Attempt a steal on behalf of `thief`, whose own queues must be
+    /// empty (it found nothing to pop): scan the other workers' deques and
+    /// mailboxes. A deque gives up half its run, a mailbox its `ready`
+    /// chain or all its delivered mail; either way the thief keeps the
+    /// oldest task and its own deque and `ready` slot take the rest,
+    /// stealable in turn. Mail is fair game, so work delivered to a worker
+    /// that then blocked (e.g. in a nested barrier inside a task body) is
+    /// rescued by the rest of the pool.
     pub(crate) fn steal(&self, thief: usize) -> Option<Arc<Task>> {
         let count = self.workers.len();
-        let dest = &self.workers[thief].deque;
+        let own = &self.workers[thief];
         for offset in 1..count {
             let victim = &self.workers[(thief + offset) % count];
-            if let Some(task) = victim.deque.steal_half_into(dest, STEAL_BATCH_MAX) {
+            if let Some(task) = victim.deque.steal_half_into(&own.deque, STEAL_BATCH_MAX) {
                 return Some(task);
             }
-            if let Some(task) = victim.inbox.steal_half_into(dest, STEAL_BATCH_MAX) {
-                return Some(task);
-            }
-            if let Some(task) = victim.spill.steal_half_into(dest, STEAL_BATCH_MAX) {
+            if let Some(task) = victim.mailbox.take_into(&own.deque, &own.mailbox) {
                 return Some(task);
             }
         }
         None
     }
 
-    /// Whether `worker`'s own stealable deque holds work — after a
-    /// successful steal this means the steal-half deposited surplus tasks,
-    /// and the caller should invite another sleeper (wake propagation).
+    /// Capacity of `worker`'s deque ring.
+    #[cfg(test)]
+    pub(crate) fn deque_capacity(&self, worker: usize) -> u64 {
+        self.workers[worker].deque.capacity_and_retired().0
+    }
+
+    /// Whether `worker`'s own deque or `ready` chain holds work — after a
+    /// successful steal this means the steal deposited surplus tasks, and
+    /// the caller should invite another sleeper (wake propagation).
     pub(crate) fn has_local_backlog(&self, worker: usize) -> bool {
-        !self.workers[worker].deque.is_empty()
+        self.workers[worker].has_backlog()
     }
 
     /// Whether any queue holds work (racy; used by the sleep protocol under
     /// the Dekker pairing described in [`crate::sync::Parker`], and by
-    /// shutdown). Every structure counted here — deque, inbox, spill — is
-    /// reachable by any awake worker.
+    /// shutdown). Every structure counted here — deque, delivered mail,
+    /// `ready` chain — is reachable by any awake worker.
     pub(crate) fn any_work(&self) -> bool {
         self.workers.iter().any(WorkerQueue::has_work)
     }
@@ -954,10 +750,13 @@ impl QueueSet {
     /// brownout overload controller's queue-depth watermark (amortised:
     /// sampled once per recompute tick, not per task) and tests.
     pub(crate) fn total_queued(&self) -> usize {
-        self.workers
+        let deques: usize = self.workers.iter().map(|w| w.deque.len()).sum();
+        let mail: isize = self
+            .workers
             .iter()
-            .map(|w| w.deque.len() + w.inbox.len() + w.spill.len())
-            .sum()
+            .map(|w| w.mailbox.queued.load(Ordering::Relaxed))
+            .sum();
+        deques + mail.max(0) as usize
     }
 }
 
@@ -990,8 +789,11 @@ mod tests {
         ))
     }
 
-    fn pop_owner(queue: &WorkerQueue) -> Option<Arc<Task>> {
-        queue.pop().0
+    /// Ids of everything `worker` pops, in order, until it runs dry.
+    fn drain(set: &QueueSet, worker: usize) -> Vec<u64> {
+        std::iter::from_fn(|| set.pop_local(worker).task)
+            .map(|task| task.id.0)
+            .collect()
     }
 
     #[test]
@@ -1157,153 +959,203 @@ mod tests {
     }
 
     #[test]
-    fn inbox_round_trips_in_order() {
-        let inbox = Inbox::with_capacity(8);
-        assert!(inbox.is_empty());
-        for i in 0..5 {
-            inbox.push(task(i)).unwrap();
+    fn steal_queue_push_batch_grows_once() {
+        let q = StealQueue::new();
+        q.push(task(0));
+        q.push_batch((1..1000u32).map(|i| task(u64::from(i))));
+        let (capacity, retired) = q.capacity_and_retired();
+        assert_eq!(
+            (capacity, retired),
+            (1024, 1),
+            "one buffer retired per batch"
+        );
+        for i in 0..1000 {
+            assert_eq!(q.take().unwrap().id, TaskId(i));
         }
-        assert_eq!(inbox.len(), 5);
-        for i in 0..5 {
-            assert_eq!(inbox.pop().unwrap().id, TaskId(i));
-        }
-        assert!(inbox.pop().is_none());
+        // A batch that fits in twice the ring still doubles it.
+        let q = StealQueue::new();
+        q.push_batch((0..65u32).map(|i| task(u64::from(i))));
+        assert_eq!(q.capacity_and_retired(), (128, 1));
     }
 
     #[test]
-    fn inbox_rejects_when_full_then_recovers() {
-        let inbox = Inbox::with_capacity(4);
-        for i in 0..4 {
-            inbox.push(task(i)).unwrap();
-        }
-        let rejected = inbox.push(task(99)).unwrap_err();
-        assert_eq!(rejected.id, TaskId(99));
-        assert_eq!(inbox.pop().unwrap().id, TaskId(0));
-        inbox.push(rejected).unwrap();
-        assert_eq!(inbox.len(), 4);
+    fn mailbox_runs_single_pushes_and_batches_in_delivery_order() {
+        let set = QueueSet::new(1);
+        let mailbox = &set.workers[0].mailbox;
+        mailbox.push(task(0));
+        mailbox.push_batch((1..40).map(task));
+        mailbox.push(task(40));
+        mailbox.push_batch(std::iter::empty());
+        assert_eq!(set.total_queued(), 41);
+        // A take moves a run onto the deque and parks the rest on `ready`;
+        // pushes after it queue behind both.
+        let first = set.pop_local(0);
+        assert_eq!(first.task.unwrap().id, TaskId(0));
+        assert!(first.refilled, "the take left stealable work behind");
+        mailbox.push_batch((41..300).map(task));
+        mailbox.push(task(300));
+        let order = drain(&set, 0);
+        assert_eq!(order, (1..=300).collect::<Vec<_>>());
+        assert_eq!(set.workers[0].deque.len(), 0);
+        assert!(!set.any_work());
+        assert_eq!(set.total_queued(), 0);
     }
 
     #[test]
-    fn inbox_steal_half_moves_batch_to_dest() {
-        let inbox = Inbox::with_capacity(16);
-        for i in 0..9 {
-            inbox.push(task(i)).unwrap();
-        }
-        let dest = StealQueue::new();
-        let first = inbox.steal_half_into(&dest, STEAL_BATCH_MAX).unwrap();
-        assert_eq!(first.id, TaskId(0));
-        // 8 remained after the first pop; half (4) moved to the thief.
-        assert_eq!(dest.len(), 4);
-        assert_eq!(inbox.len(), 4);
-        for i in 1..5 {
-            assert_eq!(dest.take().unwrap().id, TaskId(i));
-        }
-        for i in 5..9 {
-            assert_eq!(inbox.pop().unwrap().id, TaskId(i));
-        }
+    fn mailbox_take_bounds_the_run_moved_onto_the_deque() {
+        let set = QueueSet::new(1);
+        set.workers[0].mailbox.push_batch((0..1000).map(task));
+        assert_eq!(set.pop_local(0).task.unwrap().id, TaskId(0));
+        assert_eq!(set.workers[0].deque.len(), MAIL_REFILL);
+        assert!(set.workers[0].mailbox.has_ready());
+        assert_eq!(set.total_queued(), 999);
+        // The ring never grew past its initial size for a 1000-task backlog.
+        assert_eq!(set.workers[0].deque.capacity_and_retired(), (64, 0));
     }
 
     #[test]
-    fn inbox_concurrent_producers_and_consumers() {
-        let inbox = Arc::new(Inbox::with_capacity(64));
-        let produced = 4 * 2_500usize;
-        let consumed = Arc::new(AtomicUsize::new(0));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let inbox = inbox.clone();
-                std::thread::spawn(move || {
-                    for i in 0..2_500u64 {
-                        let mut item = task(p * 10_000 + i);
-                        loop {
-                            match inbox.push(item) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
+    fn mailbox_delivers_exactly_once_while_taken_records_are_pushed_again() {
+        // Four producers push into one mailbox while two takers swap it out;
+        // each taker pushes every record it sees for the first time straight
+        // back, so recycled addresses keep re-entering the head while other
+        // pushers' CASes are in flight.
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        const TOTAL: usize = (PRODUCERS * PER_PRODUCER) as usize;
+        for _ in 0..5 {
+            let shared = Arc::new(Mailbox::new());
+            let seen: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..TOTAL).map(|_| AtomicUsize::new(0)).collect());
+            let delivered = Arc::new(AtomicUsize::new(0));
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let shared = shared.clone();
+                    std::thread::spawn(move || {
+                        for chunk in 0..PER_PRODUCER / 8 {
+                            let ids =
+                                p * PER_PRODUCER + chunk * 8..p * PER_PRODUCER + chunk * 8 + 8;
+                            if chunk % 2 == 0 {
+                                shared.push_batch(ids.map(task));
+                            } else {
+                                ids.for_each(|id| shared.push(task(id)));
                             }
                         }
-                    }
+                    })
                 })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let inbox = inbox.clone();
-                let consumed = consumed.clone();
-                std::thread::spawn(move || loop {
-                    if inbox.pop().is_some() {
-                        consumed.fetch_add(1, Ordering::Relaxed);
-                    } else if consumed.load(Ordering::Relaxed) >= 10_000 {
-                        break;
-                    } else {
-                        std::thread::yield_now();
-                    }
+                .collect();
+            let takers: Vec<_> = (0..2)
+                .map(|_| {
+                    let shared = shared.clone();
+                    let seen = seen.clone();
+                    let delivered = delivered.clone();
+                    std::thread::spawn(move || {
+                        let deque = StealQueue::new();
+                        let home = Mailbox::new();
+                        while delivered.load(Ordering::Relaxed) < 2 * TOTAL {
+                            let next = deque
+                                .take()
+                                .or_else(|| home.take_into(&deque, &home))
+                                .or_else(|| shared.take_into(&deque, &home));
+                            let Some(record) = next else {
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            delivered.fetch_add(1, Ordering::Relaxed);
+                            if seen[record.id.0 as usize].fetch_add(1, Ordering::Relaxed) == 0 {
+                                shared.push(record);
+                            }
+                        }
+                        home.queued.load(Ordering::Relaxed)
+                    })
                 })
-            })
-            .collect();
-        for h in producers {
-            h.join().unwrap();
-        }
-        for h in consumers {
-            h.join().unwrap();
-        }
-        assert_eq!(consumed.load(Ordering::Relaxed), produced);
-        assert!(inbox.is_empty());
-    }
-
-    #[test]
-    fn spill_queue_is_fifo_and_counts() {
-        let spill = SpillQueue::new();
-        assert_eq!(spill.len(), 0);
-        assert!(spill.pop().is_none());
-        for i in 0..5 {
-            spill.push(task(i));
-        }
-        assert_eq!(spill.len(), 5);
-        for i in 0..5 {
-            assert_eq!(spill.pop().unwrap().id, TaskId(i));
-        }
-        assert!(spill.pop().is_none());
-        assert_eq!(spill.len(), 0);
-    }
-
-    #[test]
-    fn spill_queue_concurrent_producers_single_consumer() {
-        let spill = Arc::new(SpillQueue::new());
-        let produced = 4 * 5_000usize;
-        let producers: Vec<_> = (0..4u64)
-            .map(|p| {
-                let spill = spill.clone();
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        spill.push(task(p * 100_000 + i));
-                    }
-                })
-            })
-            .collect();
-        let mut consumed = 0usize;
-        while consumed < produced {
-            if spill.pop().is_some() {
-                consumed += 1;
-            } else {
-                std::thread::yield_now();
+                .collect();
+            for handle in producers {
+                handle.join().unwrap();
             }
+            let taker_counts: isize = takers.into_iter().map(|h| h.join().unwrap()).sum();
+            assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 2));
+            assert!(!shared.has_mail());
+            assert_eq!(
+                shared.queued.load(Ordering::Relaxed) + taker_counts,
+                0,
+                "pushes and takes balance over all mailboxes"
+            );
         }
-        for h in producers {
-            h.join().unwrap();
-        }
-        assert!(spill.pop().is_none());
-        assert_eq!(spill.len(), 0);
     }
 
     #[test]
-    fn spill_queue_drop_releases_tasks() {
-        let spill = SpillQueue::new();
-        let probe = task(3);
-        spill.push(probe.clone());
-        drop(spill);
-        assert_eq!(Arc::strong_count(&probe), 1, "spill must release its ref");
+    fn thief_takes_the_ready_chain_of_a_blocked_owner() {
+        let set = QueueSet::new(2);
+        set.workers[0].mailbox.push_batch((0..200).map(task));
+        // The owner takes its mail, then runs the deque's run dry...
+        for i in 0..=MAIL_REFILL as u64 {
+            assert_eq!(set.pop_local(0).task.unwrap().id, TaskId(i));
+        }
+        assert!(set.workers[0].deque.is_empty());
+        assert!(
+            set.has_local_backlog(0),
+            "the rest waits on worker 0's ready chain"
+        );
+        // ...and blocks. A thief swaps the whole chain out.
+        let first = MAIL_REFILL as u64 + 1;
+        assert_eq!(set.steal(1).unwrap().id, TaskId(first));
+        assert!(!set.workers[0].has_work());
+        assert_eq!(set.workers[1].deque.len(), MAIL_REFILL);
+        assert!(set.workers[1].mailbox.has_ready());
+        assert_eq!(set.total_queued(), 200 - first as usize - 1);
+        assert_eq!(drain(&set, 1), (first + 1..200).collect::<Vec<_>>());
+        assert_eq!(set.total_queued(), 0);
+    }
+
+    #[test]
+    fn mailbox_drop_releases_both_chains() {
+        let probes: Vec<_> = (0..110).map(task).collect();
+        let deque = StealQueue::new();
+        let mailbox = Mailbox::new();
+        mailbox.push_batch(probes[..100].iter().cloned());
+        drop(mailbox.take_into(&deque, &mailbox));
+        assert!(mailbox.has_ready());
+        mailbox.push(probes[100].clone());
+        mailbox.push_batch(probes[101..].iter().cloned());
+        drop(mailbox);
+        drop(deque);
+        for probe in &probes {
+            assert_eq!(Arc::strong_count(probe), 1, "every reference released");
+        }
+    }
+
+    #[test]
+    fn total_queued_follows_pushes_takes_and_a_thiefs_transfer() {
+        let set = QueueSet::new(2);
+        for i in 0..10 {
+            set.push(task(i), None);
+        }
+        // Thirteen chunks: seven (208 tasks) to worker 0, six to worker 1.
+        set.push_batch((10..410).map(task).collect::<Vec<_>>(), None);
+        set.push(task(410), Some(1));
+        assert_eq!(set.total_queued(), 411);
+        // Worker 0 takes its 213 letters: one to run, 64 onto its deque,
+        // 148 parked on its ready chain.
+        assert!(set.pop_local(0).task.is_some());
+        assert_eq!(set.total_queued(), 410);
+        // Worker 1 runs its own work dry, then steals half of worker 0's
+        // deque run.
+        assert_eq!(drain(&set, 1).len(), 198);
+        assert_eq!(set.total_queued(), 212);
+        assert!(set.steal(1).is_some());
+        assert_eq!(set.total_queued(), 211);
+        assert_eq!(drain(&set, 1).len(), STEAL_BATCH_MAX - 1);
+        while set.workers[0].deque.take().is_some() {}
+        assert_eq!(set.total_queued(), 148);
+        // Worker 1 then takes worker 0's ready chain and parks what its
+        // deque run leaves on its own: the count moves along, never lost or
+        // doubled.
+        assert!(set.steal(1).is_some());
+        assert_eq!(set.total_queued(), 147);
+        assert!(set.workers[1].mailbox.has_ready());
+        assert_eq!(drain(&set, 1).len(), 147);
+        assert_eq!(set.total_queued(), 0);
+        assert!(!set.any_work());
     }
 
     #[test]
@@ -1312,14 +1164,10 @@ mod tests {
         for i in 0..8 {
             set.push(task(i), None);
         }
-        for w in 0..4 {
-            assert_eq!(
-                set.workers[w].inbox.len(),
-                2,
-                "worker {w} should hold 2 tasks"
-            );
-        }
         assert_eq!(set.total_queued(), 8);
+        for w in 0..4 {
+            assert_eq!(drain(&set, w), vec![w as u64, w as u64 + 4]);
+        }
     }
 
     #[test]
@@ -1329,18 +1177,15 @@ mod tests {
         let push = set.push_batch((0..n as u64).map(task).collect::<Vec<_>>(), None);
         assert_eq!(push.first, 0);
         assert_eq!(push.touched, 4);
-        assert!(push.spilled.is_empty());
-        assert_eq!(set.workers[0].inbox.len(), BATCH_CHUNK);
-        assert_eq!(set.workers[1].inbox.len(), BATCH_CHUNK);
-        assert_eq!(set.workers[2].inbox.len(), BATCH_CHUNK);
-        assert_eq!(set.workers[3].inbox.len(), 5);
         // Chunks are sticky: consecutive tasks land on the same worker.
-        assert_eq!(set.workers[0].inbox.pop().unwrap().id, TaskId(0));
-        assert_eq!(set.workers[0].inbox.pop().unwrap().id, TaskId(1));
-        assert_eq!(
-            set.workers[1].inbox.pop().unwrap().id,
-            TaskId(BATCH_CHUNK as u64)
-        );
+        let chunk = BATCH_CHUNK as u64;
+        for w in 0..3u64 {
+            assert_eq!(
+                drain(&set, w as usize),
+                (w * chunk..(w + 1) * chunk).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(drain(&set, 3), (3 * chunk..n as u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1354,94 +1199,27 @@ mod tests {
     }
 
     #[test]
-    fn queue_set_push_batch_reports_spilled_targets() {
-        let set = QueueSet::new(2);
-        // Pre-fill worker 1's inbox so its chunk overflows mid-batch.
-        for i in 0..INBOX_CAPACITY as u64 {
-            set.workers[1].inbox.push(task(10_000 + i)).unwrap();
-        }
-        let n = BATCH_CHUNK * 2;
-        let push = set.push_batch((0..n as u64).map(task).collect::<Vec<_>>(), None);
-        assert_eq!(push.touched, 2);
-        assert_eq!(push.spilled, vec![1], "worker 1 must be flagged for a wake");
-        assert_eq!(set.workers[1].spill.len(), BATCH_CHUNK);
-        assert_eq!(set.workers[0].inbox.len(), BATCH_CHUNK);
-    }
-
-    #[test]
-    fn spill_batch_splices_in_fifo_order() {
-        let spill = SpillQueue::new();
-        spill.push(task(0));
-        spill.push_batch((1..40).map(task));
-        spill.push(task(40));
-        spill.push_batch(std::iter::empty());
-        assert_eq!(spill.len(), 41);
-        for i in 0..41 {
-            assert_eq!(spill.pop().unwrap().id, TaskId(i), "order broken at {i}");
-        }
-        assert!(spill.pop().is_none());
-    }
-
-    #[test]
-    fn worker_queue_spills_past_a_full_inbox_and_preserves_order() {
-        let queue = WorkerQueue::new();
-        let n = INBOX_CAPACITY as u64 + 100;
-        for i in 0..n {
-            queue.push_external(task(i));
-        }
-        assert_eq!(queue.spill.len(), 100);
-        for i in 0..n {
-            assert_eq!(
-                pop_owner(&queue).unwrap().id,
-                TaskId(i),
-                "order broken at {i}"
-            );
-        }
-        assert!(!queue.has_work());
-    }
-
-    #[test]
-    fn spill_refill_publishes_stealable_work() {
-        let queue = WorkerQueue::new();
-        let n = INBOX_CAPACITY as u64 + 2 * SPILL_REFILL as u64;
-        for i in 0..n {
-            queue.push_external(task(i));
-        }
-        // Drain the inbox; the next pop must refill from the spill and
-        // report that it published stealable work.
-        for i in 0..INBOX_CAPACITY as u64 {
-            let (t, refilled) = queue.pop();
-            assert_eq!(t.unwrap().id, TaskId(i));
-            assert!(!refilled);
-        }
-        let (t, refilled) = queue.pop();
-        assert_eq!(t.unwrap().id, TaskId(INBOX_CAPACITY as u64));
-        assert!(refilled, "spill refill must report new stealable work");
-        // Half of the remaining spill (capped at SPILL_REFILL - 1) moved
-        // onto the stealable deque alongside the returned task.
-        assert_eq!(queue.deque.len(), SPILL_REFILL - 1);
-    }
-
-    #[test]
     fn queue_set_local_push_goes_to_own_deque() {
         let set = QueueSet::new(2);
         let woken = set.push(task(1), Some(1));
         assert_eq!(woken, 1);
         assert_eq!(set.workers[1].deque.len(), 1);
-        assert_eq!(set.workers[1].inbox.len(), 0);
+        assert!(!set.workers[1].mailbox.has_mail());
         assert_eq!(set.pop_local(1).task.unwrap().id, TaskId(1));
     }
 
     #[test]
-    fn steal_scans_other_queues_and_inboxes() {
+    fn steal_scans_other_deques_and_mailboxes() {
         let set = QueueSet::new(3);
         set.push(task(7), Some(2));
         let stolen = set.steal(0).expect("worker 0 should steal from worker 2");
         assert_eq!(stolen.id, TaskId(7));
         assert!(set.steal(0).is_none());
-        // Inbox work is stealable too.
-        set.workers[1].inbox.push(task(8)).unwrap();
+        // Delivered mail is stealable too, and comes whole.
+        set.workers[1].mailbox.push_batch((8..12).map(task));
         assert_eq!(set.steal(0).unwrap().id, TaskId(8));
+        assert_eq!(set.workers[0].deque.len(), 3);
+        assert!(!set.workers[1].has_work());
     }
 
     #[test]
@@ -1460,52 +1238,13 @@ mod tests {
     fn steal_never_takes_from_own_queue() {
         let set = QueueSet::new(2);
         set.push(task(9), Some(1));
+        set.workers[1].mailbox.push(task(10));
         assert!(
             set.steal(1).is_none(),
             "a worker must not steal from itself"
         );
         assert_eq!(set.workers[1].deque.len(), 1);
-    }
-
-    #[test]
-    fn thief_rescues_a_foreign_spill() {
-        // Work spilled to worker 0 must be reachable by worker 1 even if
-        // worker 0 never pops again (e.g. blocked in a nested barrier).
-        let set = QueueSet::new(2);
-        for i in 0..INBOX_CAPACITY as u64 {
-            set.workers[0].inbox.push(task(i)).unwrap();
-        }
-        for i in 0..10u64 {
-            set.workers[0].push_external(task(10_000 + i));
-        }
-        assert_eq!(set.workers[0].spill.len(), 10);
-        assert!(set.any_work());
-        // Drain the inbox the easy way, then steal: the spill is fair game.
-        while set.workers[0].inbox.pop().is_some() {}
-        let stolen = set.steal(1).expect("thief must reach the spill");
-        assert_eq!(stolen.id, TaskId(10_000));
-        // Half of the remaining 9 came along onto the thief's deque.
-        assert_eq!(set.workers[1].deque.len(), 4);
-        assert_eq!(set.workers[0].spill.len(), 5);
-    }
-
-    #[test]
-    fn spill_consumer_token_serialises_consumers() {
-        let spill = SpillQueue::new();
-        for i in 0..8 {
-            spill.push(task(i));
-        }
-        // While the token is held, other consumers get None instead of
-        // racing the tail pointer.
-        assert!(!spill.consuming.swap(true, Ordering::Acquire));
-        assert!(spill.pop().is_none(), "token holder excludes other poppers");
-        let dest = StealQueue::new();
-        assert!(spill.steal_half_into(&dest, 8).is_none());
-        spill.consuming.store(false, Ordering::Release);
-        assert_eq!(spill.pop().unwrap().id, TaskId(0));
-        // 6 remain after taking the first: half (3) ride along.
-        assert_eq!(spill.steal_half_into(&dest, 8).unwrap().id, TaskId(1));
-        assert_eq!(dest.len(), 3);
+        assert!(set.workers[1].mailbox.has_mail());
     }
 
     #[test]

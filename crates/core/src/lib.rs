@@ -40,8 +40,9 @@
 //!
 //! The runtime is a master/slave work-sharing scheduler: the spawning thread
 //! distributes tasks round-robin over per-worker lock-free queues (a
-//! Chase–Lev-style stealable deque plus an MPMC inbox each, see the `deque`
-//! module); idle workers steal, and park on targeted event-driven wakeups
+//! Chase–Lev-style stealable deque plus an allocation-free mailbox each, a
+//! list linked through the task records, see the `deque` module); idle
+//! workers steal, and park on targeted event-driven wakeups
 //! when there is nothing to steal. Executing a ready task takes zero mutex
 //! acquisitions on the worker fast path. Three significance-aware policies
 //! decide accurate vs. approximate execution (see [`Policy`]): **GTB**

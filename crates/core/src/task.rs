@@ -266,6 +266,10 @@ pub(crate) struct Task {
     /// Spawn-handle notification target, resolved exactly once with the
     /// task's terminal outcome (see [`crate::handle::SpawnHandle`]).
     pub(crate) handle: Option<Arc<dyn HandleNotify>>,
+    /// Link to the next record while this one waits in a worker's mailbox
+    /// (see `deque::Mailbox`); meaningless anywhere else. A record is
+    /// enqueued once per life, so it sits on at most one mailbox chain.
+    pub(crate) mail_next: AtomicPtr<Task>,
 }
 
 /// Key-buffer capacity a blanked record keeps. A footprint is rarely wider;
@@ -301,6 +305,7 @@ impl Task {
             deadline_nanos: 0,
             cancel: None,
             handle: None,
+            mail_next: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 
@@ -328,6 +333,8 @@ impl Task {
             deadline_nanos,
             cancel,
             handle,
+            // Every mailbox push writes the link before publishing it.
+            mail_next: _,
         } = self;
         *accurate = BodyCell::new(None);
         *approximate = BodyCell::new(None);

@@ -277,9 +277,10 @@ fn stress_critical_and_negligible_invariants_hold() {
 
 #[test]
 fn stress_concurrent_spawners_lose_no_wakeups() {
-    // Four spawner threads hammer the runtime at once: exercises the MPMC
-    // inbox path and the sleep/wake Dekker protocol (a lost wakeup hangs
-    // this test; the seed's check-then-wait race was exactly that bug).
+    // Four spawner threads hammer the runtime at once: exercises the
+    // mailbox push CAS from many producers and the sleep/wake Dekker
+    // protocol (a lost wakeup hangs this test; the seed's check-then-wait
+    // race was exactly that bug).
     const SPAWNERS: usize = 4;
     const PER_SPAWNER: usize = 25_000;
     let rt = Runtime::builder()
