@@ -70,11 +70,13 @@ pub(crate) struct GroupState {
     /// engaged). Stored separately so releasing the budget restores the
     /// programmer's exact ratio bits.
     budget_scale_bits: AtomicU64,
-    /// Tasks spawned into this group and not yet completed.
+    /// Tasks spawned into this group and not yet completed, give or take
+    /// the completions workers have not yet published (see the runtime's
+    /// `Retired`): never below the true count.
     pub(crate) outstanding: AtomicUsize,
     /// Barrier waiters for `taskwait label(...)`; notified only when
-    /// `outstanding` drops to zero, so per-completion cost is one atomic
-    /// load when nobody waits.
+    /// `outstanding` drops to zero, so per-publish cost is one atomic load
+    /// when nobody waits.
     pub(crate) barrier: EventCount,
     /// GTB: tasks buffered by the master, awaiting a flush. Master-side only;
     /// keeps its capacity across flushes (see [`return_window`]).

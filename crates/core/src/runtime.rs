@@ -20,9 +20,12 @@
 //! fast path: queue pops are single-CAS ([`crate::deque`]), the
 //! accurate/approximate decision and the body handoff are a single atomic
 //! byte plus take-once cells ([`crate::task`]), statistics are per-worker
-//! shards ([`crate::stats`]), and completion signalling is an atomic
-//! decrement that only touches a condvar when a barrier is actually waiting
-//! ([`crate::sync::EventCount`]). Idle workers park on a per-worker
+//! shards ([`crate::stats`]), and completion signalling is a worker-local
+//! count: a worker subtracts its completions from the outstanding counters
+//! once per run of same-group tasks (at most `RETIRE_BATCH` = 64, and
+//! whenever it runs out of work; see `Retired`), and touches a condvar only
+//! when a barrier is actually waiting ([`crate::sync::EventCount`]). Idle
+//! workers park on a per-worker
 //! [`crate::sync::Parker`] and are woken *targeted* — the seed design's
 //! 1 ms idle polling loop and per-completion `notify_all` broadcast are
 //! gone, and the queue-empty/wakeup race they papered over is closed by the
@@ -425,6 +428,45 @@ impl HuskPool {
     }
 }
 
+/// Completions a worker publishes at once: its batch goes out when it holds
+/// this many, so `Runtime::outstanding_tasks` reads at most this many per
+/// busy worker above the true count.
+const RETIRE_BATCH: usize = 64;
+
+/// A worker's retired tasks not yet subtracted from the outstanding counts,
+/// all of one group. The spawner adds to `outstanding` and to the group's
+/// count per task; the worker takes them off once per run of same-group
+/// tasks instead, in [`RuntimeInner::publish`], so the two lines stop
+/// bouncing between the threads twice per task.
+///
+/// Invariant: a non-empty batch holds only completions of the group of the
+/// task its worker is running or about to run. `execute` publishes before a
+/// task of another group (a system task belongs to the global group), the
+/// batch publishes itself at [`RETIRE_BATCH`], and the worker publishes
+/// whenever it finds no work. Hence:
+///
+/// * a group barrier the batch delays is one the running task delays
+///   anyway, and `wait_all` always waits for the running task;
+/// * a body blocked in a nested barrier on another group holds back
+///   nothing that barrier needs;
+/// * no barrier returns early, since the counts are only ever overstated.
+#[derive(Default)]
+struct Retired {
+    /// The batch's group; `Some` exactly while `count` is not zero, so an
+    /// idle worker keeps no group alive.
+    group: Option<Arc<GroupState>>,
+    count: usize,
+}
+
+impl Retired {
+    /// Whether a task of `group` may retire into this batch unpublished.
+    fn admits(&self, group: &Arc<GroupState>) -> bool {
+        self.group
+            .as_ref()
+            .is_none_or(|held| Arc::ptr_eq(held, group))
+    }
+}
+
 /// Shared state between the master, the workers and the public handle.
 struct RuntimeInner {
     id: u64,
@@ -446,7 +488,8 @@ struct RuntimeInner {
     /// Tasks spawned and not yet completed, across all groups. A single
     /// counter (not a sum over groups): `wait_all` must observe spawn and
     /// completion atomically even when a task body spawns children into
-    /// other groups mid-barrier.
+    /// other groups mid-barrier. Workers subtract in batches ([`Retired`]),
+    /// so it may read above the true count, never below.
     outstanding: AtomicUsize,
     /// Brownout overload controller (watermarks + current shed threshold).
     overload: OverloadState,
@@ -733,7 +776,7 @@ impl RuntimeInner {
     /// abandoned tasks still release successors and barriers, keeping the
     /// exactly-once accounting `spawned == completed + cancelled + shed +
     /// panicked` intact.
-    fn abandon(&self, task: &Arc<Task>, worker: usize, shed: bool) {
+    fn abandon(&self, task: &Arc<Task>, worker: usize, shed: bool, retired: &mut Retired) {
         // SAFETY: this worker dequeued the task and is its unique executor.
         unsafe {
             drop(task.take_accurate());
@@ -750,7 +793,7 @@ impl RuntimeInner {
             self.stats.record_cancelled(worker);
             task.notify_handle(TaskOutcome::Cancelled);
         }
-        self.complete(task);
+        self.complete(task, retired);
     }
 
     /// Try to move a task into a worker queue. A task is enqueued exactly
@@ -1056,16 +1099,34 @@ impl RuntimeInner {
     }
 
     /// Execute a task on worker `worker`, then recycle its record if this
-    /// worker is the last holder.
-    fn execute(&self, task: Arc<Task>, worker: usize, lqh: &mut LqhState, tick: &mut usize) {
-        self.run_task(&task, worker, lqh, tick);
+    /// worker is the last holder. A batch of another group's completions is
+    /// published first (the invariant on [`Retired`]).
+    fn execute(
+        &self,
+        task: Arc<Task>,
+        worker: usize,
+        lqh: &mut LqhState,
+        tick: &mut usize,
+        retired: &mut Retired,
+    ) {
+        if !retired.admits(&task.group_state) {
+            self.publish(retired);
+        }
+        self.run_task(&task, worker, lqh, tick, retired);
         self.recycle(task);
     }
 
     /// Make the accuracy decision if it is still open, run the chosen body,
     /// record statistics, then resolve dependences and barriers. Lock-free
     /// on every step.
-    fn run_task(&self, task: &Arc<Task>, worker: usize, lqh: &mut LqhState, tick: &mut usize) {
+    fn run_task(
+        &self,
+        task: &Arc<Task>,
+        worker: usize,
+        lqh: &mut LqhState,
+        tick: &mut usize,
+        retired: &mut Retired,
+    ) {
         if task.system {
             // Internal helper tasks (e.g. parallel GTB flush chunks) skip
             // policy, DVFS, statistics, cancellation and fault injection
@@ -1074,13 +1135,13 @@ impl RuntimeInner {
             if let Some(body) = unsafe { task.take_accurate() } {
                 self.run_body(body);
             }
-            self.complete(task);
+            self.complete(task, retired);
             return;
         }
         // Cooperative cancellation: a task cancelled before it starts (via
         // its token, its group or an id-range cancel) is skipped entirely.
         if task.cancel_requested() || self.id_cancelled(task.id) {
-            self.abandon(task, worker, false);
+            self.abandon(task, worker, false, retired);
             return;
         }
         // Read once: LQH decides against it and the governor is handed it.
@@ -1110,7 +1171,7 @@ impl RuntimeInner {
             && !task.significance.is_critical()
             && task.significance.value() < shed_threshold
         {
-            self.abandon(task, worker, true);
+            self.abandon(task, worker, true, retired);
             return;
         }
 
@@ -1216,7 +1277,7 @@ impl RuntimeInner {
             task.group_state.stats.record_panicked(worker);
             task.notify_handle(TaskOutcome::Panicked);
         }
-        self.complete(task);
+        self.complete(task, retired);
     }
 
     /// Run a body (catching panics so one failing task cannot take a worker
@@ -1238,10 +1299,11 @@ impl RuntimeInner {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_ok()
     }
 
-    /// Post-execution bookkeeping: wake successors, update dependence and
-    /// group counters, and signal barriers. The barrier notifications cost
-    /// one atomic load each unless a `taskwait` is actually blocked.
-    fn complete(&self, task: &Arc<Task>) {
+    /// Post-execution bookkeeping: wake successors and `taskwait on(...)`
+    /// waiters, then add the task to the worker's batch of completions,
+    /// publishing it once it is full. The outstanding counts, and the
+    /// barriers that watch them, hear of it in [`RuntimeInner::publish`].
+    fn complete(&self, task: &Arc<Task>, retired: &mut Retired) {
         // Footprint-free tasks can never have successors (only tasks that
         // declared keys enter the dependence tracker), so the seal and the
         // tracker are skipped entirely.
@@ -1262,13 +1324,29 @@ impl RuntimeInner {
         } else {
             task.mark_completed();
         }
+        if retired.count == 0 {
+            retired.group = Some(task.group_state.clone());
+        }
+        retired.count += 1;
+        if retired.count == RETIRE_BATCH {
+            self.publish(retired);
+        }
+    }
+
+    /// Take a worker's batch of completions off the outstanding counts and
+    /// signal the barriers that reach zero. The barrier notifications cost
+    /// one atomic load each unless a `taskwait` is actually blocked.
+    fn publish(&self, retired: &mut Retired) {
+        let Some(group) = retired.group.take() else {
+            return;
+        };
+        let count = std::mem::take(&mut retired.count);
         // The runtime-wide count goes first: a group barrier that sees its
-        // group drained then also sees this task gone from `outstanding`, so
-        // its `free_husks_if_idle` cannot find a finished runtime busy and
-        // leave the caller's stash alive.
-        let idle = self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1;
-        let group = &task.group_state;
-        if group.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
+        // group drained then also sees these tasks gone from `outstanding`,
+        // so its `free_husks_if_idle` cannot find a finished runtime busy
+        // and leave the caller's stash alive.
+        let idle = self.outstanding.fetch_sub(count, Ordering::SeqCst) == count;
+        if group.outstanding.fetch_sub(count, Ordering::SeqCst) == count {
             group.barrier.notify();
         }
         if idle {
@@ -1292,6 +1370,7 @@ impl RuntimeInner {
         let mut lqh = LqhState::new();
         // Worker-private overload tick counter (see `overload_tick`).
         let mut overload_tick = 0usize;
+        let mut retired = Retired::default();
         let mut idle_rounds = 0u32;
         loop {
             let popped = self.queues.pop_local(index);
@@ -1302,7 +1381,7 @@ impl RuntimeInner {
             }
             if let Some(task) = popped.task {
                 idle_rounds = 0;
-                self.execute(task, index, &mut lqh, &mut overload_tick);
+                self.execute(task, index, &mut lqh, &mut overload_tick, &mut retired);
                 continue;
             }
             // Steal-half: the oldest victim task is returned, the rest of
@@ -1316,9 +1395,11 @@ impl RuntimeInner {
                     // (the batched injector only unparks one worker).
                     self.wake_one_sleeper(index);
                 }
-                self.execute(task, index, &mut lqh, &mut overload_tick);
+                self.execute(task, index, &mut lqh, &mut overload_tick, &mut retired);
                 continue;
             }
+            // Out of work: no barrier may wait on this worker's batch.
+            self.publish(&mut retired);
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -1458,8 +1539,11 @@ impl Runtime {
         &self.inner.stats
     }
 
-    /// Tasks spawned but not yet terminal (queued, buffered or executing) —
-    /// the queue-depth signal serving-layer admission control keys on.
+    /// Tasks spawned but not yet terminal (queued, buffered or executing).
+    /// A worker publishes its completions in batches, so while workers are
+    /// busy this may read up to 64 per busy worker above the true count, all
+    /// of it from the groups those workers are running; it is exact once
+    /// the workers run out of work.
     pub fn outstanding_tasks(&self) -> usize {
         self.inner.outstanding.load(Ordering::Relaxed)
     }
@@ -1918,7 +2002,7 @@ impl<'rt> TaskBuilder<'rt> {
 
         // Relaxed is sufficient for both `outstanding` bumps. Invariant: an
         // increment must be observable (a) by the matching `fetch_sub` in
-        // `complete`, which RMW coherence orders after it (the sub can only
+        // `publish`, which RMW coherence orders after it (the sub can only
         // run once the task reached a worker, and the queue handoff's
         // release/acquire edge — behind the GTB buffer's lock, for a
         // buffered task — orders the add before the pop), and (b) by any
@@ -3672,5 +3756,83 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(rt.inner.husks.lock().is_empty());
+    }
+
+    fn one_worker() -> Runtime {
+        Runtime::builder()
+            .workers(1)
+            .policy(Policy::SignificanceAgnostic)
+            .build()
+    }
+
+    /// A worker publishes its batch of one group's completions before it
+    /// runs a task of another group, so a barrier on the first group does
+    /// not wait for the second group's running task.
+    #[test]
+    fn a_group_barrier_does_not_wait_for_another_groups_running_task() {
+        let rt = Arc::new(one_worker());
+        let group = rt.create_group("retire/group", 1.0);
+        for _ in 0..20 {
+            rt.task(|| {}).group(&group).spawn();
+        }
+        // A global-group task, run after the 20 (one worker runs external
+        // spawns in order), blocks the worker.
+        let release = block_single_worker(&rt);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                rt.wait_group(&group);
+                done_tx.send(()).unwrap();
+            })
+        };
+        let returned = done_rx.recv_timeout(Duration::from_secs(30)).is_ok();
+        release.send(()).unwrap();
+        // On failure the waiter is left blocked (it holds the runtime), so
+        // the test fails instead of hanging in a join or the runtime's drop.
+        assert!(returned, "the group barrier waited for a global task");
+        waiter.join().unwrap();
+        rt.wait_all();
+    }
+
+    /// A worker that runs dry publishes what it retired: the count reaches
+    /// zero without anyone calling a barrier.
+    #[test]
+    fn outstanding_tasks_drains_to_zero_without_a_barrier() {
+        let rt = one_worker();
+        // Not a multiple of the batch, so a full batch alone cannot do it.
+        for _ in 0..100 {
+            rt.task(|| {}).spawn();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while rt.outstanding_tasks() != 0 {
+            if Instant::now() >= deadline {
+                let left = rt.outstanding_tasks();
+                // Its drop would wait for the same count for ever.
+                std::mem::forget(rt);
+                panic!("{left} completions never published by an idle worker");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A batch goes out once it holds `RETIRE_BATCH` completions, so a long
+    /// run of one group overstates the count by less than one batch.
+    #[test]
+    fn a_long_run_of_one_group_overstates_the_count_by_less_than_a_batch() {
+        let rt = one_worker();
+        for _ in 0..199 {
+            rt.task(|| {}).spawn();
+        }
+        // The 200th task of the global group, blocking once the rest ran.
+        let release = block_single_worker(&rt);
+        let seen = rt.outstanding_tasks();
+        release.send(()).unwrap();
+        rt.wait_all();
+        // The blocked task plus 199 mod 64 unpublished completions.
+        assert!(
+            (1..=RETIRE_BATCH + 1).contains(&seen),
+            "{seen} outstanding behind one running task"
+        );
     }
 }

@@ -340,8 +340,18 @@ impl Task {
         *approximate = BodyCell::new(None);
         *state.get_mut() = 0;
         *pending_deps.get_mut() = 0;
-        // A footprint task sealed its list at completion; unseal it.
-        *successors = SuccessorList::new();
+        // A footprint task sealed its list at completion; unseal it. A
+        // footprint-free one never had it pushed to (only the tracker's
+        // records become predecessors) nor sealed (`complete` skips the
+        // seal), so its list is already blank.
+        if *footprint {
+            *successors = SuccessorList::new();
+        } else {
+            debug_assert!(
+                successors.head.get_mut().is_null(),
+                "a footprint-free record's successor list was used"
+            );
+        }
         blank_keys(out_keys);
         *footprint = false;
         *system = false;
@@ -851,10 +861,43 @@ mod tests {
         );
 
         // A footprint wider than the kept capacity gives its buffer back.
+        // (Keys make it a footprint record, which is also what lets the
+        // successor pushed above be there.)
         t.in_keys = (0..4 * KEPT_KEY_CAPACITY as u64)
             .map(DepKey::from_raw)
             .collect();
+        t.footprint = true;
         t.reset();
         assert_eq!(t.in_keys.capacity(), 0);
+    }
+
+    #[test]
+    fn footprint_free_retirement_leaves_the_list_usable_by_the_next_footprint() {
+        let mut t = dummy_task(0.5);
+        // Retire it the way a footprint-free task retires: every state bit,
+        // no seal (`complete` skips it), so `reset` leaves the list alone.
+        t.decide(true);
+        t.release();
+        t.claim_enqueue();
+        t.mark_completed();
+        t.reset();
+        assert!(t.is_blank());
+
+        // Reused with keys: the list takes successors and seals as usual.
+        t.fill(TaskId(3), Significance::new(0.2), Box::new(|| {}), None);
+        t.out_keys.push(DepKey::from_raw(5));
+        t.footprint = true;
+        let successor = Arc::new(dummy_task(0.1));
+        assert!(t.successors.try_push(&successor));
+        let drained = t.successors.seal();
+        assert_eq!(drained.len(), 1);
+        assert!(Arc::ptr_eq(&drained[0], &successor));
+        assert!(!t.successors.try_push(&successor), "sealed at completion");
+
+        // And the next reset unseals it again.
+        t.mark_completed();
+        t.reset();
+        assert!(t.is_blank());
+        assert!(t.successors.try_push(&successor));
     }
 }
