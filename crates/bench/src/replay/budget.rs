@@ -16,10 +16,10 @@
 //! fixed accurate ratio and yields `J_open` joules at quality `Q_open`. The
 //! **budgeted** run starts from ratio 1.0 with a `TotalJoules` budget of
 //! `budget_fraction × J_open` over the same horizon and must converge:
-//! cumulative spend within [`CONVERGENCE_BAND`] of the budget, at quality no
+//! cumulative spend within `CONVERGENCE_BAND` of the budget, at quality no
 //! worse than the open-loop ladder bought with at least as many joules.
 //! Quality is significance-weighted (accurate task = 1.0, approximate =
-//! [`APPROX_QUALITY`]).
+//! `APPROX_QUALITY`).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -93,7 +93,7 @@ pub struct VariantResult {
     pub name: &'static str,
     /// Whether its classes carry quality ladders.
     pub ladder: bool,
-    /// One entry per [`LOAD_POINTS`] element.
+    /// One entry per `LOAD_POINTS` element.
     pub loads: Vec<LoadResult>,
 }
 

@@ -17,12 +17,12 @@
 //!
 //! # A read-mostly last-writer table
 //!
-//! The tracker is split into [`SHARDS`] shards selected by a multiplicative
+//! The tracker is split into `SHARDS` shards selected by a multiplicative
 //! hash of the key. Each shard publishes its state twice over:
 //!
 //! * a **snapshot map** (`DepKey → Arc<KeyCell>`) behind an atomic pointer,
 //!   republished copy-on-write when a key is first seen, and
-//! * per key, a generation-stamped **[`ReadEpoch`]** behind another atomic
+//! * per key, a generation-stamped **`ReadEpoch`** behind another atomic
 //!   pointer: the last writer at the moment the epoch opened plus a
 //!   lock-free list of the readers registered since.
 //!
@@ -59,7 +59,7 @@
 //! can no longer be waited for, so registration does not treat it as a
 //! predecessor at all: every candidate — the epoch's writer, each reader a
 //! writer seals — is checked with one load *before* it is cloned,
-//! listed or wired ([`is_new_pred`]). With the workers keeping up that is
+//! listed or wired (`is_new_pred`). With the workers keeping up that is
 //! nearly every candidate, and the alternative is a reference-count
 //! increment on a line the candidate's worker wrote last, a list node
 //! allocated, a push that fails, and both undone again.
@@ -72,9 +72,9 @@
 //!
 //! * per key, the **live epoch**: its writer (until the key's next epoch is
 //!   reclaimed) and the readers registered since it opened. A reader list is
-//!   **bounded**: the reader that brings it to [`READER_ROTATION`] entries
+//!   **bounded**: the reader that brings it to `READER_ROTATION` entries
 //!   takes the gate and rotates the key the way a writer would
-//!   ([`TrackerShard::rotate`]), carrying over only the readers — and the
+//!   (`TrackerShard::rotate`), carrying over only the readers — and the
 //!   writer — that have not finished. A key written once and read for ever
 //!   therefore retains at most twice its unfinished readers plus
 //!   `READER_ROTATION` records, not every reader it ever had;
@@ -84,7 +84,7 @@
 //!
 //! Every reference it lets go of — finished readers of an epoch being
 //! sealed, the writer of a retired epoch being freed — is handed to the
-//! registering caller in [`Registration::released`] rather than dropped, on
+//! registering caller in `Registration::released` rather than dropped, on
 //! the registering thread, after the gates are released. Unfinished readers
 //! of a sealed epoch are not let go of but *moved* into the predecessor
 //! list. Keys themselves are never forgotten: a `KeyCell` lives as long as
@@ -921,7 +921,13 @@ mod tests {
     use crate::task::TaskId;
 
     fn task(id: u64, outs: Vec<DepKey>) -> Arc<Task> {
-        let group = Arc::new(GroupState::new(GroupId::GLOBAL, Arc::from("<t>"), 1.0, 1));
+        let group = Arc::new(GroupState::new(
+            0,
+            GroupId::GLOBAL,
+            Arc::from("<t>"),
+            1.0,
+            1,
+        ));
         Arc::new(Task::new(
             TaskId(id),
             group,

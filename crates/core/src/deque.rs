@@ -44,6 +44,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::sync::CachePadded;
 use crate::task::Task;
 
 const INITIAL_DEQUE_CAPACITY: usize = 64;
@@ -404,6 +405,17 @@ unsafe fn reverse(mut node: *mut Task) -> *mut Task {
 /// swap the whole chain out, so work parked by a worker that then blocks
 /// (in a nested barrier inside a task body) is never stranded.
 struct Mailbox {
+    /// What pushers write, on a line of its own: one push writes both
+    /// fields, and the owner's deque and `ready` slot, which it touches on
+    /// every pop, stay off that line (the one-writer-per-line rule on
+    /// [`crate::sync::CachePadded`]).
+    inbox: CachePadded<Inbox>,
+    /// Oldest-first remainder of a take (see the type docs).
+    ready: AtomicPtr<Task>,
+}
+
+/// The pushed half of a [`Mailbox`].
+struct Inbox {
     /// Newest delivered record; each record links to the one delivered
     /// before it.
     incoming: AtomicPtr<Task>,
@@ -413,15 +425,15 @@ struct Mailbox {
     /// so one mailbox's figure may run negative. Counted before the push
     /// CAS, uncounted after the take.
     queued: AtomicIsize,
-    /// Oldest-first remainder of a take (see the type docs).
-    ready: AtomicPtr<Task>,
 }
 
 impl Mailbox {
     fn new() -> Mailbox {
         Mailbox {
-            incoming: AtomicPtr::new(std::ptr::null_mut()),
-            queued: AtomicIsize::new(0),
+            inbox: CachePadded::new(Inbox {
+                incoming: AtomicPtr::new(std::ptr::null_mut()),
+                queued: AtomicIsize::new(0),
+            }),
             ready: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -466,17 +478,19 @@ impl Mailbox {
     /// each carrying one reference that the list takes over, and no other
     /// thread can reach any of them.
     unsafe fn publish(&self, newest: *mut Task, oldest: *mut Task, count: usize) {
-        self.queued.fetch_add(count as isize, Ordering::Relaxed);
+        self.inbox
+            .queued
+            .fetch_add(count as isize, Ordering::Relaxed);
         // SAFETY: the chain holds a reference to `oldest`, and nobody else
         // sees it before the CAS below succeeds.
         let link = unsafe { &(*oldest).mail_next };
-        let mut head = self.incoming.load(Ordering::Relaxed);
+        let mut head = self.inbox.incoming.load(Ordering::Relaxed);
         loop {
             link.store(head, Ordering::Relaxed);
             // SeqCst: the pre-park re-check (`has_mail`) reads `incoming`,
             // so the push must be in the SC order with the sleep-flag
             // protocol; its release half publishes the chain's links.
-            match self.incoming.compare_exchange_weak(
+            match self.inbox.incoming.compare_exchange_weak(
                 head,
                 newest,
                 Ordering::SeqCst,
@@ -503,10 +517,13 @@ impl Mailbox {
             oldest = self.ready.swap(std::ptr::null_mut(), Ordering::SeqCst);
         }
         if oldest.is_null() {
-            if self.incoming.load(Ordering::Relaxed).is_null() {
+            if self.inbox.incoming.load(Ordering::Relaxed).is_null() {
                 return None;
             }
-            let newest = self.incoming.swap(std::ptr::null_mut(), Ordering::SeqCst);
+            let newest = self
+                .inbox
+                .incoming
+                .swap(std::ptr::null_mut(), Ordering::SeqCst);
             // SAFETY: the swap took the whole list, and its acquire pairs
             // with the pushers' release CAS.
             oldest = unsafe { reverse(newest) };
@@ -516,7 +533,8 @@ impl Mailbox {
         let mut chain = unsafe { Chain::new(oldest, 1 + MAIL_REFILL) };
         let first = chain.next()?;
         deque.push_batch(&mut chain);
-        home.queued
+        home.inbox
+            .queued
             .fetch_sub((1 + MAIL_REFILL - chain.left) as isize, Ordering::Relaxed);
         if !chain.head.is_null() {
             debug_assert!(
@@ -533,7 +551,7 @@ impl Mailbox {
     /// Whether anything waits here, delivered or parked (racy; for the
     /// sleep path under the Dekker pairing with the pusher's wakeup).
     fn has_mail(&self) -> bool {
-        !self.incoming.load(Ordering::SeqCst).is_null() || self.has_ready()
+        !self.inbox.incoming.load(Ordering::SeqCst).is_null() || self.has_ready()
     }
 
     fn has_ready(&self) -> bool {
@@ -546,7 +564,7 @@ impl Drop for Mailbox {
         // SAFETY: exclusive access, so both lists and the references they
         // carry are ours; the order they are released in does not matter.
         unsafe {
-            Chain::new(*self.incoming.get_mut(), usize::MAX).for_each(drop);
+            Chain::new(*self.inbox.incoming.get_mut(), usize::MAX).for_each(drop);
             Chain::new(*self.ready.get_mut(), usize::MAX).for_each(drop);
         }
     }
@@ -598,7 +616,10 @@ impl WorkerQueue {
 /// distribute tasks, mirroring the paper's master/slave layout.
 pub(crate) struct QueueSet {
     workers: Box<[WorkerQueue]>,
-    next: AtomicUsize,
+    /// Bumped by every external push; padded off the line of `workers`,
+    /// which every worker reads per task, and off the runtime fields that
+    /// follow the set.
+    next: CachePadded<AtomicUsize>,
 }
 
 /// Result of a local pop: the task (if any) plus whether the pop published
@@ -620,7 +641,7 @@ impl QueueSet {
         assert!(workers > 0, "at least one worker queue is required");
         QueueSet {
             workers: (0..workers).map(|_| WorkerQueue::new()).collect(),
-            next: AtomicUsize::new(0),
+            next: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
@@ -754,7 +775,7 @@ impl QueueSet {
         let mail: isize = self
             .workers
             .iter()
-            .map(|w| w.mailbox.queued.load(Ordering::Relaxed))
+            .map(|w| w.mailbox.inbox.queued.load(Ordering::Relaxed))
             .sum();
         deques + mail.max(0) as usize
     }
@@ -770,6 +791,7 @@ mod tests {
 
     fn group() -> Arc<GroupState> {
         Arc::new(GroupState::new(
+            0,
             GroupId::GLOBAL,
             Arc::from("<test>"),
             1.0,
@@ -1065,7 +1087,7 @@ mod tests {
                                 shared.push(record);
                             }
                         }
-                        home.queued.load(Ordering::Relaxed)
+                        home.inbox.queued.load(Ordering::Relaxed)
                     })
                 })
                 .collect();
@@ -1076,7 +1098,7 @@ mod tests {
             assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 2));
             assert!(!shared.has_mail());
             assert_eq!(
-                shared.queued.load(Ordering::Relaxed) + taker_counts,
+                shared.inbox.queued.load(Ordering::Relaxed) + taker_counts,
                 0,
                 "pushes and takes balance over all mailboxes"
             );
@@ -1264,5 +1286,27 @@ mod tests {
         assert!(set.pop_local(0).task.is_some());
         assert!(set.pop_local(0).task.is_some());
         assert!(!set.any_work());
+    }
+
+    /// The one-writer-per-line rule on the push path: a pusher's CAS and
+    /// count share no line with the owner's deque or `ready` slot, which it
+    /// writes on every pop, nor with a neighbouring worker's (the queues
+    /// are line-aligned, so their stride is whole lines); and the
+    /// round-robin cursor every external push bumps shares none with the
+    /// queue array every worker reads per task.
+    #[test]
+    fn pushers_write_no_line_a_worker_touches_per_task() {
+        use crate::sync::{assert_apart, field_span};
+        assert_apart::<WorkerQueue>(
+            &[field_span!(WorkerQueue, mailbox.inbox)],
+            &[
+                field_span!(WorkerQueue, deque),
+                field_span!(WorkerQueue, mailbox.ready),
+            ],
+        );
+        assert_apart::<QueueSet>(
+            &[field_span!(QueueSet, next)],
+            &[field_span!(QueueSet, workers)],
+        );
     }
 }

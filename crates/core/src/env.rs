@@ -24,7 +24,7 @@
 //! # Hot-path discipline
 //!
 //! Executing a ready task must stay **mutex-free**, so all accounting here is
-//! per-worker atomics on worker-private cache lines ([`CachePadded`]), folded
+//! per-worker atomics on worker-private cache lines (`CachePadded`), folded
 //! only when [`EnergyReport`] is built. The governor itself is an immutable
 //! `Arc<dyn Governor>`; the default [`crate::NominalGovernor`] short-circuits
 //! before the virtual call. Each shard remembers the active watts of the

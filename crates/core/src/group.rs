@@ -11,7 +11,9 @@
 //!
 //! Execution-hot state (the ratio, the outstanding counter, the statistics)
 //! is atomic or sharded; locks remain only on master-side cold paths (group
-//! creation, the GTB spawn buffer).
+//! creation, the GTB spawn buffer). A spawn into a group by handle takes no
+//! lock at all: the [`TaskGroup`] carries the group's state, so binding a
+//! task record to it never goes through the registry.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -19,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::stats::GroupStats;
-use crate::sync::EventCount;
+use crate::sync::{CachePadded, EventCount};
 use crate::task::Task;
 
 /// Identifier of a task group.
@@ -40,26 +42,61 @@ impl GroupId {
 
 /// A cheaply clonable handle to a task group, returned by
 /// [`Runtime::create_group`](crate::runtime::Runtime::create_group).
-#[derive(Debug, Clone)]
+///
+/// A handle belongs to the runtime that issued it: passing it to another
+/// runtime panics, since group ids are only unique within one runtime.
+#[derive(Clone)]
 pub struct TaskGroup {
-    pub(crate) id: GroupId,
-    pub(crate) name: Arc<str>,
+    pub(crate) state: Arc<GroupState>,
 }
 
 impl TaskGroup {
     /// The group identifier.
     pub fn id(&self) -> GroupId {
-        self.id
+        self.state.id
     }
 
     /// The group label supplied by the programmer.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.state.name
+    }
+
+    /// The group's state, for the runtime whose id is `runtime`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the group, if another runtime issued this handle.
+    pub(crate) fn state_in(&self, runtime: u64) -> &Arc<GroupState> {
+        assert!(
+            self.state.runtime == runtime,
+            "task group `{}` belongs to another runtime",
+            self.state.name
+        );
+        &self.state
+    }
+}
+
+impl std::fmt::Debug for TaskGroup {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TaskGroup")
+            .field("id", &self.state.id)
+            .field("name", &self.state.name)
+            .finish()
     }
 }
 
 /// Internal per-group state shared by the master and the workers.
+///
+/// Laid out by the one-writer-per-line rule ([`CachePadded`]): the two
+/// fields the spawner writes per spawn, `outstanding` and the GTB `buffer`,
+/// sit on lines of their own, away from what a worker reads per task (the
+/// ratio, the budget scale, `cancelled`, the statistics shards, the ids).
+/// Their padding also makes the state 64-byte aligned, so in an
+/// `Arc<GroupState>` the reference counts, which a spawn bumps for every
+/// fresh record, are on a line of their own too.
 pub(crate) struct GroupState {
+    /// Id of the runtime this group belongs to (see [`TaskGroup::state_in`]).
+    pub(crate) runtime: u64,
     pub(crate) id: GroupId,
     pub(crate) name: Arc<str>,
     /// Target ratio of accurately executed tasks, `R_g ∈ [0, 1]`, stored as
@@ -73,14 +110,14 @@ pub(crate) struct GroupState {
     /// Tasks spawned into this group and not yet completed, give or take
     /// the completions workers have not yet published (see the runtime's
     /// `Retired`): never below the true count.
-    pub(crate) outstanding: AtomicUsize,
+    pub(crate) outstanding: CachePadded<AtomicUsize>,
     /// Barrier waiters for `taskwait label(...)`; notified only when
     /// `outstanding` drops to zero, so per-publish cost is one atomic load
     /// when nobody waits.
     pub(crate) barrier: EventCount,
     /// GTB: tasks buffered by the master, awaiting a flush. Master-side only;
     /// keeps its capacity across flushes (see [`return_window`]).
-    buffer: Mutex<Vec<Arc<Task>>>,
+    buffer: CachePadded<Mutex<Vec<Arc<Task>>>>,
     /// Execution statistics (Table 2 inputs), sharded per worker.
     pub(crate) stats: GroupStats,
     /// Cooperative group-wide cancellation: once set, every not-yet-executed
@@ -89,19 +126,26 @@ pub(crate) struct GroupState {
 }
 
 impl GroupState {
-    pub(crate) fn new(id: GroupId, name: Arc<str>, ratio: f64, stat_shards: usize) -> Self {
+    pub(crate) fn new(
+        runtime: u64,
+        id: GroupId,
+        name: Arc<str>,
+        ratio: f64,
+        stat_shards: usize,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&ratio),
             "accurate-task ratio must be in [0, 1], got {ratio}"
         );
         GroupState {
+            runtime,
             id,
             name,
             ratio_bits: AtomicU64::new(ratio.to_bits()),
             budget_scale_bits: AtomicU64::new(1.0f64.to_bits()),
-            outstanding: AtomicUsize::new(0),
+            outstanding: CachePadded::new(AtomicUsize::new(0)),
             barrier: EventCount::default(),
-            buffer: Mutex::new(Vec::new()),
+            buffer: CachePadded::new(Mutex::new(Vec::new())),
             stats: GroupStats::new(stat_shards),
             cancelled: AtomicBool::new(false),
         }
@@ -230,17 +274,21 @@ pub(crate) fn return_window(mut window: Vec<Arc<Task>>) {
 pub(crate) struct GroupRegistry {
     groups: RwLock<Vec<Arc<GroupState>>>,
     by_name: Mutex<HashMap<Arc<str>, GroupId>>,
+    /// Id of the runtime the groups belong to.
+    runtime: u64,
     /// Shard count handed to each new group's statistics (workers + 1).
     stat_shards: usize,
 }
 
 impl GroupRegistry {
-    /// Create a registry containing only the global group (full accuracy by
-    /// default: unannotated programs behave exactly like the original code).
-    pub(crate) fn new(stat_shards: usize) -> Self {
+    /// Create runtime `runtime`'s registry, containing only the global group
+    /// (full accuracy by default: unannotated programs behave exactly like
+    /// the original code).
+    pub(crate) fn new(runtime: u64, stat_shards: usize) -> Self {
         let registry = GroupRegistry {
             groups: RwLock::new(Vec::new()),
             by_name: Mutex::new(HashMap::new()),
+            runtime,
             stat_shards,
         };
         let name: Arc<str> = Arc::from("<global>");
@@ -249,6 +297,7 @@ impl GroupRegistry {
             .write()
             .unwrap()
             .push(Arc::new(GroupState::new(
+                runtime,
                 GroupId::GLOBAL,
                 name.clone(),
                 1.0,
@@ -290,6 +339,7 @@ impl GroupRegistry {
         let id = GroupId(groups.len() as u32);
         let name: Arc<str> = Arc::from(name);
         let state = Arc::new(GroupState::new(
+            self.runtime,
             id,
             name.clone(),
             ratio.unwrap_or(1.0),
@@ -320,6 +370,13 @@ impl GroupRegistry {
         self.groups.read().unwrap().clone()
     }
 
+    /// Both of the registry's locks, held until the guards drop: a test
+    /// that a path takes neither.
+    #[cfg(test)]
+    pub(crate) fn lock_for_test(&self) -> impl Sized + '_ {
+        (self.groups.write().unwrap(), self.by_name.lock().unwrap())
+    }
+
     /// Number of groups, including the global one.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn len(&self) -> usize {
@@ -332,7 +389,7 @@ mod tests {
     use super::*;
 
     fn registry() -> GroupRegistry {
-        GroupRegistry::new(2)
+        GroupRegistry::new(1, 2)
     }
 
     #[test]
@@ -405,5 +462,30 @@ mod tests {
     #[test]
     fn global_id_index() {
         assert_eq!(GroupId::GLOBAL.index(), 0);
+    }
+
+    /// The one-writer-per-line rule for a group: what the spawner writes per
+    /// spawn (the count of outstanding tasks, the GTB buffer's lock and
+    /// vector) shares no line with what a worker reads per task, and the
+    /// state is line-aligned, so an `Arc`'s reference counts in front of it
+    /// share none either.
+    #[test]
+    fn spawner_fields_share_no_line_with_worker_fields() {
+        use crate::sync::{assert_apart, field_span};
+        assert!(std::mem::align_of::<GroupState>() >= 64);
+        assert_apart::<GroupState>(
+            &[
+                field_span!(GroupState, outstanding),
+                field_span!(GroupState, buffer),
+            ],
+            &[
+                field_span!(GroupState, ratio_bits),
+                field_span!(GroupState, budget_scale_bits),
+                field_span!(GroupState, cancelled),
+                field_span!(GroupState, stats),
+                field_span!(GroupState, id),
+                field_span!(GroupState, runtime),
+            ],
+        );
     }
 }

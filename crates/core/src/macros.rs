@@ -69,7 +69,7 @@ macro_rules! task {
 }
 
 /// Spawn a whole batch of tasks through the amortised injection pipeline —
-/// the batched counterpart of [`task!`](crate::task).
+/// the batched counterpart of [`task!`](macro@crate::task).
 ///
 /// Forms (clauses in any order; `tasks(...)` takes any
 /// `IntoIterator<Item = BatchTask>`):

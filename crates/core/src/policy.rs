@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn gtb_quota_matches_the_listing4_sort_on_seeded_windows() {
         let mut rng = Rng(0x67B_0AC1E);
-        let budgeted = GroupState::new(GroupId(1), Arc::from("budgeted"), 1.0, 1);
+        let budgeted = GroupState::new(0, GroupId(1), Arc::from("budgeted"), 1.0, 1);
         let mut lengths = vec![0, 1, 2, 3, 7, 31, 32, 33, 100, 101, 1000, 4096, 5000];
         lengths.extend((0..40).map(|_| rng.below(5001)));
         for (case, &n) in lengths.iter().enumerate() {

@@ -17,19 +17,42 @@
 //! # Scheduling hot path
 //!
 //! Executing a ready task takes **zero mutex acquisitions** on the worker
-//! fast path: queue pops are single-CAS ([`crate::deque`]), the
+//! fast path: queue pops are single-CAS (`deque.rs`), the
 //! accurate/approximate decision and the body handoff are a single atomic
-//! byte plus take-once cells ([`crate::task`]), statistics are per-worker
-//! shards ([`crate::stats`]), and completion signalling is a worker-local
-//! count: a worker subtracts its completions from the outstanding counters
-//! once per run of same-group tasks (at most `RETIRE_BATCH` = 64, and
-//! whenever it runs out of work; see `Retired`), and touches a condvar only
-//! when a barrier is actually waiting ([`crate::sync::EventCount`]). Idle
-//! workers park on a per-worker
-//! [`crate::sync::Parker`] and are woken *targeted* — the seed design's
-//! 1 ms idle polling loop and per-completion `notify_all` broadcast are
-//! gone, and the queue-empty/wakeup race they papered over is closed by the
-//! SeqCst sleep-flag protocol documented in [`crate::sync`].
+//! byte plus take-once cells ([`crate::task`](mod@crate::task)), statistics
+//! are per-worker shards ([`crate::stats`]), and completion signalling is a
+//! worker-local count: a worker subtracts its completions from the
+//! outstanding counters once per run of same-group tasks (at most
+//! `RETIRE_BATCH` = 64, and whenever it runs out of work; see `Retired`),
+//! and touches a condvar only when a barrier is actually waiting
+//! (`sync::EventCount`). Idle workers park on a per-worker `sync::Parker`
+//! and are woken *targeted* — the seed design's 1 ms idle polling loop and
+//! per-completion `notify_all` broadcast are gone, and the queue-empty/wakeup
+//! race they papered over is closed by the SeqCst sleep-flag protocol
+//! documented in `sync.rs`.
+//!
+//! A spawn by [`TaskGroup`] handle takes no lock either: the handle carries
+//! the group's state, so a record is bound to it without the group
+//! registry. (A spawn by label, [`TaskBuilder::label`], still looks the
+//! name up under the registry's lock every time.)
+//!
+//! **One writer per cache line.** No line the spawner writes once per spawn
+//! holds a field a worker reads or writes once per task, and the reverse.
+//! A line both sides write moves between their cores twice per task, and
+//! so does a line one writes and the other only reads. Four lines on the
+//! path are padded for it (`CachePadded`), each checked by a layout test
+//! beside it:
+//!
+//! 1. the runtime's `next_task_id` and `outstanding` counters, off the
+//!    configuration every worker reads per task (`id`, `policy`, `budget`,
+//!    the queue array);
+//! 2. the queue set's round-robin cursor, which every external push bumps;
+//! 3. a group's `outstanding` count and GTB buffer, off its ratio, budget
+//!    scale, cancellation flag and statistics shards, which also makes the
+//!    group state line-aligned, so an `Arc<GroupState>`'s reference counts,
+//!    which every fresh record bumps, sit on a line of their own;
+//! 4. each worker's mailbox inbox, which a push CASes and counts, off the
+//!    owner's deque and `ready` slot, which it writes on every pop.
 //!
 //! # Where a task record comes from and goes back to
 //!
@@ -103,6 +126,7 @@
 //! assert!(stats.accurate >= 50);
 //! ```
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -482,15 +506,18 @@ struct RuntimeInner {
     env: ExecutionEnv,
     /// Runtime creation time, the start of the energy-accounting window.
     started: Instant,
-    next_task_id: AtomicU64,
+    /// Bumped by every spawn: padded off the configuration above and below
+    /// it, which every worker reads per task.
+    next_task_id: CachePadded<AtomicU64>,
     /// Blank task records awaiting reuse.
     husks: HuskPool,
     /// Tasks spawned and not yet completed, across all groups. A single
     /// counter (not a sum over groups): `wait_all` must observe spawn and
     /// completion atomically even when a task body spawns children into
     /// other groups mid-barrier. Workers subtract in batches ([`Retired`]),
-    /// so it may read above the true count, never below.
-    outstanding: AtomicUsize,
+    /// so it may read above the true count, never below. Bumped by every
+    /// spawn, so on a line of its own like `next_task_id`.
+    outstanding: CachePadded<AtomicUsize>,
     /// Brownout overload controller (watermarks + current shed threshold).
     overload: OverloadState,
     /// Online energy-budget loop, if `RuntimeBuilder::energy_budget` was set.
@@ -540,15 +567,6 @@ impl RuntimeInner {
             .ok()
     }
 
-    /// The group a spawn named (the cached global group skips the registry).
-    fn group_state(&self, id: GroupId) -> Arc<GroupState> {
-        if id == GroupId::GLOBAL {
-            self.global_group.clone()
-        } else {
-            self.groups.get(id)
-        }
-    }
-
     /// A husk from the calling thread's stash (refilled from the pool, one
     /// lock per batch), bound to whatever group used it last; `None` if both
     /// are dry.
@@ -566,26 +584,26 @@ impl RuntimeInner {
     }
 
     /// `husk` bound to `group`, or a fresh allocation if there is none. A
-    /// husk last used by the same group keeps its `Arc<GroupState>` — group
-    /// ids are unique within a runtime and a stash never holds another
-    /// runtime's husks — so steady-state spawns touch neither the group
-    /// registry nor the group's refcount.
-    fn bind_husk(&self, husk: Option<Arc<Task>>, group: GroupId) -> Arc<Task> {
+    /// husk last used by the same group keeps its `Arc<GroupState>`, so
+    /// steady-state spawns do not touch the group's refcount; the others
+    /// clone the caller's `Arc` (the spawn's [`TaskGroup`] handle, or the
+    /// cached global group), so no spawn takes the group registry's lock.
+    fn bind_husk(&self, husk: Option<Arc<Task>>, group: &Arc<GroupState>) -> Arc<Task> {
         match husk {
             Some(mut husk) => {
-                if husk.group_state.id != group {
+                if !Arc::ptr_eq(&husk.group_state, group) {
                     Arc::get_mut(&mut husk)
                         .expect("a husk is uniquely held")
-                        .group_state = self.group_state(group);
+                        .group_state = group.clone();
                 }
                 husk
             }
-            None => Arc::new(Task::blank(self.group_state(group))),
+            None => Arc::new(Task::blank(group.clone())),
         }
     }
 
     /// A blank, uniquely held record bound to `group`.
-    fn husk_in(&self, group: GroupId) -> Arc<Task> {
+    fn husk_in(&self, group: &Arc<GroupState>) -> Arc<Task> {
         self.bind_husk(self.pop_husk(), group)
     }
 
@@ -945,7 +963,7 @@ impl RuntimeInner {
     /// user-facing statistics or energy accounting.
     fn spawn_system(self: &Arc<Self>, body: impl FnOnce() + Send + 'static) {
         let id = TaskId(self.next_task_id.fetch_add(1, Ordering::Relaxed));
-        let mut task = self.husk_in(GroupId::GLOBAL);
+        let mut task = self.husk_in(&self.global_group);
         let t = Arc::get_mut(&mut task).expect("task not yet shared");
         t.fill(id, Significance::CRITICAL, Box::new(body), None);
         t.system = true;
@@ -988,7 +1006,7 @@ impl RuntimeInner {
         let accurate = matches!(self.policy, Policy::SignificanceAgnostic);
         let mut tasks = Vec::with_capacity(n);
         for (offset, item) in items.into_iter().enumerate() {
-            let mut task = self.husk_in(group_state.id);
+            let mut task = self.husk_in(group_state);
             // Filled and primed through `&mut` before sharing: released +
             // enqueued (+ decided, for the agnostic policy) cost zero
             // atomics, and the batch-wide robustness clauses land for free.
@@ -1474,10 +1492,11 @@ impl Runtime {
         let governor = builder
             .governor
             .unwrap_or_else(|| Arc::new(NominalGovernor));
-        let groups = GroupRegistry::new(workers + 1);
+        let id = NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed);
+        let groups = GroupRegistry::new(id, workers + 1);
         let global_group = groups.get(GroupId::GLOBAL);
         let inner = Arc::new(RuntimeInner {
-            id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
+            id,
             policy,
             queues: QueueSet::new(workers),
             groups,
@@ -1492,12 +1511,12 @@ impl Runtime {
                 workers,
             ),
             started: Instant::now(),
-            next_task_id: AtomicU64::new(0),
+            next_task_id: CachePadded::new(AtomicU64::new(0)),
             husks: HuskPool {
                 husks: Mutex::new(Vec::new()),
                 available: AtomicUsize::new(0),
             },
-            outstanding: AtomicUsize::new(0),
+            outstanding: CachePadded::new(AtomicUsize::new(0)),
             overload: OverloadState::new(builder.queue_watermark, builder.miss_watermark),
             budget: builder.energy_budget.map(BudgetState::new),
             faults: builder.fault_plan,
@@ -1635,8 +1654,12 @@ impl Runtime {
 
     /// Cooperatively cancel every not-yet-started task of `group` (current
     /// and future spawns into it). See [`Runtime::cancel_tasks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
     pub fn cancel_group(&self, group: &TaskGroup) {
-        self.inner.groups.get(group.id).request_cancel();
+        group.state_in(self.inner.id).request_cancel();
     }
 
     /// Observability counter: single-key read-only footprint registrations
@@ -1652,10 +1675,8 @@ impl Runtime {
     /// accurate-task ratio — the runtime-API equivalent of
     /// `tpc_init_group()`.
     pub fn create_group(&self, label: &str, ratio: f64) -> TaskGroup {
-        let state = self.inner.groups.get_or_create(label, Some(ratio));
         TaskGroup {
-            id: state.id,
-            name: state.name.clone(),
+            state: self.inner.groups.get_or_create(label, Some(ratio)),
         }
     }
 
@@ -1663,10 +1684,7 @@ impl Runtime {
     /// (or implicitly via [`TaskBuilder::label`]).
     pub fn find_group(&self, label: &str) -> Option<TaskGroup> {
         let state = self.inner.groups.find(label)?;
-        Some(TaskGroup {
-            id: state.id,
-            name: state.name.clone(),
-        })
+        Some(TaskGroup { state })
     }
 
     /// Begin describing a task whose accurate body is `body` — the equivalent
@@ -1766,14 +1784,18 @@ impl Runtime {
     /// GTB buffer and wait for its tasks. Re-flushes before every predicate
     /// re-check (see [`Runtime::wait_all`]) so spawns issued from inside
     /// the group's own tasks drain instead of deadlocking the barrier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
     pub fn wait_group(&self, group: &TaskGroup) -> OutcomeSummary {
-        let state = self.inner.groups.get(group.id);
-        self.inner.flush_group(&state);
+        let state = group.state_in(self.inner.id);
+        self.inner.flush_group(state);
         let inner = &self.inner;
         inner.wake_for_wait();
         state.barrier.wait(|| {
             if inner.policy.is_buffering() {
-                inner.flush_group(&state);
+                inner.flush_group(state);
             }
             state.outstanding.load(Ordering::SeqCst) == 0
         });
@@ -1786,15 +1808,20 @@ impl Runtime {
     ///
     /// The ratio is installed before the flush so a Max-Buffer GTB flush and
     /// all still-undecided LQH decisions observe it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ratio` is outside `[0, 1]` or another runtime created
+    /// `group`.
     pub fn wait_group_with_ratio(&self, group: &TaskGroup, ratio: f64) -> OutcomeSummary {
-        let state = self.inner.groups.get(group.id);
+        let state = group.state_in(self.inner.id);
         state.set_ratio(ratio);
-        self.inner.flush_group(&state);
+        self.inner.flush_group(state);
         let inner = &self.inner;
         inner.wake_for_wait();
         state.barrier.wait(|| {
             if inner.policy.is_buffering() {
-                inner.flush_group(&state);
+                inner.flush_group(state);
             }
             state.outstanding.load(Ordering::SeqCst) == 0
         });
@@ -1816,8 +1843,12 @@ impl Runtime {
     }
 
     /// Execution statistics of one group (Table 2 inputs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
     pub fn group_stats(&self, group: &TaskGroup) -> GroupStatsSnapshot {
-        let state = self.inner.groups.get(group.id);
+        let state = group.state_in(self.inner.id);
         state.stats.snapshot(state.ratio())
     }
 
@@ -1899,7 +1930,9 @@ pub struct TaskBuilder<'rt> {
     accurate: TaskBody,
     approximate: Option<TaskBody>,
     significance: Significance,
-    group: Option<GroupId>,
+    /// Borrowed from the [`TaskGroup`] handle, so binding the record to it
+    /// takes no registry lock; owned after a lookup by label.
+    group: Option<Cow<'rt, Arc<GroupState>>>,
     deadline_nanos: u64,
     cancel: Option<CancelToken>,
     handle: Option<Arc<dyn HandleNotify>>,
@@ -1938,17 +1971,25 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// `label(...)` by group handle.
-    pub fn group(mut self, group: &TaskGroup) -> Self {
-        self.group = Some(group.id);
+    /// `label(...)` by group handle. The builder borrows the handle until
+    /// it spawns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
+    pub fn group(mut self, group: &'rt TaskGroup) -> Self {
+        let state = group.state_in(self.husk.runtime.inner.id);
+        self.group = Some(Cow::Borrowed(state));
         self
     }
 
     /// `label(...)` by name; the group is created with a default ratio of 1.0
-    /// if it does not exist yet.
+    /// if it does not exist yet. Every call looks the label up under the
+    /// registry's lock; a spawn loop should create the group once and pass
+    /// its handle to [`TaskBuilder::group`].
     pub fn label(mut self, label: &str) -> Self {
         let state = self.husk.runtime.inner.groups.get_or_create(label, None);
-        self.group = Some(state.id);
+        self.group = Some(Cow::Owned(state));
         self
     }
 
@@ -1988,7 +2029,8 @@ impl<'rt> TaskBuilder<'rt> {
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
         // The record a footprint clause took, else one from the stash now.
         let husk = self.husk.record.take().or_else(|| inner.pop_husk());
-        let mut task = inner.bind_husk(husk, self.group.unwrap_or(GroupId::GLOBAL));
+        let group = self.group.as_deref().unwrap_or(&inner.global_group);
+        let mut task = inner.bind_husk(husk, group);
         let footprint = {
             // Not yet shared: every clause lands through `&mut`, free.
             let t = Arc::get_mut(&mut task).expect("task not yet shared");
@@ -2089,12 +2131,12 @@ pub struct HandledTaskBuilder<'rt, T> {
     accurate: Box<dyn FnOnce() -> T + Send + 'static>,
     approximate: Option<Box<dyn FnOnce() -> T + Send + 'static>>,
     significance: Significance,
-    group: Option<GroupId>,
+    group: Option<Cow<'rt, Arc<GroupState>>>,
     deadline_nanos: u64,
     cancel: Option<CancelToken>,
 }
 
-impl<T: Send + 'static> HandledTaskBuilder<'_, T> {
+impl<'rt, T: Send + 'static> HandledTaskBuilder<'rt, T> {
     /// `significant(expr)` — the task's significance in `[0.0, 1.0]`.
     pub fn significance(mut self, significance: impl Into<Significance>) -> Self {
         self.significance = significance.into();
@@ -2111,9 +2153,14 @@ impl<T: Send + 'static> HandledTaskBuilder<'_, T> {
         self
     }
 
-    /// `label(...)` by group handle.
-    pub fn group(mut self, group: &TaskGroup) -> Self {
-        self.group = Some(group.id);
+    /// `label(...)` by group handle. See [`TaskBuilder::group`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
+    pub fn group(mut self, group: &'rt TaskGroup) -> Self {
+        let state = group.state_in(self.runtime.inner.id);
+        self.group = Some(Cow::Borrowed(state));
         self
     }
 
@@ -2297,7 +2344,7 @@ impl ExactSizeIterator for TaskIdRange {}
 #[must_use = "a batch builder does nothing until a spawn method is called"]
 pub struct BatchBuilder<'rt> {
     runtime: &'rt Runtime,
-    group: Option<GroupId>,
+    group: Option<Cow<'rt, Arc<GroupState>>>,
     significance: Significance,
     tasks: Vec<BatchTask>,
     deadline_nanos: u64,
@@ -2305,10 +2352,16 @@ pub struct BatchBuilder<'rt> {
     cancel: Option<CancelToken>,
 }
 
-impl BatchBuilder<'_> {
-    /// `label(...)` by group handle, for every task of the batch.
-    pub fn group(mut self, group: &TaskGroup) -> Self {
-        self.group = Some(group.id);
+impl<'rt> BatchBuilder<'rt> {
+    /// `label(...)` by group handle, for every task of the batch. See
+    /// [`TaskBuilder::group`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime created `group`.
+    pub fn group(mut self, group: &'rt TaskGroup) -> Self {
+        let state = group.state_in(self.runtime.inner.id);
+        self.group = Some(Cow::Borrowed(state));
         self
     }
 
@@ -2316,7 +2369,7 @@ impl BatchBuilder<'_> {
     /// 1.0 if it does not exist yet.
     pub fn label(mut self, label: &str) -> Self {
         let state = self.runtime.inner.groups.get_or_create(label, None);
-        self.group = Some(state.id);
+        self.group = Some(Cow::Owned(state));
         self
     }
 
@@ -2402,8 +2455,8 @@ impl BatchBuilder<'_> {
             }
         }
         let inner = &self.runtime.inner;
-        let group_state = inner.group_state(self.group.unwrap_or(GroupId::GLOBAL));
-        inner.spawn_batch_into(&group_state, tasks, self.deadline_nanos, self.cancel)
+        let group = self.group.as_deref().unwrap_or(&inner.global_group);
+        inner.spawn_batch_into(group, tasks, self.deadline_nanos, self.cancel)
     }
 }
 
@@ -3517,7 +3570,7 @@ mod tests {
         // `reclaim` frees it within the same registration and the tracker's
         // reference — the last one — comes back to this thread's stash.
         let next = rt.task(|| {}).writes([key]).spawn();
-        let mut husk = rt.inner.husk_in(GroupId::GLOBAL);
+        let mut husk = rt.inner.husk_in(&rt.inner.global_group);
         assert_eq!(Arc::as_ptr(&husk) as usize, writer_address);
         assert!(Arc::get_mut(&mut husk).expect("uniquely held").is_blank());
         let (held, _) = live_epoch(&rt, key);
@@ -3577,8 +3630,8 @@ mod tests {
         const READERS: usize = 100_000;
         let rt = count_runtime(Policy::SignificanceAgnostic);
         let group = rt.create_group("config-readers", 1.0);
-        let state = rt.inner.groups.get(group.id);
-        // Registry + `state`; every live record of the group adds one.
+        let state = group.state.clone();
+        // Registry, handle and `state`; every live record of the group adds one.
         let idle_count = Arc::strong_count(&state);
         let key = DepKey::named("config");
         for _ in 0..READERS / WINDOW {
@@ -3621,7 +3674,7 @@ mod tests {
             .policy(Policy::SignificanceAgnostic)
             .build();
         let group = rt.create_group("stash-probe", 1.0);
-        let state = rt.inner.groups.get(group.id);
+        let state = group.state.clone();
         let (holding_tx, holding_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let waiter = {
@@ -3732,8 +3785,8 @@ mod tests {
     fn nothing_pooled_outlives_the_burst() {
         let rt = count_runtime(Policy::Lqh);
         let group = rt.create_group("burst", 0.5);
-        let state = rt.inner.groups.get(group.id);
-        // Registry + `state`; every live record of the group adds one.
+        let state = group.state.clone();
+        // Registry, handle and `state`; every live record of the group adds one.
         let idle_count = Arc::strong_count(&state);
         std::thread::scope(|scope| {
             for _ in 0..2 {
@@ -3834,5 +3887,126 @@ mod tests {
             (1..=RETIRE_BATCH + 1).contains(&seen),
             "{seen} outstanding behind one running task"
         );
+    }
+
+    /// The one-writer-per-line rule for the runtime's shared state: the two
+    /// counters every spawn bumps share no line with the configuration and
+    /// the structures a worker reads per task. (The queue set's own cursor
+    /// and each worker's mailbox are checked in `deque.rs`, a group's
+    /// fields in `group.rs`.)
+    #[test]
+    fn spawn_counters_share_no_line_with_what_workers_read() {
+        use crate::sync::{assert_apart, field_span};
+        assert_apart::<RuntimeInner>(
+            &[
+                field_span!(RuntimeInner, next_task_id),
+                field_span!(RuntimeInner, outstanding),
+            ],
+            &[
+                field_span!(RuntimeInner, id),
+                field_span!(RuntimeInner, policy),
+                field_span!(RuntimeInner, queues),
+                field_span!(RuntimeInner, global_group),
+                field_span!(RuntimeInner, tracker),
+                field_span!(RuntimeInner, stats),
+                field_span!(RuntimeInner, env),
+                field_span!(RuntimeInner, started),
+                field_span!(RuntimeInner, overload),
+                field_span!(RuntimeInner, budget),
+                field_span!(RuntimeInner, faults),
+                field_span!(RuntimeInner, cancel_active),
+                field_span!(RuntimeInner, parkers),
+            ],
+        );
+    }
+
+    /// A spawn by group handle, per task, batched or handled, binds its
+    /// records from the handle: with both registry locks held elsewhere it
+    /// still completes. Each spawn here takes a fresh record (a new
+    /// runtime, nothing pooled yet), the case that used to look the group up.
+    #[test]
+    fn a_spawn_by_handle_takes_no_registry_lock() {
+        let rt = Runtime::builder().workers(1).build();
+        let group = rt.create_group("handle", 0.5);
+        let (done, spawned) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let registry = rt.inner.groups.lock_for_test();
+            scope.spawn(|| {
+                for _ in 0..100 {
+                    rt.task(|| {}).group(&group).spawn();
+                }
+                rt.batch().group(&group).spawn_all((0..100).map(|_| || {}));
+                let handle = rt.submit(|| 7).group(&group).spawn();
+                done.send(handle).unwrap();
+            });
+            let handle = spawned.recv_timeout(Duration::from_secs(30));
+            drop(registry);
+            let handle = handle.expect("a spawn by handle waited for the group registry");
+            assert_eq!(
+                handle.wait(),
+                TaskOutcome::Completed(ExecutionMode::Accurate)
+            );
+        });
+        assert_eq!(rt.wait_group(&group).completed, 201);
+    }
+
+    /// Two runtimes whose groups share an index: `a` belongs to the first,
+    /// `b` to the second, and both are `GroupId(1)`.
+    fn groups_with_one_index() -> (Runtime, Runtime, TaskGroup, TaskGroup) {
+        let first = one_worker();
+        let second = one_worker();
+        let a = first.create_group("a", 0.5);
+        let b = second.create_group("b", 1.0);
+        assert_eq!(a.id(), b.id());
+        (first, second, a, b)
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn task_builder_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        let _ = second.task(|| {}).group(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn handled_builder_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        let _ = second.submit(|| 1).group(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn batch_builder_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        let _ = second.batch().group(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn cancel_group_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        second.cancel_group(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn wait_group_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        second.wait_group(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn wait_group_with_ratio_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        second.wait_group_with_ratio(&a, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "task group `a` belongs to another runtime")]
+    fn group_stats_rejects_another_runtimes_group() {
+        let (_first, second, a, _b) = groups_with_one_index();
+        let _ = second.group_stats(&a);
     }
 }

@@ -3,7 +3,8 @@
 //! Three small building blocks keep the runtime's hot path free of mutexes:
 //!
 //! * [`CachePadded`] — aligns per-worker state to its own cache line so
-//!   sharded counters and parkers do not false-share.
+//!   sharded counters and parkers do not false-share, and keeps what the
+//!   spawner writes per spawn off the lines a worker touches per task.
 //! * [`Parker`] — a per-worker sleep/wake slot built on
 //!   `std::thread::park`/`unpark`. The park-token semantics of the standard
 //!   library (an `unpark` delivered before `park` makes the next `park`
@@ -20,6 +21,18 @@ use std::thread::Thread;
 
 /// Pads and aligns its contents to one 64-byte cache line, preventing false
 /// sharing between per-worker shards.
+///
+/// It also carries the runtime's **one-writer-per-line rule** for the spawn →
+/// execute path: no line the spawner writes once per spawn holds a field a
+/// worker reads or writes once per task, and the reverse. Four lines on that
+/// path are padded for it (see the runtime's "Scheduling hot path" docs):
+/// the round-robin cursor and each worker's mailbox inbox in `deque.rs`, a
+/// group's outstanding count and GTB buffer in `group.rs` (whose padding
+/// also gives `GroupState` the 64-byte alignment that puts an
+/// `Arc<GroupState>`'s reference counts on a line of their own), and the
+/// runtime's task-id and outstanding counters in `runtime.rs`. Padding one
+/// field shifts every field after it, so the layout tests next to each
+/// (`assert_apart`) check the lines that result, not the attribute.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct CachePadded<T> {
@@ -36,6 +49,74 @@ impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.value
+    }
+}
+
+impl<T> std::ops::DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
+/// A field's name, byte offset and size in its struct, as [`field_span!`]
+/// reads them.
+#[cfg(test)]
+pub(crate) type FieldSpan = (&'static str, usize, usize);
+
+/// The size of the field `field` selects, without a value of `T`.
+#[cfg(test)]
+pub(crate) fn size_of_field<T, F>(_field: fn(&T) -> &F) -> usize {
+    std::mem::size_of::<F>()
+}
+
+/// The [`FieldSpan`] of `$ty`'s field `$field`, which may be a nested path
+/// (`mailbox.inbox`).
+#[cfg(test)]
+macro_rules! field_span {
+    ($ty:ty, $($field:ident).+) => {
+        (
+            stringify!($($field).+),
+            std::mem::offset_of!($ty, $($field).+),
+            $crate::sync::size_of_field(|value: &$ty| &value.$($field).+),
+        )
+    };
+}
+#[cfg(test)]
+pub(crate) use field_span;
+
+/// The one-writer-per-line rule as a test: no field of `spawner` (written
+/// once per spawn) may share a 64-byte line of a `T` with any field of
+/// `worker` (touched once per task). Offsets map to lines only if every `T`
+/// starts on a line, so `T` must be at least line-aligned. Prints the spans
+/// it compared, for `--nocapture`.
+#[cfg(test)]
+pub(crate) fn assert_apart<T>(spawner: &[FieldSpan], worker: &[FieldSpan]) {
+    let ty = std::any::type_name::<T>();
+    assert!(
+        std::mem::align_of::<T>() >= 64,
+        "{ty} is {}-byte aligned, so its offsets do not name cache lines",
+        std::mem::align_of::<T>()
+    );
+    let lines = |&(_, offset, size): &FieldSpan| offset / 64..=(offset + size.max(1) - 1) / 64;
+    for span in spawner.iter().chain(worker) {
+        println!(
+            "{ty}::{}: bytes {}..{}, lines {:?}",
+            span.0,
+            span.1,
+            span.1 + span.2,
+            lines(span)
+        );
+    }
+    for written in spawner {
+        for touched in worker {
+            let (a, b) = (lines(written), lines(touched));
+            assert!(
+                a.end() < b.start() || b.end() < a.start(),
+                "{ty}: spawner-written `{}` (lines {a:?}) shares a cache line with worker-side `{}` (lines {b:?})",
+                written.0,
+                touched.0
+            );
+        }
     }
 }
 

@@ -10,9 +10,9 @@
 //!   the master has released it to the workers (GTB buffering), and the
 //!   execution-mode decision once it has been made.
 //!
-//! All scheduling state lives in **one atomic byte** ([`Task::decide`],
-//! [`Task::release`], [`Task::claim_enqueue`]), the two bodies live in
-//! take-once [`BodyCell`]s, and the successor list is a lock-free Treiber
+//! All scheduling state lives in **one atomic byte** (`Task::decide`,
+//! `Task::release`, `Task::claim_enqueue`), the two bodies live in
+//! take-once `BodyCell`s, and the successor list is a lock-free Treiber
 //! stack sealed at completion — so executing a ready task performs **zero
 //! mutex acquisitions**. The seed design spent two mutex locks per executed
 //! task on the body slots alone plus one on the successor list.
@@ -207,11 +207,18 @@ impl SuccessorList {
     /// seals and then looks for waiters — one of the two must see the other
     /// (see [`SuccessorList::is_sealed`]).
     pub(crate) fn seal(&self) -> Vec<Arc<Task>> {
-        let mut head = self.head.swap(sealed(), Ordering::SeqCst);
+        Self::drain(self.head.swap(sealed(), Ordering::SeqCst))
+    }
+
+    /// The successors on the chain `head` starts, in registration order,
+    /// freeing its nodes. `head` must be a chain no other thread can reach
+    /// any more: one a sealing swap took out of the list, or one read
+    /// through `&mut self`.
+    fn drain(mut head: *mut SuccessorNode) -> Vec<Arc<Task>> {
         let mut successors = Vec::new();
         while !head.is_null() && head != sealed() {
-            // SAFETY: the swap above made this list unreachable to pushers;
-            // each node came from `Box::into_raw` and is freed exactly once.
+            // SAFETY: no other thread can reach the chain (see above); each
+            // node came from `Box::into_raw` and is freed exactly once.
             let node = unsafe { Box::from_raw(head) };
             successors.push(node.task);
             head = node.next;
@@ -224,7 +231,10 @@ impl SuccessorList {
 impl Drop for SuccessorList {
     fn drop(&mut self) {
         // Frees any nodes never drained (e.g. a task dropped unexecuted).
-        let _ = self.seal();
+        // `&mut self` excludes every other thread, so the head is read
+        // plainly: freeing a record, or a reset replacing a sealed list,
+        // costs no atomic operation.
+        drop(Self::drain(*self.head.get_mut()));
     }
 }
 
@@ -610,6 +620,7 @@ mod tests {
 
     fn test_group() -> Arc<GroupState> {
         Arc::new(GroupState::new(
+            0,
             GroupId::GLOBAL,
             Arc::from("<test>"),
             1.0,
@@ -730,6 +741,27 @@ mod tests {
             "a push that finds the seal must not clone"
         );
         assert!(t.successors.seal().is_empty(), "second seal drains nothing");
+    }
+
+    #[test]
+    fn dropping_an_unsealed_list_gives_back_every_successor() {
+        let successors: Vec<Arc<Task>> = (0..3)
+            .map(|i| Arc::new(dummy_task(0.1 * i as f64)))
+            .collect();
+        let list = SuccessorList::new();
+        for successor in &successors {
+            assert!(list.try_push(successor));
+            assert!(list.try_push(successor), "a successor may be listed twice");
+        }
+        assert!(successors.iter().all(|s| Arc::strong_count(s) == 3));
+        drop(list);
+        for successor in &successors {
+            assert_eq!(
+                Arc::strong_count(successor),
+                1,
+                "the dropped list kept a reference"
+            );
+        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl AdmissionController {
 
     /// Feed the energy-budget controller's austerity (`0.0` = slack, `1.0` =
     /// budget exhausted) into admission. See
-    /// [`AdmissionController::effective_pressure`].
+    /// `AdmissionController::effective_pressure`.
     pub fn set_budget_pressure(&mut self, austerity: f64) {
         self.budget_pressure = austerity.clamp(0.0, 1.0);
     }

@@ -54,7 +54,7 @@ use crate::rng::SplitMix64;
 /// worker, however long the schedule). The timeline counts as pushed first,
 /// so it wins ties: a phase's arrivals precede whatever they cause.
 ///
-/// The heap orders 16-byte [`event_key`]s, earliest first: time, push
+/// The heap orders 16-byte `event_key`s, earliest first: time, push
 /// sequence and slot in one `u128`. Sequences are unique, so the slot never
 /// decides and the order is exactly `(time, push sequence)`. The events stay
 /// put in `slots`, whose entries are reused once popped, so sifting moves
