@@ -22,7 +22,9 @@
 //! interaction radius — about one in twenty. Like the PARSEC original, the
 //! step sorts the particles into a uniform cell grid (`Cells`, rebuilt per
 //! accurate time step since every particle moves) and looks only at the
-//! cells the radius reaches. The forces of the neighbours found are then
+//! cells the radius reaches, about half the radius wide (`Cells::new`). The
+//! cell width decides which candidates are tested, never which neighbours
+//! are found or in what order. The forces of the neighbours found are then
 //! added in ascending particle index, the order in which a loop over all
 //! particles would meet them: floating-point addition does not associate, so
 //! that order is part of the kernel's contract, pinned bit for bit by
@@ -90,12 +92,17 @@ struct Cells {
 }
 
 impl Cells {
-    /// Cells no narrower than `radius`, so a search reaches three of them per
-    /// axis, and no more than about one per particle. Neither bound is needed
-    /// for correctness: `mark_near` scans whatever range the radius covers.
+    /// Cells about half the radius wide (`side = floor(2 / radius)`): a
+    /// search scans a square of about five cells, 2.5 radii, per side and
+    /// tests about two candidates per neighbour inside the radius, where
+    /// radius-wide cells (three per side, 3 radii) tested about three. And
+    /// no more cells than about one per particle. Neither bound is needed
+    /// for correctness: `mark_near` scans whatever range the radius covers,
+    /// and the candidates are visited in ascending index whatever the cell
+    /// width.
     fn new(state: &[f64], radius: f64) -> Self {
         let n = state.len() / STRIDE;
-        let side = ((1.0 / radius) as usize).clamp(1, ((n as f64).sqrt().ceil() as usize).max(1));
+        let side = ((2.0 / radius) as usize).clamp(1, ((n as f64).sqrt().ceil() as usize).max(1));
         let mut cells = Cells {
             side,
             start: vec![0; side * side + 1],
@@ -368,15 +375,11 @@ impl Fluidanimate {
             }
             rt.wait_group_with_ratio(&group, if accurate_step { 1.0 } else { 0.0 });
 
-            let rows = next.into_vec();
-            let mut merged = vec![0.0f64; self.particles * STRIDE];
-            for chunk in 0..self.chunks {
-                let range = self.chunk_range(chunk);
-                let len = range.len();
-                merged[range.start * STRIDE..range.end * STRIDE].copy_from_slice(
-                    &rows[chunk * per_chunk * STRIDE..chunk * per_chunk * STRIDE + len * STRIDE],
-                );
-            }
+            // Chunk `c`'s row starts at `c · per_chunk · STRIDE`, where its
+            // particles start in the flat state, so the grid is the next state
+            // once the padding past the last particle is cut off.
+            let mut merged = next.into_vec();
+            merged.truncate(self.particles * STRIDE);
             state = Arc::new(merged);
         }
         let elapsed = start.elapsed();
@@ -525,7 +528,7 @@ mod tests {
         match case % 5 {
             0 => rng.gen_range(1.0..3.0),
             1 => rng.gen_range(1e-9..1e-3),
-            2 => 0.1, // 1/radius rounds to exactly 10: cells a hair narrower than the radius
+            2 => 0.1, // 2/radius rounds to exactly 20: cells a hair narrower than half the radius
             _ => rng.gen_range(0.01..0.5),
         }
     }

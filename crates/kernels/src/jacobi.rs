@@ -21,11 +21,16 @@
 //! The synthetic matrix is Toeplitz — `A[i][j]` depends on `|i − j|` only —
 //! so its `n²` entries are `n` distinct values, kept in one coupling table
 //! per solve (`coupling_table`) instead of one division per entry per
-//! sweep. A row's sum still visits its columns in ascending `j` with the
-//! diagonal left out: floating-point addition does not associate, so the
-//! order of the additions is part of the kernel's contract, pinned bit for
-//! bit by `tests/output_fingerprints.rs` and by the entry-by-entry reference
-//! in this module's tests.
+//! sweep. A task updates its rows eight at a time (`update_rows`), each row
+//! with its own sum: one row's additions wait on each other, eight rows'
+//! do not, so the eight sums advance side by side instead of one after
+//! another. Each row's sum still starts at `0.0` and visits its columns in
+//! ascending `j` with the diagonal left out, exactly as a loop over that
+//! row alone: floating-point addition does not associate, so the order of
+//! a row's additions is part of the kernel's contract, pinned bit for bit
+//! by `tests/output_fingerprints.rs` and by the entry-by-entry reference in
+//! this module's tests. Only the additions of different rows interleave,
+//! and those never meet.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,12 +87,14 @@ fn coupling_table(n: usize) -> Arc<[f64]> {
     (0..n).map(|d| 1.0 / (1.0 + d as f64)).collect()
 }
 
+/// Rows of a block updated side by side, each into its own sum.
+const LANES: usize = 8;
+
 /// Update one block of unknowns: `x_new[i] = (b[i] − Σ_{j≠i} A[i][j]·x[j]) / A[i][i]`.
 ///
 /// `band` limits the columns visited: `None` sums every column (accurate),
 /// `Some(w)` sums only `|i − j| ≤ w` (the approximate, band-only body). The
-/// columns are summed in ascending `j` — left of the diagonal, then right of
-/// it — because the order of the additions decides the low bits of the sum.
+/// rows go `LANES` at a time through `update_rows`, the rest one by one.
 fn update_block(
     coupling: &[f64],
     b: &[f64],
@@ -96,20 +103,93 @@ fn update_block(
     band: Option<usize>,
     out: &mut [f64],
 ) {
+    debug_assert_eq!(out.len(), rows.len());
+    for (first, group) in rows.step_by(LANES).zip(out.chunks_mut(LANES)) {
+        if let Ok(group) = <&mut [f64; LANES]>::try_from(&mut *group) {
+            update_rows(coupling, b, x, first, band, group);
+        } else {
+            for (i, slot) in (first..).zip(group) {
+                update_rows(coupling, b, x, i, band, std::array::from_mut(slot));
+            }
+        }
+    }
+}
+
+/// Update the `R` rows from `first` on. Each row has its own sum, starts it
+/// at `0.0`, adds its columns in ascending `j` and skips its own diagonal,
+/// exactly as a loop over that row alone would: the order of a row's
+/// additions decides the low bits of its sum. Only the rows' additions are
+/// interleaved, so that they no longer wait on one another.
+///
+/// A row's columns fall in three runs: its own columns left of those every
+/// row of the group has (in band mode the rows' windows are shifted), the
+/// shared columns, and its own columns right of them. The shared run is
+/// added to all `R` sums per column, with the coefficients of the `R` rows
+/// read as one window of `coupling`.
+fn update_rows<const R: usize>(
+    coupling: &[f64],
+    b: &[f64],
+    x: &[f64],
+    first: usize,
+    band: Option<usize>,
+    out: &mut [f64; R],
+) {
     let n = x.len();
-    for (local, i) in rows.enumerate() {
-        let (lo, hi) = match band {
-            Some(w) => (i.saturating_sub(w), (i + w + 1).min(n)),
-            None => (0, n),
-        };
-        let mut sum = 0.0;
-        for (c, xj) in coupling[1..=i - lo].iter().rev().zip(&x[lo..i]) {
-            sum += c * xj;
+    let columns = |i: usize| match band {
+        Some(w) => (i.saturating_sub(w), (i + w + 1).min(n)),
+        None => (0, n),
+    };
+    let last = first + R - 1;
+    // The shared columns, [shared_lo, shared_hi): from the last row's first
+    // column to the first row's end, or none.
+    let shared_lo = columns(last).0;
+    let shared_hi = columns(first).1.max(shared_lo);
+    let add_own = |i: usize, from: usize, to: usize, sum: &mut f64| {
+        for (j, xj) in x.iter().enumerate().take(to).skip(from) {
+            if j != i {
+                *sum += coupling[i.abs_diff(j)] * xj;
+            }
         }
-        for (c, xj) in coupling[1..].iter().zip(&x[i + 1..hi]) {
-            sum += c * xj;
+    };
+
+    let mut sums = [0.0f64; R];
+    for (i, sum) in (first..).zip(&mut sums) {
+        let (lo, hi) = columns(i);
+        add_own(i, lo, hi.min(shared_lo), sum);
+    }
+    // Shared columns left of every diagonal: row `first + r` reads
+    // `coupling[first + r − j]`, a window ascending in `r`.
+    let left_end = shared_hi.min(first);
+    if shared_lo < left_end {
+        let windows = coupling[first + 1 - left_end..first - shared_lo + R].windows(R);
+        for (xj, c) in x[shared_lo..left_end].iter().zip(windows.rev()) {
+            for (sum, c) in sums.iter_mut().zip(c) {
+                *sum += c * xj;
+            }
         }
-        out[local] = (b[i] - sum) / n as f64;
+    }
+    // Shared columns among the diagonals: each row skips its own.
+    for j in shared_lo.max(first)..shared_hi.min(last + 1) {
+        for (i, sum) in (first..).zip(&mut sums) {
+            if j != i {
+                *sum += coupling[i.abs_diff(j)] * x[j];
+            }
+        }
+    }
+    // Shared columns right of every diagonal: row `first + r` reads
+    // `coupling[j − first − r]`, a window descending in `r`.
+    let right_start = shared_lo.max(last + 1);
+    if right_start < shared_hi {
+        let windows = coupling[right_start - last..shared_hi - first].windows(R);
+        for (xj, c) in x[right_start..shared_hi].iter().zip(windows) {
+            for (sum, c) in sums.iter_mut().zip(c.iter().rev()) {
+                *sum += c * xj;
+            }
+        }
+    }
+    for ((i, mut sum), slot) in (first..).zip(sums).zip(out) {
+        add_own(i, shared_hi, columns(i).1, &mut sum);
+        *slot = (b[i] - sum) / n as f64;
     }
 }
 
@@ -131,9 +211,9 @@ impl Jacobi {
 
     fn block_range(&self, block: usize) -> std::ops::Range<usize> {
         let per_block = self.n.div_ceil(self.blocks);
-        let start = block * per_block;
         let end = ((block + 1) * per_block).min(self.n);
-        start..end
+        // Trailing blocks are empty when the unknowns run out early.
+        (block * per_block).min(end)..end
     }
 
     fn max_delta(old: &[f64], new: &[f64]) -> f64 {
@@ -209,13 +289,11 @@ impl Jacobi {
             // 0.0 during the initial approximate phase, 1.0 afterwards.
             rt.wait_group_with_ratio(&group, if accurate_sweep { 1.0 } else { 0.0 });
 
-            let rows = x_new.into_vec();
-            let mut merged = vec![0.0f64; self.n];
-            for block in 0..self.blocks {
-                let range = self.block_range(block);
-                let len = range.len();
-                merged[range].copy_from_slice(&rows[block * per_block..block * per_block + len]);
-            }
+            // Block `b`'s row starts at `b · per_block`, where its range starts
+            // in the flat vector, so the grid is the new iterate once the
+            // padding past `n` is cut off.
+            let mut merged = x_new.into_vec();
+            merged.truncate(self.n);
             let delta = Jacobi::max_delta(&x, &merged);
             x = Arc::new(merged);
             // Only accurate sweeps can declare convergence.
@@ -422,19 +500,39 @@ mod tests {
 
     #[test]
     fn block_ranges_partition_unknowns() {
+        // 100 unknowns in 7 blocks leave the last one short; 10 unknowns in
+        // 8 blocks of 2 leave the last three empty.
+        for (n, blocks) in [(100, 7), (10, 8), (5, 4), (1, 3)] {
+            let j = Jacobi {
+                n,
+                blocks,
+                ..small()
+            };
+            let mut covered = vec![false; j.n];
+            for block in 0..j.blocks {
+                let range = j.block_range(block);
+                assert!(range.start <= range.end && range.end <= n);
+                for i in range {
+                    assert!(!covered[i]);
+                    covered[i] = true;
+                }
+            }
+            assert!(covered.into_iter().all(|c| c));
+        }
+    }
+
+    #[test]
+    fn empty_trailing_blocks_match_the_serial_solve() {
+        // 10 unknowns in blocks of 2: blocks 5, 6 and 7 get no rows.
         let j = Jacobi {
-            n: 100,
-            blocks: 7,
+            n: 10,
+            blocks: 8,
+            band: 2,
             ..small()
         };
-        let mut covered = vec![false; j.n];
-        for block in 0..j.blocks {
-            for i in j.block_range(block) {
-                assert!(!covered[i]);
-                covered[i] = true;
-            }
-        }
-        assert!(covered.into_iter().all(|c| c));
+        let serial = j.solve_accurate_serial(j.native_tolerance);
+        let tasks = j.run_full_accuracy(2, Policy::SignificanceAgnostic);
+        assert_eq!(serial, tasks.values);
     }
 
     #[test]

@@ -12,6 +12,23 @@
 //!
 //! Degrees (Table 1): ratio 80% / 60% / 40%; quality metric relative error of
 //! the final centroids.
+//!
+//! # What is summed side by side, and what is not reordered
+//!
+//! An observation's distance to one cluster is a chain of additions, each
+//! waiting on the one before. A task therefore measures an observation
+//! against eight clusters at once (`nearest`), reading a transposed copy of
+//! the centroids (`lane_table`, built once per task) in which dimension `d`
+//! of eight clusters sits side by side; a cluster count that does not fill
+//! the last group of eight pads it with lanes whose sums are thrown away.
+//! Each cluster's sum still starts at `-0.0`, as `Iterator::sum` does, and
+//! adds its terms in dimension order, and the nearest cluster is still the
+//! first one in cluster order with the smallest distance (a strict `<`):
+//! floating-point addition does not associate, so these orders are part of
+//! the kernel's contract, pinned bit for bit by
+//! `tests/output_fingerprints.rs` and by the one-cluster-at-a-time
+//! reference in this module's tests. Only the additions of different
+//! clusters interleave, and those never meet.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,33 +74,66 @@ impl Default for KMeans {
     }
 }
 
-/// Full Euclidean distance (squared) over all dimensions — the accurate
-/// distance.
-fn distance_accurate(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Approximate distance: L1 over the first `dims / 8` dimensions.
-fn distance_approximate(a: &[f64], b: &[f64], dims: usize) -> f64 {
-    let subset = (dims / 8).max(1);
-    a.iter()
-        .zip(b)
-        .take(subset)
-        .map(|(x, y)| (x - y).abs())
-        .sum()
-}
-
 /// Layout of one chunk's partial-result row:
 /// `[cluster 0 sums (dims), cluster 0 count, cluster 1 sums, ..., moved]`.
 fn partial_row_len(clusters: usize, dims: usize) -> usize {
     clusters * (dims + 1) + 1
 }
 
+/// Clusters whose distances to one observation are summed side by side.
+const LANES: usize = 8;
+
+/// The centroids transposed into groups of `LANES` clusters:
+/// `table[g * dims + d][lane]` is dimension `d` of cluster `g · LANES + lane`.
+/// The lanes past the last cluster hold zeros; their sums are thrown away.
+fn lane_table(centroids: &[f64], dims: usize, clusters: usize) -> Vec<[f64; LANES]> {
+    let mut table = vec![[0.0f64; LANES]; clusters.div_ceil(LANES) * dims];
+    for (i, &value) in centroids[..clusters * dims].iter().enumerate() {
+        let (c, d) = (i / dims, i % dims);
+        table[c / LANES * dims + d][c % LANES] = value;
+    }
+    table
+}
+
+/// The cluster nearest to `obs` by the distance `Σ_d term(obs[d] − c[d])`
+/// over the first `dims_used` dimensions, the first in cluster order on a
+/// tie. Each cluster's sum starts at `-0.0` and adds its terms in dimension
+/// order, as an `Iterator::sum` over that cluster alone would.
+fn nearest(
+    obs: &[f64],
+    table: &[[f64; LANES]],
+    dims: usize,
+    dims_used: usize,
+    clusters: usize,
+    term: impl Fn(f64) -> f64,
+) -> usize {
+    let mut best = 0usize;
+    let mut best_dist = f64::INFINITY;
+    for g in 0..clusters.div_ceil(LANES) {
+        let mut sums = [-0.0f64; LANES];
+        for (x, row) in obs.iter().zip(&table[g * dims..g * dims + dims_used]) {
+            for (sum, c) in sums.iter_mut().zip(row) {
+                *sum += term(x - c);
+            }
+        }
+        let real = (clusters - g * LANES).min(LANES);
+        for (lane, &d) in sums[..real].iter().enumerate() {
+            if d < best_dist {
+                best_dist = d;
+                best = g * LANES + lane;
+            }
+        }
+    }
+    best
+}
+
 /// Process one chunk of observations against the given centroids.
 ///
 /// Writes partial sums/counts (and, for accurate tasks only, the number of
 /// observations that changed cluster) into `partials`, and the new
-/// assignments into `assignments`.
+/// assignments into `assignments`. The accurate body measures the squared
+/// Euclidean distance over all dimensions, the approximate one the L1
+/// distance over the first `dims / 8` (at least one).
 #[allow(clippy::too_many_arguments)]
 fn process_chunk(
     points: &[f64],
@@ -97,23 +147,16 @@ fn process_chunk(
     assignments: &mut [usize],
 ) {
     partials.fill(0.0);
+    let table = lane_table(centroids, dims, clusters);
     let mut moved = 0usize;
     for (local, p) in range.clone().enumerate() {
         let obs = &points[p * dims..(p + 1) * dims];
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for c in 0..clusters {
-            let centroid = &centroids[c * dims..(c + 1) * dims];
-            let d = if accurate {
-                distance_accurate(obs, centroid)
-            } else {
-                distance_approximate(obs, centroid, dims)
-            };
-            if d < best_dist {
-                best_dist = d;
-                best = c;
-            }
-        }
+        let best = if accurate {
+            nearest(obs, &table, dims, dims, clusters, |diff| diff * diff)
+        } else {
+            let subset = (dims / 8).max(1).min(dims);
+            nearest(obs, &table, dims, subset, clusters, f64::abs)
+        };
         if best != prev_assignments[p] {
             moved += 1;
         }
@@ -163,9 +206,9 @@ impl KMeans {
 
     fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
         let per_chunk = self.points.div_ceil(self.chunks);
-        let start = chunk * per_chunk;
         let end = ((chunk + 1) * per_chunk).min(self.points);
-        start..end
+        // Trailing chunks are empty when the points run out early.
+        (chunk * per_chunk).min(end)..end
     }
 
     /// Reduce per-chunk partials into new centroids; clusters that received
@@ -282,14 +325,12 @@ impl KMeans {
             let previous = centroids.clone();
             let moved = self.reduce(&partials, &previous, &mut centroids);
 
-            // Fold the per-chunk assignment rows back into the flat vector.
-            let rows = new_assignments.into_vec();
-            let mut merged = (*assignments).clone();
-            for chunk in 0..self.chunks {
-                let range = self.chunk_range(chunk);
-                let len = range.len();
-                merged[range].copy_from_slice(&rows[chunk * per_chunk..chunk * per_chunk + len]);
-            }
+            // Chunk `c`'s row starts at `c · per_chunk`, where its range
+            // starts in the flat vector, and every chunk assigns all of its
+            // points, so the grid is the new assignment vector once the
+            // padding past `points` is cut off.
+            let mut merged = new_assignments.into_vec();
+            merged.truncate(self.points);
             assignments = Arc::new(merged);
 
             if moved < self.moved_threshold() {
@@ -371,6 +412,22 @@ mod tests {
     use super::*;
     use sig_quality::relative_error;
 
+    /// Full Euclidean distance (squared) over all dimensions — the accurate
+    /// distance, one cluster at a time.
+    fn distance_accurate(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    /// Approximate distance: L1 over the first `dims / 8` dimensions.
+    fn distance_approximate(a: &[f64], b: &[f64], dims: usize) -> f64 {
+        let subset = (dims / 8).max(1);
+        a.iter()
+            .zip(b)
+            .take(subset)
+            .map(|(x, y)| (x - y).abs())
+            .sum()
+    }
+
     fn small() -> KMeans {
         KMeans {
             points: 512,
@@ -398,19 +455,133 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_all_points_without_overlap() {
+        // 1000 points in 7 chunks leave the last one short; 10 points in 8
+        // chunks of 2 leave the last three empty.
+        for (points, chunks) in [(1000, 7), (10, 8), (5, 4), (1, 3)] {
+            let km = KMeans {
+                points,
+                chunks,
+                ..small()
+            };
+            let mut covered = vec![false; km.points];
+            for chunk in 0..km.chunks {
+                let range = km.chunk_range(chunk);
+                assert!(range.start <= range.end && range.end <= points);
+                for p in range {
+                    assert!(!covered[p]);
+                    covered[p] = true;
+                }
+            }
+            assert!(covered.into_iter().all(|c| c));
+        }
+    }
+
+    #[test]
+    fn empty_trailing_chunks_match_the_serial_run() {
+        // 10 points in chunks of 2: chunks 5, 6 and 7 get no points.
         let km = KMeans {
-            points: 1000,
-            chunks: 7,
+            points: 10,
+            chunks: 8,
             ..small()
         };
-        let mut covered = vec![false; km.points];
-        for chunk in 0..km.chunks {
-            for p in km.chunk_range(chunk) {
-                assert!(!covered[p]);
-                covered[p] = true;
+        let serial = km.run_accurate_serial();
+        let tasks = km.run_tasks(2, Policy::GtbMaxBuffer, 1.0);
+        assert_eq!(serial, tasks.values);
+    }
+
+    /// The chunk update as first written: one `Iterator::sum` per cluster,
+    /// the nearest cluster chosen by a strict `<` in cluster order.
+    #[allow(clippy::too_many_arguments)]
+    fn process_chunk_reference(
+        points: &[f64],
+        dims: usize,
+        clusters: usize,
+        centroids: &[f64],
+        prev_assignments: &[usize],
+        range: std::ops::Range<usize>,
+        accurate: bool,
+        partials: &mut [f64],
+        assignments: &mut [usize],
+    ) {
+        partials.fill(0.0);
+        let mut moved = 0usize;
+        for (local, p) in range.clone().enumerate() {
+            let obs = &points[p * dims..(p + 1) * dims];
+            let mut best = 0usize;
+            let mut best_dist = f64::INFINITY;
+            for c in 0..clusters {
+                let centroid = &centroids[c * dims..(c + 1) * dims];
+                let d = if accurate {
+                    distance_accurate(obs, centroid)
+                } else {
+                    distance_approximate(obs, centroid, dims)
+                };
+                if d < best_dist {
+                    best_dist = d;
+                    best = c;
+                }
             }
+            if best != prev_assignments[p] {
+                moved += 1;
+            }
+            assignments[local] = best;
+            let base = best * (dims + 1);
+            for d in 0..dims {
+                partials[base + d] += obs[d];
+            }
+            partials[base + dims] += 1.0;
         }
-        assert!(covered.into_iter().all(|c| c));
+        let moved_slot = partials.len() - 1;
+        partials[moved_slot] = if accurate { moved as f64 } else { 0.0 };
+    }
+
+    #[test]
+    fn chunk_update_matches_the_per_cluster_sums_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6b6d);
+        for case in 0..200 {
+            let dims = rng.gen_range(1..21usize);
+            let clusters = rng.gen_range(1..13usize);
+            let n = rng.gen_range(1..80usize);
+            // Coarse coordinates make exact ties between clusters common, so
+            // the strict `<` in cluster order is exercised too.
+            let coord = |rng: &mut StdRng| rng.gen_range(0..9usize) as f64 * 0.5 - 2.0;
+            let points: Vec<f64> = (0..n * dims).map(|_| coord(&mut rng)).collect();
+            let centroids: Vec<f64> = (0..clusters * dims).map(|_| coord(&mut rng)).collect();
+            let prev: Vec<usize> = (0..n).map(|_| rng.gen_range(0..clusters)).collect();
+            let start = rng.gen_range(0..n);
+            let range = start..rng.gen_range(start..n) + 1;
+            let accurate = case % 2 == 0;
+            let row = partial_row_len(clusters, dims);
+            let (mut fast, mut reference) = (vec![1.0f64; row], vec![2.0f64; row]);
+            let (mut fast_assign, mut reference_assign) =
+                (vec![usize::MAX; range.len()], vec![0; range.len()]);
+            process_chunk(
+                &points,
+                dims,
+                clusters,
+                &centroids,
+                &prev,
+                range.clone(),
+                accurate,
+                &mut fast,
+                &mut fast_assign,
+            );
+            process_chunk_reference(
+                &points,
+                dims,
+                clusters,
+                &centroids,
+                &prev,
+                range.clone(),
+                accurate,
+                &mut reference,
+                &mut reference_assign,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let context = format!("case {case}: {clusters} clusters x {dims} dims, {range:?}");
+            assert_eq!(fast_assign, reference_assign, "{context}");
+            assert_eq!(bits(&fast), bits(&reference), "{context}");
+        }
     }
 
     #[test]

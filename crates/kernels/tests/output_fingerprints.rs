@@ -1,6 +1,8 @@
 //! Bit-identity of every kernel's output, pinned against the commit before
 //! the kernels stopped recomputing their constants (DCT basis table, Jacobi
-//! coupling table, Fluidanimate cell index).
+//! coupling table, Fluidanimate cell index). The two K-means cases at eight
+//! and at five clusters were recorded at the commit before K-means summed
+//! several clusters' distances side by side.
 //!
 //! Each constant is the FNV-1a fingerprint (over the little-endian bytes of
 //! `f64::to_bits`) of `RunOutput::values` for one kernel at a small fixed size
@@ -178,6 +180,62 @@ fn kmeans_output_is_pinned() {
             0xdd6bd2e751f25f5c, // Mild perforated
             0x5a1412f2ed441cbe, // Medium perforated
             0x16b381cb97e5cfa3, // Aggressive perforated
+        ],
+    );
+}
+
+#[test]
+fn kmeans_output_at_the_benchmark_shape_is_pinned() {
+    // Eight clusters of sixteen dimensions, as the benchmark runs, on fewer
+    // points.
+    let kmeans = KMeans {
+        points: 1024,
+        dims: 16,
+        clusters: 8,
+        chunks: 8,
+        max_iterations: 8,
+        seed: 7,
+    };
+    assert_pinned(
+        &kmeans,
+        &[
+            0x88ead823f96cf0c3, // serial
+            0x88ead823f96cf0c3, // full-accuracy agnostic
+            0x88ead823f96cf0c3, // full-accuracy LQH
+            0x615969205f060203, // Mild GTB-Max
+            0x1dc3343c249bc36c, // Medium GTB-Max
+            0xbb7d5498c8223182, // Aggressive GTB-Max
+            0x6e0bb7b4524601da, // Mild perforated
+            0xe67bfd234dbc8b8d, // Medium perforated
+            0x4db220f183d6749e, // Aggressive perforated
+        ],
+    );
+}
+
+#[test]
+fn kmeans_output_with_an_odd_cluster_count_is_pinned() {
+    // Five clusters of three dimensions; seven chunks do not divide 1000
+    // points.
+    let kmeans = KMeans {
+        points: 1000,
+        dims: 3,
+        clusters: 5,
+        chunks: 7,
+        max_iterations: 8,
+        seed: 7,
+    };
+    assert_pinned(
+        &kmeans,
+        &[
+            0x1bdbccd4cc89bf37, // serial
+            0x1bdbccd4cc89bf37, // full-accuracy agnostic
+            0x1bdbccd4cc89bf37, // full-accuracy LQH
+            0xeaf0496466cf8595, // Mild GTB-Max
+            0x16ad3fe9023d3297, // Medium GTB-Max
+            0xfd12b2e956cf7f5c, // Aggressive GTB-Max
+            0x8129c25a5effe776, // Mild perforated
+            0x4d6e74079f513c34, // Medium perforated
+            0x8c943bb9d7c4b2b3, // Aggressive perforated
         ],
     );
 }
