@@ -9,14 +9,13 @@
 //! * the GTB policy keeps its **task buffer** and the statistics of Table 2
 //!   are collected.
 //!
-//! Execution-hot state (the ratio, the outstanding counter, the statistics)
-//! is atomic or sharded; locks remain only on master-side cold paths (group
-//! creation, the GTB spawn buffer). A spawn into a group by handle takes no
-//! lock at all: the [`TaskGroup`] carries the group's state, so binding a
-//! task record to it never goes through the registry.
+//! A [`TaskGroup`] handle is the one way to name a group: the handle carries
+//! the group's state, so binding a task record to it never goes through the
+//! registry. Execution-hot state (the ratio, the outstanding counter, the
+//! statistics) is atomic or sharded; locks remain only on master-side cold
+//! paths (group creation, the GTB spawn buffer).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -24,20 +23,29 @@ use crate::stats::GroupStats;
 use crate::sync::{CachePadded, EventCount};
 use crate::task::Task;
 
-/// Identifier of a task group.
+/// Identifier of a task group: its index in the runtime's registry, dense
+/// per runtime.
 ///
 /// Group `0` is the implicit *global* group that unlabeled tasks belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GroupId(pub(crate) u32);
+pub(crate) struct GroupId(pub(crate) u32);
 
 impl GroupId {
     /// The implicit group of tasks spawned without a `label(...)` clause.
-    pub const GLOBAL: GroupId = GroupId(0);
+    pub(crate) const GLOBAL: GroupId = GroupId(0);
 
     /// Raw index of this group.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// Panics unless `ratio` is a valid accurate-task ratio, in `[0, 1]`.
+fn assert_ratio(ratio: f64) {
+    assert!(
+        (0.0..=1.0).contains(&ratio),
+        "accurate-task ratio must be in [0, 1], got {ratio}"
+    );
 }
 
 /// A cheaply clonable handle to a task group, returned by
@@ -51,12 +59,8 @@ pub struct TaskGroup {
 }
 
 impl TaskGroup {
-    /// The group identifier.
-    pub fn id(&self) -> GroupId {
-        self.state.id
-    }
-
-    /// The group label supplied by the programmer.
+    /// The group label supplied by the programmer, for display only: two
+    /// groups may share one.
     pub fn name(&self) -> &str {
         &self.state.name
     }
@@ -133,10 +137,7 @@ impl GroupState {
         ratio: f64,
         stat_shards: usize,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&ratio),
-            "accurate-task ratio must be in [0, 1], got {ratio}"
-        );
+        assert_ratio(ratio);
         GroupState {
             runtime,
             id,
@@ -168,10 +169,7 @@ impl GroupState {
 
     /// Update the target ratio (the `ratio(...)` clause of `taskwait`).
     pub(crate) fn set_ratio(&self, ratio: f64) {
-        assert!(
-            (0.0..=1.0).contains(&ratio),
-            "accurate-task ratio must be in [0, 1], got {ratio}"
-        );
+        assert_ratio(ratio);
         self.ratio_bits.store(ratio.to_bits(), Ordering::Release);
     }
 
@@ -270,10 +268,12 @@ pub(crate) fn return_window(mut window: Vec<Arc<Task>>) {
     let _ = SPARE_WINDOW.try_with(|spare| *spare.borrow_mut() = window);
 }
 
-/// Registry mapping group labels to group state.
+/// The runtime's groups in creation order. Append-only, so a group's
+/// [`GroupId`] is its index. No spawn reads it: a spawn binds its record
+/// from a [`TaskGroup`]'s state or the runtime's cached global group. Only
+/// whole-runtime walks do (barriers, budget setpoints, `Drop`, statistics).
 pub(crate) struct GroupRegistry {
     groups: RwLock<Vec<Arc<GroupState>>>,
-    by_name: Mutex<HashMap<Arc<str>, GroupId>>,
     /// Id of the runtime the groups belong to.
     runtime: u64,
     /// Shard count handed to each new group's statistics (workers + 1).
@@ -281,88 +281,47 @@ pub(crate) struct GroupRegistry {
 }
 
 impl GroupRegistry {
-    /// Create runtime `runtime`'s registry, containing only the global group
-    /// (full accuracy by default: unannotated programs behave exactly like
-    /// the original code).
-    pub(crate) fn new(runtime: u64, stat_shards: usize) -> Self {
+    /// Create runtime `runtime`'s registry and the one group it starts
+    /// with, the global group, returned beside it (full accuracy:
+    /// unannotated programs behave exactly like the original code).
+    pub(crate) fn new(runtime: u64, stat_shards: usize) -> (Self, Arc<GroupState>) {
+        let global = Arc::new(GroupState::new(
+            runtime,
+            GroupId::GLOBAL,
+            Arc::from("<global>"),
+            1.0,
+            stat_shards,
+        ));
         let registry = GroupRegistry {
-            groups: RwLock::new(Vec::new()),
-            by_name: Mutex::new(HashMap::new()),
+            groups: RwLock::new(vec![global.clone()]),
             runtime,
             stat_shards,
         };
-        let name: Arc<str> = Arc::from("<global>");
-        registry
-            .groups
-            .write()
-            .unwrap()
-            .push(Arc::new(GroupState::new(
-                runtime,
-                GroupId::GLOBAL,
-                name.clone(),
-                1.0,
-                stat_shards,
-            )));
-        registry
-            .by_name
-            .lock()
-            .unwrap()
-            .insert(name, GroupId::GLOBAL);
-        registry
+        (registry, global)
     }
 
-    /// Get or create the group with the given label. The ratio is applied to
-    /// newly created groups; for existing groups it is left untouched unless
-    /// `ratio` is `Some`.
-    pub(crate) fn get_or_create(&self, name: &str, ratio: Option<f64>) -> Arc<GroupState> {
-        if let Some(r) = ratio {
-            // Validated before any lock is taken: an invalid ratio must
-            // panic without poisoning the registry (the runtime's Drop
-            // still walks it to flush GTB buffers during unwinding).
-            assert!(
-                (0.0..=1.0).contains(&r),
-                "accurate-task ratio must be in [0, 1], got {r}"
-            );
-        }
-        if let Some(&id) = self.by_name.lock().unwrap().get(name) {
-            let group = self.get(id);
-            if let Some(r) = ratio {
-                group.set_ratio(r);
-            }
-            return group;
-        }
-        let mut groups = self.groups.write().unwrap();
-        // Re-check under the write lock to avoid duplicate creation races.
-        if let Some(&id) = self.by_name.lock().unwrap().get(name) {
-            return groups[id.index()].clone();
-        }
-        let id = GroupId(groups.len() as u32);
-        let name: Arc<str> = Arc::from(name);
-        let state = Arc::new(GroupState::new(
-            self.runtime,
-            id,
-            name.clone(),
-            ratio.unwrap_or(1.0),
-            self.stat_shards,
-        ));
-        groups.push(state.clone());
-        self.by_name.lock().unwrap().insert(name, id);
-        state
-    }
-
-    /// Look up a group by id.
+    /// Append a new group labelled `name` with accurate-task ratio `ratio`.
+    /// The label is for display only: a second call with the same label
+    /// creates a second group.
     ///
     /// # Panics
     ///
-    /// Panics if the id was not issued by this registry.
-    pub(crate) fn get(&self, id: GroupId) -> Arc<GroupState> {
-        self.groups.read().unwrap()[id.index()].clone()
-    }
-
-    /// Look up a group by label.
-    pub(crate) fn find(&self, name: &str) -> Option<Arc<GroupState>> {
-        let id = *self.by_name.lock().unwrap().get(name)?;
-        Some(self.get(id))
+    /// Panics if `ratio` is outside `[0, 1]`, before the lock is taken: a
+    /// panic under it would poison the registry, which the runtime's `Drop`
+    /// still walks to flush GTB buffers while unwinding.
+    pub(crate) fn create(&self, name: &str, ratio: f64) -> Arc<GroupState> {
+        assert_ratio(ratio);
+        let mut groups = self.groups.write().unwrap();
+        let id = GroupId(groups.len() as u32);
+        let state = Arc::new(GroupState::new(
+            self.runtime,
+            id,
+            Arc::from(name),
+            ratio,
+            self.stat_shards,
+        ));
+        groups.push(state.clone());
+        state
     }
 
     /// Snapshot of all groups (used by whole-runtime barriers and flushes).
@@ -370,17 +329,11 @@ impl GroupRegistry {
         self.groups.read().unwrap().clone()
     }
 
-    /// Both of the registry's locks, held until the guards drop: a test
-    /// that a path takes neither.
+    /// The registry's lock, held until the guard drops: a test that a path
+    /// does not take it.
     #[cfg(test)]
     pub(crate) fn lock_for_test(&self) -> impl Sized + '_ {
-        (self.groups.write().unwrap(), self.by_name.lock().unwrap())
-    }
-
-    /// Number of groups, including the global one.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn len(&self) -> usize {
-        self.groups.read().unwrap().len()
+        self.groups.write().unwrap()
     }
 }
 
@@ -389,72 +342,42 @@ mod tests {
     use super::*;
 
     fn registry() -> GroupRegistry {
-        GroupRegistry::new(1, 2)
+        GroupRegistry::new(1, 2).0
     }
 
     #[test]
     fn registry_starts_with_global_group() {
-        let reg = registry();
-        assert_eq!(reg.len(), 1);
-        let global = reg.get(GroupId::GLOBAL);
+        let (reg, global) = GroupRegistry::new(1, 2);
+        let all = reg.all();
+        assert_eq!(all.len(), 1);
+        assert!(Arc::ptr_eq(&all[0], &global));
         assert_eq!(global.id, GroupId::GLOBAL);
         assert_eq!(global.ratio(), 1.0);
     }
 
+    /// LQH indexes its per-group histories by id, so ids stay dense: every
+    /// `create` appends, a repeated label included.
     #[test]
-    fn get_or_create_is_idempotent() {
+    fn create_appends_under_the_next_id() {
         let reg = registry();
-        let a = reg.get_or_create("sobel", Some(0.35));
-        let b = reg.get_or_create("sobel", None);
-        assert_eq!(a.id, b.id);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(b.ratio(), 0.35);
-    }
-
-    #[test]
-    fn get_or_create_updates_ratio_when_given() {
-        let reg = registry();
-        let a = reg.get_or_create("g", Some(0.5));
-        assert_eq!(a.ratio(), 0.5);
-        reg.get_or_create("g", Some(0.8));
-        assert_eq!(a.ratio(), 0.8);
-    }
-
-    #[test]
-    fn distinct_names_get_distinct_ids() {
-        let reg = registry();
-        let a = reg.get_or_create("a", None);
-        let b = reg.get_or_create("b", None);
-        assert_ne!(a.id, b.id);
-        assert_eq!(reg.len(), 3);
-    }
-
-    #[test]
-    fn find_by_name() {
-        let reg = registry();
-        reg.get_or_create("dct", Some(0.4));
-        assert!(reg.find("dct").is_some());
-        assert!(reg.find("missing").is_none());
-    }
-
-    #[test]
-    fn new_group_defaults_to_fully_accurate() {
-        let reg = registry();
-        let g = reg.get_or_create("plain", None);
-        assert_eq!(g.ratio(), 1.0);
+        let a = reg.create("g", 0.5);
+        let b = reg.create("g", 0.8);
+        assert_eq!((a.id, b.id), (GroupId(1), GroupId(2)));
+        assert_eq!((a.ratio(), b.ratio()), (0.5, 0.8));
+        assert_eq!(reg.all().len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "ratio must be in")]
     fn invalid_ratio_panics() {
         let reg = registry();
-        reg.get_or_create("bad", Some(1.5));
+        reg.create("bad", 1.5);
     }
 
     #[test]
     fn set_ratio_roundtrip() {
         let reg = registry();
-        let g = reg.get_or_create("g", None);
+        let g = reg.create("g", 1.0);
         g.set_ratio(0.25);
         assert_eq!(g.ratio(), 0.25);
     }

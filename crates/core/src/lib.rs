@@ -76,7 +76,7 @@ pub use governor::{
     AdaptiveGovernor, DispatchContext, DispatchDecision, Governor, NominalGovernor,
     SignificanceLadderGovernor,
 };
-pub use group::{GroupId, TaskGroup};
+pub use group::TaskGroup;
 pub use handle::{SpawnHandle, TaskOutcome};
 pub use policy::Policy;
 pub use runtime::{

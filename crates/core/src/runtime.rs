@@ -31,10 +31,17 @@
 //! race they papered over is closed by the SeqCst sleep-flag protocol
 //! documented in `sync.rs`.
 //!
-//! A spawn by [`TaskGroup`] handle takes no lock either: the handle carries
-//! the group's state, so a record is bound to it without the group
-//! registry. (A spawn by label, [`TaskBuilder::label`], still looks the
-//! name up under the registry's lock every time.)
+//! No spawn takes the group registry's lock: a [`TaskGroup`] handle carries
+//! its group's state, and an unlabelled spawn binds the global group the
+//! runtime keeps beside the registry. A spawn can still take three other
+//! locks:
+//!
+//! * the husk pool's `Mutex`, once per 64 fresh records (`HuskPool`, below);
+//! * a group's GTB buffer `Mutex`, on every spawn under GTB and GTB
+//!   Max-Buffer (`GroupState::buffer_one`);
+//! * the dependence tracker's shard gates, for a writing or multi-key
+//!   footprint and for a read the lock-free fast path hands back
+//!   (`deps.rs`).
 //!
 //! **One writer per cache line.** No line the spawner writes once per spawn
 //! holds a field a worker reads or writes once per task, and the reverse.
@@ -126,7 +133,6 @@
 //! assert!(stats.accurate >= 50);
 //! ```
 
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -142,7 +148,7 @@ use crate::deque::QueueSet;
 use crate::env::{EnergyReport, ExecutionEnv};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::governor::{DispatchContext, Governor, NominalGovernor};
-use crate::group::{GroupId, GroupRegistry, GroupState, TaskGroup};
+use crate::group::{GroupRegistry, GroupState, TaskGroup};
 use crate::handle::{HandleCore, HandleNotify, SpawnHandle, TaskOutcome};
 use crate::policy::{GtbQuota, LqhState, Policy};
 use crate::significance::Significance;
@@ -497,8 +503,8 @@ struct RuntimeInner {
     policy: Policy,
     queues: QueueSet,
     groups: GroupRegistry,
-    /// The implicit global group, cached so unlabeled spawns skip the
-    /// registry lock.
+    /// The implicit global group, which unlabelled spawns bind without
+    /// the registry.
     global_group: Arc<GroupState>,
     tracker: DependenceTracker,
     stats: RuntimeStats,
@@ -1476,11 +1482,6 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// Convenience constructor: default worker count with the given policy.
-    pub fn with_policy(policy: Policy) -> Runtime {
-        Runtime::builder().policy(policy).build()
-    }
-
     fn start(builder: RuntimeBuilder) -> Runtime {
         let workers = builder.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -1493,8 +1494,7 @@ impl Runtime {
             .governor
             .unwrap_or_else(|| Arc::new(NominalGovernor));
         let id = NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed);
-        let groups = GroupRegistry::new(id, workers + 1);
-        let global_group = groups.get(GroupId::GLOBAL);
+        let (groups, global_group) = GroupRegistry::new(id, workers + 1);
         let inner = Arc::new(RuntimeInner {
             id,
             policy,
@@ -1614,13 +1614,6 @@ impl Runtime {
         Some(setpoint)
     }
 
-    /// Number of task bodies that panicked. The panics are caught, the tasks
-    /// accounted under [`OutcomeSummary::panicked`] (not `completed`), and
-    /// any keys they write poisoned — see [`Runtime::is_poisoned`].
-    pub fn panicked_tasks(&self) -> usize {
-        self.inner.stats.panicked()
-    }
-
     /// Terminal-outcome summary across the whole runtime: every spawned task
     /// ends in exactly one of completed / cancelled / panicked / shed, and
     /// after a barrier the books balance ([`OutcomeSummary::failed`] +
@@ -1671,20 +1664,18 @@ impl Runtime {
         self.inner.tracker.fast_path_reads()
     }
 
-    /// Create (or look up) a task group with the given label and target
-    /// accurate-task ratio — the runtime-API equivalent of
-    /// `tpc_init_group()`.
+    /// Create a new task group with target accurate-task ratio `ratio` —
+    /// the runtime-API equivalent of `tpc_init_group()`. The returned handle
+    /// is the only way to name the group; `label` is for display only, and
+    /// a second call with the same label creates a second group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ratio` is outside `[0, 1]`.
     pub fn create_group(&self, label: &str, ratio: f64) -> TaskGroup {
         TaskGroup {
-            state: self.inner.groups.get_or_create(label, Some(ratio)),
+            state: self.inner.groups.create(label, ratio),
         }
-    }
-
-    /// Look up a group previously created with [`Runtime::create_group`]
-    /// (or implicitly via [`TaskBuilder::label`]).
-    pub fn find_group(&self, label: &str) -> Option<TaskGroup> {
-        let state = self.inner.groups.find(label)?;
-        Some(TaskGroup { state })
     }
 
     /// Begin describing a task whose accurate body is `body` — the equivalent
@@ -1852,7 +1843,9 @@ impl Runtime {
         state.stats.snapshot(state.ratio())
     }
 
-    /// Execution statistics of every group, labelled by group name.
+    /// Execution statistics of every group in creation order, the global
+    /// group first, each labelled by its display name. Labels may repeat:
+    /// [`Runtime::create_group`] never merges two groups by name.
     pub fn all_group_stats(&self) -> Vec<(String, GroupStatsSnapshot)> {
         self.inner
             .groups
@@ -1931,8 +1924,8 @@ pub struct TaskBuilder<'rt> {
     approximate: Option<TaskBody>,
     significance: Significance,
     /// Borrowed from the [`TaskGroup`] handle, so binding the record to it
-    /// takes no registry lock; owned after a lookup by label.
-    group: Option<Cow<'rt, Arc<GroupState>>>,
+    /// takes no registry lock.
+    group: Option<&'rt Arc<GroupState>>,
     deadline_nanos: u64,
     cancel: Option<CancelToken>,
     handle: Option<Arc<dyn HandleNotify>>,
@@ -1978,18 +1971,7 @@ impl<'rt> TaskBuilder<'rt> {
     ///
     /// Panics if another runtime created `group`.
     pub fn group(mut self, group: &'rt TaskGroup) -> Self {
-        let state = group.state_in(self.husk.runtime.inner.id);
-        self.group = Some(Cow::Borrowed(state));
-        self
-    }
-
-    /// `label(...)` by name; the group is created with a default ratio of 1.0
-    /// if it does not exist yet. Every call looks the label up under the
-    /// registry's lock; a spawn loop should create the group once and pass
-    /// its handle to [`TaskBuilder::group`].
-    pub fn label(mut self, label: &str) -> Self {
-        let state = self.husk.runtime.inner.groups.get_or_create(label, None);
-        self.group = Some(Cow::Owned(state));
+        self.group = Some(group.state_in(self.husk.runtime.inner.id));
         self
     }
 
@@ -2029,7 +2011,7 @@ impl<'rt> TaskBuilder<'rt> {
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
         // The record a footprint clause took, else one from the stash now.
         let husk = self.husk.record.take().or_else(|| inner.pop_husk());
-        let group = self.group.as_deref().unwrap_or(&inner.global_group);
+        let group = self.group.unwrap_or(&inner.global_group);
         let mut task = inner.bind_husk(husk, group);
         let footprint = {
             // Not yet shared: every clause lands through `&mut`, free.
@@ -2131,7 +2113,7 @@ pub struct HandledTaskBuilder<'rt, T> {
     accurate: Box<dyn FnOnce() -> T + Send + 'static>,
     approximate: Option<Box<dyn FnOnce() -> T + Send + 'static>>,
     significance: Significance,
-    group: Option<Cow<'rt, Arc<GroupState>>>,
+    group: Option<&'rt Arc<GroupState>>,
     deadline_nanos: u64,
     cancel: Option<CancelToken>,
 }
@@ -2159,8 +2141,7 @@ impl<'rt, T: Send + 'static> HandledTaskBuilder<'rt, T> {
     ///
     /// Panics if another runtime created `group`.
     pub fn group(mut self, group: &'rt TaskGroup) -> Self {
-        let state = group.state_in(self.runtime.inner.id);
-        self.group = Some(Cow::Borrowed(state));
+        self.group = Some(group.state_in(self.runtime.inner.id));
         self
     }
 
@@ -2344,7 +2325,7 @@ impl ExactSizeIterator for TaskIdRange {}
 #[must_use = "a batch builder does nothing until a spawn method is called"]
 pub struct BatchBuilder<'rt> {
     runtime: &'rt Runtime,
-    group: Option<Cow<'rt, Arc<GroupState>>>,
+    group: Option<&'rt Arc<GroupState>>,
     significance: Significance,
     tasks: Vec<BatchTask>,
     deadline_nanos: u64,
@@ -2360,16 +2341,7 @@ impl<'rt> BatchBuilder<'rt> {
     ///
     /// Panics if another runtime created `group`.
     pub fn group(mut self, group: &'rt TaskGroup) -> Self {
-        let state = group.state_in(self.runtime.inner.id);
-        self.group = Some(Cow::Borrowed(state));
-        self
-    }
-
-    /// `label(...)` by name; the group is created with a default ratio of
-    /// 1.0 if it does not exist yet.
-    pub fn label(mut self, label: &str) -> Self {
-        let state = self.runtime.inner.groups.get_or_create(label, None);
-        self.group = Some(Cow::Owned(state));
+        self.group = Some(group.state_in(self.runtime.inner.id));
         self
     }
 
@@ -2455,7 +2427,7 @@ impl<'rt> BatchBuilder<'rt> {
             }
         }
         let inner = &self.runtime.inner;
-        let group = self.group.as_deref().unwrap_or(&inner.global_group);
+        let group = self.group.unwrap_or(&inner.global_group);
         inner.spawn_batch_into(group, tasks, self.deadline_nanos, self.cancel)
     }
 }
@@ -2768,7 +2740,7 @@ mod tests {
         rt.task(|| panic!("boom")).spawn();
         rt.task(|| {}).spawn();
         let summary = rt.wait_all();
-        assert_eq!(rt.panicked_tasks(), 1);
+        assert_eq!(rt.outcomes().panicked, 1);
         // A panicked task is a terminal outcome of its own, not `completed`.
         assert_eq!(rt.stats().completed(), 1);
         assert_eq!(summary.spawned, 2);
@@ -2871,14 +2843,32 @@ mod tests {
         assert!((report.busy_seconds() - rt.stats().busy_core_seconds()).abs() < 1e-9);
     }
 
+    /// A label names nothing: a second group under the same label is a
+    /// group of its own, with its own ratio, tasks and barrier.
     #[test]
-    fn find_group_after_label_spawn() {
-        let rt = count_runtime(Policy::SignificanceAgnostic);
-        rt.task(|| {}).label("implicit").spawn();
-        rt.wait_all();
-        let group = rt.find_group("implicit").expect("group should exist");
-        assert_eq!(rt.group_stats(&group).total(), 1);
-        assert!(rt.find_group("missing").is_none());
+    fn a_second_group_with_the_same_label_is_a_new_group() {
+        let rt = count_runtime(Policy::GtbMaxBuffer);
+        let first = rt.create_group("g", 0.0);
+        let second = rt.create_group("g", 1.0);
+        for _ in 0..20 {
+            rt.task(|| {})
+                .approx(|| {})
+                .significance(0.5)
+                .group(&first)
+                .spawn();
+        }
+        for _ in 0..30 {
+            rt.task(|| {})
+                .approx(|| {})
+                .significance(0.5)
+                .group(&second)
+                .spawn();
+        }
+        rt.wait_group(&first);
+        rt.wait_group(&second);
+        let (first, second) = (rt.group_stats(&first), rt.group_stats(&second));
+        assert_eq!((first.total(), first.accurate), (20, 0));
+        assert_eq!((second.total(), second.accurate), (30, 30));
     }
 
     #[test]
@@ -3371,6 +3361,23 @@ mod tests {
     #[should_panic(expected = "watermark must be positive")]
     fn zero_queue_watermark_rejected() {
         let _ = Runtime::builder().queue_watermark(0);
+    }
+
+    /// A NaN budget knob would reach the dispatch cap, panic every worker
+    /// and leave `wait_group` hanging, so `build` refuses it.
+    #[test]
+    #[should_panic(expected = "BudgetConfig::cap_floor is NaN")]
+    fn nan_budget_knob_rejected_at_build() {
+        let budget = BudgetConfig::new(BudgetTarget::TotalJoules {
+            joules: 1e-9,
+            horizon_seconds: 1.0,
+        })
+        .cap_floor(f64::NAN);
+        let _ = Runtime::builder()
+            .workers(2)
+            .policy(Policy::GtbMaxBuffer)
+            .energy_budget(budget)
+            .build();
     }
 
     #[test]
@@ -3920,12 +3927,12 @@ mod tests {
         );
     }
 
-    /// A spawn by group handle, per task, batched or handled, binds its
-    /// records from the handle: with both registry locks held elsewhere it
-    /// still completes. Each spawn here takes a fresh record (a new
-    /// runtime, nothing pooled yet), the case that used to look the group up.
+    /// No spawn, per task, batched or handled, by group handle or into the
+    /// global group, takes the registry's lock: with it held elsewhere, every
+    /// one completes. Each spawn here takes a fresh record (a new runtime,
+    /// nothing pooled yet), so each binds its group afresh.
     #[test]
-    fn a_spawn_by_handle_takes_no_registry_lock() {
+    fn no_spawn_takes_the_registry_lock() {
         let rt = Runtime::builder().workers(1).build();
         let group = rt.create_group("handle", 0.5);
         let (done, spawned) = std::sync::mpsc::channel();
@@ -3934,20 +3941,28 @@ mod tests {
             scope.spawn(|| {
                 for _ in 0..100 {
                     rt.task(|| {}).group(&group).spawn();
+                    rt.task(|| {}).spawn();
                 }
                 rt.batch().group(&group).spawn_all((0..100).map(|_| || {}));
-                let handle = rt.submit(|| 7).group(&group).spawn();
-                done.send(handle).unwrap();
+                rt.batch().spawn_all((0..100).map(|_| || {}));
+                let handles = [
+                    rt.submit(|| 7).group(&group).spawn(),
+                    rt.submit(|| 7).spawn(),
+                ];
+                done.send(handles).unwrap();
             });
-            let handle = spawned.recv_timeout(Duration::from_secs(30));
+            let handles = spawned.recv_timeout(Duration::from_secs(30));
             drop(registry);
-            let handle = handle.expect("a spawn by handle waited for the group registry");
-            assert_eq!(
-                handle.wait(),
-                TaskOutcome::Completed(ExecutionMode::Accurate)
-            );
+            let handles = handles.expect("a spawn waited for the group registry");
+            for handle in handles {
+                assert_eq!(
+                    handle.wait(),
+                    TaskOutcome::Completed(ExecutionMode::Accurate)
+                );
+            }
         });
-        assert_eq!(rt.wait_group(&group).completed, 201);
+        assert_eq!(rt.wait_all().completed, 402);
+        assert_eq!(rt.group_stats(&group).total(), 201);
     }
 
     /// Two runtimes whose groups share an index: `a` belongs to the first,
@@ -3957,7 +3972,7 @@ mod tests {
         let second = one_worker();
         let a = first.create_group("a", 0.5);
         let b = second.create_group("b", 1.0);
-        assert_eq!(a.id(), b.id());
+        assert_eq!(a.state.id, b.state.id);
         (first, second, a, b)
     }
 

@@ -304,7 +304,21 @@ pub struct BudgetController {
 
 impl BudgetController {
     /// New controller for `config`, starting unconstrained.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `gain`, `min_ratio_scale`, `cap_floor`
+    /// or `power_alpha` is NaN: clamping passes NaN through, and a NaN knob
+    /// would reach every setpoint.
     pub fn new(config: BudgetConfig) -> Self {
+        for (field, value) in [
+            ("gain", config.gain),
+            ("min_ratio_scale", config.min_ratio_scale),
+            ("cap_floor", config.cap_floor),
+            ("power_alpha", config.power_alpha),
+        ] {
+            assert!(!value.is_nan(), "BudgetConfig::{field} is NaN");
+        }
         // The field is public: re-apply the builder's floor, so every
         // setpoint's `frequency_cap` is a valid dispatch cap as emitted.
         let config = config.cap_floor(config.cap_floor);
@@ -456,6 +470,31 @@ mod tests {
         assert!(sp2.frequency_cap < 1.0);
         // Watt cap tightens as the remaining budget shrinks faster than time.
         assert!(sp2.watt_cap < 100.0 / 10.0);
+    }
+
+    #[test]
+    fn a_nan_knob_is_rejected_at_construction() {
+        let base = joule_config(100.0, 10.0);
+        let nan = f64::NAN;
+        // The builders clamp, and clamping passes NaN through.
+        let poisoned = [
+            ("gain", base.gain(nan)),
+            ("min_ratio_scale", base.min_ratio_scale(nan)),
+            ("cap_floor", base.cap_floor(nan)),
+            (
+                "power_alpha",
+                BudgetConfig {
+                    power_alpha: nan,
+                    ..base
+                },
+            ),
+        ];
+        for (field, config) in poisoned {
+            let panic = std::panic::catch_unwind(|| BudgetController::new(config))
+                .expect_err("a NaN knob must not build a controller");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(message, &format!("BudgetConfig::{field} is NaN"));
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn special_significance_values_are_unconditional() {
 fn unannotated_tasks_behave_like_a_plain_task_runtime() {
     // Without significance annotations and without ratios, the runtime is an
     // ordinary task-parallel runtime: everything runs accurately.
-    let rt = Runtime::with_policy(Policy::Lqh);
+    let rt = Runtime::builder().policy(Policy::Lqh).build();
     let counter = Arc::new(AtomicUsize::new(0));
     for _ in 0..200 {
         let c = counter.clone();

@@ -178,7 +178,7 @@ fn stress_mixed_spawn_and_spawn_batch_execute_exactly_once() {
         assert_eq!(stats.total(), STRESS_TASKS, "{policy:?}: stats disagree");
         assert_eq!(rt.stats().spawned(), STRESS_TASKS);
         assert_eq!(rt.stats().completed(), STRESS_TASKS);
-        assert_eq!(rt.panicked_tasks(), 0);
+        assert_eq!(rt.outcomes().panicked, 0);
     }
 }
 
@@ -228,7 +228,7 @@ fn stress_dependence_chains_preserve_order_under_load() {
                 "{policy:?}: chain {chain} lost tasks"
             );
         }
-        assert_eq!(rt.panicked_tasks(), 0);
+        assert_eq!(rt.outcomes().panicked, 0);
     }
 }
 
@@ -374,7 +374,7 @@ fn stress_read_mostly_tracker_orders_readers_and_writers() {
             readers_done.load(Ordering::SeqCst),
             GENERATIONS * READERS_PER_GEN
         );
-        assert_eq!(rt.panicked_tasks(), 0);
+        assert_eq!(rt.outcomes().panicked, 0);
     }
 }
 
@@ -471,7 +471,7 @@ fn stress_multi_key_read_only_footprints_keep_ordered_locks_and_single_key_stays
         0,
         "a read-only footprint ran before the writer it was registered after"
     );
-    assert_eq!(rt.panicked_tasks(), 0);
+    assert_eq!(rt.outcomes().panicked, 0);
     // The fast-path counter proves the split: every fast resolution was a
     // single-key read (multi-key footprints must never count), and the
     // overwhelming majority of single-key reads stayed lock-free despite
@@ -536,7 +536,7 @@ proptest! {
         prop_assert_eq!(executions.load(Ordering::Relaxed), flood);
         prop_assert_eq!(rt.stats().completed(), flood + 1);
         prop_assert_eq!(rt.stats().spawned(), flood + 1);
-        prop_assert_eq!(rt.panicked_tasks(), 0);
+        prop_assert_eq!(rt.outcomes().panicked, 0);
     }
 }
 
