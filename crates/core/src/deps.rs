@@ -67,8 +67,9 @@
 //! # What the tracker retains, and when it lets go
 //!
 //! The tracker holds `Arc<Task>` references, and a task record is recycled
-//! only by whoever lets go of its last one (`runtime.rs`, "Where a task
-//! record comes from and goes back to"). What it holds at any time:
+//! only by whoever lets go of its last one (the runtime's module docs,
+//! "Where a task record comes from and goes back to", and
+//! `runtime/recycle.rs`). What it holds at any time:
 //!
 //! * per key, the **live epoch**: its writer (until the key's next epoch is
 //!   reclaimed) and the readers registered since it opened. A reader list is
@@ -94,9 +95,9 @@
 //!
 //! The core reclaims memory by shard **pin counts** here, by **`Arc`
 //! uniqueness** for task records, and by the **`HuskPool` hand-back**
-//! (`runtime.rs`); the worker queues add no fourth scheme, since a mailbox
-//! links records that already carry a counted reference. They answer
-//! different questions and cannot merge. A pin makes a pointer *loaded
+//! (`runtime/recycle.rs`); the worker queues add no fourth scheme, since a
+//! mailbox links records that already carry a counted reference. They
+//! answer different questions and cannot merge. A pin makes a pointer *loaded
 //! from an `AtomicPtr`* safe to dereference: a reference count cannot,
 //! because the count could drop to zero between the load and the increment,
 //! and the read fast path would pay a contended increment per registration.
@@ -114,10 +115,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::sync::CachePadded;
+use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use crate::sync::{spin_loop, thread, Arc, CachePadded, Mutex, MutexGuard};
 use crate::task::Task;
 
 /// An opaque dependence key identifying a piece of data (an array, a matrix
@@ -568,9 +568,9 @@ impl TrackerShard {
             while self.pins.load(Ordering::SeqCst) != 0 {
                 rounds += 1;
                 if rounds.is_multiple_of(64) {
-                    std::thread::yield_now(); // 1-core: let the reader run
+                    thread::yield_now(); // 1-core: let the reader run
                 } else {
-                    std::hint::spin_loop();
+                    spin_loop();
                 }
             }
             self.draining.store(false, Ordering::SeqCst);

@@ -41,10 +41,9 @@
 //! nothing but the references it links — the records themselves.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use crate::sync::CachePadded;
+use crate::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{Arc, CachePadded};
 use crate::task::Task;
 
 const INITIAL_DEQUE_CAPACITY: usize = 64;

@@ -57,8 +57,6 @@
 //! modelled makespan that assumes dilation, residency and transition stalls
 //! are load-balanced across workers.
 
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use sig_energy::{
@@ -66,7 +64,8 @@ use sig_energy::{
 };
 
 use crate::governor::{DispatchContext, DispatchDecision, Governor};
-use crate::sync::CachePadded;
+use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{spin_loop, Arc, CachePadded};
 use crate::task::ExecutionMode;
 
 /// Consistent fold of every shard's counters — the cheap snapshot a polling
@@ -372,7 +371,7 @@ impl ExecutionEnv {
         loop {
             let before = shard.seq.load(Ordering::Acquire);
             if before & 1 == 1 {
-                std::hint::spin_loop();
+                spin_loop();
                 continue;
             }
             let snapshot = ShardSnapshot {

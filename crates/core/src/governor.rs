@@ -35,12 +35,11 @@
 //! applied by [`crate::ExecutionEnv::dispatch`] on top of whatever governor
 //! is configured.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use sig_energy::{FrequencyScale, PowerModel, SleepState};
 
 use crate::policy::Policy;
 use crate::significance::Significance;
+use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::sync::CachePadded;
 
 /// Everything a [`Governor`] may consult when choosing the frequency step

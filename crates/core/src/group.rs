@@ -16,11 +16,10 @@
 //! paths (group creation, the GTB spawn buffer).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 
 use crate::stats::GroupStats;
-use crate::sync::{CachePadded, EventCount};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{Arc, CachePadded, EventCount, Mutex, RwLock};
 use crate::task::Task;
 
 /// Identifier of a task group: its index in the runtime's registry, dense

@@ -25,10 +25,11 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
+use crate::runtime::TaskIdRange;
+use crate::sync::{Arc, Condvar, Mutex};
 use crate::task::{ExecutionMode, TaskId};
 
 /// How a handled task terminated. Every spawned task resolves to exactly one
@@ -130,17 +131,27 @@ impl<T: Send> HandleNotify for HandleCore<T> {
 pub struct SpawnHandle<T> {
     core: Arc<HandleCore<T>>,
     id: TaskId,
+    /// The id of the runtime that spawned the task.
+    runtime: u64,
 }
 
 impl<T> SpawnHandle<T> {
-    pub(crate) fn new(core: Arc<HandleCore<T>>, id: TaskId) -> Self {
-        SpawnHandle { core, id }
+    pub(crate) fn new(core: Arc<HandleCore<T>>, id: TaskId, runtime: u64) -> Self {
+        SpawnHandle { core, id, runtime }
     }
 
-    /// The spawned task's id (spawn order) — the key under which a serving
-    /// layer indexes attempts for range cancellation.
+    /// The spawned task's id (spawn order).
     pub fn id(&self) -> TaskId {
         self.id
+    }
+
+    /// The one-task range holding [`SpawnHandle::id`], tagged with the
+    /// runtime that spawned it — what
+    /// [`Runtime::cancel_tasks`](crate::runtime::Runtime::cancel_tasks)
+    /// takes to cancel this task (e.g. a serving layer cancelling every
+    /// retry generation of one request).
+    pub fn ids(&self) -> TaskIdRange {
+        TaskIdRange::new(self.runtime, self.id.0..self.id.0 + 1)
     }
 
     /// Whether the task has reached a terminal outcome.
@@ -238,13 +249,13 @@ mod tests {
     {
         let core = Arc::new(HandleCore::new());
         (core.as_ref() as &dyn HandleNotify).notify(outcome);
-        SpawnHandle::new(core, TaskId(0))
+        SpawnHandle::new(core, TaskId(0), 0)
     }
 
     #[test]
     fn try_outcome_before_and_after_resolution() {
         let core: Arc<HandleCore<u32>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(7));
+        let handle = SpawnHandle::new(core.clone(), TaskId(7), 0);
         assert_eq!(handle.try_outcome(), None);
         assert!(!handle.is_finished());
         assert_eq!(handle.id(), TaskId(7));
@@ -266,7 +277,7 @@ mod tests {
     #[test]
     fn first_notification_wins() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(0));
+        let handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
         (core.as_ref() as &dyn HandleNotify).notify(TaskOutcome::Panicked);
         (core.as_ref() as &dyn HandleNotify)
             .notify(TaskOutcome::Completed(ExecutionMode::Accurate));
@@ -276,7 +287,7 @@ mod tests {
     #[test]
     fn wait_blocks_until_cross_thread_resolution() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(0));
+        let handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
         let notifier = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             (core.as_ref() as &dyn HandleNotify).notify(TaskOutcome::Shed);
@@ -288,7 +299,7 @@ mod tests {
     #[test]
     fn wait_timeout_expires_on_unresolved_handle() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core, TaskId(0));
+        let handle = SpawnHandle::new(core, TaskId(0), 0);
         assert_eq!(handle.wait_timeout(Duration::from_millis(5)), None);
         assert_eq!(
             resolved::<()>(TaskOutcome::Cancelled).wait_timeout(Duration::ZERO),
@@ -317,7 +328,7 @@ mod tests {
     #[test]
     fn future_registers_waker_and_resolves() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let mut handle = SpawnHandle::new(core.clone(), TaskId(0));
+        let mut handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
         let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
         let waker = Waker::from(counter.clone());
         let mut cx = Context::from_waker(&waker);

@@ -19,10 +19,9 @@
 //! convenience of the C idiom without data races.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use std::sync::{Mutex, PoisonError};
+use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::{Arc, Mutex, PoisonError};
 
 struct GridInner<T> {
     data: UnsafeCell<Vec<T>>,

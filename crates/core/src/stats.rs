@@ -17,12 +17,11 @@
 //! per-(level × mode) counter matrix kept here carries exactly the same
 //! information for the inversion analysis without any lock or allocation.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::significance::{SignificanceLevel, NUM_LEVELS};
-use crate::sync::CachePadded;
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{CachePadded, OnceLock};
 use crate::task::ExecutionMode;
 
 const MODES: usize = 3;

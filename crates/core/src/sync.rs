@@ -14,9 +14,32 @@
 //!   touch one atomic when nobody waits; a waiter registers itself before
 //!   re-checking its predicate, so the notify side can skip the mutex
 //!   entirely in the common no-waiter case without races.
+//!
+//! # The one seam to the standard library's concurrency
+//!
+//! This is the only file in `sig-core` that names `std::sync`,
+//! `std::thread` or `std::hint` outside a test module (a test in this file
+//! walks the sources to keep it so). Every other file takes its atomics,
+//! locks, `Arc`, thread calls and spin hint from the re-exports below, laid
+//! out as loom lays out its `cfg(loom)` replacements
+//! (<https://github.com/tokio-rs/loom>): `crate::sync::atomic` for the
+//! atomics, `crate::sync::thread` for spawning, sleeping and yielding,
+//! `crate::sync::spin_loop`. A worker parks only through [`Parker::park`].
+//! A deterministic model checker can therefore swap what the runtime runs
+//! on by changing this file alone.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+pub(crate) use std::hint::spin_loop;
+pub(crate) use std::sync::{
+    atomic, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock,
+};
+
+/// Thread creation, sleeping and yielding (`std::thread`); parking goes
+/// through [`Parker`].
+pub(crate) mod thread {
+    pub(crate) use std::thread::{available_parallelism, sleep, yield_now, Builder, JoinHandle};
+}
+
+use atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::thread::Thread;
 
 /// Pads and aligns its contents to one 64-byte cache line, preventing false
@@ -128,7 +151,7 @@ const SLEEPING: u8 = 1;
 /// Protocol (all SeqCst so the flag and the queue state form a Dekker pair):
 ///
 /// * the **worker** stores `SLEEPING`, then re-checks every queue; only if
-///   all are empty does it call `std::thread::park()`;
+///   all are empty does it call [`Parker::park`];
 /// * a **producer** pushes to a queue first, then loads the flag; if it reads
 ///   `SLEEPING` it unparks the worker.
 ///
@@ -151,9 +174,16 @@ impl Parker {
     }
 
     /// Announce intent to sleep. Follow with a full queue re-check, then
-    /// either [`Parker::cancel`] or `std::thread::park()`.
+    /// either [`Parker::cancel`] or [`Parker::park`].
     pub(crate) fn prepare_park(&self) {
         self.state.store(SLEEPING, Ordering::SeqCst);
+    }
+
+    /// Sleep until unparked, or return at once on a banked token. Called by
+    /// the registered thread between [`Parker::prepare_park`] and
+    /// [`Parker::cancel`]; may return spuriously.
+    pub(crate) fn park(&self) {
+        std::thread::park();
     }
 
     /// Abandon or finish a sleep attempt.
@@ -246,9 +276,120 @@ impl EventCount {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
     use std::time::Duration;
+
+    /// Whether `code` names `std::sync`, `std::thread` or `std::hint` (or
+    /// their `core` and `alloc` twins), as a path or as an item of a grouped
+    /// `std::{...}` import.
+    fn names_std_concurrency(code: &str) -> bool {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        for root in ["std", "core", "alloc"] {
+            let prefix = format!("{root}::");
+            for (at, _) in code.match_indices(&prefix) {
+                if code[..at].chars().next_back().is_some_and(is_ident) {
+                    continue; // `sig_core::`, not `core::`
+                }
+                let rest = &code[at + prefix.len()..];
+                let items = match rest.strip_prefix('{') {
+                    Some(group) => group_items(group),
+                    None => vec![rest],
+                };
+                for item in items {
+                    let head: String = item
+                        .trim_start()
+                        .chars()
+                        .take_while(|&c| is_ident(c))
+                        .collect();
+                    if ["sync", "thread", "hint"].contains(&head.as_str()) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// The top-level items of a `{...}` group, `group` starting after its
+    /// opening brace.
+    fn group_items(group: &str) -> Vec<&str> {
+        let (mut items, mut depth, mut start) = (Vec::new(), 0usize, 0);
+        for (at, c) in group.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 0 => {
+                    items.push(&group[start..at]);
+                    break;
+                }
+                '}' => depth -= 1,
+                ',' if depth == 0 => {
+                    items.push(&group[start..at]);
+                    start = at + 1;
+                }
+                _ => {}
+            }
+        }
+        items
+    }
+
+    /// Every `.rs` file under `dir`, recursively.
+    fn sources(dir: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                files.extend(sources(&path));
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn the_seam_guard_sees_paths_and_grouped_imports() {
+        assert!(names_std_concurrency("use std::sync::Arc;"));
+        assert!(names_std_concurrency("    std::hint::spin_loop();"));
+        assert!(names_std_concurrency(
+            "use std::{\n    cell::Cell,\n    thread::{self, JoinHandle},\n};"
+        ));
+        assert!(names_std_concurrency("use core::sync::atomic::AtomicU8;"));
+        assert!(!names_std_concurrency("use crate::sync::{thread, Arc};"));
+        assert!(!names_std_concurrency(
+            "use std::{cell::Cell, time::Duration};"
+        ));
+        assert!(!names_std_concurrency("sig_core::sync; std::thread_local!"));
+    }
+
+    /// The seam: no `sig-core` source but this one names the standard
+    /// library's concurrency before its test module, so a model checker
+    /// can swap what the runtime runs on here alone. Comment lines are
+    /// skipped: a doc example compiles as a crate of its own, outside the
+    /// seam.
+    #[test]
+    fn only_the_sync_module_names_std_concurrency() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut offenders = Vec::new();
+        for path in sources(&root) {
+            if path == root.join("sync.rs") {
+                continue;
+            }
+            let source = std::fs::read_to_string(&path).expect("readable source");
+            let code: Vec<&str> = source
+                .lines()
+                .take_while(|line| !line.starts_with("mod tests"))
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect();
+            if names_std_concurrency(&code.join("\n")) {
+                offenders.push(path);
+            }
+        }
+        assert!(
+            offenders.is_empty(),
+            "import atomics, locks, `Arc`, thread calls and `spin_loop` from `crate::sync`: {offenders:?}"
+        );
+    }
 
     #[test]
     fn cache_padded_is_line_aligned() {
@@ -307,7 +448,7 @@ mod tests {
         assert!(parker.unpark_if_sleeping());
         // The unpark above was banked as the park token: this returns at
         // once instead of hanging.
-        std::thread::park();
+        parker.park();
         parker.cancel();
         assert!(!parker.unpark_if_sleeping(), "awake parker must not unpark");
     }

@@ -18,13 +18,13 @@
 //! task on the body slots alone plus one on the successor list.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::deps::DepKey;
 use crate::group::{GroupId, GroupState};
 use crate::handle::{HandleNotify, TaskOutcome};
 use crate::significance::Significance;
+use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::Arc;
 
 /// Unique identifier of a spawned task, in program (spawn) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,7 +73,7 @@ const PANICKED: u8 = 1 << 6;
 /// also poll their own clone of the token to bail out of long loops early.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<std::sync::atomic::AtomicBool>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {

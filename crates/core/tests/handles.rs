@@ -1,14 +1,11 @@
 //! Integration tests for the serving-facing core primitives: spawn handles
-//! resolving to terminal outcomes, per-task batch deadline offsets, single-id
-//! range cancellation, and the per-level shed histogram.
+//! resolving to terminal outcomes, single-task range cancellation through a
+//! handle's ids, and the per-level shed histogram.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use sig_core::{
-    BatchTask, CancelToken, ExecutionMode, FaultPlan, Policy, Runtime, TaskIdRange, TaskOutcome,
-};
+use sig_core::{CancelToken, ExecutionMode, FaultPlan, Policy, Runtime, TaskOutcome};
 
 /// Spin until `gate` is released — keeps a worker busy without sleeping so
 /// queued tasks stay queued deterministically.
@@ -56,7 +53,7 @@ fn handle_resolves_cancelled_via_token_and_single_id_range() {
     let by_token = rt.submit(|| 1u32).cancel_token(&token).spawn();
     let by_range = rt.submit(|| 2u32).spawn();
     token.cancel();
-    rt.cancel_tasks(&TaskIdRange::single(by_range.id()));
+    rt.cancel_tasks(&by_range.ids());
     gate.store(true, Ordering::Release);
 
     assert_eq!(by_token.wait(), TaskOutcome::Cancelled);
@@ -114,28 +111,4 @@ fn brownout_shed_resolves_handles_and_fills_level_histogram() {
         outcomes.spawned,
         outcomes.completed + outcomes.cancelled + outcomes.panicked + outcomes.shed
     );
-}
-
-#[test]
-fn batch_deadline_offsets_override_batch_deadline() {
-    let rt = Runtime::builder().workers(1).build();
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = gate.clone();
-    rt.task(move || hold(&g)).spawn();
-
-    // Batch-wide deadline is far away; task 1 carries a 1 ns offset that has
-    // long passed by the time the gate opens.
-    let range = rt
-        .batch()
-        .deadline(Duration::from_secs(3600))
-        .deadline_offset(1, 1)
-        .task(BatchTask::new(|| {}))
-        .task(BatchTask::new(|| {}))
-        .spawn();
-    assert_eq!(range.len(), 2);
-    std::thread::sleep(Duration::from_millis(5));
-    gate.store(true, Ordering::Release);
-    let outcomes = rt.wait_all();
-    assert_eq!(outcomes.deadline_misses, 1, "only the offset task missed");
-    assert_eq!(outcomes.spawned, outcomes.completed);
 }

@@ -1,10 +1,10 @@
 //! Task-record recycling under load: records retired by workers are blanked
-//! and refilled by later spawns (see `runtime.rs`, `HuskPool`). Whatever a
-//! record held before, every task must still run exactly one of its bodies
-//! exactly once — from two spawner threads, from inside task bodies, under
-//! every policy — and footprint tasks, whose records come back through the
-//! dependence tracker on whichever thread registers next, must still run in
-//! dependence order.
+//! and refilled by later spawns (see `runtime/recycle.rs`, `HuskPool`).
+//! Whatever a record held before, every task must still run exactly one of
+//! its bodies exactly once — from two spawner threads, from inside task
+//! bodies, under every policy — and footprint tasks, whose records come
+//! back through the dependence tracker on whichever thread registers next,
+//! must still run in dependence order.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;

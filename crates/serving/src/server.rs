@@ -79,8 +79,8 @@ pub struct Server<'rt> {
     start: Instant,
     next_id: RequestId,
     active: Vec<ActiveRequest>,
-    /// Request-id → task id of **every** generation spawned for it.
-    generations: HashMap<RequestId, Vec<TaskId>>,
+    /// Request-id → task-id range of **every** generation spawned for it.
+    generations: HashMap<RequestId, Vec<TaskIdRange>>,
     stats: ServingStats,
 }
 
@@ -162,7 +162,7 @@ impl<'rt> Server<'rt> {
         self.generations
             .entry(request.id)
             .or_default()
-            .push(handle.id());
+            .push(handle.ids());
         life.attempts += 1;
         request.retry_at = None;
         request.handle = Some(handle);
@@ -173,10 +173,8 @@ impl<'rt> Server<'rt> {
     /// further retries. The request terminates as
     /// [`ViolationKind::Cancelled`] unless an attempt already completed.
     pub fn cancel_request(&mut self, id: RequestId) {
-        if let Some(task_ids) = self.generations.get(&id) {
-            for task in task_ids {
-                self.runtime.cancel_tasks(&TaskIdRange::single(*task));
-            }
+        for range in self.generations.get(&id).into_iter().flatten() {
+            self.runtime.cancel_tasks(range);
         }
         if let Some(request) = self.active.iter_mut().find(|r| r.id == id) {
             request.cancelled = true;
@@ -187,7 +185,12 @@ impl<'rt> Server<'rt> {
     /// The task id of every generation spawned for `id`, in spawn order
     /// (empty if the request was shed at admission).
     pub fn task_generations(&self, id: RequestId) -> Vec<TaskId> {
-        self.generations.get(&id).cloned().unwrap_or_default()
+        self.generations
+            .get(&id)
+            .into_iter()
+            .flatten()
+            .flat_map(TaskIdRange::clone)
+            .collect()
     }
 
     /// Sweep in-flight requests once: resolve finished attempts, issue due
@@ -515,7 +518,7 @@ mod tests {
         // Cancel generation 1 directly (simulating a transient failure),
         // then release the worker: the attempt resolves Cancelled and the
         // server schedules a backoff retry.
-        rt.cancel_tasks(&TaskIdRange::single(first_generation[0]));
+        rt.cancel_tasks(&server.generations[&id][0]);
         gate1.store(true, Ordering::Release);
         while server.in_flight() == 1 && server.task_generations(id).len() == 1 {
             server.poll();
