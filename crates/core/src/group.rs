@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 
 use crate::stats::GroupStats;
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, CachePadded, EventCount, Mutex, RwLock};
 use crate::task::Task;
 
@@ -93,7 +93,7 @@ impl std::fmt::Debug for TaskGroup {
 /// Laid out by the one-writer-per-line rule ([`CachePadded`]): the two
 /// fields the spawner writes per spawn, `outstanding` and the GTB `buffer`,
 /// sit on lines of their own, away from what a worker reads per task (the
-/// ratio, the budget scale, `cancelled`, the statistics shards, the ids).
+/// ratio, the budget scale, the statistics shards, the ids).
 /// Their padding also makes the state 64-byte aligned, so in an
 /// `Arc<GroupState>` the reference counts, which a spawn bumps for every
 /// fresh record, are on a line of their own too.
@@ -123,9 +123,6 @@ pub(crate) struct GroupState {
     buffer: CachePadded<Mutex<Vec<Arc<Task>>>>,
     /// Execution statistics (Table 2 inputs), sharded per worker.
     pub(crate) stats: GroupStats,
-    /// Cooperative group-wide cancellation: once set, every not-yet-executed
-    /// task of the group is skipped at dequeue time.
-    cancelled: AtomicBool,
 }
 
 impl GroupState {
@@ -147,18 +144,7 @@ impl GroupState {
             barrier: EventCount::default(),
             buffer: CachePadded::new(Mutex::new(Vec::new())),
             stats: GroupStats::new(stat_shards),
-            cancelled: AtomicBool::new(false),
         }
-    }
-
-    /// Request cooperative cancellation of every outstanding task.
-    pub(crate) fn request_cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Whether group-wide cancellation has been requested.
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
     }
 
     /// Current target accurate-task ratio.
@@ -403,7 +389,6 @@ mod tests {
             &[
                 field_span!(GroupState, ratio_bits),
                 field_span!(GroupState, budget_scale_bits),
-                field_span!(GroupState, cancelled),
                 field_span!(GroupState, stats),
                 field_span!(GroupState, id),
                 field_span!(GroupState, runtime),

@@ -1,19 +1,16 @@
-//! Future-based spawn handles: per-task completion observation without
-//! barriers.
+//! Spawn handles: per-task completion observation without barriers.
 //!
 //! A serving layer cannot afford a [`Runtime::wait_all`] barrier per
 //! request — it needs to learn, request by request, *how* a task ended:
 //! completed (in which mode), panicked, cancelled, or shed by the brownout
 //! controller. [`SpawnHandle`] is that observation channel, resolved exactly
-//! once by the worker that retires the task:
+//! once by the worker that retires the task, and observed in one of two
+//! ways:
 //!
 //! * **polling** — [`SpawnHandle::try_outcome`] is one mutex-protected load,
 //!   suited to a driver loop sweeping thousands of in-flight requests;
 //! * **blocking** — [`SpawnHandle::wait`] parks on a condvar until the task
-//!   retires;
-//! * **async** — `SpawnHandle` implements [`Future`], registering the
-//!   caller's [`Waker`] so any executor can await the terminal
-//!   [`TaskOutcome`].
+//!   retires.
 //!
 //! Handles are attached at spawn through
 //! [`Runtime::submit`](crate::runtime::Runtime::submit), whose builder
@@ -23,12 +20,8 @@
 //!
 //! [`Runtime::wait_all`]: crate::runtime::Runtime::wait_all
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::runtime::TaskIdRange;
 use crate::sync::{Arc, Condvar, Mutex};
 use crate::task::{ExecutionMode, TaskId};
 
@@ -75,7 +68,6 @@ struct HandleState<T> {
     outcome: Option<TaskOutcome>,
     finished_at: Option<Instant>,
     value: Option<T>,
-    wakers: Vec<Waker>,
 }
 
 /// Shared core between a [`SpawnHandle`] and the task that resolves it.
@@ -91,7 +83,6 @@ impl<T> HandleCore<T> {
                 outcome: None,
                 finished_at: None,
                 value: None,
-                wakers: Vec::new(),
             }),
             cond: Condvar::new(),
         }
@@ -112,12 +103,8 @@ impl<T: Send> HandleNotify for HandleCore<T> {
         }
         state.outcome = Some(outcome);
         state.finished_at = Some(Instant::now());
-        let wakers = std::mem::take(&mut state.wakers);
         drop(state);
         self.cond.notify_all();
-        for waker in wakers {
-            waker.wake();
-        }
     }
 }
 
@@ -131,32 +118,16 @@ impl<T: Send> HandleNotify for HandleCore<T> {
 pub struct SpawnHandle<T> {
     core: Arc<HandleCore<T>>,
     id: TaskId,
-    /// The id of the runtime that spawned the task.
-    runtime: u64,
 }
 
 impl<T> SpawnHandle<T> {
-    pub(crate) fn new(core: Arc<HandleCore<T>>, id: TaskId, runtime: u64) -> Self {
-        SpawnHandle { core, id, runtime }
+    pub(crate) fn new(core: Arc<HandleCore<T>>, id: TaskId) -> Self {
+        SpawnHandle { core, id }
     }
 
     /// The spawned task's id (spawn order).
     pub fn id(&self) -> TaskId {
         self.id
-    }
-
-    /// The one-task range holding [`SpawnHandle::id`], tagged with the
-    /// runtime that spawned it — what
-    /// [`Runtime::cancel_tasks`](crate::runtime::Runtime::cancel_tasks)
-    /// takes to cancel this task (e.g. a serving layer cancelling every
-    /// retry generation of one request).
-    pub fn ids(&self) -> TaskIdRange {
-        TaskIdRange::new(self.runtime, self.id.0..self.id.0 + 1)
-    }
-
-    /// Whether the task has reached a terminal outcome.
-    pub fn is_finished(&self) -> bool {
-        self.core.state.lock().unwrap().outcome.is_some()
     }
 
     /// The terminal outcome, if the task already resolved. Non-blocking.
@@ -180,26 +151,6 @@ impl<T> SpawnHandle<T> {
         state.outcome.expect("loop exits only once resolved")
     }
 
-    /// Block until the task resolves or `timeout` elapses.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<TaskOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.core.state.lock().unwrap();
-        loop {
-            if let Some(outcome) = state.outcome {
-                return Some(outcome);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (next, result) = self.core.cond.wait_timeout(state, remaining).unwrap();
-            state = next;
-            if result.timed_out() && state.outcome.is_none() {
-                return None;
-            }
-        }
-    }
-
     /// Take the value produced by the executed body. `Some` at most once,
     /// and only after the task resolved with
     /// [`TaskOutcome::Completed`] in a mode that actually ran a body.
@@ -210,21 +161,6 @@ impl<T> SpawnHandle<T> {
         } else {
             None
         }
-    }
-}
-
-impl<T> Future for SpawnHandle<T> {
-    type Output = TaskOutcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<TaskOutcome> {
-        let mut state = self.core.state.lock().unwrap();
-        if let Some(outcome) = state.outcome {
-            return Poll::Ready(outcome);
-        }
-        if !state.wakers.iter().any(|w| w.will_wake(cx.waker())) {
-            state.wakers.push(cx.waker().clone());
-        }
-        Poll::Pending
     }
 }
 
@@ -240,24 +176,14 @@ impl<T> std::fmt::Debug for SpawnHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::Wake;
-
-    fn resolved<T>(outcome: TaskOutcome) -> SpawnHandle<T>
-    where
-        T: Send,
-    {
-        let core = Arc::new(HandleCore::new());
-        (core.as_ref() as &dyn HandleNotify).notify(outcome);
-        SpawnHandle::new(core, TaskId(0), 0)
-    }
+    use std::time::Duration;
 
     #[test]
     fn try_outcome_before_and_after_resolution() {
         let core: Arc<HandleCore<u32>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(7), 0);
+        let handle = SpawnHandle::new(core.clone(), TaskId(7));
         assert_eq!(handle.try_outcome(), None);
-        assert!(!handle.is_finished());
+        assert_eq!(handle.finished_at(), None);
         assert_eq!(handle.id(), TaskId(7));
         core.put_value(42);
         assert_eq!(
@@ -267,7 +193,6 @@ mod tests {
         );
         (core.as_ref() as &dyn HandleNotify)
             .notify(TaskOutcome::Completed(ExecutionMode::Accurate));
-        assert!(handle.is_finished());
         assert!(handle.try_outcome().unwrap().is_success());
         assert!(handle.finished_at().is_some());
         assert_eq!(handle.take_value(), Some(42));
@@ -277,7 +202,7 @@ mod tests {
     #[test]
     fn first_notification_wins() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
+        let handle = SpawnHandle::new(core.clone(), TaskId(0));
         (core.as_ref() as &dyn HandleNotify).notify(TaskOutcome::Panicked);
         (core.as_ref() as &dyn HandleNotify)
             .notify(TaskOutcome::Completed(ExecutionMode::Accurate));
@@ -287,24 +212,13 @@ mod tests {
     #[test]
     fn wait_blocks_until_cross_thread_resolution() {
         let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
+        let handle = SpawnHandle::new(core.clone(), TaskId(0));
         let notifier = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             (core.as_ref() as &dyn HandleNotify).notify(TaskOutcome::Shed);
         });
         assert_eq!(handle.wait(), TaskOutcome::Shed);
         notifier.join().unwrap();
-    }
-
-    #[test]
-    fn wait_timeout_expires_on_unresolved_handle() {
-        let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let handle = SpawnHandle::new(core, TaskId(0), 0);
-        assert_eq!(handle.wait_timeout(Duration::from_millis(5)), None);
-        assert_eq!(
-            resolved::<()>(TaskOutcome::Cancelled).wait_timeout(Duration::ZERO),
-            Some(TaskOutcome::Cancelled)
-        );
     }
 
     #[test]
@@ -315,31 +229,5 @@ mod tests {
         assert!(TaskOutcome::Cancelled.is_transient_failure());
         assert!(!TaskOutcome::Shed.is_transient_failure());
         assert!(!TaskOutcome::Completed(ExecutionMode::Accurate).is_transient_failure());
-    }
-
-    struct CountingWaker(AtomicUsize);
-
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn future_registers_waker_and_resolves() {
-        let core: Arc<HandleCore<()>> = Arc::new(HandleCore::new());
-        let mut handle = SpawnHandle::new(core.clone(), TaskId(0), 0);
-        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let waker = Waker::from(counter.clone());
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut handle).poll(&mut cx).is_pending());
-        // Re-polling with the same waker must not register it twice.
-        assert!(Pin::new(&mut handle).poll(&mut cx).is_pending());
-        (core.as_ref() as &dyn HandleNotify).notify(TaskOutcome::Panicked);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "woken exactly once");
-        assert_eq!(
-            Pin::new(&mut handle).poll(&mut cx),
-            Poll::Ready(TaskOutcome::Panicked)
-        );
     }
 }

@@ -56,7 +56,7 @@
 //!    the queue array);
 //! 2. the queue set's round-robin cursor, which every external push bumps;
 //! 3. a group's `outstanding` count and GTB buffer, off its ratio, budget
-//!    scale, cancellation flag and statistics shards, which also makes the
+//!    scale and statistics shards, which also makes the
 //!    group state line-aligned, so an `Arc<GroupState>`'s reference counts,
 //!    which every fresh record bumps, sit on a line of their own;
 //! 4. each worker's mailbox inbox, which a push CASes and counts, off the
@@ -73,7 +73,7 @@
 //! `Arc::new` is the cold start of the same path, not a second one. A record
 //! is reused only while *uniquely held* — `Arc::get_mut` fails as long as a
 //! queue slot, a successor list, the dependence tracker or a GTB buffer still
-//! points at it — so no stale `TaskId`, [`SpawnHandle`](crate::handle::SpawnHandle), cancel range or
+//! points at it — so no stale `TaskId`, [`SpawnHandle`](crate::handle::SpawnHandle) or
 //! deque slot can ever observe the reuse, and there are no generation tags
 //! to check and no `unsafe` to justify. The pool is bounded by
 //! `HUSK_POOL_CAP` and emptied at quiescence: a barrier that returns with
@@ -117,7 +117,8 @@
 //! * `worker` — the run loop, execute, completion, `Retired` and the
 //!   targeted wakes;
 //! * `barrier` — `taskwait` in its three forms, over one skeleton;
-//! * `overload` — cancellation and the brownout controller;
+//! * `overload` — the brownout controller, and the retirement of a task
+//!   cancelled through its token or shed, without running it;
 //! * `budget` — the online energy-budget loop.
 //!
 //! # Checklist for the model checker
@@ -239,12 +240,6 @@ struct RuntimeInner {
     budget: Option<Mutex<BudgetState>>,
     /// Deterministic fault-injection plan, if chaos testing is enabled.
     faults: Option<FaultPlan>,
-    /// Cancelled task-id ranges (`cancel_tasks`). Cold master-side state; the
-    /// execution hot path checks `cancel_active` (one load) before touching
-    /// the lock.
-    cancel_ranges: Mutex<Vec<(u64, u64)>>,
-    /// Whether any id-range cancellation was ever requested.
-    cancel_active: AtomicBool,
     shutdown: AtomicBool,
     /// One parker per worker for targeted wakeups.
     parkers: Box<[Parker]>,
@@ -426,8 +421,6 @@ impl Runtime {
                 .energy_budget
                 .map(|config| Mutex::new(BudgetState::new(config))),
             faults: builder.fault_plan,
-            cancel_ranges: Mutex::new(Vec::new()),
-            cancel_active: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             parkers: (0..workers).map(|_| Parker::default()).collect(),
             sleepers: AtomicUsize::new(0),
@@ -985,7 +978,6 @@ mod tests {
                 field_span!(RuntimeInner, overload),
                 field_span!(RuntimeInner, budget),
                 field_span!(RuntimeInner, faults),
-                field_span!(RuntimeInner, cancel_active),
                 field_span!(RuntimeInner, parkers),
             ],
         );

@@ -252,7 +252,7 @@ impl RuntimeInner {
         let n = items.len();
         if n == 0 {
             let id = self.next_task_id.load(Ordering::Relaxed);
-            return TaskIdRange::new(self.id, id..id);
+            return TaskIdRange::new(id..id);
         }
         let first = self.next_task_id.fetch_add(n as u64, Ordering::Relaxed);
         // Relaxed: see the invariant note in `TaskBuilder::spawn`.
@@ -293,7 +293,7 @@ impl RuntimeInner {
                 self.wake_for_batch(&push);
             }
         }
-        TaskIdRange::new(self.id, first..first + n as u64)
+        TaskIdRange::new(first..first + n as u64)
     }
 
     /// Buffer a record under GTB, flushing the window if this fills it. The
@@ -636,8 +636,7 @@ impl<'rt, T: Send + 'static> HandledTaskBuilder<'rt, T> {
 
     /// Submit the task and return its [`SpawnHandle`].
     pub fn spawn(self) -> SpawnHandle<T> {
-        let runtime = self.task.husk.runtime.inner.id;
-        SpawnHandle::new(self.core, self.task.spawn(), runtime)
+        SpawnHandle::new(self.core, self.task.spawn())
     }
 }
 
@@ -694,23 +693,16 @@ impl std::fmt::Debug for BatchTask {
     }
 }
 
-/// The contiguous range of [`TaskId`]s issued to one batched spawn (or,
-/// through [`SpawnHandle::ids`], to one handled task), tagged with the
-/// runtime that issued them.
+/// The contiguous range of [`TaskId`]s issued to one batched spawn.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskIdRange {
-    /// The issuing runtime's id: [`Runtime::cancel_tasks`] refuses a range
-    /// from another runtime.
-    pub(super) runtime: u64,
-    pub(super) next: u64,
-    pub(super) end: u64,
+    next: u64,
+    end: u64,
 }
 
 impl TaskIdRange {
-    /// The ids `ids` of the runtime whose id is `runtime`.
-    pub(crate) fn new(runtime: u64, ids: Range<u64>) -> Self {
+    fn new(ids: Range<u64>) -> Self {
         TaskIdRange {
-            runtime,
             next: ids.start,
             end: ids.end,
         }

@@ -1,7 +1,8 @@
-//! Cancellation and brownout: [`OverloadState`] and its amortised
-//! shed-threshold recomputation, the id ranges [`Runtime::cancel_tasks`]
-//! cancels, [`Runtime::cancel_group`], and [`RuntimeInner::abandon`], which
-//! retires a cancelled or shed task without running it.
+//! Brownout and abandonment: [`OverloadState`] and its amortised
+//! shed-threshold recomputation, and [`RuntimeInner::abandon`], which
+//! retires a task without running it, shed or cancelled through the
+//! [`CancelToken`](crate::task::CancelToken) attached at spawn (the one
+//! cancellation channel).
 //!
 //! # Checklist for the model checker
 //!
@@ -13,18 +14,13 @@
 //! * `OverloadState::shed_bits`, a `Relaxed` store and load: the threshold
 //!   is advisory, recomputed from counters that are themselves sampled
 //!   racily; a worker reading a stale one sheds or runs one task more.
-//! * `cancel_active`, a `Release` store in [`Runtime::cancel_tasks`] and an
-//!   `Acquire` load in [`RuntimeInner::id_cancelled`]: the ranges behind it
-//!   are read under the `cancel_ranges` lock. A dequeue that misses a
-//!   concurrent cancel runs the task, as cooperative cancellation allows.
 
 use super::worker::Retired;
-use super::{Runtime, RuntimeInner, TaskIdRange};
-use crate::group::TaskGroup;
+use super::RuntimeInner;
 use crate::handle::TaskOutcome;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, CachePadded};
-use crate::task::{Task, TaskId};
+use crate::task::Task;
 
 /// Brownout overload controller: build-time watermarks plus the current shed
 /// threshold, recomputed amortised (every [`OverloadState::TICK_MASK`]` + 1`
@@ -109,18 +105,6 @@ impl RuntimeInner {
             .store(pressure.to_bits(), Ordering::Relaxed);
     }
 
-    /// Whether `id` falls in a range cancelled via `Runtime::cancel_tasks`.
-    pub(super) fn id_cancelled(&self, id: TaskId) -> bool {
-        if !self.cancel_active.load(Ordering::Acquire) {
-            return false;
-        }
-        self.cancel_ranges
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|&(start, end)| (start..end).contains(&id.0))
-    }
-
     /// Abandon a task without running either body: drop the bodies, poison
     /// its written keys so dependents observe the failure, account it as
     /// shed (brownout) or cancelled, and run the full completion protocol —
@@ -146,7 +130,6 @@ impl RuntimeInner {
             self.stats.record_shed(worker, task.significance.level());
             task.notify_handle(TaskOutcome::Shed);
         } else {
-            task.request_cancel();
             self.stats.record_cancelled(worker);
             task.notify_handle(TaskOutcome::Cancelled);
         }
@@ -154,50 +137,13 @@ impl RuntimeInner {
     }
 }
 
-impl Runtime {
-    /// Cooperatively cancel every not-yet-started task in `range` (ids from
-    /// a batched spawn, or a handle's
-    /// [`SpawnHandle::ids`](crate::handle::SpawnHandle::ids)). Tasks already
-    /// executing run to completion; tasks still queued are abandoned at
-    /// dequeue time and accounted under
-    /// [`OutcomeSummary::cancelled`](crate::stats::OutcomeSummary::cancelled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if another runtime issued `range`.
-    pub fn cancel_tasks(&self, range: &TaskIdRange) {
-        assert!(
-            range.runtime == self.inner.id,
-            "task id range belongs to another runtime"
-        );
-        if range.is_empty() {
-            return;
-        }
-        self.inner
-            .cancel_ranges
-            .lock()
-            .unwrap()
-            .push((range.next, range.end));
-        self.inner.cancel_active.store(true, Ordering::Release);
-    }
-
-    /// Cooperatively cancel every not-yet-started task of `group` (current
-    /// and future spawns into it). See [`Runtime::cancel_tasks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if another runtime created `group`.
-    pub fn cancel_group(&self, group: &TaskGroup) {
-        group.state_in(self.inner.id).request_cancel();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Policy;
-    use crate::runtime::tests::{block_single_worker, groups_with_one_index, one_worker};
+    use crate::runtime::tests::block_single_worker;
     use crate::runtime::BatchTask;
+    use crate::runtime::Runtime;
     use crate::sync::atomic::AtomicUsize;
     use crate::task::CancelToken;
     use std::time::Duration;
@@ -234,59 +180,28 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tasks_by_id_range() {
+    fn cancel_token_skips_a_queued_batch() {
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::SignificanceAgnostic)
             .build();
         let release = block_single_worker(&rt);
+        let token = CancelToken::new();
         let ran = Arc::new(AtomicUsize::new(0));
-        let ids = rt.batch().spawn_tasks((0..40).map(|_| {
-            let r = ran.clone();
-            BatchTask::new(move || {
-                r.fetch_add(1, Ordering::Relaxed);
-            })
-        }));
-        rt.cancel_tasks(&ids);
+        rt.batch()
+            .cancel_token(&token)
+            .spawn_tasks((0..40).map(|_| {
+                let r = ran.clone();
+                BatchTask::new(move || {
+                    r.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+        token.cancel();
         release.send(()).unwrap();
         let summary = rt.wait_all();
         assert_eq!(ran.load(Ordering::Relaxed), 0);
         assert_eq!(summary.cancelled, 40);
         assert_eq!(summary.completed, 1);
-    }
-
-    #[test]
-    fn cancel_group_skips_only_that_group() {
-        let rt = Runtime::builder()
-            .workers(1)
-            .policy(Policy::SignificanceAgnostic)
-            .build();
-        let doomed = rt.create_group("doomed", 1.0);
-        let alive = rt.create_group("alive", 1.0);
-        let release = block_single_worker(&rt);
-        let doomed_ran = Arc::new(AtomicUsize::new(0));
-        let alive_ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let d = doomed_ran.clone();
-            rt.task(move || {
-                d.fetch_add(1, Ordering::Relaxed);
-            })
-            .group(&doomed)
-            .spawn();
-            let a = alive_ran.clone();
-            rt.task(move || {
-                a.fetch_add(1, Ordering::Relaxed);
-            })
-            .group(&alive)
-            .spawn();
-        }
-        rt.cancel_group(&doomed);
-        release.send(()).unwrap();
-        let summary = rt.wait_all();
-        assert_eq!(doomed_ran.load(Ordering::Relaxed), 0);
-        assert_eq!(alive_ran.load(Ordering::Relaxed), 20);
-        assert_eq!(summary.cancelled, 20);
-        assert_eq!(summary.completed, 21);
     }
 
     #[test]
@@ -371,20 +286,5 @@ mod tests {
         let stats = rt.group_stats(&group);
         assert_eq!(stats.total(), 100);
         assert_eq!(stats.accurate, 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "task group `a` belongs to another runtime")]
-    fn cancel_group_rejects_another_runtimes_group() {
-        let (_first, second, a, _b) = groups_with_one_index();
-        second.cancel_group(&a);
-    }
-
-    #[test]
-    #[should_panic(expected = "task id range belongs to another runtime")]
-    fn cancel_tasks_rejects_another_runtimes_range() {
-        let (first, second) = (one_worker(), one_worker());
-        let range = first.spawn_batch((0..10).map(|_| BatchTask::new(|| {})));
-        second.cancel_tasks(&range);
     }
 }

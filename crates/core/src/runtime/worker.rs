@@ -179,9 +179,9 @@ impl RuntimeInner {
             self.complete(task, retired);
             return;
         }
-        // Cooperative cancellation: a task cancelled before it starts (via
-        // its token, its group or an id-range cancel) is skipped entirely.
-        if task.cancel_requested() || self.id_cancelled(task.id) {
+        // Cooperative cancellation: a task whose token was cancelled before
+        // it starts is skipped entirely.
+        if task.cancel_requested() {
             self.abandon(task, worker, false, retired);
             return;
         }
@@ -306,10 +306,9 @@ impl RuntimeInner {
                 .record(worker, task.significance.level(), mode);
             task.notify_handle(TaskOutcome::Completed(mode));
         } else {
-            // The body panicked: mark the task, poison its written keys
-            // *before* completion releases any dependent, and account it
-            // under `panicked` (not `completed`).
-            task.mark_panicked();
+            // The body panicked: poison its written keys *before*
+            // completion releases any dependent, and account it under
+            // `panicked` (not `completed`).
             if !task.out_keys.is_empty() {
                 self.tracker.poison_writes(&task.out_keys);
             }

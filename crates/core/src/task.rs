@@ -60,8 +60,6 @@ const MODE_APPROXIMATE: u8 = 2;
 const RELEASED: u8 = 1 << 2;
 const ENQUEUED: u8 = 1 << 3;
 const COMPLETED: u8 = 1 << 4;
-const CANCELLED: u8 = 1 << 5;
-const PANICKED: u8 = 1 << 6;
 
 /// A cooperative cancellation flag shared between spawners and task bodies.
 ///
@@ -558,25 +556,10 @@ impl Task {
         self.state.load(Ordering::Acquire) & COMPLETED != 0
     }
 
-    /// Request cancellation of this specific task. Honoured cooperatively:
-    /// the task is skipped if the request lands before a worker dequeues it.
-    /// Returns `true` the first time.
-    pub(crate) fn request_cancel(&self) -> bool {
-        self.state.fetch_or(CANCELLED, Ordering::AcqRel) & CANCELLED == 0
-    }
-
-    /// Whether cancellation was requested through any channel (the per-task
-    /// bit, an attached token, or the whole group).
+    /// Whether the token attached at spawn, if any, has been cancelled: the
+    /// one cancellation channel there is.
     pub(crate) fn cancel_requested(&self) -> bool {
-        if self.state.load(Ordering::Acquire) & CANCELLED != 0 {
-            return true;
-        }
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return true;
-            }
-        }
-        self.group_state.is_cancelled()
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Resolve the attached spawn handle, if any, with the task's terminal
@@ -586,17 +569,6 @@ impl Task {
         if let Some(handle) = &self.handle {
             handle.notify(outcome);
         }
-    }
-
-    /// Record that the task's body panicked.
-    pub(crate) fn mark_panicked(&self) {
-        self.state.fetch_or(PANICKED, Ordering::AcqRel);
-    }
-
-    /// Whether the task's body panicked.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_panicked(&self) -> bool {
-        self.state.load(Ordering::Acquire) & PANICKED != 0
     }
 }
 
@@ -818,34 +790,19 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_panic_bits_are_independent() {
-        let t = dummy_task(0.5);
-        assert!(!t.cancel_requested());
-        assert!(t.request_cancel());
-        assert!(
-            !t.request_cancel(),
-            "second request reports already-cancelled"
-        );
-        assert!(t.cancel_requested());
-        assert!(!t.is_panicked());
-        t.mark_panicked();
-        assert!(t.is_panicked());
-        assert!(!t.is_completed());
-        assert!(
-            t.claim_enqueue(),
-            "cancel must not consume the enqueue claim"
-        );
-    }
-
-    #[test]
     fn cancel_token_reaches_attached_task() {
         let token = CancelToken::new();
         let mut t = dummy_task(0.5);
+        assert!(!t.cancel_requested(), "no token, no cancellation");
         t.cancel = Some(token.clone());
         assert!(!t.cancel_requested());
         token.cancel();
         assert!(token.is_cancelled());
         assert!(t.cancel_requested());
+        assert!(
+            t.claim_enqueue(),
+            "cancel must not consume the enqueue claim"
+        );
     }
 
     #[test]
@@ -871,8 +828,6 @@ mod tests {
         t.decide(false);
         t.release();
         t.claim_enqueue();
-        t.request_cancel();
-        t.mark_panicked();
         assert_eq!(t.successors.seal().len(), 1);
         t.mark_completed();
         assert!(!t.successors.try_push(&Arc::new(dummy_task(0.1))));
@@ -884,7 +839,7 @@ mod tests {
             "the key buffers are kept for the next footprint"
         );
         assert_eq!(t.decision(), None);
-        assert!(!t.is_released() && !t.is_completed() && !t.is_panicked());
+        assert!(!t.is_released() && !t.is_completed());
         assert!(!t.cancel_requested());
         assert!(t.claim_enqueue(), "the enqueue claim is free again");
         assert!(

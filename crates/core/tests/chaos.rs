@@ -80,12 +80,14 @@ fn chaos_round(policy: Policy, seed: u64, wave: usize) {
             .spawn();
     }
 
-    // Wave 3a: a whole batch cancelled by id range right after injection.
-    let doomed = rt
-        .batch()
+    // Wave 3a: a whole batch cancelled through its token right after
+    // injection.
+    let doomed = CancelToken::new();
+    rt.batch()
         .group(&group)
+        .cancel_token(&doomed)
         .spawn_tasks((0..wave).map(|i| BatchTask::new(|| {}).significance((i % 10) as f64 / 10.0)));
-    rt.cancel_tasks(&doomed);
+    doomed.cancel();
 
     // Wave 3b: a token-carrying stream cancelled mid-flight.
     let token = CancelToken::new();

@@ -1,6 +1,6 @@
 //! Integration tests for the serving-facing core primitives: spawn handles
-//! resolving to terminal outcomes, single-task range cancellation through a
-//! handle's ids, and the per-level shed histogram.
+//! resolving to terminal outcomes, cancellation through a token, and the
+//! per-level shed histogram.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,24 +42,30 @@ fn handle_resolves_panicked_under_fault_injection() {
 }
 
 #[test]
-fn handle_resolves_cancelled_via_token_and_single_id_range() {
+fn handle_resolves_cancelled_via_token() {
     let rt = Runtime::builder().workers(1).build();
     let gate = Arc::new(AtomicBool::new(false));
     let g = gate.clone();
     rt.task(move || hold(&g)).spawn();
 
-    // Queued behind the gate: both cancellation channels land before dequeue.
+    // Queued behind the gate: the cancel lands before dequeue, and reaches
+    // only the task that carries the token.
     let token = CancelToken::new();
-    let by_token = rt.submit(|| 1u32).cancel_token(&token).spawn();
-    let by_range = rt.submit(|| 2u32).spawn();
+    let cancelled = rt.submit(|| 1u32).cancel_token(&token).spawn();
+    let kept = rt.submit(|| 2u32).spawn();
     token.cancel();
-    rt.cancel_tasks(&by_range.ids());
     gate.store(true, Ordering::Release);
 
-    assert_eq!(by_token.wait(), TaskOutcome::Cancelled);
-    assert_eq!(by_range.wait(), TaskOutcome::Cancelled);
+    assert_eq!(cancelled.wait(), TaskOutcome::Cancelled);
+    assert_eq!(
+        cancelled.take_value(),
+        None,
+        "cancelled task yields no value"
+    );
+    assert_eq!(kept.wait(), TaskOutcome::Completed(ExecutionMode::Accurate));
+    assert_eq!(kept.take_value(), Some(2));
     let outcomes = rt.wait_all();
-    assert_eq!(outcomes.cancelled, 2);
+    assert_eq!(outcomes.cancelled, 1);
     assert_eq!(outcomes.spawned, outcomes.completed + outcomes.cancelled);
 }
 

@@ -13,16 +13,13 @@
 //! request's remaining deadline. Those rules — and the late-or-completed
 //! verdict on a finished attempt — are [`crate::lifecycle`]'s, the same ones
 //! the simulators run; this file only adds what is live (task handles,
-//! cancellation, the poll loop). The server maintains a request-id →
-//! task-id index covering *every* generation, so
-//! [`Server::cancel_request`] cancels a request whose retry clone is already
-//! queued — both generations, not just the first (the PR-6 cancellation API
-//! only knows task-id ranges, which a retry silently escapes).
+//! cancellation, the poll loop). Every generation of a request carries the
+//! request's one [`CancelToken`], so [`Server::cancel_request`] reaches a
+//! retry clone that is already queued as surely as the first attempt.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use sig_core::{Runtime, SpawnHandle, TaskId, TaskIdRange, TaskOutcome};
+use sig_core::{CancelToken, Runtime, SpawnHandle, TaskOutcome};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::lifecycle::{Lifecycle, Request, RetryVerdict};
@@ -67,7 +64,8 @@ struct ActiveRequest {
     handle: Option<SpawnHandle<u64>>,
     /// Offset at which the pending retry may spawn.
     retry_at: Option<u64>,
-    cancelled: bool,
+    /// Attached to every attempt; cancelled by [`Server::cancel_request`].
+    cancel: CancelToken,
 }
 
 /// Open-loop serving front end over a [`Runtime`] (see module docs).
@@ -79,8 +77,6 @@ pub struct Server<'rt> {
     start: Instant,
     next_id: RequestId,
     active: Vec<ActiveRequest>,
-    /// Request-id → task-id range of **every** generation spawned for it.
-    generations: HashMap<RequestId, Vec<TaskIdRange>>,
     stats: ServingStats,
 }
 
@@ -100,7 +96,6 @@ impl<'rt> Server<'rt> {
             start: Instant::now(),
             next_id: 0,
             active: Vec::new(),
-            generations: HashMap::new(),
             stats: ServingStats::default(),
         }
     }
@@ -136,7 +131,7 @@ impl<'rt> Server<'rt> {
                     life: self.lifecycle.admit(class, arrival_nanos, tier),
                     handle: None,
                     retry_at: None,
-                    cancelled: false,
+                    cancel: CancelToken::new(),
                 });
                 self.spawn_attempt(self.active.len() - 1);
             }
@@ -145,7 +140,7 @@ impl<'rt> Server<'rt> {
     }
 
     /// Spawn one attempt of the request at `index` at its current tier,
-    /// recording the new task generation in the request index.
+    /// carrying the request's cancellation token.
     fn spawn_attempt(&mut self, index: usize) {
         let now = self.now_nanos();
         let request = &mut self.active[index];
@@ -158,39 +153,24 @@ impl<'rt> Server<'rt> {
             .submit(move || busy_spin(work))
             .significance(significance)
             .deadline(Duration::from_nanos(remaining))
+            .cancel_token(&request.cancel)
             .spawn();
-        self.generations
-            .entry(request.id)
-            .or_default()
-            .push(handle.ids());
         life.attempts += 1;
         request.retry_at = None;
         request.handle = Some(handle);
     }
 
-    /// Cancel a request mid-flight: cancels **every** task generation
-    /// recorded for it (initial attempt *and* queued retry clones) and stops
+    /// Cancel a request mid-flight: cancels the token every attempt carries
+    /// (the in-flight one, a queued retry clone, any later one) and stops
     /// further retries. The request terminates as
-    /// [`ViolationKind::Cancelled`] unless an attempt already completed.
+    /// [`ViolationKind::Cancelled`] unless an attempt already completed. A
+    /// request that is no longer in flight (finished, shed or unknown) is
+    /// left alone.
     pub fn cancel_request(&mut self, id: RequestId) {
-        for range in self.generations.get(&id).into_iter().flatten() {
-            self.runtime.cancel_tasks(range);
-        }
         if let Some(request) = self.active.iter_mut().find(|r| r.id == id) {
-            request.cancelled = true;
+            request.cancel.cancel();
             request.retry_at = None;
         }
-    }
-
-    /// The task id of every generation spawned for `id`, in spawn order
-    /// (empty if the request was shed at admission).
-    pub fn task_generations(&self, id: RequestId) -> Vec<TaskId> {
-        self.generations
-            .get(&id)
-            .into_iter()
-            .flatten()
-            .flat_map(TaskIdRange::clone)
-            .collect()
     }
 
     /// Sweep in-flight requests once: resolve finished attempts, issue due
@@ -223,7 +203,8 @@ impl<'rt> Server<'rt> {
     fn step_request(&mut self, index: usize, now: u64) -> bool {
         // A cancelled request waiting out a backoff has no task left to
         // observe: finalise it here.
-        if self.active[index].cancelled && self.active[index].handle.is_none() {
+        let request = &self.active[index];
+        if request.handle.is_none() && request.cancel.is_cancelled() {
             self.stats
                 .record(&RequestOutcome::Violated(ViolationKind::Cancelled));
             return true;
@@ -279,7 +260,7 @@ impl<'rt> Server<'rt> {
                 true
             }
             TaskOutcome::Panicked | TaskOutcome::Cancelled => {
-                if request.cancelled {
+                if request.cancel.is_cancelled() {
                     self.stats
                         .record(&RequestOutcome::Violated(ViolationKind::Cancelled));
                     return true;
@@ -371,7 +352,7 @@ fn busy_spin(duration: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::request::{QualityTier, RetryPolicy};
-    use sig_core::{FaultPlan, Runtime};
+    use sig_core::{FaultAction, FaultPlan, Runtime};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -490,13 +471,19 @@ mod tests {
         );
     }
 
-    /// Regression (satellite): cancelling a request whose retry clone is
-    /// already queued must cancel **both** generations via the request-id →
-    /// task-id index — a plain task-range cancel of the first spawn would
-    /// miss the retry and let the request complete anyway.
+    /// Cancelling a request whose retry clone is already queued must reach
+    /// that clone: every generation carries the request's token, so the
+    /// retry is skipped and the request ends cancelled, not completed.
     #[test]
     fn cancel_request_covers_queued_retry_generations() {
-        let rt = Runtime::builder().workers(1).build();
+        // Task 0 (the first attempt) draws an injected panic; task 1 (the
+        // gate) and task 2 (the retry) draw nothing.
+        let plan = FaultPlan::new(15).panics(500);
+        assert_eq!(
+            (0..3).map(|id| plan.decide(id)).collect::<Vec<_>>(),
+            [Some(FaultAction::Panic), None, None]
+        );
+        let rt = Runtime::builder().workers(1).fault_plan(plan).build();
         let retry = RetryPolicy {
             max_retries: 3,
             base_backoff: Duration::from_millis(30),
@@ -505,46 +492,26 @@ mod tests {
         let class = quick_class(Duration::from_secs(30), retry);
         let mut server = Server::new(&rt, vec![class], ServerConfig::default());
 
-        // Gate 1 pins the single worker so the first attempt stays queued.
-        let gate1 = Arc::new(AtomicBool::new(false));
-        let hold = gate1.clone();
-        rt.task(move || while !hold.load(Ordering::Acquire) {})
-            .spawn();
-
+        // The first attempt panics, and the server backs off to retry.
         let id = server.offer(0);
-        let first_generation = server.task_generations(id);
-        assert_eq!(first_generation.len(), 1);
-
-        // Cancel generation 1 directly (simulating a transient failure),
-        // then release the worker: the attempt resolves Cancelled and the
-        // server schedules a backoff retry.
-        rt.cancel_tasks(&server.generations[&id][0]);
-        gate1.store(true, Ordering::Release);
-        while server.in_flight() == 1 && server.task_generations(id).len() == 1 {
+        while server.active[0].retry_at.is_none() {
             server.poll();
-            if server.active.first().is_some_and(|r| r.retry_at.is_some()) {
-                break;
-            }
             std::thread::sleep(Duration::from_micros(50));
         }
-        assert_eq!(server.in_flight(), 1, "retry must be pending, not lost");
 
-        // Gate 2 pins the worker again so the retry generation spawns but
-        // stays queued.
-        let gate2 = Arc::new(AtomicBool::new(false));
-        let hold = gate2.clone();
+        // The gate pins the single worker so the retry spawns but stays
+        // queued.
+        let gate = Arc::new(AtomicBool::new(false));
+        let hold = gate.clone();
         rt.task(move || while !hold.load(Ordering::Acquire) {})
             .spawn();
-        while server.task_generations(id).len() < 2 {
+        while rt.outcomes().spawned < 3 {
             server.poll();
             std::thread::sleep(Duration::from_micros(50));
         }
-        assert_eq!(server.task_generations(id).len(), 2);
 
-        // The regression: cancel through the index — it must reach the
-        // queued generation-2 clone, not just the long-terminal first spawn.
         server.cancel_request(id);
-        gate2.store(true, Ordering::Release);
+        gate.store(true, Ordering::Release);
         server.drain();
 
         let stats = server.stats();
@@ -553,6 +520,55 @@ mod tests {
         assert_eq!(stats.completed, 0, "the retry must not complete");
         let outcomes = rt.wait_all();
         assert_eq!(outcomes.completed + outcomes.failed(), outcomes.spawned);
-        assert_eq!(outcomes.cancelled, 2, "both generations cancelled");
+        assert_eq!(outcomes.panicked, 1, "the first attempt");
+        assert_eq!(outcomes.cancelled, 1, "the queued retry");
+    }
+
+    /// Once a request is no longer in flight, cancelling it is a no-op:
+    /// nothing in the runtime or the scoreboard moves, whether the request
+    /// finished, was shed at admission, or never existed.
+    #[test]
+    fn cancel_request_after_drain_changes_nothing() {
+        let rt = Runtime::builder().workers(1).build();
+        let class = quick_class(Duration::from_secs(30), RetryPolicy::none());
+        // One request in flight is full pressure: the third offer, made
+        // while two are queued behind the gate, is shed.
+        let admission = AdmissionConfig {
+            queue_watermark: 1,
+            shed_start: 1.0,
+            shed_full: 2.0,
+            pressure_alpha: 1.0,
+            ..AdmissionConfig::default()
+        };
+        let mut server = Server::new(
+            &rt,
+            vec![class],
+            ServerConfig {
+                admission,
+                base_work: Duration::from_micros(20),
+                ..Default::default()
+            },
+        );
+        let gate = Arc::new(AtomicBool::new(false));
+        let hold = gate.clone();
+        rt.task(move || while !hold.load(Ordering::Acquire) {})
+            .spawn();
+        let ids: Vec<RequestId> = (0..3).map(|_| server.offer(0)).collect();
+        gate.store(true, Ordering::Release);
+        server.drain();
+        rt.wait_all();
+        assert_eq!(server.stats().shed, 1, "{:?}", server.stats());
+        assert_eq!(server.stats().completed, 2, "{:?}", server.stats());
+
+        let outcomes = rt.outcomes();
+        let stats = format!("{:?}", server.stats());
+        for id in ids.into_iter().chain([1_000]) {
+            server.cancel_request(id);
+        }
+        server.poll();
+        rt.wait_all();
+        assert_eq!(rt.outcomes(), outcomes);
+        assert_eq!(format!("{:?}", server.stats()), stats);
+        assert_eq!(server.in_flight(), 0);
     }
 }

@@ -17,3 +17,9 @@ pub mod prelude {
     pub use sig_energy::PowerModel;
     pub use sig_quality::{psnr, relative_error};
 }
+
+/// The README's Rust blocks, compiled and run as doctests so they cannot
+/// drift from the API.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
