@@ -10,8 +10,8 @@ use sig_kernels::sobel::Sobel;
 use sig_kernels::{Benchmark, Degree, ExecutionConfig};
 use sig_quality::{psnr, GrayImage};
 
-use crate::fig2::DEGREES;
-use crate::WORKERS;
+use super::fig2::DEGREES;
+use super::paper::WORKERS;
 
 /// Result of the Figure 1 generation.
 #[derive(Debug)]

@@ -5,13 +5,14 @@
 //!
 //! Every column is one that thread scheduling cannot move: with one
 //! spawner, GTB decides from the significance annotations and the spawn
-//! order alone. LQH, which decides from per-worker histories as tasks run,
-//! and the figure's time and energy axes are left to sigbench.
+//! order alone. LQH decides from per-worker histories as tasks run, so it
+//! is measured apart, at one worker ([`lqh`]); the figure's time and energy
+//! axes are left to sigbench.
 
 use sig_core::{GroupStatsSnapshot, Policy};
-use sig_kernels::{Approach, Benchmark, Degree, ExecutionConfig, RunOutput, TaskCounts};
+use sig_kernels::{Benchmark, Degree, ExecutionConfig, RunOutput, TaskCounts};
 
-use crate::GTB_BUFFER;
+use super::paper::GTB_BUFFER;
 
 /// The degrees in the order their quality must not improve.
 pub const DEGREES: [Degree; 3] = [Degree::Mild, Degree::Medium, Degree::Aggressive];
@@ -31,13 +32,14 @@ pub struct ExperimentPoint {
 }
 
 impl ExperimentPoint {
-    fn from_run(benchmark: &dyn Benchmark, reference: &RunOutput, run: &RunOutput) -> Self {
+    fn measure(benchmark: &dyn Benchmark, reference: &RunOutput, config: &ExecutionConfig) -> Self {
+        let run = benchmark.run(config);
         let groups = run.groups.len().max(1) as f64;
         let mean = |metric: fn(&GroupStatsSnapshot) -> f64| {
             run.groups.iter().map(|(_, g)| metric(g)).sum::<f64>() / groups
         };
         ExperimentPoint {
-            quality: benchmark.quality(reference, run).value,
+            quality: benchmark.quality(reference, &run).value,
             tasks: run.tasks,
             inversion_percent: mean(GroupStatsSnapshot::inversion_percentage),
             ratio_deviation: mean(GroupStatsSnapshot::ratio_diff),
@@ -64,10 +66,9 @@ pub struct DegreeRow {
 /// version of the runtime system".
 pub fn sweep(benchmark: &dyn Benchmark, workers: usize) -> Vec<DegreeRow> {
     let reference = benchmark.run_full_accuracy(workers, Policy::SignificanceAgnostic);
-    let run = |approach| benchmark.run(&ExecutionConfig { workers, approach });
     let point = |policy, degree| {
-        let run = run(Approach::Significance { policy, degree });
-        ExperimentPoint::from_run(benchmark, &reference, &run)
+        let config = ExecutionConfig::significance(workers, policy, degree);
+        ExperimentPoint::measure(benchmark, &reference, &config)
     };
     DEGREES
         .into_iter()
@@ -81,35 +82,23 @@ pub fn sweep(benchmark: &dyn Benchmark, workers: usize) -> Vec<DegreeRow> {
             ),
             gtb_max: point(Policy::GtbMaxBuffer, degree),
             perforation: benchmark.info().perforation_supported.then(|| {
-                let run = run(Approach::Perforation { degree });
+                let run = benchmark.run(&ExecutionConfig::perforation(workers, degree));
                 benchmark.quality(&reference, &run).value
             }),
         })
         .collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sig_kernels::sobel::Sobel;
-
-    /// LQH is not in the sweep (its decisions depend on scheduling), so its
-    /// Table 2 bound is checked here: it works from local, partial
-    /// information and may drift from the requested ratio, but not far.
-    #[test]
-    fn lqh_stays_near_the_requested_ratio_for_sobel() {
-        let sobel = Sobel {
-            width: 96,
-            height: 96,
-        };
-        let reference = sobel.run_full_accuracy(4, Policy::SignificanceAgnostic);
-        let point = |policy| {
-            let run = sobel.run(&ExecutionConfig::significance(4, policy, Degree::Medium));
-            ExperimentPoint::from_run(&sobel, &reference, &run)
-        };
-        let (gtb_max, lqh) = (point(Policy::GtbMaxBuffer), point(Policy::Lqh));
-        assert_eq!(gtb_max.inversion_percent, 0.0);
-        assert!(gtb_max.ratio_deviation < 0.05, "{gtb_max:?}");
-        assert!(lqh.ratio_deviation < 0.25, "{lqh:?}");
-    }
+/// LQH at one worker, Mild to Aggressive. LQH decides from the worker's
+/// history as tasks run; with one worker the tasks run in spawn order, so
+/// that history, and every column, is the same on every run.
+pub fn lqh(benchmark: &dyn Benchmark) -> Vec<ExperimentPoint> {
+    let reference = benchmark.run_full_accuracy(1, Policy::SignificanceAgnostic);
+    DEGREES
+        .into_iter()
+        .map(|degree| {
+            let config = ExecutionConfig::significance(1, Policy::Lqh, degree);
+            ExperimentPoint::measure(benchmark, &reference, &config)
+        })
+        .collect()
 }

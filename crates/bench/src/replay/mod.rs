@@ -12,6 +12,9 @@
 pub mod budget;
 pub mod cluster;
 pub mod energy;
+pub mod fig1;
+pub mod fig2;
+pub mod fig3;
 pub mod paper;
 pub mod serving;
 pub mod workload;

@@ -150,7 +150,7 @@ impl PowerCapController {
 
     /// The current fleet shed cutoff over significance (0.0 = shed
     /// nothing). Always strictly below 1.0.
-    pub fn shed_cutoff(&self) -> f64 {
+    fn shed_cutoff(&self) -> f64 {
         let config = &self.config;
         let span = config.shed_full - config.shed_knee;
         let depth = ((self.pressure - config.shed_knee) / span).clamp(0.0, 1.0);
@@ -159,7 +159,7 @@ impl PowerCapController {
 
     /// Fleet-forced degradation depth in `[0, 1]` (1 = force every ladder
     /// to its deepest rung, scaled by `1 − significance`).
-    pub fn degrade_depth(&self) -> f64 {
+    fn degrade_depth(&self) -> f64 {
         let config = &self.config;
         let span = config.shed_knee - config.degrade_knee;
         ((self.pressure - config.degrade_knee) / span).clamp(0.0, 1.0)

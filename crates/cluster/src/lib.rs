@@ -44,4 +44,4 @@ pub use dispatch::{ClusterDispatcher, DispatchPolicy, RouteCandidate};
 pub use faults::{crash_storm, NodeFault, NodeFaultKind};
 pub use node::Node;
 pub use report::ClusterPhaseReport;
-pub use sim::{default_node_model, ClusterConfig, ClusterSim};
+pub use sim::{ClusterConfig, ClusterSim};

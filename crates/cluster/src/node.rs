@@ -177,18 +177,13 @@ impl Node {
         self.env.totals()
     }
 
-    /// Nominal active watts per core of the node's pricing model.
-    pub fn nominal_active_watts(&self) -> f64 {
-        self.env.model().active_watts_per_core
-    }
-
     /// Cumulative busy nanoseconds the kernel recorded into the environment.
     pub fn recorded_busy_nanos(&self) -> u64 {
         self.recorded_busy_nanos
     }
 
     /// Seconds the node has been up, as of virtual time `now`.
-    pub fn up_seconds(&self, now: u64) -> f64 {
+    fn up_seconds(&self, now: u64) -> f64 {
         let nanos = self.up_nanos
             + if self.up {
                 now.saturating_sub(self.last_up_at)

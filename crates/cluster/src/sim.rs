@@ -95,7 +95,7 @@ pub struct ClusterConfig {
 }
 
 /// The default per-node power model: a small 2-core node.
-pub fn default_node_model(workers: usize) -> PowerModel {
+fn default_node_model(workers: usize) -> PowerModel {
     PowerModel {
         sockets: 1,
         cores_per_socket: workers,

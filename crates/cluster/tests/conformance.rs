@@ -18,7 +18,7 @@ mod common;
 
 use std::sync::Arc;
 
-use sig_cluster::{default_node_model, ClusterConfig, ClusterSim};
+use sig_cluster::{ClusterConfig, ClusterSim};
 use sig_core::{
     AdaptiveGovernor, FrequencyScale, Governor, NominalGovernor, SignificanceLadderGovernor,
 };
@@ -45,7 +45,7 @@ fn all_governors() -> Vec<GovernorCase> {
         }),
         ("adaptive", || {
             Arc::new(AdaptiveGovernor::new(
-                &default_node_model(2),
+                &ClusterConfig::default().node_model,
                 SleepState::deep(),
                 FrequencyScale::ladder(4, 0.4),
                 4,
@@ -66,6 +66,7 @@ fn every_governor_preserves_node_invariants_under_cap_pressure() {
         // 4-node fleet: idle floor 12 W; 25 W affords two busy slots — the
         // fleet is power-starved while ~3× overloaded.
         config.cap.cap_watts = 25.0;
+        let nominal_watts = config.node_model.active_watts_per_core;
         let mut sim = ClusterSim::with_governors(config, common::classes(), |_| make());
         let report = sim.run(&common::uniform_schedule(1_500, 150_000), &[]);
 
@@ -93,8 +94,7 @@ fn every_governor_preserves_node_invariants_under_cap_pressure() {
             // dynamic_energy_factor ≤ 1, so modelled dynamic energy never
             // exceeds busy time priced at nominal active watts (small slack
             // for per-task nanojoule rounding).
-            let nominal_bound =
-                totals.busy_nanos as f64 * node.nominal_active_watts() * (1.0 + 1e-9) + 10_000.0;
+            let nominal_bound = totals.busy_nanos as f64 * nominal_watts * (1.0 + 1e-9) + 10_000.0;
             assert!(
                 (totals.dynamic_nanojoules as f64) <= nominal_bound,
                 "{name}: node {} dynamic energy {} nJ above nominal bound {} nJ",

@@ -156,7 +156,7 @@ impl DepKey {
     }
 
     /// The raw 64-bit value.
-    pub fn raw(self) -> u64 {
+    fn raw(self) -> u64 {
         self.0
     }
 }

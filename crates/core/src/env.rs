@@ -393,11 +393,6 @@ impl ExecutionEnv {
         }
     }
 
-    /// The power model the environment prices energy with.
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
     /// Fold the shards into an [`EnvTotals`] snapshot (each shard read
     /// consistently through its seqlock).
     pub fn totals(&self) -> EnvTotals {
@@ -552,13 +547,13 @@ impl EnergyReport {
     /// Wall-clock stall charged for frequency switches:
     /// `switches × transition latency` (in core-seconds, spread over the
     /// workers by [`EnergyReport::modelled_wall_seconds`]).
-    pub fn transition_stall_seconds(&self) -> f64 {
+    fn transition_stall_seconds(&self) -> f64 {
         self.frequency_transitions() as f64 * self.transition_cost.latency_seconds
     }
 
     /// Energy charged for state transitions: DVFS switches at the configured
     /// [`TransitionCost`] plus sleep wakeups priced at nominal active power.
-    pub fn transition_joules(&self) -> f64 {
+    fn transition_joules(&self) -> f64 {
         let switches = self.frequency_transitions() as f64 * self.transition_cost.energy_joules;
         let wakes = match &self.sleep_state {
             Some(sleep) => self.sleep_entries() as f64 * sleep.wake_joules(&self.model),
@@ -613,22 +608,6 @@ impl EnergyReport {
             transition_joules: self.transition_joules(),
         };
         EnergyReading::from_breakdown(wall, clamped_busy, breakdown)
-    }
-
-    /// Total modelled joules divided by a unit-of-work count — the serving
-    /// metric "joules per completed request". `f64::INFINITY` when nothing
-    /// completed: energy was spent, no work was delivered.
-    pub fn joules_per(&self, completed: usize) -> f64 {
-        let joules = self.reading().joules;
-        if completed == 0 {
-            if joules == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            joules / completed as f64
-        }
     }
 }
 
@@ -981,7 +960,7 @@ mod tests {
                 for scale in [*scale, again, again] {
                     assert_eq!(
                         e.scaled_watts(e.shard(1), scale).to_bits(),
-                        scale.scaled_active_watts(e.model()).to_bits(),
+                        scale.scaled_active_watts(&e.model).to_bits(),
                         "round {round}: {scale:?}"
                     );
                 }

@@ -64,11 +64,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Inject a body panic into `per_mille` out of every 1000 tasks.
     pub fn panics(mut self, per_mille: u16) -> Self {
         self.panic_per_mille = per_mille;

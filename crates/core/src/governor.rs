@@ -97,7 +97,7 @@ impl DispatchDecision {
     ///
     /// Panics if `reference` is above nominal (there is no slack to race
     /// for).
-    pub fn race(reference: FrequencyScale) -> Self {
+    pub(crate) fn race(reference: FrequencyScale) -> Self {
         assert!(
             reference.ratio() <= 1.0,
             "race reference must be at or below nominal, got {}",
@@ -418,13 +418,6 @@ impl AdaptiveGovernor {
             + sleep.wake_joules(model) / typical_task_seconds
     }
 
-    /// Whether the governor would race (rather than stretch) work landing on
-    /// rung `index` of its ladder. Exposed for conformance tests and
-    /// benchmarks.
-    pub fn prefers_race(&self, index: usize) -> bool {
-        self.race_rung.get(index).copied().unwrap_or(false)
-    }
-
     fn domain(&self, worker: usize) -> &DomainState {
         &self.domains[worker % ADAPTIVE_DOMAIN_SLOTS]
     }
@@ -580,7 +573,6 @@ mod tests {
             .collect();
         let g = AdaptiveGovernor::new(&static_heavy, SleepState::deep(), steps, 1, 1e-3);
         // Deep rungs must prefer racing on this model.
-        assert!(g.prefers_race(3), "{g:?}");
         let d = g.decide(&ctx(0.0, false));
         assert!(d.is_race());
         assert!(d.scale().is_nominal());
@@ -599,7 +591,7 @@ mod tests {
         };
         let g = AdaptiveGovernor::with_ladder(&dynamic_heavy, SleepState::shallow(), 4, 0.4);
         for rung in 0..4 {
-            assert!(!g.prefers_race(rung), "rung {rung} should stretch: {g:?}");
+            assert!(!g.race_rung[rung], "rung {rung} should stretch: {g:?}");
         }
         // The default hysteresis (4) holds the domain at nominal for the
         // first dissenting dispatches; a steady stream settles on the rung.

@@ -41,21 +41,6 @@ pub enum TaskOutcome {
     Shed,
 }
 
-impl TaskOutcome {
-    /// Whether the task produced a result (ran some body to completion).
-    pub fn is_success(&self) -> bool {
-        matches!(self, TaskOutcome::Completed(_))
-    }
-
-    /// Whether a serving layer may treat the failure as *transient* and
-    /// retry the request: panics (e.g. injected faults) and cancellations
-    /// are per-attempt accidents, while [`TaskOutcome::Shed`] is a
-    /// deliberate load-control decision that a retry would only amplify.
-    pub fn is_transient_failure(&self) -> bool {
-        matches!(self, TaskOutcome::Panicked | TaskOutcome::Cancelled)
-    }
-}
-
 /// Type-erased notification target a [`Task`](crate::task::Task) carries to
 /// its terminal transition. Implemented by [`HandleCore<T>`]; the runtime
 /// only ever calls [`HandleNotify::notify`] once, from the single worker
@@ -117,17 +102,13 @@ impl<T: Send> HandleNotify for HandleCore<T> {
 /// affects the task.
 pub struct SpawnHandle<T> {
     core: Arc<HandleCore<T>>,
-    id: TaskId,
+    /// The spawned task's id (spawn order).
+    pub(crate) id: TaskId,
 }
 
 impl<T> SpawnHandle<T> {
     pub(crate) fn new(core: Arc<HandleCore<T>>, id: TaskId) -> Self {
         SpawnHandle { core, id }
-    }
-
-    /// The spawned task's id (spawn order).
-    pub fn id(&self) -> TaskId {
-        self.id
     }
 
     /// The terminal outcome, if the task already resolved. Non-blocking.
@@ -184,7 +165,6 @@ mod tests {
         let handle = SpawnHandle::new(core.clone(), TaskId(7));
         assert_eq!(handle.try_outcome(), None);
         assert_eq!(handle.finished_at(), None);
-        assert_eq!(handle.id(), TaskId(7));
         core.put_value(42);
         assert_eq!(
             handle.take_value(),
@@ -193,7 +173,10 @@ mod tests {
         );
         (core.as_ref() as &dyn HandleNotify)
             .notify(TaskOutcome::Completed(ExecutionMode::Accurate));
-        assert!(handle.try_outcome().unwrap().is_success());
+        assert_eq!(
+            handle.try_outcome(),
+            Some(TaskOutcome::Completed(ExecutionMode::Accurate))
+        );
         assert!(handle.finished_at().is_some());
         assert_eq!(handle.take_value(), Some(42));
         assert_eq!(handle.take_value(), None, "value is take-once");
@@ -219,15 +202,5 @@ mod tests {
         });
         assert_eq!(handle.wait(), TaskOutcome::Shed);
         notifier.join().unwrap();
-    }
-
-    #[test]
-    fn outcome_classification() {
-        assert!(TaskOutcome::Completed(ExecutionMode::Dropped).is_success());
-        assert!(!TaskOutcome::Panicked.is_success());
-        assert!(TaskOutcome::Panicked.is_transient_failure());
-        assert!(TaskOutcome::Cancelled.is_transient_failure());
-        assert!(!TaskOutcome::Shed.is_transient_failure());
-        assert!(!TaskOutcome::Completed(ExecutionMode::Accurate).is_transient_failure());
     }
 }

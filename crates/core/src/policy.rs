@@ -67,12 +67,6 @@ impl Policy {
     pub fn is_buffering(&self) -> bool {
         self.buffer_capacity().is_some()
     }
-
-    /// Whether workers make the accurate/approximate decision at execution
-    /// time (LQH).
-    pub fn decides_at_execution(&self) -> bool {
-        matches!(self, Policy::Lqh)
-    }
 }
 
 /// The accurate slots of one GTB buffer flush, per significance level.
@@ -266,7 +260,6 @@ mod tests {
         assert_eq!(Policy::SignificanceAgnostic.buffer_capacity(), None);
         assert!(Policy::GtbMaxBuffer.is_buffering());
         assert!(!Policy::Lqh.is_buffering());
-        assert!(Policy::Lqh.decides_at_execution());
         assert_eq!(Policy::default(), Policy::SignificanceAgnostic);
     }
 

@@ -483,11 +483,6 @@ impl Runtime {
         self.inner.env.report(wall.as_secs_f64(), self.workers())
     }
 
-    /// The power model the runtime's energy accounting prices work with.
-    pub fn energy_model(&self) -> &PowerModel {
-        self.inner.env.model()
-    }
-
     /// Terminal-outcome summary across the whole runtime: every spawned task
     /// ends in exactly one of completed / cancelled / panicked / shed, and
     /// after a barrier the books balance ([`OutcomeSummary::failed`] +
@@ -836,7 +831,7 @@ mod tests {
         assert_eq!(stats.inverted, 0);
         rt.wait_all();
         assert_eq!(rt.stats().completed(), N, "system chunks must not count");
-        assert_eq!(rt.stats().spawned(), N);
+        assert_eq!(rt.outcomes().spawned, N);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use sig_energy::{BudgetConfig, BudgetController, BudgetSetpoint, BudgetTarget};
+use sig_energy::{BudgetConfig, BudgetController, BudgetSetpoint};
 
 use super::{Runtime, RuntimeInner};
 use crate::sync::MutexGuard;
@@ -39,19 +39,10 @@ impl BudgetState {
     const TICK_MASK: usize = 31;
 
     pub(super) fn new(config: BudgetConfig) -> Self {
-        // Sample pacing: ~1/200th of the horizon for joule budgets (enough
-        // observations to converge well inside the tolerance band), 1 ms for
-        // open-ended watt envelopes; clamped to [50 µs, 50 ms].
-        let interval_seconds = match config.target {
-            BudgetTarget::TotalJoules {
-                horizon_seconds, ..
-            } => (horizon_seconds / 200.0).clamp(50e-6, 50e-3),
-            BudgetTarget::WattEnvelope { .. } => 1e-3,
-        };
         BudgetState {
             controller: BudgetController::new(config),
             next_sample_nanos: 0,
-            interval_nanos: (interval_seconds * 1e9) as u64,
+            interval_nanos: config.target.sample_interval_nanos(),
             setpoint: BudgetSetpoint::unconstrained(config.target.planned_watts(0.0, 0.0)),
         }
     }

@@ -867,7 +867,7 @@ mod tests {
             assert_eq!(ran.load(Ordering::Relaxed), 500, "{policy:?}");
             let stats = rt.group_stats(&group);
             assert_eq!(stats.total(), 500, "{policy:?}");
-            assert_eq!(rt.stats().spawned(), 500);
+            assert_eq!(rt.outcomes().spawned, 500);
             if policy == Policy::GtbMaxBuffer {
                 // Batched spawns reach the Max-Buffer classifier intact:
                 // perfect-information ratio, zero inversions.
@@ -902,7 +902,7 @@ mod tests {
         assert!(ids.is_empty());
         assert_eq!(ids.len(), 0);
         rt.wait_all();
-        assert_eq!(rt.stats().spawned(), 0);
+        assert_eq!(rt.outcomes().spawned, 0);
     }
 
     /// No spawn, per task, batched or handled, by group handle or into the

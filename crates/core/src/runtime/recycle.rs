@@ -291,7 +291,7 @@ mod tests {
         let probe = queue_probe(&rt, drain_stash);
         release.send(()).unwrap();
 
-        assert!(probe.wait().is_success());
+        assert!(matches!(probe.wait(), TaskOutcome::Completed(_)));
         let husks = probe.take_value().expect("probe ran");
         assert_eq!(panicked.wait(), TaskOutcome::Panicked);
         assert_eq!(skipped.wait(), TaskOutcome::Cancelled);
@@ -342,7 +342,7 @@ mod tests {
         let writer = rt.task(|| {}).writes([key]).spawn();
         let probe = queue_probe(&rt, drain_stash);
         release.send(()).unwrap();
-        assert!(probe.wait().is_success());
+        assert!(matches!(probe.wait(), TaskOutcome::Completed(_)));
         let husks = probe.take_value().expect("probe ran");
         (rt, writer, husks)
     }
@@ -567,7 +567,7 @@ mod tests {
             .spawn()
         };
         release.send(()).unwrap();
-        assert!(driver.wait().is_success());
+        assert!(matches!(driver.wait(), TaskOutcome::Completed(_)));
         let (before, after, reuser) = driver.take_value().expect("driver ran");
         assert_eq!(before, 2, "blocker's and first's records");
         assert_eq!(after, 1, "the nested spawn reused first's record");
@@ -576,7 +576,7 @@ mod tests {
             TaskOutcome::Completed(ExecutionMode::Accurate)
         );
         assert_eq!(reuser.take_value(), Some(9));
-        assert_ne!(reuser.id(), first.id());
+        assert_ne!(reuser.id, first.id);
         assert_eq!(
             first.wait(),
             TaskOutcome::Completed(ExecutionMode::Accurate)

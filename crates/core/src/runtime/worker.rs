@@ -529,7 +529,7 @@ mod tests {
         assert_eq!(summary.spawned, 2);
         assert_eq!(summary.panicked, 1);
         assert_eq!(summary.completed + summary.failed(), summary.spawned);
-        assert!(!summary.is_clean());
+        assert_ne!(summary.failed(), 0);
     }
 
     #[test]

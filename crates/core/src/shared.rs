@@ -71,33 +71,9 @@ impl<T: Clone + Send + 'static> SharedGrid<T> {
         }
     }
 
-    /// Create a grid from an existing row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert!(rows > 0 && cols > 0, "grid dimensions must be non-zero");
-        assert_eq!(data.len(), rows * cols, "buffer length must be rows * cols");
-        SharedGrid {
-            inner: Arc::new(GridInner {
-                data: UnsafeCell::new(data),
-                rows,
-                cols,
-                outstanding: Mutex::new(Vec::new()),
-                writer_count: AtomicUsize::new(0),
-            }),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.inner.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.inner.cols
     }
 
     /// Total number of elements.
@@ -230,15 +206,6 @@ impl<T> RegionWriter<T> {
         }
     }
 
-    /// Read-only view of the region.
-    pub fn as_slice(&self) -> &[T] {
-        // SAFETY: as above; this writer is the only accessor of the region.
-        unsafe {
-            let vec = &*self.grid.data.get();
-            &vec[self.start..self.end]
-        }
-    }
-
     /// Write one element of the region.
     ///
     /// # Panics
@@ -275,7 +242,6 @@ mod tests {
     fn grid_dimensions() {
         let grid = SharedGrid::new(4, 8, 0u8);
         assert_eq!(grid.rows(), 4);
-        assert_eq!(grid.cols(), 8);
         assert_eq!(grid.len(), 32);
         assert!(!grid.is_empty());
     }
@@ -284,19 +250,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_dimensions_panic() {
         SharedGrid::new(0, 8, 0u8);
-    }
-
-    #[test]
-    fn from_vec_roundtrip() {
-        let grid = SharedGrid::from_vec(2, 3, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(grid.snapshot(), vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(grid.into_vec(), vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rows * cols")]
-    fn from_vec_wrong_length_panics() {
-        SharedGrid::from_vec(2, 3, vec![0u8; 5]);
     }
 
     #[test]
@@ -365,7 +318,6 @@ mod tests {
             let mut w = grid.region_writer(3, 6);
             assert_eq!(w.len(), 3);
             w.as_mut_slice().copy_from_slice(&[7, 8, 9]);
-            assert_eq!(w.as_slice(), &[7, 8, 9]);
         }
         assert_eq!(grid.snapshot()[3..6], [7, 8, 9]);
     }

@@ -24,8 +24,6 @@ pub struct Significance(f64);
 impl Significance {
     /// Significance `1.0`: the task must always run its accurate version.
     pub const CRITICAL: Significance = Significance(1.0);
-    /// Significance `0.0`: the task may always be approximated or dropped.
-    pub const NEGLIGIBLE: Significance = Significance(0.0);
 
     /// Create a significance value.
     ///
@@ -38,13 +36,6 @@ impl Significance {
             "significance must be a finite value in [0.0, 1.0], got {value}"
         );
         Significance(value)
-    }
-
-    /// Create a significance value, clamping out-of-range finite inputs
-    /// instead of panicking. NaN still panics.
-    pub fn saturating(value: f64) -> Self {
-        assert!(!value.is_nan(), "significance must not be NaN");
-        Significance(value.clamp(0.0, 1.0))
     }
 
     /// The raw value in `[0.0, 1.0]`.
@@ -113,8 +104,6 @@ impl fmt::Display for Significance {
 pub struct SignificanceLevel(u8);
 
 impl SignificanceLevel {
-    /// The lowest level (significance 0.00).
-    pub const MIN: SignificanceLevel = SignificanceLevel(0);
     /// The highest level (significance 1.00).
     pub const MAX: SignificanceLevel = SignificanceLevel(100);
 
@@ -134,11 +123,6 @@ impl SignificanceLevel {
     /// The integer level in `0..=100`.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Convert back to a continuous significance value.
-    pub fn to_significance(self) -> Significance {
-        Significance(self.0 as f64 / 100.0)
     }
 }
 
@@ -169,7 +153,6 @@ mod tests {
     #[test]
     fn special_values() {
         assert!(Significance::CRITICAL.is_critical());
-        assert!(Significance::NEGLIGIBLE.is_negligible());
         assert!(Significance::new(1.0).is_critical());
         assert!(Significance::new(0.0).is_negligible());
     }
@@ -184,13 +167,6 @@ mod tests {
     #[should_panic(expected = "significance must be")]
     fn nan_panics() {
         Significance::new(f64::NAN);
-    }
-
-    #[test]
-    fn saturating_clamps() {
-        assert_eq!(Significance::saturating(2.0), Significance::CRITICAL);
-        assert_eq!(Significance::saturating(-1.0), Significance::NEGLIGIBLE);
-        assert_eq!(Significance::saturating(0.5).value(), 0.5);
     }
 
     #[test]
@@ -212,19 +188,11 @@ mod tests {
 
     #[test]
     fn quantisation_to_levels() {
-        assert_eq!(Significance::new(0.0).level(), SignificanceLevel::MIN);
+        assert_eq!(Significance::new(0.0).level().index(), 0);
         assert_eq!(Significance::new(1.0).level(), SignificanceLevel::MAX);
         assert_eq!(Significance::new(0.35).level().index(), 35);
         assert_eq!(Significance::new(0.349).level().index(), 35);
         assert_eq!(Significance::new(0.344).level().index(), 34);
-    }
-
-    #[test]
-    fn level_roundtrip() {
-        for i in 0..=100u8 {
-            let level = SignificanceLevel::new(i);
-            assert_eq!(level.to_significance().level(), level);
-        }
     }
 
     #[test]

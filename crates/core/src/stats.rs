@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use crate::significance::{SignificanceLevel, NUM_LEVELS};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{CachePadded, OnceLock};
+use crate::sync::CachePadded;
 use crate::task::ExecutionMode;
 
 const MODES: usize = 3;
@@ -31,14 +31,6 @@ fn mode_index(mode: ExecutionMode) -> usize {
         ExecutionMode::Accurate => 0,
         ExecutionMode::Approximate => 1,
         ExecutionMode::Dropped => 2,
-    }
-}
-
-fn mode_from_index(index: usize) -> ExecutionMode {
-    match index {
-        0 => ExecutionMode::Accurate,
-        1 => ExecutionMode::Approximate,
-        _ => ExecutionMode::Dropped,
     }
 }
 
@@ -96,8 +88,7 @@ impl GroupStats {
 
     /// Produce an immutable snapshot for reporting. O(levels), independent
     /// of the number of executed tasks: everything the snapshot reports is
-    /// computed from the folded counter matrix, and the per-task log is only
-    /// materialised if [`GroupStatsSnapshot::log`] is actually called.
+    /// computed from the folded counter matrix.
     pub(crate) fn snapshot(&self, requested_ratio: f64) -> GroupStatsSnapshot {
         let mut folded = vec![0u64; NUM_LEVELS * MODES];
         let mut panicked = 0usize;
@@ -135,21 +126,18 @@ pub struct GroupStatsSnapshot {
     pub panicked: usize,
     /// (level × mode) counts; `NUM_LEVELS * MODES` entries.
     hist: Vec<u64>,
-    /// Per-task expansion of `hist`, materialised on first `log()` call.
-    log: OnceLock<Vec<(SignificanceLevel, ExecutionMode)>>,
 }
 
 impl PartialEq for GroupStatsSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        // `log` is a cache of `hist`, not state.
+        // The mode and inversion counts are folds of `hist`.
         self.requested_ratio == other.requested_ratio && self.hist == other.hist
     }
 }
 
 impl GroupStatsSnapshot {
-    /// Snapshot from a per-task log (test/compat constructor); the log is
-    /// kept verbatim so `log()` preserves its ordering.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Snapshot from a per-task log (test constructor).
+    #[cfg(test)]
     pub(crate) fn from_log(
         requested_ratio: f64,
         log: Vec<(SignificanceLevel, ExecutionMode)>,
@@ -158,9 +146,7 @@ impl GroupStatsSnapshot {
         for (level, mode) in &log {
             hist[level.index() * MODES + mode_index(*mode)] += 1;
         }
-        let snapshot = GroupStatsSnapshot::from_histogram(requested_ratio, hist);
-        let _ = snapshot.log.set(log);
-        snapshot
+        GroupStatsSnapshot::from_histogram(requested_ratio, hist)
     }
 
     /// Snapshot from a folded (level × mode) counter matrix — O(levels).
@@ -205,7 +191,6 @@ impl GroupStatsSnapshot {
             inverted,
             panicked: 0,
             hist,
-            log: OnceLock::new(),
         }
     }
 
@@ -241,23 +226,6 @@ impl GroupStatsSnapshot {
         } else {
             100.0 * self.inverted as f64 / total as f64
         }
-    }
-
-    /// Execution log: one `(significance level, mode)` entry per task,
-    /// ordered by level (per-task ordering is not preserved by the sharded
-    /// counters). Materialised lazily on first call — O(total tasks).
-    pub fn log(&self) -> &[(SignificanceLevel, ExecutionMode)] {
-        self.log.get_or_init(|| {
-            let mut log = Vec::with_capacity(self.total());
-            for level in 0..NUM_LEVELS {
-                for mode in 0..MODES {
-                    let count = self.hist[level * MODES + mode];
-                    let entry = (SignificanceLevel::new(level as u8), mode_from_index(mode));
-                    log.extend(std::iter::repeat_n(entry, count as usize));
-                }
-            }
-            log
-        })
     }
 }
 
@@ -312,11 +280,6 @@ impl Default for ShedHistogram {
 }
 
 impl ShedHistogram {
-    /// Number of tasks shed at exactly `level`.
-    pub fn count_at(&self, level: SignificanceLevel) -> u64 {
-        self.counts[level.index()]
-    }
-
     /// Total shed count across all levels (equals
     /// [`OutcomeSummary::shed`] once a barrier drained the runtime).
     pub fn total(&self) -> u64 {
@@ -334,7 +297,7 @@ impl ShedHistogram {
 
     /// `(level, count)` for every level with a nonzero shed count, in
     /// ascending significance order.
-    pub fn nonzero(&self) -> impl Iterator<Item = (SignificanceLevel, u64)> + '_ {
+    fn nonzero(&self) -> impl Iterator<Item = (SignificanceLevel, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -379,13 +342,6 @@ pub struct OutcomeSummary {
 }
 
 impl OutcomeSummary {
-    /// `true` when every task so far ran to completion: nothing was
-    /// cancelled, panicked, or shed (deadline misses do not count — the work
-    /// still produced its result, merely late).
-    pub fn is_clean(&self) -> bool {
-        self.cancelled == 0 && self.panicked == 0 && self.shed == 0
-    }
-
     /// Number of tasks that terminated without producing a result.
     pub fn failed(&self) -> usize {
         self.cancelled + self.panicked + self.shed
@@ -504,7 +460,7 @@ impl RuntimeStats {
     }
 
     /// Number of tasks spawned so far.
-    pub fn spawned(&self) -> usize {
+    fn spawned(&self) -> usize {
         self.fold(|s| s.spawned.load(Ordering::Relaxed))
     }
 
@@ -533,22 +489,22 @@ impl RuntimeStats {
     }
 
     /// Number of tasks whose body panicked.
-    pub fn panicked(&self) -> usize {
+    fn panicked(&self) -> usize {
         self.fold(|s| s.panicked.load(Ordering::Relaxed))
     }
 
     /// Number of tasks skipped by cooperative cancellation.
-    pub fn cancelled(&self) -> usize {
+    fn cancelled(&self) -> usize {
         self.fold(|s| s.cancelled.load(Ordering::Relaxed))
     }
 
     /// Number of tasks shed by the brownout overload controller.
-    pub fn shed(&self) -> usize {
+    fn shed(&self) -> usize {
         self.fold(|s| s.shed.load(Ordering::Relaxed))
     }
 
     /// Per-significance-level breakdown of the shed count.
-    pub fn shed_histogram(&self) -> ShedHistogram {
+    fn shed_histogram(&self) -> ShedHistogram {
         let mut histogram = ShedHistogram::default();
         for shard in self.shards.iter() {
             for (total, count) in histogram
@@ -734,14 +690,13 @@ mod tests {
             o.spawned,
             "terminal outcomes partition the spawn count"
         );
-        assert!(!o.is_clean());
         assert_eq!(o.failed(), 3);
         assert_eq!(o.deadline_misses, 1);
         assert!(
             stats.busy_core_seconds() > 0.0,
             "panicked time is busy time"
         );
-        assert!(OutcomeSummary::default().is_clean());
+        assert_eq!(OutcomeSummary::default().failed(), 0);
     }
 
     #[test]
@@ -751,9 +706,6 @@ mod tests {
         stats.record_shed(1, level(5));
         stats.record_shed(2, level(20));
         let histogram = stats.shed_histogram();
-        assert_eq!(histogram.count_at(level(5)), 2);
-        assert_eq!(histogram.count_at(level(20)), 1);
-        assert_eq!(histogram.count_at(level(90)), 0);
         assert_eq!(histogram.total(), stats.shed() as u64);
         assert_eq!(histogram.highest_level(), Some(level(20)));
         assert_eq!(
@@ -774,13 +726,5 @@ mod tests {
         let snap = stats.snapshot(1.0);
         assert_eq!(snap.panicked, 2);
         assert_eq!(snap.total(), 1, "panicked tasks are not completions");
-    }
-
-    #[test]
-    fn snapshot_log_is_preserved() {
-        let stats = GroupStats::new(1);
-        stats.record(0, level(42), ExecutionMode::Accurate);
-        let snap = stats.snapshot(1.0);
-        assert_eq!(snap.log(), &[(level(42), ExecutionMode::Accurate)]);
     }
 }

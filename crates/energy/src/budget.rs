@@ -65,8 +65,22 @@ impl BudgetTarget {
         }
     }
 
+    /// How often a controller samples its meter for this target, in
+    /// nanoseconds: ~1/200th of a joule budget's horizon (enough
+    /// observations to converge well inside the tolerance band), clamped to
+    /// [50 µs, 50 ms], and 1 ms for an open-ended watt envelope.
+    pub fn sample_interval_nanos(&self) -> u64 {
+        let seconds = match *self {
+            BudgetTarget::TotalJoules {
+                horizon_seconds, ..
+            } => (horizon_seconds / 200.0).clamp(50e-6, 50e-3),
+            BudgetTarget::WattEnvelope { .. } => 1e-3,
+        };
+        (seconds * 1e9) as u64
+    }
+
     /// Total joules this target allows (`None` for an open-ended envelope).
-    pub fn total_joules(&self) -> Option<f64> {
+    fn total_joules(&self) -> Option<f64> {
         match *self {
             BudgetTarget::TotalJoules { joules, .. } => Some(joules),
             BudgetTarget::WattEnvelope { .. } => None,
@@ -235,11 +249,6 @@ impl SplitEstimator {
         self.samples += 1;
     }
 
-    /// Number of samples absorbed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// `(base_watts, dynamic_watts_per_busy_core)` — the fitted split, or
     /// `None` before the trace has enough rank to separate the two terms
     /// (e.g. utilisation pinned at a constant: wall and busy collinear).
@@ -256,18 +265,6 @@ impl SplitEstimator {
         let base = (self.s_bb * self.s_wj - self.s_wb * self.s_bj) / det;
         let dynamic = (self.s_ww * self.s_bj - self.s_wb * self.s_wj) / det;
         Some((base, dynamic))
-    }
-
-    /// The observed static share of power at utilisation `busy_cores`
-    /// (busy core-seconds per wall second): `base / (base + dyn·busy)`.
-    /// Falls back to `None` when the split is not yet identifiable.
-    pub fn static_fraction_at(&self, busy_cores: f64) -> Option<f64> {
-        let (base, dynamic) = self.split()?;
-        let total = base + dynamic * busy_cores.max(0.0);
-        if total <= 0.0 {
-            return None;
-        }
-        Some((base / total).clamp(0.0, 1.0))
     }
 }
 
@@ -341,11 +338,6 @@ impl BudgetController {
     /// The online split estimator (for inspection/tests).
     pub fn estimator(&self) -> &SplitEstimator {
         &self.estimator
-    }
-
-    /// Cumulative joules observed so far.
-    pub fn spent_joules(&self) -> f64 {
-        self.last.map_or(0.0, |last| last.joules)
     }
 
     /// The last cumulative observation, or `None` before the first one.
@@ -578,17 +570,5 @@ mod tests {
             est.push(0.1, 0.2, 3.0); // utilisation pinned: rank 1
         }
         assert!(est.split().is_none());
-    }
-
-    #[test]
-    fn static_fraction_matches_model() {
-        let mut est = SplitEstimator::new(1.0);
-        for k in 0..100 {
-            let dw = 0.05;
-            let db = dw * (k % 5) as f64; // 0..4 busy cores
-            est.push(dw, db, 10.0 * dw + 2.0 * db);
-        }
-        let f = est.static_fraction_at(2.0).expect("identifiable");
-        assert!((f - 10.0 / 14.0).abs() < 1e-6, "{f}");
     }
 }

@@ -1,25 +1,14 @@
 //! Node-level utilization→power curves for the cluster simulation.
 //!
-//! The affine [`PowerModel`] prices *cores*: static + active·busy +
-//! idle·idle. Datacenter power studies (Fan et al., "Power provisioning for
-//! a warehouse-sized computer") show whole-node draw is often **non-linear**
-//! in utilization; dslab's `dslab-power-models` ships the same family of
-//! curves for its IaaS simulator. This module provides both shapes behind
-//! one enum, so the cluster's power-cap controller and its cap-violation
-//! integral can price nodes with either model:
+//! [`UtilizationPowerCurve::Linear`] is the affine per-core [`PowerModel`]
+//! (static + active·busy + idle·idle), with busy cores weighted by their
+//! DVFS power factor: a core running at half frequency draws
+//! `active · 0.5^exponent`, exactly what the `ExecutionEnv` charges it.
 //!
-//! * [`UtilizationPowerCurve::Linear`] — the affine per-core model, with
-//!   busy cores weighted by their DVFS power factor (a core running at half
-//!   frequency draws `active · 0.5^exponent`, exactly what the
-//!   `ExecutionEnv` charges it);
-//! * [`UtilizationPowerCurve::Fan`] — the Fan et al. non-linear curve
-//!   `P(u) = P_idle + (P_busy − P_idle)·(2u − u^r)`, concave in utilization
-//!   `u = busy_cores / cores` (the first cores are the expensive ones).
-//!
-//! Both curves are **monotone in the busy-core count** (enforced by
-//! construction: `active ≥ idle`, `r ∈ [1, 2]`), which is what makes the
-//! cluster cap controller's slot budget a sound bound: capping how many
-//! workers may be busy caps the modelled node power.
+//! The curve is **monotone in the busy-core count** (enforced by
+//! construction: `active ≥ idle`), which is what makes the cluster cap
+//! controller's slot budget a sound bound: capping how many workers may be
+//! busy caps the modelled node power.
 
 use crate::power::PowerModel;
 
@@ -30,19 +19,6 @@ pub enum UtilizationPowerCurve {
     Linear {
         /// The per-core power model.
         model: PowerModel,
-    },
-    /// Fan et al. non-linear node curve:
-    /// `P(u) = idle + (busy − idle)·(2u − u^r)`.
-    Fan {
-        /// Node draw at zero utilization, watts.
-        idle_watts: f64,
-        /// Node draw at full utilization, watts.
-        busy_watts: f64,
-        /// Curvature exponent `r`, in `[1, 2]` (2 recovers the calibration
-        /// point `P(1) = busy`; values toward 1 flatten the curve; the
-        /// common fit is ≈ 1.4). Kept ≤ 2 so the curve stays monotone on
-        /// `[0, 1]` (`dP/du = 2 − r·u^(r−1) > 0` there).
-        exponent: f64,
     },
 }
 
@@ -57,32 +33,10 @@ impl UtilizationPowerCurve {
         UtilizationPowerCurve::Linear { model }
     }
 
-    /// A Fan-style non-linear curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ idle_watts ≤ busy_watts` and `exponent ∈ [1, 2]`.
-    pub fn fan(idle_watts: f64, busy_watts: f64, exponent: f64) -> Self {
-        assert!(
-            idle_watts >= 0.0 && busy_watts >= idle_watts,
-            "need 0 <= idle ({idle_watts}) <= busy ({busy_watts})"
-        );
-        assert!(
-            (1.0..=2.0).contains(&exponent),
-            "Fan exponent must be in [1, 2] for monotonicity, got {exponent}"
-        );
-        UtilizationPowerCurve::Fan {
-            idle_watts,
-            busy_watts,
-            exponent,
-        }
-    }
-
     /// Modelled node draw with `busy_count` of `workers` cores busy.
     /// `busy_effective` is the power-factor-weighted busy count
     /// (`Σ ratio^exponent` over busy cores; equals `busy_count` when
-    /// everything runs at nominal frequency) — the linear curve prices it,
-    /// the Fan curve is utilization-shaped and uses the count alone.
+    /// everything runs at nominal frequency).
     pub fn watts(&self, busy_effective: f64, busy_count: usize, workers: usize) -> f64 {
         debug_assert!(busy_count <= workers);
         debug_assert!(busy_effective <= busy_count as f64 + 1e-9);
@@ -91,17 +45,6 @@ impl UtilizationPowerCurve {
                 model.static_watts_per_socket * model.sockets as f64
                     + busy_effective * model.active_watts_per_core
                     + (workers - busy_count) as f64 * model.idle_watts_per_core
-            }
-            UtilizationPowerCurve::Fan {
-                idle_watts,
-                busy_watts,
-                exponent,
-            } => {
-                if workers == 0 {
-                    return *idle_watts;
-                }
-                let u = busy_count as f64 / workers as f64;
-                idle_watts + (busy_watts - idle_watts) * (2.0 * u - u.powf(*exponent))
             }
         }
     }
@@ -144,36 +87,5 @@ mod tests {
         assert!((curve.watts(0.5, 1, 2) - 5.5).abs() < 1e-12);
         assert!((curve.idle_floor(2) - 3.0).abs() < 1e-12);
         assert!((curve.max_watts(2, 2) - 14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fan_curve_is_monotone_concave_and_hits_endpoints() {
-        let curve = UtilizationPowerCurve::fan(3.0, 14.0, 1.4);
-        assert!((curve.idle_floor(4) - 3.0).abs() < 1e-12);
-        assert!((curve.watts(4.0, 4, 4) - 14.0).abs() < 1e-12);
-        let mut last = 0.0;
-        for busy in 0..=4usize {
-            let w = curve.watts(busy as f64, busy, 4);
-            assert!(w >= last, "monotone in busy count");
-            last = w;
-        }
-        // Concave: the first core costs more than the last.
-        let first = curve.watts(1.0, 1, 4) - curve.watts(0.0, 0, 4);
-        let fourth = curve.watts(4.0, 4, 4) - curve.watts(3.0, 3, 4);
-        assert!(first > fourth, "first {first} vs fourth {fourth}");
-        // max_watts bounds every DVFS-weighted draw at the same count.
-        assert!(curve.watts(2.3, 3, 4) <= curve.max_watts(3, 4) + 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonicity")]
-    fn fan_rejects_non_monotone_exponent() {
-        UtilizationPowerCurve::fan(3.0, 14.0, 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "idle")]
-    fn fan_rejects_busy_below_idle() {
-        UtilizationPowerCurve::fan(10.0, 4.0, 1.4);
     }
 }

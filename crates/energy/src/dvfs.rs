@@ -71,8 +71,8 @@ impl FrequencyScale {
         self.ratio == 1.0
     }
 
-    /// Per-core active power under this frequency setting, in watts —
-    /// shorthand for `self.apply(model).active_watts_per_core`.
+    /// Per-core active power under this frequency setting, in watts. Static
+    /// and idle power do not scale (they are largely frequency-independent).
     pub fn scaled_active_watts(&self, model: &PowerModel) -> f64 {
         model.active_watts_per_core * self.power_factor()
     }
@@ -109,16 +109,6 @@ impl FrequencyScale {
     /// Multiplier applied to per-core active power at this frequency.
     pub fn power_factor(&self) -> f64 {
         self.ratio.powf(self.power_exponent)
-    }
-
-    /// Derive a new [`PowerModel`] whose active-core power reflects this
-    /// frequency setting. Static and idle power are unchanged (they are
-    /// largely frequency-independent).
-    pub fn apply(&self, model: &PowerModel) -> PowerModel {
-        PowerModel {
-            active_watts_per_core: model.active_watts_per_core * self.power_factor(),
-            ..*model
-        }
     }
 
     /// Energy factor for a fixed amount of CPU-bound work executed entirely
@@ -186,11 +176,6 @@ impl TransitionCost {
     pub fn typical() -> Self {
         TransitionCost::new(50e-6, 150e-6)
     }
-
-    /// Whether this cost is exactly free (both components zero).
-    pub fn is_free(&self) -> bool {
-        self.latency_seconds == 0.0 && self.energy_joules == 0.0
-    }
 }
 
 impl Default for TransitionCost {
@@ -219,15 +204,6 @@ mod tests {
         assert_eq!(s.time_dilation(), 2.0);
         // Dynamic energy per unit of work drops despite the longer runtime.
         assert!(s.dynamic_energy_factor() < 1.0);
-    }
-
-    #[test]
-    fn apply_scales_only_active_power() {
-        let base = PowerModel::xeon_e5_2650_dual_socket();
-        let scaled = FrequencyScale::new(0.5).apply(&base);
-        assert!(scaled.active_watts_per_core < base.active_watts_per_core);
-        assert_eq!(scaled.idle_watts_per_core, base.idle_watts_per_core);
-        assert_eq!(scaled.static_watts_per_socket, base.static_watts_per_socket);
     }
 
     #[test]
@@ -269,8 +245,7 @@ mod tests {
 
     #[test]
     fn transition_cost_defaults_to_free() {
-        assert!(TransitionCost::default().is_free());
-        assert!(!TransitionCost::typical().is_free());
+        assert_eq!(TransitionCost::default(), TransitionCost::new(0.0, 0.0));
         assert!(TransitionCost::typical().latency_seconds > 0.0);
         assert!(TransitionCost::typical().energy_joules > 0.0);
     }
@@ -279,14 +254,5 @@ mod tests {
     #[should_panic(expected = "transition latency")]
     fn negative_transition_latency_rejected() {
         TransitionCost::new(-1.0, 0.0);
-    }
-
-    #[test]
-    fn scaled_active_watts_matches_apply() {
-        let model = PowerModel::xeon_e5_2650_dual_socket();
-        let s = FrequencyScale::new(0.7);
-        assert!(
-            (s.scaled_active_watts(&model) - s.apply(&model).active_watts_per_core).abs() < 1e-12
-        );
     }
 }

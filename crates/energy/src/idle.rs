@@ -84,7 +84,7 @@ impl SleepState {
     /// the model's shallow idle: `idle_watts − sleep_watts` on the core
     /// itself plus the gated share of socket static power. Positive for any
     /// state deeper than the model's idle.
-    pub fn watts_saved_vs_idle(&self, model: &PowerModel) -> f64 {
+    fn watts_saved_vs_idle(&self, model: &PowerModel) -> f64 {
         (model.idle_watts_per_core - self.watts_per_core)
             + self.static_fraction_saved * model.static_watts_per_core()
     }
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn deep_state_saves_static_share() {
-        let model = PowerModel::xeon_e5_2650_dual_socket();
+        let model = PowerModel::default();
         let deep = SleepState::deep();
         // 1.4 − 0.1 on the core plus 0.75 · 21/8 of socket static.
         let expected = (1.4 - 0.1) + 0.75 * 21.0 / 8.0;
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn break_even_is_wake_cost_over_savings() {
-        let model = PowerModel::xeon_e5_2650_dual_socket();
+        let model = PowerModel::default();
         let deep = SleepState::deep();
         let expected = deep.wake_joules(&model) / deep.watts_saved_vs_idle(&model);
         assert!((deep.break_even_seconds(&model) - expected).abs() < 1e-12);
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn useless_state_never_breaks_even() {
-        let model = PowerModel::xeon_e5_2650_dual_socket();
+        let model = PowerModel::default();
         // Draws more than idle, gates nothing: sleeping never pays.
         let hot = SleepState::new(5.0, 0.0, 1e-6);
         assert!(hot.watts_saved_vs_idle(&model) < 0.0);

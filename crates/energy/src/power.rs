@@ -33,17 +33,6 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// Model of the paper's testbed: two 8-core Intel Xeon E5-2650 packages.
-    pub fn xeon_e5_2650_dual_socket() -> Self {
-        PowerModel {
-            sockets: 2,
-            cores_per_socket: 8,
-            static_watts_per_socket: 21.0,
-            active_watts_per_core: 6.6,
-            idle_watts_per_core: 1.4,
-        }
-    }
-
     /// A model sized to the host this process is running on: a single
     /// "socket" containing all available cores, with the same per-core
     /// coefficients as the paper's testbed.
@@ -76,34 +65,16 @@ impl PowerModel {
         }
     }
 
-    /// Package power in watts when `busy_cores` cores are executing work and
-    /// the remainder are idle.
-    ///
-    /// `busy_cores` is clamped to the total core count.
-    pub fn power_watts(&self, busy_cores: usize) -> f64 {
-        let busy = busy_cores.min(self.total_cores()) as f64;
-        let idle = self.total_cores() as f64 - busy;
-        self.sockets as f64 * self.static_watts_per_socket
-            + busy * self.active_watts_per_core
-            + idle * self.idle_watts_per_core
-    }
-
-    /// Energy in joules consumed over a measurement window.
+    /// Energy consumed over a measurement window, split into its static,
+    /// active (dynamic) and idle components:
     ///
     /// * `wall_seconds` — elapsed wall-clock time of the window,
     /// * `busy_core_seconds` — total core-seconds spent executing work
     ///   (summed over all cores; at most `total_cores · wall_seconds`).
     ///
     /// Busy core-seconds beyond physical capacity are clamped, so oversubscribed
-    /// thread pools cannot yield more-than-physical energy.
-    pub fn energy_joules(&self, wall_seconds: f64, busy_core_seconds: f64) -> f64 {
-        self.energy_breakdown(wall_seconds, busy_core_seconds)
-            .total()
-    }
-
-    /// The same integration as [`PowerModel::energy_joules`], split into its
-    /// static, active (dynamic) and idle components. The components are what
-    /// DVFS-aware accounting manipulates individually: frequency scaling
+    /// thread pools cannot yield more-than-physical energy. The components are
+    /// what DVFS-aware accounting manipulates individually: frequency scaling
     /// changes only the active term, race-to-idle changes the wall time the
     /// static term integrates over.
     pub fn energy_breakdown(&self, wall_seconds: f64, busy_core_seconds: f64) -> EnergyBreakdown {
@@ -146,9 +117,16 @@ impl EnergyBreakdown {
     }
 }
 
+/// Model of the paper's testbed: two 8-core Intel Xeon E5-2650 packages.
 impl Default for PowerModel {
     fn default() -> Self {
-        PowerModel::xeon_e5_2650_dual_socket()
+        PowerModel {
+            sockets: 2,
+            cores_per_socket: 8,
+            static_watts_per_socket: 21.0,
+            active_watts_per_core: 6.6,
+            idle_watts_per_core: 1.4,
+        }
     }
 }
 
@@ -166,40 +144,30 @@ mod tests {
 
     #[test]
     fn idle_power_is_static_plus_idle_cores() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
+        let m = PowerModel::default();
         let expected = 2.0 * 21.0 + 16.0 * 1.4;
-        assert!((m.power_watts(0) - expected).abs() < 1e-9);
+        assert!((m.energy_breakdown(1.0, 0.0).total() - expected).abs() < 1e-9);
     }
 
     #[test]
     fn full_load_power_is_higher_than_idle() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
-        assert!(m.power_watts(16) > m.power_watts(0));
-        // Busy cores beyond capacity clamp.
-        assert_eq!(m.power_watts(16), m.power_watts(100));
+        let m = PowerModel::default();
+        assert!(m.energy_breakdown(1.0, 16.0).total() > m.energy_breakdown(1.0, 0.0).total());
     }
 
     #[test]
     fn energy_scales_linearly_with_time_at_fixed_load() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
-        let e1 = m.energy_joules(1.0, 8.0);
-        let e2 = m.energy_joules(2.0, 16.0);
+        let m = PowerModel::default();
+        let e1 = m.energy_breakdown(1.0, 8.0).total();
+        let e2 = m.energy_breakdown(2.0, 16.0).total();
         assert!((e2 - 2.0 * e1).abs() < 1e-9);
     }
 
     #[test]
-    fn energy_matches_power_times_time_for_constant_load() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
-        // 4 cores busy for the entire 2-second window.
-        let e = m.energy_joules(2.0, 8.0);
-        assert!((e - m.power_watts(4) * 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn busy_time_clamped_to_capacity() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
-        let at_capacity = m.energy_joules(1.0, 16.0);
-        let over_capacity = m.energy_joules(1.0, 1000.0);
+        let m = PowerModel::default();
+        let at_capacity = m.energy_breakdown(1.0, 16.0).total();
+        let over_capacity = m.energy_breakdown(1.0, 1000.0).total();
         assert!((at_capacity - over_capacity).abs() < 1e-9);
     }
 
@@ -207,9 +175,9 @@ mod tests {
     fn shorter_makespan_uses_less_energy_for_same_work() {
         // Same busy core-seconds, shorter wall time => less energy.
         // This is the race-to-idle effect that makes approximation pay off.
-        let m = PowerModel::xeon_e5_2650_dual_socket();
-        let slow = m.energy_joules(10.0, 40.0);
-        let fast = m.energy_joules(5.0, 40.0);
+        let m = PowerModel::default();
+        let slow = m.energy_breakdown(10.0, 40.0).total();
+        let fast = m.energy_breakdown(5.0, 40.0).total();
         assert!(fast < slow);
     }
 
@@ -223,14 +191,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_wall_time_panics() {
-        PowerModel::default().energy_joules(-1.0, 0.0);
+        PowerModel::default().energy_breakdown(-1.0, 0.0).total();
     }
 
     #[test]
     fn breakdown_components_sum_to_total() {
-        let m = PowerModel::xeon_e5_2650_dual_socket();
+        let m = PowerModel::default();
         let b = m.energy_breakdown(2.0, 8.0);
-        assert!((b.total() - m.energy_joules(2.0, 8.0)).abs() < 1e-9);
         assert!((b.static_joules - 2.0 * 21.0 * 2.0).abs() < 1e-9);
         assert!((b.dynamic_joules - 6.6 * 8.0).abs() < 1e-9);
         assert!((b.idle_joules - 1.4 * (32.0 - 8.0)).abs() < 1e-9);

@@ -1,5 +1,5 @@
 //! Shared benchmark infrastructure: the [`Benchmark`] trait, execution
-//! configuration, and run outputs consumed by the experiment harness.
+//! configuration, and run outputs consumed by the paper replay.
 
 use std::time::Duration;
 
@@ -74,17 +74,6 @@ pub struct BenchmarkInfo {
     pub perforation_supported: bool,
 }
 
-impl BenchmarkInfo {
-    /// The degree value (ratio / tolerance) configured for `degree`.
-    pub fn degree_value(&self, degree: Degree) -> f64 {
-        match degree {
-            Degree::Mild => self.degrees[0],
-            Degree::Medium => self.degrees[1],
-            Degree::Aggressive => self.degrees[2],
-        }
-    }
-}
-
 /// How a benchmark run should execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Approach {
@@ -136,13 +125,6 @@ impl ExecutionConfig {
             workers,
             approach: Approach::Perforation { degree },
         }
-    }
-
-    /// Default worker count: the host's available parallelism.
-    pub fn default_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 }
 
@@ -232,7 +214,7 @@ impl RunOutput {
     }
 }
 
-/// Interface every benchmark implements, so the harness and sigbench can
+/// Interface every benchmark implements, so the paper replay and sigbench can
 /// drive all six uniformly.
 pub trait Benchmark: Send + Sync {
     /// Static description (Table 1 row).
@@ -301,21 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn info_degree_lookup() {
-        let info = BenchmarkInfo {
-            name: "x",
-            technique: ApproxTechnique::Approximate,
-            degree_parameter: "ratio",
-            degrees: [0.8, 0.3, 0.0],
-            metric: QualityMetric::PsnrInverse,
-            perforation_supported: true,
-        };
-        assert_eq!(info.degree_value(Degree::Mild), 0.8);
-        assert_eq!(info.degree_value(Degree::Medium), 0.3);
-        assert_eq!(info.degree_value(Degree::Aggressive), 0.0);
-    }
-
-    #[test]
     fn execution_config_constructors() {
         let c = ExecutionConfig::accurate(4);
         assert_eq!(c.approach, Approach::Accurate);
@@ -323,7 +290,6 @@ mod tests {
         assert!(matches!(c.approach, Approach::Significance { .. }));
         let c = ExecutionConfig::perforation(4, Degree::Mild);
         assert!(matches!(c.approach, Approach::Perforation { .. }));
-        assert!(ExecutionConfig::default_workers() >= 1);
     }
 
     #[test]

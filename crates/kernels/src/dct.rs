@@ -247,7 +247,7 @@ impl Dct {
     /// frequencies (small `k`) are more significant. Kept inside `(0, 1)` so
     /// the special values 0.0/1.0 are reserved for unconditional decisions,
     /// as the paper's Sobel example recommends.
-    pub fn significance_for_layer(k: usize) -> f64 {
+    fn significance_for_layer(k: usize) -> f64 {
         0.9 - 0.8 * k as f64 / (LAYERS - 1) as f64
     }
 
@@ -340,7 +340,8 @@ impl Dct {
 
     /// Serial fully accurate execution (all layers computed): the perforated
     /// loop with nothing perforated.
-    pub fn run_accurate_serial(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn run_accurate_serial(&self) -> Vec<f64> {
         self.run_perforated(1.0).values
     }
 
@@ -588,7 +589,7 @@ mod tests {
     #[test]
     fn full_transform_roundtrips_the_image() {
         let d = small();
-        let original: Vec<f64> = d.input().to_f64();
+        let original: Vec<f64> = d.input().pixels().iter().map(|&p| f64::from(p)).collect();
         let reconstructed = d.run_accurate_serial();
         // DCT followed by IDCT with all coefficients reproduces the image
         // (up to clamping / floating point noise).

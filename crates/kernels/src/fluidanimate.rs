@@ -6,10 +6,12 @@
 //! neighbourhood and integrated) or **fully approximately** ("the new
 //! position of each particle is estimated assuming it will move linearly, in
 //! the same direction and with the same velocity as it did in the previous
-//! time steps"). The choice is made per time step by setting the `ratio`
-//! clause of the step's `taskwait` to `1.0` or `0.0` — exactly the trick the
-//! paper highlights as trivially expressible in the programming model, and
-//! accurate and approximate steps must alternate to keep the physics stable.
+//! time steps"). The choice is made per time step by giving the step's
+//! task group a ratio of `1.0` or `0.0` — the `ratio` clause the paper
+//! highlights as trivially expressible in the programming model, set when
+//! the group is created so that a policy deciding as tasks run (LQH) sees
+//! it too. Accurate and approximate steps must alternate to keep the
+//! physics stable.
 //!
 //! Degrees (Table 1): fraction of accurate time steps 50% / 25% / 12.5%;
 //! quality metric relative error of the final particle positions.
@@ -263,7 +265,7 @@ impl Fluidanimate {
     /// Period of accurate time steps for an approximation degree: every 2nd,
     /// 4th or 8th step is accurate (= 50% / 25% / 12.5% accurate steps,
     /// Table 1).
-    pub fn accurate_period_for(degree: Degree) -> usize {
+    fn accurate_period_for(degree: Degree) -> usize {
         match degree {
             Degree::Mild => 2,
             Degree::Medium => 4,
@@ -273,7 +275,7 @@ impl Fluidanimate {
 
     /// Deterministic initial particle state: a block of fluid in the upper
     /// half of the box with a small random jitter and zero velocity.
-    pub fn initial_state(&self) -> Vec<f64> {
+    fn initial_state(&self) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut state = Vec::with_capacity(self.particles * STRIDE);
         let cols = (self.particles as f64).sqrt().ceil() as usize;
@@ -297,7 +299,8 @@ impl Fluidanimate {
 
     /// Serial fully accurate simulation; returns the final particle
     /// positions (x, y interleaved).
-    pub fn run_accurate_serial(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn run_accurate_serial(&self) -> Vec<f64> {
         self.run_serial().values
     }
 
@@ -320,9 +323,9 @@ impl Fluidanimate {
         RunOutput::serial(positions_of(&state), elapsed)
     }
 
-    /// Significance-annotated task execution: each time step's barrier
-    /// carries `ratio(1.0)` or `ratio(0.0)` depending on whether the step is
-    /// an accurate or an extrapolation step.
+    /// Significance-annotated task execution: each time step is a group of
+    /// its own with ratio 1.0 (an accurate step) or 0.0 (an extrapolation
+    /// step), set before the step's tasks spawn.
     pub fn run_tasks(&self, workers: usize, policy: Policy, accurate_period: usize) -> RunOutput {
         let dt = self.dt;
         let radius = self.radius;
@@ -331,11 +334,11 @@ impl Fluidanimate {
 
         let start = Instant::now();
         let rt = Runtime::builder().workers(workers).policy(policy).build();
-        let group = rt.create_group("fluidanimate", 1.0);
         for step in 0..self.steps {
             // Accurate steps occur once every `accurate_period` steps; the
             // remaining steps are linear extrapolation.
             let accurate_step = step % accurate_period == 0;
+            let group = rt.create_group("fluidanimate", if accurate_step { 1.0 } else { 0.0 });
             let next = SharedGrid::new(self.chunks, per_chunk * STRIDE, 0.0f64);
             // Built by the first accurate body of the step to run, if any
             // does: an extrapolation step never pays for the index.
@@ -373,7 +376,7 @@ impl Fluidanimate {
                 .group(&group)
                 .spawn();
             }
-            rt.wait_group_with_ratio(&group, if accurate_step { 1.0 } else { 0.0 });
+            rt.wait_group(&group);
 
             // Chunk `c`'s row starts at `c · per_chunk · STRIDE`, where its
             // particles start in the flat state, so the grid is the next state

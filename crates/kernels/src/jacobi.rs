@@ -195,7 +195,7 @@ fn update_rows<const R: usize>(
 
 impl Jacobi {
     /// The convergence tolerance for an approximation degree (Table 1).
-    pub fn tolerance_for(degree: Degree) -> f64 {
+    fn tolerance_for(degree: Degree) -> f64 {
         match degree {
             Degree::Mild => 1e-4,
             Degree::Medium => 1e-3,
@@ -204,7 +204,7 @@ impl Jacobi {
     }
 
     /// Deterministic right-hand side.
-    pub fn rhs(&self) -> Vec<f64> {
+    fn rhs(&self) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         (0..self.n).map(|_| rng.gen_range(-100.0..100.0)).collect()
     }
@@ -225,13 +225,16 @@ impl Jacobi {
 
     /// Serial solve with every sweep accurate, iterating to `tolerance`: the
     /// perforated loop with no block perforated.
-    pub fn solve_accurate_serial(&self, tolerance: f64) -> Vec<f64> {
+    #[cfg(test)]
+    fn solve_accurate_serial(&self, tolerance: f64) -> Vec<f64> {
         self.run_perforated(tolerance, 1.0).values
     }
 
     /// Significance-annotated task execution: `approx_sweeps` band-only
     /// sweeps (ratio 0), then accurate sweeps (ratio 1) until the relaxed
-    /// tolerance is reached.
+    /// tolerance is reached. Each sweep is a group of its own, created with
+    /// its ratio before its tasks spawn, so a policy that decides as tasks
+    /// run (LQH) sees the sweep's ratio too.
     pub fn run_tasks(&self, workers: usize, policy: Policy, tolerance: f64) -> RunOutput {
         let b = Arc::new(self.rhs());
         let coupling = coupling_table(self.n);
@@ -241,11 +244,11 @@ impl Jacobi {
 
         let start = Instant::now();
         let rt = Runtime::builder().workers(workers).policy(policy).build();
-        let group = rt.create_group("jacobi", 0.0);
         let mut sweeps = 0usize;
         for sweep in 0..self.max_sweeps {
             sweeps += 1;
             let accurate_sweep = sweep >= self.approx_sweeps;
+            let group = rt.create_group("jacobi", if accurate_sweep { 1.0 } else { 0.0 });
             let x_new = SharedGrid::new(self.blocks, per_block, 0.0f64);
             for block in 0..self.blocks {
                 let range = self.block_range(block);
@@ -285,9 +288,7 @@ impl Jacobi {
                 .group(&group)
                 .spawn();
             }
-            // The ratio clause at the barrier selects the sweep mode:
-            // 0.0 during the initial approximate phase, 1.0 afterwards.
-            rt.wait_group_with_ratio(&group, if accurate_sweep { 1.0 } else { 0.0 });
+            rt.wait_group(&group);
 
             // Block `b`'s row starts at `b · per_block`, where its range starts
             // in the flat vector, so the grid is the new iterate once the

@@ -183,7 +183,7 @@ impl KMeans {
     }
 
     /// Deterministic synthetic observations: `clusters` Gaussian-ish blobs.
-    pub fn observations(&self) -> Vec<f64> {
+    fn observations(&self) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let centres: Vec<f64> = (0..self.clusters * self.dims)
             .map(|_| rng.gen_range(0.0..100.0))
@@ -249,7 +249,8 @@ impl KMeans {
 
     /// Serial fully accurate execution; returns the final centroids. It is
     /// the perforated loop with no chunk perforated.
-    pub fn run_accurate_serial(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn run_accurate_serial(&self) -> Vec<f64> {
         self.run_perforated(1.0).values
     }
 

@@ -20,7 +20,7 @@
 //! | [`jacobi`] | Drop + approximate | tolerance 1e-4 / 1e-3 / 1e-2 | Rel. error |
 //! | [`fluidanimate`] | Approximate | accurate steps 1/2, 1/4, 1/8 | Rel. error |
 //!
-//! All benchmarks implement the [`Benchmark`] trait so the experiment harness
+//! All benchmarks implement the [`Benchmark`] trait so the paper replay
 //! and sigbench's `kernels` workload can drive them uniformly.
 
 #![warn(missing_docs)]

@@ -124,7 +124,7 @@ impl MonteCarlo {
 
     /// The subdomain boundary points: the perimeter of the centred square
     /// `[0.25, 0.75]²`, sampled uniformly.
-    pub fn boundary_points(&self) -> Vec<(f64, f64)> {
+    fn boundary_points(&self) -> Vec<(f64, f64)> {
         let n = self.points;
         (0..n)
             .map(|i| {
@@ -166,7 +166,8 @@ impl MonteCarlo {
 
     /// Serial fully accurate execution: the perforated loop with no point
     /// perforated.
-    pub fn run_accurate_serial(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn run_accurate_serial(&self) -> Vec<f64> {
         self.run_perforated(1.0).values
     }
 

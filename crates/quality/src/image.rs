@@ -118,24 +118,9 @@ impl GrayImage {
         img
     }
 
-    /// Image width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Image height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Borrow the raw row-major pixel buffer.
     pub fn pixels(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Mutably borrow the raw row-major pixel buffer.
-    pub fn pixels_mut(&mut self) -> &mut [u8] {
-        &mut self.data
     }
 
     /// Consume the image and return its pixel buffer.
@@ -161,11 +146,6 @@ impl GrayImage {
     pub fn set(&mut self, x: usize, y: usize, value: u8) {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.data[y * self.width + x] = value;
-    }
-
-    /// Pixel values as `f64` samples (for PSNR computation).
-    pub fn to_f64(&self) -> Vec<f64> {
-        self.data.iter().map(|&p| p as f64).collect()
     }
 
     /// Compose a "quadrant comparison" image in the style of the paper's
@@ -201,7 +181,7 @@ impl GrayImage {
     }
 
     /// Serialise as binary PGM (P5) into an arbitrary writer.
-    pub fn write_pgm<W: Write>(&self, mut writer: W) -> io::Result<()> {
+    fn write_pgm<W: Write>(&self, mut writer: W) -> io::Result<()> {
         writeln!(writer, "P5")?;
         writeln!(writer, "{} {}", self.width, self.height)?;
         writeln!(writer, "255")?;
@@ -269,9 +249,7 @@ mod tests {
     #[test]
     fn new_image_is_black() {
         let img = GrayImage::new(4, 3);
-        assert_eq!(img.width(), 4);
-        assert_eq!(img.height(), 3);
-        assert!(img.pixels().iter().all(|&p| p == 0));
+        assert_eq!(img.pixels(), [0; 12]);
     }
 
     #[test]
@@ -413,11 +391,5 @@ mod tests {
         let text = String::from_utf8_lossy(&buf[..10]);
         assert!(text.starts_with("P5\n2 2\n255"));
         assert_eq!(&buf[buf.len() - 4..], &[9, 8, 7, 6]);
-    }
-
-    #[test]
-    fn to_f64_matches_pixels() {
-        let img = GrayImage::from_raw(1, 3, vec![0, 100, 255]);
-        assert_eq!(img.to_f64(), vec![0.0, 100.0, 255.0]);
     }
 }

@@ -41,11 +41,6 @@ pub struct QualityScore {
 }
 
 impl QualityScore {
-    /// A perfect score (zero error / infinite PSNR) for the given metric.
-    pub fn perfect(metric: QualityMetric) -> Self {
-        QualityScore { metric, value: 0.0 }
-    }
-
     /// Build a PSNR-based score from a raw PSNR value (dB).
     pub fn from_psnr(psnr_db: f64) -> Self {
         QualityScore {
@@ -198,12 +193,6 @@ pub fn max_abs_error(reference: &[f64], approx: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Convert a slice of `u8` pixels into `f64` samples (helper for PSNR over
-/// image buffers).
-pub fn to_f64(pixels: &[u8]) -> Vec<f64> {
-    pixels.iter().map(|&p| p as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,21 +299,11 @@ mod tests {
         let s = QualityScore::from_relative_error(0.004);
         assert_eq!(s.metric, QualityMetric::RelativeError);
         assert!((s.value - 0.4).abs() < 1e-12);
-
-        assert_eq!(
-            QualityScore::perfect(QualityMetric::RelativeError).value,
-            0.0
-        );
     }
 
     #[test]
     fn metric_labels() {
         assert_eq!(QualityMetric::PsnrInverse.label(), "PSNR^-1");
         assert_eq!(QualityMetric::RelativeError.label(), "Rel. Error (%)");
-    }
-
-    #[test]
-    fn to_f64_converts_pixels() {
-        assert_eq!(to_f64(&[0u8, 128, 255]), vec![0.0, 128.0, 255.0]);
     }
 }

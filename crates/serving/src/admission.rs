@@ -111,9 +111,6 @@ pub struct AdmissionController {
     miss_rate: f64,
     service_nanos: f64,
     overloaded: bool,
-    decisions: u64,
-    downgraded: u64,
-    shed: u64,
 }
 
 impl AdmissionController {
@@ -127,9 +124,6 @@ impl AdmissionController {
             miss_rate: 0.0,
             service_nanos: 0.0,
             overloaded: false,
-            decisions: 0,
-            downgraded: 0,
-            shed: 0,
         }
     }
 
@@ -174,7 +168,6 @@ impl AdmissionController {
         {
             self.overloaded = false;
         }
-        self.decisions += 1;
 
         // Shed last: only while the flag is up and pressure sits above
         // `shed_start`. One rising significance cutoff ⇒ the shed set is
@@ -184,7 +177,6 @@ impl AdmissionController {
             let depth = ((pressure - config.shed_start) / span).clamp(0.0, 1.0);
             let cutoff = config.max_shed_significance * depth;
             if class.significance() < cutoff {
-                self.shed += 1;
                 return AdmissionDecision::Shed;
             }
         }
@@ -200,11 +192,9 @@ impl AdmissionController {
         if self.overloaded && ladder > 0 {
             tier = tier.max(1);
         }
-        let tier = class.clamp_tier(tier);
-        if tier > 0 {
-            self.downgraded += 1;
+        AdmissionDecision::Admit {
+            tier: class.clamp_tier(tier),
         }
-        AdmissionDecision::Admit { tier }
     }
 
     /// Feed back one completed attempt: its service time and whether the
@@ -221,19 +211,14 @@ impl AdmissionController {
         self.pressure
     }
 
-    /// Current energy-budget pressure (austerity) fed via
-    /// [`AdmissionController::set_budget_pressure`].
-    pub fn budget_pressure(&self) -> f64 {
-        self.budget_pressure
-    }
-
     /// Whether the hysteresis overload flag is currently up.
     pub fn is_overloaded(&self) -> bool {
         self.overloaded
     }
 
     /// Smoothed deadline-miss rate in `[0, 1]`.
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn miss_rate(&self) -> f64 {
         self.miss_rate
     }
 
@@ -241,11 +226,6 @@ impl AdmissionController {
     /// cost of one more attempt, used to budget retries against deadlines.
     pub fn expected_service_nanos(&self) -> u64 {
         self.service_nanos as u64
-    }
-
-    /// `(decisions, downgraded, shed)` counters since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.decisions, self.downgraded, self.shed)
     }
 }
 

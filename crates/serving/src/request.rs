@@ -38,7 +38,8 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// No retries at all.
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         RetryPolicy {
             max_retries: 0,
             base_backoff: Duration::ZERO,

@@ -8,7 +8,8 @@
 //! path.
 //!
 //! One request may spawn several task **generations**: the initial attempt
-//! plus a retry per transient failure ([`TaskOutcome::is_transient_failure`]),
+//! plus a retry per transient failure (a [`TaskOutcome::Panicked`] or
+//! [`TaskOutcome::Cancelled`] attempt; a shed one is not retried),
 //! each with jittered exponential backoff and each budgeted against the
 //! request's remaining deadline. Those rules — and the late-or-completed
 //! verdict on a finished attempt — are [`crate::lifecycle`]'s, the same ones
@@ -327,14 +328,9 @@ impl<'rt> Server<'rt> {
         &self.stats
     }
 
-    /// The admission controller (pressure, overload flag, counters).
+    /// The admission controller (pressure, overload flag).
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// Requests currently in flight (admitted, not yet terminal).
-    pub fn in_flight(&self) -> usize {
-        self.active.len()
     }
 }
 
@@ -569,6 +565,5 @@ mod tests {
         rt.wait_all();
         assert_eq!(rt.outcomes(), outcomes);
         assert_eq!(format!("{:?}", server.stats()), stats);
-        assert_eq!(server.in_flight(), 0);
     }
 }

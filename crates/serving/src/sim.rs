@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use sig_core::{BudgetConfig, BudgetController, BudgetTarget, ExecutionEnv};
+use sig_core::{BudgetConfig, BudgetController, ExecutionEnv};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::lifecycle::{EventQueue, Lifecycle, RequestSlot, RequestTable, RetryVerdict};
@@ -159,15 +159,10 @@ impl Simulator {
         assert!(config.workers > 0);
         assert!(config.base_service_nanos > 0);
         let budget = config.budget.map(BudgetController::new);
-        // Budget sampling cadence in virtual time: ~1/200th of a joule
-        // budget's horizon, 1 ms for open-ended watt envelopes.
-        let budget_interval_nanos = match config.budget.map(|b| b.target) {
-            Some(BudgetTarget::TotalJoules {
-                horizon_seconds, ..
-            }) => ((horizon_seconds / 200.0).clamp(10e-6, 50e-3) * 1e9) as u64,
-            Some(BudgetTarget::WattEnvelope { .. }) => 1_000_000,
-            None => u64::MAX,
-        };
+        // Budget sampling cadence, in virtual time.
+        let budget_interval_nanos = config
+            .budget
+            .map_or(u64::MAX, |b| b.target.sample_interval_nanos());
         Simulator {
             admission: AdmissionController::new(config.admission),
             lifecycle: Lifecycle::new(

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example sobel_pipeline`.
 
-use significance_repro::harness::{fig1, fig3};
+use sig_bench::replay::{fig1, fig3};
 use significance_repro::kernels::sobel::Sobel;
 
 fn main() {

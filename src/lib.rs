@@ -6,7 +6,6 @@
 
 pub use sig_core as core;
 pub use sig_energy as energy;
-pub use sig_harness as harness;
 pub use sig_kernels as kernels;
 pub use sig_perforation as perforation;
 pub use sig_quality as quality;

@@ -254,8 +254,13 @@ proptest! {
         let dilated = work_seconds * scale.time_dilation();
         // The work runs alone on the core: wall time equals (dilated) busy
         // time, priced by the frequency-scaled model.
-        let scaled_energy = scale.apply(&model).energy_joules(dilated, dilated);
-        let nominal_energy = model.energy_joules(work_seconds, work_seconds);
+        let scaled_energy = PowerModel {
+            active_watts_per_core: scale.scaled_active_watts(&model),
+            ..model
+        }
+        .energy_breakdown(dilated, dilated)
+        .total();
+        let nominal_energy = model.energy_breakdown(work_seconds, work_seconds).total();
         prop_assert!(
             scaled_energy >= nominal_energy - 1e-9,
             "ratio {ratio}: dilated run modelled {scaled_energy} J < nominal {nominal_energy} J"

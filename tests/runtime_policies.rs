@@ -7,7 +7,9 @@ use significance_repro::kernels::{all_benchmarks, Approach, Benchmark, Degree, E
 use significance_repro::prelude::*;
 
 fn workers() -> usize {
-    ExecutionConfig::default_workers().min(4)
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(4)
 }
 
 #[test]

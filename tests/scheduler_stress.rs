@@ -55,7 +55,7 @@ fn stress_tasks_execute_exactly_once_under_every_policy() {
         );
         assert_eq!(stats.total(), STRESS_TASKS, "{policy:?}: stats disagree");
         assert_eq!(stats.dropped, 0, "{policy:?}: nothing should be dropped");
-        assert_eq!(rt.stats().spawned(), STRESS_TASKS);
+        assert_eq!(rt.outcomes().spawned, STRESS_TASKS);
         assert_eq!(rt.stats().completed(), STRESS_TASKS);
 
         // Per-policy accurate-ratio invariants at ratio 0.5 over significances
@@ -176,7 +176,7 @@ fn stress_mixed_spawn_and_spawn_batch_execute_exactly_once() {
             "{policy:?}: lost or duplicated executions across mixed callers"
         );
         assert_eq!(stats.total(), STRESS_TASKS, "{policy:?}: stats disagree");
-        assert_eq!(rt.stats().spawned(), STRESS_TASKS);
+        assert_eq!(rt.outcomes().spawned, STRESS_TASKS);
         assert_eq!(rt.stats().completed(), STRESS_TASKS);
         assert_eq!(rt.outcomes().panicked, 0);
     }
@@ -535,7 +535,7 @@ proptest! {
         rt.wait_all();
         prop_assert_eq!(executions.load(Ordering::Relaxed), flood);
         prop_assert_eq!(rt.stats().completed(), flood + 1);
-        prop_assert_eq!(rt.stats().spawned(), flood + 1);
+        prop_assert_eq!(rt.outcomes().spawned, flood + 1);
         prop_assert_eq!(rt.outcomes().panicked, 0);
     }
 }

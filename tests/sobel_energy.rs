@@ -11,7 +11,9 @@ use significance_repro::kernels::{Benchmark, Degree, ExecutionConfig};
 use significance_repro::prelude::*;
 
 fn workers() -> usize {
-    ExecutionConfig::default_workers().min(4)
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(4)
 }
 
 #[test]
@@ -58,7 +60,11 @@ fn approximate_execution_reduces_modelled_energy() {
         .elapsed
         .as_secs_f64()
         .max(aggressive.elapsed.as_secs_f64());
-    let e_accurate = model.energy_joules(wall, accurate.busy_core_seconds);
-    let e_aggressive = model.energy_joules(wall, aggressive.busy_core_seconds);
+    let e_accurate = model
+        .energy_breakdown(wall, accurate.busy_core_seconds)
+        .total();
+    let e_aggressive = model
+        .energy_breakdown(wall, aggressive.busy_core_seconds)
+        .total();
     assert!(e_aggressive < e_accurate);
 }
