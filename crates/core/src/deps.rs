@@ -824,10 +824,16 @@ impl DependenceTracker {
         }
     }
 
+    /// Whether any key was ever poisoned: one load that spares a caller
+    /// the walk over its keys while nothing has failed.
+    pub(crate) fn any_poisoned(&self) -> bool {
+        self.any_poisoned.load(Ordering::SeqCst)
+    }
+
     /// Whether the key was written (or should have been written) by a task
     /// that failed. A key never registered is clean.
     pub(crate) fn is_poisoned(&self, key: DepKey) -> bool {
-        if !self.any_poisoned.load(Ordering::SeqCst) {
+        if !self.any_poisoned() {
             return false;
         }
         self.with_cell(key, |cell| {

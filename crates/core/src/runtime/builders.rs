@@ -215,7 +215,7 @@ impl RuntimeInner {
             .try_with(|scratch| std::mem::take(&mut *scratch.borrow_mut()))
             .unwrap_or_default();
         self.tracker
-            .register(task, &task.in_keys, &task.out_keys, &mut scratch);
+            .register(task, task.in_keys(), task.out_keys(), &mut scratch);
         let mut wired = 0;
         for predecessor in scratch.preds.drain(..) {
             // `try_push` fails iff the predecessor completed since the
@@ -278,8 +278,12 @@ impl RuntimeInner {
             if capacity.is_none() {
                 t.prime_spawn_enqueued(accurate);
             }
-            t.deadline_nanos = deadline_nanos;
-            t.cancel = cancel.clone();
+            if deadline_nanos != 0 || cancel.is_some() {
+                let clauses = t.clauses_mut();
+                clauses.deadline_nanos = deadline_nanos;
+                clauses.cancel = cancel.clone();
+                t.settle_clauses();
+            }
             tasks.push(task);
         }
 
@@ -349,7 +353,7 @@ impl Runtime {
         let core = Arc::new(HandleCore::new());
         let accurate_core = core.clone();
         let mut task = TaskBuilder::new(self, Box::new(move || accurate_core.put_value(body())));
-        task.handle = Some(core.clone() as Arc<dyn HandleNotify>);
+        task.husk.record().clauses_mut().handle = Some(core.clone() as Arc<dyn HandleNotify>);
         HandledTaskBuilder { task, core }
     }
 
@@ -375,10 +379,10 @@ impl Runtime {
 }
 
 /// The record a [`TaskBuilder`] is filling, taken from the stash the first
-/// time a clause needs somewhere to live (a footprint: `in`/`out` keys go
-/// straight into the record's own buffers, which recycling keeps). Returns
-/// the record through [`RuntimeInner::recycle`] if the builder is dropped
-/// unspawned.
+/// time a clause needs somewhere to live: `in`/`out` keys, a deadline, a
+/// cancel token or a spawn handle go straight into the record's boxed
+/// clauses, which recycling keeps. Returns the record through
+/// [`RuntimeInner::recycle`] if the builder is dropped unspawned.
 struct HeldHusk<'rt> {
     runtime: &'rt Runtime,
     record: Option<Arc<Task>>,
@@ -417,9 +421,6 @@ pub struct TaskBuilder<'rt> {
     /// Borrowed from the [`TaskGroup`] handle, so binding the record to it
     /// takes no registry lock.
     group: Option<&'rt Arc<GroupState>>,
-    deadline_nanos: u64,
-    cancel: Option<CancelToken>,
-    handle: Option<Arc<dyn HandleNotify>>,
 }
 
 impl<'rt> TaskBuilder<'rt> {
@@ -433,9 +434,6 @@ impl<'rt> TaskBuilder<'rt> {
             approximate: None,
             significance: Significance::default(),
             group: None,
-            deadline_nanos: 0,
-            cancel: None,
-            handle: None,
         }
     }
 
@@ -468,13 +466,13 @@ impl<'rt> TaskBuilder<'rt> {
 
     /// `in(...)` — dependence keys this task reads.
     pub fn reads(mut self, keys: impl IntoIterator<Item = DepKey>) -> Self {
-        self.husk.record().in_keys.extend(keys);
+        self.husk.record().clauses_mut().in_keys.extend(keys);
         self
     }
 
     /// `out(...)` — dependence keys this task writes.
     pub fn writes(mut self, keys: impl IntoIterator<Item = DepKey>) -> Self {
-        self.husk.record().out_keys.extend(keys);
+        self.husk.record().clauses_mut().out_keys.extend(keys);
         self
     }
 
@@ -483,14 +481,15 @@ impl<'rt> TaskBuilder<'rt> {
     /// (or the deadline already passed at dispatch), the task races to
     /// nominal frequency regardless of the governor's scaling decision.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline_nanos = self.husk.runtime.inner.absolute_deadline(deadline);
+        let deadline_nanos = self.husk.runtime.inner.absolute_deadline(deadline);
+        self.husk.record().clauses_mut().deadline_nanos = deadline_nanos;
         self
     }
 
     /// Attach a cooperative [`CancelToken`]: cancelling the token skips
     /// every not-yet-started task carrying it.
     pub fn cancel_token(mut self, token: &CancelToken) -> Self {
-        self.cancel = Some(token.clone());
+        self.husk.record().clauses_mut().cancel = Some(token.clone());
         self
     }
 
@@ -498,7 +497,7 @@ impl<'rt> TaskBuilder<'rt> {
     pub fn spawn(mut self) -> TaskId {
         let inner = &self.husk.runtime.inner;
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
-        // The record a footprint clause took, else one from the stash now.
+        // The record a clause took, else one from the stash now.
         let husk = self.husk.record.take().or_else(|| inner.pop_husk());
         let group = self.group.unwrap_or(&inner.global_group);
         let mut task = inner.bind_husk(husk, group);
@@ -506,11 +505,7 @@ impl<'rt> TaskBuilder<'rt> {
             // Not yet shared: every clause lands through `&mut`, free.
             let t = Arc::get_mut(&mut task).expect("task not yet shared");
             t.fill(id, self.significance, self.accurate, self.approximate);
-            t.footprint = !(t.in_keys.is_empty() && t.out_keys.is_empty());
-            t.deadline_nanos = self.deadline_nanos;
-            t.cancel = self.cancel;
-            t.handle = self.handle;
-            t.footprint
+            t.settle_clauses()
         };
 
         // Relaxed is sufficient for both `outstanding` bumps. Invariant: an

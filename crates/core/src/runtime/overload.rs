@@ -123,8 +123,8 @@ impl RuntimeInner {
             drop(task.take_accurate());
             drop(task.take_approximate());
         }
-        if !task.out_keys.is_empty() {
-            self.tracker.poison_writes(&task.out_keys);
+        if task.writes {
+            self.tracker.poison_writes(task.out_keys());
         }
         if shed {
             self.stats.record_shed(worker, task.significance.level());

@@ -42,7 +42,7 @@ thread_local! {
 pub(super) const HUSK_BATCH: usize = 64;
 
 /// Records the shared pool holds before retiring workers free instead: 1024,
-/// about 200 KB. Sized from need, not speed — sigbench `sched_fine`
+/// about 130 KB. Sized from need, not speed — sigbench `sched_fine`
 /// throughput was flat from 64 to 65 536, because what the pool buys is the
 /// pass-through, not the stock. The stock only has to absorb one swing from
 /// "spawner ahead" to "worker caught up": peak in-flight depth over 14
@@ -208,7 +208,7 @@ impl RuntimeInner {
 mod tests {
     use super::*;
     use crate::deps::{DepKey, READER_ROTATION};
-    use crate::handle::{SpawnHandle, TaskOutcome};
+    use crate::handle::{HandleCore, HandleNotify, SpawnHandle, TaskOutcome};
     use crate::policy::Policy;
     use crate::runtime::tests::{block_single_worker, count_runtime};
     use crate::runtime::Runtime;
@@ -520,7 +520,8 @@ mod tests {
         let inner = &rt.inner;
         let mut task = Task::blank(inner.global_group.clone());
         task.fill(TaskId(77), Significance::new(0.3), Box::new(|| {}), None);
-        task.deadline_nanos = 5;
+        task.clauses_mut().deadline_nanos = 5;
+        task.settle_clauses();
         task.mark_completed();
         let task = Arc::new(task);
         // Stands for any other holder: a predecessor's successor list, the
@@ -529,7 +530,7 @@ mod tests {
         inner.recycle(task);
         assert_eq!(inner.with_stash(|stash| stash.len()), Some(0));
         assert_eq!(holder.id, TaskId(77));
-        assert_eq!(holder.deadline_nanos, 5);
+        assert_eq!(holder.deadline_nanos(), 5);
         assert!(holder.is_completed(), "not blanked under the holder");
 
         // The last holder recycles it.
@@ -584,6 +585,89 @@ mod tests {
         assert_eq!(first.take_value(), Some(7));
         let summary = rt.wait_all();
         assert_eq!(summary.cancelled, 0);
+    }
+
+    #[test]
+    fn a_recycled_footprint_record_runs_a_plain_task_as_plain() {
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(Policy::SignificanceAgnostic)
+            .build();
+        let inner = &rt.inner;
+        let token = CancelToken::new();
+        let old_core = Arc::new(HandleCore::<u32>::new());
+        let old_handle = SpawnHandle::new(old_core.clone(), TaskId(1));
+        // Held first: the blocker's own spawn must not be the one that
+        // takes the record below.
+        let release = block_single_worker(&rt);
+
+        // A footprint task's record as its last holder lets go of it: keys,
+        // a deadline long past, a cancel token and a handle, list sealed.
+        let mut record = inner.husk_in(&inner.global_group);
+        let address = Arc::as_ptr(&record) as usize;
+        {
+            let t = Arc::get_mut(&mut record).expect("uniquely held");
+            t.fill(TaskId(1), Significance::new(0.5), Box::new(|| {}), None);
+            let clauses = t.clauses_mut();
+            clauses
+                .in_keys
+                .extend([DepKey::named("a"), DepKey::named("b")]);
+            clauses.out_keys.push(DepKey::named("c"));
+            clauses.deadline_nanos = 1;
+            clauses.cancel = Some(token.clone());
+            clauses.handle = Some(old_core as Arc<dyn HandleNotify>);
+            assert!(t.settle_clauses());
+        }
+        assert!(record.successors.seal().is_empty());
+        record.mark_completed();
+        inner.recycle(record);
+        let blank = inner.with_stash(|stash| match stash.as_mut_slice() {
+            [husk] => Arc::get_mut(husk).is_some_and(|record| record.is_blank()),
+            _ => false,
+        });
+        assert_eq!(blank, Some(true), "one husk, box and flags blanked");
+
+        // A plain task takes it, and waits in the queue while the old token
+        // is cancelled.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = ran.clone();
+        rt.task(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+        .spawn();
+        assert_eq!(
+            inner.with_stash(|stash| stash.len()),
+            Some(0),
+            "the plain spawn took the footprint record"
+        );
+        token.cancel();
+        // Runs behind the plain task, on the worker whose stash it went to.
+        let probe = queue_probe(&rt, move |inner| {
+            inner.with_stash(|stash| {
+                stash
+                    .iter_mut()
+                    .find(|husk| Arc::as_ptr(husk) as usize == address)
+                    .map(|husk| {
+                        let clauses = Arc::get_mut(husk).expect("uniquely held").clauses_mut();
+                        (clauses.in_keys.capacity(), clauses.out_keys.capacity())
+                    })
+            })
+        });
+        release.send(()).unwrap();
+        assert!(matches!(probe.wait(), TaskOutcome::Completed(_)));
+        let capacities = probe.take_value().flatten().flatten();
+
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "not cancelled");
+        let outcomes = rt.wait_all();
+        assert_eq!(outcomes.cancelled, 0);
+        assert_eq!(rt.stats().deadline_misses(), 0, "no deadline carried over");
+        assert_eq!(old_handle.try_outcome(), None, "old handle left alone");
+        let (in_capacity, out_capacity) =
+            capacities.expect("the reused record is back in the worker's stash");
+        assert!(
+            in_capacity >= 2 && out_capacity >= 1,
+            "the box kept its key buffers: {in_capacity}, {out_capacity}"
+        );
     }
 
     #[test]

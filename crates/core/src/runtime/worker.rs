@@ -233,7 +233,7 @@ impl RuntimeInner {
         // A task whose deadline is endangered (already past, or any deadline
         // while the runtime is overloaded) races to nominal frequency: the
         // governor's scaling decision is overridden at dispatch.
-        let deadline = task.deadline_nanos;
+        let deadline = task.deadline_nanos();
         let started_nanos = (start - self.started).as_nanos() as u64;
         let deadline_pressure =
             deadline != 0 && (self.overload.is_overloaded() || started_nanos >= deadline);
@@ -294,10 +294,11 @@ impl RuntimeInner {
         if ok {
             // Transitive poison: a task that read a poisoned key produced
             // output derived from failed data — its own writes are suspect.
-            if !task.out_keys.is_empty()
-                && task.in_keys.iter().any(|&k| self.tracker.is_poisoned(k))
+            if task.writes
+                && self.tracker.any_poisoned()
+                && task.in_keys().iter().any(|&k| self.tracker.is_poisoned(k))
             {
-                self.tracker.poison_writes(&task.out_keys);
+                self.tracker.poison_writes(task.out_keys());
             }
             self.stats.record_execution(worker, mode, busy);
             self.env.record(worker, mode, busy, decision);
@@ -309,8 +310,8 @@ impl RuntimeInner {
             // The body panicked: poison its written keys *before*
             // completion releases any dependent, and account it under
             // `panicked` (not `completed`).
-            if !task.out_keys.is_empty() {
-                self.tracker.poison_writes(&task.out_keys);
+            if task.writes {
+                self.tracker.poison_writes(task.out_keys());
             }
             self.stats.record_panicked(worker, busy);
             self.env.record(worker, mode, busy, decision);
@@ -357,7 +358,7 @@ impl RuntimeInner {
                     self.try_enqueue(&successor);
                 }
             }
-            if !task.out_keys.is_empty() {
+            if task.writes {
                 // The seal above is what `wait_on` polls.
                 self.writes_barrier.notify();
             }

@@ -19,6 +19,7 @@
 //! convenience of the C idiom without data races.
 
 use std::cell::UnsafeCell;
+use std::collections::BTreeMap;
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
@@ -27,8 +28,11 @@ struct GridInner<T> {
     data: UnsafeCell<Vec<T>>,
     rows: usize,
     cols: usize,
-    /// Currently outstanding writers, as half-open index ranges.
-    outstanding: Mutex<Vec<(usize, usize)>>,
+    /// Currently outstanding writers, as half-open index ranges keyed by
+    /// start. They are disjoint, so a new range can overlap only its
+    /// neighbours in start order: creating and dropping a writer cost
+    /// `O(log n)`, not a scan of every writer (Sobel holds ~1 000 at once).
+    outstanding: Mutex<BTreeMap<usize, usize>>,
     writer_count: AtomicUsize,
 }
 
@@ -65,7 +69,7 @@ impl<T: Clone + Send + 'static> SharedGrid<T> {
                 data: UnsafeCell::new(vec![fill; rows * cols]),
                 rows,
                 cols,
-                outstanding: Mutex::new(Vec::new()),
+                outstanding: Mutex::new(BTreeMap::new()),
                 writer_count: AtomicUsize::new(0),
             }),
         }
@@ -109,21 +113,25 @@ impl<T: Clone + Send + 'static> SharedGrid<T> {
         assert!(start < end, "region must be non-empty");
         assert!(end <= self.len(), "region {start}..{end} out of bounds");
         {
-            // The overlap assert below panics while holding the lock; the
-            // list is not modified before the panic, so recovering the
+            // The overlap asserts below panic while holding the lock; the
+            // map is not modified before the panic, so recovering the
             // poisoned mutex (here and in Drop) is sound.
             let mut outstanding = self
                 .inner
                 .outstanding
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            for &(s, e) in outstanding.iter() {
+            // The writer starting before `start` must end by it, and the
+            // one starting at or after it must start at or after `end`.
+            let before = outstanding.range(..start).next_back();
+            let after = outstanding.range(start..).next();
+            for (&s, &e) in before.into_iter().chain(after) {
                 assert!(
                     end <= s || start >= e,
                     "region {start}..{end} overlaps outstanding writer {s}..{e}"
                 );
             }
-            outstanding.push((start, end));
+            outstanding.insert(start, end);
         }
         self.inner.writer_count.fetch_add(1, Ordering::AcqRel);
         RegionWriter {
@@ -224,12 +232,7 @@ impl<T> Drop for RegionWriter<T> {
             .outstanding
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(pos) = outstanding
-            .iter()
-            .position(|&(s, e)| s == self.start && e == self.end)
-        {
-            outstanding.swap_remove(pos);
-        }
+        outstanding.remove(&self.start);
         self.grid.writer_count.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -286,6 +289,40 @@ mod tests {
         let grid = SharedGrid::new(2, 4, 0u8);
         let _w0 = grid.row_writer(0);
         let _w1 = grid.row_writer(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "region 6..10 overlaps outstanding writer 2..8")]
+    fn overlap_with_the_writer_before_in_start_order_panics() {
+        let grid = SharedGrid::new(1, 16, 0u8);
+        let _w0 = grid.region_writer(2, 8);
+        let _w1 = grid.region_writer(12, 14);
+        let _w2 = grid.region_writer(6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "region 1..5 overlaps outstanding writer 4..8")]
+    fn overlap_with_the_writer_after_in_start_order_panics() {
+        let grid = SharedGrid::new(1, 16, 0u8);
+        let _w0 = grid.region_writer(0, 1);
+        let _w1 = grid.region_writer(4, 8);
+        let _w2 = grid.region_writer(1, 5);
+    }
+
+    #[test]
+    fn writers_fill_the_gaps_between_neighbours_and_release_on_drop() {
+        let grid = SharedGrid::new(1, 12, 0u8);
+        let outer = [grid.region_writer(0, 4), grid.region_writer(8, 12)];
+        // Touches both neighbours, overlaps neither.
+        let middle = grid.region_writer(4, 8);
+        drop(middle);
+        // Its range is free again; the neighbours still hold theirs.
+        let mut again = grid.region_writer(5, 7);
+        again.set(0, 3);
+        drop((again, outer));
+        let data = grid.snapshot();
+        assert_eq!(data[5], 3);
+        assert!(grid.inner.outstanding.lock().unwrap().is_empty());
     }
 
     #[test]

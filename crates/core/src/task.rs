@@ -16,6 +16,30 @@
 //! stack sealed at completion — so executing a ready task performs **zero
 //! mutex acquisitions**. The seed design spent two mutex locks per executed
 //! task on the body slots alone plus one on the successor list.
+//!
+//! # Hot and cold fields
+//!
+//! A record is 96 bytes: with the `Arc`'s two counts, a 112-byte allocation
+//! that glibc serves from its 128-byte class, two cache lines. What a plain
+//! spawn (no keys, no deadline, no token, no handle) fills or a worker reads
+//! for every task stays inline: the id, group, significance, both bodies,
+//! the state byte, the pending-dependence count, the successor list, the
+//! `footprint` and `system` flags and the mailbox link. The five clauses a
+//! plain spawn never sets — `in`/`out` keys, deadline, cancel token and
+//! spawn handle, 80 bytes together — live out of line in one boxed
+//! `Clauses`, allocated the first time a spawn sets one. The spawn then
+//! sums them up in two inline flags, `writes` and `watched`, so a worker
+//! reaches into the box only for a clause that is set: the spawner wrote
+//! the box, and each of its cache lines a worker reads is one more line
+//! moved between cores. Reading the box for every clause cost
+//! `sched_deps`, whose tasks carry keys and nothing else, 8 % of its tasks
+//! a second.
+//!
+//! The split is sized by GTB Max-Buffer, which holds every record of a
+//! group live until its barrier: its memory is the group size times the
+//! record's malloc chunk. Recycling keeps the box with the husk, as it
+//! keeps the key buffers, so a recycled footprint record allocates nothing
+//! new.
 
 use std::cell::UnsafeCell;
 
@@ -254,8 +278,6 @@ pub(crate) struct Task {
     pub(crate) pending_deps: AtomicUsize,
     /// Tasks that must be notified when this task completes.
     pub(crate) successors: SuccessorList,
-    /// Output keys (needed to release `taskwait on(...)` waiters).
-    pub(crate) out_keys: Vec<DepKey>,
     /// Whether the task declared any `in`/`out` keys. A footprint-free task
     /// can never be a predecessor, so its completion path skips the
     /// successor-list seal and the dependence tracker entirely.
@@ -264,9 +286,32 @@ pub(crate) struct Task {
     /// executed like any other task but invisible to user-facing statistics
     /// and energy accounting.
     pub(crate) system: bool,
+    /// Whether the task declared `out` keys. Set by
+    /// [`Task::settle_clauses`], like `watched`.
+    pub(crate) writes: bool,
+    /// Whether the task carries a deadline, a cancel token or a spawn
+    /// handle: until it does, [`Task::cancel_requested`],
+    /// [`Task::deadline_nanos`] and [`Task::notify_handle`] leave the box
+    /// alone.
+    watched: bool,
+    /// The clauses a plain spawn never sets; `None` until a spawn sets one
+    /// (see [`Task::clauses_mut`]), then kept, blanked, by every reset.
+    clauses: Option<Box<Clauses>>,
+    /// Link to the next record while this one waits in a worker's mailbox
+    /// (see `deque::Mailbox`); meaningless anywhere else. A record is
+    /// enqueued once per life, so it sits on at most one mailbox chain.
+    pub(crate) mail_next: AtomicPtr<Task>,
+}
+
+/// The out-of-line part of a [`Task`]: the clauses a plain spawn never sets
+/// (see the module docs, "Hot and cold fields").
+#[derive(Default)]
+pub(crate) struct Clauses {
     /// Input keys, kept for transitive poison propagation: a task whose
     /// inputs were written by a failed predecessor poisons its own outputs.
     pub(crate) in_keys: Vec<DepKey>,
+    /// Output keys (needed to release `taskwait on(...)` waiters).
+    pub(crate) out_keys: Vec<DepKey>,
     /// Completion deadline in nanoseconds since runtime start; `0` = none.
     pub(crate) deadline_nanos: u64,
     /// Cooperative cancellation token attached at spawn, if any.
@@ -274,10 +319,34 @@ pub(crate) struct Task {
     /// Spawn-handle notification target, resolved exactly once with the
     /// task's terminal outcome (see [`crate::handle::SpawnHandle`]).
     pub(crate) handle: Option<Arc<dyn HandleNotify>>,
-    /// Link to the next record while this one waits in a worker's mailbox
-    /// (see `deque::Mailbox`); meaningless anywhere else. A record is
-    /// enqueued once per life, so it sits on at most one mailbox chain.
-    pub(crate) mail_next: AtomicPtr<Task>,
+}
+
+impl Clauses {
+    /// Blank the clauses in place, keeping the key buffers' capacity.
+    fn reset(&mut self) {
+        // Exhaustive on purpose: a new clause must say how it is blanked.
+        let Clauses {
+            in_keys,
+            out_keys,
+            deadline_nanos,
+            cancel,
+            handle,
+        } = self;
+        blank_keys(in_keys);
+        blank_keys(out_keys);
+        *deadline_nanos = 0;
+        *cancel = None;
+        *handle = None;
+    }
+
+    #[cfg(test)]
+    fn is_blank(&self) -> bool {
+        self.in_keys.is_empty()
+            && self.out_keys.is_empty()
+            && self.deadline_nanos == 0
+            && self.cancel.is_none()
+            && self.handle.is_none()
+    }
 }
 
 /// Key-buffer capacity a blanked record keeps. A footprint is rarely wider;
@@ -306,23 +375,21 @@ impl Task {
             state: AtomicU8::new(0),
             pending_deps: AtomicUsize::new(0),
             successors: SuccessorList::new(),
-            out_keys: Vec::new(),
             footprint: false,
             system: false,
-            in_keys: Vec::new(),
-            deadline_nanos: 0,
-            cancel: None,
-            handle: None,
+            writes: false,
+            watched: false,
+            clauses: None,
             mail_next: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 
     /// Blank a retired record in place for reuse, keeping only its group
     /// binding (the next spawn into the same group then skips the group
-    /// lookup and refcount) and its key buffers (the next footprint fills
-    /// them without allocating). `&mut` is the whole safety argument: the
-    /// runtime gets here through `Arc::get_mut`, so nobody else holds the
-    /// record.
+    /// lookup and refcount) and its boxed clauses with their key buffers
+    /// (the next footprint fills them without allocating). `&mut` is the
+    /// whole safety argument: the runtime gets here through `Arc::get_mut`,
+    /// so nobody else holds the record.
     pub(crate) fn reset(&mut self) {
         // Exhaustive on purpose: a new field must say how it is blanked.
         let Task {
@@ -334,13 +401,11 @@ impl Task {
             state,
             pending_deps,
             successors,
-            out_keys,
             footprint,
             system,
-            in_keys,
-            deadline_nanos,
-            cancel,
-            handle,
+            writes,
+            watched,
+            clauses,
             // Every mailbox push writes the link before publishing it.
             mail_next: _,
         } = self;
@@ -360,13 +425,13 @@ impl Task {
                 "a footprint-free record's successor list was used"
             );
         }
-        blank_keys(out_keys);
         *footprint = false;
         *system = false;
-        blank_keys(in_keys);
-        *deadline_nanos = 0;
-        *cancel = None;
-        *handle = None;
+        *writes = false;
+        *watched = false;
+        if let Some(clauses) = clauses {
+            clauses.reset();
+        }
     }
 
     /// Whether the record is as [`Task::blank`] leaves it. `&mut` so the body
@@ -378,18 +443,55 @@ impl Task {
             && *self.state.get_mut() == 0
             && *self.pending_deps.get_mut() == 0
             && self.successors.head.get_mut().is_null()
-            && self.out_keys.is_empty()
-            && self.in_keys.is_empty()
             && !self.footprint
             && !self.system
-            && self.deadline_nanos == 0
-            && self.cancel.is_none()
-            && self.handle.is_none()
+            && !self.writes
+            && !self.watched
+            && self.clauses.as_deref().is_none_or(Clauses::is_blank)
+    }
+
+    /// The record's clauses, boxing blank ones the first time a spawn sets
+    /// one. A recycled record keeps its box, so this allocates once per
+    /// record, not once per spawn.
+    pub(crate) fn clauses_mut(&mut self) -> &mut Clauses {
+        self.clauses.get_or_insert_with(Box::default)
+    }
+
+    /// Sum the clauses up in the inline flags — `footprint`, `writes` and
+    /// `watched` — once the spawn has set them all; returns `footprint`.
+    pub(crate) fn settle_clauses(&mut self) -> bool {
+        if let Some(c) = self.clauses.as_deref() {
+            self.footprint = !(c.in_keys.is_empty() && c.out_keys.is_empty());
+            self.writes = !c.out_keys.is_empty();
+            self.watched = c.deadline_nanos != 0 || c.cancel.is_some() || c.handle.is_some();
+        }
+        self.footprint
+    }
+
+    /// Input keys (empty for a plain task).
+    pub(crate) fn in_keys(&self) -> &[DepKey] {
+        self.clauses.as_deref().map_or(&[], |c| &c.in_keys)
+    }
+
+    /// Output keys (empty for a plain task).
+    pub(crate) fn out_keys(&self) -> &[DepKey] {
+        self.clauses.as_deref().map_or(&[], |c| &c.out_keys)
+    }
+
+    /// Completion deadline in nanoseconds since runtime start; `0` = none.
+    pub(crate) fn deadline_nanos(&self) -> u64 {
+        self.watched_clauses().map_or(0, |c| c.deadline_nanos)
+    }
+
+    /// The clauses, if [`Task::settle_clauses`] found a deadline, a token or
+    /// a handle among them.
+    fn watched_clauses(&self) -> Option<&Clauses> {
+        self.clauses.as_deref().filter(|_| self.watched)
     }
 
     /// Give a blank record its identity and bodies. The remaining clauses
-    /// (keys, deadline, cancel token, handle) are plain field stores by the
-    /// spawn path.
+    /// (keys, deadline, cancel token, handle) are plain stores into
+    /// [`Task::clauses_mut`] by the spawn path.
     pub(crate) fn fill(
         &mut self,
         id: TaskId,
@@ -416,7 +518,10 @@ impl Task {
     ) -> Self {
         let mut task = Task::blank(group_state);
         task.fill(id, significance, accurate, approximate);
-        task.out_keys = out_keys;
+        if !out_keys.is_empty() {
+            task.clauses_mut().out_keys = out_keys;
+        }
+        task.settle_clauses();
         task.footprint = footprint;
         task
     }
@@ -559,14 +664,16 @@ impl Task {
     /// Whether the token attached at spawn, if any, has been cancelled: the
     /// one cancellation channel there is.
     pub(crate) fn cancel_requested(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+        self.watched_clauses()
+            .and_then(|c| c.cancel.as_ref())
+            .is_some_and(CancelToken::is_cancelled)
     }
 
     /// Resolve the attached spawn handle, if any, with the task's terminal
     /// outcome. Called exactly once, by the single worker retiring the task,
     /// strictly before the completion protocol releases barriers.
     pub(crate) fn notify_handle(&self, outcome: TaskOutcome) {
-        if let Some(handle) = &self.handle {
+        if let Some(handle) = self.watched_clauses().and_then(|c| c.handle.as_ref()) {
             handle.notify(outcome);
         }
     }
@@ -794,7 +901,9 @@ mod tests {
         let token = CancelToken::new();
         let mut t = dummy_task(0.5);
         assert!(!t.cancel_requested(), "no token, no cancellation");
-        t.cancel = Some(token.clone());
+        t.clauses_mut().cancel = Some(token.clone());
+        assert!(!t.cancel_requested(), "not before the spawn settles it");
+        t.settle_clauses();
         assert!(!t.cancel_requested());
         token.cancel();
         assert!(token.is_cancelled());
@@ -817,10 +926,14 @@ mod tests {
             true,
         );
         assert!(!t.is_blank());
-        t.in_keys = vec![DepKey::from_raw(2)];
+        let clauses = t.clauses_mut();
+        clauses.in_keys = vec![DepKey::from_raw(2)];
+        clauses.deadline_nanos = 17;
+        clauses.cancel = Some(CancelToken::new());
+        clauses.handle = Some(Arc::new(crate::handle::HandleCore::<()>::new()));
+        t.settle_clauses();
+        assert!(t.writes && t.watched && t.deadline_nanos() == 17);
         t.system = true;
-        t.deadline_nanos = 17;
-        t.cancel = Some(CancelToken::new());
         t.pending_deps.store(3, Ordering::Relaxed);
         // Retire it the way a footprint task retires: sealed list, every
         // state bit set, one body left untaken.
@@ -832,10 +945,15 @@ mod tests {
         t.mark_completed();
         assert!(!t.successors.try_push(&Arc::new(dummy_task(0.1))));
 
+        let boxed: *const Clauses = t.clauses_mut();
         t.reset();
         assert!(t.is_blank());
+        assert_eq!(t.deadline_nanos(), 0);
+        assert!(t.in_keys().is_empty() && t.out_keys().is_empty());
+        let clauses = t.clauses.as_deref().expect("reset keeps the box");
+        assert!(std::ptr::eq(clauses, boxed), "the same box, not a new one");
         assert!(
-            t.out_keys.capacity() >= 1 && t.in_keys.capacity() >= 1,
+            clauses.out_keys.capacity() >= 1 && clauses.in_keys.capacity() >= 1,
             "the key buffers are kept for the next footprint"
         );
         assert_eq!(t.decision(), None);
@@ -850,12 +968,12 @@ mod tests {
         // A footprint wider than the kept capacity gives its buffer back.
         // (Keys make it a footprint record, which is also what lets the
         // successor pushed above be there.)
-        t.in_keys = (0..4 * KEPT_KEY_CAPACITY as u64)
+        t.clauses_mut().in_keys = (0..4 * KEPT_KEY_CAPACITY as u64)
             .map(DepKey::from_raw)
             .collect();
         t.footprint = true;
         t.reset();
-        assert_eq!(t.in_keys.capacity(), 0);
+        assert_eq!(t.clauses_mut().in_keys.capacity(), 0);
     }
 
     #[test]
@@ -872,7 +990,7 @@ mod tests {
 
         // Reused with keys: the list takes successors and seals as usual.
         t.fill(TaskId(3), Significance::new(0.2), Box::new(|| {}), None);
-        t.out_keys.push(DepKey::from_raw(5));
+        t.clauses_mut().out_keys.push(DepKey::from_raw(5));
         t.footprint = true;
         let successor = Arc::new(dummy_task(0.1));
         assert!(t.successors.try_push(&successor));
@@ -886,5 +1004,23 @@ mod tests {
         t.reset();
         assert!(t.is_blank());
         assert!(t.successors.try_push(&successor));
+    }
+
+    #[test]
+    fn a_plain_record_fits_the_128_byte_malloc_class() {
+        // With the `Arc`'s two counts the allocation is 16 bytes more, 112,
+        // which glibc serves from its 128-byte class: two cache lines per
+        // record, and GTB Max-Buffer holds a whole group of them at once.
+        assert!(
+            std::mem::size_of::<Task>() <= 96,
+            "Task grew to {} bytes, past the 128-byte malloc class (96 + 16 \
+             for the Arc counts + malloc's header): a field added inline must \
+             move a cold one out, into `Clauses`",
+            std::mem::size_of::<Task>()
+        );
+        assert!(
+            dummy_task(0.5).clauses.is_none(),
+            "a plain task boxes nothing"
+        );
     }
 }

@@ -4,9 +4,14 @@
 //! blank it into a husk the spawner reuses, and the group buffer must keep
 //! its capacity across flushes.
 //!
+//! And a cold GTB Max-Buffer group, which holds every record until its
+//! barrier, costs at most 128 requested bytes per task: the record in its
+//! 112-byte `Arc` plus the window's amortised growth.
+//!
 //! Its own test binary: the counting global allocator below counts the
-//! spawning thread's allocations only (a thread-local counter), so worker
-//! threads and the test harness do not disturb the reading.
+//! spawning thread's allocations and requested bytes only (thread-local
+//! counters), so worker threads and the test harness do not disturb the
+//! reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,33 +21,36 @@ use sig_core::{Policy, Runtime};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every allocation and reallocation made on
-/// the calling thread.
+/// the calling thread, and the bytes each asked for: an allocation's size, a
+/// reallocation's growth.
 struct CountingAllocator;
 
-fn count() {
+fn count(bytes: usize) {
     // A const-initialised `Cell` has no destructor to register, so this
     // never allocates itself; `try_with` only fails during thread teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
-// only a thread-local `Cell`.
+// only thread-local `Cell`s.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -114,5 +122,37 @@ fn warm_gtb_windows_allocate_almost_nothing_on_the_spawner() {
     assert!(
         per_task <= 0.05,
         "{allocations} spawner allocations over {tasks} warm GTB tasks ({per_task:.3} per task)"
+    );
+}
+
+const MAX_BUFFERED: usize = 10_000;
+
+#[test]
+fn a_buffered_gtb_max_task_requests_at_most_128_bytes() {
+    // A fresh runtime has no husks, so every spawn below allocates its
+    // record; GTB Max-Buffer holds all of them until the barrier.
+    let rt = Runtime::builder()
+        .workers(1)
+        .policy(Policy::GtbMaxBuffer)
+        .build();
+    let group = rt.create_group("max", 0.5);
+    let before = BYTES.with(Cell::get);
+    for i in 0..MAX_BUFFERED {
+        rt.task(|| {})
+            .approx(|| {})
+            .significance(((i % 9) + 1) as f64 / 10.0)
+            .group(&group)
+            .spawn();
+    }
+    let bytes = BYTES.with(Cell::get) - before;
+    assert_eq!(rt.outstanding_tasks(), MAX_BUFFERED, "all buffered");
+    rt.wait_group(&group);
+
+    let per_task = bytes as f64 / MAX_BUFFERED as f64;
+    assert!(
+        per_task <= 128.0,
+        "{bytes} bytes requested for {MAX_BUFFERED} buffered GTB Max-Buffer tasks \
+         ({per_task:.1} per task): a task record past 96 bytes leaves glibc's \
+         128-byte class, and GTB Max-Buffer holds a whole group of them"
     );
 }
