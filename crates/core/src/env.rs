@@ -994,11 +994,14 @@ mod tests {
             DispatchDecision::stretch(FrequencyScale::new(0.8)),
         ];
         let done = Arc::new(AtomicBool::new(false));
+        // The writers start only once the reader has sampled: a reader
+        // thread scheduled late would otherwise find them finished.
+        let start = Arc::new(std::sync::Barrier::new(WRITERS + 1));
         let reader = {
-            let (e, done) = (e.clone(), done.clone());
+            let (e, done, start) = (e.clone(), done.clone(), start.clone());
             std::thread::spawn(move || {
                 let (mut last, mut last_workers, mut reads) = (e.totals(), Vec::new(), 0u64);
-                while !done.load(Ordering::Relaxed) {
+                let mut sample = || {
                     let totals = e.totals();
                     let fields = |t: &EnvTotals| {
                         [
@@ -1033,14 +1036,20 @@ mod tests {
                     }
                     last_workers = workers;
                     reads += 1;
+                };
+                sample();
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    sample();
                 }
                 reads
             })
         };
         let writers: Vec<_> = (0..WRITERS)
             .map(|worker| {
-                let e = e.clone();
+                let (e, start) = (e.clone(), start.clone());
                 std::thread::spawn(move || {
+                    start.wait();
                     // [busy, modelled, accurate, nJ, scaled, sleep, entries, switches]
                     let mut expected = [0u64; 8];
                     let mut ratio = 1.0;

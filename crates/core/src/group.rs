@@ -14,13 +14,38 @@
 //! registry. Execution-hot state (the ratio, the outstanding counter, the
 //! statistics) is atomic or sharded; locks remain only on master-side cold
 //! paths (group creation, the GTB spawn buffer).
+//!
+//! # The GTB buffer
+//!
+//! A group's buffer holds its spawned, undecided tasks in spawn order, as
+//! `Buffered` entries of two kinds. A task that took a record at spawn —
+//! for keys, a deadline, a cancel token or a spawn handle, which only a
+//! record carries — waits as that record. Every other task waits as a
+//! `PlainTask`: its id, significance and two bodies, 56 bytes against a
+//! record's 128-byte allocation. The flush's quota counts and admits both
+//! kinds alike, in spawn order, and builds each plain entry's record only
+//! after deciding it (`RuntimeInner::flush_tasks`), from husks that
+//! workers retired.
+//!
+//! The entries live in a `Window` of `WINDOW_CHUNK`-entry chunks, each
+//! with a `GtbTally` of its entries' significances, counted as they
+//! arrive. The buffer allocates a chunk when the last one is full and never
+//! moves an entry, so GTB Max-Buffer's window, which is a whole group,
+//! costs its entries and nothing more. The tallies give the flush the
+//! window's quota without reading an entry, and the quota each chunk starts
+//! from, so a large flush can decide and build its chunks on the workers,
+//! one at a time, newest first. A flush leaves the buffer empty, holding no
+//! chunk; the flushing thread keeps the drained chunk for the next buffer
+//! it fills, so a bounded GTB stream allocates no buffer in steady state.
 
 use std::cell::RefCell;
 
+use crate::policy::GtbTally;
+use crate::significance::Significance;
 use crate::stats::GroupStats;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, CachePadded, EventCount, Mutex, RwLock};
-use crate::task::Task;
+use crate::task::{Task, TaskBody, TaskId};
 
 /// Identifier of a task group: its index in the runtime's registry, dense
 /// per runtime.
@@ -119,8 +144,9 @@ pub(crate) struct GroupState {
     /// when nobody waits.
     pub(crate) barrier: EventCount,
     /// GTB: tasks buffered by the master, awaiting a flush. Master-side only;
-    /// keeps its capacity across flushes (see [`return_window`]).
-    buffer: CachePadded<Mutex<Vec<Arc<Task>>>>,
+    /// empty, and holding no chunk, once a flush took its entries (see
+    /// [`return_window`]).
+    buffer: CachePadded<Mutex<Window>>,
     /// Execution statistics (Table 2 inputs), sharded per worker.
     pub(crate) stats: GroupStats,
 }
@@ -142,7 +168,7 @@ impl GroupState {
             budget_scale_bits: AtomicU64::new(1.0f64.to_bits()),
             outstanding: CachePadded::new(AtomicUsize::new(0)),
             barrier: EventCount::default(),
-            buffer: CachePadded::new(Mutex::new(Vec::new())),
+            buffer: CachePadded::new(Mutex::new(Window::new())),
             stats: GroupStats::new(stat_shards),
         }
     }
@@ -189,68 +215,200 @@ impl GroupState {
         }
     }
 
-    /// Append one record to the GTB buffer. When that fills it to
-    /// `capacity`, the window is taken out and returned for the caller to
-    /// flush.
-    pub(crate) fn buffer_one(&self, task: Arc<Task>, capacity: usize) -> Option<Vec<Arc<Task>>> {
-        let mut buffer = self.buffer.lock().unwrap();
-        buffer.push(task);
-        (buffer.len() >= capacity).then(|| take_window(&mut buffer))
-    }
-
-    /// Append a whole batch to the GTB buffer with **one** lock
-    /// acquisition. When the append reaches `capacity`, the buffered tasks
-    /// are taken out and returned for the caller to flush — a batched spawn
-    /// therefore classifies in windows at least as informed as the
-    /// per-task path's.
+    /// Append one spawn's entry, or a whole batch's with **one** lock
+    /// acquisition, to the GTB buffer. When the append reaches `capacity`,
+    /// the window is taken out and returned for the caller to flush — a
+    /// batched spawn therefore classifies in windows at least as informed
+    /// as the per-task path's.
     pub(crate) fn append_buffered(
         &self,
-        tasks: Vec<Arc<Task>>,
+        entries: impl IntoIterator<Item = Buffered>,
         capacity: usize,
-    ) -> Option<Vec<Arc<Task>>> {
+    ) -> Option<Window> {
         let mut buffer = self.buffer.lock().unwrap();
-        if buffer.is_empty() && tasks.len() >= capacity {
-            return Some(tasks);
+        for entry in entries {
+            buffer.push(entry);
         }
-        buffer.extend(tasks);
         (buffer.len() >= capacity).then(|| take_window(&mut buffer))
     }
 
     /// Take everything buffered (a barrier's flush); `None` if empty.
-    pub(crate) fn take_buffered(&self) -> Option<Vec<Arc<Task>>> {
+    pub(crate) fn take_buffered(&self) -> Option<Window> {
         let mut buffer = self.buffer.lock().unwrap();
         (!buffer.is_empty()).then(|| take_window(&mut buffer))
     }
 }
 
-/// Capacity a thread keeps in its spare window after a flush: a bounded
-/// GTB buffer's worth (4 096 records, 32 KB, covers any sensible `B`), not
-/// the whole group a Max-Buffer barrier flushed.
-const KEPT_WINDOW_CAPACITY: usize = 4096;
+/// Entries per chunk of a GTB window: the buffer grows a chunk at a time,
+/// and a large flush builds and pushes its records a chunk at a time, so a
+/// worker's ring holds about one chunk of it (56 KB of entries, 128 KB of
+/// records).
+pub(crate) const WINDOW_CHUNK: usize = 1024;
+
+/// A task waiting in a GTB buffer for the flush that decides it.
+pub(crate) enum Buffered {
+    /// A task that took its record at spawn, for a clause only a record
+    /// carries: `in`/`out` keys, a deadline, a cancel token or a spawn
+    /// handle. The spawn filled it; the flush decides and queues it.
+    Record(Arc<Task>),
+    /// Any other task, kept as what the flush needs to decide it and build
+    /// its record: 56 bytes instead of a 128-byte record.
+    Plain(PlainTask),
+}
+
+impl Buffered {
+    /// The significance the flush's quota counts and admits.
+    pub(crate) fn significance(&self) -> Significance {
+        match self {
+            Buffered::Record(task) => task.significance,
+            Buffered::Plain(plain) => plain.significance,
+        }
+    }
+}
+
+/// A plain task in a GTB buffer: its id, significance and bodies, and the
+/// flush's decision, written when the flush decides the entry's chunk and
+/// read when it builds the record.
+pub(crate) struct PlainTask {
+    pub(crate) id: TaskId,
+    pub(crate) significance: Significance,
+    pub(crate) accurate: TaskBody,
+    pub(crate) approximate: Option<TaskBody>,
+    /// Whether the flush decided the task accurate.
+    pub(crate) decision: bool,
+}
+
+impl PlainTask {
+    /// An undecided entry.
+    pub(crate) fn new(
+        id: TaskId,
+        significance: Significance,
+        accurate: TaskBody,
+        approximate: Option<TaskBody>,
+    ) -> Self {
+        PlainTask {
+            id,
+            significance,
+            accurate,
+            approximate,
+            decision: false,
+        }
+    }
+}
+
+/// A GTB buffer's tasks in spawn order, in chunks of [`WINDOW_CHUNK`]
+/// entries. A growing window allocates one chunk at a time and never moves
+/// what it holds: a vector that doubled would copy the whole window on
+/// every doubling, and GTB Max-Buffer's window is a whole group.
+pub(crate) struct Window {
+    /// Every chunk full but the last, until a flush drains them.
+    chunks: Vec<Chunk>,
+    len: usize,
+}
+
+/// Up to [`WINDOW_CHUNK`] consecutive entries of a window, and their
+/// significances counted for the flush's quota.
+pub(crate) struct Chunk {
+    pub(crate) entries: Vec<Buffered>,
+    pub(crate) tally: GtbTally,
+}
+
+impl Window {
+    const fn new() -> Self {
+        Window {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push(&mut self, entry: Buffered) {
+        if self.chunks.is_empty() {
+            // An empty buffer starts from the calling thread's spare.
+            *self = SPARE_WINDOW
+                .try_with(|spare| std::mem::replace(&mut *spare.borrow_mut(), Window::new()))
+                .unwrap_or(Window::new());
+        }
+        let chunk = match self.chunks.last_mut() {
+            Some(chunk) if chunk.entries.len() < WINDOW_CHUNK => chunk,
+            _ => {
+                self.chunks.push(Chunk {
+                    entries: Vec::with_capacity(WINDOW_CHUNK),
+                    tally: GtbTally::new(),
+                });
+                self.chunks.last_mut().expect("just pushed")
+            }
+        };
+        chunk.tally.add(entry.significance());
+        chunk.entries.push(entry);
+        self.len += 1;
+    }
+
+    /// The whole window's significances, counted.
+    pub(crate) fn tally(&self) -> GtbTally {
+        let mut tally = GtbTally::new();
+        for chunk in &self.chunks {
+            tally.merge(&chunk.tally);
+        }
+        tally
+    }
+
+    /// The chunks, oldest first, for a flush to drain in place.
+    pub(crate) fn chunks_mut(&mut self) -> &mut [Chunk] {
+        &mut self.chunks
+    }
+
+    /// The chunks, oldest first, taken out: a large flush hands them to the
+    /// workers.
+    pub(crate) fn take_chunks(&mut self) -> Vec<Chunk> {
+        self.len = 0;
+        std::mem::take(&mut self.chunks)
+    }
+}
 
 thread_local! {
-    /// An empty window vector, swapped into a group buffer whenever this
-    /// thread takes the buffer's records out for a flush, and refilled with
-    /// the drained window when the flush is done (see [`return_window`]).
-    /// With it a buffer keeps its capacity across flushes and a steady GTB
-    /// stream allocates no buffer at all: one spawner's two vectors trade
-    /// places at every flush.
-    static SPARE_WINDOW: RefCell<Vec<Arc<Task>>> = const { RefCell::new(Vec::new()) };
+    /// A drained window with one empty chunk, kept by the thread that
+    /// flushed it (see [`return_window`]) for the next empty buffer it
+    /// pushes into. With it a steady GTB stream allocates no buffer at all:
+    /// one spawner's chunk goes from its buffer to its flush and back. A
+    /// buffer a flush took the entries of is left holding no memory, so a
+    /// group that is done with keeps no chunk.
+    static SPARE_WINDOW: RefCell<Window> = const { RefCell::new(Window::new()) };
 }
 
-/// The buffered window, leaving the calling thread's spare in its place.
-fn take_window(buffer: &mut Vec<Arc<Task>>) -> Vec<Arc<Task>> {
-    let spare = SPARE_WINDOW
-        .try_with(|spare| std::mem::take(&mut *spare.borrow_mut()))
-        .unwrap_or_default();
-    std::mem::replace(buffer, spare)
+/// The buffered window, leaving an empty one in its place.
+fn take_window(buffer: &mut Window) -> Window {
+    std::mem::replace(buffer, Window::new())
 }
 
-/// Keep a flushed, drained window as the calling thread's spare.
-pub(crate) fn return_window(mut window: Vec<Arc<Task>>) {
-    debug_assert!(window.is_empty(), "a window is returned drained");
-    window.shrink_to(KEPT_WINDOW_CAPACITY);
-    let _ = SPARE_WINDOW.try_with(|spare| *spare.borrow_mut() = window);
+/// Keep a flushed, drained window as the calling thread's spare, unless it
+/// has one: with one chunk, a bounded GTB buffer's worth, not the whole
+/// group a Max-Buffer barrier flushed.
+pub(crate) fn return_window(mut window: Window) {
+    debug_assert!(
+        window.chunks.iter().all(|chunk| chunk.entries.is_empty()),
+        "a window is returned drained"
+    );
+    let Some(chunk) = window.chunks.first_mut() else {
+        return;
+    };
+    chunk.tally = GtbTally::new();
+    window.chunks.truncate(1);
+    window.len = 0;
+    let _ = SPARE_WINDOW.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        if spare.chunks.is_empty() {
+            *spare = window;
+        }
+    });
 }
 
 /// The runtime's groups in creation order. Append-only, so a group's
@@ -372,9 +530,106 @@ mod tests {
         assert_eq!(GroupId::GLOBAL.index(), 0);
     }
 
+    /// A plain task waits for its flush as an entry, not a record: GTB
+    /// Max-Buffer holds a whole group of them until its barrier, so the
+    /// entry's size is that group's memory per task.
+    #[test]
+    fn a_buffered_entry_is_at_most_56_bytes() {
+        let size = std::mem::size_of::<Buffered>();
+        assert!(
+            size <= 56,
+            "a GTB buffer entry grew to {size} bytes, past 56: GTB Max-Buffer \
+             holds one per task of a group until its barrier, and a plain task \
+             needs only its id, significance, bodies and decision there"
+        );
+    }
+
+    /// Entries keep spawn order across chunks of `WINDOW_CHUNK`, each chunk
+    /// counts its own, and a drained window kept as a spare keeps one empty
+    /// chunk with nothing counted.
+    #[test]
+    fn a_window_grows_a_chunk_at_a_time_in_spawn_order() {
+        let mut window = Window::new();
+        let n = 2 * WINDOW_CHUNK + 3;
+        for i in 0..n {
+            let significance = Significance::new((i % 11) as f64 / 10.0);
+            window.push(Buffered::Plain(PlainTask::new(
+                TaskId(i as u64),
+                significance,
+                Box::new(|| {}),
+                None,
+            )));
+        }
+        assert_eq!(window.len(), n);
+        let ids: Vec<u64> = window
+            .chunks
+            .iter()
+            .flat_map(|chunk| &chunk.entries)
+            .map(|entry| match entry {
+                Buffered::Plain(plain) => plain.id.0,
+                Buffered::Record(task) => task.id.0,
+            })
+            .collect();
+        assert!(ids.into_iter().eq(0..n as u64));
+        let lengths: Vec<usize> = window.chunks.iter().map(|c| c.entries.len()).collect();
+        assert_eq!(lengths, [WINDOW_CHUNK, WINDOW_CHUNK, 3]);
+        assert!(window
+            .chunks
+            .iter()
+            .all(|c| c.entries.capacity() == WINDOW_CHUNK));
+        // The tally decides like the window itself would at any ratio.
+        let sigs: Vec<Significance> = (0..n)
+            .map(|i| Significance::new((i % 11) as f64 / 10.0))
+            .collect();
+        let mut quota = window.tally().quota(0.37);
+        let decisions: Vec<bool> = sigs.iter().map(|&s| quota.admit(s)).collect();
+        assert_eq!(decisions, crate::policy::gtb_classify(&sigs, 0.37));
+
+        for chunk in window.chunks_mut() {
+            chunk.entries.clear();
+        }
+        return_window(window);
+        let spare =
+            SPARE_WINDOW.with(|spare| std::mem::replace(&mut *spare.borrow_mut(), Window::new()));
+        assert_eq!(spare.chunks.len(), 1, "a spare keeps one chunk");
+        assert!(spare.is_empty());
+        let mut quota = spare.tally().quota(1.0);
+        assert!(
+            !quota.admit(Significance::new(0.5)),
+            "a spare counts nothing"
+        );
+    }
+
+    /// A flush leaves its group's buffer holding no chunk, and the next
+    /// buffer the flushing thread fills starts from the chunk it drained.
+    #[test]
+    fn a_drained_chunk_goes_to_the_next_buffer_not_back_to_its_group() {
+        let reg = registry();
+        let (a, b) = (reg.create("a", 0.5), reg.create("b", 0.5));
+        let entry = |i| {
+            Buffered::Plain(PlainTask::new(
+                TaskId(i),
+                Significance::new(0.5),
+                Box::new(|| {}),
+                None,
+            ))
+        };
+        let mut window = a
+            .append_buffered([entry(0), entry(1)], 2)
+            .expect("a window of two is full at two");
+        assert!(a.buffer.lock().unwrap().chunks.is_empty());
+        let drained: *const Buffered = window.chunks[0].entries.as_ptr();
+        window.chunks_mut()[0].entries.clear();
+        return_window(window);
+        assert!(b.append_buffered([entry(2)], 2).is_none());
+        let buffer = b.buffer.lock().unwrap();
+        assert!(std::ptr::eq(buffer.chunks[0].entries.as_ptr(), drained));
+        assert_eq!(buffer.len(), 1);
+    }
+
     /// The one-writer-per-line rule for a group: what the spawner writes per
     /// spawn (the count of outstanding tasks, the GTB buffer's lock and
-    /// vector) shares no line with what a worker reads per task, and the
+    /// window) shares no line with what a worker reads per task, and the
     /// state is line-aligned, so an `Arc`'s reference counts in front of it
     /// share none either.
     #[test]

@@ -78,43 +78,21 @@ impl Policy {
 ///
 /// Selection is a **histogram scan over the runtime's 101 discrete
 /// significance levels** — O(n + levels) instead of Listing 4's O(n log n)
-/// sort, which matters for Max-Buffer flushes of whole groups. Built in one
-/// pass over the window ([`GtbQuota::new`]), then [`GtbQuota::admit`] is asked
-/// once per task *in spawn order*: ties resolve in spawn order at level
-/// granularity (the quantisation the paper's runtime itself works at, Section
-/// 3.4), so the result is deterministic and needs no per-flush vector.
+/// sort, which matters for Max-Buffer flushes of whole groups. Built from
+/// the window's [`GtbTally`], counted as its tasks were buffered, then
+/// [`GtbQuota::admit`] is asked once per task *in spawn order*: ties resolve
+/// in spawn order at level granularity (the quantisation the paper's
+/// runtime itself works at, Section 3.4), so the result is deterministic and
+/// needs no per-flush vector. [`GtbQuota::pass`] admits a whole span of the
+/// window at once from its tally, so a window kept in chunks can be decided
+/// a chunk at a time, each from the quota the chunks before it leave.
+#[derive(Clone)]
 pub(crate) struct GtbQuota {
     /// Accurate slots left per level; only the boundary level is partial.
-    slots: [usize; NUM_LEVELS],
+    slots: [u32; NUM_LEVELS],
 }
 
 impl GtbQuota {
-    /// The quota of a window holding `significances` (in any order) at
-    /// accurate-task ratio `ratio`.
-    pub(crate) fn new(significances: impl Iterator<Item = Significance>, ratio: f64) -> Self {
-        assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0, 1]");
-        // Per-level histogram of the ordinary tasks, turned into slots below.
-        let mut slots = [0usize; NUM_LEVELS];
-        let (mut n, mut criticals) = (0usize, 0usize);
-        for sig in significances {
-            n += 1;
-            if sig.is_critical() {
-                criticals += 1;
-            } else if !sig.is_negligible() {
-                slots[sig.level().index()] += 1;
-            }
-        }
-        // Distribute the accurate slots the criticals left over the levels,
-        // most significant first.
-        let mut remaining = ((ratio * n as f64).ceil() as usize).saturating_sub(criticals);
-        for level in slots.iter_mut().rev() {
-            let take = (*level).min(remaining);
-            *level = take;
-            remaining -= take;
-        }
-        GtbQuota { slots }
-    }
-
     /// Whether the next task of the window, in spawn order, runs accurately.
     pub(crate) fn admit(&mut self, significance: Significance) -> bool {
         if significance.is_critical() {
@@ -125,15 +103,95 @@ impl GtbQuota {
         }
         let slots = &mut self.slots[significance.level().index()];
         let accurate = *slots > 0;
-        *slots -= usize::from(accurate);
+        *slots -= u32::from(accurate);
         accurate
+    }
+
+    /// Admit, in one step, the span of the window `tally` counted: the
+    /// quota is left as admitting its tasks one by one would leave it.
+    pub(crate) fn pass(&mut self, tally: &GtbTally) {
+        for (slots, &count) in self.slots.iter_mut().zip(&tally.ordinary) {
+            *slots -= count.min(*slots);
+        }
+    }
+}
+
+/// The significances of (part of) a GTB window, counted as its quota needs
+/// them: the tasks, the criticals among them, and the others (neither
+/// critical nor negligible) per level. Counts are `u32`: a window holds far
+/// fewer tasks than that at 56 bytes each, and a tally rides in every chunk
+/// of a window.
+#[derive(Clone)]
+pub(crate) struct GtbTally {
+    tasks: u32,
+    criticals: u32,
+    ordinary: [u32; NUM_LEVELS],
+}
+
+impl GtbTally {
+    /// Nothing counted.
+    pub(crate) const fn new() -> Self {
+        GtbTally {
+            tasks: 0,
+            criticals: 0,
+            ordinary: [0; NUM_LEVELS],
+        }
+    }
+
+    /// Count one more task.
+    pub(crate) fn add(&mut self, significance: Significance) {
+        self.tasks += 1;
+        if significance.is_critical() {
+            self.criticals += 1;
+        } else if !significance.is_negligible() {
+            self.ordinary[significance.level().index()] += 1;
+        }
+    }
+
+    /// Count everything `other` counted too.
+    pub(crate) fn merge(&mut self, other: &GtbTally) {
+        self.tasks += other.tasks;
+        self.criticals += other.criticals;
+        for (count, &more) in self.ordinary.iter_mut().zip(&other.ordinary) {
+            *count += more;
+        }
+    }
+
+    /// Stop counting what `other`, a part of this tally, counted.
+    pub(crate) fn remove(&mut self, other: &GtbTally) {
+        self.tasks -= other.tasks;
+        self.criticals -= other.criticals;
+        for (count, &less) in self.ordinary.iter_mut().zip(&other.ordinary) {
+            *count -= less;
+        }
+    }
+
+    /// The quota of the window counted here, at accurate-task ratio
+    /// `ratio`.
+    pub(crate) fn quota(&self, ratio: f64) -> GtbQuota {
+        assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0, 1]");
+        // Distribute the accurate slots the criticals left over the levels,
+        // most significant first.
+        let mut slots = self.ordinary;
+        let mut remaining =
+            ((ratio * f64::from(self.tasks)).ceil() as u32).saturating_sub(self.criticals);
+        for level in slots.iter_mut().rev() {
+            let take = (*level).min(remaining);
+            *level = take;
+            remaining -= take;
+        }
+        GtbQuota { slots }
     }
 }
 
 /// The decisions of one GTB window as a vector, for tests.
 #[cfg(test)]
 pub(crate) fn gtb_classify(tasks: &[Significance], ratio: f64) -> Vec<bool> {
-    let mut quota = GtbQuota::new(tasks.iter().copied(), ratio);
+    let mut tally = GtbTally::new();
+    for &sig in tasks {
+        tally.add(sig);
+    }
+    let mut quota = tally.quota(ratio);
     tasks.iter().map(|&sig| quota.admit(sig)).collect()
 }
 
@@ -483,6 +541,42 @@ mod tests {
             }
         }
         accurate
+    }
+
+    /// A window decided a span at a time, each span from the quota that
+    /// `pass` leaves after the spans before it, decides exactly as the
+    /// whole window admitted task by task: how a chunked GTB buffer is
+    /// flushed.
+    #[test]
+    fn passing_whole_spans_leaves_the_quota_admitting_one_by_one_leaves() {
+        let mut rng = Rng(0x5BA_4C0DE);
+        for case in 0..60 {
+            let n = rng.below(3000);
+            let window: Vec<Significance> = (0..n).map(|_| rng.significance()).collect();
+            let ratio = if case % 5 == 0 { 0.5 } else { rng.unit() };
+            let mut cuts: Vec<usize> = (0..rng.below(6)).map(|_| rng.below(n + 1)).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let tallies: Vec<GtbTally> = cuts
+                .windows(2)
+                .map(|span| {
+                    let mut tally = GtbTally::new();
+                    window[span[0]..span[1]].iter().for_each(|&s| tally.add(s));
+                    tally
+                })
+                .collect();
+            let mut whole = GtbTally::new();
+            tallies.iter().for_each(|tally| whole.merge(tally));
+            let mut running = whole.quota(ratio);
+            let mut decisions = Vec::with_capacity(n);
+            for (span, tally) in cuts.windows(2).zip(&tallies) {
+                let mut own = running.clone();
+                decisions.extend(window[span[0]..span[1]].iter().map(|&s| own.admit(s)));
+                running.pass(tally);
+                assert_eq!(own.slots, running.slots, "case {case}: span {span:?}");
+            }
+            assert_eq!(decisions, gtb_classify(&window, ratio), "case {case}");
+        }
     }
 
     #[test]

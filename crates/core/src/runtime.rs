@@ -39,7 +39,7 @@
 //! * the husk pool's `Mutex`, once per 64 fresh records (`HuskPool`, in
 //!   `runtime/recycle.rs`);
 //! * a group's GTB buffer `Mutex`, on every spawn under GTB and GTB
-//!   Max-Buffer (`GroupState::buffer_one`);
+//!   Max-Buffer (`GroupState::append_buffered`);
 //! * the dependence tracker's shard gates, for a writing or multi-key
 //!   footprint and for a read the lock-free fast path hands back
 //!   (`deps.rs`).
@@ -70,7 +70,21 @@
 //! shared pool under one lock. A spawn pops a husk from the calling thread's
 //! stash (a worker's nested spawns never leave it; a spawner thread takes 64
 //! from the pool when it runs out) and refills it through `Arc::get_mut`;
-//! `Arc::new` is the cold start of the same path, not a second one. A record
+//! `Arc::new` is the cold start of the same path, not a second one.
+//!
+//! Under GTB a plain task — no keys, deadline, token or handle — takes no
+//! record at spawn. It waits in its group's buffer as a 56-byte entry (id,
+//! significance, bodies; `group::Buffered`), in chunks of 1 024 entries that
+//! the buffer allocates one at a time and never moves, and the flush that
+//! decides it fills a husk with it (`RuntimeInner::build_record`). A small
+//! flush decides and builds on the flushing thread; a large one
+//! (`PARALLEL_FLUSH_MIN` entries) does both one chunk at a time inside the
+//! system tasks that push it, newest chunk first, each on a worker from the
+//! husks of the chunk it just ran. GTB Max-Buffer thus holds a group as
+//! entries, not records, and a cold group of 10 000 tasks makes about 0.1
+//! allocations per task on all threads instead of one record each. A task
+//! with a clause keeps its record in the buffer, in spawn order among the
+//! entries. A record
 //! is reused only while *uniquely held* — `Arc::get_mut` fails as long as a
 //! queue slot, a successor list, the dependence tracker or a GTB buffer still
 //! points at it — so no stale `TaskId`, [`SpawnHandle`](crate::handle::SpawnHandle) or
@@ -126,11 +140,12 @@
 //! Each child module's docs end in the list of what it owns. This file's:
 //!
 //! * Unsafe blocks: none. A GTB flush primes the records its window alone
-//!   holds through `Arc::get_mut` (`RuntimeInner::flush_tasks`).
+//!   holds, and fills the husks it builds plain entries into, through
+//!   `Arc::get_mut` (`RuntimeInner::flush_tasks`).
 //! * Orderings weaker than SeqCst: `next_task_id` and the two
 //!   `outstanding` counts, bumped `Relaxed` by
-//!   `RuntimeInner::spawn_system` (the invariant note in
-//!   `TaskBuilder::spawn` covers them), and the `Relaxed` read of
+//!   `RuntimeInner::spawn_system` (the invariant note on
+//!   `RuntimeInner::count_spawn` covers them), and the `Relaxed` read of
 //!   [`Runtime::outstanding_tasks`], a statistic.
 //!
 //! # Example
@@ -173,8 +188,8 @@ use crate::deque::QueueSet;
 use crate::env::{EnergyReport, ExecutionEnv};
 use crate::faults::FaultPlan;
 use crate::governor::NominalGovernor;
-use crate::group::{GroupRegistry, GroupState, TaskGroup};
-use crate::policy::{GtbQuota, Policy};
+use crate::group::{Buffered, Chunk, GroupRegistry, GroupState, TaskGroup, Window};
+use crate::policy::{GtbQuota, GtbTally, Policy};
 use crate::significance::Significance;
 use crate::stats::{GroupStatsSnapshot, OutcomeSummary, RuntimeStats};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -260,92 +275,147 @@ impl RuntimeInner {
 
     /// Flushes that leave at least this many records to push fan the push
     /// out to the workers instead of running it on the flushing thread.
-    /// Deciding is a plain store per record; what a large Max-Buffer flush
-    /// still pays per record is its enqueue. From a thread that is not a
-    /// worker that means linking the record into a mailbox, which its taker
-    /// walks once more to reverse; a worker pushing onto its own deque
-    /// touches the ring only. Without the fan-out, `sched_fine` spent about
-    /// 9 % more CPU per task.
+    /// Deciding is a plain store per entry; what a large Max-Buffer flush
+    /// still pays per task is building its record and enqueueing it. From a
+    /// thread that is not a worker that means linking the record into a
+    /// mailbox, which its taker walks once more to reverse; a worker pushing
+    /// onto its own deque touches the ring only. Without the fan-out,
+    /// `sched_fine` spent about 9 % more CPU per task.
     const PARALLEL_FLUSH_MIN: usize = 4096;
-    /// Records pushed per worker chunk in a parallel flush.
-    const FLUSH_CHUNK: usize = 1024;
 
-    /// GTB flush of one group's `window` (its buffered records, in spawn
-    /// order): decide every record against the window's [`GtbQuota`], then
-    /// hand them to the workers. The drained window becomes the calling
-    /// thread's spare buffer ([`crate::group::return_window`]).
+    /// GTB flush of `group`'s `window` (its buffered tasks, in spawn order):
+    /// decide every entry against the window's [`GtbQuota`], build the
+    /// records plain entries lack, and hand everything to the workers. The
+    /// drained window becomes the calling thread's spare buffer
+    /// ([`crate::group::return_window`]).
     ///
-    /// A record only the window holds, with no pending dependence — every
-    /// footprint-free task, since its spawner lets go before it can trigger
-    /// a flush — is decided, released and marked enqueued through `&mut`
-    /// ([`Task::prime_flush_enqueued`]), and the lot goes out in one
-    /// `push_batch` with one coalesced wake. A shared record — one the
-    /// dependence tracker or a predecessor's successor list also holds —
-    /// takes the atomic `decide` → `release` → `try_enqueue` path, whose
-    /// SeqCst pairing with the last predecessor's completion is documented
-    /// on `Task::release`.
-    fn flush_tasks(self: &Arc<Self>, mut window: Vec<Arc<Task>>) {
-        if let Some(first) = window.first() {
+    /// The window is decided a chunk at a time, each chunk right before it
+    /// is built and pushed ([`RuntimeInner::push_decided`]), from the quota
+    /// that admitting every chunk before it leaves ([`GtbQuota::pass`], from
+    /// the chunks' tallies): exactly the decisions of one pass over the
+    /// window in spawn order, without the flushing thread reading every
+    /// entry of a Max-Buffer group twice while the workers wait.
+    fn flush_tasks(self: &Arc<Self>, group: &Arc<GroupState>, mut window: Window) {
+        if !window.is_empty() {
             self.stats.record_flush();
-            let ratio = first.group_state.effective_ratio();
-            let mut quota = GtbQuota::new(window.iter().map(|task| task.significance), ratio);
-            // Spawn order: that is the order the quota breaks ties in.
-            window.retain_mut(|task| {
-                let accurate = quota.admit(task.significance);
-                if let Some(record) = Arc::get_mut(task) {
-                    if *record.pending_deps.get_mut() == 0 {
-                        record.prime_flush_enqueued(accurate);
-                        return true;
-                    }
-                }
-                task.decide(accurate);
-                task.release();
-                self.try_enqueue(task);
-                false
-            });
-            // Large-group flush: the workers push the records, a chunk at
-            // a time, from internal system tasks; the window's buffer goes
-            // with them (a thread keeps only a small spare window anyway,
-            // see `group::return_window`). The group barrier stays correct
+            let tally = window.tally();
+            let mut quota = tally.quota(group.effective_ratio());
+            // Large-group flush: the workers decide, build and push the
+            // records, a chunk at a time, from internal system tasks; the
+            // window's chunks go with them. The group barrier stays correct
             // without waiting on them: every buffered task already counts
             // in the group's `outstanding`, and can only complete after a
             // system task pushes it.
             if window.len() >= Self::PARALLEL_FLUSH_MIN {
-                let records = std::mem::take(&mut window);
-                let inner = self.clone();
-                self.spawn_system(move || inner.push_flush_chunks(records));
-            } else if !window.is_empty() {
-                self.push_flushed(window.drain(..));
+                let chunks = window.take_chunks();
+                let (inner, group) = (self.clone(), group.clone());
+                self.spawn_system(move || inner.push_flush_chunks(group, chunks, quota, tally));
+            } else {
+                for chunk in window.chunks_mut() {
+                    self.push_decided(group, &mut chunk.entries, &mut quota);
+                }
             }
         }
         crate::group::return_window(window);
     }
 
-    /// Push the newest chunk of a large flush's `records` from the worker
-    /// running this, then queue the rest as a new system task behind that
-    /// chunk. A worker's deque thus holds about one chunk of a flush at a
-    /// time. Spawning every chunk's task up front would not: a worker's
-    /// take of mail moves dozens of them onto its deque ahead of the
-    /// records they push, runs them all first and grows its ring to hold
-    /// every chunk at once. A thief that steals the rest carries the push
-    /// to its own worker.
-    fn push_flush_chunks(self: &Arc<Self>, mut records: Vec<Arc<Task>>) {
-        let cut = records.len().saturating_sub(Self::FLUSH_CHUNK);
-        self.push_flushed(records.drain(cut..));
-        if !records.is_empty() {
+    /// Decide one chunk of `group`'s window from `quota`, in spawn order,
+    /// then queue it with one coalesced wake: the quota is left as the next
+    /// chunk needs it.
+    ///
+    /// A plain entry's decision is stored in it, and its record is built
+    /// when it is pushed ([`RuntimeInner::build_record`]). A record only the
+    /// window holds, with no pending dependence — every footprint-free
+    /// record, since its spawner lets go before it can trigger a flush — is
+    /// decided, released and marked enqueued through `&mut`
+    /// ([`Task::prime_flush_enqueued`]). Both go out in one `push_batch`.
+    /// A shared record — one the dependence
+    /// tracker or a predecessor's successor list also holds — takes the
+    /// atomic `decide` → `release` → `try_enqueue` path, whose SeqCst
+    /// pairing with the last predecessor's completion is documented on
+    /// `Task::release`.
+    fn push_decided(
+        &self,
+        group: &Arc<GroupState>,
+        entries: &mut Vec<Buffered>,
+        quota: &mut GtbQuota,
+    ) {
+        entries.retain_mut(|entry| {
+            let accurate = quota.admit(entry.significance());
+            let task = match entry {
+                Buffered::Plain(plain) => {
+                    plain.decision = accurate;
+                    return true;
+                }
+                Buffered::Record(task) => task,
+            };
+            if let Some(record) = Arc::get_mut(task) {
+                if *record.pending_deps.get_mut() == 0 {
+                    record.prime_flush_enqueued(accurate);
+                    return true;
+                }
+            }
+            task.decide(accurate);
+            task.release();
+            self.try_enqueue(task);
+            false
+        });
+        let records = entries
+            .drain(..)
+            .map(|entry| self.build_record(entry, group));
+        let push = self.queues.push_batch(records, self.local_worker());
+        self.wake_for_batch(&push);
+    }
+
+    /// Decide, build and push the newest of a large flush's `chunks` from
+    /// the worker running this, then queue the rest as a new system task
+    /// behind that chunk. `quota` is the whole window's and `before` counts
+    /// the chunks still to push: a chunk is decided from the quota the
+    /// chunks before it leave. A worker's deque thus holds about one chunk
+    /// of a flush at a time, and builds it from the husks of the chunk it
+    /// just ran. Spawning every chunk's task up front would not: a worker's
+    /// take of mail moves dozens of them onto its deque ahead of the records
+    /// they push, runs them all first and grows its ring to hold every
+    /// chunk at once. A thief that steals the rest carries the push to its
+    /// own worker.
+    fn push_flush_chunks(
+        self: &Arc<Self>,
+        group: Arc<GroupState>,
+        mut chunks: Vec<Chunk>,
+        quota: GtbQuota,
+        mut before: GtbTally,
+    ) {
+        if let Some(mut chunk) = chunks.pop() {
+            before.remove(&chunk.tally);
+            let mut own = quota.clone();
+            own.pass(&before);
+            self.push_decided(&group, &mut chunk.entries, &mut own);
+        }
+        if !chunks.is_empty() {
             let inner = self.clone();
-            self.spawn_system(move || inner.push_flush_chunks(records));
+            self.spawn_system(move || inner.push_flush_chunks(group, chunks, quota, before));
         }
     }
 
-    /// Queue records a flush primed as enqueued, with one coalesced wake.
-    fn push_flushed<I>(&self, records: I)
-    where
-        I: IntoIterator<Item = Arc<Task>>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let push = self.queues.push_batch(records, self.local_worker());
-        self.wake_for_batch(&push);
+    /// The queued form of a decided window entry: a record as the flush
+    /// primed it, or a plain entry filled into a husk of the calling
+    /// thread's and primed with the flush's decision.
+    fn build_record(&self, entry: Buffered, group: &Arc<GroupState>) -> Arc<Task> {
+        match entry {
+            Buffered::Record(task) => task,
+            Buffered::Plain(plain) => {
+                let mut task = self.husk_in(group);
+                let t = Arc::get_mut(&mut task).expect("a husk is uniquely held");
+                t.fill(
+                    plain.id,
+                    plain.significance,
+                    plain.accurate,
+                    plain.approximate,
+                );
+                t.prime_flush_enqueued(plain.decision);
+                task
+            }
+        }
     }
 
     /// Enqueue a runtime-internal helper task. It participates in the
@@ -358,8 +428,7 @@ impl RuntimeInner {
         t.fill(id, Significance::CRITICAL, Box::new(body), None);
         t.system = true;
         t.prime_spawn_enqueued(true);
-        // Relaxed: see the invariant note on the `outstanding` bumps in
-        // `TaskBuilder::spawn`.
+        // Relaxed: see the invariant note on `RuntimeInner::count_spawn`.
         self.outstanding.fetch_add(1, Ordering::Relaxed);
         self.global_group
             .outstanding
@@ -767,7 +836,7 @@ mod tests {
         rt.wait_group(&group);
         let capacity = rt.inner.queues.deque_capacity(0);
         assert!(
-            capacity <= 2 * RuntimeInner::FLUSH_CHUNK as u64,
+            capacity <= 2 * crate::group::WINDOW_CHUNK as u64,
             "the ring grew to {capacity} slots"
         );
     }

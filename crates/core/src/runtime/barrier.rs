@@ -56,9 +56,9 @@ impl RuntimeInner {
     }
 
     /// Flush the pending GTB buffer of one group.
-    fn flush_group(self: &Arc<Self>, group: &GroupState) {
+    fn flush_group(self: &Arc<Self>, group: &Arc<GroupState>) {
         if let Some(window) = group.take_buffered() {
-            self.flush_tasks(window);
+            self.flush_tasks(group, window);
         }
     }
 

@@ -14,9 +14,9 @@
 //! * `next_task_id`, `Relaxed` `fetch_add` and load: ids need only be
 //!   unique, and increasing per spawning thread.
 //! * `outstanding` and the group's `outstanding`, `Relaxed` increments in
-//!   `TaskBuilder::spawn` and [`RuntimeInner::spawn_batch_into`]: the
-//!   invariant note in `TaskBuilder::spawn` says why no cross-thread fence
-//!   is load-bearing; the SeqCst decrements are `publish`'s.
+//!   [`RuntimeInner::count_spawn`] and [`RuntimeInner::spawn_batch_into`]:
+//!   the invariant note on `count_spawn` says why no cross-thread fence is
+//!   load-bearing; the SeqCst decrements are `publish`'s.
 //! * a footprint task's `pending_deps`: a `Release` store of the phantom
 //!   dependence, an `AcqRel` add of the wired ones and an `AcqRel` removal
 //!   of the phantom, against the SeqCst decrement a completing predecessor
@@ -34,7 +34,7 @@ use super::{Runtime, RuntimeInner};
 use crate::deps::{DepKey, Registration};
 use crate::faults::FaultPlan;
 use crate::governor::Governor;
-use crate::group::{GroupState, TaskGroup};
+use crate::group::{Buffered, GroupState, PlainTask, TaskGroup};
 use crate::handle::{HandleCore, HandleNotify, SpawnHandle};
 use crate::policy::Policy;
 use crate::significance::Significance;
@@ -255,12 +255,25 @@ impl RuntimeInner {
             return TaskIdRange::new(id..id);
         }
         let first = self.next_task_id.fetch_add(n as u64, Ordering::Relaxed);
-        // Relaxed: see the invariant note in `TaskBuilder::spawn`.
+        // Relaxed: see the invariant note on `RuntimeInner::count_spawn`.
         self.outstanding.fetch_add(n, Ordering::Relaxed);
         group_state.outstanding.fetch_add(n, Ordering::Relaxed);
         self.stats.record_spawns(n);
 
         let capacity = self.policy.buffer_capacity();
+        if let (Some(capacity), 0, None) = (capacity, deadline_nanos, &cancel) {
+            // Plain tasks under GTB: entries, whose records the flush builds.
+            let entries = items.into_iter().enumerate().map(|(offset, item)| {
+                Buffered::Plain(PlainTask::new(
+                    TaskId(first + offset as u64),
+                    item.significance,
+                    item.accurate,
+                    item.approximate,
+                ))
+            });
+            self.buffer(group_state, entries, capacity);
+            return TaskIdRange::new(first..first + n as u64);
+        }
         let accurate = matches!(self.policy, Policy::SignificanceAgnostic);
         let mut tasks = Vec::with_capacity(n);
         for (offset, item) in items.into_iter().enumerate() {
@@ -288,10 +301,11 @@ impl RuntimeInner {
         }
 
         match capacity {
-            Some(capacity) => match group_state.append_buffered(tasks, capacity) {
-                Some(window) => self.flush_tasks(window),
-                None => self.notify_buffered(group_state),
-            },
+            Some(capacity) => self.buffer(
+                group_state,
+                tasks.into_iter().map(Buffered::Record),
+                capacity,
+            ),
             None => {
                 let push = self.queues.push_batch(tasks, self.local_worker());
                 self.wake_for_batch(&push);
@@ -300,19 +314,39 @@ impl RuntimeInner {
         TaskIdRange::new(first..first + n as u64)
     }
 
-    /// Buffer a record under GTB, flushing the window if this fills it. The
-    /// buffer gets a clone, since `group` is borrowed from the record, and
-    /// `task` is dropped before the flush. A footprint-free spawn passes its
-    /// only reference: the record waits on nothing, so it takes no phantom
-    /// dependence and no `try_enqueue`, and the flush finds the window its
-    /// only holder. A footprint spawn passes a clone and keeps its own.
-    fn buffer_task(self: &Arc<Self>, task: Arc<Task>, capacity: usize) {
-        let group = &task.group_state;
-        match group.buffer_one(task.clone(), capacity) {
-            Some(window) => {
-                drop(task);
-                self.flush_tasks(window);
-            }
+    /// Count one spawn into `group`, before the task can reach a worker.
+    ///
+    /// Relaxed is sufficient for both `outstanding` bumps. Invariant: an
+    /// increment must be observable (a) by the matching `fetch_sub` in
+    /// `publish`, which RMW coherence orders after it (the sub can only run
+    /// once the task reached a worker, and the queue handoff's
+    /// release/acquire edge — behind the GTB buffer's lock, for a buffered
+    /// task — orders the add before the pop), and (b) by any barrier
+    /// predicate load *on the spawning thread*, which same-thread coherence
+    /// guarantees. A barrier on another thread racing this spawn is
+    /// unordered by construction — it may legitimately return before the
+    /// spawn lands — so no cross-thread SC fence is load-bearing here. The
+    /// decrement side stays SeqCst: it pairs with the EventCount
+    /// register/re-check protocol.
+    fn count_spawn(&self, group: &GroupState) {
+        self.outstanding.fetch_add(1, Ordering::Relaxed);
+        group.outstanding.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_spawn();
+    }
+
+    /// Append `entries` to `group`'s GTB buffer, flushing the window if
+    /// they fill it. A footprint-free record comes with its only reference:
+    /// it waits on nothing, so it takes no phantom dependence and no
+    /// `try_enqueue`, and the flush finds the window its only holder. A
+    /// footprint spawn passes a clone and keeps its own.
+    fn buffer(
+        self: &Arc<Self>,
+        group: &Arc<GroupState>,
+        entries: impl IntoIterator<Item = Buffered>,
+        capacity: usize,
+    ) {
+        match group.append_buffered(entries, capacity) {
+            Some(window) => self.flush_tasks(group, window),
             None => self.notify_buffered(group),
         }
     }
@@ -497,9 +531,18 @@ impl<'rt> TaskBuilder<'rt> {
     pub fn spawn(mut self) -> TaskId {
         let inner = &self.husk.runtime.inner;
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
+        let group = self.group.unwrap_or(&inner.global_group);
+        let capacity = inner.policy.buffer_capacity();
+        // A task that took no record for a clause, under GTB: an entry in
+        // the group buffer, whose flush decides it and builds its record.
+        if let (Some(capacity), None) = (capacity, &self.husk.record) {
+            inner.count_spawn(group);
+            let entry = PlainTask::new(id, self.significance, self.accurate, self.approximate);
+            inner.buffer(group, [Buffered::Plain(entry)], capacity);
+            return id;
+        }
         // The record a clause took, else one from the stash now.
         let husk = self.husk.record.take().or_else(|| inner.pop_husk());
-        let group = self.group.unwrap_or(&inner.global_group);
         let mut task = inner.bind_husk(husk, group);
         let footprint = {
             // Not yet shared: every clause lands through `&mut`, free.
@@ -507,22 +550,7 @@ impl<'rt> TaskBuilder<'rt> {
             t.fill(id, self.significance, self.accurate, self.approximate);
             t.settle_clauses()
         };
-
-        // Relaxed is sufficient for both `outstanding` bumps. Invariant: an
-        // increment must be observable (a) by the matching `fetch_sub` in
-        // `publish`, which RMW coherence orders after it (the sub can only
-        // run once the task reached a worker, and the queue handoff's
-        // release/acquire edge — behind the GTB buffer's lock, for a
-        // buffered task — orders the add before the pop), and (b) by any
-        // barrier predicate load *on the spawning thread*, which same-thread
-        // coherence guarantees. A barrier on another thread racing this
-        // spawn is unordered by construction — it may legitimately return
-        // before the spawn lands — so no cross-thread SC fence is
-        // load-bearing here. The decrement side stays SeqCst: it pairs with
-        // the EventCount register/re-check protocol.
-        inner.outstanding.fetch_add(1, Ordering::Relaxed);
-        task.group_state.outstanding.fetch_add(1, Ordering::Relaxed);
-        inner.stats.record_spawn();
+        inner.count_spawn(group);
 
         // Fast paths for a footprint-free task, which waits on nothing.
         // Under GTB it goes to the group buffer, whose flush decides it.
@@ -531,8 +559,8 @@ impl<'rt> TaskBuilder<'rt> {
         // before the task is ever shared — zero atomic ops, no claim race to
         // arbitrate because `spawn` is the only possible enqueue site.
         if !footprint {
-            match inner.policy.buffer_capacity() {
-                Some(capacity) => inner.buffer_task(task, capacity),
+            match capacity {
+                Some(capacity) => inner.buffer(group, [Buffered::Record(task)], capacity),
                 None => {
                     let accurate = matches!(inner.policy, Policy::SignificanceAgnostic);
                     Arc::get_mut(&mut task)
@@ -552,10 +580,10 @@ impl<'rt> TaskBuilder<'rt> {
             task.pending_deps.fetch_add(wired, Ordering::AcqRel);
         }
 
-        match inner.policy.buffer_capacity() {
+        match capacity {
             // This spawner still holds the record, so whichever flush takes
             // it — this one or a barrier's — goes the atomic way.
-            Some(capacity) => inner.buffer_task(task.clone(), capacity),
+            Some(capacity) => inner.buffer(group, [Buffered::Record(task.clone())], capacity),
             None if inner.policy == Policy::Lqh => {
                 task.release();
             }

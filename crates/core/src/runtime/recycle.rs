@@ -48,12 +48,12 @@ pub(super) const HUSK_BATCH: usize = 64;
 /// "spawner ahead" to "worker caught up": peak in-flight depth over 14
 /// agnostic/LQH passes of 100k tasks read 180-1411 records in nine and
 /// 2.7k-18k in five, when the worker lost its CPU (median about 1200);
-/// the deep ones fall back to the allocator. So does GTB Max-Buffer, by
-/// construction rather than by a swing: it holds a whole group's records
-/// live until the barrier flushes them, so a 100k-task group needs 100k
-/// records at once whatever the pool holds, and the workers free all but
-/// this many as they retire them. Bounded GTB recycles like the agnostic
-/// path: a window of `B` records is back in the pool before long.
+/// the deep ones fall back to the allocator. GTB Max-Buffer needs no more:
+/// it holds a group's plain tasks as buffer entries, not records, and its
+/// flush builds their records one 1 024-entry chunk at a time, each from
+/// the husks of the chunk before it, which this cap holds whole. Bounded
+/// GTB recycles like the agnostic path: a window of `B` records is back in
+/// the pool before long.
 const HUSK_POOL_CAP: usize = 1024;
 
 /// Blank task records ("husks") on their way from the workers that retired

@@ -232,11 +232,12 @@ impl RuntimeInner {
 
         // A task whose deadline is endangered (already past, or any deadline
         // while the runtime is overloaded) races to nominal frequency: the
-        // governor's scaling decision is overridden at dispatch.
+        // governor's scaling decision is overridden at dispatch. Only a task
+        // with a deadline pays for the start's offset from runtime start.
         let deadline = task.deadline_nanos();
-        let started_nanos = (start - self.started).as_nanos() as u64;
-        let deadline_pressure =
-            deadline != 0 && (self.overload.is_overloaded() || started_nanos >= deadline);
+        let started_nanos = (deadline != 0).then(|| (start - self.started).as_nanos() as u64);
+        let deadline_pressure = started_nanos
+            .is_some_and(|started| self.overload.is_overloaded() || started >= deadline);
 
         // Pick the energy strategy for this dispatch: approximate tasks may
         // run under a lower modelled frequency, or race at nominal and bank
@@ -287,7 +288,7 @@ impl RuntimeInner {
             drop(task.take_approximate());
         }
 
-        if deadline != 0 && started_nanos + busy.as_nanos() as u64 > deadline {
+        if started_nanos.is_some_and(|started| started + busy.as_nanos() as u64 > deadline) {
             self.stats.record_deadline_miss(worker);
         }
 

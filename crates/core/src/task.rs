@@ -35,11 +35,11 @@
 //! `sched_deps`, whose tasks carry keys and nothing else, 8 % of its tasks
 //! a second.
 //!
-//! The split is sized by GTB Max-Buffer, which holds every record of a
-//! group live until its barrier: its memory is the group size times the
-//! record's malloc chunk. Recycling keeps the box with the husk, as it
-//! keeps the key buffers, so a recycled footprint record allocates nothing
-//! new.
+//! Every record in flight costs its malloc chunk; a plain task waiting in a
+//! GTB buffer costs none, since it waits as an entry and its flush builds
+//! its record (`group::Buffered`). Recycling keeps the box with the husk,
+//! as it keeps the key buffers, so a recycled footprint record allocates
+//! nothing new.
 
 use std::cell::UnsafeCell;
 
@@ -1010,7 +1010,7 @@ mod tests {
     fn a_plain_record_fits_the_128_byte_malloc_class() {
         // With the `Arc`'s two counts the allocation is 16 bytes more, 112,
         // which glibc serves from its 128-byte class: two cache lines per
-        // record, and GTB Max-Buffer holds a whole group of them at once.
+        // record, and every task in flight holds one.
         assert!(
             std::mem::size_of::<Task>() <= 96,
             "Task grew to {} bytes, past the 128-byte malloc class (96 + 16 \

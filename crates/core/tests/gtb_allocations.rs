@@ -1,32 +1,41 @@
 //! GTB task records stay on the recycled path: once warm, a spawner feeding a
 //! GTB group allocates (almost) nothing per task. Each flush must leave the
 //! window the only holder of its records, so the worker that retires one can
-//! blank it into a husk the spawner reuses, and the group buffer must keep
-//! its capacity across flushes.
+//! blank it into a husk the flush reuses, and the group buffer must keep a
+//! chunk across flushes.
 //!
-//! And a cold GTB Max-Buffer group, which holds every record until its
-//! barrier, costs at most 128 requested bytes per task: the record in its
-//! 112-byte `Arc` plus the window's amortised growth.
+//! And a cold GTB Max-Buffer group, which holds every task until its
+//! barrier, costs at most 64 requested bytes per task on the spawner: a
+//! plain task waits as a 56-byte entry in 1024-entry chunks, not as a
+//! 128-byte record. Its records are built at the flush from the husks of the
+//! tasks the workers just ran, so the whole group, from the first spawn to
+//! the barrier's return, makes at most 0.2 allocations per task on all
+//! threads together.
 //!
-//! Its own test binary: the counting global allocator below counts the
-//! spawning thread's allocations and requested bytes only (thread-local
-//! counters), so worker threads and the test harness do not disturb the
-//! reading.
+//! Its own test binary: the counting global allocator below counts each
+//! thread's allocations and requested bytes (thread-local counters), so
+//! worker threads and the test harness do not disturb a spawner's reading,
+//! and every thread's allocations together (one process-wide counter),
+//! which is why each test here holds `SERIAL` while it runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use sig_core::{Policy, Runtime};
+use sig_core::{Policy, Runtime, TaskGroup};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations and reallocations on every thread.
+static ALL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
 /// The system allocator, counting every allocation and reallocation made on
 /// the calling thread, and the bytes each asked for: an allocation's size, a
-/// reallocation's growth.
+/// reallocation's growth; and every thread's allocations together.
 struct CountingAllocator;
 
 fn count(bytes: usize) {
@@ -34,6 +43,15 @@ fn count(bytes: usize) {
     // never allocates itself; `try_with` only fails during thread teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    ALL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Held by every test of this binary: the process-wide count sees another
+/// test's runtime otherwise.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
@@ -72,6 +90,7 @@ static APPROXIMATE: AtomicU64 = AtomicU64::new(0);
 
 #[test]
 fn warm_gtb_windows_allocate_almost_nothing_on_the_spawner() {
+    let _serial = serial();
     let rt = Runtime::builder()
         .workers(2)
         .policy(Policy::Gtb {
@@ -127,22 +146,33 @@ fn warm_gtb_windows_allocate_almost_nothing_on_the_spawner() {
 
 const MAX_BUFFERED: usize = 10_000;
 
-#[test]
-fn a_buffered_gtb_max_task_requests_at_most_128_bytes() {
-    // A fresh runtime has no husks, so every spawn below allocates its
-    // record; GTB Max-Buffer holds all of them until the barrier.
+/// A plain task with bodies that capture nothing, at significance
+/// 0.1..=0.9, into `group`.
+fn spawn_plain(rt: &Runtime, group: &TaskGroup, i: usize) {
+    rt.task(|| {})
+        .approx(|| {})
+        .significance(((i % 9) + 1) as f64 / 10.0)
+        .group(group)
+        .spawn();
+}
+
+/// A runtime with no husks yet: every record it needs is a fresh one.
+fn cold_gtb_max() -> (Runtime, TaskGroup) {
     let rt = Runtime::builder()
         .workers(1)
         .policy(Policy::GtbMaxBuffer)
         .build();
     let group = rt.create_group("max", 0.5);
+    (rt, group)
+}
+
+#[test]
+fn a_buffered_gtb_max_task_requests_at_most_64_bytes() {
+    let _serial = serial();
+    let (rt, group) = cold_gtb_max();
     let before = BYTES.with(Cell::get);
     for i in 0..MAX_BUFFERED {
-        rt.task(|| {})
-            .approx(|| {})
-            .significance(((i % 9) + 1) as f64 / 10.0)
-            .group(&group)
-            .spawn();
+        spawn_plain(&rt, &group, i);
     }
     let bytes = BYTES.with(Cell::get) - before;
     assert_eq!(rt.outstanding_tasks(), MAX_BUFFERED, "all buffered");
@@ -150,9 +180,31 @@ fn a_buffered_gtb_max_task_requests_at_most_128_bytes() {
 
     let per_task = bytes as f64 / MAX_BUFFERED as f64;
     assert!(
-        per_task <= 128.0,
+        per_task <= 64.0,
         "{bytes} bytes requested for {MAX_BUFFERED} buffered GTB Max-Buffer tasks \
-         ({per_task:.1} per task): a task record past 96 bytes leaves glibc's \
-         128-byte class, and GTB Max-Buffer holds a whole group of them"
+         ({per_task:.1} per task): a plain task waits for its flush as a 56-byte \
+         entry in a chunk, not as a record of 128 bytes or as an entry of a \
+         window that doubles, and GTB Max-Buffer holds a whole group of them"
+    );
+}
+
+#[test]
+fn a_cold_gtb_max_group_builds_its_records_from_recycled_husks() {
+    let _serial = serial();
+    let (rt, group) = cold_gtb_max();
+    let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
+    for i in 0..MAX_BUFFERED {
+        spawn_plain(&rt, &group, i);
+    }
+    rt.wait_group(&group);
+    let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let per_task = allocations as f64 / MAX_BUFFERED as f64;
+    assert!(
+        per_task <= 0.2,
+        "{allocations} allocations on all threads for a cold {MAX_BUFFERED}-task \
+         GTB Max-Buffer group ({per_task:.3} per task): the flush builds each chunk's \
+         records from the husks of the chunk before it, so only about the first \
+         chunk's are fresh"
     );
 }

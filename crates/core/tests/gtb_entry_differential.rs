@@ -1,0 +1,217 @@
+//! Differential test of the GTB buffer's two kinds of entry: a plain task
+//! waits for its flush as an entry whose record the flush builds, a task
+//! with a clause (here a cancel token that is never cancelled) waits as the
+//! record its spawn filled. The flush must decide both alike, in spawn order.
+//!
+//! One seeded program runs three ways — every task plain; every task, a
+//! batched slice included, carrying the token; every third task carrying it
+//! and the slice spawned as a plain batch — under GTB(1), GTB(7), GTB(32)
+//! and GTB Max-Buffer, at one and two workers. Each task must run in the
+//! same mode (accurate, approximate or dropped) in all three runs, that mode
+//! must be what GTB's definition gives for the task's window, and the
+//! group's statistics must be equal. The buffer keeps its entries in chunks
+//! of 1 024, each decided from the quota the chunks before it leave: a GTB
+//! Max-Buffer group of 3 000 tasks is decided three chunks in a row on the
+//! flushing thread, one of 10 000 a chunk at a time on the workers, newest
+//! first.
+
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+
+use sig_core::{BatchTask, CancelToken, GroupStatsSnapshot, Policy, Runtime};
+
+const RATIO: f64 = 0.37;
+
+const NOT_RUN: u8 = 0;
+const ACCURATE: u8 = 1;
+const APPROXIMATE: u8 = 2;
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// How a run spawns the program's tasks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Way {
+    /// Every task plain, each spawned alone.
+    Plain,
+    /// Every task with the token, the batched slice too.
+    Records,
+    /// Every third task with the token; the slice a plain batch.
+    Mixed,
+}
+
+/// The program: each task's significance (in tenths, 0.0 to 1.0) and
+/// whether it has an approximate body, and the slice spawned as one batch.
+struct Program {
+    tenths: Vec<u8>,
+    batch: std::ops::Range<usize>,
+}
+
+impl Program {
+    fn new(policy: Policy, tasks: usize, seed: u64) -> Self {
+        let batch = match policy.buffer_capacity() {
+            // A batch appended to an empty buffer is one window, so the
+            // slice is one aligned window: the same window as spawned alone.
+            Some(b) if b < usize::MAX => 5 * b..6 * b,
+            _ => 1_000..2_500,
+        };
+        let mut rng = SplitMix64(seed);
+        let tenths = (0..tasks).map(|_| (rng.next() % 11) as u8).collect();
+        Program { tenths, batch }
+    }
+
+    fn significance(&self, i: usize) -> f64 {
+        f64::from(self.tenths[i]) / 10.0
+    }
+
+    /// Every fourth task is dropped when it is not run accurately.
+    fn has_approx(i: usize) -> bool {
+        i % 4 != 3
+    }
+
+    /// Each task's mode by GTB's definition: within each window, every
+    /// critical task and the `ceil(ratio * n)` minus criticals most
+    /// significant others run accurately, ties going to the earlier spawn;
+    /// a task of significance 0.0 never does.
+    fn expected(&self, policy: Policy) -> Vec<u8> {
+        let window = match policy.buffer_capacity() {
+            Some(b) if b < usize::MAX => b,
+            _ => self.tenths.len(),
+        };
+        let mut modes = vec![NOT_RUN; self.tenths.len()];
+        for (w, tenths) in self.tenths.chunks(window).enumerate() {
+            let criticals = tenths.iter().filter(|&&t| t == 10).count();
+            let mut slots =
+                ((RATIO * tenths.len() as f64).ceil() as usize).saturating_sub(criticals);
+            let mut ordinary: Vec<usize> = (0..tenths.len())
+                .filter(|&k| tenths[k] != 0 && tenths[k] != 10)
+                .collect();
+            ordinary.sort_by_key(|&k| std::cmp::Reverse(tenths[k]));
+            let mut accurate: Vec<bool> = tenths.iter().map(|&t| t == 10).collect();
+            for k in ordinary {
+                if slots == 0 {
+                    break;
+                }
+                accurate[k] = true;
+                slots -= 1;
+            }
+            for (k, accurate) in accurate.into_iter().enumerate() {
+                let i = w * window + k;
+                modes[i] = if accurate {
+                    ACCURATE
+                } else if Self::has_approx(i) {
+                    APPROXIMATE
+                } else {
+                    NOT_RUN
+                };
+            }
+        }
+        modes
+    }
+
+    /// Run the program one way; every task's mode and the group's stats.
+    fn run(&self, policy: Policy, workers: usize, way: Way) -> (Vec<u8>, GroupStatsSnapshot) {
+        let rt = Runtime::builder().workers(workers).policy(policy).build();
+        let group = rt.create_group("differential", RATIO);
+        let token = CancelToken::new();
+        let modes: Arc<Vec<AtomicU8>> = Arc::new(
+            (0..self.tenths.len())
+                .map(|_| AtomicU8::new(NOT_RUN))
+                .collect(),
+        );
+        let body = |i: usize, mode: u8| {
+            let modes = modes.clone();
+            move || {
+                let before = modes[i].swap(mode, Ordering::Relaxed);
+                assert_eq!(before, NOT_RUN, "task {i} ran twice");
+            }
+        };
+        let mut i = 0;
+        while i < self.tenths.len() {
+            if i == self.batch.start && way != Way::Plain {
+                let mut batch = rt.batch().group(&group);
+                if way == Way::Records {
+                    batch = batch.cancel_token(&token);
+                }
+                batch.spawn_tasks(self.batch.clone().map(|i| {
+                    let task = BatchTask::new(body(i, ACCURATE)).significance(self.significance(i));
+                    if Self::has_approx(i) {
+                        task.approx(body(i, APPROXIMATE))
+                    } else {
+                        task
+                    }
+                }));
+                i = self.batch.end;
+                continue;
+            }
+            let mut task = rt
+                .task(body(i, ACCURATE))
+                .significance(self.significance(i))
+                .group(&group);
+            if Self::has_approx(i) {
+                task = task.approx(body(i, APPROXIMATE));
+            }
+            if way == Way::Records || (way == Way::Mixed && i % 3 == 0) {
+                task = task.cancel_token(&token);
+            }
+            task.spawn();
+            i += 1;
+        }
+        let summary = rt.wait_group(&group);
+        assert_eq!(summary.cancelled, 0, "the token is never cancelled");
+        let stats = rt.group_stats(&group);
+        assert_eq!(stats.total(), self.tenths.len());
+        let modes = modes.iter().map(|m| m.load(Ordering::Relaxed)).collect();
+        (modes, stats)
+    }
+}
+
+#[test]
+fn entries_and_records_decide_alike() {
+    let runs = [
+        (Policy::Gtb { buffer_size: 1 }, 500),
+        (Policy::Gtb { buffer_size: 7 }, 500),
+        (Policy::Gtb { buffer_size: 32 }, 500),
+        (Policy::GtbMaxBuffer, 3_000),
+        (Policy::GtbMaxBuffer, 10_000),
+    ];
+    for (seed, (policy, tasks)) in runs.into_iter().enumerate() {
+        let program = Program::new(policy, tasks, 0x5EED + seed as u64);
+        let expected = program.expected(policy);
+        for workers in [1, 2] {
+            let (plain, plain_stats) = program.run(policy, workers, Way::Plain);
+            for (i, (&got, &want)) in plain.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    got,
+                    want,
+                    "{policy:?}, {tasks} tasks, {workers} workers: plain task {i} (significance {}) \
+                     ran in mode {got}, GTB gives {want}",
+                    program.significance(i)
+                );
+            }
+            for way in [Way::Records, Way::Mixed] {
+                let (modes, stats) = program.run(policy, workers, way);
+                if let Some(i) = (0..modes.len()).find(|&i| modes[i] != plain[i]) {
+                    panic!(
+                        "{policy:?}, {tasks} tasks, {workers} workers, {way:?}: task {i} ran in mode {} \
+                         where the plain run ran it in mode {}",
+                        modes[i], plain[i]
+                    );
+                }
+                assert_eq!(
+                    stats, plain_stats,
+                    "{policy:?}, {tasks} tasks, {workers} workers, {way:?}"
+                );
+            }
+        }
+    }
+}
