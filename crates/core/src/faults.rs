@@ -9,7 +9,7 @@
 //!
 //! The plan is installed at build time
 //! ([`RuntimeBuilder::fault_plan`](crate::runtime::RuntimeBuilder::fault_plan))
-//! and consulted once per non-system task at dispatch. Production
+//! and consulted once per task at dispatch. Production
 //! configurations carry no plan and pay one `Option` check.
 
 use std::time::Duration;

@@ -23,20 +23,24 @@
 //! record carries — waits as that record. Every other task waits as a
 //! `PlainTask`: its id, significance and two bodies, 56 bytes against a
 //! record's 128-byte allocation. The flush's quota counts and admits both
-//! kinds alike, in spawn order, and builds each plain entry's record only
-//! after deciding it (`RuntimeInner::flush_tasks`), from husks that
-//! workers retired.
+//! kinds alike, in spawn order, and the worker that pulls a flushed chunk
+//! builds each plain entry's record only after deciding it, from the husks
+//! of the tasks it just ran (`runtime/staging.rs`).
 //!
 //! The entries live in a `Window` of `WINDOW_CHUNK`-entry chunks, each
 //! with a `GtbTally` of its entries' significances, counted as they
-//! arrive. The buffer allocates a chunk when the last one is full and never
-//! moves an entry, so GTB Max-Buffer's window, which is a whole group,
-//! costs its entries and nothing more. The tallies give the flush the
-//! window's quota without reading an entry, and the quota each chunk starts
-//! from, so a large flush can decide and build its chunks on the workers,
-//! one at a time, newest first. A flush leaves the buffer empty, holding no
-//! chunk; the flushing thread keeps the drained chunk for the next buffer
-//! it fills, so a bounded GTB stream allocates no buffer in steady state.
+//! arrive. The buffer takes a chunk, from the runtime's pool of drained
+//! ones, when the last one is full and never moves an entry, so GTB
+//! Max-Buffer's window, which is a whole group, costs its entries and
+//! nothing more. The tallies give the flush the window's quota without
+//! reading an entry, and the quota each chunk starts from, so each chunk
+//! can be decided on its own by the worker that pulls it. A flush leaves
+//! the buffer empty, holding no chunk; the flushing thread keeps the
+//! emptied chunk list for the next buffer it fills.
+//!
+//! The same 56-byte entries carry every plain spawn from a thread that is
+//! not a worker under the other policies, through the runtime's staging
+//! chunks (`runtime/staging.rs`).
 
 use std::cell::RefCell;
 
@@ -216,18 +220,19 @@ impl GroupState {
     }
 
     /// Append one spawn's entry, or a whole batch's with **one** lock
-    /// acquisition, to the GTB buffer. When the append reaches `capacity`,
-    /// the window is taken out and returned for the caller to flush — a
-    /// batched spawn therefore classifies in windows at least as informed
-    /// as the per-task path's.
+    /// acquisition, to the GTB buffer, taking each new chunk from `fresh`.
+    /// When the append reaches `capacity`, the window is taken out and
+    /// returned for the caller to flush — a batched spawn therefore
+    /// classifies in windows at least as informed as the per-task path's.
     pub(crate) fn append_buffered(
         &self,
         entries: impl IntoIterator<Item = Buffered>,
         capacity: usize,
+        mut fresh: impl FnMut() -> Vec<Buffered>,
     ) -> Option<Window> {
         let mut buffer = self.buffer.lock().unwrap();
         for entry in entries {
-            buffer.push(entry);
+            buffer.push(entry, &mut fresh);
         }
         (buffer.len() >= capacity).then(|| take_window(&mut buffer))
     }
@@ -239,13 +244,13 @@ impl GroupState {
     }
 }
 
-/// Entries per chunk of a GTB window: the buffer grows a chunk at a time,
-/// and a large flush builds and pushes its records a chunk at a time, so a
-/// worker's ring holds about one chunk of it (56 KB of entries, 128 KB of
-/// records).
+/// Entries per chunk of a GTB window or of the runtime's staging: a worker
+/// pulls and builds one chunk at a time, so its ring holds about one chunk
+/// (56 KB of entries, 128 KB of records).
 pub(crate) const WINDOW_CHUNK: usize = 1024;
 
-/// A task waiting in a GTB buffer for the flush that decides it.
+/// A task waiting in a GTB buffer for the flush that decides it, or in a
+/// staging chunk for a worker (always `Plain` there).
 pub(crate) enum Buffered {
     /// A task that took its record at spawn, for a clause only a record
     /// carries: `in`/`out` keys, a deadline, a cancel token or a spawn
@@ -266,9 +271,9 @@ impl Buffered {
     }
 }
 
-/// A plain task in a GTB buffer: its id, significance and bodies, and the
-/// flush's decision, written when the flush decides the entry's chunk and
-/// read when it builds the record.
+/// A plain task waiting for its record: its id, significance and bodies,
+/// and under GTB the flush's decision, written when the worker that pulls
+/// the entry's chunk decides it and read when it builds the record.
 pub(crate) struct PlainTask {
     pub(crate) id: TaskId,
     pub(crate) significance: Significance,
@@ -330,9 +335,11 @@ impl Window {
         self.len == 0
     }
 
-    fn push(&mut self, entry: Buffered) {
-        if self.chunks.is_empty() {
-            // An empty buffer starts from the calling thread's spare.
+    /// Append `entry`, taking a new chunk from `fresh` (an empty vector
+    /// with room for the chunk) when the last one is full.
+    fn push(&mut self, entry: Buffered, fresh: impl FnOnce() -> Vec<Buffered>) {
+        if self.chunks.capacity() == 0 {
+            // An empty buffer starts from the calling thread's spare list.
             *self = SPARE_WINDOW
                 .try_with(|spare| std::mem::replace(&mut *spare.borrow_mut(), Window::new()))
                 .unwrap_or(Window::new());
@@ -341,7 +348,7 @@ impl Window {
             Some(chunk) if chunk.entries.len() < WINDOW_CHUNK => chunk,
             _ => {
                 self.chunks.push(Chunk {
-                    entries: Vec::with_capacity(WINDOW_CHUNK),
+                    entries: fresh(),
                     tally: GtbTally::new(),
                 });
                 self.chunks.last_mut().expect("just pushed")
@@ -361,26 +368,25 @@ impl Window {
         tally
     }
 
-    /// The chunks, oldest first, for a flush to drain in place.
-    pub(crate) fn chunks_mut(&mut self) -> &mut [Chunk] {
-        &mut self.chunks
-    }
-
-    /// The chunks, oldest first, taken out: a large flush hands them to the
-    /// workers.
-    pub(crate) fn take_chunks(&mut self) -> Vec<Chunk> {
+    /// The chunks, oldest first, taken out for a flush to hand to the
+    /// workers; the window keeps its emptied list.
+    pub(crate) fn drain_chunks(&mut self) -> std::vec::Drain<'_, Chunk> {
         self.len = 0;
-        std::mem::take(&mut self.chunks)
+        self.chunks.drain(..)
     }
 }
 
+/// Chunk-list capacity a flushed window keeps as its thread's spare: a
+/// bounded GTB buffer's list, not a whole Max-Buffer group's.
+const SPARE_CHUNKS: usize = 4;
+
 thread_local! {
-    /// A drained window with one empty chunk, kept by the thread that
+    /// A flushed window's emptied chunk list, kept by the thread that
     /// flushed it (see [`return_window`]) for the next empty buffer it
-    /// pushes into. With it a steady GTB stream allocates no buffer at all:
-    /// one spawner's chunk goes from its buffer to its flush and back. A
-    /// buffer a flush took the entries of is left holding no memory, so a
-    /// group that is done with keeps no chunk.
+    /// pushes into: with it and the runtime's chunk pool, a steady GTB
+    /// stream allocates no buffer at all. A buffer a flush took the entries
+    /// of is left holding no memory, so a group that is done with keeps no
+    /// chunk.
     static SPARE_WINDOW: RefCell<Window> = const { RefCell::new(Window::new()) };
 }
 
@@ -389,23 +395,17 @@ fn take_window(buffer: &mut Window) -> Window {
     std::mem::replace(buffer, Window::new())
 }
 
-/// Keep a flushed, drained window as the calling thread's spare, unless it
-/// has one: with one chunk, a bounded GTB buffer's worth, not the whole
-/// group a Max-Buffer barrier flushed.
+/// Keep a flushed window's emptied chunk list as the calling thread's
+/// spare, unless it has one.
 pub(crate) fn return_window(mut window: Window) {
-    debug_assert!(
-        window.chunks.iter().all(|chunk| chunk.entries.is_empty()),
-        "a window is returned drained"
-    );
-    let Some(chunk) = window.chunks.first_mut() else {
+    debug_assert!(window.chunks.is_empty(), "a window is returned drained");
+    if window.chunks.capacity() == 0 {
         return;
-    };
-    chunk.tally = GtbTally::new();
-    window.chunks.truncate(1);
-    window.len = 0;
+    }
+    window.chunks.shrink_to(SPARE_CHUNKS);
     let _ = SPARE_WINDOW.try_with(|spare| {
         let mut spare = spare.borrow_mut();
-        if spare.chunks.is_empty() {
+        if spare.chunks.capacity() == 0 {
             *spare = window;
         }
     });
@@ -544,21 +544,26 @@ mod tests {
         );
     }
 
+    fn entry(i: u64, significance: f64) -> Buffered {
+        Buffered::Plain(PlainTask::new(
+            TaskId(i),
+            Significance::new(significance),
+            Box::new(|| {}),
+            None,
+        ))
+    }
+
     /// Entries keep spawn order across chunks of `WINDOW_CHUNK`, each chunk
-    /// counts its own, and a drained window kept as a spare keeps one empty
-    /// chunk with nothing counted.
+    /// counts its own, and a flushed window kept as a spare keeps its
+    /// emptied chunk list and no chunk.
     #[test]
     fn a_window_grows_a_chunk_at_a_time_in_spawn_order() {
         let mut window = Window::new();
         let n = 2 * WINDOW_CHUNK + 3;
         for i in 0..n {
-            let significance = Significance::new((i % 11) as f64 / 10.0);
-            window.push(Buffered::Plain(PlainTask::new(
-                TaskId(i as u64),
-                significance,
-                Box::new(|| {}),
-                None,
-            )));
+            window.push(entry(i as u64, (i % 11) as f64 / 10.0), || {
+                Vec::with_capacity(WINDOW_CHUNK)
+            });
         }
         assert_eq!(window.len(), n);
         let ids: Vec<u64> = window
@@ -585,13 +590,13 @@ mod tests {
         let decisions: Vec<bool> = sigs.iter().map(|&s| quota.admit(s)).collect();
         assert_eq!(decisions, crate::policy::gtb_classify(&sigs, 0.37));
 
-        for chunk in window.chunks_mut() {
-            chunk.entries.clear();
-        }
+        assert_eq!(window.drain_chunks().count(), 3);
+        assert!(window.is_empty());
         return_window(window);
         let spare =
             SPARE_WINDOW.with(|spare| std::mem::replace(&mut *spare.borrow_mut(), Window::new()));
-        assert_eq!(spare.chunks.len(), 1, "a spare keeps one chunk");
+        assert!(spare.chunks.is_empty(), "a spare holds no chunk");
+        assert!(spare.chunks.capacity() > 0, "a spare keeps its list");
         assert!(spare.is_empty());
         let mut quota = spare.tally().quota(1.0);
         assert!(
@@ -600,31 +605,24 @@ mod tests {
         );
     }
 
-    /// A flush leaves its group's buffer holding no chunk, and the next
-    /// buffer the flushing thread fills starts from the chunk it drained.
+    /// A buffer takes each new chunk from the caller's source, and a flush
+    /// leaves its group's buffer holding no chunk.
     #[test]
-    fn a_drained_chunk_goes_to_the_next_buffer_not_back_to_its_group() {
+    fn a_new_chunk_comes_from_the_callers_source_and_a_flush_leaves_none() {
         let reg = registry();
-        let (a, b) = (reg.create("a", 0.5), reg.create("b", 0.5));
-        let entry = |i| {
-            Buffered::Plain(PlainTask::new(
-                TaskId(i),
-                Significance::new(0.5),
-                Box::new(|| {}),
-                None,
-            ))
-        };
+        let a = reg.create("a", 0.5);
+        let pooled: Vec<Buffered> = Vec::with_capacity(WINDOW_CHUNK);
+        let address: *const Buffered = pooled.as_ptr();
+        let mut pool = vec![pooled];
         let mut window = a
-            .append_buffered([entry(0), entry(1)], 2)
+            .append_buffered([entry(0, 0.5), entry(1, 0.5)], 2, || {
+                pool.pop().unwrap_or_default()
+            })
             .expect("a window of two is full at two");
         assert!(a.buffer.lock().unwrap().chunks.is_empty());
-        let drained: *const Buffered = window.chunks[0].entries.as_ptr();
-        window.chunks_mut()[0].entries.clear();
-        return_window(window);
-        assert!(b.append_buffered([entry(2)], 2).is_none());
-        let buffer = b.buffer.lock().unwrap();
-        assert!(std::ptr::eq(buffer.chunks[0].entries.as_ptr(), drained));
-        assert_eq!(buffer.len(), 1);
+        let chunks: Vec<Chunk> = window.drain_chunks().collect();
+        assert!(std::ptr::eq(chunks[0].entries.as_ptr(), address));
+        assert_eq!(chunks[0].entries.len(), 2);
     }
 
     /// The one-writer-per-line rule for a group: what the spawner writes per

@@ -157,15 +157,6 @@ impl GtbTally {
         }
     }
 
-    /// Stop counting what `other`, a part of this tally, counted.
-    pub(crate) fn remove(&mut self, other: &GtbTally) {
-        self.tasks -= other.tasks;
-        self.criticals -= other.criticals;
-        for (count, &less) in self.ordinary.iter_mut().zip(&other.ordinary) {
-            *count -= less;
-        }
-    }
-
     /// The quota of the window counted here, at accurate-task ratio
     /// `ratio`.
     pub(crate) fn quota(&self, ratio: f64) -> GtbQuota {

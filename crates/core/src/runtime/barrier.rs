@@ -56,7 +56,7 @@ impl RuntimeInner {
     }
 
     /// Flush the pending GTB buffer of one group.
-    fn flush_group(self: &Arc<Self>, group: &Arc<GroupState>) {
+    fn flush_group(&self, group: &Arc<GroupState>) {
         if let Some(window) = group.take_buffered() {
             self.flush_tasks(group, window);
         }
@@ -76,7 +76,7 @@ impl RuntimeInner {
     }
 
     /// Flush the GTB buffers of every group (used by global barriers).
-    fn flush_all_groups(self: &Arc<Self>) {
+    fn flush_all_groups(&self) {
         for group in self.groups.all() {
             self.flush_group(&group);
         }

@@ -162,8 +162,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Deterministic fault-injection plan applied to every non-system task
-    /// (default: none). Chaos-testing hook; see [`FaultPlan`].
+    /// Deterministic fault-injection plan applied to every task (default:
+    /// none). Chaos-testing hook; see [`FaultPlan`].
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -239,11 +239,13 @@ impl RuntimeInner {
     /// Batched submission: prime, count and enqueue a whole slice of
     /// footprint-free tasks with per-*batch* instead of per-task overhead —
     /// one task-id reservation, one bump of each outstanding counter, one
-    /// statistics record, one (chunked round-robin) queue pass and one
-    /// coalesced wake. Under a buffering (GTB) policy the batch lands in
-    /// the group buffer with a single lock acquisition instead.
+    /// statistics record, one lock or one queue pass and one coalesced
+    /// wake. A plain batch (no deadline, no token) is entries, as a plain
+    /// spawn is ([`RuntimeInner::spawn_plain`]): in the group's GTB buffer,
+    /// or staged from a thread that is not a worker. A worker's plain batch
+    /// and a batch with a clause take records.
     fn spawn_batch_into(
-        self: &Arc<Self>,
+        &self,
         group_state: &Arc<GroupState>,
         items: Vec<BatchTask>,
         deadline_nanos: u64,
@@ -261,17 +263,21 @@ impl RuntimeInner {
         self.stats.record_spawns(n);
 
         let capacity = self.policy.buffer_capacity();
-        if let (Some(capacity), 0, None) = (capacity, deadline_nanos, &cancel) {
-            // Plain tasks under GTB: entries, whose records the flush builds.
+        let local = self.local_worker();
+        let plain = deadline_nanos == 0 && cancel.is_none();
+        if plain && (capacity.is_some() || local.is_none()) {
             let entries = items.into_iter().enumerate().map(|(offset, item)| {
-                Buffered::Plain(PlainTask::new(
+                PlainTask::new(
                     TaskId(first + offset as u64),
                     item.significance,
                     item.accurate,
                     item.approximate,
-                ))
+                )
             });
-            self.buffer(group_state, entries, capacity);
+            match capacity {
+                Some(capacity) => self.buffer(group_state, entries.map(Buffered::Plain), capacity),
+                None => self.stage(group_state, entries),
+            }
             return TaskIdRange::new(first..first + n as u64);
         }
         let accurate = matches!(self.policy, Policy::SignificanceAgnostic);
@@ -291,7 +297,7 @@ impl RuntimeInner {
             if capacity.is_none() {
                 t.prime_spawn_enqueued(accurate);
             }
-            if deadline_nanos != 0 || cancel.is_some() {
+            if !plain {
                 let clauses = t.clauses_mut();
                 clauses.deadline_nanos = deadline_nanos;
                 clauses.cancel = cancel.clone();
@@ -307,11 +313,40 @@ impl RuntimeInner {
                 capacity,
             ),
             None => {
-                let push = self.queues.push_batch(tasks, self.local_worker());
+                let push = self.queues.push_batch(tasks, local);
                 self.wake_for_batch(&push);
             }
         }
         TaskIdRange::new(first..first + n as u64)
+    }
+
+    /// Spawn a plain task — no keys, deadline, token or handle — counted
+    /// already. Under GTB it waits in its group's buffer as an entry, from
+    /// any thread; otherwise a thread that is not a worker stages it as an
+    /// entry ([`RuntimeInner::stage`]), and a worker, whose record never
+    /// crosses threads, fills a husk from its stash and pushes it onto its
+    /// own deque.
+    #[inline]
+    fn spawn_plain(&self, group: &Arc<GroupState>, entry: PlainTask) {
+        if let Some(capacity) = self.policy.buffer_capacity() {
+            self.buffer(group, [Buffered::Plain(entry)], capacity);
+            return;
+        }
+        let Some(worker) = self.local_worker() else {
+            self.stage(group, [entry]);
+            return;
+        };
+        let mut task = self.husk_in(group);
+        let t = Arc::get_mut(&mut task).expect("a husk is uniquely held");
+        t.fill(
+            entry.id,
+            entry.significance,
+            entry.accurate,
+            entry.approximate,
+        );
+        t.prime_spawn_enqueued(self.policy == Policy::SignificanceAgnostic);
+        let target = self.queues.push(task, Some(worker));
+        self.wake_for_push(target);
     }
 
     /// Count one spawn into `group`, before the task can reach a worker.
@@ -320,9 +355,9 @@ impl RuntimeInner {
     /// increment must be observable (a) by the matching `fetch_sub` in
     /// `publish`, which RMW coherence orders after it (the sub can only run
     /// once the task reached a worker, and the queue handoff's
-    /// release/acquire edge — behind the GTB buffer's lock, for a buffered
-    /// task — orders the add before the pop), and (b) by any barrier
-    /// predicate load *on the spawning thread*, which same-thread coherence
+    /// release/acquire edge — behind the GTB buffer's lock or the staging
+    /// lock, for an entry — orders the add before the pop), and (b) by any
+    /// barrier predicate load *on the spawning thread*, which same-thread coherence
     /// guarantees. A barrier on another thread racing this spawn is
     /// unordered by construction — it may legitimately return before the
     /// spawn lands — so no cross-thread SC fence is load-bearing here. The
@@ -340,12 +375,12 @@ impl RuntimeInner {
     /// `try_enqueue`, and the flush finds the window its only holder. A
     /// footprint spawn passes a clone and keeps its own.
     fn buffer(
-        self: &Arc<Self>,
+        &self,
         group: &Arc<GroupState>,
         entries: impl IntoIterator<Item = Buffered>,
         capacity: usize,
     ) {
-        match group.append_buffered(entries, capacity) {
+        match group.append_buffered(entries, capacity, || self.fresh_chunk()) {
             Some(window) => self.flush_tasks(group, window),
             None => self.notify_buffered(group),
         }
@@ -466,7 +501,7 @@ impl<'rt> TaskBuilder<'rt> {
             },
             accurate,
             approximate: None,
-            significance: Significance::default(),
+            significance: Significance::CRITICAL,
             group: None,
         }
     }
@@ -532,18 +567,15 @@ impl<'rt> TaskBuilder<'rt> {
         let inner = &self.husk.runtime.inner;
         let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
         let group = self.group.unwrap_or(&inner.global_group);
-        let capacity = inner.policy.buffer_capacity();
-        // A task that took no record for a clause, under GTB: an entry in
-        // the group buffer, whose flush decides it and builds its record.
-        if let (Some(capacity), None) = (capacity, &self.husk.record) {
+        // A task that took no record for a clause is an entry, or a
+        // worker's record from its own stash.
+        let Some(husk) = self.husk.record.take() else {
             inner.count_spawn(group);
             let entry = PlainTask::new(id, self.significance, self.accurate, self.approximate);
-            inner.buffer(group, [Buffered::Plain(entry)], capacity);
+            inner.spawn_plain(group, entry);
             return id;
-        }
-        // The record a clause took, else one from the stash now.
-        let husk = self.husk.record.take().or_else(|| inner.pop_husk());
-        let mut task = inner.bind_husk(husk, group);
+        };
+        let mut task = inner.bind_husk(Some(husk), group);
         let footprint = {
             // Not yet shared: every clause lands through `&mut`, free.
             let t = Arc::get_mut(&mut task).expect("task not yet shared");
@@ -551,6 +583,7 @@ impl<'rt> TaskBuilder<'rt> {
             t.settle_clauses()
         };
         inner.count_spawn(group);
+        let capacity = inner.policy.buffer_capacity();
 
         // Fast paths for a footprint-free task, which waits on nothing.
         // Under GTB it goes to the group buffer, whose flush decides it.
@@ -687,7 +720,7 @@ impl BatchTask {
         BatchTask {
             accurate: Box::new(body),
             approximate: None,
-            significance: Significance::default(),
+            significance: Significance::CRITICAL,
         }
     }
 

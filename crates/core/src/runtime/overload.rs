@@ -14,6 +14,10 @@
 //! * `OverloadState::shed_bits`, a `Relaxed` store and load: the threshold
 //!   is advisory, recomputed from counters that are themselves sampled
 //!   racily; a worker reading a stale one sheds or runs one task more.
+//!
+//! The queue depth the watermark is compared with counts the entries
+//! staged for workers to pull (`staging.rs`) beside the queued records:
+//! both are issued and not yet started.
 
 use super::worker::Retired;
 use super::RuntimeInner;
@@ -85,7 +89,11 @@ impl RuntimeInner {
         }
         let mut pressure = 0.0f64;
         if overload.queue_watermark != usize::MAX {
-            let depth = self.queues.total_queued();
+            // Staged entries count: they are issued and not yet started,
+            // like a queued record, and a worker builds them only when it
+            // runs dry, so a backlog a spawner stages is the queue the
+            // watermark is about.
+            let depth = self.queues.total_queued() + self.staging.queued();
             if depth > overload.queue_watermark {
                 let watermark = overload.queue_watermark.max(1) as f64;
                 pressure = ((depth - overload.queue_watermark) as f64 / watermark).clamp(0.0, 1.0);

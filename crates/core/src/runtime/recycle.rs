@@ -42,18 +42,14 @@ thread_local! {
 pub(super) const HUSK_BATCH: usize = 64;
 
 /// Records the shared pool holds before retiring workers free instead: 1024,
-/// about 130 KB. Sized from need, not speed — sigbench `sched_fine`
-/// throughput was flat from 64 to 65 536, because what the pool buys is the
-/// pass-through, not the stock. The stock only has to absorb one swing from
-/// "spawner ahead" to "worker caught up": peak in-flight depth over 14
-/// agnostic/LQH passes of 100k tasks read 180-1411 records in nine and
-/// 2.7k-18k in five, when the worker lost its CPU (median about 1200);
-/// the deep ones fall back to the allocator. GTB Max-Buffer needs no more:
-/// it holds a group's plain tasks as buffer entries, not records, and its
-/// flush builds their records one 1 024-entry chunk at a time, each from
-/// the husks of the chunk before it, which this cap holds whole. Bounded
-/// GTB recycles like the agnostic path: a window of `B` records is back in
-/// the pool before long.
+/// about 130 KB, one chunk's worth. Sized from need, not speed — sigbench
+/// `sched_fine` throughput was flat from 64 to 65 536, because what the pool
+/// buys is the pass-through, not the stock. A plain task's record is built
+/// and blanked on the worker that runs it (`runtime/staging.rs`), so the
+/// pool carries no spawner's backlog: it holds what a worker's stash gives
+/// up beyond two batches, or whole when the worker runs dry, for the next
+/// chunk a worker builds — 1 024 records at most — and the records a
+/// thread that is not a worker fills for tasks with clauses.
 const HUSK_POOL_CAP: usize = 1024;
 
 /// Blank task records ("husks") on their way from the workers that retired
@@ -188,11 +184,13 @@ impl RuntimeInner {
 
     /// Quiescence: a barrier returned. If nothing is outstanding, free every
     /// pooled husk and the calling thread's stash, so neither the records
-    /// nor the `Arc<GroupState>` each carries outlive the burst.
+    /// nor the `Arc<GroupState>` each carries outlive the burst, and the
+    /// pooled chunks ([`RuntimeInner::free_chunks_if_idle`]).
     pub(super) fn free_husks_if_idle(&self) {
         if self.outstanding.load(Ordering::SeqCst) != 0 {
             return;
         }
+        self.free_chunks_if_idle();
         let stash = self.with_stash(std::mem::take);
         let pooled = {
             let mut pool = self.husks.lock();
@@ -587,73 +585,93 @@ mod tests {
         assert_eq!(summary.cancelled, 0);
     }
 
+    /// A footprint task's record, blanked into a worker's stash, carries
+    /// nothing into the plain task that worker spawns next from it: no
+    /// keys, no deadline, no token, no handle — and the box keeps its key
+    /// buffers. The plain spawn is made on the worker, whose own spawns
+    /// take records from its stash (a plain spawn from another thread is an
+    /// entry, built by whichever worker pulls it).
     #[test]
     fn a_recycled_footprint_record_runs_a_plain_task_as_plain() {
-        let rt = Runtime::builder()
-            .workers(1)
-            .policy(Policy::SignificanceAgnostic)
-            .build();
-        let inner = &rt.inner;
+        let rt = Arc::new(
+            Runtime::builder()
+                .workers(1)
+                .policy(Policy::SignificanceAgnostic)
+                .build(),
+        );
         let token = CancelToken::new();
         let old_core = Arc::new(HandleCore::<u32>::new());
         let old_handle = SpawnHandle::new(old_core.clone(), TaskId(1));
-        // Held first: the blocker's own spawn must not be the one that
-        // takes the record below.
-        let release = block_single_worker(&rt);
-
-        // A footprint task's record as its last holder lets go of it: keys,
-        // a deadline long past, a cancel token and a handle, list sealed.
-        let mut record = inner.husk_in(&inner.global_group);
-        let address = Arc::as_ptr(&record) as usize;
-        {
-            let t = Arc::get_mut(&mut record).expect("uniquely held");
-            t.fill(TaskId(1), Significance::new(0.5), Box::new(|| {}), None);
-            let clauses = t.clauses_mut();
-            clauses
-                .in_keys
-                .extend([DepKey::named("a"), DepKey::named("b")]);
-            clauses.out_keys.push(DepKey::named("c"));
-            clauses.deadline_nanos = 1;
-            clauses.cancel = Some(token.clone());
-            clauses.handle = Some(old_core as Arc<dyn HandleNotify>);
-            assert!(t.settle_clauses());
-        }
-        assert!(record.successors.seal().is_empty());
-        record.mark_completed();
-        inner.recycle(record);
-        let blank = inner.with_stash(|stash| match stash.as_mut_slice() {
-            [husk] => Arc::get_mut(husk).is_some_and(|record| record.is_blank()),
-            _ => false,
-        });
-        assert_eq!(blank, Some(true), "one husk, box and flags blanked");
-
-        // A plain task takes it, and waits in the queue while the old token
-        // is cancelled.
         let ran = Arc::new(AtomicUsize::new(0));
-        let counter = ran.clone();
-        rt.task(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        })
-        .spawn();
+        let driver = {
+            let (rt2, token, ran) = (rt.clone(), token.clone(), ran.clone());
+            rt.submit(move || {
+                let inner = &rt2.inner;
+                // A footprint task's record as its last holder lets go of
+                // it: keys, a deadline long past, a cancel token and a
+                // handle, list sealed.
+                let mut record = inner.husk_in(&inner.global_group);
+                let address = Arc::as_ptr(&record) as usize;
+                {
+                    let t = Arc::get_mut(&mut record).expect("uniquely held");
+                    t.fill(TaskId(1), Significance::new(0.5), Box::new(|| {}), None);
+                    let clauses = t.clauses_mut();
+                    clauses
+                        .in_keys
+                        .extend([DepKey::named("a"), DepKey::named("b")]);
+                    clauses.out_keys.push(DepKey::named("c"));
+                    clauses.deadline_nanos = 1;
+                    clauses.cancel = Some(token.clone());
+                    clauses.handle = Some(old_core as Arc<dyn HandleNotify>);
+                    assert!(t.settle_clauses());
+                }
+                assert!(record.successors.seal().is_empty());
+                record.mark_completed();
+                inner.recycle(record);
+                let blank_on_top = inner.with_stash(|stash| {
+                    stash.last_mut().is_some_and(|husk| {
+                        Arc::as_ptr(husk) as usize == address
+                            && Arc::get_mut(husk).is_some_and(|record| record.is_blank())
+                    })
+                });
+                // The plain task takes it, and waits on this worker's deque
+                // while the old token is cancelled.
+                rt2.task(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+                .spawn();
+                let taken = inner.with_stash(|stash| {
+                    stash
+                        .iter()
+                        .all(|husk| Arc::as_ptr(husk) as usize != address)
+                });
+                token.cancel();
+                // Runs behind the plain task, on the worker whose stash the
+                // record goes back to.
+                let probe = queue_probe(&rt2, move |inner| {
+                    inner.with_stash(|stash| {
+                        stash
+                            .iter_mut()
+                            .find(|husk| Arc::as_ptr(husk) as usize == address)
+                            .map(|husk| {
+                                let clauses =
+                                    Arc::get_mut(husk).expect("uniquely held").clauses_mut();
+                                (clauses.in_keys.capacity(), clauses.out_keys.capacity())
+                            })
+                    })
+                });
+                (blank_on_top, taken, probe)
+            })
+            .spawn()
+        };
+        assert!(matches!(driver.wait(), TaskOutcome::Completed(_)));
+        let (blank_on_top, taken, probe) = driver.take_value().expect("driver ran");
+        assert_eq!(blank_on_top, Some(true), "one husk, box and flags blanked");
         assert_eq!(
-            inner.with_stash(|stash| stash.len()),
-            Some(0),
+            taken,
+            Some(true),
             "the plain spawn took the footprint record"
         );
-        token.cancel();
-        // Runs behind the plain task, on the worker whose stash it went to.
-        let probe = queue_probe(&rt, move |inner| {
-            inner.with_stash(|stash| {
-                stash
-                    .iter_mut()
-                    .find(|husk| Arc::as_ptr(husk) as usize == address)
-                    .map(|husk| {
-                        let clauses = Arc::get_mut(husk).expect("uniquely held").clauses_mut();
-                        (clauses.in_keys.capacity(), clauses.out_keys.capacity())
-                    })
-            })
-        });
-        release.send(()).unwrap();
         assert!(matches!(probe.wait(), TaskOutcome::Completed(_)));
         let capacities = probe.take_value().flatten().flatten();
 

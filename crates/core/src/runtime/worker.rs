@@ -7,19 +7,20 @@
 //!
 //! # Checklist for the model checker
 //!
-//! Unsafe blocks: four, all in [`RuntimeInner::run_task`], each a
+//! Unsafe blocks: three, all in [`RuntimeInner::run_task`], each a
 //! `take_accurate` / `take_approximate` on the task's body cells — the
-//! system task's body, the accurate body, the approximate body, and the
-//! drop of whichever body did not run. Each relies on the calling worker
-//! being the task's unique executor, which it became by dequeuing a record
-//! whose `claim_enqueue` was won once.
+//! accurate body, the approximate body, and the drop of whichever body did
+//! not run. Each relies on the calling worker being the task's unique
+//! executor, which it became by dequeuing a record whose `claim_enqueue`
+//! was won once.
 //!
 //! Orderings weaker than SeqCst: none. Every atomic this file touches
 //! directly is one side of a Dekker-style pair and stays SeqCst:
 //!
 //! * `sleepers` and `shutdown` in the run loop, against the producers'
 //!   [`RuntimeInner::wake_one_sleeper`] and the runtime's drop (the sleep
-//!   flag itself is [`Parker`](crate::sync::Parker)'s);
+//!   flag itself is [`Parker`](crate::sync::Parker)'s), and the pre-park
+//!   look at the staged entries, against a stager's (see `staging.rs`);
 //! * the two `outstanding` decrements in [`RuntimeInner::publish`], against
 //!   the barriers' `EventCount` register / re-check, the runtime-wide count
 //!   first (see `publish`);
@@ -27,8 +28,9 @@
 //!   against `Task::release` on the GTB-flush side.
 //!
 //! The three points at which a worker publishes a [`Retired`] batch (a
-//! task of another group, a full batch, running out of work) are what keep
-//! a barrier from returning early or waiting on another group's task.
+//! task of another group, a full batch, running out of work — including
+//! anything staged to pull) are what keep a barrier from returning early or
+//! waiting on another group's task.
 
 use std::time::Instant;
 
@@ -55,9 +57,8 @@ const RETIRE_BATCH: usize = 64;
 ///
 /// Invariant: a non-empty batch holds only completions of the group of the
 /// task its worker is running or about to run. `execute` publishes before a
-/// task of another group (a system task belongs to the global group), the
-/// batch publishes itself at [`RETIRE_BATCH`], and the worker publishes
-/// whenever it finds no work. Hence:
+/// task of another group, the batch publishes itself at [`RETIRE_BATCH`],
+/// and the worker publishes whenever it finds no work. Hence:
 ///
 /// * a group barrier the batch delays is one the running task delays
 ///   anyway, and `wait_all` always waits for the running task;
@@ -168,17 +169,6 @@ impl RuntimeInner {
         tick: &mut usize,
         retired: &mut Retired,
     ) {
-        if task.system {
-            // Internal helper tasks (e.g. parallel GTB flush chunks) skip
-            // policy, DVFS, statistics, cancellation and fault injection
-            // entirely.
-            // SAFETY: as below — this worker is the task's unique executor.
-            if let Some(body) = unsafe { task.take_accurate() } {
-                self.run_body(body);
-            }
-            self.complete(task, retired);
-            return;
-        }
         // Cooperative cancellation: a task whose token was cancelled before
         // it starts is skipped entirely.
         if task.cancel_requested() {
@@ -440,6 +430,12 @@ impl RuntimeInner {
                 self.execute(task, index, &mut lqh, &mut overload_tick, &mut retired);
                 continue;
             }
+            // Nothing to pop or steal: build the next staged chunk's records
+            // onto this worker's deque, from the husks of the tasks it ran.
+            if self.pull_staged(index) {
+                idle_rounds = 0;
+                continue;
+            }
             // Out of work: no barrier may wait on this worker's batch.
             self.publish(&mut retired);
             if self.shutdown.load(Ordering::SeqCst) {
@@ -466,13 +462,15 @@ impl RuntimeInner {
                 continue;
             }
             // Sleep protocol (no timed polling): announce intent, re-check
-            // every queue, then park. A producer pushes before it loads the
-            // sleep flag, so either the re-check sees the task or the
-            // producer sees the flag and unparks — never neither.
+            // every queue and the staged entries, then park. A producer
+            // pushes (or stages) before it loads the sleep flag (or
+            // `sleepers`), so either the re-check sees the task or the
+            // producer sees the sleeper and unparks — never neither.
             let parker = &self.parkers[index];
             parker.prepare_park();
             self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.queues.any_work() || self.shutdown.load(Ordering::SeqCst) {
+            if self.queues.any_work() || self.staging.any() || self.shutdown.load(Ordering::SeqCst)
+            {
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
                 parker.cancel();
                 continue;
@@ -639,6 +637,50 @@ mod tests {
             assert_eq!(summary.panicked, 10, "{policy:?}");
             assert_eq!(summary.completed, 0, "{policy:?}");
             assert_eq!(rt.group_stats(&group).panicked, 10, "{policy:?}");
+        }
+    }
+
+    /// A plain task that a thread other than a worker stages runs with no
+    /// barrier after it, whatever the worker is doing when it lands: still
+    /// spinning or yielding after the task before it, or parked.
+    #[test]
+    fn no_staged_plain_task_is_stranded() {
+        let patience = Duration::from_secs(30);
+        for policy in [Policy::SignificanceAgnostic, Policy::Lqh] {
+            for workers in [1, 2] {
+                let rt = Runtime::builder().workers(workers).policy(policy).build();
+                let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+                // Either body reports the task, whatever LQH decides.
+                let spawn = |i: usize| {
+                    let (accurate, approximate) = (ran_tx.clone(), ran_tx.clone());
+                    rt.task(move || accurate.send(i).unwrap())
+                        .approx(move || approximate.send(i).unwrap())
+                        .significance(0.5)
+                        .spawn();
+                };
+                // Back to back: each lands while the worker that ran the one
+                // before is in its idle spin or yield rounds.
+                for i in 0..200 {
+                    spawn(i);
+                    assert_eq!(
+                        ran_rx.recv_timeout(patience),
+                        Ok(i),
+                        "{policy:?}, {workers} workers: staged task {i} never ran"
+                    );
+                }
+                // Once every worker is parked, or about to.
+                let deadline = Instant::now() + patience;
+                while rt.inner.sleepers.load(Ordering::SeqCst) < workers {
+                    assert!(Instant::now() < deadline, "the workers never parked");
+                    thread::yield_now();
+                }
+                spawn(200);
+                assert_eq!(
+                    ran_rx.recv_timeout(patience),
+                    Ok(200),
+                    "{policy:?}, {workers} workers: a task staged beside parked workers never ran"
+                );
+            }
         }
     }
 

@@ -55,9 +55,25 @@ impl Significance {
         self.0 <= 0.0
     }
 
-    /// Quantise to one of the runtime's 101 discrete levels.
+    /// Quantise to one of the runtime's 101 discrete levels: the nearest,
+    /// halves rounded up.
     pub fn level(self) -> SignificanceLevel {
-        SignificanceLevel(((self.0 * 100.0).round()) as u8)
+        SignificanceLevel(round_percent(self.0 * 100.0))
+    }
+}
+
+/// `y.round() as u8` for `y` in `[0, 100]`, without the software `round`
+/// the x86-64 baseline calls (it has no SSE4.1 `roundsd`); GTB decides on
+/// levels, about three per task. Adding one half and truncating rounds
+/// halves up like `round`, and is exact here: below 0.5 the sum can round up
+/// to 1.0 (the double just below 0.5 does), so that range is 0 outright;
+/// from 0.5 on, the sum is exact unless it crosses into the next binade,
+/// where `round` rounds up too.
+fn round_percent(y: f64) -> u8 {
+    if y < 0.5 {
+        0
+    } else {
+        (y + 0.5) as u8
     }
 }
 
@@ -141,6 +157,28 @@ impl fmt::Display for SignificanceLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `round_percent` is `f64::round` on `[0, 100]`: on a dense sweep, on
+    /// every `k + 0.5`, and one ulp either side of each.
+    #[test]
+    fn round_percent_matches_round_on_every_level() {
+        let check = |y: f64| {
+            assert_eq!(round_percent(y), y.round() as u8, "at {y:e}");
+        };
+        for i in 0..=1_000_000u32 {
+            check(f64::from(i) * 1e-4);
+        }
+        for k in 0..100u32 {
+            let half = f64::from(k) + 0.5;
+            check(half);
+            check(f64::from_bits(half.to_bits() - 1));
+            check(f64::from_bits(half.to_bits() + 1));
+        }
+        check(0.0);
+        check(100.0);
+        check(f64::from_bits(100.0f64.to_bits() - 1));
+        check(f64::from_bits(0.5f64.to_bits() - 1));
+    }
 
     #[test]
     fn construction_and_accessors() {

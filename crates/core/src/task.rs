@@ -24,7 +24,7 @@
 //! spawn (no keys, no deadline, no token, no handle) fills or a worker reads
 //! for every task stays inline: the id, group, significance, both bodies,
 //! the state byte, the pending-dependence count, the successor list, the
-//! `footprint` and `system` flags and the mailbox link. The five clauses a
+//! `footprint` flag and the mailbox link. The five clauses a
 //! plain spawn never sets — `in`/`out` keys, deadline, cancel token and
 //! spawn handle, 80 bytes together — live out of line in one boxed
 //! `Clauses`, allocated the first time a spawn sets one. The spawn then
@@ -36,8 +36,8 @@
 //! a second.
 //!
 //! Every record in flight costs its malloc chunk; a plain task waiting in a
-//! GTB buffer costs none, since it waits as an entry and its flush builds
-//! its record (`group::Buffered`). Recycling keeps the box with the husk,
+//! GTB buffer or staged for a worker costs none, since it waits as an entry
+//! and the worker that pulls it builds its record (`group::PlainTask`). Recycling keeps the box with the husk,
 //! as it keeps the key buffers, so a recycled footprint record allocates
 //! nothing new.
 
@@ -282,10 +282,6 @@ pub(crate) struct Task {
     /// can never be a predecessor, so its completion path skips the
     /// successor-list seal and the dependence tracker entirely.
     pub(crate) footprint: bool,
-    /// Runtime-internal helper task (e.g. a parallel GTB-flush chunk):
-    /// executed like any other task but invisible to user-facing statistics
-    /// and energy accounting.
-    pub(crate) system: bool,
     /// Whether the task declared `out` keys. Set by
     /// [`Task::settle_clauses`], like `watched`.
     pub(crate) writes: bool,
@@ -376,7 +372,6 @@ impl Task {
             pending_deps: AtomicUsize::new(0),
             successors: SuccessorList::new(),
             footprint: false,
-            system: false,
             writes: false,
             watched: false,
             clauses: None,
@@ -402,7 +397,6 @@ impl Task {
             pending_deps,
             successors,
             footprint,
-            system,
             writes,
             watched,
             clauses,
@@ -426,7 +420,6 @@ impl Task {
             );
         }
         *footprint = false;
-        *system = false;
         *writes = false;
         *watched = false;
         if let Some(clauses) = clauses {
@@ -444,7 +437,6 @@ impl Task {
             && *self.pending_deps.get_mut() == 0
             && self.successors.head.get_mut().is_null()
             && !self.footprint
-            && !self.system
             && !self.writes
             && !self.watched
             && self.clauses.as_deref().is_none_or(Clauses::is_blank)
@@ -933,7 +925,6 @@ mod tests {
         clauses.handle = Some(Arc::new(crate::handle::HandleCore::<()>::new()));
         t.settle_clauses();
         assert!(t.writes && t.watched && t.deadline_nanos() == 17);
-        t.system = true;
         t.pending_deps.store(3, Ordering::Relaxed);
         // Retire it the way a footprint task retires: sealed list, every
         // state bit set, one body left untaken.

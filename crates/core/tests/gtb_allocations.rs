@@ -1,16 +1,18 @@
-//! GTB task records stay on the recycled path: once warm, a spawner feeding a
+//! Task records stay on the recycled path: once warm, a spawner feeding a
 //! GTB group allocates (almost) nothing per task. Each flush must leave the
 //! window the only holder of its records, so the worker that retires one can
-//! blank it into a husk the flush reuses, and the group buffer must keep a
-//! chunk across flushes.
+//! blank it into a husk it reuses, and the drained chunks must come back for
+//! the next windows.
 //!
-//! And a cold GTB Max-Buffer group, which holds every task until its
-//! barrier, costs at most 64 requested bytes per task on the spawner: a
-//! plain task waits as a 56-byte entry in 1024-entry chunks, not as a
-//! 128-byte record. Its records are built at the flush from the husks of the
-//! tasks the workers just ran, so the whole group, from the first spawn to
-//! the barrier's return, makes at most 0.2 allocations per task on all
-//! threads together.
+//! A cold GTB Max-Buffer group, which holds every task until its barrier,
+//! costs at most 64 requested bytes per task on the spawner: a plain task
+//! waits as a 56-byte entry in 1024-entry chunks, not as a 128-byte record.
+//! Under every policy a plain task from a thread that is not a worker is
+//! such an entry, whose record the worker that pulls it builds from the
+//! husks of the tasks it just ran, so a cold pass of any policy, from the
+//! first spawn to the barrier's return, makes at most 0.2 allocations per
+//! task on all threads together. And a second pass while the runtime is
+//! still busy takes every chunk from the pool the first one filled.
 //!
 //! Its own test binary: the counting global allocator below counts each
 //! thread's allocations and requested bytes (thread-local counters), so
@@ -20,8 +22,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use sig_core::{Policy, Runtime, TaskGroup};
 
@@ -32,6 +35,13 @@ thread_local! {
 
 /// Allocations and reallocations on every thread.
 static ALL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Allocations and reallocations of at least [`CHUNK_SIZED`] bytes on every
+/// thread: chunks of entries, not records.
+static ALL_CHUNK_SIZED: AtomicU64 = AtomicU64::new(0);
+
+/// Sixteen 56-byte entries: no record, boxed body or key list is this large.
+const CHUNK_SIZED: usize = 16 * 56;
 
 /// The system allocator, counting every allocation and reallocation made on
 /// the calling thread, and the bytes each asked for: an allocation's size, a
@@ -44,6 +54,9 @@ fn count(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     ALL_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if bytes >= CHUNK_SIZED {
+        ALL_CHUNK_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Held by every test of this binary: the process-wide count sees another
@@ -188,23 +201,110 @@ fn a_buffered_gtb_max_task_requests_at_most_64_bytes() {
     );
 }
 
-#[test]
-fn a_cold_gtb_max_group_builds_its_records_from_recycled_husks() {
-    let _serial = serial();
-    let (rt, group) = cold_gtb_max();
-    let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..MAX_BUFFERED {
-        spawn_plain(&rt, &group, i);
-    }
-    rt.wait_group(&group);
-    let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+const POLICIES: [Policy; 4] = [
+    Policy::SignificanceAgnostic,
+    Policy::Gtb { buffer_size: 32 },
+    Policy::GtbMaxBuffer,
+    Policy::Lqh,
+];
 
-    let per_task = allocations as f64 / MAX_BUFFERED as f64;
-    assert!(
-        per_task <= 0.2,
-        "{allocations} allocations on all threads for a cold {MAX_BUFFERED}-task \
-         GTB Max-Buffer group ({per_task:.3} per task): the flush builds each chunk's \
-         records from the husks of the chunk before it, so only about the first \
-         chunk's are fresh"
+#[test]
+fn a_cold_pass_of_any_policy_builds_its_records_from_recycled_husks() {
+    let _serial = serial();
+    for policy in POLICIES {
+        // No husks yet: every record a pass needs beyond what it recycles
+        // is a fresh one.
+        let rt = Runtime::builder().workers(1).policy(policy).build();
+        let group = rt.create_group("cold", 0.5);
+        let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
+        for i in 0..MAX_BUFFERED {
+            spawn_plain(&rt, &group, i);
+        }
+        rt.wait_group(&group);
+        let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+        let per_task = allocations as f64 / MAX_BUFFERED as f64;
+        assert!(
+            per_task <= 0.2,
+            "{policy:?}: {allocations} allocations on all threads for a cold \
+             {MAX_BUFFERED}-task pass ({per_task:.3} per task): each plain task \
+             is an entry whose record the worker that pulls its chunk builds from \
+             the husks of the tasks it ran before, so only about the first \
+             chunk's are fresh"
+        );
+    }
+}
+
+/// Two passes of four chunks each, without letting the runtime go idle in
+/// front of a barrier (which would free the pool): the second takes every
+/// chunk from the pool the first filled — staging chunks under the agnostic
+/// policy, window chunks under GTB Max-Buffer.
+#[test]
+fn a_second_warm_pass_allocates_no_chunk() {
+    let _serial = serial();
+    const PASS: usize = 4 * 1024;
+    let patience = std::time::Duration::from_secs(30);
+
+    // Agnostic: the worker is held while a pass is staged, so the pass
+    // fills four chunks, and the pass is polled, not waited for.
+    let rt = Runtime::builder()
+        .workers(1)
+        .policy(Policy::SignificanceAgnostic)
+        .build();
+    let group = rt.create_group("staged", 0.5);
+    let staged_pass = |rt: &Runtime| {
+        let flags = Arc::new((AtomicBool::new(false), AtomicBool::new(false)));
+        let held = flags.clone();
+        rt.task(move || {
+            held.0.store(true, Ordering::SeqCst);
+            while !held.1.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        })
+        .spawn();
+        while !flags.0.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        for i in 0..PASS {
+            spawn_plain(rt, &group, i);
+        }
+        flags.1.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + patience;
+        while rt.outstanding_tasks() != 0 {
+            assert!(Instant::now() < deadline, "a staged pass never drained");
+            std::thread::yield_now();
+        }
+    };
+    staged_pass(&rt);
+    let before = ALL_CHUNK_SIZED.load(Ordering::Relaxed);
+    staged_pass(&rt);
+    let staged = ALL_CHUNK_SIZED.load(Ordering::Relaxed) - before;
+    drop(rt);
+
+    // GTB Max-Buffer: a task parked in another group's buffer keeps the
+    // runtime busy across the group barrier.
+    let rt = Runtime::builder()
+        .workers(1)
+        .policy(Policy::GtbMaxBuffer)
+        .build();
+    let group = rt.create_group("window", 0.5);
+    let parked = rt.create_group("parked", 1.0);
+    rt.task(|| {}).group(&parked).spawn();
+    let window_pass = |rt: &Runtime| {
+        for i in 0..PASS {
+            spawn_plain(rt, &group, i);
+        }
+        rt.wait_group(&group);
+    };
+    window_pass(&rt);
+    let before = ALL_CHUNK_SIZED.load(Ordering::Relaxed);
+    window_pass(&rt);
+    let windows = ALL_CHUNK_SIZED.load(Ordering::Relaxed) - before;
+    rt.wait_all();
+
+    assert_eq!(
+        (staged, windows),
+        (0, 0),
+        "chunk-sized allocations in a warm pass of {PASS} tasks, staged and windowed"
     );
 }

@@ -1,19 +1,26 @@
-//! Differential test of the GTB buffer's two kinds of entry: a plain task
-//! waits for its flush as an entry whose record the flush builds, a task
-//! with a clause (here a cancel token that is never cancelled) waits as the
-//! record its spawn filled. The flush must decide both alike, in spawn order.
+//! Differential test of a plain task's two ways to a worker: a plain task
+//! spawned by a thread that is not a worker is an entry whose record the
+//! worker that pulls it builds, a task with a clause (here a cancel token
+//! that is never cancelled) is the record its spawn filled. The runtime must
+//! run both alike.
 //!
 //! One seeded program runs three ways — every task plain; every task, a
 //! batched slice included, carrying the token; every third task carrying it
-//! and the slice spawned as a plain batch — under GTB(1), GTB(7), GTB(32)
-//! and GTB Max-Buffer, at one and two workers. Each task must run in the
-//! same mode (accurate, approximate or dropped) in all three runs, that mode
-//! must be what GTB's definition gives for the task's window, and the
-//! group's statistics must be equal. The buffer keeps its entries in chunks
-//! of 1 024, each decided from the quota the chunks before it leave: a GTB
-//! Max-Buffer group of 3 000 tasks is decided three chunks in a row on the
-//! flushing thread, one of 10 000 a chunk at a time on the workers, newest
-//! first.
+//! and the slice spawned as a plain batch.
+//!
+//! * Under GTB(1), GTB(7), GTB(32) and GTB Max-Buffer, at one and two
+//!   workers, each task must run in the same mode (accurate, approximate or
+//!   dropped) in all three runs, that mode must be what GTB's definition
+//!   gives for the task's window, and the group's statistics must be equal.
+//!   The buffer keeps its entries in chunks of 1 024, each decided from the
+//!   quota the chunks before it leave by the worker that pulls it: a GTB
+//!   Max-Buffer group of 3 000 tasks is three chunks, one of 10 000 ten.
+//! * Under the agnostic policy, at one and two workers, every task must run
+//!   accurately all three ways.
+//! * Under LQH at one worker, where tasks run in spawn order and its
+//!   decisions repeat, each task must run in the same mode plain as with
+//!   the token. (The mixed run orders records and entries by their own
+//!   paths, so LQH's histories differ there.)
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -58,6 +65,7 @@ struct Program {
 
 impl Program {
     fn new(policy: Policy, tasks: usize, seed: u64) -> Self {
+        // Outside GTB the slice straddles two staging chunks.
         let batch = match policy.buffer_capacity() {
             // A batch appended to an empty buffer is one window, so the
             // slice is one aligned window: the same window as spawned alone.
@@ -214,4 +222,43 @@ fn entries_and_records_decide_alike() {
             }
         }
     }
+}
+
+#[test]
+fn agnostic_runs_entries_and_records_accurately() {
+    let policy = Policy::SignificanceAgnostic;
+    let program = Program::new(policy, 3_000, 0x5EED + 10);
+    for workers in [1, 2] {
+        let mut first_stats = None;
+        for way in [Way::Plain, Way::Records, Way::Mixed] {
+            let (modes, stats) = program.run(policy, workers, way);
+            if let Some(i) = modes.iter().position(|&mode| mode != ACCURATE) {
+                panic!(
+                    "{workers} workers, {way:?}: task {i} ran in mode {}, not accurately",
+                    modes[i]
+                );
+            }
+            let first = first_stats.get_or_insert_with(|| stats.clone());
+            assert_eq!(&stats, first, "{workers} workers, {way:?}");
+        }
+    }
+}
+
+#[test]
+fn lqh_at_one_worker_decides_entries_as_records() {
+    let policy = Policy::Lqh;
+    let program = Program::new(policy, 3_000, 0x5EED + 11);
+    let (plain, plain_stats) = program.run(policy, 1, Way::Plain);
+    assert!(
+        plain.contains(&ACCURATE) && plain.contains(&APPROXIMATE),
+        "LQH at ratio {RATIO} runs some tasks each way"
+    );
+    let (records, stats) = program.run(policy, 1, Way::Records);
+    if let Some(i) = (0..plain.len()).find(|&i| records[i] != plain[i]) {
+        panic!(
+            "task {i} ran in mode {} with the token and in mode {} plain",
+            records[i], plain[i]
+        );
+    }
+    assert_eq!(stats, plain_stats);
 }
