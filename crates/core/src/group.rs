@@ -23,9 +23,9 @@
 //! record carries — waits as that record. Every other task waits as a
 //! `PlainTask`: its id, significance and two bodies, 56 bytes against a
 //! record's 128-byte allocation. The flush's quota counts and admits both
-//! kinds alike, in spawn order, and the worker that pulls a flushed chunk
-//! builds each plain entry's record only after deciding it, from the husks
-//! of the tasks it just ran (`runtime/staging.rs`).
+//! kinds alike, in spawn order, and a worker that pulls a share of a
+//! flushed chunk decides it and runs its plain entries itself, with no
+//! record at all (`runtime/staging.rs`).
 //!
 //! The entries live in a `Window` of `WINDOW_CHUNK`-entry chunks, each
 //! with a `GtbTally` of its entries' significances, counted as they
@@ -244,9 +244,9 @@ impl GroupState {
     }
 }
 
-/// Entries per chunk of a GTB window or of the runtime's staging: a worker
-/// pulls and builds one chunk at a time, so its ring holds about one chunk
-/// (56 KB of entries, 128 KB of records).
+/// Entries per chunk of a GTB window or of the runtime's staging, 56 KB:
+/// the unit the pool keeps and a window grows by. Workers pull a chunk in
+/// shares (`runtime/staging.rs`).
 pub(crate) const WINDOW_CHUNK: usize = 1024;
 
 /// A task waiting in a GTB buffer for the flush that decides it, or in a
@@ -256,8 +256,8 @@ pub(crate) enum Buffered {
     /// carries: `in`/`out` keys, a deadline, a cancel token or a spawn
     /// handle. The spawn filled it; the flush decides and queues it.
     Record(Arc<Task>),
-    /// Any other task, kept as what the flush needs to decide it and build
-    /// its record: 56 bytes instead of a 128-byte record.
+    /// Any other task, kept as what the flush needs to decide it and a
+    /// worker needs to run it: 56 bytes instead of a 128-byte record.
     Plain(PlainTask),
 }
 
@@ -271,16 +271,17 @@ impl Buffered {
     }
 }
 
-/// A plain task waiting for its record: its id, significance and bodies,
-/// and under GTB the flush's decision, written when the worker that pulls
-/// the entry's chunk decides it and read when it builds the record.
+/// A plain task as it waits and runs, with no record: its id,
+/// significance and bodies, and under GTB the flush's decision, written
+/// when the worker that pulls the entry from its chunk decides it.
 pub(crate) struct PlainTask {
     pub(crate) id: TaskId,
     pub(crate) significance: Significance,
     pub(crate) accurate: TaskBody,
     pub(crate) approximate: Option<TaskBody>,
-    /// Whether the flush decided the task accurate.
-    pub(crate) decision: bool,
+    /// The flush's decision, `Some(true)` for accurate; `None` until a
+    /// GTB window's entry is pulled, and for every other entry.
+    pub(crate) decision: Option<bool>,
 }
 
 impl PlainTask {
@@ -296,7 +297,7 @@ impl PlainTask {
             significance,
             accurate,
             approximate,
-            decision: false,
+            decision: None,
         }
     }
 }

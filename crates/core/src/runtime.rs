@@ -42,7 +42,9 @@
 //!   Max-Buffer (`GroupState::append_buffered`);
 //! * the staging `Mutex`, on every plain spawn from a thread that is not a
 //!   worker under the agnostic policy and LQH, and once per 1 024 entries
-//!   of a GTB window, for a chunk (`Staging`, in `runtime/staging.rs`);
+//!   of a GTB window, for a chunk (`Staging`, in `runtime/staging.rs`). A
+//!   worker takes it once per share; every holder keeps it for a short
+//!   copy, so a thread that finds it held spins before it sleeps;
 //! * the dependence tracker's shard gates, for a writing or multi-key
 //!   footprint and for a read the lock-free fast path hands back
 //!   (`deps.rs`).
@@ -54,9 +56,10 @@
 //! path are padded for it (`CachePadded`), each checked by a layout test
 //! beside it:
 //!
-//! 1. the runtime's `next_task_id` and `outstanding` counters, off the
+//! 1. the runtime's task-id counter (`RuntimeStats::issue_ids`, which is
+//!    also the spawn count) and `outstanding` counter, off the
 //!    configuration every worker reads per task (`id`, `policy`, `budget`,
-//!    the queue array);
+//!    the queue array, the statistics shards);
 //! 2. the queue set's round-robin cursor, which every external push bumps;
 //! 3. a group's `outstanding` count and GTB buffer, off its ratio, budget
 //!    scale and statistics shards, which also makes the
@@ -65,7 +68,8 @@
 //! 4. each worker's mailbox inbox, which a push CASes and counts, off the
 //!    owner's deque and `ready` slot, which it writes on every pop;
 //! 5. the runtime's staging lock and entry count, which every staged spawn
-//!    writes and a worker reads only when it runs out of work.
+//!    writes and a worker reads only when it runs out of work (a worker
+//!    looks up its own count of held share entries once, not per task).
 //!
 //! # Where a task record comes from and goes back to
 //!
@@ -78,21 +82,23 @@
 //! the cold start of the same path, not a second one.
 //!
 //! A plain task — no keys, deadline, token or handle — that a thread other
-//! than a worker spawns takes no record there, under any policy. It is a
+//! than a worker spawns has no record at all, under any policy. It is a
 //! 56-byte entry (id, significance, bodies; `group::PlainTask`) in a chunk
 //! of up to 1 024: under GTB in its group's buffer, whose flush moves the
 //! chunks to the runtime's ready list, each with the quota the chunks
 //! before it leave; under the agnostic policy and LQH in the runtime's
-//! staging chunk, one group per chunk. A worker that runs out of work pulls
-//! one chunk, decides it if it is a GTB window's, fills a husk from its own
-//! stash for each entry and pushes the records onto its own deque
-//! (`runtime/staging.rs`). The record of a plain task is thus built, run
-//! and blanked on one worker and never crosses threads: a cold pass of
-//! 10 000 such tasks makes about 0.1 allocations per task on all threads,
-//! under every policy. A worker's own plain spawn fills a husk from its
-//! stash at once, and a task with a clause takes its record at spawn; under
-//! GTB such a record waits in the buffer in spawn order among the entries.
-//!
+//! staging chunk, one group per chunk. A worker that runs out of work takes
+//! a *share* of the oldest chunk, decides it if it is a GTB window's, and
+//! runs its entries itself, straight from the share: one execute path
+//! (`RuntimeInner::run_task`) serves a record and an entry alike, from what
+//! both carry, and only a record adds its clauses and successors
+//! (`runtime/staging.rs`). A cold pass of 10 000 such tasks makes about one
+//! allocation per chunk of its backlog on all threads, under every policy.
+//! Records are for the rest: a worker's own plain spawn fills a husk from
+//! its stash at once, and a task with a clause takes its record at spawn;
+//! under GTB such a record waits in the buffer in spawn order among the
+//! entries, and goes onto the deque of the worker whose share holds it.
+
 //! A record is reused only while *uniquely held* — `Arc::get_mut` fails as
 //! long as a queue slot, a successor list, the dependence tracker or a GTB
 //! buffer still points at it — so no stale `TaskId`,
@@ -109,11 +115,11 @@
 //!
 //! * the **worker** that retired the task, for a footprint-free task
 //!   always the last holder — under GTB too: the spawner lets go of a
-//!   buffered record before the flush it triggers, and the worker that
-//!   pulls the record's chunk pushes each record the chunk holds alone
-//!   straight to its deque, primed through `&mut`, keeping no reference of
-//!   its own (records something else still holds go the atomic way; see
-//!   `RuntimeInner::build_records`);
+//!   buffered record before the flush it triggers, and the worker whose
+//!   share holds the record pushes it straight to its deque, primed
+//!   through `&mut`, keeping no reference of its own (records something
+//!   else still holds go the atomic way; see
+//!   `RuntimeInner::queue_records`);
 //! * the **spawner registering a later footprint**, for a task that declared
 //!   `in`/`out` keys. The tracker outlives the worker's reference (it names
 //!   the task as its key's last writer, or lists it as a reader), so the
@@ -136,7 +142,7 @@
 //!
 //! * `recycle` — the husk stashes and pool described above;
 //! * `staging` — the chunks of plain entries on their way to workers, and
-//!   the pull that builds their records;
+//!   the shares workers take of them;
 //! * `builders` — [`RuntimeBuilder`], [`TaskBuilder`],
 //!   [`HandledTaskBuilder`], [`BatchBuilder`] and the spawn paths behind
 //!   them;
@@ -243,9 +249,6 @@ struct RuntimeInner {
     env: ExecutionEnv,
     /// Runtime creation time, the start of the energy-accounting window.
     started: Instant,
-    /// Bumped by every spawn: padded off the configuration above and below
-    /// it, which every worker reads per task.
-    next_task_id: CachePadded<AtomicU64>,
     /// Blank task records awaiting reuse.
     husks: HuskPool,
     /// Plain tasks staged by threads that are not workers, and flushed GTB
@@ -285,8 +288,9 @@ impl RuntimeInner {
     }
 
     /// GTB flush of `group`'s `window` (its buffered tasks, in spawn order):
-    /// queue its chunks on the ready list for idle workers to pull, decide
-    /// and build ([`RuntimeInner::pull_staged`]). The emptied window becomes
+    /// queue its chunks on the ready list for idle workers to take in
+    /// shares, deciding each as they take it ([`RuntimeInner::pull_share`]).
+    /// The emptied window becomes
     /// the calling thread's spare ([`crate::group::return_window`]).
     ///
     /// The window's quota comes from the chunks' tallies, without reading an
@@ -354,9 +358,8 @@ impl Runtime {
                 workers,
             ),
             started: Instant::now(),
-            next_task_id: CachePadded::new(AtomicU64::new(0)),
             husks: HuskPool::default(),
-            staging: CachePadded::new(Staging::new(policy)),
+            staging: CachePadded::new(Staging::new(policy, workers)),
             outstanding: CachePadded::new(AtomicUsize::new(0)),
             overload: OverloadState::new(builder.queue_watermark, builder.miss_watermark),
             budget: builder
@@ -695,9 +698,9 @@ mod tests {
 
     #[test]
     fn a_large_flush_holds_about_one_chunk_on_a_worker_ring() {
-        // A GTB-Max flush of 20 000 entries at one worker: the worker pulls
-        // and builds one chunk at a time, when it has run the one before, so
-        // the ring never holds the whole flush.
+        // A GTB-Max flush of 20 000 entries at one worker: the worker runs
+        // them from its shares of the chunks, so the ring never holds the
+        // flush.
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::GtbMaxBuffer)
@@ -865,13 +868,31 @@ mod tests {
     /// The task is guaranteed to be *running* (not just queued) on return,
     /// so everything spawned afterwards sits in the queue behind it.
     pub(super) fn block_single_worker(rt: &Runtime) -> std::sync::mpsc::Sender<()> {
+        blocker(rt, None)
+    }
+
+    /// [`block_single_worker`] with a blocker that has a record: it carries
+    /// a cancel token that is never cancelled, so it takes its record at
+    /// spawn, and the worker keeps the record as a husk once it retires
+    /// it. (A plain task from this thread has no record at all.)
+    pub(super) fn block_single_worker_with_a_record(rt: &Runtime) -> std::sync::mpsc::Sender<()> {
+        blocker(rt, Some(&crate::task::CancelToken::new()))
+    }
+
+    fn blocker(
+        rt: &Runtime,
+        token: Option<&crate::task::CancelToken>,
+    ) -> std::sync::mpsc::Sender<()> {
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        rt.task(move || {
+        let mut task = rt.task(move || {
             started_tx.send(()).unwrap();
             release_rx.recv().unwrap();
-        })
-        .spawn();
+        });
+        if let Some(token) = token {
+            task = task.cancel_token(token);
+        }
+        task.spawn();
         started_rx.recv().unwrap();
         release_tx
     }
@@ -890,7 +911,7 @@ mod tests {
             .build()
     }
 
-    /// The one-writer-per-line rule for the runtime's shared state: the two
+    /// The one-writer-per-line rule for the runtime's shared state: the
     /// counters every spawn bumps share no line with the configuration and
     /// the structures a worker reads per task. (The queue set's own cursor
     /// and each worker's mailbox are checked in `deque.rs`, a group's
@@ -900,7 +921,7 @@ mod tests {
         use crate::sync::{assert_apart, field_span};
         assert_apart::<RuntimeInner>(
             &[
-                field_span!(RuntimeInner, next_task_id),
+                field_span!(RuntimeInner, stats.issued),
                 field_span!(RuntimeInner, outstanding),
                 field_span!(RuntimeInner, staging),
             ],
@@ -910,7 +931,7 @@ mod tests {
                 field_span!(RuntimeInner, queues),
                 field_span!(RuntimeInner, global_group),
                 field_span!(RuntimeInner, tracker),
-                field_span!(RuntimeInner, stats),
+                field_span!(RuntimeInner, stats.shards),
                 field_span!(RuntimeInner, env),
                 field_span!(RuntimeInner, started),
                 field_span!(RuntimeInner, overload),

@@ -11,8 +11,9 @@
 //!
 //! Orderings weaker than SeqCst:
 //!
-//! * `next_task_id`, `Relaxed` `fetch_add` and load: ids need only be
-//!   unique, and increasing per spawning thread.
+//! * the task-id counter (`RuntimeStats::issue_ids`), `Relaxed` `fetch_add`
+//!   and load: ids need only be unique, and increasing per spawning thread.
+//!   The ids issued are the spawn count.
 //! * `outstanding` and the group's `outstanding`, `Relaxed` increments in
 //!   [`RuntimeInner::count_spawn`] and [`RuntimeInner::spawn_batch_into`]:
 //!   the invariant note on `count_spawn` says why no cross-thread fence is
@@ -253,14 +254,13 @@ impl RuntimeInner {
     ) -> TaskIdRange {
         let n = items.len();
         if n == 0 {
-            let id = self.next_task_id.load(Ordering::Relaxed);
+            let id = self.stats.next_id();
             return TaskIdRange::new(id..id);
         }
-        let first = self.next_task_id.fetch_add(n as u64, Ordering::Relaxed);
+        let first = self.stats.issue_ids(n as u64);
         // Relaxed: see the invariant note on `RuntimeInner::count_spawn`.
         self.outstanding.fetch_add(n, Ordering::Relaxed);
         group_state.outstanding.fetch_add(n, Ordering::Relaxed);
-        self.stats.record_spawns(n);
 
         let capacity = self.policy.buffer_capacity();
         let local = self.local_worker();
@@ -366,7 +366,6 @@ impl RuntimeInner {
     fn count_spawn(&self, group: &GroupState) {
         self.outstanding.fetch_add(1, Ordering::Relaxed);
         group.outstanding.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_spawn();
     }
 
     /// Append `entries` to `group`'s GTB buffer, flushing the window if
@@ -565,7 +564,7 @@ impl<'rt> TaskBuilder<'rt> {
     /// Submit the task to the runtime. Returns the task's id (spawn order).
     pub fn spawn(mut self) -> TaskId {
         let inner = &self.husk.runtime.inner;
-        let id = TaskId(inner.next_task_id.fetch_add(1, Ordering::Relaxed));
+        let id = TaskId(inner.stats.issue_ids(1));
         let group = self.group.unwrap_or(&inner.global_group);
         // A task that took no record for a clause is an entry, or a
         // worker's record from its own stash.

@@ -6,8 +6,8 @@
 //!
 //! # Checklist for the model checker
 //!
-//! Unsafe blocks: one, in [`RuntimeInner::abandon`], which drops both body
-//! cells as the task's unique executor (the worker that dequeued it).
+//! Unsafe blocks: none. [`RuntimeInner::abandon`] drops bodies its caller
+//! already took out of the record, or that an entry owns.
 //!
 //! Orderings weaker than SeqCst:
 //!
@@ -16,15 +16,15 @@
 //!   racily; a worker reading a stale one sheds or runs one task more.
 //!
 //! The queue depth the watermark is compared with counts the entries
-//! staged for workers to pull (`staging.rs`) beside the queued records:
-//! both are issued and not yet started.
+//! staged for workers to pull and the entries of the shares workers hold
+//! (`staging.rs`) beside the queued records: all are issued and not yet
+//! started.
 
-use super::worker::Retired;
+use super::worker::{Job, Retired};
 use super::RuntimeInner;
 use crate::handle::TaskOutcome;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, CachePadded};
-use crate::task::Task;
+use crate::sync::CachePadded;
 
 /// Brownout overload controller: build-time watermarks plus the current shed
 /// threshold, recomputed amortised (every [`OverloadState::TICK_MASK`]` + 1`
@@ -89,9 +89,9 @@ impl RuntimeInner {
         }
         let mut pressure = 0.0f64;
         if overload.queue_watermark != usize::MAX {
-            // Staged entries count: they are issued and not yet started,
-            // like a queued record, and a worker builds them only when it
-            // runs dry, so a backlog a spawner stages is the queue the
+            // Staged entries and the unstarted entries of workers' shares
+            // count: they are issued and not yet started, like a queued
+            // record, so a backlog a spawner stages is the queue the
             // watermark is about.
             let depth = self.queues.total_queued() + self.staging.queued();
             if depth > overload.queue_watermark {
@@ -119,29 +119,30 @@ impl RuntimeInner {
     /// abandoned tasks still release successors and barriers, keeping the
     /// exactly-once accounting `spawned == completed + cancelled + shed +
     /// panicked` intact.
-    pub(super) fn abandon(
-        &self,
-        task: &Arc<Task>,
-        worker: usize,
-        shed: bool,
-        retired: &mut Retired,
-    ) {
-        // SAFETY: this worker dequeued the task and is its unique executor.
-        unsafe {
-            drop(task.take_accurate());
-            drop(task.take_approximate());
-        }
-        if task.writes {
+    pub(super) fn abandon(&self, job: Job<'_>, worker: usize, shed: bool, retired: &mut Retired) {
+        let Job {
+            significance,
+            group,
+            accurate,
+            approximate,
+            record,
+            ..
+        } = job;
+        drop((accurate, approximate));
+        if let Some(task) = record.filter(|task| task.writes) {
             self.tracker.poison_writes(task.out_keys());
         }
-        if shed {
-            self.stats.record_shed(worker, task.significance.level());
-            task.notify_handle(TaskOutcome::Shed);
+        let outcome = if shed {
+            self.stats.record_shed(worker, significance.level());
+            TaskOutcome::Shed
         } else {
             self.stats.record_cancelled(worker);
-            task.notify_handle(TaskOutcome::Cancelled);
+            TaskOutcome::Cancelled
+        };
+        if let Some(task) = record {
+            task.notify_handle(outcome);
         }
-        self.complete(task, retired);
+        self.complete(group, record, retired);
     }
 }
 
@@ -149,10 +150,11 @@ impl RuntimeInner {
 mod tests {
     use super::*;
     use crate::policy::Policy;
-    use crate::runtime::tests::block_single_worker;
+    use crate::runtime::tests::{block_single_worker, block_single_worker_with_a_record};
     use crate::runtime::BatchTask;
     use crate::runtime::Runtime;
     use crate::sync::atomic::AtomicUsize;
+    use crate::sync::Arc;
     use crate::task::CancelToken;
     use std::time::Duration;
 
@@ -251,6 +253,72 @@ mod tests {
         assert!(summary.shed >= 1, "2x overload must shed: {summary:?}");
         assert_eq!(ran_soft.load(Ordering::Relaxed) + summary.shed, 50);
         assert_eq!(summary.spawned, 101);
+        assert_eq!(summary.completed + summary.failed(), summary.spawned);
+    }
+
+    /// The unstarted entries of a worker's share are queued work, as much
+    /// as a staged entry or a queued record: one worker holding a share of
+    /// low-significance tasks over the watermark, with nothing left staged
+    /// or queued, sheds their approximate tiers and nothing else.
+    #[test]
+    fn a_share_held_over_the_watermark_sheds_approximate_tiers_only() {
+        const TASKS: usize = 64;
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(Policy::Lqh)
+            .queue_watermark(8)
+            .build();
+        let group = rt.create_group("share", 0.0);
+        // A record, so the worker's first share is the primer below.
+        let release = block_single_worker_with_a_record(&rt);
+        // The primer, the worker's first share (one entry): LQH at ratio
+        // 0 runs it approximately, and with no approximate body that is a
+        // drop, timed at nanoseconds. Its worker's next share is then the
+        // whole rest of the chunk, every entry of which the worker holds
+        // unstarted at the overload tick of its 33rd execute.
+        rt.task(|| unreachable!("dropped, never run"))
+            .significance(0.1)
+            .group(&group)
+            .spawn();
+        let ran_critical = Arc::new(AtomicUsize::new(0));
+        let ran_soft = Arc::new(AtomicUsize::new(0));
+        let mut soft = 0;
+        for i in 0..TASKS - 1 {
+            if i % 4 == 0 {
+                let c = ran_critical.clone();
+                rt.task(move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                })
+                .significance(1.0)
+                .group(&group)
+                .spawn();
+            } else {
+                soft += 1;
+                let s = ran_soft.clone();
+                rt.task(|| unreachable!("accurate tier must not run at ratio 0"))
+                    .approx(move || {
+                        s.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .significance(0.1)
+                    .group(&group)
+                    .spawn();
+            }
+        }
+        release.send(()).unwrap();
+        let summary = rt.wait_all();
+        assert!(
+            summary.shed >= 1,
+            "a share of {TASKS} over watermark 8 must shed: {summary:?}"
+        );
+        assert_eq!(ran_critical.load(Ordering::Relaxed), TASKS / 4);
+        assert_eq!(ran_soft.load(Ordering::Relaxed) + summary.shed, soft);
+        assert_eq!(
+            summary.shed_by_level.highest_level(),
+            Some(crate::significance::Significance::new(0.1).level()),
+            "only the approximate tier sheds"
+        );
+        assert_eq!(summary.cancelled, 0);
+        assert_eq!(summary.spawned, TASKS + 1);
         assert_eq!(summary.completed + summary.failed(), summary.spawned);
     }
 

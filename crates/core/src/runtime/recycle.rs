@@ -42,14 +42,15 @@ thread_local! {
 pub(super) const HUSK_BATCH: usize = 64;
 
 /// Records the shared pool holds before retiring workers free instead: 1024,
-/// about 130 KB, one chunk's worth. Sized from need, not speed — sigbench
-/// `sched_fine` throughput was flat from 64 to 65 536, because what the pool
-/// buys is the pass-through, not the stock. A plain task's record is built
-/// and blanked on the worker that runs it (`runtime/staging.rs`), so the
-/// pool carries no spawner's backlog: it holds what a worker's stash gives
-/// up beyond two batches, or whole when the worker runs dry, for the next
-/// chunk a worker builds — 1 024 records at most — and the records a
-/// thread that is not a worker fills for tasks with clauses.
+/// about 130 KB. Sized from need, not speed — sigbench `sched_fine`
+/// throughput was flat from 64 to 65 536, because what the pool buys is the
+/// pass-through, not the stock. Husks serve only tasks with a clause and a
+/// worker's own spawns: a plain task from a thread that is not a worker
+/// has no record (`runtime/staging.rs`). So the pool holds what a worker's
+/// stash gives up beyond two batches, or whole when the worker runs dry,
+/// for the records a thread that is not a worker fills for tasks with
+/// clauses — a backlog of footprint tasks in `sched_deps`, a burst of
+/// handled requests — and a cap of 1 024 bounds what an idle pool pins.
 const HUSK_POOL_CAP: usize = 1024;
 
 /// Blank task records ("husks") on their way from the workers that retired
@@ -208,7 +209,9 @@ mod tests {
     use crate::deps::{DepKey, READER_ROTATION};
     use crate::handle::{HandleCore, HandleNotify, SpawnHandle, TaskOutcome};
     use crate::policy::Policy;
-    use crate::runtime::tests::{block_single_worker, count_runtime};
+    use crate::runtime::tests::{
+        block_single_worker, block_single_worker_with_a_record, count_runtime,
+    };
     use crate::runtime::Runtime;
     use crate::significance::Significance;
     use crate::task::{CancelToken, ExecutionMode, TaskId};
@@ -244,13 +247,15 @@ mod tests {
         // a completed, a panicked, a cancelled and (from the second overload
         // tick on) shed tasks, every clause a record can carry among them —
         // and a writer of its own key failing in each of the three ways.
+        // Every task here has a record, the blocker too (a plain task from
+        // this thread would have none).
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::Lqh)
             .queue_watermark(1)
             .build();
         let soft = rt.create_group("soft", 0.0);
-        let release = block_single_worker(&rt);
+        let release = block_single_worker_with_a_record(&rt);
         let token = CancelToken::new();
         let cancelled = CancelToken::new();
         cancelled.cancel();
@@ -331,12 +336,13 @@ mod tests {
 
     /// One worker, a finished writer of `key`, and the worker done with it:
     /// the probe queued behind the writer has run, so `execute` returned.
+    /// The blocker has a record, which the worker keeps as a husk.
     fn runtime_with_finished_writer(key: DepKey) -> (Runtime, TaskId, Vec<(usize, bool)>) {
         let rt = Runtime::builder()
             .workers(1)
             .policy(Policy::SignificanceAgnostic)
             .build();
-        let release = block_single_worker(&rt);
+        let release = block_single_worker_with_a_record(&rt);
         let writer = rt.task(|| {}).writes([key]).spawn();
         let probe = queue_probe(&rt, drain_stash);
         release.send(()).unwrap();
@@ -546,7 +552,7 @@ mod tests {
                 .policy(Policy::SignificanceAgnostic)
                 .build(),
         );
-        let release = block_single_worker(&rt);
+        let release = block_single_worker_with_a_record(&rt);
         let token = CancelToken::new();
         let first = rt.submit(|| 7u32).cancel_token(&token).spawn();
         // Runs on the worker right after `first` retired: the top husk of
@@ -688,18 +694,27 @@ mod tests {
         );
     }
 
+    /// Two spawner threads' burst of records — each task carries a cancel
+    /// token that is never cancelled, since a plain task from a thread that
+    /// is not a worker has no record — leaves no husk behind: none pooled,
+    /// none in a stash, none holding the group.
     #[test]
     fn nothing_pooled_outlives_the_burst() {
         let rt = count_runtime(Policy::Lqh);
         let group = rt.create_group("burst", 0.5);
         let state = group.state.clone();
+        let token = CancelToken::new();
         // Registry, handle and `state`; every live record of the group adds one.
         let idle_count = Arc::strong_count(&state);
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
                     for _ in 0..5_000 {
-                        rt.task(|| {}).approx(|| {}).group(&group).spawn();
+                        rt.task(|| {})
+                            .approx(|| {})
+                            .group(&group)
+                            .cancel_token(&token)
+                            .spawn();
                     }
                 });
             }

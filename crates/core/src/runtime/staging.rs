@@ -1,7 +1,7 @@
 //! Staging: how a plain task that a thread other than a worker spawns, or
 //! that a GTB flush decides, reaches a worker — as a 56-byte entry in a
-//! chunk that an idle worker pulls and builds the records of from its own
-//! husks.
+//! chunk, which idle workers pull in *shares* and run with no record at
+//! all.
 //!
 //! A plain spawn (no keys, deadline, token or handle) from a thread that is
 //! not one of the runtime's workers takes no record under any policy. Under
@@ -14,31 +14,45 @@
 //! the ready list, each with the quota the chunks before it leave.
 //!
 //! A worker that finds its deque and mail empty and nothing to steal pulls
-//! **one** chunk — the oldest ready one, else the partial one — decides it
-//! if it is a GTB window's, fills a husk from its own stash for each plain
-//! entry, primes it (agnostic: accurate; LQH: undecided; GTB: the flush's
-//! decision) and pushes the records onto its own deque, oldest first. A
-//! plain task's record is thus built, run and blanked on one thread, and
-//! one spawner's plain tasks reach one worker in spawn order, across
-//! groups. Only an idle worker builds: a chunk handed to a worker as a task
-//! would reach its deque ahead of the records it builds, and a take of mail
-//! moves dozens of such tasks at once, which grows the ring to hold every
-//! chunk's records together.
+//! a **share** of the oldest ready chunk, else of the partial one, under
+//! the staging lock, and runs the share's plain entries itself, oldest
+//! first, before it pops again: no record, no deque, no husk. A share
+//! takes `min(ceil(remaining / workers), max(1, SHARE_BUDGET / mean))`
+//! plain entries from the front of the chunk, where `mean` is the mean body
+//! time of an entry of the worker's previous share; a worker's first share
+//! is one entry. The guided half splits a chunk among the workers; the time
+//! half keeps what one worker holds to about one [`SHARE_BUDGET`] of bodies,
+//! since nothing can steal an entry from a share. A GTB window's chunk is
+//! decided share by share, in window order, from the quota the chunk
+//! carries, as each share is taken; its `Buffered::Record` entries (tasks
+//! with a clause) come with the share, without counting against it, and go
+//! onto the pulling worker's deque as records, where an idle worker can
+//! steal them.
 //!
-//! A worker's own plain spawn keeps the direct path (a husk from its stash,
+//! A share is taken from the front of the chunk's ring, so the rest does
+//! not move, and a drained partial chunk stays where the spawner appends,
+//! so a worker that keeps up with its spawner takes entries out of the same
+//! 56-KB ring the spawner writes into. One spawner's plain tasks reach one
+//! worker in spawn order, across groups.
+//!
+//! A worker's own plain spawn keeps the record path (a husk from its stash,
 //! onto its own deque), and so does every task with a clause, which took
 //! its record at spawn.
 //!
 //! A barrier publishes nothing: the partial chunk is already as pullable
 //! as a ready one, and a barrier wakes a sleeping worker before it blocks.
+//! A share holds one group's entries, and every barrier that counts them
+//! counts the task of that group its worker is running, so a barrier waits
+//! on a share at most one budget longer than on that task.
 //!
-//! Drained chunks go back to a pool of [`CHUNK_POOL_CAP`], which the next
-//! staging chunk or GTB window takes from; a barrier that finds the
-//! runtime idle frees it, as it frees the husk pool.
+//! Drained ready chunks go back to a pool of [`CHUNK_POOL_CAP`], which the
+//! next staging chunk or GTB window takes from; a barrier that finds the
+//! runtime idle frees it and a drained partial chunk, as it frees the husk
+//! pool.
 //!
 //! # Checklist for the model checker
 //!
-//! Unsafe blocks: none. A husk is filled and primed through `Arc::get_mut`
+//! Unsafe blocks: none. A window's record is primed through `Arc::get_mut`
 //! before it is shared.
 //!
 //! Orderings weaker than SeqCst:
@@ -53,14 +67,19 @@
 //!   store only follows a SeqCst one that no emptying pull has undone
 //!   since, so a parking worker that misses it still reads a count that is
 //!   not zero.
+//! * `Staging::held`, each worker's count of the share entries it has not
+//!   started, `Relaxed` stores by that worker and `Relaxed` loads by the
+//!   brownout: a statistic.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
 use super::RuntimeInner;
 use crate::group::{Buffered, GroupState, PlainTask, WINDOW_CHUNK};
 use crate::policy::{GtbQuota, Policy};
 use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use crate::sync::{spin_loop, Arc, CachePadded, Mutex, MutexGuard, PoisonError, TryLockError};
+use crate::task::Task;
 
 /// Drained chunks the pool keeps, 56 KB each at most. Without a pool a
 /// worker frees each chunk it drains and the spawner allocates the next
@@ -68,14 +87,35 @@ use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// pulls.
 const CHUNK_POOL_CAP: usize = 8;
 
-/// Entries of one group in spawn order, on their way to the worker that
-/// builds their records.
+/// Tries for the staging lock before a thread sleeps in the mutex: far
+/// longer than any holder keeps it, unless the holder was preempted, and
+/// then a sleep is what the waiter wants.
+const LOCK_TRIES: u32 = 1 << 12;
+
+/// The body time a worker's share of a chunk holds, about: it bounds the
+/// work one worker holds that nothing can steal, and so how long a barrier
+/// waits on one worker while the others have run dry, and how long a
+/// record that reaches the worker's deque waits behind a share.
+const SHARE_BUDGET: Duration = Duration::from_micros(20);
+
+/// Plain entries a worker's share takes from a chunk holding `remaining`
+/// entries, at `workers` workers, when an entry of the worker's previous
+/// share ran for `mean_nanos` on average (`None`: no share yet, so one).
+fn share_len(remaining: usize, workers: usize, mean_nanos: Option<u64>) -> usize {
+    let timed = mean_nanos.map_or(1, |mean| {
+        (SHARE_BUDGET.as_nanos() as u64 / mean.max(1)).max(1) as usize
+    });
+    remaining.div_ceil(workers).min(timed)
+}
+
+/// Entries of one group in spawn order, on their way to the workers.
 pub(super) struct ReadyChunk {
     group: Arc<GroupState>,
-    entries: Vec<Buffered>,
-    /// A GTB window's chunk: the quota the window's chunks before this one
-    /// leave, from which the pulling worker decides it. `None` for a
-    /// staging chunk, whose entries are primed by the policy.
+    /// A ring, so a share is taken from the front without moving the rest.
+    entries: VecDeque<Buffered>,
+    /// A GTB window's chunk: the quota the window's entries before the
+    /// chunk's first one leave, from which each share is decided as it is
+    /// taken. `None` for a staging chunk, whose entries the policy decides.
     quota: Option<GtbQuota>,
 }
 
@@ -84,29 +124,48 @@ impl ReadyChunk {
     pub(super) fn window(group: &Arc<GroupState>, entries: Vec<Buffered>, quota: GtbQuota) -> Self {
         ReadyChunk {
             group: group.clone(),
-            entries,
+            entries: entries.into(),
             quota: Some(quota),
         }
     }
+}
+
+/// What a worker took from a chunk: the plain entries it runs before it
+/// pops again, and the mean body time of an entry of the last share it ran,
+/// which sizes its next one.
+#[derive(Default)]
+pub(super) struct Share {
+    /// The group of the chunk the share came from; kept across shares of
+    /// one group, and let go when the worker runs out of work.
+    pub(super) group: Option<Arc<GroupState>>,
+    /// Oldest first, each decided if it came from a GTB window.
+    pub(super) entries: Vec<PlainTask>,
+    /// A GTB window's records taken with the entries, with their decisions.
+    records: Vec<(Arc<Task>, bool)>,
+    /// Mean body time of an entry of the last share that held one.
+    pub(super) mean_nanos: Option<u64>,
 }
 
 /// The runtime's staged and ready chunks and its pool of drained ones.
 pub(super) struct Staging {
     /// Entries staged or ready: `Chunks::queued`, stored under the lock (see
     /// the module's checklist), so a worker can look without the lock
-    /// whether there is anything to pull, and the brownout can count them.
+    /// whether there is anything to pull.
     queued: AtomicUsize,
+    /// Per worker, the entries of its share it has not started: queued as
+    /// much as a staged entry, for the brownout's depth.
+    held: Box<[CachePadded<AtomicUsize>]>,
     chunks: Mutex<Chunks>,
 }
 
 struct Chunks {
-    /// Chunks ready to pull, oldest first: full staging chunks and flushed
-    /// GTB windows' chunks.
+    /// Chunks ready to pull, oldest first, none empty: full staging chunks
+    /// and flushed GTB windows' chunks.
     ready: VecDeque<ReadyChunk>,
-    /// The staging chunk that plain spawns append to.
+    /// The staging chunk that plain spawns append to, which may be empty.
     partial: Option<ReadyChunk>,
     /// Drained chunks, empty, each of `capacity` entries' capacity.
-    pool: Vec<Vec<Buffered>>,
+    pool: Vec<VecDeque<Buffered>>,
     /// Entries in `ready` and `partial`.
     queued: usize,
     /// Entries a chunk holds: [`WINDOW_CHUNK`], or a smaller GTB buffer's
@@ -118,28 +177,47 @@ impl Chunks {
     /// An empty chunk: a drained one from the pool, else a new one. Either
     /// way it holds a whole chunk, so no chunk grows by copying, and every
     /// drained one is worth pooling.
-    fn fresh(&mut self) -> Vec<Buffered> {
+    fn fresh(&mut self) -> VecDeque<Buffered> {
         self.pool
             .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.capacity))
+            .unwrap_or_else(|| VecDeque::with_capacity(self.capacity))
     }
 
-    /// Move the partial chunk, if any, behind the ready ones.
-    fn publish(&mut self) {
-        if let Some(chunk) = self.partial.take() {
-            self.ready.push_back(chunk);
+    /// Keep a drained chunk in the pool if it has room; else hand it back
+    /// to be freed outside the lock. Called only while entries are
+    /// outstanding (see [`RuntimeInner::free_chunks_if_idle`]).
+    fn give_back(&mut self, entries: VecDeque<Buffered>) -> Option<VecDeque<Buffered>> {
+        debug_assert!(entries.is_empty(), "a chunk is given back drained");
+        if self.pool.len() < CHUNK_POOL_CAP {
+            self.pool.push(entries);
+            return None;
         }
+        Some(entries)
+    }
+
+    /// Move the partial chunk, if any, behind the ready ones, or into the
+    /// pool if workers drained it.
+    fn publish(&mut self) -> Option<VecDeque<Buffered>> {
+        let chunk = self.partial.take()?;
+        if chunk.entries.is_empty() {
+            return self.give_back(chunk.entries);
+        }
+        self.ready.push_back(chunk);
+        None
     }
 }
 
 impl Staging {
-    /// Nothing staged, for a runtime under `policy`.
-    pub(super) fn new(policy: Policy) -> Self {
+    /// Nothing staged, for a runtime of `workers` workers under `policy`.
+    pub(super) fn new(policy: Policy, workers: usize) -> Self {
         let capacity = policy
             .buffer_capacity()
             .map_or(WINDOW_CHUNK, |size| size.min(WINDOW_CHUNK));
         Staging {
             queued: AtomicUsize::new(0),
+            held: (0..workers)
+                .map(|_| CachePadded::new(AtomicUsize::new(0)))
+                .collect(),
             chunks: Mutex::new(Chunks {
                 ready: VecDeque::new(),
                 partial: None,
@@ -150,9 +228,24 @@ impl Staging {
         }
     }
 
-    /// Never poisoned in a way that matters: nothing under the lock runs
-    /// user code or panics between two updates of `queued`.
+    /// The lock, spun for before it is slept on. Every holder keeps it for
+    /// a short copy: a spawner appending an entry, a worker taking a share
+    /// of at most about one [`SHARE_BUDGET`] of entries, a flush queueing
+    /// its chunks. A thread asleep in the mutex makes the holder's unlock a
+    /// futex wake, a system call, and a worker that keeps up with its
+    /// spawner meets it there every share: `sched_fine` read about one
+    /// voluntary context switch per thousand tasks when spawner and worker
+    /// slept in the mutex, against 0.02 when both spin. Never poisoned in a
+    /// way that matters: nothing under the lock runs user code or panics
+    /// between two updates of `queued`.
     fn lock(&self) -> MutexGuard<'_, Chunks> {
+        for _ in 0..LOCK_TRIES {
+            match self.chunks.try_lock() {
+                Ok(guard) => return guard,
+                Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => spin_loop(),
+            }
+        }
         self.chunks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -166,9 +259,24 @@ impl Staging {
         self.queued.store(chunks.queued, order);
     }
 
-    /// Entries staged or ready, for the brownout's queue depth.
+    /// Entries staged, ready or held in a share and not started, for the
+    /// brownout's queue depth.
     pub(super) fn queued(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
+        let held: usize = self
+            .held
+            .iter()
+            .map(|held| held.load(Ordering::Relaxed))
+            .sum();
+        self.queued.load(Ordering::Relaxed) + held
+    }
+
+    /// Worker `worker`'s count of the entries of its share it has not
+    /// started, which it stores as it starts each. The worker looks it up
+    /// once: `held`'s pointer shares the line the spawner writes on every
+    /// staged spawn, and a worker reading that line once per task would
+    /// cost the spawner a miss per task.
+    pub(super) fn held(&self, worker: usize) -> &AtomicUsize {
+        &self.held[worker]
     }
 
     /// Whether anything is staged or ready: a worker's pre-park re-check,
@@ -189,12 +297,13 @@ impl RuntimeInner {
         let mut guard = self.staging.lock();
         let chunks = &mut *guard;
         let was = chunks.queued;
+        let mut freed = None;
         for entry in entries {
             let fits = chunks.partial.as_ref().is_some_and(|partial| {
                 Arc::ptr_eq(&partial.group, group) && partial.entries.len() < WINDOW_CHUNK
             });
             if !fits {
-                chunks.publish();
+                freed = freed.or(chunks.publish());
                 chunks.partial = Some(ReadyChunk {
                     group: group.clone(),
                     entries: chunks.fresh(),
@@ -202,11 +311,12 @@ impl RuntimeInner {
                 });
             }
             let partial = chunks.partial.as_mut().expect("a partial chunk");
-            partial.entries.push(Buffered::Plain(entry));
+            partial.entries.push_back(Buffered::Plain(entry));
             chunks.queued += 1;
         }
         self.staging.store_queued(chunks, was);
         drop(guard);
+        drop(freed);
         self.wake_one_sleeper(usize::MAX);
     }
 
@@ -227,47 +337,90 @@ impl RuntimeInner {
 
     /// An empty chunk for a GTB window, from the pool if it has one.
     pub(super) fn fresh_chunk(&self) -> Vec<Buffered> {
-        self.staging.lock().fresh()
+        self.staging.lock().fresh().into()
     }
 
-    /// Worker `worker` found nothing to pop or steal: pull the oldest ready
-    /// chunk, else the partial one, and push its records onto the worker's
-    /// own deque. Returns whether there was one.
-    pub(super) fn pull_staged(&self, worker: usize) -> bool {
+    /// Worker `worker` found nothing to pop or steal: take a share of the
+    /// oldest ready chunk, else of the partial one, into `share`, deciding
+    /// it if it is a GTB window's, and push the window's records it holds
+    /// onto the worker's own deque. Returns whether there was one.
+    pub(super) fn pull_share(&self, worker: usize, share: &mut Share) -> bool {
         if !self.staging.any() {
             return false;
         }
-        let (chunk, more) = {
-            let mut guard = self.staging.lock();
-            let chunks = &mut *guard;
-            let Some(chunk) = chunks.ready.pop_front().or_else(|| chunks.partial.take()) else {
-                return false;
-            };
-            let was = chunks.queued;
-            chunks.queued -= chunk.entries.len();
-            self.staging.store_queued(chunks, was);
-            (chunk, chunks.queued != 0)
+        let mut guard = self.staging.lock();
+        let chunks = &mut *guard;
+        if share.entries.capacity() < chunks.capacity {
+            // The worker's first share: room for a whole chunk, which no
+            // share outgrows, kept for the worker's life, so that no later
+            // share allocates.
+            share.entries.reserve_exact(chunks.capacity);
+        }
+        let from_ready = !chunks.ready.is_empty();
+        let chunk = match chunks.ready.front_mut() {
+            Some(chunk) => chunk,
+            None => match chunks.partial.as_mut() {
+                Some(chunk) if !chunk.entries.is_empty() => chunk,
+                _ => return false,
+            },
         };
-        let ReadyChunk {
-            group,
-            mut entries,
-            quota,
-        } = chunk;
-        let count = entries.len();
-        self.build_records(worker, &group, &mut entries, quota);
-        if count > 1 || more {
-            // Stealable records, or another chunk: invite one sleeper.
+        let want = share_len(chunk.entries.len(), self.parkers.len(), share.mean_nanos);
+        if !share
+            .group
+            .as_ref()
+            .is_some_and(|group| Arc::ptr_eq(group, &chunk.group))
+        {
+            share.group = Some(chunk.group.clone());
+        }
+        // `want` plain entries, and every record among them or before the
+        // next plain one: a record goes onto the deque, where an idle worker
+        // can steal it, so it does not count against the budget.
+        let mut taken = 0;
+        while share.entries.len() < want {
+            let Some(entry) = chunk.entries.pop_front() else {
+                break;
+            };
+            taken += 1;
+            let decision = chunk
+                .quota
+                .as_mut()
+                .map(|quota| quota.admit(entry.significance()));
+            match entry {
+                Buffered::Plain(mut plain) => {
+                    plain.decision = decision;
+                    share.entries.push(plain);
+                }
+                Buffered::Record(task) => share
+                    .records
+                    .push((task, decision.expect("a record waits only in a GTB window"))),
+            }
+        }
+        let drained = from_ready && chunk.entries.is_empty();
+        let was = chunks.queued;
+        chunks.queued -= taken;
+        self.staging.store_queued(chunks, was);
+        self.staging.held[worker].store(share.entries.len(), Ordering::Relaxed);
+        let freed = if drained {
+            let chunk = chunks.ready.pop_front().expect("the chunk just drained");
+            chunks.give_back(chunk.entries)
+        } else {
+            None
+        };
+        let more = chunks.queued != 0;
+        drop(guard);
+        drop(freed);
+        let stealable = share.records.len() > 1;
+        self.queue_records(worker, &mut share.records);
+        if more || stealable {
             self.wake_one_sleeper(worker);
         }
-        self.return_chunk(entries);
         true
     }
 
-    /// Decide a GTB window's chunk from `quota`, in spawn order, build the
-    /// records its plain entries lack from the calling worker's stash, and
-    /// push them onto its own deque in one batch.
+    /// Queue a share's GTB records, decided in window order as the share
+    /// was taken, onto worker `worker`'s own deque in one batch.
     ///
-    /// A record only the chunk holds, with no pending dependence — every
+    /// A record only the share holds, with no pending dependence — every
     /// footprint-free record, since its spawner lets go before it can
     /// trigger a flush — is decided, released and marked enqueued through
     /// `&mut` (`Task::prime_flush_enqueued`) and goes out in the batch. A
@@ -275,79 +428,56 @@ impl RuntimeInner {
     /// successor list also holds — takes the atomic `decide` → `release` →
     /// `try_enqueue` path, whose SeqCst pairing with the last predecessor's
     /// completion is documented on `Task::release`.
-    fn build_records(
-        &self,
-        worker: usize,
-        group: &Arc<GroupState>,
-        entries: &mut Vec<Buffered>,
-        quota: Option<GtbQuota>,
-    ) {
-        let gtb = quota.is_some();
-        if let Some(mut quota) = quota {
-            entries.retain_mut(|entry| {
-                let accurate = quota.admit(entry.significance());
-                let task = match entry {
-                    Buffered::Plain(plain) => {
-                        plain.decision = accurate;
-                        return true;
-                    }
-                    Buffered::Record(task) => task,
-                };
-                if let Some(record) = Arc::get_mut(task) {
-                    if *record.pending_deps.get_mut() == 0 {
-                        record.prime_flush_enqueued(accurate);
-                        return true;
-                    }
-                }
-                task.decide(accurate);
-                task.release();
-                self.try_enqueue(task);
-                false
-            });
-        }
-        let accurate = self.policy == Policy::SignificanceAgnostic;
-        let records = entries.drain(..).map(|entry| match entry {
-            Buffered::Record(task) => task,
-            Buffered::Plain(plain) => {
-                let mut task = self.husk_in(group);
-                let t = Arc::get_mut(&mut task).expect("a husk is uniquely held");
-                t.fill(
-                    plain.id,
-                    plain.significance,
-                    plain.accurate,
-                    plain.approximate,
-                );
-                if gtb {
-                    t.prime_flush_enqueued(plain.decision);
-                } else {
-                    t.prime_spawn_enqueued(accurate);
-                }
-                task
-            }
-        });
-        self.queues.push_batch(records, Some(worker));
-    }
-
-    /// Keep a drained chunk in the pool while the runtime is busy and the
-    /// pool has room, else free it. The idle check sits under the lock that
-    /// [`RuntimeInner::free_chunks_if_idle`] takes after it saw zero
-    /// outstanding, as for the husk pool.
-    fn return_chunk(&self, entries: Vec<Buffered>) {
-        debug_assert!(entries.is_empty(), "a chunk is returned drained");
-        let mut chunks = self.staging.lock();
-        if chunks.pool.len() < CHUNK_POOL_CAP && self.outstanding.load(Ordering::SeqCst) != 0 {
-            chunks.pool.push(entries);
+    fn queue_records(&self, worker: usize, records: &mut Vec<(Arc<Task>, bool)>) {
+        if records.is_empty() {
             return;
         }
-        drop(chunks);
-        drop(entries);
+        records.retain_mut(|(task, accurate)| {
+            if let Some(record) = Arc::get_mut(task) {
+                if *record.pending_deps.get_mut() == 0 {
+                    record.prime_flush_enqueued(*accurate);
+                    return true;
+                }
+            }
+            task.decide(*accurate);
+            task.release();
+            self.try_enqueue(task);
+            false
+        });
+        self.queues
+            .push_batch(records.drain(..).map(|(task, _)| task), Some(worker));
     }
 
-    /// Quiescence: free the pooled chunks, as [`RuntimeInner::free_husks_if_idle`]
-    /// frees the husks. Called once it found nothing outstanding.
+    /// Quiescence: free the pooled chunks and a drained partial one, as
+    /// [`RuntimeInner::free_husks_if_idle`] frees the husks. Called once it
+    /// found nothing outstanding, so no chunk holds an entry; a chunk given
+    /// back to the pool after this is given back while entries are
+    /// outstanding again.
     pub(super) fn free_chunks_if_idle(&self) {
-        let pooled = std::mem::take(&mut self.staging.lock().pool);
+        let (pooled, partial) = {
+            let mut chunks = self.staging.lock();
+            let partial = chunks.partial.take_if(|partial| partial.entries.is_empty());
+            (std::mem::take(&mut chunks.pool), partial)
+        };
         // Freed outside the lock.
-        drop(pooled);
+        drop((pooled, partial));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_first_share_is_one_entry_and_later_ones_hold_about_one_budget() {
+        let budget = SHARE_BUDGET.as_nanos() as u64;
+        assert_eq!(share_len(1_000, 1, None), 1);
+        assert_eq!(share_len(1_000, 2, Some(budget / 10)), 10);
+        // A body longer than the budget still moves one entry at a time.
+        assert_eq!(share_len(1_000, 2, Some(10 * budget)), 1);
+        // Bodies too short to time: the guided half alone.
+        assert_eq!(share_len(1_000, 2, Some(0)), 500);
+        assert_eq!(share_len(7, 2, Some(1)), 4);
+        assert_eq!(share_len(1, 4, Some(1)), 1);
     }
 }

@@ -1,18 +1,18 @@
 //! The worker side of the scheduler: each worker's run loop (pop, steal,
-//! spin, yield, park), the execute path that applies the policy decision,
-//! brownout, fault injection and the governor to one task, completion, and
-//! [`Retired`], the batch in which a worker takes its completions off the
+//! run a share of a staged chunk, spin, yield, park), the one execute path
+//! that applies the policy decision, brownout, fault injection and the
+//! governor to a task — a record or a plain entry, as a [`Job`] — completion,
+//! and [`Retired`], the batch in which a worker takes its completions off the
 //! outstanding counts. Also the producer side of the sleep protocol:
 //! [`RuntimeInner::try_enqueue`] and the targeted wakes.
 //!
 //! # Checklist for the model checker
 //!
-//! Unsafe blocks: three, all in [`RuntimeInner::run_task`], each a
-//! `take_accurate` / `take_approximate` on the task's body cells — the
-//! accurate body, the approximate body, and the drop of whichever body did
-//! not run. Each relies on the calling worker being the task's unique
-//! executor, which it became by dequeuing a record whose `claim_enqueue`
-//! was won once.
+//! Unsafe blocks: one, in [`RuntimeInner::execute`], which takes both body
+//! cells out of a record: the accurate body and the approximate body. It
+//! relies on the calling worker being the task's unique executor, which it
+//! became by dequeuing a record whose `claim_enqueue` was won once. An entry
+//! owns its bodies, and from there on both run and drop as owned values.
 //!
 //! Orderings weaker than SeqCst: none. Every atomic this file touches
 //! directly is one side of a Dekker-style pair and stays SeqCst:
@@ -32,17 +32,19 @@
 //! anything staged to pull) are what keep a barrier from returning early or
 //! waiting on another group's task.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use super::staging::Share;
 use super::{RuntimeInner, CURRENT_WORKER};
 use crate::faults::FaultAction;
 use crate::governor::DispatchContext;
 use crate::group::GroupState;
 use crate::handle::TaskOutcome;
 use crate::policy::{LqhState, Policy};
-use crate::sync::atomic::Ordering;
+use crate::significance::Significance;
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{spin_loop, thread, Arc};
-use crate::task::{ExecutionMode, Task, TaskBody};
+use crate::task::{ExecutionMode, Task, TaskBody, TaskId};
 
 /// Completions a worker publishes at once: its batch goes out when it holds
 /// this many, so `Runtime::outstanding_tasks` reads at most this many per
@@ -80,6 +82,24 @@ impl Retired {
             .as_ref()
             .is_none_or(|held| Arc::ptr_eq(held, group))
     }
+}
+
+/// A task as the execute path sees it: what a record and a plain entry
+/// both carry, and the record itself for a task that has one, which adds
+/// its clauses (keys, deadline, cancel token, spawn handle) and its
+/// successors.
+pub(super) struct Job<'a> {
+    pub(super) id: TaskId,
+    pub(super) significance: Significance,
+    pub(super) group: &'a Arc<GroupState>,
+    /// The policy's or a GTB flush's decision, if made: `Some(true)` for
+    /// accurate.
+    pub(super) decision: Option<bool>,
+    /// The bodies, taken out of the record or the entry; each is taken
+    /// again when it runs or is dropped unrun.
+    pub(super) accurate: Option<TaskBody>,
+    pub(super) approximate: Option<TaskBody>,
+    pub(super) record: Option<&'a Task>,
 }
 
 impl RuntimeInner {
@@ -140,9 +160,8 @@ impl RuntimeInner {
         self.wake_one_sleeper(usize::MAX);
     }
 
-    /// Execute a task on worker `worker`, then recycle its record if this
-    /// worker is the last holder. A batch of another group's completions is
-    /// published first (the invariant on [`Retired`]).
+    /// Execute a record on worker `worker`, then recycle it if this worker
+    /// is the last holder.
     fn execute(
         &self,
         task: Arc<Task>,
@@ -151,36 +170,94 @@ impl RuntimeInner {
         tick: &mut usize,
         retired: &mut Retired,
     ) {
-        if !retired.admits(&task.group_state) {
-            self.publish(retired);
-        }
-        self.run_task(&task, worker, lqh, tick, retired);
+        // SAFETY: this worker dequeued the task, whose `claim_enqueue` was
+        // won once, so it is the task's unique executor, and nothing else
+        // touches the body cells after spawn.
+        let (accurate, approximate) = unsafe { (task.take_accurate(), task.take_approximate()) };
+        self.run_task(
+            Job {
+                id: task.id,
+                significance: task.significance,
+                group: &task.group_state,
+                decision: task.decision(),
+                accurate,
+                approximate,
+                record: Some(&task),
+            },
+            worker,
+            lqh,
+            tick,
+            retired,
+        );
         self.recycle(task);
     }
 
-    /// Make the accuracy decision if it is still open, run the chosen body,
-    /// record statistics, then resolve dependences and barriers. Lock-free
-    /// on every step.
-    fn run_task(
+    /// Run the plain entries of the share worker `worker` just pulled,
+    /// oldest first, and keep their mean body time to size its next share.
+    fn run_share(
         &self,
-        task: &Arc<Task>,
         worker: usize,
+        held: &AtomicUsize,
+        share: &mut Share,
         lqh: &mut LqhState,
         tick: &mut usize,
         retired: &mut Retired,
     ) {
-        // Cooperative cancellation: a task whose token was cancelled before
-        // it starts is skipped entirely.
-        if task.cancel_requested() {
-            self.abandon(task, worker, false, retired);
+        let count = share.entries.len() as u64;
+        if count == 0 {
             return;
         }
+        let group = share.group.as_ref().expect("a share names its group");
+        let mut busy = Duration::ZERO;
+        for (left, plain) in (0..count as usize).rev().zip(share.entries.drain(..)) {
+            held.store(left, Ordering::Relaxed);
+            busy += self.run_task(
+                Job {
+                    id: plain.id,
+                    significance: plain.significance,
+                    group,
+                    decision: plain.decision,
+                    accurate: Some(plain.accurate),
+                    approximate: plain.approximate,
+                    record: None,
+                },
+                worker,
+                lqh,
+                tick,
+                retired,
+            );
+        }
+        share.mean_nanos = Some(busy.as_nanos() as u64 / count);
+    }
+
+    /// Make the accuracy decision if it is still open, run the chosen body,
+    /// record statistics, then resolve dependences and barriers. Lock-free
+    /// on every step. A batch of another group's completions is published
+    /// first (the invariant on [`Retired`]). Returns the time the body ran,
+    /// zero for a task abandoned unrun.
+    fn run_task(
+        &self,
+        mut job: Job<'_>,
+        worker: usize,
+        lqh: &mut LqhState,
+        tick: &mut usize,
+        retired: &mut Retired,
+    ) -> Duration {
+        if !retired.admits(job.group) {
+            self.publish(retired);
+        }
+        // Cooperative cancellation: a task whose token was cancelled before
+        // it starts is skipped entirely.
+        if job.record.is_some_and(Task::cancel_requested) {
+            self.abandon(job, worker, false, retired);
+            return Duration::ZERO;
+        }
         // Read once: LQH decides against it and the governor is handed it.
-        let group_ratio = task.group_state.effective_ratio();
-        let accurate = match task.decision() {
+        let group_ratio = job.group.effective_ratio();
+        let accurate = match job.decision {
             Some(decision) => decision,
             None => match self.policy {
-                Policy::Lqh => lqh.decide(task.group_id(), task.significance, group_ratio),
+                Policy::Lqh => lqh.decide(job.group.id, job.significance, group_ratio),
                 // The significance-agnostic runtime and any GTB task that
                 // somehow reaches a worker undecided run accurately: the
                 // conservative choice never degrades output quality.
@@ -199,16 +276,16 @@ impl RuntimeInner {
         let shed_threshold = self.overload.threshold();
         if shed_threshold > 0.0
             && !accurate
-            && !task.significance.is_critical()
-            && task.significance.value() < shed_threshold
+            && !job.significance.is_critical()
+            && job.significance.value() < shed_threshold
         {
-            self.abandon(task, worker, true, retired);
-            return;
+            self.abandon(job, worker, true, retired);
+            return Duration::ZERO;
         }
 
         // Deterministic fault injection (chaos testing only; `faults` is
         // `None` in production configurations).
-        let fault = self.faults.as_ref().and_then(|plan| plan.decide(task.id.0));
+        let fault = self.faults.as_ref().and_then(|plan| plan.decide(job.id.0));
         if let Some(FaultAction::Stall(pause)) = fault {
             // A stalled worker: the pause happens before the timed window so
             // it distorts schedules, not per-task busy accounting.
@@ -224,7 +301,7 @@ impl RuntimeInner {
         // while the runtime is overloaded) races to nominal frequency: the
         // governor's scaling decision is overridden at dispatch. Only a task
         // with a deadline pays for the start's offset from runtime start.
-        let deadline = task.deadline_nanos();
+        let deadline = job.record.map_or(0, Task::deadline_nanos);
         let started_nanos = (deadline != 0).then(|| (start - self.started).as_nanos() as u64);
         let deadline_pressure = started_nanos
             .is_some_and(|started| self.overload.is_overloaded() || started >= deadline);
@@ -237,24 +314,20 @@ impl RuntimeInner {
             worker,
             &DispatchContext {
                 worker,
-                significance: task.significance,
+                significance: job.significance,
                 accurate,
                 policy: self.policy,
                 group_ratio,
                 deadline_pressure,
             },
         );
-        // SAFETY (all `take_*` calls below): this worker won `claim_enqueue`
-        // and dequeued the task, making it the unique executor; nothing else
-        // touches the body cells after spawn.
         let (mode, ok) = if accurate {
-            let body = unsafe { task.take_accurate() };
             (
                 ExecutionMode::Accurate,
-                self.run_or_inject(body, inject_panic),
+                self.run_or_inject(job.accurate.take(), inject_panic),
             )
         } else {
-            match unsafe { task.take_approximate() } {
+            match job.approximate.take() {
                 Some(body) => (
                     ExecutionMode::Approximate,
                     self.run_or_inject(Some(body), inject_panic),
@@ -273,43 +346,47 @@ impl RuntimeInner {
         // signalled, so resources captured by it (for example
         // `SharedGrid` region writers shared between the accurate and the
         // approximate closure) are released by the time a barrier returns.
-        unsafe {
-            drop(task.take_accurate());
-            drop(task.take_approximate());
-        }
+        drop((job.accurate.take(), job.approximate.take()));
 
         if started_nanos.is_some_and(|started| started + busy.as_nanos() as u64 > deadline) {
             self.stats.record_deadline_miss(worker);
         }
 
+        let record = job.record;
         if ok {
             // Transitive poison: a task that read a poisoned key produced
             // output derived from failed data — its own writes are suspect.
-            if task.writes
-                && self.tracker.any_poisoned()
-                && task.in_keys().iter().any(|&k| self.tracker.is_poisoned(k))
-            {
-                self.tracker.poison_writes(task.out_keys());
+            if let Some(task) = record.filter(|task| task.writes) {
+                if self.tracker.any_poisoned()
+                    && task.in_keys().iter().any(|&k| self.tracker.is_poisoned(k))
+                {
+                    self.tracker.poison_writes(task.out_keys());
+                }
             }
             self.stats.record_execution(worker, mode, busy);
             self.env.record(worker, mode, busy, decision);
-            task.group_state
+            job.group
                 .stats
-                .record(worker, task.significance.level(), mode);
-            task.notify_handle(TaskOutcome::Completed(mode));
+                .record(worker, job.significance.level(), mode);
+            if let Some(task) = record {
+                task.notify_handle(TaskOutcome::Completed(mode));
+            }
         } else {
             // The body panicked: poison its written keys *before*
             // completion releases any dependent, and account it under
             // `panicked` (not `completed`).
-            if task.writes {
+            if let Some(task) = record.filter(|task| task.writes) {
                 self.tracker.poison_writes(task.out_keys());
             }
             self.stats.record_panicked(worker, busy);
             self.env.record(worker, mode, busy, decision);
-            task.group_state.stats.record_panicked(worker);
-            task.notify_handle(TaskOutcome::Panicked);
+            job.group.stats.record_panicked(worker);
+            if let Some(task) = record {
+                task.notify_handle(TaskOutcome::Panicked);
+            }
         }
-        self.complete(task, retired);
+        self.complete(job.group, record, retired);
+        busy
     }
 
     /// Run a body (catching panics so one failing task cannot take a worker
@@ -331,33 +408,41 @@ impl RuntimeInner {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_ok()
     }
 
-    /// Post-execution bookkeeping: wake successors and `taskwait on(...)`
-    /// waiters, then add the task to the worker's batch of completions,
-    /// publishing it once it is full. The outstanding counts, and the
-    /// barriers that watch them, hear of it in [`RuntimeInner::publish`].
-    pub(super) fn complete(&self, task: &Arc<Task>, retired: &mut Retired) {
+    /// Post-execution bookkeeping: wake a record's successors and
+    /// `taskwait on(...)` waiters, then add the task to the worker's batch
+    /// of completions of `group`, publishing it once it is full. The
+    /// outstanding counts, and the barriers that watch them, hear of it in
+    /// [`RuntimeInner::publish`].
+    pub(super) fn complete(
+        &self,
+        group: &Arc<GroupState>,
+        record: Option<&Task>,
+        retired: &mut Retired,
+    ) {
         // Footprint-free tasks can never have successors (only tasks that
         // declared keys enter the dependence tracker), so the seal and the
         // tracker are skipped entirely.
-        if task.footprint {
-            let successors = task.successors.seal();
-            task.mark_completed();
-            for successor in successors {
-                // SeqCst: pairs with `Task::release` + `is_ready` on the
-                // GTB-flush side (see Task::release).
-                if successor.pending_deps.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    self.try_enqueue(&successor);
+        match record {
+            Some(task) if task.footprint => {
+                let successors = task.successors.seal();
+                task.mark_completed();
+                for successor in successors {
+                    // SeqCst: pairs with `Task::release` + `is_ready` on the
+                    // GTB-flush side (see Task::release).
+                    if successor.pending_deps.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        self.try_enqueue(&successor);
+                    }
+                }
+                if task.writes {
+                    // The seal above is what `wait_on` polls.
+                    self.writes_barrier.notify();
                 }
             }
-            if task.writes {
-                // The seal above is what `wait_on` polls.
-                self.writes_barrier.notify();
-            }
-        } else {
-            task.mark_completed();
+            Some(task) => task.mark_completed(),
+            None => {}
         }
         if retired.count == 0 {
-            retired.group = Some(task.group_state.clone());
+            retired.group = Some(group.clone());
         }
         retired.count += 1;
         if retired.count == RETIRE_BATCH {
@@ -403,6 +488,8 @@ impl RuntimeInner {
         // Worker-private overload tick counter (see `overload_tick`).
         let mut overload_tick = 0usize;
         let mut retired = Retired::default();
+        let mut share = Share::default();
+        let held = self.staging.held(index);
         let mut idle_rounds = 0u32;
         loop {
             let popped = self.queues.pop_local(index);
@@ -430,14 +517,24 @@ impl RuntimeInner {
                 self.execute(task, index, &mut lqh, &mut overload_tick, &mut retired);
                 continue;
             }
-            // Nothing to pop or steal: build the next staged chunk's records
-            // onto this worker's deque, from the husks of the tasks it ran.
-            if self.pull_staged(index) {
+            // Nothing to pop or steal: run a share of the oldest staged
+            // chunk, before popping again.
+            if self.pull_share(index, &mut share) {
                 idle_rounds = 0;
+                self.run_share(
+                    index,
+                    held,
+                    &mut share,
+                    &mut lqh,
+                    &mut overload_tick,
+                    &mut retired,
+                );
                 continue;
             }
-            // Out of work: no barrier may wait on this worker's batch.
+            // Out of work: no barrier may wait on this worker's batch, and
+            // an idle worker keeps no group alive.
             self.publish(&mut retired);
+            share.group = None;
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -682,6 +779,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A share is sized by the body time of the worker's last one, so a
+    /// worker holds about one budget of bodies that nothing can steal. Two
+    /// workers running a group of 64 plain tasks of a millisecond each take
+    /// them one at a time — no body ever sees an unstarted entry of its
+    /// worker's share behind it — and each runs at least 8. (Guided shares
+    /// alone, half of what remains, pass the count, since the other worker
+    /// takes half of the rest, but a body then sees up to 31 entries held
+    /// behind it, 31 ms of work no idle worker could take.)
+    #[test]
+    fn two_workers_split_a_group_of_long_plain_tasks_one_at_a_time() {
+        const TASKS: usize = 64;
+        let rt = Runtime::builder()
+            .workers(2)
+            .policy(Policy::SignificanceAgnostic)
+            .build();
+        let group = rt.create_group("balance", 1.0);
+        let ran_on = Arc::new(Mutex::new(Vec::with_capacity(TASKS)));
+        let most_held = Arc::new(AtomicUsize::new(0));
+        for _ in 0..TASKS {
+            let (ran_on, most_held, inner) = (ran_on.clone(), most_held.clone(), rt.inner.clone());
+            rt.task(move || {
+                let worker = inner.local_worker().expect("runs on a worker");
+                let held = inner.staging.held(worker).load(Ordering::Relaxed);
+                most_held.fetch_max(held, Ordering::Relaxed);
+                let start = Instant::now();
+                while start.elapsed() < Duration::from_millis(1) {
+                    spin_loop();
+                }
+                ran_on.lock().unwrap().push(std::thread::current().id());
+            })
+            .group(&group)
+            .spawn();
+        }
+        rt.wait_group(&group);
+        let most_held = most_held.load(Ordering::Relaxed);
+        assert_eq!(
+            most_held, 0,
+            "a body saw {most_held} entries held behind it"
+        );
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), TASKS);
+        let mut counts = std::collections::HashMap::new();
+        for id in ran_on.iter() {
+            *counts.entry(*id).or_insert(0usize) += 1;
+        }
+        let mut counts: Vec<usize> = counts.into_values().collect();
+        counts.sort_unstable();
+        assert!(
+            counts.len() == 2 && counts[0] >= 8,
+            "{TASKS} one-millisecond tasks split {counts:?} between two workers"
+        );
     }
 
     /// A worker publishes its batch of one group's completions before it

@@ -233,8 +233,7 @@ impl GroupStatsSnapshot {
 /// (accurate + approximate + dropped), not stored: one fewer atomic op per
 /// executed task.
 #[derive(Default)]
-struct StatShard {
-    spawned: AtomicUsize,
+pub(crate) struct StatShard {
     accurate: AtomicUsize,
     approximate: AtomicUsize,
     dropped: AtomicUsize,
@@ -352,7 +351,12 @@ impl OutcomeSummary {
 /// event counts used to evaluate policy overhead (Figure 4 discussion).
 /// Sharded per worker; readers fold on demand.
 pub struct RuntimeStats {
-    shards: Box<[CachePadded<StatShard>]>,
+    pub(crate) shards: Box<[CachePadded<StatShard>]>,
+    /// Task ids issued, which is the spawn count: every spawn reserves its
+    /// ids here, one for a task, `n` for a batch of `n`, and nothing else
+    /// does. Written by every spawn, so padded off `shards`, which every
+    /// worker reads per task.
+    pub(crate) issued: CachePadded<AtomicU64>,
 }
 
 impl std::fmt::Debug for RuntimeStats {
@@ -379,6 +383,7 @@ impl RuntimeStats {
             shards: (0..workers + 1)
                 .map(|_| CachePadded::new(StatShard::default()))
                 .collect(),
+            issued: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -391,14 +396,16 @@ impl RuntimeStats {
         &self.shards[self.shards.len() - 1]
     }
 
-    pub(crate) fn record_spawn(&self) {
-        self.record_spawns(1);
+    /// Reserve `count` consecutive task ids for a spawn of `count` tasks,
+    /// and so count them spawned; returns the first. Relaxed: ids need
+    /// only be unique, and increasing per spawning thread.
+    pub(crate) fn issue_ids(&self, count: u64) -> u64 {
+        self.issued.fetch_add(count, Ordering::Relaxed)
     }
 
-    /// Record a whole batch of spawns with one counter update — the
-    /// statistics half of the amortised batch-injection pipeline.
-    pub(crate) fn record_spawns(&self, count: usize) {
-        self.external().spawned.fetch_add(count, Ordering::Relaxed);
+    /// The id the next spawn will get.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.issued.load(Ordering::Relaxed)
     }
 
     pub(crate) fn record_execution(&self, worker: usize, mode: ExecutionMode, busy: Duration) {
@@ -459,9 +466,9 @@ impl RuntimeStats {
         self.shards.iter().map(|shard| field(shard)).sum()
     }
 
-    /// Number of tasks spawned so far.
+    /// Number of tasks spawned so far: the ids issued.
     fn spawned(&self) -> usize {
-        self.fold(|s| s.spawned.load(Ordering::Relaxed))
+        self.next_id() as usize
     }
 
     /// Number of tasks that have finished (in any mode).
@@ -654,8 +661,8 @@ mod tests {
     #[test]
     fn runtime_stats_accumulate() {
         let stats = RuntimeStats::new(2);
-        stats.record_spawn();
-        stats.record_spawn();
+        assert_eq!(stats.issue_ids(1), 0);
+        assert_eq!(stats.issue_ids(1), 1);
         stats.record_execution(0, ExecutionMode::Accurate, Duration::from_millis(10));
         stats.record_execution(1, ExecutionMode::Dropped, Duration::from_millis(0));
         stats.record_steal(1);
@@ -673,9 +680,8 @@ mod tests {
     #[test]
     fn outcome_summary_accounting() {
         let stats = RuntimeStats::new(2);
-        for _ in 0..5 {
-            stats.record_spawn();
-        }
+        assert_eq!(stats.issue_ids(2), 0);
+        assert_eq!(stats.issue_ids(3), 2);
         stats.record_execution(0, ExecutionMode::Accurate, Duration::ZERO);
         stats.record_execution(0, ExecutionMode::Approximate, Duration::ZERO);
         stats.record_panicked(1, Duration::from_millis(1));

@@ -30,7 +30,7 @@
 
 pub(crate) use std::hint::spin_loop;
 pub(crate) use std::sync::{
-    atomic, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock,
+    atomic, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, TryLockError,
 };
 
 /// Thread creation, sleeping and yielding (`std::thread`); parking goes

@@ -35,11 +35,11 @@
 //! `sched_deps`, whose tasks carry keys and nothing else, 8 % of its tasks
 //! a second.
 //!
-//! Every record in flight costs its malloc chunk; a plain task waiting in a
-//! GTB buffer or staged for a worker costs none, since it waits as an entry
-//! and the worker that pulls it builds its record (`group::PlainTask`). Recycling keeps the box with the husk,
-//! as it keeps the key buffers, so a recycled footprint record allocates
-//! nothing new.
+//! Every record in flight costs its malloc chunk; a plain task spawned by a
+//! thread that is not a worker has none: it waits as an entry and runs from
+//! a worker's share of its chunk (`group::PlainTask`). Recycling keeps the
+//! box with the husk, as it keeps the key buffers, so a recycled footprint
+//! record allocates nothing new.
 
 use std::cell::UnsafeCell;
 

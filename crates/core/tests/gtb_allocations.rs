@@ -8,11 +8,12 @@
 //! costs at most 64 requested bytes per task on the spawner: a plain task
 //! waits as a 56-byte entry in 1024-entry chunks, not as a 128-byte record.
 //! Under every policy a plain task from a thread that is not a worker is
-//! such an entry, whose record the worker that pulls it builds from the
-//! husks of the tasks it just ran, so a cold pass of any policy, from the
-//! first spawn to the barrier's return, makes at most 0.2 allocations per
-//! task on all threads together. And a second pass while the runtime is
-//! still busy takes every chunk from the pool the first one filled.
+//! such an entry, which a worker runs straight from its share of the chunk
+//! with no record at all, so a cold pass of any policy at one or two
+//! workers, from the first spawn to the barrier's return, makes about one
+//! allocation per chunk of its backlog on all threads together (see
+//! `cold_pass_budget`). And a second pass while the runtime is still busy
+//! takes every chunk from the pool the first one filled.
 //!
 //! Its own test binary: the counting global allocator below counts each
 //! thread's allocations and requested bytes (thread-local counters), so
@@ -208,30 +209,43 @@ const POLICIES: [Policy; 4] = [
     Policy::Lqh,
 ];
 
-#[test]
-fn a_cold_pass_of_any_policy_builds_its_records_from_recycled_husks() {
-    let _serial = serial();
-    for policy in POLICIES {
-        // No husks yet: every record a pass needs beyond what it recycles
-        // is a fresh one.
-        let rt = Runtime::builder().workers(1).policy(policy).build();
-        let group = rt.create_group("cold", 0.5);
-        let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
-        for i in 0..MAX_BUFFERED {
-            spawn_plain(&rt, &group, i);
-        }
-        rt.wait_group(&group);
-        let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+/// Allocations on all threads a cold 10 000-task pass may make per task:
+/// one chunk per window of its backlog — a GTB(32) window takes a chunk of
+/// its own, and a spawner that runs ahead of its workers holds every
+/// window's — plus 0.01 per task for everything else (the first chunks,
+/// the workers' share buffers, the runtime's lists). Measured at one and
+/// two workers: agnostic and LQH 22-37 allocations a pass (0.002-0.004 a
+/// task), GTB-Max 27-36, GTB(32) 327-332 (0.033; its window's chunks).
+fn cold_pass_budget(policy: Policy) -> f64 {
+    let window = policy.buffer_capacity().unwrap_or(1024).min(1024);
+    0.01 + 1.0 / window as f64
+}
 
-        let per_task = allocations as f64 / MAX_BUFFERED as f64;
-        assert!(
-            per_task <= 0.2,
-            "{policy:?}: {allocations} allocations on all threads for a cold \
-             {MAX_BUFFERED}-task pass ({per_task:.3} per task): each plain task \
-             is an entry whose record the worker that pulls its chunk builds from \
-             the husks of the tasks it ran before, so only about the first \
-             chunk's are fresh"
-        );
+#[test]
+fn a_cold_pass_of_any_policy_allocates_about_its_chunks() {
+    let _serial = serial();
+    for workers in [1, 2] {
+        for policy in POLICIES {
+            // No husks and no chunks yet.
+            let rt = Runtime::builder().workers(workers).policy(policy).build();
+            let group = rt.create_group("cold", 0.5);
+            let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
+            for i in 0..MAX_BUFFERED {
+                spawn_plain(&rt, &group, i);
+            }
+            rt.wait_group(&group);
+            let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+            let per_task = allocations as f64 / MAX_BUFFERED as f64;
+            let budget = cold_pass_budget(policy);
+            assert!(
+                per_task <= budget,
+                "{policy:?}, {workers} workers: {allocations} allocations on all \
+                 threads for a cold {MAX_BUFFERED}-task pass ({per_task:.4} per task, \
+                 budget {budget:.4}): a plain task is an entry in a chunk, which a \
+                 worker runs with no record at all"
+            );
+        }
     }
 }
 

@@ -21,11 +21,22 @@
 //!   decisions repeat, each task must run in the same mode plain as with
 //!   the token. (The mixed run orders records and entries by their own
 //!   paths, so LQH's histories differ there.)
+//! * Under LQH and GTB(32) at one worker, with a fault plan injecting panics
+//!   and stalls and a queue watermark the backlog crosses, the program runs
+//!   plain (entries, which the worker runs straight from its share) and
+//!   with the token (records), its whole backlog queued behind a held
+//!   worker so that both runs see the same queue depths: each task must
+//!   run in the same mode, or not run, both ways, and the runs must count
+//!   the same completions, panics and sheds by level. A share's unstarted
+//!   entries are queued work for the brownout as much as queued records.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use sig_core::{BatchTask, CancelToken, GroupStatsSnapshot, Policy, Runtime};
+use sig_core::{
+    BatchTask, CancelToken, FaultPlan, GroupStatsSnapshot, Policy, Runtime, ShedHistogram,
+};
 
 const RATIO: f64 = 0.37;
 
@@ -180,6 +191,116 @@ impl Program {
         assert_eq!(stats.total(), self.tenths.len());
         let modes = modes.iter().map(|m| m.load(Ordering::Relaxed)).collect();
         (modes, stats)
+    }
+}
+
+/// What a run under faults and a watermark observed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Every task's mode: the body that ran, or `NOT_RUN`.
+    modes: Vec<u8>,
+    completed: usize,
+    panicked: usize,
+    shed: usize,
+    shed_by_level: ShedHistogram,
+}
+
+/// Injected faults: 5 % panics and 2 % stalls of 20 µs, drawn from the
+/// task id, so a plain run and a record run hit the same tasks.
+fn fault_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .panics(50)
+        .stalls(20, Duration::from_micros(20))
+}
+
+impl Program {
+    /// Run the program at one worker under `plan` and a queue watermark,
+    /// plain or with the token, its whole backlog queued behind a blocker
+    /// before the worker starts on it.
+    fn run_faulted(&self, policy: Policy, plan: FaultPlan, way: Way) -> Observed {
+        let rt = Runtime::builder()
+            .workers(1)
+            .policy(policy)
+            .fault_plan(plan)
+            .queue_watermark(self.tenths.len() / 4)
+            .build();
+        let group = rt.create_group("faulted", RATIO);
+        let token = CancelToken::new();
+        // Task 0, which the plan leaves alone, holds the worker; under GTB
+        // it fills its window in the global group with accurate no-ops, so
+        // the flush hands it to the worker.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        rt.task(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        })
+        .spawn();
+        if let Some(window) = policy.buffer_capacity() {
+            for _ in 1..window {
+                rt.task(|| {}).spawn();
+            }
+        }
+        started_rx.recv().unwrap();
+        let modes: Arc<Vec<AtomicU8>> = Arc::new(
+            (0..self.tenths.len())
+                .map(|_| AtomicU8::new(NOT_RUN))
+                .collect(),
+        );
+        for i in 0..self.tenths.len() {
+            let body = |mode: u8| {
+                let modes = modes.clone();
+                move || modes[i].store(mode, Ordering::Relaxed)
+            };
+            let mut task = rt
+                .task(body(ACCURATE))
+                .significance(self.significance(i))
+                .group(&group);
+            if Self::has_approx(i) {
+                task = task.approx(body(APPROXIMATE));
+            }
+            if way == Way::Records {
+                task = task.cancel_token(&token);
+            }
+            task.spawn();
+        }
+        release_tx.send(()).unwrap();
+        let summary = rt.wait_all();
+        assert_eq!(summary.cancelled, 0, "the token is never cancelled");
+        assert_eq!(summary.completed + summary.failed(), summary.spawned);
+        Observed {
+            modes: modes.iter().map(|m| m.load(Ordering::Relaxed)).collect(),
+            completed: summary.completed,
+            panicked: summary.panicked,
+            shed: summary.shed,
+            shed_by_level: summary.shed_by_level,
+        }
+    }
+}
+
+#[test]
+fn entries_and_records_fail_and_shed_alike_under_faults_and_a_watermark() {
+    for (seed, policy) in [Policy::Lqh, Policy::Gtb { buffer_size: 32 }]
+        .into_iter()
+        .enumerate()
+    {
+        let program = Program::new(policy, 1_024, 0x5EED + 20 + seed as u64);
+        let plan_seed = (0..)
+            .find(|&s| fault_plan(s).decide(0).is_none())
+            .expect("a seed that spares the blocker");
+        let plain = program.run_faulted(policy, fault_plan(plan_seed), Way::Plain);
+        assert!(
+            plain.panicked > 0 && plain.shed > 0 && plain.completed > 0,
+            "{policy:?}: the run panics, sheds and completes: {plain:?}"
+        );
+        let records = program.run_faulted(policy, fault_plan(plan_seed), Way::Records);
+        if let Some(i) = (0..plain.modes.len()).find(|&i| records.modes[i] != plain.modes[i]) {
+            panic!(
+                "{policy:?}: task {i} ran in mode {} with the token and in mode {} plain",
+                records.modes[i], plain.modes[i]
+            );
+        }
+        assert_eq!(records, plain, "{policy:?}");
     }
 }
 
