@@ -43,6 +43,14 @@
 //! versa). A second writer on one shard is a bug, not a race to tolerate: it
 //! would lose increments as well as tear snapshots.
 //!
+//! In a runtime the shard is its worker's one **task ledger**: the same
+//! seqlock section that books a task's busy, modelled and joule counters
+//! books its count by mode, or as panicked, so a snapshot never holds a
+//! task's time without its count. The worker also counts, one bump each,
+//! the tasks it skips as cancelled, the tasks that finish past their
+//! deadline and its steals (`Event`). [`crate::RuntimeStats`] folds the
+//! ledger; nothing else counts a task.
+//!
 //! # Accounting model
 //!
 //! Per executed task the environment records the measured busy time, the
@@ -66,7 +74,7 @@ use sig_energy::{
 use crate::governor::{DispatchContext, DispatchDecision, Governor};
 use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{spin_loop, Arc, CachePadded};
-use crate::task::ExecutionMode;
+use crate::task::{ExecutionMode, MODES};
 
 /// Consistent fold of every shard's counters — the cheap snapshot a polling
 /// controller (the cluster power-cap loop) reads every tick without building
@@ -87,15 +95,18 @@ pub struct EnvTotals {
     pub frequency_transitions: u64,
 }
 
-const MODES: usize = 3;
-
-fn mode_index(mode: ExecutionMode) -> usize {
-    match mode {
-        ExecutionMode::Accurate => 0,
-        ExecutionMode::Approximate => 1,
-        ExecutionMode::Dropped => 2,
-    }
+/// What a runtime worker counts on its ledger beside the tasks it prices.
+#[derive(Clone, Copy)]
+pub(crate) enum Event {
+    /// A task skipped because its cancel token fired.
+    Cancelled,
+    /// A task that finished past its deadline.
+    DeadlineMiss,
+    /// A successful steal.
+    Steal,
 }
+
+const EVENTS: usize = 3;
 
 /// One worker's frequency domain and energy counters.
 struct EnvShard {
@@ -105,6 +116,10 @@ struct EnvShard {
     seq: AtomicU64,
     /// Measured busy nanoseconds (wall-clock spent in task bodies).
     real_busy_nanos: AtomicU64,
+    /// Tasks that finished a body, per mode.
+    finished: [AtomicU64; MODES],
+    /// Tasks whose body panicked: busy time, but no mode count.
+    panicked: AtomicU64,
     /// Modelled busy nanoseconds (measured × time dilation), per mode.
     modelled_busy_nanos: [AtomicU64; MODES],
     /// Modelled dynamic energy in nanojoules.
@@ -126,6 +141,8 @@ struct EnvShard {
     /// (every ratio is positive). Replaced round-robin via `next_watts`.
     watts: [[AtomicU64; 3]; WATTS_ENTRIES],
     next_watts: AtomicUsize,
+    /// Counts by [`Event`], each bumped alone, outside the seqlock section.
+    events: [AtomicU64; EVENTS],
 }
 
 /// Distinct frequency scales a shard keeps priced: a four-rung ladder's
@@ -142,12 +159,30 @@ fn bump(counter: &AtomicU64, delta: u64) {
     );
 }
 
+/// `shards[worker]`, where `worker` must be a worker index: clamping one out
+/// of range would give the last shard a second writer.
+pub(crate) fn worker_shard<T>(shards: &[T], worker: usize) -> &T {
+    assert!(
+        worker < shards.len(),
+        "worker index {worker} out of range for {} shards (each has one writer, its worker: \
+         a second would lose counts and tear snapshots)",
+        shards.len()
+    );
+    &shards[worker]
+}
+
+fn load_all<const N: usize>(counters: &[AtomicU64; N]) -> [u64; N] {
+    std::array::from_fn(|i| counters[i].load(Ordering::Relaxed))
+}
+
 impl EnvShard {
     fn new() -> Self {
         EnvShard {
             seq: AtomicU64::new(0),
             real_busy_nanos: AtomicU64::new(0),
-            modelled_busy_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
+            finished: Default::default(),
+            panicked: AtomicU64::new(0),
+            modelled_busy_nanos: Default::default(),
             dynamic_nanojoules: AtomicU64::new(0),
             sleep_nanos: AtomicU64::new(0),
             sleep_entries: AtomicU64::new(0),
@@ -156,13 +191,17 @@ impl EnvShard {
             domain_bits: AtomicU64::new(1.0f64.to_bits()),
             watts: Default::default(),
             next_watts: AtomicUsize::new(0),
+            events: Default::default(),
         }
     }
 }
 
 /// Consistent field snapshot of one shard (see [`EnvShard::seq`]).
-struct ShardSnapshot {
-    real_busy_nanos: u64,
+pub(crate) struct ShardSnapshot {
+    pub(crate) real_busy_nanos: u64,
+    pub(crate) finished: [u64; MODES],
+    pub(crate) panicked: u64,
+    pub(crate) events: [u64; EVENTS],
     modelled_busy_nanos: [u64; MODES],
     dynamic_nanojoules: u64,
     sleep_nanos: u64,
@@ -230,14 +269,8 @@ impl ExecutionEnv {
         }
     }
 
-    fn shard(&self, worker: usize) -> &EnvShard {
-        assert!(
-            worker < self.shards.len(),
-            "worker index {worker} out of range for {} shards (each shard is single-writer: \
-             sharing one would break its snapshot seqlock)",
-            self.shards.len()
-        );
-        &self.shards[worker]
+    fn shard(&self, worker: usize) -> &CachePadded<EnvShard> {
+        worker_shard(&self.shards, worker)
     }
 
     /// Re-target the frequency cap for approximate dispatches, in `(0, 1]`
@@ -332,6 +365,19 @@ impl ExecutionEnv {
         busy: Duration,
         decision: DispatchDecision,
     ) {
+        self.record_task(worker, mode, busy, decision, false);
+    }
+
+    /// [`ExecutionEnv::record`], counting the task under `mode`, or as
+    /// panicked if its body panicked; either way its time is priced.
+    pub(crate) fn record_task(
+        &self,
+        worker: usize,
+        mode: ExecutionMode,
+        busy: Duration,
+        decision: DispatchDecision,
+        panicked: bool,
+    ) {
         let shard = self.shard(worker);
         let real_nanos = busy.as_nanos().min(u64::MAX as u128) as u64;
         let scale = decision.scale();
@@ -352,7 +398,15 @@ impl ExecutionEnv {
         fence(Ordering::Release);
 
         bump(&shard.real_busy_nanos, real_nanos);
-        bump(&shard.modelled_busy_nanos[mode_index(mode)], modelled_nanos);
+        bump(
+            if panicked {
+                &shard.panicked
+            } else {
+                &shard.finished[mode.index()]
+            },
+            1,
+        );
+        bump(&shard.modelled_busy_nanos[mode.index()], modelled_nanos);
         bump(&shard.dynamic_nanojoules, (joules * 1e9) as u64);
         if !scale.is_nominal() {
             bump(&shard.scaled_tasks, 1);
@@ -363,6 +417,16 @@ impl ExecutionEnv {
         }
 
         shard.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Count one `event` on `worker`'s ledger (its owning worker only).
+    pub(crate) fn count(&self, worker: usize, event: Event) {
+        bump(&self.shard(worker).events[event as usize], 1);
+    }
+
+    /// Every shard's snapshot, in worker order.
+    pub(crate) fn ledger(&self) -> impl Iterator<Item = ShardSnapshot> + '_ {
+        self.shards.iter().map(|shard| Self::snapshot(shard))
     }
 
     /// Read one shard's counters consistently: retry while the owning
@@ -376,9 +440,10 @@ impl ExecutionEnv {
             }
             let snapshot = ShardSnapshot {
                 real_busy_nanos: shard.real_busy_nanos.load(Ordering::Relaxed),
-                modelled_busy_nanos: std::array::from_fn(|m| {
-                    shard.modelled_busy_nanos[m].load(Ordering::Relaxed)
-                }),
+                finished: load_all(&shard.finished),
+                panicked: shard.panicked.load(Ordering::Relaxed),
+                events: load_all(&shard.events),
+                modelled_busy_nanos: load_all(&shard.modelled_busy_nanos),
                 dynamic_nanojoules: shard.dynamic_nanojoules.load(Ordering::Relaxed),
                 sleep_nanos: shard.sleep_nanos.load(Ordering::Relaxed),
                 sleep_entries: shard.sleep_entries.load(Ordering::Relaxed),
@@ -971,13 +1036,18 @@ mod tests {
     /// Writers on their own shards while a reader folds them: every counter
     /// only grows from one snapshot to the next, and the final totals are
     /// exactly what the writers recorded — the plain load-and-store of a
-    /// single-writer shard loses nothing.
+    /// single-writer shard loses nothing. The writers book completions in
+    /// every mode and panics too, and each booking's busy nanoseconds are 1
+    /// modulo `TAG`, so in every snapshot a shard's busy total modulo `TAG`
+    /// must equal its task count: a count booked outside the seqlock
+    /// section would let a reader see one without the other.
     #[test]
     fn single_writer_shards_stay_exact_under_a_concurrent_reader() {
         use std::sync::atomic::AtomicBool;
 
         const WRITERS: usize = 3;
         const RECORDS: u64 = 30_000;
+        const TAG: u64 = 1 << 16;
         let model = PowerModel::for_host();
         let e = Arc::new(ExecutionEnv::new(
             model,
@@ -1017,6 +1087,14 @@ mod tests {
                         assert!(now >= before, "{totals:?} after {last:?}");
                     }
                     last = totals;
+                    for shard in e.ledger() {
+                        let tasks = shard.finished.iter().sum::<u64>() + shard.panicked;
+                        assert_eq!(
+                            shard.real_busy_nanos % TAG,
+                            tasks,
+                            "a count without its time"
+                        );
+                    }
                     let workers: Vec<_> = e
                         .report(1.0, WRITERS)
                         .workers
@@ -1050,11 +1128,17 @@ mod tests {
                 let (e, start) = (e.clone(), start.clone());
                 std::thread::spawn(move || {
                     start.wait();
-                    // [busy, modelled, accurate, nJ, scaled, sleep, entries, switches]
-                    let mut expected = [0u64; 8];
+                    // [busy, modelled, accurate, nJ, scaled, sleep, entries,
+                    // switches, the three modes' task counts, panicked]
+                    let mut expected = [0u64; 12];
                     let mut ratio = 1.0;
                     for i in 0..RECORDS {
-                        let accurate = i % 3 == 0;
+                        let mode = [
+                            ExecutionMode::Accurate,
+                            ExecutionMode::Approximate,
+                            ExecutionMode::Dropped,
+                        ][i as usize % MODES];
+                        let accurate = mode == ExecutionMode::Accurate;
                         let dispatched =
                             e.dispatch(worker, &ctx(0.1 + (i % 7) as f64 / 10.0, accurate));
                         if dispatched.scale().ratio() != ratio {
@@ -1062,7 +1146,7 @@ mod tests {
                             expected[7] += 1;
                         }
                         let decision = decisions[(i as usize + worker) % decisions.len()];
-                        let real = 1 + (i * 7_919 + worker as u64) % 5_000;
+                        let real = 1 + TAG * (1 + (i * 7_919 + worker as u64) % 5_000);
                         let scale = decision.scale();
                         let (modelled, watts) = if scale.is_nominal() {
                             (real, model.active_watts_per_core)
@@ -1071,13 +1155,13 @@ mod tests {
                             (modelled, scale.scaled_active_watts(&model))
                         };
                         let sleep = (real as f64 * decision.slack_factor()) as u64;
-                        let mode = if accurate {
+                        if accurate {
                             expected[2] += modelled;
-                            ExecutionMode::Accurate
-                        } else {
-                            ExecutionMode::Approximate
-                        };
-                        e.record(worker, mode, Duration::from_nanos(real), decision);
+                        }
+                        let panicked = i % 11 == 5;
+                        let busy = Duration::from_nanos(real);
+                        e.record_task(worker, mode, busy, decision, panicked);
+                        expected[if panicked { 11 } else { 8 + mode.index() }] += 1;
                         expected[0] += real;
                         expected[1] += modelled;
                         expected[3] += (modelled as f64 * 1e-9 * watts * 1e9) as u64;
@@ -1092,7 +1176,7 @@ mod tests {
         let expected = writers
             .into_iter()
             .map(|writer| writer.join().unwrap())
-            .fold([0u64; 8], |sum, one| {
+            .fold([0u64; 12], |sum, one| {
                 std::array::from_fn(|i| sum[i] + one[i])
             });
         done.store(true, Ordering::Relaxed);
@@ -1105,6 +1189,12 @@ mod tests {
             .iter()
             .map(|w| (w.sleep_seconds * 1e9).round() as u64)
             .sum();
+        // The three modes' task counts, then panicked.
+        let mut tasks = [0u64; MODES + 1];
+        for shard in e.ledger() {
+            let counts = shard.finished.into_iter().chain([shard.panicked]);
+            tasks.iter_mut().zip(counts).for_each(|(sum, n)| *sum += n);
+        }
         assert_eq!(
             [
                 totals.busy_nanos,
@@ -1115,7 +1205,10 @@ mod tests {
                 sleep_nanos,
                 report.sleep_entries(),
                 totals.frequency_transitions,
-            ],
+            ]
+            .into_iter()
+            .chain(tasks)
+            .collect::<Vec<_>>(),
             expected
         );
         assert!(

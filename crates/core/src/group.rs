@@ -420,7 +420,8 @@ pub(crate) struct GroupRegistry {
     groups: RwLock<Vec<Arc<GroupState>>>,
     /// Id of the runtime the groups belong to.
     runtime: u64,
-    /// Shard count handed to each new group's statistics (workers + 1).
+    /// Shard count handed to each new group's statistics: the worker
+    /// count, as only workers book.
     stat_shards: usize,
 }
 

@@ -19,8 +19,9 @@
 //! Executing a ready task takes **zero mutex acquisitions** on the worker
 //! fast path: queue pops are single-CAS (`deque.rs`), the
 //! accurate/approximate decision and the body handoff are a single atomic
-//! byte plus take-once cells ([`crate::task`](mod@crate::task)), statistics
-//! are per-worker shards ([`crate::stats`]), and completion signalling is a
+//! byte plus take-once cells ([`crate::task`](mod@crate::task)), a task is
+//! counted once, by plain stores on its worker's own ledger, the env shard
+//! that also prices it ([`crate::stats`]), and completion signalling is a
 //! worker-local count: a worker subtracts its completions from the
 //! outstanding counters once per run of same-group tasks (at most
 //! `RETIRE_BATCH` = 64, and whenever it runs out of work; see `Retired`),
@@ -56,10 +57,11 @@
 //! path are padded for it (`CachePadded`), each checked by a layout test
 //! beside it:
 //!
-//! 1. the runtime's task-id counter (`RuntimeStats::issue_ids`, which is
-//!    also the spawn count) and `outstanding` counter, off the
-//!    configuration every worker reads per task (`id`, `policy`, `budget`,
-//!    the queue array, the statistics shards);
+//! 1. the runtime's spawn counters (the task-id counter,
+//!    `RuntimeStats::issue_ids`, which is also the spawn count, and the GTB
+//!    flush count, which any thread may bump) and `outstanding` counter,
+//!    off the configuration every worker reads per task (`id`, `policy`,
+//!    `budget`, the queue array, the workers' ledgers);
 //! 2. the queue set's round-robin cursor, which every external push bumps;
 //! 3. a group's `outstanding` count and GTB buffer, off its ratio, budget
 //!    scale and statistics shards, which also makes the
@@ -244,9 +246,9 @@ struct RuntimeInner {
     /// the registry.
     global_group: Arc<GroupState>,
     tracker: DependenceTracker,
+    /// Counters over the workers' task ledgers, which are the env's
+    /// per-worker DVFS frequency domains and energy accounting shards.
     stats: RuntimeStats,
-    /// Per-worker DVFS frequency domains and energy accounting shards.
-    env: ExecutionEnv,
     /// Runtime creation time, the start of the energy-accounting window.
     started: Instant,
     /// Blank task records awaiting reuse.
@@ -341,7 +343,7 @@ impl Runtime {
             .governor
             .unwrap_or_else(|| Arc::new(NominalGovernor));
         let id = NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed);
-        let (groups, global_group) = GroupRegistry::new(id, workers + 1);
+        let (groups, global_group) = GroupRegistry::new(id, workers);
         let inner = Arc::new(RuntimeInner {
             id,
             policy,
@@ -349,14 +351,13 @@ impl Runtime {
             groups,
             global_group,
             tracker: DependenceTracker::new(),
-            stats: RuntimeStats::new(workers),
-            env: ExecutionEnv::new(
+            stats: RuntimeStats::new(ExecutionEnv::new(
                 model,
                 governor,
                 builder.sleep_state,
                 builder.transition_cost.unwrap_or_default(),
                 workers,
-            ),
+            )),
             started: Instant::now(),
             husks: HuskPool::default(),
             staging: CachePadded::new(Staging::new(policy, workers)),
@@ -425,7 +426,7 @@ impl Runtime {
     /// [`Runtime::energy_report`] over an explicitly measured wall-clock
     /// window.
     pub fn energy_report_at(&self, wall: std::time::Duration) -> EnergyReport {
-        self.inner.env.report(wall.as_secs_f64(), self.workers())
+        self.stats().env.report(wall.as_secs_f64(), self.workers())
     }
 
     /// Terminal-outcome summary across the whole runtime: every spawned task
@@ -807,8 +808,11 @@ mod tests {
         let reading = report.reading();
         assert!(reading.joules > 0.0);
         assert!(reading.breakdown.dynamic_joules > 0.0);
-        // Busy time is conserved between scheduler stats and energy shards.
-        assert!((report.busy_seconds() - rt.stats().busy_core_seconds()).abs() < 1e-9);
+        // Scheduler stats and the energy report fold one ledger the same way.
+        assert_eq!(
+            report.busy_seconds().to_bits(),
+            rt.stats().busy_core_seconds().to_bits()
+        );
     }
 
     /// A label names nothing: a second group under the same label is a
@@ -921,7 +925,7 @@ mod tests {
         use crate::sync::{assert_apart, field_span};
         assert_apart::<RuntimeInner>(
             &[
-                field_span!(RuntimeInner, stats.issued),
+                field_span!(RuntimeInner, stats.spawns),
                 field_span!(RuntimeInner, outstanding),
                 field_span!(RuntimeInner, staging),
             ],
@@ -931,8 +935,7 @@ mod tests {
                 field_span!(RuntimeInner, queues),
                 field_span!(RuntimeInner, global_group),
                 field_span!(RuntimeInner, tracker),
-                field_span!(RuntimeInner, stats.shards),
-                field_span!(RuntimeInner, env),
+                field_span!(RuntimeInner, stats.env),
                 field_span!(RuntimeInner, started),
                 field_span!(RuntimeInner, overload),
                 field_span!(RuntimeInner, budget),

@@ -81,11 +81,11 @@ impl RuntimeInner {
         elapsed: Duration,
     ) -> BudgetSetpoint {
         let wall = elapsed.as_secs_f64();
-        let reading = self.env.report(wall, self.parkers.len()).reading();
+        let reading = self.stats.env.report(wall, self.parkers.len()).reading();
         let setpoint = state.controller.observe(wall, &reading);
         state.setpoint = setpoint;
         drop(state);
-        self.env.set_dispatch_cap(setpoint.frequency_cap);
+        self.stats.env.set_dispatch_cap(setpoint.frequency_cap);
         for group in self.groups.all() {
             group.set_budget_scale(setpoint.ratio_scale);
         }

@@ -13,7 +13,8 @@
 //!
 //! * the task-id counter (`RuntimeStats::issue_ids`), `Relaxed` `fetch_add`
 //!   and load: ids need only be unique, and increasing per spawning thread.
-//!   The ids issued are the spawn count.
+//!   The ids issued are the spawn count; the GTB flush count shares their
+//!   line, as any thread may bump either.
 //! * `outstanding` and the group's `outstanding`, `Relaxed` increments in
 //!   [`RuntimeInner::count_spawn`] and [`RuntimeInner::spawn_batch_into`]:
 //!   the invariant note on `count_spawn` says why no cross-thread fence is

@@ -22,6 +22,7 @@
 
 use super::worker::{Job, Retired};
 use super::RuntimeInner;
+use crate::env::Event;
 use crate::handle::TaskOutcome;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::CachePadded;
@@ -133,10 +134,10 @@ impl RuntimeInner {
             self.tracker.poison_writes(task.out_keys());
         }
         let outcome = if shed {
-            self.stats.record_shed(worker, significance.level());
+            self.stats.record_shed(significance.level());
             TaskOutcome::Shed
         } else {
-            self.stats.record_cancelled(worker);
+            self.stats.env.count(worker, Event::Cancelled);
             TaskOutcome::Cancelled
         };
         if let Some(task) = record {

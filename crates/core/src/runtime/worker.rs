@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use super::staging::Share;
 use super::{RuntimeInner, CURRENT_WORKER};
+use crate::env::Event;
 use crate::faults::FaultAction;
 use crate::governor::DispatchContext;
 use crate::group::GroupState;
@@ -310,7 +311,7 @@ impl RuntimeInner {
         // run under a lower modelled frequency, or race at nominal and bank
         // the slack as sleep residency (two relaxed loads and no virtual call
         // for the default nominal governor, lock-free always).
-        let decision = self.env.dispatch(
+        let decision = self.stats.env.dispatch(
             worker,
             &DispatchContext {
                 worker,
@@ -349,7 +350,7 @@ impl RuntimeInner {
         drop((job.accurate.take(), job.approximate.take()));
 
         if started_nanos.is_some_and(|started| started + busy.as_nanos() as u64 > deadline) {
-            self.stats.record_deadline_miss(worker);
+            self.stats.env.count(worker, Event::DeadlineMiss);
         }
 
         let record = job.record;
@@ -363,8 +364,9 @@ impl RuntimeInner {
                     self.tracker.poison_writes(task.out_keys());
                 }
             }
-            self.stats.record_execution(worker, mode, busy);
-            self.env.record(worker, mode, busy, decision);
+            self.stats
+                .env
+                .record_task(worker, mode, busy, decision, false);
             job.group
                 .stats
                 .record(worker, job.significance.level(), mode);
@@ -378,8 +380,9 @@ impl RuntimeInner {
             if let Some(task) = record.filter(|task| task.writes) {
                 self.tracker.poison_writes(task.out_keys());
             }
-            self.stats.record_panicked(worker, busy);
-            self.env.record(worker, mode, busy, decision);
+            self.stats
+                .env
+                .record_task(worker, mode, busy, decision, true);
             job.group.stats.record_panicked(worker);
             if let Some(task) = record {
                 task.notify_handle(TaskOutcome::Panicked);
@@ -507,7 +510,7 @@ impl RuntimeInner {
             // the claimed half now sits on this worker's own deque.
             if let Some(task) = self.queues.steal(index) {
                 idle_rounds = 0;
-                self.stats.record_steal(index);
+                self.stats.env.count(index, Event::Steal);
                 if self.queues.has_local_backlog(index) {
                     // The steal deposited surplus stealable work: propagate
                     // the wake so a large batch fans out geometrically

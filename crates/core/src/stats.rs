@@ -11,28 +11,26 @@
 //!   absolute deviation of the achieved accurate-task ratio from the
 //!   requested `R_g`.
 //!
-//! Both sets of counters sit on the execution hot path, so they are
-//! **sharded per worker** (one cache line each, folded on snapshot). The
-//! seed pushed every execution onto a `Mutex<Vec<(level, mode)>>` log; the
-//! per-(level × mode) counter matrix kept here carries exactly the same
-//! information for the inversion analysis without any lock or allocation.
+//! Both sets of counters sit on the execution hot path, and a task is
+//! booked once in each. The whole-runtime counts live in the worker's
+//! **task ledger**, its single-writer env shard ([`crate::env`], "Hot-path
+//! discipline"), which books a task's count in the same seqlock section as
+//! its busy time and joules; [`RuntimeStats`] folds the ledgers and keeps
+//! only what no worker owns: the spawn and flush counts and the brownout's
+//! shed histogram. The per-group counters are **sharded per worker** (one cache line each,
+//! folded on snapshot). The seed pushed every execution onto a
+//! `Mutex<Vec<(level, mode)>>` log; the per-(level × mode) counter matrix
+//! kept here carries exactly the same information for the inversion
+//! analysis without any lock or allocation.
 
-use std::time::Duration;
+use sig_energy::{PowerModel, TransitionCost};
 
+use crate::env::{worker_shard, Event, ExecutionEnv, ShardSnapshot};
+use crate::governor::NominalGovernor;
 use crate::significance::{SignificanceLevel, NUM_LEVELS};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::CachePadded;
-use crate::task::ExecutionMode;
-
-const MODES: usize = 3;
-
-fn mode_index(mode: ExecutionMode) -> usize {
-    match mode {
-        ExecutionMode::Accurate => 0,
-        ExecutionMode::Approximate => 1,
-        ExecutionMode::Dropped => 2,
-    }
-}
+use crate::sync::{Arc, CachePadded};
+use crate::task::{ExecutionMode, MODES};
 
 /// One worker's (level × mode) execution counters for a group.
 struct GroupShard {
@@ -64,8 +62,7 @@ impl std::fmt::Debug for GroupStats {
 }
 
 impl GroupStats {
-    /// `shards` should be the runtime's worker count plus one spare for
-    /// non-worker threads.
+    /// `shards` should be the runtime's worker count: only workers book.
     pub(crate) fn new(shards: usize) -> Self {
         GroupStats {
             shards: (0..shards.max(1))
@@ -76,14 +73,15 @@ impl GroupStats {
 
     /// Record the completion of one task on worker `worker`.
     pub(crate) fn record(&self, worker: usize, level: SignificanceLevel, mode: ExecutionMode) {
-        let shard = &self.shards[worker.min(self.shards.len() - 1)];
-        shard.counts[level.index() * MODES + mode_index(mode)].fetch_add(1, Ordering::Relaxed);
+        let shard = worker_shard(&self.shards, worker);
+        shard.counts[level.index() * MODES + mode.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a panicked task body on worker `worker`.
     pub(crate) fn record_panicked(&self, worker: usize) {
-        let shard = &self.shards[worker.min(self.shards.len() - 1)];
-        shard.panicked.fetch_add(1, Ordering::Relaxed);
+        worker_shard(&self.shards, worker)
+            .panicked
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Produce an immutable snapshot for reporting. O(levels), independent
@@ -144,7 +142,7 @@ impl GroupStatsSnapshot {
     ) -> Self {
         let mut hist = vec![0u64; NUM_LEVELS * MODES];
         for (level, mode) in &log {
-            hist[level.index() * MODES + mode_index(*mode)] += 1;
+            hist[level.index() * MODES + mode.index()] += 1;
         }
         GroupStatsSnapshot::from_histogram(requested_ratio, hist)
     }
@@ -157,9 +155,9 @@ impl GroupStatsSnapshot {
                 .map(|l| hist[l * MODES + mode] as usize)
                 .sum()
         };
-        let accurate = count_mode(mode_index(ExecutionMode::Accurate));
-        let approximate = count_mode(mode_index(ExecutionMode::Approximate));
-        let dropped = count_mode(mode_index(ExecutionMode::Dropped));
+        let accurate = count_mode(ExecutionMode::Accurate.index());
+        let approximate = count_mode(ExecutionMode::Approximate.index());
+        let dropped = count_mode(ExecutionMode::Dropped.index());
         // "Inverted" tasks: the minimum number of decisions that would have
         // to flip so that no task executed approximately while a *strictly*
         // less significant task of the same group executed accurately
@@ -229,34 +227,6 @@ impl GroupStatsSnapshot {
     }
 }
 
-/// One worker's shard of the whole-runtime counters. `completed` is derived
-/// (accurate + approximate + dropped), not stored: one fewer atomic op per
-/// executed task.
-#[derive(Default)]
-pub(crate) struct StatShard {
-    accurate: AtomicUsize,
-    approximate: AtomicUsize,
-    dropped: AtomicUsize,
-    panicked: AtomicUsize,
-    cancelled: AtomicUsize,
-    shed: AtomicUsize,
-    shed_by_level: LevelCounters,
-    deadline_misses: AtomicUsize,
-    steals: AtomicUsize,
-    buffer_flushes: AtomicUsize,
-    busy_nanos: AtomicU64,
-}
-
-/// One atomic counter per significance level (shed accounting). Boxed so the
-/// hot scalar counters of [`StatShard`] keep their cache-line padding.
-struct LevelCounters(Box<[AtomicU64]>);
-
-impl Default for LevelCounters {
-    fn default() -> Self {
-        LevelCounters((0..NUM_LEVELS).map(|_| AtomicU64::new(0)).collect())
-    }
-}
-
 /// Per-significance-level counts of tasks shed by the brownout overload
 /// controller, part of [`OutcomeSummary`].
 ///
@@ -279,8 +249,7 @@ impl Default for ShedHistogram {
 }
 
 impl ShedHistogram {
-    /// Total shed count across all levels (equals
-    /// [`OutcomeSummary::shed`] once a barrier drained the runtime).
+    /// Total shed count across all levels ([`OutcomeSummary::shed`]).
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
@@ -349,14 +318,29 @@ impl OutcomeSummary {
 
 /// Whole-runtime counters: totals across all groups plus scheduler-internal
 /// event counts used to evaluate policy overhead (Figure 4 discussion).
-/// Sharded per worker; readers fold on demand.
+/// A fold over the workers' task ledgers (module docs), plus the counters
+/// no worker owns.
 pub struct RuntimeStats {
-    pub(crate) shards: Box<[CachePadded<StatShard>]>,
+    /// Per-worker DVFS frequency domains and task ledgers.
+    pub(crate) env: ExecutionEnv,
+    /// Written by any thread, so padded off `env`, which every worker
+    /// writes per task.
+    pub(crate) spawns: CachePadded<SpawnCounters>,
+    /// Tasks shed by the brownout, by significance level. Runtime-wide:
+    /// sheds are rare, and a copy per ledger would grow every env shard.
+    shed_by_level: [AtomicU64; NUM_LEVELS],
+}
+
+/// The runtime's counters that any thread writes, on one line.
+#[derive(Default)]
+pub(crate) struct SpawnCounters {
     /// Task ids issued, which is the spawn count: every spawn reserves its
     /// ids here, one for a task, `n` for a batch of `n`, and nothing else
-    /// does. Written by every spawn, so padded off `shards`, which every
-    /// worker reads per task.
-    pub(crate) issued: CachePadded<AtomicU64>,
+    /// does.
+    issued: AtomicU64,
+    /// GTB buffer flushes, made by whichever thread fills or waits on a
+    /// window.
+    flushes: AtomicUsize,
 }
 
 impl std::fmt::Debug for RuntimeStats {
@@ -371,99 +355,59 @@ impl std::fmt::Debug for RuntimeStats {
 
 impl Default for RuntimeStats {
     fn default() -> Self {
-        RuntimeStats::new(1)
+        RuntimeStats::new(ExecutionEnv::new(
+            PowerModel::default(),
+            Arc::new(NominalGovernor),
+            None,
+            TransitionCost::free(),
+            1,
+        ))
     }
 }
 
 impl RuntimeStats {
-    /// Create counters for `workers` workers (plus one shard for non-worker
-    /// threads such as the spawning master).
-    pub(crate) fn new(workers: usize) -> Self {
+    /// Counters over `env`'s ledgers, one per worker.
+    pub(crate) fn new(env: ExecutionEnv) -> Self {
         RuntimeStats {
-            shards: (0..workers + 1)
-                .map(|_| CachePadded::new(StatShard::default()))
-                .collect(),
-            issued: CachePadded::new(AtomicU64::new(0)),
+            env,
+            spawns: CachePadded::default(),
+            shed_by_level: std::array::from_fn(|_| AtomicU64::new(0)),
         }
-    }
-
-    fn shard(&self, worker: usize) -> &StatShard {
-        &self.shards[worker.min(self.shards.len() - 1)]
-    }
-
-    /// The shard used by threads that are not workers of this runtime.
-    fn external(&self) -> &StatShard {
-        &self.shards[self.shards.len() - 1]
     }
 
     /// Reserve `count` consecutive task ids for a spawn of `count` tasks,
     /// and so count them spawned; returns the first. Relaxed: ids need
     /// only be unique, and increasing per spawning thread.
     pub(crate) fn issue_ids(&self, count: u64) -> u64 {
-        self.issued.fetch_add(count, Ordering::Relaxed)
+        self.spawns.issued.fetch_add(count, Ordering::Relaxed)
     }
 
     /// The id the next spawn will get.
     pub(crate) fn next_id(&self) -> u64 {
-        self.issued.load(Ordering::Relaxed)
+        self.spawns.issued.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn record_execution(&self, worker: usize, mode: ExecutionMode, busy: Duration) {
-        let shard = self.shard(worker);
-        match mode {
-            ExecutionMode::Accurate => shard.accurate.fetch_add(1, Ordering::Relaxed),
-            ExecutionMode::Approximate => shard.approximate.fetch_add(1, Ordering::Relaxed),
-            ExecutionMode::Dropped => shard.dropped.fetch_add(1, Ordering::Relaxed),
-        };
-        shard.busy_nanos.fetch_add(
-            busy.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Record a panicked task body (terminal outcome; the body's time is
-    /// still charged as busy time — the core really spent it).
-    pub(crate) fn record_panicked(&self, worker: usize, busy: Duration) {
-        let shard = self.shard(worker);
-        shard.panicked.fetch_add(1, Ordering::Relaxed);
-        shard.busy_nanos.fetch_add(
-            busy.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Record a task skipped by cooperative cancellation.
-    pub(crate) fn record_cancelled(&self, worker: usize) {
-        self.shard(worker).cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a task shed by the brownout overload controller, at the shed
-    /// task's significance level.
-    pub(crate) fn record_shed(&self, worker: usize, level: SignificanceLevel) {
-        let shard = self.shard(worker);
-        shard.shed.fetch_add(1, Ordering::Relaxed);
-        shard.shed_by_level.0[level.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a task that completed past its deadline.
-    pub(crate) fn record_deadline_miss(&self, worker: usize) {
-        self.shard(worker)
-            .deadline_misses
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_steal(&self, worker: usize) {
-        self.shard(worker).steals.fetch_add(1, Ordering::Relaxed);
+    /// Count a task shed by the brownout overload controller, at its
+    /// significance level.
+    pub(crate) fn record_shed(&self, level: SignificanceLevel) {
+        self.shed_by_level[level.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_flush(&self) {
-        self.external()
-            .buffer_flushes
-            .fetch_add(1, Ordering::Relaxed);
+        self.spawns.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn fold(&self, field: impl Fn(&StatShard) -> usize) -> usize {
-        self.shards.iter().map(|shard| field(shard)).sum()
+    /// Sum `field` over the ledgers.
+    fn fold(&self, field: impl Fn(&ShardSnapshot) -> u64) -> usize {
+        self.env.ledger().map(|shard| field(&shard)).sum::<u64>() as usize
+    }
+
+    fn finished(&self, mode: ExecutionMode) -> usize {
+        self.fold(|s| s.finished[mode.index()])
+    }
+
+    fn events(&self, event: Event) -> usize {
+        self.fold(|s| s.events[event as usize])
     }
 
     /// Number of tasks spawned so far: the ids issued.
@@ -473,102 +417,104 @@ impl RuntimeStats {
 
     /// Number of tasks that have finished (in any mode).
     pub fn completed(&self) -> usize {
-        self.fold(|s| {
-            s.accurate.load(Ordering::Relaxed)
-                + s.approximate.load(Ordering::Relaxed)
-                + s.dropped.load(Ordering::Relaxed)
-        })
+        self.fold(|s| s.finished.iter().sum())
     }
 
     /// Number of tasks that executed their accurate body.
     pub fn accurate(&self) -> usize {
-        self.fold(|s| s.accurate.load(Ordering::Relaxed))
+        self.finished(ExecutionMode::Accurate)
     }
 
     /// Number of tasks that executed their approximate body.
     pub fn approximate(&self) -> usize {
-        self.fold(|s| s.approximate.load(Ordering::Relaxed))
+        self.finished(ExecutionMode::Approximate)
     }
 
     /// Number of dropped tasks.
     pub fn dropped(&self) -> usize {
-        self.fold(|s| s.dropped.load(Ordering::Relaxed))
-    }
-
-    /// Number of tasks whose body panicked.
-    fn panicked(&self) -> usize {
-        self.fold(|s| s.panicked.load(Ordering::Relaxed))
-    }
-
-    /// Number of tasks skipped by cooperative cancellation.
-    fn cancelled(&self) -> usize {
-        self.fold(|s| s.cancelled.load(Ordering::Relaxed))
-    }
-
-    /// Number of tasks shed by the brownout overload controller.
-    fn shed(&self) -> usize {
-        self.fold(|s| s.shed.load(Ordering::Relaxed))
+        self.finished(ExecutionMode::Dropped)
     }
 
     /// Per-significance-level breakdown of the shed count.
     fn shed_histogram(&self) -> ShedHistogram {
-        let mut histogram = ShedHistogram::default();
-        for shard in self.shards.iter() {
-            for (total, count) in histogram
-                .counts
-                .iter_mut()
-                .zip(shard.shed_by_level.0.iter())
-            {
-                *total += count.load(Ordering::Relaxed);
-            }
+        ShedHistogram {
+            counts: std::array::from_fn(|l| self.shed_by_level[l].load(Ordering::Relaxed)),
         }
-        histogram
     }
 
     /// Number of tasks that completed after their deadline.
     pub fn deadline_misses(&self) -> usize {
-        self.fold(|s| s.deadline_misses.load(Ordering::Relaxed))
+        self.events(Event::DeadlineMiss)
     }
 
     /// Terminal-outcome summary (see [`OutcomeSummary`]).
     pub fn outcomes(&self) -> OutcomeSummary {
+        let shed_by_level = self.shed_histogram();
         OutcomeSummary {
             spawned: self.spawned(),
             completed: self.completed(),
-            cancelled: self.cancelled(),
-            panicked: self.panicked(),
-            shed: self.shed(),
+            cancelled: self.events(Event::Cancelled),
+            panicked: self.fold(|s| s.panicked),
+            shed: shed_by_level.total() as usize,
             deadline_misses: self.deadline_misses(),
-            shed_by_level: self.shed_histogram(),
+            shed_by_level,
         }
     }
 
     /// Number of successful work-steal operations.
     pub fn steals(&self) -> usize {
-        self.fold(|s| s.steals.load(Ordering::Relaxed))
+        self.events(Event::Steal)
     }
 
     /// Number of GTB buffer flushes performed.
     pub fn buffer_flushes(&self) -> usize {
-        self.fold(|s| s.buffer_flushes.load(Ordering::Relaxed))
+        self.spawns.flushes.load(Ordering::Relaxed)
     }
 
-    /// Total time spent executing task bodies, summed over all workers.
+    /// Total time spent executing task bodies, summed over all workers:
+    /// the fold [`EnergyReport::busy_seconds`](crate::EnergyReport::busy_seconds)
+    /// makes, value for value and in worker order, so the two agree to the
+    /// bit.
     pub fn busy_core_seconds(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(|s| s.busy_nanos.load(Ordering::Relaxed))
-            .sum::<u64>() as f64
-            * 1e-9
+        self.env
+            .ledger()
+            .map(|s| s.real_busy_nanos as f64 * 1e-9)
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::DispatchDecision;
+    use std::time::Duration;
 
     fn level(l: u8) -> SignificanceLevel {
         SignificanceLevel::new(l)
+    }
+
+    /// Runtime counters over a ledger of `workers` shards.
+    fn ledger(workers: usize) -> RuntimeStats {
+        RuntimeStats::new(ExecutionEnv::new(
+            PowerModel::default(),
+            Arc::new(NominalGovernor),
+            None,
+            TransitionCost::free(),
+            workers,
+        ))
+    }
+
+    /// Book one finished (or panicked) task on `worker`'s ledger, as
+    /// `run_task` does.
+    fn book(
+        stats: &RuntimeStats,
+        worker: usize,
+        mode: ExecutionMode,
+        busy: Duration,
+        panicked: bool,
+    ) {
+        let nominal = DispatchDecision::nominal();
+        stats.env.record_task(worker, mode, busy, nominal, panicked);
     }
 
     #[test]
@@ -597,11 +543,17 @@ mod tests {
     fn shards_fold_into_one_snapshot() {
         let stats = GroupStats::new(3);
         for worker in 0..5 {
-            // Worker indices past the shard count clamp to the last shard.
-            stats.record(worker, level(40), ExecutionMode::Accurate);
+            stats.record(worker % 3, level(40), ExecutionMode::Accurate);
         }
         let snap = stats.snapshot(1.0);
         assert_eq!(snap.accurate, 5);
+    }
+
+    /// Only workers book, so a group keeps no shard for another thread.
+    #[test]
+    #[should_panic(expected = "worker index 3 out of range for 3 shards")]
+    fn a_group_has_no_shard_past_the_workers() {
+        GroupStats::new(3).record(3, level(40), ExecutionMode::Accurate);
     }
 
     #[test]
@@ -660,12 +612,18 @@ mod tests {
 
     #[test]
     fn runtime_stats_accumulate() {
-        let stats = RuntimeStats::new(2);
+        let stats = ledger(2);
         assert_eq!(stats.issue_ids(1), 0);
         assert_eq!(stats.issue_ids(1), 1);
-        stats.record_execution(0, ExecutionMode::Accurate, Duration::from_millis(10));
-        stats.record_execution(1, ExecutionMode::Dropped, Duration::from_millis(0));
-        stats.record_steal(1);
+        book(
+            &stats,
+            0,
+            ExecutionMode::Accurate,
+            Duration::from_millis(10),
+            false,
+        );
+        book(&stats, 1, ExecutionMode::Dropped, Duration::ZERO, false);
+        stats.env.count(1, Event::Steal);
         stats.record_flush();
         assert_eq!(stats.spawned(), 2);
         assert_eq!(stats.completed(), 2);
@@ -675,22 +633,33 @@ mod tests {
         assert_eq!(stats.steals(), 1);
         assert_eq!(stats.buffer_flushes(), 1);
         assert!(stats.busy_core_seconds() >= 0.01);
+        assert_eq!(
+            stats.busy_core_seconds().to_bits(),
+            stats.env.report(1.0, 2).busy_seconds().to_bits()
+        );
     }
 
     #[test]
     fn outcome_summary_accounting() {
-        let stats = RuntimeStats::new(2);
+        let stats = ledger(2);
         assert_eq!(stats.issue_ids(2), 0);
         assert_eq!(stats.issue_ids(3), 2);
-        stats.record_execution(0, ExecutionMode::Accurate, Duration::ZERO);
-        stats.record_execution(0, ExecutionMode::Approximate, Duration::ZERO);
-        stats.record_panicked(1, Duration::from_millis(1));
-        stats.record_cancelled(1);
-        stats.record_shed(0, level(30));
-        stats.record_deadline_miss(0);
+        book(&stats, 0, ExecutionMode::Accurate, Duration::ZERO, false);
+        book(&stats, 0, ExecutionMode::Approximate, Duration::ZERO, false);
+        book(
+            &stats,
+            1,
+            ExecutionMode::Accurate,
+            Duration::from_millis(1),
+            true,
+        );
+        stats.env.count(1, Event::Cancelled);
+        stats.record_shed(level(30));
+        stats.env.count(0, Event::DeadlineMiss);
         let o = stats.outcomes();
         assert_eq!(o.spawned, 5);
         assert_eq!(o.completed, 2);
+        assert_eq!(stats.accurate(), 1, "a panicked task books no mode");
         assert_eq!(
             o.completed + o.cancelled + o.panicked + o.shed,
             o.spawned,
@@ -705,14 +674,19 @@ mod tests {
         assert_eq!(OutcomeSummary::default().failed(), 0);
     }
 
+    /// The histogram is runtime-wide: workers shedding at once lose no
+    /// count.
     #[test]
     fn shed_histogram_tracks_levels_across_shards() {
-        let stats = RuntimeStats::new(2);
-        stats.record_shed(0, level(5));
-        stats.record_shed(1, level(5));
-        stats.record_shed(2, level(20));
+        let stats = ledger(2);
+        std::thread::scope(|scope| {
+            for levels in [&[5][..], &[5, 20]] {
+                let stats = &stats;
+                scope.spawn(move || levels.iter().for_each(|&l| stats.record_shed(level(l))));
+            }
+        });
         let histogram = stats.shed_histogram();
-        assert_eq!(histogram.total(), stats.shed() as u64);
+        assert_eq!(histogram.total(), stats.outcomes().shed as u64);
         assert_eq!(histogram.highest_level(), Some(level(20)));
         assert_eq!(
             histogram.nonzero().collect::<Vec<_>>(),

@@ -77,6 +77,16 @@ pub enum ExecutionMode {
     Dropped,
 }
 
+/// Number of [`ExecutionMode`]s, the length of a per-mode counter array.
+pub(crate) const MODES: usize = 3;
+
+impl ExecutionMode {
+    /// This mode's slot in a per-mode counter array.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
 // Layout of the task state byte.
 const MODE_MASK: u8 = 0b11; // 0 = undecided
 const MODE_ACCURATE: u8 = 1;

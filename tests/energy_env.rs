@@ -1,6 +1,17 @@
 //! Integration tests for the execution-environment layer: per-worker DVFS
 //! frequency domains, governor behaviour under every policy, and the energy
 //! report built from the per-worker shards.
+//!
+//! Task bodies here sleep only to give the shards busy time to account.
+//! Every assertion but one is an identity or a bound that holds whatever
+//! the sleeps measure: counts of scaled dispatches against counts of
+//! non-accurate executions, the busy-time fold against the scheduler's (to
+//! the bit: both fold one ledger), modelled against measured time under the
+//! nominal governor. The exception compares measured time across runs:
+//! `significance_with_dvfs_spends_fewer_modelled_joules_than_exact_only`
+//! prices two variants' busy time, so preemption can narrow its margin; it
+//! compares each variant's cheapest of seven alternating runs, and the
+//! approximate bodies do a third of the work.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,8 +98,8 @@ fn critical_tasks_always_run_at_nominal_frequency() {
 }
 
 /// The energy report conserves busy time: the per-worker shards fold to
-/// exactly the busy core-seconds the scheduler statistics account, and the
-/// per-worker modelled time never falls below the measured time.
+/// the busy core-seconds the scheduler statistics account, bit for bit, and
+/// the per-worker modelled time never falls below the measured time.
 #[test]
 fn energy_report_conserves_busy_seconds_across_workers() {
     let rt = Runtime::builder()
@@ -110,8 +121,9 @@ fn energy_report_conserves_busy_seconds_across_workers() {
     assert_eq!(report.workers.len(), rt.workers());
     let folded: f64 = report.workers.iter().map(|w| w.busy_seconds).sum();
     assert!((folded - report.busy_seconds()).abs() < 1e-12);
-    assert!(
-        (report.busy_seconds() - rt.stats().busy_core_seconds()).abs() < 1e-9,
+    assert_eq!(
+        report.busy_seconds().to_bits(),
+        rt.stats().busy_core_seconds().to_bits(),
         "energy shards and scheduler stats disagree: {} vs {}",
         report.busy_seconds(),
         rt.stats().busy_core_seconds()

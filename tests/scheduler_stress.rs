@@ -6,6 +6,15 @@
 //! accurate-ratio invariants of all four policies, the park/unpark wakeup
 //! protocol under multi-threaded spawning, and the batched spawn pipeline
 //! (mixed `spawn`/`spawn_batch` callers, steal-half redistribution).
+//!
+//! No assertion reads a clock. The one sleep (2 ms before a flood, so the
+//! workers park first) only makes a lost wake likelier to show, as a hang.
+//! The assertions are identities on counts (exactly-once execution, the
+//! outcome books, GTB-Max's exact ratio) or bounds that spawn order alone
+//! decides (GTB's ratio band), with two exceptions that are bounds on
+//! counts the interleaving decides: LQH's achieved ratio, which follows
+//! each worker's history, and the share of single-key reads the tracker
+//! resolves on its lock-free path under writer churn.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
