@@ -288,6 +288,7 @@ fn variant_json(variant: &VariantResult) -> Json {
 /// The report as `tests/golden/serving.json` spells it.
 pub fn to_json(report: &Report) -> Json {
     let admission = AdmissionConfig::default();
+    let cutoff = admission.cutoff;
     Json::object([
         ("benchmark", "serving_bench".into()),
         (
@@ -312,13 +313,10 @@ pub fn to_json(report: &Report) -> Json {
             "admission",
             Json::object([
                 ("queue_watermark", admission.queue_watermark.into()),
-                ("downgrade_start", admission.downgrade_start.into()),
-                ("shed_start", admission.shed_start.into()),
-                ("shed_full", admission.shed_full.into()),
-                (
-                    "max_shed_significance",
-                    admission.max_shed_significance.into(),
-                ),
+                ("downgrade_start", cutoff.degrade_start.into()),
+                ("shed_start", cutoff.shed_start.into()),
+                ("shed_full", cutoff.shed_full.into()),
+                ("max_shed_significance", cutoff.max_shed_significance.into()),
             ]),
         ),
         (

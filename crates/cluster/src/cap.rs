@@ -19,14 +19,15 @@
 //! the fast half, degraded work to the cheap half). `focus = false`
 //! round-robins the slots instead, for a homogeneous fleet.
 //!
-//! Load response is fleet-monotone in significance, mirroring the per-node
-//! admission guarantee at cluster scope: one smoothed backlog pressure maps
-//! to (a) a forced minimum ladder depth that grows as significance falls —
-//! significance 1.0 is never force-degraded — and (b) a single rising shed
-//! cutoff bounded strictly below 1.0, so the fleet shed set is always a
-//! prefix of the significance axis and critical classes are never shed.
+//! Load response is fleet-monotone in significance: one smoothed backlog
+//! pressure goes through the same [`SignificanceCutoff`] ramp as per-node
+//! admission (without its hysteresis), giving a forced minimum ladder depth
+//! that grows as significance falls (significance 1.0 is never
+//! force-degraded) and a shed cutoff bounded strictly below 1.0.
 
+use sig_core::SignificanceCutoff;
 use sig_energy::UtilizationPowerCurve;
+use sig_serving::AdmissionDecision;
 
 use crate::node::Node;
 
@@ -42,16 +43,8 @@ pub struct CapConfig {
     /// Backlogged requests per granted busy slot at which pressure reads
     /// 1.0.
     pub slot_watermark: f64,
-    /// Pressure at which fleet-forced degradation begins.
-    pub degrade_knee: f64,
-    /// Pressure at which fleet-level shedding begins (degradation is fully
-    /// engaged by then).
-    pub shed_knee: f64,
-    /// Pressure at which the shed cutoff reaches `max_shed_significance`.
-    pub shed_full: f64,
-    /// Upper bound on the shed significance cutoff, strictly below 1.0:
-    /// critical classes are never shed, no matter the pressure.
-    pub max_shed_significance: f64,
+    /// The fleet's degrade-then-shed ramp over backlog pressure.
+    pub cutoff: SignificanceCutoff,
     /// Frequency-cap ratio imposed on power-restricted nodes' non-critical
     /// work.
     pub capped_freq: f64,
@@ -66,10 +59,12 @@ impl Default for CapConfig {
             tick_nanos: 1_000_000, // 1 ms
             alpha: 0.2,
             slot_watermark: 8.0,
-            degrade_knee: 0.5,
-            shed_knee: 1.5,
-            shed_full: 4.0,
-            max_shed_significance: 0.95,
+            cutoff: SignificanceCutoff {
+                degrade_start: 0.5,
+                shed_start: 1.5,
+                shed_full: 4.0,
+                max_shed_significance: 0.95,
+            },
             capped_freq: 0.5,
             focus: true,
         }
@@ -82,25 +77,9 @@ impl CapConfig {
         assert!(self.tick_nanos > 0);
         assert!(self.alpha > 0.0 && self.alpha <= 1.0);
         assert!(self.slot_watermark > 0.0);
-        assert!(self.degrade_knee < self.shed_knee);
-        assert!(self.shed_knee < self.shed_full);
-        assert!((0.0..1.0).contains(&self.max_shed_significance));
+        self.cutoff.validate();
         assert!(self.capped_freq > 0.0 && self.capped_freq <= 1.0);
     }
-}
-
-/// The controller's verdict for one arriving (or retrying) request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterAdmission {
-    /// Admit, forcing the request at least `min_tier` rungs down its own
-    /// ladder (0 = no fleet-forced degradation).
-    Admit {
-        /// Minimum ladder index the request may run at.
-        min_tier: usize,
-    },
-    /// Shed fleet-wide: the request's significance is below the rising
-    /// cutoff.
-    Shed,
 }
 
 /// Enforces one global watt budget over a fleet of [`Node`]s (see module
@@ -148,23 +127,6 @@ impl PowerCapController {
         self.pressure
     }
 
-    /// The current fleet shed cutoff over significance (0.0 = shed
-    /// nothing). Always strictly below 1.0.
-    fn shed_cutoff(&self) -> f64 {
-        let config = &self.config;
-        let span = config.shed_full - config.shed_knee;
-        let depth = ((self.pressure - config.shed_knee) / span).clamp(0.0, 1.0);
-        config.max_shed_significance * depth
-    }
-
-    /// Fleet-forced degradation depth in `[0, 1]` (1 = force every ladder
-    /// to its deepest rung, scaled by `1 − significance`).
-    fn degrade_depth(&self) -> f64 {
-        let config = &self.config;
-        let span = config.shed_knee - config.degrade_knee;
-        ((self.pressure - config.degrade_knee) / span).clamp(0.0, 1.0)
-    }
-
     /// Update the smoothed pressure from the fleet's backlog (called once
     /// per control tick).
     pub fn observe(&mut self, nodes: &[Node]) {
@@ -179,19 +141,23 @@ impl PowerCapController {
     }
 
     /// Admission verdict for a request whose class has the given best-tier
-    /// `significance` and `ladder` rungs.
+    /// `significance` and `ladder` rungs; an admitted tier is a floor under
+    /// the node's own verdict (0 = no fleet-forced degradation).
     ///
-    /// Monotone in significance by construction: the shed test is a single
-    /// rising cutoff (`< cutoff ⇒ shed`, cutoff `< 1.0`), and the forced
-    /// tier `⌈depth · (1 − s) · (ladder − 1)⌉` never increases with `s` —
-    /// significance 1.0 is neither shed nor force-degraded.
-    pub fn admit(&self, significance: f64, ladder: usize) -> ClusterAdmission {
-        if significance < self.shed_cutoff() {
-            return ClusterAdmission::Shed;
+    /// Monotone in significance by construction: the shed test is the
+    /// ramp's cutoff, and the forced tier `⌈depth · (1 − s) · (ladder − 1)⌉`
+    /// never increases with `s` — significance 1.0 is neither shed nor
+    /// force-degraded.
+    pub fn admit(&self, significance: f64, ladder: usize) -> AdmissionDecision {
+        let cutoff = &self.config.cutoff;
+        if significance < cutoff.shed_cutoff(self.pressure) {
+            return AdmissionDecision::Shed;
         }
         let rungs = ladder.saturating_sub(1) as f64;
-        let min_tier = (self.degrade_depth() * (1.0 - significance) * rungs).ceil() as usize;
-        ClusterAdmission::Admit { min_tier }
+        let depth = cutoff.degrade_depth(self.pressure);
+        AdmissionDecision::Admit {
+            tier: (depth * (1.0 - significance) * rungs).ceil() as usize,
+        }
     }
 
     /// Waterfill per-node busy-slot budgets under the cap and re-target
@@ -264,5 +230,56 @@ impl PowerCapController {
             let freq_cap = if full { 1.0 } else { self.config.capped_freq };
             nodes[i].set_targets(allowed[i], freq_cap);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_cutoff(
+        edit: impl FnOnce(SignificanceCutoff) -> SignificanceCutoff,
+    ) -> PowerCapController {
+        let config = CapConfig::default();
+        PowerCapController::new(CapConfig {
+            cutoff: edit(config.cutoff),
+            ..config
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff bound outside [0, 1)")]
+    fn a_cutoff_that_sheds_critical_work_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            max_shed_significance: 1.0,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff bound outside [0, 1)")]
+    fn a_nan_cutoff_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            max_shed_significance: f64::NAN,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "knees out of order")]
+    fn shedding_before_degrading_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            degrade_start: c.shed_start,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "knees out of order")]
+    fn a_shed_ramp_out_of_order_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            shed_full: c.shed_start,
+            ..c
+        });
     }
 }

@@ -39,7 +39,7 @@ pub mod node;
 pub mod report;
 pub mod sim;
 
-pub use cap::{CapConfig, ClusterAdmission, PowerCapController};
+pub use cap::{CapConfig, PowerCapController};
 pub use dispatch::{ClusterDispatcher, DispatchPolicy, RouteCandidate};
 pub use faults::{crash_storm, NodeFault, NodeFaultKind};
 pub use node::Node;

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use sig_core::{Governor, NominalGovernor};
+use sig_core::{Governor, NominalGovernor, SignificanceCutoff};
 use sig_energy::{
     BudgetConfig, BudgetController, EnergyBreakdown, EnergyReading, PowerModel, SleepState,
     TransitionCost, UtilizationPowerCurve,
@@ -44,7 +44,7 @@ use sig_serving::{
     RequestSlot, RequestTable, RetryVerdict, ServingStats, ViolationKind,
 };
 
-use crate::cap::{CapConfig, ClusterAdmission, PowerCapController};
+use crate::cap::{CapConfig, PowerCapController};
 use crate::dispatch::{DispatchPolicy, RouteTable};
 use crate::faults::{NodeFault, NodeFaultKind};
 use crate::node::{Node, RunningAttempt};
@@ -117,8 +117,11 @@ impl Default for ClusterConfig {
             seed: 42,
             admission: AdmissionConfig {
                 queue_watermark: 8 * workers,
-                shed_start: 3.0,
-                shed_full: 6.0,
+                cutoff: SignificanceCutoff {
+                    shed_start: 3.0,
+                    shed_full: 6.0,
+                    ..AdmissionConfig::default().cutoff
+                },
                 ..AdmissionConfig::default()
             },
             cap: CapConfig::default(),
@@ -555,7 +558,7 @@ impl ClusterSim {
         let significance = spec.significance();
         let ladder = spec.tiers.len();
         let min_tier = match self.cap.admit(significance, ladder) {
-            ClusterAdmission::Shed => {
+            AdmissionDecision::Shed => {
                 phase.cluster_book.record(&RequestOutcome::Shed);
                 phase.cluster_book.note_shed_class(class);
                 phase.max_shed_significance = phase.max_shed_significance.max(significance);
@@ -568,7 +571,7 @@ impl ClusterSim {
                 }
                 return;
             }
-            ClusterAdmission::Admit { min_tier } => min_tier,
+            AdmissionDecision::Admit { tier } => tier,
         };
         debug_assert!(
             self.nodes

@@ -83,7 +83,7 @@ pub use runtime::{
     BatchBuilder, BatchTask, HandledTaskBuilder, Runtime, RuntimeBuilder, TaskBuilder, TaskIdRange,
 };
 pub use shared::{RegionWriter, SharedGrid};
-pub use significance::{Significance, SignificanceLevel, NUM_LEVELS};
+pub use significance::{Significance, SignificanceCutoff, SignificanceLevel, NUM_LEVELS};
 pub use stats::{GroupStatsSnapshot, OutcomeSummary, RuntimeStats, ShedHistogram};
 pub use task::{CancelToken, ExecutionMode, TaskId};
 

@@ -196,7 +196,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-use sig_energy::PowerModel;
+use sig_energy::{BudgetController, PowerModel};
 
 use crate::deps::{DepKey, DependenceTracker};
 use crate::deque::QueueSet;
@@ -218,7 +218,6 @@ mod recycle;
 mod staging;
 mod worker;
 
-use budget::BudgetState;
 pub use builders::{
     BatchBuilder, BatchTask, HandledTaskBuilder, RuntimeBuilder, TaskBuilder, TaskIdRange,
 };
@@ -268,7 +267,7 @@ struct RuntimeInner {
     /// Brownout overload controller (watermarks + current shed threshold).
     overload: OverloadState,
     /// Online energy-budget loop, if `RuntimeBuilder::energy_budget` was set.
-    budget: Option<Mutex<BudgetState>>,
+    budget: Option<Mutex<BudgetController>>,
     /// Deterministic fault-injection plan, if chaos testing is enabled.
     faults: Option<FaultPlan>,
     shutdown: AtomicBool,
@@ -365,7 +364,7 @@ impl Runtime {
             overload: OverloadState::new(builder.queue_watermark, builder.miss_watermark),
             budget: builder
                 .energy_budget
-                .map(|config| Mutex::new(BudgetState::new(config))),
+                .map(|config| Mutex::new(BudgetController::new(config))),
             faults: builder.fault_plan,
             shutdown: AtomicBool::new(false),
             parkers: (0..workers).map(|_| Parker::default()).collect(),

@@ -1,52 +1,30 @@
-//! The online energy-budget loop: [`BudgetState`] (a
-//! [`BudgetController`] and its sampling pacing), the amortised tick on the
-//! execute path, and [`RuntimeInner::sample_budget`], the one
-//! report → observe → store → apply sequence that both the tick and
-//! [`Runtime::energy_budget_sample`] run.
+//! The online energy-budget loop: the amortised tick on the execute path,
+//! which samples a [`BudgetController`] at its own cadence, and
+//! [`RuntimeInner::sample_budget`], the one report → observe → apply
+//! sequence that both the tick and [`Runtime::energy_budget_sample`] run.
 //!
 //! # Checklist for the model checker
 //!
-//! Unsafe blocks: none. Atomics: none of its own. The state sits behind
-//! one `Mutex`, which the execute path only ever `try_lock`s, so no worker
-//! blocks on it; the setpoint reaches the workers through
+//! Unsafe blocks: none. Atomics: none of its own. The controller sits
+//! behind one `Mutex`, which the execute path only ever `try_lock`s, so no
+//! worker blocks on it; the setpoint reaches the workers through
 //! `ExecutionEnv::set_dispatch_cap` and `GroupState::set_budget_scale`,
 //! whose orderings `env.rs` and `group.rs` own.
 
 use std::time::Duration;
 
-use sig_energy::{BudgetConfig, BudgetController, BudgetSetpoint};
+use sig_energy::{BudgetController, BudgetSetpoint};
 
 use super::{Runtime, RuntimeInner};
 use crate::sync::MutexGuard;
 
-/// Online energy-budget loop state: the controller plus its sampling
-/// pacing, behind the runtime's one budget `Mutex`. Amortised like the
-/// overload controller: every `TICK_MASK + 1` executes per worker one
-/// worker *tries* to take the turn (`try_lock`, never blocking the execute
-/// path), and takes a sample only once the minimum interval has elapsed —
-/// so tiny tasks don't oversample and idle periods are simply sampled at
-/// the next execute.
-pub(super) struct BudgetState {
-    controller: BudgetController,
-    /// Next sample time, nanoseconds since runtime start.
-    next_sample_nanos: u64,
-    interval_nanos: u64,
-    setpoint: BudgetSetpoint,
-}
-
-impl BudgetState {
-    /// Attempt a budget sample once per this many + 1 executes per worker.
-    const TICK_MASK: usize = 31;
-
-    pub(super) fn new(config: BudgetConfig) -> Self {
-        BudgetState {
-            controller: BudgetController::new(config),
-            next_sample_nanos: 0,
-            interval_nanos: config.target.sample_interval_nanos(),
-            setpoint: BudgetSetpoint::unconstrained(config.target.planned_watts(0.0, 0.0)),
-        }
-    }
-}
+/// Attempt a budget sample once per this many + 1 executes per worker.
+/// Amortised like the overload controller: every `TICK_MASK + 1`-th
+/// execute of a worker *tries* to take the turn (`try_lock`, never blocking
+/// the execute path), and samples only when the controller's cadence is
+/// due, so tiny tasks don't oversample and idle periods are simply sampled
+/// at the next execute.
+const TICK_MASK: usize = 31;
 
 impl RuntimeInner {
     /// Amortised energy-budget sample, called from the execute path next to
@@ -55,36 +33,32 @@ impl RuntimeInner {
     /// check inside makes the sampling rate task-size independent.
     pub(super) fn budget_tick(&self, t: usize) {
         let Some(budget) = &self.budget else { return };
-        if t & BudgetState::TICK_MASK != 0 {
+        if t & TICK_MASK != 0 {
             return;
         }
-        let Ok(mut state) = budget.try_lock() else {
+        let Ok(mut controller) = budget.try_lock() else {
             return;
         };
         let elapsed = self.started.elapsed();
-        let now_nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        if now_nanos < state.next_sample_nanos {
-            return;
+        if controller.due(elapsed.as_nanos().min(u64::MAX as u128) as u64) {
+            self.sample_budget(controller, elapsed);
         }
-        state.next_sample_nanos = now_nanos + state.interval_nanos;
-        self.sample_budget(state, elapsed);
     }
 
     /// Price the window up to `elapsed`, let the controller observe it,
-    /// store the setpoint, release the lock, then push the setpoint into
+    /// release the lock, then push the setpoint into
     /// the two actuators: the environment's approximate-dispatch frequency
     /// cap and every group's budget throttle (groups at ratio 1.0 are
     /// exempt inside `effective_ratio`).
     fn sample_budget(
         &self,
-        mut state: MutexGuard<'_, BudgetState>,
+        mut controller: MutexGuard<'_, BudgetController>,
         elapsed: Duration,
     ) -> BudgetSetpoint {
         let wall = elapsed.as_secs_f64();
         let reading = self.stats.env.report(wall, self.parkers.len()).reading();
-        let setpoint = state.controller.observe(wall, &reading);
-        state.setpoint = setpoint;
-        drop(state);
+        let setpoint = controller.observe(wall, &reading);
+        drop(controller);
         self.stats.env.set_dispatch_cap(setpoint.frequency_cap);
         for group in self.groups.all() {
             group.set_budget_scale(setpoint.ratio_scale);
@@ -98,7 +72,7 @@ impl Runtime {
     /// when no budget was configured ([`RuntimeBuilder::energy_budget`](super::RuntimeBuilder::energy_budget)).
     pub fn energy_budget_setpoint(&self) -> Option<BudgetSetpoint> {
         let budget = self.inner.budget.as_ref()?;
-        Some(budget.lock().unwrap().setpoint)
+        Some(budget.lock().unwrap().setpoint())
     }
 
     /// Force one budget-controller observation right now, bypassing the
@@ -108,10 +82,10 @@ impl Runtime {
     /// the final spend.
     pub fn energy_budget_sample(&self) -> Option<BudgetSetpoint> {
         let budget = self.inner.budget.as_ref()?;
-        let state = budget.lock().unwrap();
+        let controller = budget.lock().unwrap();
         Some(
             self.inner
-                .sample_budget(state, self.inner.started.elapsed()),
+                .sample_budget(controller, self.inner.started.elapsed()),
         )
     }
 }

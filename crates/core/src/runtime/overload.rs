@@ -1,6 +1,7 @@
 //! Brownout and abandonment: [`OverloadState`] and its amortised
-//! shed-threshold recomputation, and [`RuntimeInner::abandon`], which
-//! retires a task without running it, shed or cancelled through the
+//! shed-threshold recomputation, which reads the threshold off queue depth
+//! through the one [`SignificanceCutoff`] ramp, and [`RuntimeInner::abandon`],
+//! which retires a task without running it, shed or cancelled through the
 //! [`CancelToken`](crate::task::CancelToken) attached at spawn (the one
 //! cancellation channel).
 //!
@@ -24,6 +25,7 @@ use super::worker::{Job, Retired};
 use super::RuntimeInner;
 use crate::env::Event;
 use crate::handle::TaskOutcome;
+use crate::significance::SignificanceCutoff;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::CachePadded;
 
@@ -31,8 +33,9 @@ use crate::sync::CachePadded;
 /// threshold, recomputed amortised (every [`OverloadState::TICK_MASK`]` + 1`
 /// executes per worker) from queue depth and the deadline-miss rate.
 pub(super) struct OverloadState {
-    /// Queue depth at which shedding starts (`usize::MAX` = disabled).
-    queue_watermark: usize,
+    /// The shed ramp over queue depth (`None` = disabled): shedding starts
+    /// past the watermark and reaches every sub-critical task at twice it.
+    queue: Option<SignificanceCutoff>,
     /// Deadline-miss fraction above which every sub-critical approximate
     /// tier is shed (`INFINITY` = disabled).
     miss_watermark: f64,
@@ -53,13 +56,20 @@ impl OverloadState {
     const TICK_MASK: usize = 31;
 
     pub(super) fn new(queue_watermark: Option<usize>, miss_watermark: Option<f64>) -> Self {
-        let queue_watermark = queue_watermark.unwrap_or(usize::MAX);
+        // Built here, not configured, so it skips `validate`: its cutoff
+        // reaches 1.0, which still sheds no critical task (strictly below).
+        let queue = queue_watermark.map(|watermark| SignificanceCutoff {
+            degrade_start: 0.0, // unused: the policy, not the brownout, degrades
+            shed_start: watermark as f64,
+            shed_full: 2.0 * watermark as f64,
+            max_shed_significance: 1.0,
+        });
         let miss_watermark = miss_watermark.unwrap_or(f64::INFINITY);
         OverloadState {
-            queue_watermark,
+            queue,
             miss_watermark,
             shed_bits: CachePadded::new(AtomicU64::new(0.0f64.to_bits())),
-            enabled: queue_watermark != usize::MAX || miss_watermark.is_finite(),
+            enabled: queue.is_some() || miss_watermark.is_finite(),
         }
     }
 
@@ -88,30 +98,27 @@ impl RuntimeInner {
         if !overload.enabled || t & OverloadState::TICK_MASK != 0 {
             return;
         }
-        let mut pressure = 0.0f64;
-        if overload.queue_watermark != usize::MAX {
+        let mut threshold = 0.0f64;
+        if let Some(cutoff) = &overload.queue {
             // Staged entries and the unstarted entries of workers' shares
             // count: they are issued and not yet started, like a queued
             // record, so a backlog a spawner stages is the queue the
             // watermark is about.
             let depth = self.queues.total_queued() + self.staging.queued();
-            if depth > overload.queue_watermark {
-                let watermark = overload.queue_watermark.max(1) as f64;
-                pressure = ((depth - overload.queue_watermark) as f64 / watermark).clamp(0.0, 1.0);
-            }
+            threshold = cutoff.shed_cutoff(depth as f64);
         }
         if overload.miss_watermark.is_finite() {
             let completed = self.stats.completed();
             if completed > 0 {
                 let rate = self.stats.deadline_misses() as f64 / completed as f64;
                 if rate > overload.miss_watermark {
-                    pressure = 1.0;
+                    threshold = 1.0;
                 }
             }
         }
         overload
             .shed_bits
-            .store(pressure.to_bits(), Ordering::Relaxed);
+            .store(threshold.to_bits(), Ordering::Relaxed);
     }
 
     /// Abandon a task without running either body: drop the bodies, poison
@@ -321,6 +328,35 @@ mod tests {
         assert_eq!(summary.cancelled, 0);
         assert_eq!(summary.spawned, TASKS + 1);
         assert_eq!(summary.completed + summary.failed(), summary.spawned);
+    }
+
+    /// The brownout's ramp gives the threshold the hand-written
+    /// `(depth − watermark) / watermark`, clamped, gave, bit for bit.
+    #[test]
+    fn the_queue_ramp_equals_the_watermark_quotient() {
+        for watermark in [1usize, 2, 3, 7, 8, 100, 1_000, 10_000, 1 << 40] {
+            let OverloadState { queue, .. } = OverloadState::new(Some(watermark), None);
+            let cutoff = queue.unwrap();
+            let depths = (0..4 * watermark.min(5_000)).chain([
+                watermark - 1,
+                watermark,
+                watermark + 1,
+                2 * watermark,
+                3 * watermark,
+            ]);
+            for depth in depths {
+                let expected = if depth > watermark {
+                    ((depth - watermark) as f64 / watermark as f64).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    cutoff.shed_cutoff(depth as f64).to_bits(),
+                    expected.to_bits(),
+                    "watermark {watermark}, depth {depth}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! Internally the runtime's LQH policy works on 101 discrete levels
 //! (`0.00, 0.01, …, 1.00`), "to simplify the implementation" (Section 3.4);
 //! [`SignificanceLevel`] is that quantised form.
+//!
+//! [`SignificanceCutoff`] is the one rule by which the runtime's brownout,
+//! serving admission and fleet admission drop the least significant work
+//! first as pressure rises.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -151,6 +155,62 @@ impl From<Significance> for SignificanceLevel {
 impl fmt::Display for SignificanceLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+/// The one pressure → significance ramp by which every load controller
+/// drops the least significant work first: the runtime's brownout, serving
+/// admission and fleet admission. Stateless; a caller that wants
+/// hysteresis keeps its own flag (serving admission does).
+///
+/// Between `degrade_start` and `shed_start` pressure the degrade depth
+/// rises from 0 to 1; between `shed_start` and `shed_full` the shed cutoff
+/// rises from 0 to `max_shed_significance`. Work whose significance is
+/// strictly below the cutoff is shed, so the shed set is always a prefix of
+/// the significance axis, and with the cutoff at most 1.0, significance 1.0
+/// is never shed. A caller with several sources of pressure takes the
+/// strictest, by `max`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SignificanceCutoff {
+    /// Pressure at which degradation begins.
+    pub degrade_start: f64,
+    /// Pressure at which shedding begins; degradation is fully engaged by
+    /// then.
+    pub shed_start: f64,
+    /// Pressure at which the shed cutoff reaches `max_shed_significance`.
+    pub shed_full: f64,
+    /// Upper bound on the shed cutoff.
+    pub max_shed_significance: f64,
+}
+
+impl SignificanceCutoff {
+    /// Degradation depth in `[0, 1]` at `pressure`: 0 up to
+    /// `degrade_start`, 1 from `shed_start` on.
+    pub fn degrade_depth(&self, pressure: f64) -> f64 {
+        let span = self.shed_start - self.degrade_start;
+        ((pressure - self.degrade_start) / span).clamp(0.0, 1.0)
+    }
+
+    /// Shed cutoff over significance at `pressure`: work strictly below it
+    /// is shed. 0 up to `shed_start`, `max_shed_significance` from
+    /// `shed_full` on.
+    pub fn shed_cutoff(&self, pressure: f64) -> f64 {
+        let span = self.shed_full - self.shed_start;
+        let depth = ((pressure - self.shed_start) / span).clamp(0.0, 1.0);
+        self.max_shed_significance * depth
+    }
+
+    /// Checks a configured ramp: the knees in order, and the cutoff bounded
+    /// in `[0, 1)`, so that critical work is never shed (NaN fails too).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either check fails.
+    pub fn validate(&self) {
+        assert!(self.degrade_start < self.shed_start, "knees out of order");
+        assert!(self.shed_start < self.shed_full, "knees out of order");
+        let max = self.max_shed_significance;
+        assert!((0.0..1.0).contains(&max), "cutoff bound outside [0, 1)");
     }
 }
 

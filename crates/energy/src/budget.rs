@@ -50,7 +50,7 @@ impl BudgetTarget {
     /// already consumed. Always positive (floored at a small epsilon so the
     /// controller saturates instead of dividing by zero when the budget is
     /// exhausted or the horizon has passed).
-    pub fn planned_watts(&self, elapsed_seconds: f64, spent_joules: f64) -> f64 {
+    fn planned_watts(&self, elapsed_seconds: f64, spent_joules: f64) -> f64 {
         const FLOOR: f64 = 1e-9;
         match *self {
             BudgetTarget::TotalJoules {
@@ -69,7 +69,7 @@ impl BudgetTarget {
     /// nanoseconds: ~1/200th of a joule budget's horizon (enough
     /// observations to converge well inside the tolerance band), clamped to
     /// [50 µs, 50 ms], and 1 ms for an open-ended watt envelope.
-    pub fn sample_interval_nanos(&self) -> u64 {
+    fn sample_interval_nanos(&self) -> u64 {
         let seconds = match *self {
             BudgetTarget::TotalJoules {
                 horizon_seconds, ..
@@ -181,19 +181,6 @@ pub struct BudgetSetpoint {
     pub exhausted: bool,
 }
 
-impl BudgetSetpoint {
-    /// The no-op setpoint emitted before any observation arrives.
-    pub fn unconstrained(watt_cap: f64) -> Self {
-        BudgetSetpoint {
-            ratio_scale: 1.0,
-            frequency_cap: 1.0,
-            watt_cap,
-            austerity: 0.0,
-            exhausted: false,
-        }
-    }
-}
-
 /// Exponentially-forgetting least-squares estimator of the observed
 /// static/dynamic power split.
 ///
@@ -297,6 +284,8 @@ pub struct BudgetController {
     austerity: f64,
     /// Last emitted setpoint (re-emitted on degenerate observations).
     setpoint: BudgetSetpoint,
+    /// When the next sample is due, nanoseconds on the caller's clock.
+    next_sample_nanos: u64,
 }
 
 impl BudgetController {
@@ -319,15 +308,35 @@ impl BudgetController {
         // The field is public: re-apply the builder's floor, so every
         // setpoint's `frequency_cap` is a valid dispatch cap as emitted.
         let config = config.cap_floor(config.cap_floor);
-        let initial_cap = config.target.planned_watts(0.0, 0.0);
         BudgetController {
             config,
             estimator: SplitEstimator::new(config.split_forgetting),
             last: None,
             observed_watts: 0.0,
             austerity: 0.0,
-            setpoint: BudgetSetpoint::unconstrained(initial_cap),
+            // The no-op setpoint, emitted before any observation arrives.
+            setpoint: BudgetSetpoint {
+                ratio_scale: 1.0,
+                frequency_cap: 1.0,
+                watt_cap: config.target.planned_watts(0.0, 0.0),
+                austerity: 0.0,
+                exhausted: false,
+            },
+            next_sample_nanos: 0,
         }
+    }
+
+    /// Whether a sample is due at `at_nanos` on the caller's clock: true at
+    /// the first call, then once per the target's sampling interval, counted
+    /// from the last call that answered true. Callers that pace themselves,
+    /// such as the fleet's control tick, do not call it.
+    pub fn due(&mut self, at_nanos: u64) -> bool {
+        if at_nanos < self.next_sample_nanos {
+            return false;
+        }
+        self.next_sample_nanos =
+            at_nanos.saturating_add(self.config.target.sample_interval_nanos());
+        true
     }
 
     /// The configuration this controller enforces.
@@ -432,6 +441,27 @@ mod tests {
             joules,
             horizon_seconds: horizon,
         })
+    }
+
+    /// A 10 s horizon samples every 50 ms: due at the first call, then at
+    /// the first call 50 ms or more after the last due one, and a clock at
+    /// `u64::MAX` saturates instead of wrapping to "due again".
+    #[test]
+    fn samples_fall_due_once_per_interval() {
+        let mut c = BudgetController::new(joule_config(100.0, 10.0));
+        let interval = 50_000_000;
+        assert!(c.due(7));
+        assert!(!c.due(7));
+        assert!(!c.due(7 + interval - 1));
+        assert!(c.due(7 + interval + 3));
+        assert!(!c.due(7 + 2 * interval));
+        assert!(c.due(7 + 2 * interval + 3));
+        assert!(c.due(u64::MAX));
+        assert!(
+            c.due(u64::MAX),
+            "a saturated next sample is due at u64::MAX"
+        );
+        assert!(!c.due(u64::MAX - 1));
     }
 
     #[test]

@@ -6,25 +6,24 @@
 //! feeds it observations, so the same controller drives the live server and
 //! the virtual-time simulator).
 //!
-//! Its response to pressure is strictly ordered, mirroring the paper's
-//! quality/energy ladder:
+//! Its response to pressure is the one [`SignificanceCutoff`] ramp the
+//! runtime's brownout and the fleet's admission use too: degrade first
+//! (lower tiers of the request's own ladder between `degrade_start` and
+//! `shed_start`), shed last (best-tier significance below the rising
+//! cutoff), so the shed set is a prefix of the significance axis,
+//! verifiable from the per-level shed histogram.
 //!
-//! 1. **Degrade first** — between `downgrade_start` and `shed_start`
-//!    pressure, requests are admitted at progressively lower tiers of their
-//!    own quality ladder (lower significance, less work). Full-quality
-//!    service resumes only after recovery.
-//! 2. **Shed last** — above `shed_start` pressure (and only while the
-//!    hysteresis flag is up), requests whose best-tier significance falls
-//!    below a rising cutoff are rejected outright. The cutoff is a single
-//!    threshold over significance, so at any instant the shed set is a
-//!    prefix of the significance axis: strictly lowest-first, verifiable
-//!    from the per-level shed histogram.
-//!
-//! **Hysteresis**: overload is entered at `enter_overload` smoothed pressure
-//! (or a deadline-miss EWMA above `miss_watermark`) but exited only below
+//! **Hysteresis** is this controller's own, not the ramp's: shedding needs
+//! the overload flag, which is raised at `enter_overload` smoothed pressure
+//! (or a deadline-miss EWMA above `miss_watermark`) but cleared only below
 //! `exit_overload`. While the flag is up, even low instantaneous pressure
 //! keeps requests one tier down — the system drains its backlog at reduced
-//! quality instead of oscillating between full quality and shedding.
+//! quality instead of oscillating between full quality and shedding. The
+//! ramp stays stateless: the brownout and the fleet shed without a flag,
+//! and giving them one would change the runtime's behaviour and the
+//! fleet's replays.
+
+use sig_core::SignificanceCutoff;
 
 use crate::request::RequestClass;
 
@@ -34,16 +33,8 @@ use crate::request::RequestClass;
 pub struct AdmissionConfig {
     /// Queue depth at which pressure reads 1.0.
     pub queue_watermark: usize,
-    /// Pressure at which tier downgrade begins.
-    pub downgrade_start: f64,
-    /// Pressure at which shedding begins (must exceed `downgrade_start`;
-    /// between the two, the controller only downgrades).
-    pub shed_start: f64,
-    /// Pressure at which the shed cutoff reaches `max_shed_significance`.
-    pub shed_full: f64,
-    /// Upper bound on the shed significance cutoff, strictly below 1.0:
-    /// critical (significance 1.0) requests are never shed.
-    pub max_shed_significance: f64,
+    /// The degrade-then-shed ramp over pressure.
+    pub cutoff: SignificanceCutoff,
     /// Smoothed pressure that raises the overload flag.
     pub enter_overload: f64,
     /// Smoothed pressure below which the flag clears (must be below
@@ -61,10 +52,12 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             queue_watermark: 32,
-            downgrade_start: 0.25,
-            shed_start: 1.0,
-            shed_full: 3.0,
-            max_shed_significance: 0.95,
+            cutoff: SignificanceCutoff {
+                degrade_start: 0.25,
+                shed_start: 1.0,
+                shed_full: 3.0,
+                max_shed_significance: 0.95,
+            },
             enter_overload: 1.0,
             exit_overload: 0.5,
             miss_watermark: 0.5,
@@ -76,9 +69,7 @@ impl Default for AdmissionConfig {
 impl AdmissionConfig {
     fn validate(&self) {
         assert!(self.queue_watermark > 0);
-        assert!(self.downgrade_start < self.shed_start);
-        assert!(self.shed_start < self.shed_full);
-        assert!((0.0..1.0).contains(&self.max_shed_significance));
+        self.cutoff.validate();
         assert!(self.exit_overload < self.enter_overload);
         // With a NaN watermark the overload flag, once up, never clears.
         assert!((0.0..=1.0).contains(&self.miss_watermark));
@@ -90,7 +81,8 @@ impl AdmissionConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Admit at the given tier of the request class's ladder (0 = full
-    /// quality).
+    /// quality). From the fleet's admission the tier is a floor under the
+    /// node's own verdict.
     Admit {
         /// Ladder index to run the request at.
         tier: usize,
@@ -128,7 +120,7 @@ impl AdmissionController {
     }
 
     /// Compose queue pressure with energy-budget pressure: the budget's
-    /// austerity is mapped onto the same `[downgrade_start, shed_full]`
+    /// austerity is mapped onto the same `[degrade_start, shed_full]`
     /// response axis and the **stricter** signal wins, so a tight budget
     /// degrades/sheds exactly like a deep queue would — same ordering, same
     /// critical-exemption — and a zero budget signal changes nothing.
@@ -136,9 +128,9 @@ impl AdmissionController {
         if self.budget_pressure <= 0.0 {
             return self.pressure;
         }
-        let config = &self.config;
-        let mapped = config.downgrade_start
-            + self.budget_pressure * (config.shed_full - config.downgrade_start);
+        let cutoff = &self.config.cutoff;
+        let mapped =
+            cutoff.degrade_start + self.budget_pressure * (cutoff.shed_full - cutoff.degrade_start);
         self.pressure.max(mapped)
     }
 
@@ -169,24 +161,16 @@ impl AdmissionController {
             self.overloaded = false;
         }
 
-        // Shed last: only while the flag is up and pressure sits above
-        // `shed_start`. One rising significance cutoff ⇒ the shed set is
-        // always a prefix of the significance axis (lowest first).
-        if self.overloaded && pressure >= config.shed_start {
-            let span = config.shed_full - config.shed_start;
-            let depth = ((pressure - config.shed_start) / span).clamp(0.0, 1.0);
-            let cutoff = config.max_shed_significance * depth;
-            if class.significance() < cutoff {
-                return AdmissionDecision::Shed;
-            }
+        // Shed last, only while the flag is up: below `shed_start` the
+        // cutoff is 0, which sheds nothing.
+        if self.overloaded && class.significance() < config.cutoff.shed_cutoff(pressure) {
+            return AdmissionDecision::Shed;
         }
 
-        // Degrade first: map pressure in [downgrade_start, shed_start] onto
-        // the class's ladder depth. While the overload flag is up, stay at
-        // least one tier down so the backlog drains before full quality
-        // resumes.
-        let span = config.shed_start - config.downgrade_start;
-        let depth = ((pressure - config.downgrade_start) / span).clamp(0.0, 1.0);
+        // Degrade first: map the degrade depth onto the class's ladder.
+        // While the overload flag is up, stay at least one tier down so the
+        // backlog drains before full quality resumes.
+        let depth = config.cutoff.degrade_depth(pressure);
         let ladder = class.tiers.len().saturating_sub(1);
         let mut tier = (depth * ladder as f64).ceil() as usize;
         if self.overloaded && ladder > 0 {
@@ -378,5 +362,51 @@ mod tests {
     #[should_panic]
     fn miss_watermark_above_one_rejected() {
         with_miss_watermark(1.5);
+    }
+
+    fn with_cutoff(
+        edit: impl FnOnce(SignificanceCutoff) -> SignificanceCutoff,
+    ) -> AdmissionController {
+        let config = AdmissionConfig::default();
+        AdmissionController::new(AdmissionConfig {
+            cutoff: edit(config.cutoff),
+            ..config
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff bound outside [0, 1)")]
+    fn a_cutoff_that_sheds_critical_work_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            max_shed_significance: 1.0,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff bound outside [0, 1)")]
+    fn a_nan_cutoff_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            max_shed_significance: f64::NAN,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "knees out of order")]
+    fn shedding_before_degrading_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            degrade_start: c.shed_start,
+            ..c
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "knees out of order")]
+    fn a_shed_ramp_out_of_order_is_rejected() {
+        with_cutoff(|c| SignificanceCutoff {
+            shed_full: c.shed_start,
+            ..c
+        });
     }
 }

@@ -348,7 +348,7 @@ fn busy_spin(duration: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::request::{QualityTier, RetryPolicy};
-    use sig_core::{FaultAction, FaultPlan, Runtime};
+    use sig_core::{FaultAction, FaultPlan, Runtime, SignificanceCutoff};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -529,12 +529,15 @@ mod tests {
         let class = quick_class(Duration::from_secs(30), RetryPolicy::none());
         // One request in flight is full pressure: the third offer, made
         // while two are queued behind the gate, is shed.
+        let defaults = AdmissionConfig::default();
         let admission = AdmissionConfig {
             queue_watermark: 1,
-            shed_start: 1.0,
-            shed_full: 2.0,
+            cutoff: SignificanceCutoff {
+                shed_full: 2.0,
+                ..defaults.cutoff
+            },
             pressure_alpha: 1.0,
-            ..AdmissionConfig::default()
+            ..defaults
         };
         let mut server = Server::new(
             &rt,

@@ -144,11 +144,9 @@ pub struct Simulator {
     now: u64,
     /// Joules watermark at the end of the previous phase.
     consumed_joules: f64,
-    /// Energy-budget loop, if configured: controller plus its virtual-time
-    /// sampling cadence (carried across phases, like the controller state).
+    /// Energy-budget loop, if configured, sampled at the controller's own
+    /// cadence in virtual time (carried across phases).
     budget: Option<BudgetController>,
-    budget_interval_nanos: u64,
-    next_budget_nanos: u64,
 }
 
 impl Simulator {
@@ -159,10 +157,6 @@ impl Simulator {
         assert!(config.workers > 0);
         assert!(config.base_service_nanos > 0);
         let budget = config.budget.map(BudgetController::new);
-        // Budget sampling cadence, in virtual time.
-        let budget_interval_nanos = config
-            .budget
-            .map_or(u64::MAX, |b| b.target.sample_interval_nanos());
         Simulator {
             admission: AdmissionController::new(config.admission),
             lifecycle: Lifecycle::new(
@@ -175,8 +169,6 @@ impl Simulator {
             now: 0,
             consumed_joules: 0.0,
             budget,
-            budget_interval_nanos,
-            next_budget_nanos: 0,
         }
     }
 
@@ -187,10 +179,9 @@ impl Simulator {
         let Some(controller) = self.budget.as_mut() else {
             return;
         };
-        if at < self.next_budget_nanos {
+        if !controller.due(at) {
             return;
         }
-        self.next_budget_nanos = at.saturating_add(self.budget_interval_nanos);
         let wall = at as f64 * 1e-9;
         let reading = self.env.report(wall, self.config.workers).reading();
         let setpoint = controller.observe(wall, &reading);

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use significance_repro::core::SignificanceCutoff;
 use significance_repro::prelude::*;
 use significance_repro::quality::{psnr, relative_error};
 
@@ -94,6 +95,120 @@ proptest! {
         let p_small = psnr(&pixels, &small, 255.0);
         let p_large = psnr(&pixels, &large, 255.0);
         prop_assert!(p_small >= p_large);
+    }
+}
+
+/// A ramp whose knees sit `gap_degrade` and `gap_shed` apart from
+/// `degrade_start`, with the given cutoff bound, checked like a config.
+fn ramp(degrade_start: f64, gap_degrade: f64, gap_shed: f64, max: f64) -> SignificanceCutoff {
+    let shed_start = degrade_start + gap_degrade;
+    let cutoff = SignificanceCutoff {
+        degrade_start,
+        shed_start,
+        shed_full: shed_start + gap_shed,
+        max_shed_significance: max,
+    };
+    cutoff.validate();
+    cutoff
+}
+
+/// The pressures every ramp property is also checked at: both infinities,
+/// NaN, and the ramp's own knees.
+fn edge_pressures(cutoff: &SignificanceCutoff) -> [f64; 6] {
+    [
+        f64::NEG_INFINITY,
+        cutoff.degrade_start,
+        cutoff.shed_start,
+        cutoff.shed_full,
+        f64::INFINITY,
+        f64::NAN,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Neither the shed cutoff nor the degrade depth ever falls as
+    /// pressure rises.
+    #[test]
+    fn the_cutoff_never_falls_as_pressure_rises(
+        start in -2.0f64..2.0,
+        gap_degrade in 1e-3f64..4.0,
+        gap_shed in 1e-3f64..4.0,
+        max in 0.0f64..1.0,
+        pressures in proptest::collection::vec(-10.0f64..20.0, 2..64),
+    ) {
+        let cutoff = ramp(start, gap_degrade, gap_shed, max);
+        let mut pressures = pressures;
+        pressures.extend(&edge_pressures(&cutoff)[..5]);
+        pressures.sort_by(f64::total_cmp);
+        for pair in pressures.windows(2) {
+            prop_assert!(cutoff.shed_cutoff(pair[0]) <= cutoff.shed_cutoff(pair[1]));
+            prop_assert!(cutoff.degrade_depth(pair[0]) <= cutoff.degrade_depth(pair[1]));
+        }
+    }
+
+    /// At any pressure the shed set is a prefix of the significance axis:
+    /// once one significance is kept, every higher one is kept too.
+    #[test]
+    fn the_shed_set_is_a_significance_prefix(
+        start in -2.0f64..2.0,
+        gap_degrade in 1e-3f64..4.0,
+        gap_shed in 1e-3f64..4.0,
+        max in 0.0f64..1.0,
+        pressure in -10.0f64..20.0,
+        significances in proptest::collection::vec(0.0f64..=1.0, 1..64),
+    ) {
+        let cutoff = ramp(start, gap_degrade, gap_shed, max);
+        let mut significances = significances;
+        significances.sort_by(f64::total_cmp);
+        let threshold = cutoff.shed_cutoff(pressure);
+        let shed = |s: f64| s < threshold;
+        let kept = significances.iter().position(|&s| !shed(s));
+        if let Some(first_kept) = kept {
+            prop_assert!(significances[first_kept..].iter().all(|&s| !shed(s)));
+        }
+    }
+
+    /// Significance 1.0 is never shed, at any pressure, for every cutoff
+    /// bound up to 1.0 (the brownout's, which no config may use) and for
+    /// a validated one.
+    #[test]
+    fn critical_work_is_never_shed(
+        start in -2.0f64..2.0,
+        gap_degrade in 1e-3f64..4.0,
+        gap_shed in 1e-3f64..4.0,
+        max in 0.0f64..=1.0,
+        pressure in -10.0f64..20.0,
+    ) {
+        let validated = ramp(start, gap_degrade, gap_shed, max.min(0.999));
+        for bound in [max, 1.0, validated.max_shed_significance] {
+            let cutoff = SignificanceCutoff { max_shed_significance: bound, ..validated };
+            for p in edge_pressures(&cutoff).into_iter().chain([pressure]) {
+                let threshold = cutoff.shed_cutoff(p);
+                let shed = 1.0 < threshold;
+                prop_assert!(!shed, "bound {} pressure {} cutoff {}", bound, p, threshold);
+            }
+        }
+    }
+
+    /// Degradation is fully engaged where shedding starts, so work is
+    /// degraded strictly before any is shed.
+    #[test]
+    fn degrading_is_full_before_shedding_starts(
+        start in -2.0f64..2.0,
+        gap_degrade in 1e-3f64..4.0,
+        gap_shed in 1e-3f64..4.0,
+        max in 0.0f64..1.0,
+        pressure in -10.0f64..20.0,
+    ) {
+        let cutoff = ramp(start, gap_degrade, gap_shed, max);
+        prop_assert_eq!(cutoff.degrade_depth(cutoff.degrade_start), 0.0);
+        prop_assert_eq!(cutoff.degrade_depth(cutoff.shed_start), 1.0);
+        prop_assert_eq!(cutoff.shed_cutoff(cutoff.shed_start), 0.0);
+        if cutoff.shed_cutoff(pressure) > 0.0 {
+            prop_assert_eq!(cutoff.degrade_depth(pressure), 1.0);
+        }
     }
 }
 
