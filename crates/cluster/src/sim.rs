@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 use sig_core::{Governor, NominalGovernor, SignificanceCutoff};
 use sig_energy::{
-    BudgetConfig, BudgetController, EnergyBreakdown, EnergyReading, PowerModel, SleepState,
-    TransitionCost, UtilizationPowerCurve,
+    BudgetConfig, BudgetController, EnergyBreakdown, EnergyReading, FrequencyScale, PowerModel,
+    SleepState, TransitionCost, UtilizationPowerCurve,
 };
 use sig_serving::{
     AdmissionConfig, AdmissionDecision, EventQueue, Lifecycle, RequestClass, RequestOutcome,
@@ -202,6 +202,37 @@ pub struct ClusterSim {
     budget: Option<BudgetController>,
     /// The build-time watt cap: a ceiling the budget loop never exceeds.
     configured_cap_watts: f64,
+    power_factors: PowerFactors,
+}
+
+/// Scales whose power factor [`PowerFactors`] keeps: the nominal one, a
+/// cap's and a governor's few steps below nominal.
+const POWER_FACTOR_ENTRIES: usize = 4;
+
+/// [`FrequencyScale::power_factor`] of the last few distinct scales an
+/// attempt started at, keyed on the bits of the ratio and the exponent, so
+/// the `powf` runs once per scale instead of once per attempt and every
+/// factor keeps the bits it had (as `ExecutionEnv` keeps each scale's
+/// watts). A scale past the last slot replaces the oldest.
+#[derive(Default)]
+struct PowerFactors {
+    /// `[ratio, exponent, factor]` bits; a zero ratio marks an empty slot
+    /// (every ratio is positive).
+    entries: [[u64; 3]; POWER_FACTOR_ENTRIES],
+    next: usize,
+}
+
+impl PowerFactors {
+    fn of(&mut self, scale: FrequencyScale) -> f64 {
+        let key = [scale.ratio().to_bits(), scale.power_exponent().to_bits()];
+        if let Some([.., factor]) = self.entries.iter().find(|entry| entry[..2] == key) {
+            return f64::from_bits(*factor);
+        }
+        let factor = scale.power_factor();
+        self.entries[self.next] = [key[0], key[1], factor.to_bits()];
+        self.next = (self.next + 1) % POWER_FACTOR_ENTRIES;
+        factor
+    }
 }
 
 impl ClusterSim {
@@ -264,6 +295,7 @@ impl ClusterSim {
             consumed_violation: 0.0,
             budget,
             configured_cap_watts,
+            power_factors: PowerFactors::default(),
         };
         sim.cap.retarget(&mut sim.nodes);
         sim
@@ -650,11 +682,12 @@ impl ClusterSim {
                 phase.accurate_scaled += 1;
             }
             self.nodes[n].recorded_busy_nanos += attempt.busy_nanos;
+            let power_factor = self.power_factors.of(attempt.decision.scale());
             self.nodes[n].start_worker(
                 worker,
                 RunningAttempt {
                     request,
-                    power_factor: attempt.decision.scale().power_factor(),
+                    power_factor,
                 },
             );
             busy_set_changed = true;
@@ -768,6 +801,30 @@ mod tests {
         (0..count)
             .map(|i| (i as u64 * spacing, i % classes))
             .collect()
+    }
+
+    /// The cache hands out the bits `powf` gives, across more distinct
+    /// scales than it has slots and back.
+    #[test]
+    fn cached_power_factors_keep_their_bits() {
+        let mut factors = PowerFactors::default();
+        let scales = [
+            FrequencyScale::nominal(),
+            FrequencyScale::new(0.6),
+            FrequencyScale::with_exponent(0.6, 1.0),
+            FrequencyScale::new(0.8),
+            FrequencyScale::new(0.45),
+            FrequencyScale::new(0.6),
+        ];
+        for _ in 0..3 {
+            for scale in scales {
+                assert_eq!(
+                    factors.of(scale).to_bits(),
+                    scale.power_factor().to_bits(),
+                    "{scale:?}"
+                );
+            }
+        }
     }
 
     #[test]

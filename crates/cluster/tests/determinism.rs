@@ -175,3 +175,70 @@ fn shuffled_schedule_replays_as_its_sorted_form() {
         assert_eq!(got.fingerprint(), expected.fingerprint());
     }
 }
+
+/// A default 4-node fleet under a fleet cap of `cap_watts`, offered 900
+/// arrivals `spacing` nanoseconds apart with no fault: the cap holds the
+/// fleet's draw below its busy slots, so the fleet's own admission
+/// (`PowerCapController::admit`) sheds, the branch that neither the golden
+/// cluster matrix nor the benchmark reaches (every cell there sheds 0 at
+/// fleet scope).
+fn overloaded_fleet(seed: u64, cap_watts: f64, spacing: u64) -> String {
+    let mut config = ClusterConfig {
+        seed,
+        ..ClusterConfig::default()
+    };
+    assert_eq!(config.nodes, 4);
+    config.cap.cap_watts = cap_watts;
+    let mut sim = ClusterSim::new(config, common::classes());
+    let phase = sim.run(&common::uniform_schedule(900, spacing), &[]);
+    assert!(phase.balanced());
+    assert!(
+        phase.stats.shed > 0,
+        "seed {seed}, {cap_watts} W: the fleet must shed"
+    );
+    phase.fingerprint()
+}
+
+/// [`overloaded_fleet`]'s fingerprints, captured at the commit before the
+/// simulator cached each scale's power factor. Every shed in them is the
+/// fleet's: a scratch counter in the fleet's shed branch read 517, 505 and
+/// 413, equal to each fingerprint's `shed`.
+#[test]
+fn overloaded_fleets_replay_their_pinned_shed_fingerprints() {
+    let pinned = [
+        (
+            2,
+            26.0,
+            40_000,
+            "offered=900 completed=42 shed=517 late=341 retries_exhausted=0 budget_exhausted=0 \
+             lost=0 downgraded=70 retries=0 p50=10223615 p99=19400000 wall=57000000 \
+             joules=3ff4c55af78c2ce4 power=3ff494340ecb5e84 violation=0000000000000000 \
+             max_shed_sig=3fe6666666666666 accurate_scaled=0",
+        ),
+        (
+            3,
+            34.0,
+            60_000,
+            "offered=900 completed=73 shed=505 late=322 retries_exhausted=0 budget_exhausted=0 \
+             lost=0 downgraded=73 retries=0 p50=11010047 p99=19980000 wall=75000000 \
+             joules=400119ee9870f1fe power=4000f1fefb544a9a violation=0000000000000000 \
+             max_shed_sig=3fe6666666666666 accurate_scaled=0",
+        ),
+        (
+            4,
+            42.0,
+            80_000,
+            "offered=900 completed=160 shed=413 late=327 retries_exhausted=0 budget_exhausted=0 \
+             lost=0 downgraded=155 retries=0 p50=14155775 p99=20000000 wall=93000000 \
+             joules=4008ff485742ee22 power=4008addfe5c3987b violation=0000000000000000 \
+             max_shed_sig=3fe6666666666666 accurate_scaled=0",
+        ),
+    ];
+    for (seed, cap_watts, spacing, fingerprint) in pinned {
+        assert_eq!(
+            overloaded_fleet(seed, cap_watts, spacing),
+            fingerprint,
+            "seed {seed}, {cap_watts} W, {spacing} ns apart"
+        );
+    }
+}

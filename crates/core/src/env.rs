@@ -46,7 +46,15 @@
 //! In a runtime the shard is its worker's one **task ledger**: the same
 //! seqlock section that books a task's busy, modelled and joule counters
 //! books its count by mode, or as panicked, so a snapshot never holds a
-//! task's time without its count. The worker also counts, one bump each,
+//! task's time without its count. A record is booked alone; the plain
+//! entries a worker runs from a share are booked by *runs* — consecutive
+//! entries with one mode and one dispatch decision, timed as one window —
+//! each run in one section with its count (`ExecutionEnv::record_task`).
+//! An entry's busy time is thus its share of its run's window, which also
+//! covers the runtime's per-entry work inside the run (tens of nanoseconds
+//! against bodies of microseconds; a record's window covers its body
+//! alone, and its runtime work counts as idle). The counts stay exact:
+//! a run of `n` moves each count as `n` bookings of one would. The worker also counts, one bump each,
 //! the tasks it skips as cancelled, the tasks that finish past their
 //! deadline and its steals (`Event`). [`crate::RuntimeStats`] folds the
 //! ledger; nothing else counts a task.
@@ -365,18 +373,22 @@ impl ExecutionEnv {
         busy: Duration,
         decision: DispatchDecision,
     ) {
-        self.record_task(worker, mode, busy, decision, false);
+        self.record_task(worker, mode, busy, decision, 1, 0);
     }
 
-    /// [`ExecutionEnv::record`], counting the task under `mode`, or as
-    /// panicked if its body panicked; either way its time is priced.
+    /// [`ExecutionEnv::record`] for a run of tasks executed back to back
+    /// under one `mode` and one `decision`, timed as one window: `busy` is
+    /// the whole run's, `finished` of its tasks are counted under `mode` and
+    /// `panicked` as panicked, all in one seqlock section. A record books a
+    /// run of one.
     pub(crate) fn record_task(
         &self,
         worker: usize,
         mode: ExecutionMode,
         busy: Duration,
         decision: DispatchDecision,
-        panicked: bool,
+        finished: u64,
+        panicked: u64,
     ) {
         let shard = self.shard(worker);
         let real_nanos = busy.as_nanos().min(u64::MAX as u128) as u64;
@@ -397,23 +409,18 @@ impl ExecutionEnv {
         shard.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
 
+        let tasks = finished + panicked;
         bump(&shard.real_busy_nanos, real_nanos);
-        bump(
-            if panicked {
-                &shard.panicked
-            } else {
-                &shard.finished[mode.index()]
-            },
-            1,
-        );
+        bump(&shard.finished[mode.index()], finished);
+        bump(&shard.panicked, panicked);
         bump(&shard.modelled_busy_nanos[mode.index()], modelled_nanos);
         bump(&shard.dynamic_nanojoules, (joules * 1e9) as u64);
         if !scale.is_nominal() {
-            bump(&shard.scaled_tasks, 1);
+            bump(&shard.scaled_tasks, tasks);
         }
         if sleep_nanos > 0 {
             bump(&shard.sleep_nanos, sleep_nanos);
-            bump(&shard.sleep_entries, 1);
+            bump(&shard.sleep_entries, tasks);
         }
 
         shard.seq.store(seq.wrapping_add(2), Ordering::Release);
@@ -934,6 +941,95 @@ mod tests {
         assert!((totals.dynamic_nanojoules as f64 * 1e-9 - report.dynamic_joules()).abs() < 1e-9);
     }
 
+    /// A worker books a share's entries by runs: a run of `n` tasks booked
+    /// in one section moves every count as `n` bookings of one would, and
+    /// the busy folds — the runtime's, the report's and the totals' — stay
+    /// equal bit for bit.
+    #[test]
+    fn a_run_booked_at_once_moves_each_count_by_its_length() {
+        const RUN: u64 = 8;
+        let task = Duration::from_nanos(1_250);
+        let decisions = [
+            DispatchDecision::stretch(FrequencyScale::new(0.5)),
+            DispatchDecision::race(FrequencyScale::new(0.5)),
+        ];
+        let envs = [(); 2].map(|()| {
+            crate::stats::RuntimeStats::new(ExecutionEnv::new(
+                PowerModel::for_host(),
+                Arc::new(NominalGovernor),
+                Some(SleepState::deep()),
+                TransitionCost::free(),
+                2,
+            ))
+        });
+        let [by_run, by_task] = &envs;
+        for (worker, decision) in decisions.into_iter().enumerate() {
+            // The run's last body panicked.
+            by_run.env.record_task(
+                worker,
+                ExecutionMode::Approximate,
+                task * RUN as u32,
+                decision,
+                RUN - 1,
+                1,
+            );
+            for i in 0..RUN {
+                let panicked = u64::from(i == RUN - 1);
+                by_task.env.record_task(
+                    worker,
+                    ExecutionMode::Approximate,
+                    task,
+                    decision,
+                    1 - panicked,
+                    panicked,
+                );
+            }
+        }
+        let [run, single] = envs.each_ref().map(|stats| {
+            let report = stats.env.report(1.0, 2);
+            let ledger: Vec<_> = stats
+                .env
+                .ledger()
+                .map(|shard| (shard.finished, shard.panicked))
+                .collect();
+            let totals = stats.env.totals();
+            // The three busy folds of one ledger agree bit for bit.
+            assert_eq!(
+                stats.busy_core_seconds().to_bits(),
+                report.busy_seconds().to_bits()
+            );
+            assert_eq!(
+                report.busy_seconds().to_bits(),
+                (totals.busy_nanos as f64 * 1e-9).to_bits()
+            );
+            for worker in &report.workers {
+                assert_eq!(
+                    worker.modelled_busy_seconds.to_bits(),
+                    (worker.accurate_busy_seconds + worker.approximate_busy_seconds).to_bits()
+                );
+            }
+            let counts: Vec<_> = report
+                .workers
+                .iter()
+                .map(|w| (w.scaled_tasks, w.sleep_entries))
+                .collect();
+            (
+                ledger,
+                counts,
+                totals.busy_nanos,
+                totals.modelled_busy_nanos,
+            )
+        });
+        assert_eq!(run, single);
+        assert_eq!(
+            run.0,
+            vec![([0, RUN - 1, 0], 1), ([0, RUN - 1, 0], 1)],
+            "each worker counts the run's tasks by mode and panicked"
+        );
+        assert_eq!(run.1, vec![(RUN, 0), (0, RUN)], "scaled, then raced");
+        assert_eq!(run.2, 2 * RUN * task.as_nanos() as u64);
+    }
+
     #[test]
     fn scaled_dynamic_energy_is_cheaper_per_work_unit() {
         let slow = env(Arc::new(SignificanceLadderGovernor::single_step(0.5)));
@@ -1160,7 +1256,8 @@ mod tests {
                         }
                         let panicked = i % 11 == 5;
                         let busy = Duration::from_nanos(real);
-                        e.record_task(worker, mode, busy, decision, panicked);
+                        let (finished, failed) = (u64::from(!panicked), u64::from(panicked));
+                        e.record_task(worker, mode, busy, decision, finished, failed);
                         expected[if panicked { 11 } else { 8 + mode.index() }] += 1;
                         expected[0] += real;
                         expected[1] += modelled;

@@ -45,6 +45,7 @@ impl RuntimeInner {
     /// empty.
     fn wait_until(&self, barrier: &EventCount, flush: impl Fn(), done: impl Fn() -> bool) {
         flush();
+        self.publish_staged();
         self.wake_one_sleeper(usize::MAX);
         let buffering = self.policy.is_buffering();
         barrier.wait(|| {

@@ -228,9 +228,7 @@ impl RuntimeInner {
             }
             self.recycle(predecessor);
         }
-        for record in scratch.released.drain(..) {
-            self.recycle(record);
-        }
+        self.recycle_released(&mut scratch.released);
         // One huge seal must not pin its buffer to the thread for ever.
         scratch.preds.shrink_to(HUSK_BATCH);
         scratch.released.shrink_to(HUSK_BATCH);

@@ -18,9 +18,9 @@
 //! the staging lock, and runs the share's plain entries itself, oldest
 //! first, before it pops again: no record, no deque, no husk. A share
 //! takes `min(ceil(remaining / workers), max(1, SHARE_BUDGET / mean))`
-//! plain entries from the front of the chunk, where `mean` is the mean body
-//! time of an entry of the worker's previous share; a worker's first share
-//! is one entry. The guided half splits a chunk among the workers; the time
+//! plain entries from the front of the chunk, where `mean` is the mean time
+//! of an entry of the worker's previous share (below); a worker's first
+//! share is one entry. The guided half splits a chunk among the workers; the time
 //! half keeps what one worker holds to about one [`SHARE_BUDGET`] of bodies,
 //! since nothing can steal an entry from a share. A GTB window's chunk is
 //! decided share by share, in window order, from the quota the chunk
@@ -35,15 +35,32 @@
 //! 56-KB ring the spawner writes into. One spawner's plain tasks reach one
 //! worker in spawn order, across groups.
 //!
+//! **The partial-chunk rule.** A worker takes nothing from the partial
+//! chunk while it holds fewer entries than the worker's next share would
+//! take (`SHARE_BUDGET / mean`, [`timed_len`]), until the worker has spun
+//! through its idle spin rounds since it last found work. A worker that
+//! keeps up with its spawner would otherwise take the few entries the
+//! chunk holds, one pull after another, each taking the staging lock and
+//! rewriting `queued`: the lines the spawner writes on every spawn. With
+//! the rule it takes a spin's worth of entries at a time. A ready chunk is
+//! pulled at once, whatever it holds. A barrier publishes the partial chunk
+//! (moves it behind the ready ones) before it blocks, and so does the
+//! runtime's drop, which waits like `wait_all`, so no barrier sits out a
+//! worker's spin. A share holds one group's entries, and every barrier that
+//! counts them counts the task of that group its worker is running, so a
+//! barrier waits on a share at most one budget longer than on that task.
+//!
+//! A worker runs its share by *runs* of entries with one mode and one
+//! dispatch decision, and reads the clock when a run opens and when it
+//! closes (`worker.rs`). The mean that sizes its next share is the runs'
+//! time over the share's entries, so it covers the runtime's per-entry
+//! work inside a run (the decision, the dispatch, the statistics, tens of
+//! nanoseconds) as well as the bodies: with empty bodies a share is bounded
+//! by that work, no longer by the guided half alone.
+//!
 //! A worker's own plain spawn keeps the record path (a husk from its stash,
 //! onto its own deque), and so does every task with a clause, which took
 //! its record at spawn.
-//!
-//! A barrier publishes nothing: the partial chunk is already as pullable
-//! as a ready one, and a barrier wakes a sleeping worker before it blocks.
-//! A share holds one group's entries, and every barrier that counts them
-//! counts the task of that group its worker is running, so a barrier waits
-//! on a share at most one budget longer than on that task.
 //!
 //! Drained ready chunks go back to a pool of [`CHUNK_POOL_CAP`], which the
 //! next staging chunk or GTB window takes from; a barrier that finds the
@@ -98,14 +115,20 @@ const LOCK_TRIES: u32 = 1 << 12;
 /// record that reaches the worker's deque waits behind a share.
 const SHARE_BUDGET: Duration = Duration::from_micros(20);
 
+/// Plain entries that hold about one [`SHARE_BUDGET`] of work when an entry
+/// of the worker's previous share took `mean_nanos` on average (`None`: no
+/// share yet, so one): the most a worker's next share takes.
+fn timed_len(mean_nanos: Option<u64>) -> usize {
+    mean_nanos.map_or(1, |mean| {
+        (SHARE_BUDGET.as_nanos() as u64 / mean.max(1)).max(1) as usize
+    })
+}
+
 /// Plain entries a worker's share takes from a chunk holding `remaining`
 /// entries, at `workers` workers, when an entry of the worker's previous
-/// share ran for `mean_nanos` on average (`None`: no share yet, so one).
+/// share took `mean_nanos` on average.
 fn share_len(remaining: usize, workers: usize, mean_nanos: Option<u64>) -> usize {
-    let timed = mean_nanos.map_or(1, |mean| {
-        (SHARE_BUDGET.as_nanos() as u64 / mean.max(1)).max(1) as usize
-    });
-    remaining.div_ceil(workers).min(timed)
+    remaining.div_ceil(workers).min(timed_len(mean_nanos))
 }
 
 /// Entries of one group in spawn order, on their way to the workers.
@@ -131,7 +154,7 @@ impl ReadyChunk {
 }
 
 /// What a worker took from a chunk: the plain entries it runs before it
-/// pops again, and the mean body time of an entry of the last share it ran,
+/// pops again, and the mean time of an entry of the last share it ran,
 /// which sizes its next one.
 #[derive(Default)]
 pub(super) struct Share {
@@ -142,7 +165,9 @@ pub(super) struct Share {
     pub(super) entries: Vec<PlainTask>,
     /// A GTB window's records taken with the entries, with their decisions.
     records: Vec<(Arc<Task>, bool)>,
-    /// Mean body time of an entry of the last share that held one.
+    /// The last share's time over its entries: the windows of its runs,
+    /// which cover the bodies and the runtime's work between them, over
+    /// every entry it held, abandoned ones included.
     pub(super) mean_nanos: Option<u64>,
 }
 
@@ -204,6 +229,20 @@ impl Chunks {
         }
         self.ready.push_back(chunk);
         None
+    }
+
+    /// The chunk a worker takes its next share from: the oldest ready one,
+    /// else the partial one if it holds a whole share's worth of entries for
+    /// a worker whose last share ran entries of `mean_nanos`, or anything
+    /// for a worker that `spun_out` (see the module docs).
+    fn pullable(&mut self, mean_nanos: Option<u64>, spun_out: bool) -> Option<&mut ReadyChunk> {
+        if let Some(chunk) = self.ready.front_mut() {
+            return Some(chunk);
+        }
+        self.partial.as_mut().filter(|chunk| {
+            let staged = chunk.entries.len();
+            staged != 0 && (spun_out || staged >= timed_len(mean_nanos))
+        })
     }
 }
 
@@ -340,11 +379,21 @@ impl RuntimeInner {
         self.staging.lock().fresh().into()
     }
 
+    /// A barrier is about to wait: move the partial chunk behind the ready
+    /// ones, where a worker takes it at once instead of after its idle spin.
+    pub(super) fn publish_staged(&self) {
+        let freed = self.staging.lock().publish();
+        // Freed outside the lock.
+        drop(freed);
+    }
+
     /// Worker `worker` found nothing to pop or steal: take a share of the
-    /// oldest ready chunk, else of the partial one, into `share`, deciding
-    /// it if it is a GTB window's, and push the window's records it holds
-    /// onto the worker's own deque. Returns whether there was one.
-    pub(super) fn pull_share(&self, worker: usize, share: &mut Share) -> bool {
+    /// oldest ready chunk, else of the partial one if it may (`spun_out`:
+    /// the worker spun through its idle rounds since its last work), into
+    /// `share`, deciding it if it is a GTB window's, and push the window's
+    /// records it holds onto the worker's own deque. Returns whether there
+    /// was one.
+    pub(super) fn pull_share(&self, worker: usize, share: &mut Share, spun_out: bool) -> bool {
         if !self.staging.any() {
             return false;
         }
@@ -357,12 +406,8 @@ impl RuntimeInner {
             share.entries.reserve_exact(chunks.capacity);
         }
         let from_ready = !chunks.ready.is_empty();
-        let chunk = match chunks.ready.front_mut() {
-            Some(chunk) => chunk,
-            None => match chunks.partial.as_mut() {
-                Some(chunk) if !chunk.entries.is_empty() => chunk,
-                _ => return false,
-            },
+        let Some(chunk) = chunks.pullable(share.mean_nanos, spun_out) else {
+            return false;
         };
         let want = share_len(chunk.entries.len(), self.parkers.len(), share.mean_nanos);
         if !share
@@ -467,6 +512,73 @@ impl RuntimeInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GroupId;
+    use crate::significance::Significance;
+    use crate::task::TaskId;
+
+    /// Chunks with `staged` plain entries of one group in the partial chunk
+    /// and nothing ready.
+    fn partial_of(staged: u64) -> Chunks {
+        let group = Arc::new(GroupState::new(0, GroupId(1), Arc::from("staged"), 1.0, 1));
+        let entries = (0..staged)
+            .map(|i| {
+                Buffered::Plain(PlainTask::new(
+                    TaskId(i),
+                    Significance::new(0.5),
+                    Box::new(|| {}),
+                    None,
+                ))
+            })
+            .collect();
+        Chunks {
+            ready: VecDeque::new(),
+            partial: Some(ReadyChunk {
+                group,
+                entries,
+                quota: None,
+            }),
+            pool: Vec::new(),
+            queued: staged as usize,
+            capacity: WINDOW_CHUNK,
+        }
+    }
+
+    /// The handoff rule, with no thread and no clock: a worker whose last
+    /// share ran entries of a tenth of the budget each (a share of ten)
+    /// leaves a partial chunk of three to the spawner until it has spun
+    /// out, takes one of ten at once, and, once a barrier has published
+    /// the three, takes them at once. A worker with no share yet (a share
+    /// of one) takes from any partial chunk at once.
+    #[test]
+    fn a_partial_chunk_below_a_share_waits_for_a_spun_out_worker_or_a_barrier() {
+        let mean = Some(SHARE_BUDGET.as_nanos() as u64 / 10);
+        let pulled = |chunks: &mut Chunks, mean, spun_out| {
+            chunks
+                .pullable(mean, spun_out)
+                .map(|chunk| chunk.entries.len())
+        };
+
+        let mut chunks = partial_of(3);
+        assert_eq!(pulled(&mut chunks, mean, false), None, "below a share");
+        assert_eq!(pulled(&mut chunks, mean, true), Some(3), "spun out");
+        assert_eq!(pulled(&mut chunks, None, false), Some(3), "a first share");
+        assert_eq!(
+            pulled(&mut partial_of(10), mean, false),
+            Some(10),
+            "a share's worth"
+        );
+        assert_eq!(
+            pulled(&mut partial_of(0), None, true),
+            None,
+            "nothing staged"
+        );
+
+        // A barrier publishes the partial chunk: it is ready, and pulled at
+        // once.
+        assert!(chunks.publish().is_none());
+        assert!(chunks.partial.is_none() && chunks.ready.len() == 1);
+        assert_eq!(pulled(&mut chunks, mean, false), Some(3), "published");
+    }
 
     #[test]
     fn a_first_share_is_one_entry_and_later_ones_hold_about_one_budget() {

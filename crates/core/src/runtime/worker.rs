@@ -6,6 +6,24 @@
 //! outstanding counts. Also the producer side of the sleep protocol:
 //! [`RuntimeInner::try_enqueue`] and the targeted wakes.
 //!
+//! # Timing and booking
+//!
+//! A record is timed on its own: the clock is read as its body starts and
+//! as it ends, and the task is booked on the worker's ledger alone. A
+//! share's entries are timed and booked by **runs** ([`Runs`]): consecutive
+//! entries with one [`ExecutionMode`] and one [`DispatchDecision`] share a
+//! window, read when the run opens and when it closes, and go onto the
+//! ledger in one seqlock section with their count. An entry's busy time is
+//! therefore its share of its run's window, which covers the runtime's
+//! per-entry work inside the run (the decision, the dispatch, the group's
+//! statistics, the completion) as well as the body: tens of nanoseconds an
+//! entry, which a record's busy time leaves out and counts as idle. A run
+//! closes before anything that could publish its entries (an abandoned
+//! entry's completion, the completion that fills the worker's batch), so
+//! a barrier never returns before its tasks are on the ledger; and before
+//! an injected stall, so the stall stays outside every window, as a
+//! record's does.
+//!
 //! # Checklist for the model checker
 //!
 //! Unsafe blocks: one, in [`RuntimeInner::execute`], which takes both body
@@ -14,8 +32,10 @@
 //! became by dequeuing a record whose `claim_enqueue` was won once. An entry
 //! owns its bodies, and from there on both run and drop as owned values.
 //!
-//! Orderings weaker than SeqCst: none. Every atomic this file touches
-//! directly is one side of a Dekker-style pair and stays SeqCst:
+//! Orderings weaker than SeqCst: a worker's `held` count of its share's
+//! unstarted entries (a statistic, see `staging.rs`). Every other atomic
+//! this file touches directly is one side of a Dekker-style pair and stays
+//! SeqCst:
 //!
 //! * `sleepers` and `shutdown` in the run loop, against the producers'
 //!   [`RuntimeInner::wake_one_sleeper`] and the runtime's drop (the sleep
@@ -36,9 +56,9 @@ use std::time::{Duration, Instant};
 
 use super::staging::Share;
 use super::{RuntimeInner, CURRENT_WORKER};
-use crate::env::Event;
+use crate::env::{Event, ExecutionEnv};
 use crate::faults::FaultAction;
-use crate::governor::DispatchContext;
+use crate::governor::{DispatchContext, DispatchDecision};
 use crate::group::GroupState;
 use crate::handle::TaskOutcome;
 use crate::policy::{LqhState, Policy};
@@ -101,6 +121,101 @@ pub(super) struct Job<'a> {
     pub(super) accurate: Option<TaskBody>,
     pub(super) approximate: Option<TaskBody>,
     pub(super) record: Option<&'a Task>,
+}
+
+impl Job<'_> {
+    /// The mode the task runs in, once decided: its accurate body, else its
+    /// approximate one, else none (dropped).
+    fn mode(&self, accurate: bool) -> ExecutionMode {
+        if accurate {
+            ExecutionMode::Accurate
+        } else if self.approximate.is_some() {
+            ExecutionMode::Approximate
+        } else {
+            ExecutionMode::Dropped
+        }
+    }
+}
+
+/// What [`RuntimeInner::admit`] settled for a task that is to run.
+struct Admitted {
+    accurate: bool,
+    /// The group's ratio the decision was made against, for the governor.
+    group_ratio: f64,
+    fault: Option<FaultAction>,
+}
+
+/// A share's entries, booked by runs. A run is consecutive entries with
+/// one [`ExecutionMode`] and one [`DispatchDecision`], timed as one window
+/// — the clock is read when it opens and when it closes — and booked on the
+/// worker's ledger in one seqlock section with its count. A run closes when
+/// the next entry decides differently (and the same clock read opens the
+/// next run), when a body panics, before an entry is abandoned or stalled,
+/// before a completion publishes the worker's batch, and when the share
+/// ends.
+#[derive(Default)]
+struct Runs {
+    open: Option<Run>,
+    /// The windows of the runs closed so far.
+    busy: Duration,
+}
+
+struct Run {
+    mode: ExecutionMode,
+    decision: DispatchDecision,
+    start: Instant,
+    /// Entries of the run that finished their body.
+    finished: u64,
+}
+
+impl Runs {
+    /// An entry is about to run in `mode` under `decision`: it joins the
+    /// open run if that run is of both, else a new run opens.
+    fn enter(
+        &mut self,
+        env: &ExecutionEnv,
+        worker: usize,
+        mode: ExecutionMode,
+        decision: DispatchDecision,
+    ) {
+        if self
+            .open
+            .as_ref()
+            .is_some_and(|run| run.mode == mode && run.decision == decision)
+        {
+            return;
+        }
+        let now = Instant::now();
+        self.close_at(env, worker, 0, now);
+        self.open = Some(Run {
+            mode,
+            decision,
+            start: now,
+            finished: 0,
+        });
+    }
+
+    /// The entry that entered last finished its body.
+    fn finished(&mut self) {
+        self.open.as_mut().expect("an entry runs in a run").finished += 1;
+    }
+
+    /// Close the open run, if any, and book it with `panicked` more entries
+    /// whose bodies panicked.
+    fn close(&mut self, env: &ExecutionEnv, worker: usize, panicked: u64) {
+        if self.open.is_some() {
+            self.close_at(env, worker, panicked, Instant::now());
+        }
+    }
+
+    fn close_at(&mut self, env: &ExecutionEnv, worker: usize, panicked: u64, now: Instant) {
+        let Some(run) = self.open.take() else {
+            return;
+        };
+        let busy = now - run.start;
+        env.record_task(worker, run.mode, busy, run.decision, run.finished, panicked);
+        self.busy += busy;
+    }
 }
 
 impl RuntimeInner {
@@ -194,7 +309,8 @@ impl RuntimeInner {
     }
 
     /// Run the plain entries of the share worker `worker` just pulled,
-    /// oldest first, and keep their mean body time to size its next share.
+    /// oldest first, timing and booking them by runs (see [`Run`]), and
+    /// keep their mean busy time to size its next share.
     fn run_share(
         &self,
         worker: usize,
@@ -209,49 +325,76 @@ impl RuntimeInner {
             return;
         }
         let group = share.group.as_ref().expect("a share names its group");
-        let mut busy = Duration::ZERO;
+        let env = &self.stats.env;
+        let mut runs = Runs::default();
         for (left, plain) in (0..count as usize).rev().zip(share.entries.drain(..)) {
             held.store(left, Ordering::Relaxed);
-            busy += self.run_task(
-                Job {
-                    id: plain.id,
-                    significance: plain.significance,
-                    group,
-                    decision: plain.decision,
-                    accurate: Some(plain.accurate),
-                    approximate: plain.approximate,
-                    record: None,
-                },
-                worker,
-                lqh,
-                tick,
-                retired,
-            );
+            let mut job = Job {
+                id: plain.id,
+                significance: plain.significance,
+                group,
+                decision: plain.decision,
+                accurate: Some(plain.accurate),
+                approximate: plain.approximate,
+                record: None,
+            };
+            let admitted = match self.admit(&job, lqh, tick, retired) {
+                Ok(admitted) => admitted,
+                Err(shed) => {
+                    // Its completion may publish the batch the run's
+                    // entries are in.
+                    runs.close(env, worker, 0);
+                    self.abandon(job, worker, shed, retired);
+                    continue;
+                }
+            };
+            if let Some(FaultAction::Stall(pause)) = admitted.fault {
+                // Outside every run's window, as outside a record's.
+                runs.close(env, worker, 0);
+                thread::sleep(pause);
+            }
+            let decision = self.dispatch(worker, &job, &admitted, false);
+            let mode = job.mode(admitted.accurate);
+            runs.enter(env, worker, mode, decision);
+            let ok = self.run_chosen(&mut job, mode, admitted.fault);
+            drop((job.accurate.take(), job.approximate.take()));
+            if ok {
+                runs.finished();
+                group.stats.record(worker, job.significance.level(), mode);
+            } else {
+                runs.close(env, worker, 1);
+                group.stats.record_panicked(worker);
+            }
+            if retired.count + 1 == RETIRE_BATCH {
+                // The completion below publishes the batch: every task in
+                // it must be on the ledger first.
+                runs.close(env, worker, 0);
+            }
+            self.complete(group, None, retired);
         }
-        share.mean_nanos = Some(busy.as_nanos() as u64 / count);
+        runs.close(env, worker, 0);
+        share.mean_nanos = Some(runs.busy.as_nanos() as u64 / count);
     }
 
-    /// Make the accuracy decision if it is still open, run the chosen body,
-    /// record statistics, then resolve dependences and barriers. Lock-free
-    /// on every step. A batch of another group's completions is published
-    /// first (the invariant on [`Retired`]). Returns the time the body ran,
-    /// zero for a task abandoned unrun.
-    fn run_task(
+    /// Settle what can be settled of a task before it runs: publish a batch
+    /// of another group's completions (the invariant on [`Retired`]), skip
+    /// a cancelled record, make the accuracy decision if it is still open,
+    /// advance the worker's tick, shed under overload and draw the injected
+    /// fault. `Err(shed)`: abandon the task unrun, shed or cancelled.
+    fn admit(
         &self,
-        mut job: Job<'_>,
-        worker: usize,
+        job: &Job<'_>,
         lqh: &mut LqhState,
         tick: &mut usize,
         retired: &mut Retired,
-    ) -> Duration {
+    ) -> Result<Admitted, bool> {
         if !retired.admits(job.group) {
             self.publish(retired);
         }
         // Cooperative cancellation: a task whose token was cancelled before
         // it starts is skipped entirely.
         if job.record.is_some_and(Task::cancel_requested) {
-            self.abandon(job, worker, false, retired);
-            return Duration::ZERO;
+            return Err(false);
         }
         // Read once: LQH decides against it and the governor is handed it.
         let group_ratio = job.group.effective_ratio();
@@ -280,19 +423,87 @@ impl RuntimeInner {
             && !job.significance.is_critical()
             && job.significance.value() < shed_threshold
         {
-            self.abandon(job, worker, true, retired);
-            return Duration::ZERO;
+            return Err(true);
         }
 
         // Deterministic fault injection (chaos testing only; `faults` is
         // `None` in production configurations).
         let fault = self.faults.as_ref().and_then(|plan| plan.decide(job.id.0));
-        if let Some(FaultAction::Stall(pause)) = fault {
+        Ok(Admitted {
+            accurate,
+            group_ratio,
+            fault,
+        })
+    }
+
+    /// Pick the energy strategy for this dispatch: approximate tasks may
+    /// run under a lower modelled frequency, or race at nominal and bank
+    /// the slack as sleep residency (two relaxed loads and no virtual call
+    /// for the default nominal governor, lock-free always).
+    fn dispatch(
+        &self,
+        worker: usize,
+        job: &Job<'_>,
+        admitted: &Admitted,
+        deadline_pressure: bool,
+    ) -> DispatchDecision {
+        self.stats.env.dispatch(
+            worker,
+            &DispatchContext {
+                worker,
+                significance: job.significance,
+                accurate: admitted.accurate,
+                policy: self.policy,
+                group_ratio: admitted.group_ratio,
+                deadline_pressure,
+            },
+        )
+    }
+
+    /// Run the body `mode` names, or simulate the injected panic, then the
+    /// injected dilation, which the timed window covers. Returns whether
+    /// the task succeeded.
+    fn run_chosen(
+        &self,
+        job: &mut Job<'_>,
+        mode: ExecutionMode,
+        fault: Option<FaultAction>,
+    ) -> bool {
+        let inject_panic = matches!(fault, Some(FaultAction::Panic));
+        let ok = match mode {
+            ExecutionMode::Accurate => self.run_or_inject(job.accurate.take(), inject_panic),
+            ExecutionMode::Approximate => self.run_or_inject(job.approximate.take(), inject_panic),
+            ExecutionMode::Dropped => !inject_panic,
+        };
+        if let Some(FaultAction::Dilate(extra)) = fault {
+            // Dilated execution: the task "runs long", inside the timed
+            // window, endangering deadlines downstream.
+            thread::sleep(extra);
+        }
+        ok
+    }
+
+    /// Run a record: make the accuracy decision if it is still open, run
+    /// the chosen body timed on its own, book it on the worker's ledger and
+    /// its group's statistics, then resolve dependences and barriers.
+    /// Lock-free on every step.
+    fn run_task(
+        &self,
+        mut job: Job<'_>,
+        worker: usize,
+        lqh: &mut LqhState,
+        tick: &mut usize,
+        retired: &mut Retired,
+    ) {
+        let admitted = match self.admit(&job, lqh, tick, retired) {
+            Ok(admitted) => admitted,
+            Err(shed) => return self.abandon(job, worker, shed, retired),
+        };
+        if let Some(FaultAction::Stall(pause)) = admitted.fault {
             // A stalled worker: the pause happens before the timed window so
             // it distorts schedules, not per-task busy accounting.
             thread::sleep(pause);
         }
-        let inject_panic = matches!(fault, Some(FaultAction::Panic));
 
         // One clock read serves the whole dispatch: the timed window opens
         // here, and the deadline checks below are pure arithmetic on it.
@@ -306,41 +517,9 @@ impl RuntimeInner {
         let started_nanos = (deadline != 0).then(|| (start - self.started).as_nanos() as u64);
         let deadline_pressure = started_nanos
             .is_some_and(|started| self.overload.is_overloaded() || started >= deadline);
-
-        // Pick the energy strategy for this dispatch: approximate tasks may
-        // run under a lower modelled frequency, or race at nominal and bank
-        // the slack as sleep residency (two relaxed loads and no virtual call
-        // for the default nominal governor, lock-free always).
-        let decision = self.stats.env.dispatch(
-            worker,
-            &DispatchContext {
-                worker,
-                significance: job.significance,
-                accurate,
-                policy: self.policy,
-                group_ratio,
-                deadline_pressure,
-            },
-        );
-        let (mode, ok) = if accurate {
-            (
-                ExecutionMode::Accurate,
-                self.run_or_inject(job.accurate.take(), inject_panic),
-            )
-        } else {
-            match job.approximate.take() {
-                Some(body) => (
-                    ExecutionMode::Approximate,
-                    self.run_or_inject(Some(body), inject_panic),
-                ),
-                None => (ExecutionMode::Dropped, !inject_panic),
-            }
-        };
-        if let Some(FaultAction::Dilate(extra)) = fault {
-            // Dilated execution: the task "runs long", inside the timed
-            // window, endangering deadlines downstream.
-            thread::sleep(extra);
-        }
+        let decision = self.dispatch(worker, &job, &admitted, deadline_pressure);
+        let mode = job.mode(admitted.accurate);
+        let ok = self.run_chosen(&mut job, mode, admitted.fault);
         let busy = start.elapsed();
 
         // Drop whichever body was not executed *before* completion is
@@ -354,42 +533,37 @@ impl RuntimeInner {
         }
 
         let record = job.record;
-        if ok {
-            // Transitive poison: a task that read a poisoned key produced
-            // output derived from failed data — its own writes are suspect.
-            if let Some(task) = record.filter(|task| task.writes) {
-                if self.tracker.any_poisoned()
-                    && task.in_keys().iter().any(|&k| self.tracker.is_poisoned(k))
-                {
-                    self.tracker.poison_writes(task.out_keys());
-                }
+        if let Some(task) = record.filter(|task| task.writes) {
+            // A panicked body's writes are poisoned *before* completion
+            // releases any dependent. Transitive poison: a task that read a
+            // poisoned key produced output derived from failed data — its
+            // own writes are suspect.
+            if !ok
+                || (self.tracker.any_poisoned()
+                    && task.in_keys().iter().any(|&k| self.tracker.is_poisoned(k)))
+            {
+                self.tracker.poison_writes(task.out_keys());
             }
-            self.stats
-                .env
-                .record_task(worker, mode, busy, decision, false);
+        }
+        self.stats
+            .env
+            .record_task(worker, mode, busy, decision, u64::from(ok), u64::from(!ok));
+        if ok {
             job.group
                 .stats
                 .record(worker, job.significance.level(), mode);
-            if let Some(task) = record {
-                task.notify_handle(TaskOutcome::Completed(mode));
-            }
         } else {
-            // The body panicked: poison its written keys *before*
-            // completion releases any dependent, and account it under
-            // `panicked` (not `completed`).
-            if let Some(task) = record.filter(|task| task.writes) {
-                self.tracker.poison_writes(task.out_keys());
-            }
-            self.stats
-                .env
-                .record_task(worker, mode, busy, decision, true);
+            // A panicked task is counted under `panicked`, not `completed`.
             job.group.stats.record_panicked(worker);
-            if let Some(task) = record {
-                task.notify_handle(TaskOutcome::Panicked);
-            }
+        }
+        if let Some(task) = record {
+            task.notify_handle(if ok {
+                TaskOutcome::Completed(mode)
+            } else {
+                TaskOutcome::Panicked
+            });
         }
         self.complete(job.group, record, retired);
-        busy
     }
 
     /// Run a body (catching panics so one failing task cannot take a worker
@@ -494,6 +668,10 @@ impl RuntimeInner {
         let mut share = Share::default();
         let held = self.staging.held(index);
         let mut idle_rounds = 0u32;
+        // Whether the worker spun through `SPIN_ROUNDS` since it last found
+        // work: only then does it take a partial staging chunk holding less
+        // than a share (`staging.rs`).
+        let mut spun_out = false;
         loop {
             let popped = self.queues.pop_local(index);
             if popped.refilled {
@@ -502,14 +680,14 @@ impl RuntimeInner {
                 self.wake_one_sleeper(index);
             }
             if let Some(task) = popped.task {
-                idle_rounds = 0;
+                (idle_rounds, spun_out) = (0, false);
                 self.execute(task, index, &mut lqh, &mut overload_tick, &mut retired);
                 continue;
             }
             // Steal-half: the oldest victim task is returned, the rest of
             // the claimed half now sits on this worker's own deque.
             if let Some(task) = self.queues.steal(index) {
-                idle_rounds = 0;
+                (idle_rounds, spun_out) = (0, false);
                 self.stats.env.count(index, Event::Steal);
                 if self.queues.has_local_backlog(index) {
                     // The steal deposited surplus stealable work: propagate
@@ -522,8 +700,9 @@ impl RuntimeInner {
             }
             // Nothing to pop or steal: run a share of the oldest staged
             // chunk, before popping again.
-            if self.pull_share(index, &mut share) {
-                idle_rounds = 0;
+            spun_out |= idle_rounds >= SPIN_ROUNDS;
+            if self.pull_share(index, &mut share, spun_out) {
+                (idle_rounds, spun_out) = (0, false);
                 self.run_share(
                     index,
                     held,

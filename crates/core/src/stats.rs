@@ -514,7 +514,10 @@ mod tests {
         panicked: bool,
     ) {
         let nominal = DispatchDecision::nominal();
-        stats.env.record_task(worker, mode, busy, nominal, panicked);
+        let panicked = u64::from(panicked);
+        stats
+            .env
+            .record_task(worker, mode, busy, nominal, 1 - panicked, panicked);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sig_core::{Policy, Runtime, TaskGroup};
+use sig_core::{DepKey, Policy, Runtime, TaskGroup};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -320,5 +320,65 @@ fn a_second_warm_pass_allocates_no_chunk() {
         (staged, windows),
         (0, 0),
         "chunk-sized allocations in a warm pass of {PASS} tasks, staged and windowed"
+    );
+}
+
+/// Tasks of a read-only footprint pass, each reading one key of a ring, and
+/// the tasks the spawner issues before it lets the worker catch up.
+const READ_PASS: usize = 20_000;
+const RING: usize = 64;
+const READ_WINDOW: usize = 4 * RING;
+
+/// A warm read-only footprint pass at one worker, after one writer sweep
+/// of the ring, recycles its records. The tracker hands a key's finished
+/// readers back to the spawner when the key's list fills, and a sweep over
+/// the ring fills every key's list in the same 64 spawns, some 4 000
+/// records at once; the spawner keeps them for the spawns that follow
+/// instead of freeing all but a stash and a pool's worth and allocating
+/// afresh. What is left is each reader's node in its key's list, about one
+/// allocation a task on all threads together. The spawner lets the worker
+/// catch up every few hundred tasks (polled: a barrier would free the
+/// stash), so the records in flight stay few and each allocation counted
+/// is one the recycling failed to save.
+#[test]
+fn a_warm_read_only_footprint_pass_allocates_about_its_reader_nodes() {
+    let _serial = serial();
+    let rt = Runtime::builder()
+        .workers(1)
+        .policy(Policy::SignificanceAgnostic)
+        .build();
+    let base = DepKey::named("read-only ring");
+    let keys: Vec<DepKey> = (0..RING).map(|i| DepKey::element(base, i)).collect();
+    for &key in &keys {
+        rt.task(|| {}).writes([key]).spawn();
+    }
+    let patience = std::time::Duration::from_secs(30);
+    let sweep = || {
+        for window in (0..READ_PASS).step_by(READ_WINDOW) {
+            for i in window..window + READ_WINDOW {
+                rt.task(|| {}).reads([keys[i % RING]]).spawn();
+            }
+            let deadline = Instant::now() + patience;
+            while rt.outstanding_tasks() != 0 {
+                assert!(Instant::now() < deadline, "a window never drained");
+                std::thread::yield_now();
+            }
+        }
+    };
+    // Warm: the husks the pass recycles are in circulation.
+    sweep();
+    let before = ALL_ALLOCATIONS.load(Ordering::Relaxed);
+    sweep();
+    let allocations = ALL_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let tasks = READ_PASS.div_ceil(READ_WINDOW) * READ_WINDOW;
+    let summary = rt.wait_all();
+    assert_eq!(summary.completed, RING + 2 * tasks);
+
+    let per_task = allocations as f64 / tasks as f64;
+    assert!(
+        per_task <= 1.2,
+        "{allocations} allocations on all threads over {tasks} warm read-only \
+         footprint tasks ({per_task:.2} per task): each needs its reader node, but \
+         its record should be a recycled husk"
     );
 }

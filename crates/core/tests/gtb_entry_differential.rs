@@ -8,6 +8,13 @@
 //! batched slice included, carrying the token; every third task carrying it
 //! and the slice spawned as a plain batch.
 //!
+//! Wherever two runs are compared, what they booked must be equal too: the
+//! group's level × mode statistics, which a worker books per task, and the
+//! worker ledgers' counts by mode and outcome summary, which a worker books
+//! per run of entries (a share's consecutive entries of one mode and one
+//! dispatch decision, in one section) and per record. Within each run the
+//! ledger must count by mode what the group's statistics count.
+//!
 //! * Under GTB(1), GTB(7), GTB(32) and GTB Max-Buffer, at one and two
 //!   workers, each task must run in the same mode (accurate, approximate or
 //!   dropped) in all three runs, that mode must be what GTB's definition
@@ -35,7 +42,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sig_core::{
-    BatchTask, CancelToken, FaultPlan, GroupStatsSnapshot, Policy, Runtime, ShedHistogram,
+    BatchTask, CancelToken, FaultPlan, GroupStatsSnapshot, OutcomeSummary, Policy, Runtime,
+    ShedHistogram,
 };
 
 const RATIO: f64 = 0.37;
@@ -53,6 +61,39 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+}
+
+/// What a run booked: the group's level × mode statistics, which a worker
+/// books per task, the worker ledgers' counts by mode (accurate,
+/// approximate, dropped), which a worker books per run of entries and per
+/// record, and the outcome summary the barrier folds from the ledgers.
+#[derive(Debug, PartialEq)]
+struct Booked {
+    group: GroupStatsSnapshot,
+    by_mode: [usize; 3],
+    outcomes: OutcomeSummary,
+}
+
+impl Booked {
+    /// What `rt` booked for `group` once it drained, which must be the
+    /// runtime's only group with tasks: its ledger and the group's
+    /// statistics must count the same tasks in each mode.
+    fn of(rt: &Runtime, group: &sig_core::TaskGroup, outcomes: OutcomeSummary) -> Self {
+        let group = rt.group_stats(group);
+        let stats = rt.stats();
+        let by_mode = [stats.accurate(), stats.approximate(), stats.dropped()];
+        assert_eq!(
+            by_mode,
+            [group.accurate, group.approximate, group.dropped],
+            "the ledger and the group's statistics count different tasks by mode"
+        );
+        assert_eq!(outcomes.completed, group.total());
+        Booked {
+            group,
+            by_mode,
+            outcomes,
+        }
     }
 }
 
@@ -137,8 +178,8 @@ impl Program {
         modes
     }
 
-    /// Run the program one way; every task's mode and the group's stats.
-    fn run(&self, policy: Policy, workers: usize, way: Way) -> (Vec<u8>, GroupStatsSnapshot) {
+    /// Run the program one way; every task's mode and what the run booked.
+    fn run(&self, policy: Policy, workers: usize, way: Way) -> (Vec<u8>, Booked) {
         let rt = Runtime::builder().workers(workers).policy(policy).build();
         let group = rt.create_group("differential", RATIO);
         let token = CancelToken::new();
@@ -187,10 +228,10 @@ impl Program {
         }
         let summary = rt.wait_group(&group);
         assert_eq!(summary.cancelled, 0, "the token is never cancelled");
-        let stats = rt.group_stats(&group);
-        assert_eq!(stats.total(), self.tenths.len());
+        let booked = Booked::of(&rt, &group, summary);
+        assert_eq!(booked.group.total(), self.tenths.len());
         let modes = modes.iter().map(|m| m.load(Ordering::Relaxed)).collect();
-        (modes, stats)
+        (modes, booked)
     }
 }
 
@@ -203,6 +244,8 @@ struct Observed {
     panicked: usize,
     shed: usize,
     shed_by_level: ShedHistogram,
+    /// The ledgers' counts by mode.
+    by_mode: [usize; 3],
 }
 
 /// Injected faults: 5 % panics and 2 % stalls of 20 µs, drawn from the
@@ -268,12 +311,14 @@ impl Program {
         let summary = rt.wait_all();
         assert_eq!(summary.cancelled, 0, "the token is never cancelled");
         assert_eq!(summary.completed + summary.failed(), summary.spawned);
+        let stats = rt.stats();
         Observed {
             modes: modes.iter().map(|m| m.load(Ordering::Relaxed)).collect(),
             completed: summary.completed,
             panicked: summary.panicked,
             shed: summary.shed,
             shed_by_level: summary.shed_by_level,
+            by_mode: [stats.accurate(), stats.approximate(), stats.dropped()],
         }
     }
 }
@@ -317,7 +362,7 @@ fn entries_and_records_decide_alike() {
         let program = Program::new(policy, tasks, 0x5EED + seed as u64);
         let expected = program.expected(policy);
         for workers in [1, 2] {
-            let (plain, plain_stats) = program.run(policy, workers, Way::Plain);
+            let (plain, plain_booked) = program.run(policy, workers, Way::Plain);
             for (i, (&got, &want)) in plain.iter().zip(&expected).enumerate() {
                 assert_eq!(
                     got,
@@ -328,7 +373,7 @@ fn entries_and_records_decide_alike() {
                 );
             }
             for way in [Way::Records, Way::Mixed] {
-                let (modes, stats) = program.run(policy, workers, way);
+                let (modes, booked) = program.run(policy, workers, way);
                 if let Some(i) = (0..modes.len()).find(|&i| modes[i] != plain[i]) {
                     panic!(
                         "{policy:?}, {tasks} tasks, {workers} workers, {way:?}: task {i} ran in mode {} \
@@ -337,7 +382,7 @@ fn entries_and_records_decide_alike() {
                     );
                 }
                 assert_eq!(
-                    stats, plain_stats,
+                    booked, plain_booked,
                     "{policy:?}, {tasks} tasks, {workers} workers, {way:?}"
                 );
             }
@@ -350,17 +395,19 @@ fn agnostic_runs_entries_and_records_accurately() {
     let policy = Policy::SignificanceAgnostic;
     let program = Program::new(policy, 3_000, 0x5EED + 10);
     for workers in [1, 2] {
-        let mut first_stats = None;
+        let mut first_booked = None;
         for way in [Way::Plain, Way::Records, Way::Mixed] {
-            let (modes, stats) = program.run(policy, workers, way);
+            let (modes, booked) = program.run(policy, workers, way);
             if let Some(i) = modes.iter().position(|&mode| mode != ACCURATE) {
                 panic!(
                     "{workers} workers, {way:?}: task {i} ran in mode {}, not accurately",
                     modes[i]
                 );
             }
-            let first = first_stats.get_or_insert_with(|| stats.clone());
-            assert_eq!(&stats, first, "{workers} workers, {way:?}");
+            match &first_booked {
+                Some(first) => assert_eq!(&booked, first, "{workers} workers, {way:?}"),
+                None => first_booked = Some(booked),
+            }
         }
     }
 }
@@ -369,17 +416,17 @@ fn agnostic_runs_entries_and_records_accurately() {
 fn lqh_at_one_worker_decides_entries_as_records() {
     let policy = Policy::Lqh;
     let program = Program::new(policy, 3_000, 0x5EED + 11);
-    let (plain, plain_stats) = program.run(policy, 1, Way::Plain);
+    let (plain, plain_booked) = program.run(policy, 1, Way::Plain);
     assert!(
         plain.contains(&ACCURATE) && plain.contains(&APPROXIMATE),
         "LQH at ratio {RATIO} runs some tasks each way"
     );
-    let (records, stats) = program.run(policy, 1, Way::Records);
+    let (records, booked) = program.run(policy, 1, Way::Records);
     if let Some(i) = (0..plain.len()).find(|&i| records[i] != plain[i]) {
         panic!(
             "task {i} ran in mode {} with the token and in mode {} plain",
             records[i], plain[i]
         );
     }
-    assert_eq!(stats, plain_stats);
+    assert_eq!(booked, plain_booked);
 }
